@@ -17,13 +17,17 @@ from pathlib import Path
 
 from . import __version__
 from .config import load_config, validate_config
-from .dynamics import build_diffusion, figure_drift
 from .engine import CSV_COLUMNS, csv_text, run_point, run_sweep
 from .errors import ConfigError, HopcavError, UnknownPresetError
-from .lyapunov import RESIDUAL_GATE, solve_lyapunov
+from .lyapunov import RESIDUAL_GATE
 from .presets import PRESET_NAMES, fig_preset
-from .steady_state import solve_fixed_detuning, solve_self_consistent
 from .stability import stability_map
+
+# bound for the span tracer of the benchmark (perfbench/spans.py PATCHES);
+# ``point`` takes its matrices from the run_point result instead
+from .dynamics import build_diffusion, figure_drift  # noqa: E402,F401
+from .lyapunov import solve_lyapunov  # noqa: E402,F401
+from .steady_state import solve_fixed_detuning, solve_self_consistent  # noqa: E402,F401
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -44,23 +48,19 @@ def _header(config) -> list[str]:
 
 def _cmd_point(args) -> int:
     config = load_config(args.config)
-    params = config.params
-    omega_m = params.mech_freq[0]
     result = run_point(config, {})
     rec = result.records[0]
     if rec.error:
         print(f"point failed: {rec.error}", file=sys.stderr)
         return EXIT_NUMERICAL
 
-    lang = tuple(-v for v in params.detuning.value)
-    if params.detuning.mode == "effective":
-        steady = solve_fixed_detuning(params, lang[0], lang[1])
-    else:
-        steady = solve_self_consistent(params, lang[0], lang[1])[rec.branch]
-    drift = figure_drift(params, steady, config.detuning_sign)
+    steady = result.steady_states[0]
+    drift = result.drifts[0]
+    diffusion = result.diffusion
+    if isinstance(diffusion, HopcavError):
+        # an unstable point needs no diffusion, but the document has one
+        raise diffusion
     nbar = rec.nbar
-    bath = config.bath.resolve()
-    diffusion = build_diffusion(params, bath, nbar)
 
     payload = {
         "quadrature_order": ["q1", "p1", "x1", "y1", "q2", "p2", "x2", "y2"],
@@ -78,9 +78,8 @@ def _cmd_point(args) -> int:
         "record": {col: getattr(rec, col) for col in CSV_COLUMNS},
     }
     if rec.stable:
-        sol = solve_lyapunov(drift, diffusion, assume_hurwitz=True)
-        payload["covariance"] = sol.w.flatten().tolist()
-        payload["lyap_residual"] = sol.residual_norm
+        payload["covariance"] = result.covariances[0].flatten().tolist()
+        payload["lyap_residual"] = rec.lyap_residual
 
     if args.json:
         print(json.dumps(payload, indent=2))

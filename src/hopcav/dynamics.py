@@ -36,32 +36,45 @@ def _sign(detuning_sign: str) -> float:
     return 1.0 if detuning_sign == "positive" else -1.0
 
 
-def drift_matrix(mech_freq, mech_damping, cavity_decay, coupling, detuning,
-                 hop_strength: float, detuning_sign: str = "positive") -> np.ndarray:
-    """Assemble the 8x8 drift from per-cavity value pairs.
+def drift_stack(mech_freq, mech_damping, cavity_decay, coupling, detuning,
+                hop_strength, detuning_sign: str = "positive") -> np.ndarray:
+    """Assemble P drift matrices, shape (P, 8, 8).
+
+    ``mech_freq``, ``mech_damping`` and ``cavity_decay`` are per-cavity pairs
+    shared by the stack; ``coupling`` and ``detuning`` hold one pair per
+    matrix and ``hop_strength`` one value per matrix.
 
     The sparsity pattern has 22 structural entries: two mechanical 2x2 blocks,
     two optical 2x2 blocks, the radiation-pressure couplings, and the four
     hopping entries connecting opposite optical quadratures.
     """
     s = _sign(detuning_sign)
-    a = np.zeros((8, 8))
-    for i, o in enumerate((0, 4)):
-        a[o + 0, o + 1] = mech_freq[i]
-        a[o + 1, o + 0] = -mech_freq[i]
-        a[o + 1, o + 1] = -mech_damping[i]
-        a[o + 1, o + 2] = coupling[i]
-        a[o + 2, o + 2] = -cavity_decay[i]
-        a[o + 2, o + 3] = s * detuning[i]
-        a[o + 3, o + 0] = coupling[i]
-        a[o + 3, o + 2] = -s * detuning[i]
-        a[o + 3, o + 3] = -cavity_decay[i]
-    xi = hop_strength
-    a[2, 7] = -xi
-    a[3, 6] = xi
-    a[6, 3] = -xi
-    a[7, 2] = xi
-    return a
+    stack = np.zeros((len(hop_strength), 8, 8))
+    # entry by entry: a few scalar stores beat array calls at any stack size
+    for a, g, d, xi in zip(stack, coupling, detuning, hop_strength):
+        for i, o in enumerate((0, 4)):
+            a[o + 0, o + 1] = mech_freq[i]
+            a[o + 1, o + 0] = -mech_freq[i]
+            a[o + 1, o + 1] = -mech_damping[i]
+            a[o + 1, o + 2] = g[i]
+            a[o + 2, o + 2] = -cavity_decay[i]
+            a[o + 2, o + 3] = s * d[i]
+            a[o + 3, o + 0] = g[i]
+            a[o + 3, o + 2] = -s * d[i]
+            a[o + 3, o + 3] = -cavity_decay[i]
+        a[2, 7] = -xi
+        a[3, 6] = xi
+        a[6, 3] = -xi
+        a[7, 2] = xi
+    return stack
+
+
+def drift_matrix(mech_freq, mech_damping, cavity_decay, coupling, detuning,
+                 hop_strength: float, detuning_sign: str = "positive") -> np.ndarray:
+    """Assemble the 8x8 drift from per-cavity value pairs; see
+    :func:`drift_stack`."""
+    return drift_stack(mech_freq, mech_damping, cavity_decay, [coupling], [detuning],
+                       [hop_strength], detuning_sign)[0]
 
 
 def build_drift(params: PhysicalParams, steady: SteadyState,
@@ -127,6 +140,25 @@ class ReducedModel:
     eff_detuning: float     # rad/s
 
 
+def reduced_drift_stack(omega_m: float, gamma_m: float, kappa: float, coupling,
+                        eff_detuning, detuning_sign: str = "positive") -> np.ndarray:
+    """Collective-mode drifts, shape (P, 4, 4) in the ordering (Q, P, X, Y),
+    for P couplings and P modified detunings delta + xi."""
+    s = _sign(detuning_sign)
+    stack = np.zeros((len(eff_detuning), 4, 4))
+    for a, g, dp in zip(stack, coupling, eff_detuning):
+        a[0, 1] = omega_m
+        a[1, 0] = -omega_m
+        a[1, 1] = -gamma_m
+        a[1, 2] = g
+        a[2, 2] = -kappa
+        a[2, 3] = s * dp
+        a[3, 0] = g
+        a[3, 2] = -s * dp
+        a[3, 3] = -kappa
+    return stack
+
+
 def build_reduced(params: PhysicalParams, coupling: float, delta: float,
                   bath: SqueezedBath | None = None, nbar: float = 0.0,
                   detuning_sign: str = "positive") -> ReducedModel:
@@ -138,17 +170,11 @@ def build_reduced(params: PhysicalParams, coupling: float, delta: float,
     """
     if not params.is_symmetric:
         raise ConfigError("the reduced collective model requires identical cavities")
-    s = _sign(detuning_sign)
-    omega_m = params.mech_freq[0]
     gamma_m = params.mech_damping[0]
     kappa = params.cavity_decay[0]
     dp = delta + params.hop_strength
-    drift = np.array([
-        [0.0, omega_m, 0.0, 0.0],
-        [-omega_m, -gamma_m, coupling, 0.0],
-        [0.0, 0.0, -kappa, s * dp],
-        [coupling, 0.0, -s * dp, -kappa],
-    ])
+    drift = reduced_drift_stack(params.mech_freq[0], gamma_m, kappa, [coupling], [dp],
+                                detuning_sign)[0]
     if bath is None:
         bath = SqueezedBath.vacuum()
     n = bath.photon_number

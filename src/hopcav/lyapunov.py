@@ -1,5 +1,11 @@
 """Small dense kernels: Hurwitz test and the continuous Lyapunov equation
-A W + W A^T = -Q, solved directly through the Kronecker-sum linear system."""
+A W + W A^T = -Q, solved directly through the Kronecker-sum linear system.
+
+The kernels work on stacks of matrices, shape (P, n, n), with one LAPACK call
+per stack (or per group of Kronecker systems): a stacked call returns, matrix
+by matrix, exactly what the call on that one matrix returns.  ``is_hurwitz``
+and ``solve_lyapunov`` are their single-matrix cases.
+"""
 
 from __future__ import annotations
 
@@ -13,6 +19,11 @@ MAX_ORDER = 16
 # stability margin relative to the matrix scale
 ABSCISSA_RTOL = 1e-12
 RESIDUAL_GATE = 1e-9
+# grid points per batch of the stacked kernels' callers: bounds the memory of
+# a batch's arrays and working points
+CHUNK_POINTS = 256
+# Kronecker systems per solve call: 16 systems of order 64 take 0.5 MB
+LYAPUNOV_GROUP = 16
 
 
 @dataclass(frozen=True)
@@ -24,34 +35,80 @@ class LyapunovSolution:
     residual_norm: float
 
 
-def spectral_abscissa(a: np.ndarray) -> float:
-    """Largest real part of the eigenvalues of ``a``."""
+def frobenius_norms(m: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack, summed in the order
+    ``np.linalg.norm`` sums a single matrix."""
+    flat = np.ascontiguousarray(m).reshape(m.shape[0], m.shape[1] * m.shape[2])
+    return np.sqrt(np.vecdot(flat, flat))
+
+
+def hurwitz_gate(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hurwitz verdicts and spectral abscissae of a stack of square matrices.
+
+    A matrix passes when its spectral abscissa is below minus
+    ``ABSCISSA_RTOL`` times its Frobenius norm.
+    """
     a = np.asarray(a, dtype=float)
-    _check_square(a)
+    _check_stack(a)
     try:
         ev = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise HopcavError(f"eigenvalue solver failed: {exc}") from exc
-    return float(ev.real.max())
+    absc = ev.real.max(axis=-1)
+    return absc < -ABSCISSA_RTOL * frobenius_norms(a), absc
+
+
+def lyapunov_stack(a: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric solutions W and relative residuals of A W + W A^T = -Q for
+    stacks of Hurwitz A (not checked) and symmetric Q.
+
+    The order-n^2 Kronecker-sum systems are filled in place, a group at a
+    time, and solved with dense pivoted elimination (deterministic).
+    """
+    count, n = a.shape[0], a.shape[1]
+    group = max(1, min(LYAPUNOV_GROUP, count))
+    system = np.empty((group, n * n, n * n))
+    scratch = np.empty_like(system)
+    eye = np.eye(n)
+    w = np.empty((count, n, n))
+    for start in range(0, count, group):
+        ag = a[start:start + group]
+        g = len(ag)
+        s = system[:g].reshape(g, n, n, n, n)
+        t = scratch[:g].reshape(g, n, n, n, n)
+        # s[p, i, k, j, l] = kron(A, I) + kron(I, A) at row i n + k, column j n + l
+        np.multiply(ag[:, :, None, :, None], eye[None, None, :, None, :], out=s)
+        np.multiply(eye[None, :, None, :, None], ag[:, None, :, None, :], out=t)
+        s += t
+        rhs = -q[start:start + g].reshape(g, n * n, 1)
+        w[start:start + g] = np.linalg.solve(system[:g], rhs).reshape(g, n, n)
+    w = 0.5 * (w + w.transpose(0, 2, 1))
+
+    qnorm = frobenius_norms(q)
+    r = a @ w + w @ a.transpose(0, 2, 1) + q
+    # a zero Q leaves the absolute residual
+    return w, frobenius_norms(r) / np.where(qnorm == 0.0, 1.0, qnorm)
+
+
+def spectral_abscissa(a: np.ndarray) -> float:
+    """Largest real part of the eigenvalues of ``a``."""
+    return is_hurwitz(a)[1]
 
 
 def is_hurwitz(a: np.ndarray) -> tuple[bool, float]:
     """Whether all eigenvalues sit strictly in the left half-plane, together
-    with the spectral abscissa.  Strictness uses a margin of
-    ``ABSCISSA_RTOL`` times the Frobenius norm."""
+    with the spectral abscissa; see :func:`hurwitz_gate`."""
     a = np.asarray(a, dtype=float)
-    absc = spectral_abscissa(a)
-    margin = ABSCISSA_RTOL * np.linalg.norm(a)
-    return bool(absc < -margin), absc
+    _check_square(a)
+    ok, absc = hurwitz_gate(a[None])
+    return bool(ok[0]), float(absc[0])
 
 
 def solve_lyapunov(a: np.ndarray, q: np.ndarray, *, assume_hurwitz: bool = False) -> LyapunovSolution:
     """Unique symmetric solution of A W + W A^T = -Q for a Hurwitz A.
 
-    Solves the order-n^2 Kronecker-sum system with dense pivoted elimination
-    (deterministic), symmetrizes, and records the relative residual.  Raises
-    :class:`StabilityError` when A is not Hurwitz, so callers treat the point
-    as having no steady state.
+    Raises :class:`StabilityError` when A is not Hurwitz, so callers treat the
+    point as having no steady state; see :func:`lyapunov_stack`.
     """
     a = np.asarray(a, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -66,25 +123,20 @@ def solve_lyapunov(a: np.ndarray, q: np.ndarray, *, assume_hurwitz: bool = False
             raise StabilityError(
                 f"drift is not Hurwitz (spectral abscissa {absc:.6e}); no steady state"
             )
-
-    n = a.shape[0]
-    eye = np.eye(n)
-    system = np.kron(a, eye) + np.kron(eye, a)
-    w = np.linalg.solve(system, -q.reshape(-1)).reshape(n, n)
-    w = 0.5 * (w + w.T)
-
-    qnorm = np.linalg.norm(q)
-    if qnorm == 0.0:
-        residual = float(np.linalg.norm(a @ w + w @ a.T))
-    else:
-        residual = float(np.linalg.norm(a @ w + w @ a.T + q) / qnorm)
-    return LyapunovSolution(w=w, residual_norm=residual)
+    w, residual = lyapunov_stack(a[None], q[None])
+    return LyapunovSolution(w=w[0], residual_norm=float(residual[0]))
 
 
 def _check_square(a: np.ndarray) -> None:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise HopcavError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] > MAX_ORDER:
+    _check_stack(a[None])
+
+
+def _check_stack(a: np.ndarray) -> None:
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise HopcavError(f"expected a stack of square matrices, got shape {a.shape}")
+    if a.shape[1] > MAX_ORDER:
         raise HopcavError(
-            f"kernel is sized for order <= {MAX_ORDER}, got {a.shape[0]}"
+            f"kernel is sized for order <= {MAX_ORDER}, got {a.shape[1]}"
         )

@@ -60,13 +60,19 @@ class EntanglementResult:
     chi: float          # det W1 + det W2 - 2 det Wc
 
 
+def pair_stack(w: np.ndarray, pair: BipartitePair) -> np.ndarray:
+    """The (P, 4, 4) covariances of one mode pair cut out of a (P, 8, 8) stack,
+    order preserved."""
+    idx = list(pair.indices)
+    return w[:, idx][:, :, idx]
+
+
 def extract_pair(w: np.ndarray, pair: BipartitePair) -> PairCovariance:
     """Select the rows and columns of one mode pair, order preserved."""
     w = np.asarray(w, dtype=float)
     if w.shape != (8, 8):
         raise HopcavError(f"expected an 8x8 covariance matrix, got {w.shape}")
-    idx = list(pair.indices)
-    return PairCovariance(matrix=w[np.ix_(idx, idx)].copy())
+    return PairCovariance(matrix=pair_stack(w[None], pair)[0])
 
 
 def _as_pair_matrix(pair_cov) -> np.ndarray:
@@ -79,23 +85,18 @@ def _as_pair_matrix(pair_cov) -> np.ndarray:
     return m
 
 
-def log_negativity(pair_cov) -> EntanglementResult:
-    """Logarithmic negativity of a two-mode covariance matrix.
+def _determinants(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """det W1, det W2 and det Wc along a new last axis, and det W, for pair
+    covariances stacked in any leading axes."""
+    blocks = np.stack((m[..., :2, :2], m[..., 2:, 2:], m[..., :2, 2:]), axis=-3)
+    return np.linalg.det(blocks), np.linalg.det(m)
 
-    theta_minus is evaluated from the determinant invariants of the 2x2
-    blocks; states with chi^2 significantly below 4 det(W_R) are rejected as
-    numerically invalid.
-    """
-    m = _as_pair_matrix(pair_cov)
-    w1 = m[:2, :2]
-    w2 = m[2:, 2:]
-    wc = m[:2, 2:]
-    chi = (
-        float(np.linalg.det(w1))
-        + float(np.linalg.det(w2))
-        - 2.0 * float(np.linalg.det(wc))
-    )
-    disc = chi * chi - 4.0 * float(np.linalg.det(m))
+
+def _entanglement(det_w1: float, det_w2: float, det_wc: float,
+                  det_w: float) -> tuple[float, float, float]:
+    """theta_minus, log_neg and chi from the determinant invariants."""
+    chi = det_w1 + det_w2 - 2.0 * det_wc
+    disc = chi * chi - 4.0 * det_w
     if disc < -DISCRIMINANT_RTOL * max(1.0, chi * chi):
         raise InvalidStateError(
             f"chi^2 - 4 det(W_R) = {disc:.3e} < 0; covariance is not a valid two-mode state"
@@ -107,11 +108,38 @@ def log_negativity(pair_cov) -> EntanglementResult:
             f"nonpositive squared symplectic eigenvalue {theta_sq:.3e}"
         )
     theta = math.sqrt(theta_sq)
-    return EntanglementResult(
-        theta_minus=theta,
-        log_neg=max(0.0, -math.log(2.0 * theta)),
-        chi=chi,
-    )
+    return theta, max(0.0, -math.log(2.0 * theta)), chi
+
+
+def log_negativity(pair_cov) -> EntanglementResult:
+    """Logarithmic negativity of a two-mode covariance matrix.
+
+    theta_minus is evaluated from the determinant invariants of the 2x2
+    blocks; states with chi^2 significantly below 4 det(W_R) are rejected as
+    numerically invalid.
+    """
+    blocks, det_w = _determinants(_as_pair_matrix(pair_cov))
+    theta, log_neg, chi = _entanglement(*blocks.tolist(), float(det_w))
+    return EntanglementResult(theta_minus=theta, log_neg=log_neg, chi=chi)
+
+
+def _fidelities(m: np.ndarray, w_in: np.ndarray) -> list:
+    """Teleportation fidelity of each pair covariance of a (P, 4, 4) stack, or
+    the :class:`ConventionError` of a nonpositive determinant."""
+    s = np.diag([1.0, -1.0])
+    w1 = m[:, :2, :2]
+    w2 = m[:, 2:, 2:]
+    wc = m[:, :2, 2:]
+    z = s @ w1 @ s + s @ wc + wc.transpose(0, 2, 1) @ s + w2
+    out = []
+    for k, arg in enumerate(np.linalg.det(2.0 * w_in + z).tolist()):
+        if arg <= 0.0:
+            out.append(ConventionError(
+                f"nonpositive fidelity determinant {arg:.3e}; Z = {z[k].tolist()}"
+            ))
+        else:
+            out.append(2.0 / math.sqrt(arg))
+    return out
 
 
 def teleportation_fidelity(pair_cov, w_in: np.ndarray | None = None) -> float:
@@ -129,17 +157,36 @@ def teleportation_fidelity(pair_cov, w_in: np.ndarray | None = None) -> float:
     w_in = np.asarray(w_in, dtype=float)
     if w_in.shape != (2, 2):
         raise HopcavError(f"w_in must be 2x2, got {w_in.shape}")
-    s = np.diag([1.0, -1.0])
-    w1 = m[:2, :2]
-    w2 = m[2:, 2:]
-    wc = m[:2, 2:]
-    z = s @ w1 @ s + s @ wc + wc.T @ s + w2
-    arg = float(np.linalg.det(2.0 * w_in + z))
-    if arg <= 0.0:
-        raise ConventionError(
-            f"nonpositive fidelity determinant {arg:.3e}; Z = {z.tolist()}"
-        )
-    return 2.0 / math.sqrt(arg)
+    (fidelity,) = _fidelities(m[None], w_in)
+    if isinstance(fidelity, HopcavError):
+        raise fidelity
+    return fidelity
+
+
+def pair_measures(w: np.ndarray) -> list:
+    """Every recorded measure of each covariance of a (P, 8, 8) stack.
+
+    For each covariance: the tuple (E_N of the four pairs in
+    :class:`BipartitePair` order, theta_minus of the four, the teleportation
+    fidelity of F1F2 and its bound), or the error that the first failing
+    measure raises, in the order :func:`log_negativity` over the pairs,
+    :func:`teleportation_fidelity` and :func:`fidelity_bound`.
+    """
+    m = np.stack([pair_stack(w, pair) for pair in BipartitePair], axis=1)
+    blocks, det_w = _determinants(m)
+    opt = list(BipartitePair).index(BipartitePair.F1F2)
+    fidelities = _fidelities(m[:, opt], np.eye(2))
+    out = []
+    for point_blocks, point_dets, fidelity in zip(blocks.tolist(), det_w.tolist(), fidelities):
+        try:
+            ent = [_entanglement(*b, d) for b, d in zip(point_blocks, point_dets)]
+            if isinstance(fidelity, HopcavError):
+                raise fidelity
+            log_negs = [e[1] for e in ent]
+            out.append((*log_negs, *(e[0] for e in ent), fidelity, fidelity_bound(log_negs[opt])))
+        except HopcavError as exc:
+            out.append(exc)
+    return out
 
 
 def fidelity_bound(log_neg: float) -> float:

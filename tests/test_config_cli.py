@@ -120,6 +120,27 @@ class TestCli:
         assert payload["record"]["stable"] is True
         assert payload["quadrature_order"][0] == "q1"
 
+    def test_point_solves_once(self, tmp_path, capsys, monkeypatch):
+        # the command reuses the working point, matrices and covariance of
+        # its run_point result
+        from hopcav import cli, engine
+
+        calls = []
+        for module, name in ((engine, "lyapunov_stack"), (engine, "solve_fixed_detuning"),
+                             (cli, "solve_fixed_detuning"), (cli, "solve_lyapunov")):
+            fn = getattr(module, name)
+
+            def counted(*args, _fn=fn, _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        path = write_doc(tmp_path, BASE_DOC)
+        assert main(["point", "--config", str(path), "--json"]) == 0
+        assert sorted(calls) == ["lyapunov_stack", "solve_fixed_detuning"]
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["lyap_residual"] == payload["record"]["lyap_residual"]
+
     def test_validate_ok_and_bad(self, tmp_path, capsys):
         good = write_doc(tmp_path, BASE_DOC, "good.json")
         assert main(["validate", "--config", str(good)]) == 0

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hopcav import engine
 from hopcav.engine import (
     AxisSpec,
     BathSpec,
@@ -151,9 +152,13 @@ class TestRunSweep:
             (0.0, 0.2), (0.0, 0.9), (0.0, 1.4), (0.5, 0.2), (0.5, 0.9), (0.5, 1.4),
         ]
 
-    def test_worker_count_does_not_change_output(self):
+    def test_worker_count_does_not_change_output(self, monkeypatch):
+        # 21 points in chunks of at most 4: more chunks than workers, and the
+        # two runs cut the grid differently
+        monkeypatch.setattr(engine, "CHUNK_POINTS", 4)
         cfg = base_config(
-            axes=(AxisSpec("xi", (0.0, 0.3)), AxisSpec("delta", (0.4, 0.8, 1.2)))
+            axes=(AxisSpec("xi", (0.0, 0.3, 0.6)),
+                  AxisSpec("delta", tuple(np.linspace(0.4, 1.6, 7))))
         )
         serial = run_sweep(cfg, workers=1)
         parallel = run_sweep(cfg, workers=2)
@@ -182,6 +187,74 @@ class TestRunSweep:
             for (d1, e1), (d2, e2) in zip(by_n[lo], by_n[hi]):
                 assert d1 == d2
                 assert e2 <= e1 + 1e-12
+
+
+class TestBatchedPipeline:
+    """A sweep evaluates its grid in chunks; every row equals what run_point
+    gives for its point alone."""
+
+    def per_point(self, cfg):
+        return [r for p in grid_points(cfg) for r in run_point(cfg, p).records]
+
+    def test_chunked_sweep_equals_single_points(self, monkeypatch):
+        monkeypatch.setattr(engine, "CHUNK_POINTS", 8)
+        cfg = base_config(
+            params=make_params(power=0.07),
+            axes=(AxisSpec("xi", (0.0, 0.4, 0.8)),
+                  AxisSpec.from_range("delta", 0.2, 1.8, 9)),
+        )
+        assert len(grid_points(cfg)) % 8 != 0
+        records = run_sweep(cfg).records
+        assert records == tuple(self.per_point(cfg))
+        stable = [r.stable for r in records]
+        assert any(stable) and not all(stable)
+
+    def test_bare_branch_rows_stay_adjacent(self, monkeypatch):
+        monkeypatch.setattr(engine, "CHUNK_POINTS", 2)
+        cfg = base_config(
+            params=make_params(power=0.1, delta=-3.9, mode="bare"),
+            branch_policy="all",
+            axes=(AxisSpec("delta", (-4.3, -3.9, -3.5)), AxisSpec("power", (0.02, 0.1))),
+        )
+        records = run_sweep(cfg).records
+        assert records == tuple(self.per_point(cfg))
+        assert max(r.branch for r in records) == 2
+        # each point's branch rows are consecutive, numbered from 0
+        rows = [(r.delta, r.power, r.branch) for r in records]
+        for prev, row in zip(rows, rows[1:]):
+            if row[2] != 0:
+                assert row == (prev[0], prev[1], prev[2] + 1)
+
+    def test_setup_error_rows_match_single_points(self, monkeypatch):
+        monkeypatch.setattr(engine, "CHUNK_POINTS", 4)
+        # a fixed correlation of 0.3 exceeds the bound below N = 0.09, and a
+        # negative hopping strength is rejected before the working point
+        cfg = base_config(
+            bath=BathSpec(photon_number=0.0, correlation=0.3),
+            axes=(AxisSpec("photon_number", (0.0, 0.05, 0.1, 0.5)),
+                  AxisSpec("xi", (-0.5, 0.0, 0.5))),
+        )
+        records = run_sweep(cfg).records
+        assert csv_text(records) == csv_text(self.per_point(cfg))
+        errors = [r.error for r in records]
+        assert errors[0] == "hop_strength must be nonnegative"
+        assert errors[1].startswith("correlation 0.3 exceeds the quantum bound")
+        assert errors[-1] == ""
+
+    def test_diffusion_error_only_on_stable_rows(self, monkeypatch):
+        monkeypatch.setattr(engine, "CHUNK_POINTS", 4)
+        # a negative occupation fails the diffusion, which only stable
+        # points build
+        cfg = base_config(
+            params=make_params(power=0.07),
+            axes=(AxisSpec("nbar", (-1.0, 836.0)), AxisSpec.from_range("delta", 0.2, 1.8, 9)),
+        )
+        records = run_sweep(cfg).records
+        assert csv_text(records) == csv_text(self.per_point(cfg))
+        negative = [r for r in records if r.nbar < 0.0]
+        assert {r.error != "" for r in negative} == {True, False}
+        assert all((r.error != "") == r.stable for r in negative)
+        assert all(r.en_f1m1 is None for r in negative)
 
 
 class TestDetuningSignConvention:

@@ -5,7 +5,14 @@ import pytest
 
 from hopcav.dynamics import build_diffusion, figure_drift
 from hopcav.errors import HopcavError, StabilityError
-from hopcav.lyapunov import LyapunovSolution, is_hurwitz, solve_lyapunov
+from hopcav.lyapunov import (
+    LYAPUNOV_GROUP,
+    LyapunovSolution,
+    hurwitz_gate,
+    is_hurwitz,
+    lyapunov_stack,
+    solve_lyapunov,
+)
 from hopcav.measures import symplectic_eigenvalues
 from hopcav.params import Detuning, PhysicalParams
 from hopcav.squeezed import SqueezedBath
@@ -153,3 +160,48 @@ class TestPhysicality:
             assert ok
             sol = solve_lyapunov(a, build_diffusion(p, bath, 832.96))
             assert symplectic_eigenvalues(sol.w).min() >= 0.5 - 1e-8
+
+
+class TestStackedKernels:
+    """A stacked call gives, matrix by matrix, exactly the single-matrix result."""
+
+    def drifts(self, rng, count):
+        p = make_params(xi=0.5 * WM)
+        out = []
+        for k in range(count):
+            ss = solve_fixed_detuning(p, -rng.uniform(0.0, 2.0) * WM, -rng.uniform(0.0, 2.0) * WM)
+            out.append(figure_drift(p, ss) if k % 3 else random_hurwitz(rng))
+        return np.array(out)
+
+    def test_gate_equals_single_matrix_gate(self):
+        rng = np.random.default_rng(11)
+        a = np.concatenate([self.drifts(rng, 20), rng.normal(size=(10, 8, 8))])
+        ok, absc = hurwitz_gate(a)
+        single = [is_hurwitz(m) for m in a]
+        assert np.array_equal(ok, [s[0] for s in single])
+        assert np.array_equal(absc, [s[1] for s in single])
+        assert ok.any() and not ok.all()
+
+    def test_stacked_solve_equals_single_solves(self):
+        rng = np.random.default_rng(12)
+        count = 2 * LYAPUNOV_GROUP + 5  # groups of unequal size
+        a = self.drifts(rng, count)
+        q = np.array([random_psd(rng) for _ in range(count)])
+        q[3] = 0.0
+        w, residual = lyapunov_stack(a, q)
+        for k in range(count):
+            sol = solve_lyapunov(a[k], q[k], assume_hurwitz=True)
+            assert np.array_equal(w[k], sol.w)
+            assert residual[k] == sol.residual_norm
+
+    def test_single_matrix_types(self):
+        ok, absc = is_hurwitz(-np.eye(3))
+        assert type(ok) is bool and type(absc) is float
+        sol = solve_lyapunov(-np.eye(3), np.eye(3))
+        assert isinstance(sol, LyapunovSolution)
+        assert sol.w.shape == (3, 3)
+        assert type(sol.residual_norm) is float
+
+    def test_stack_shape_guard(self):
+        with pytest.raises(HopcavError):
+            hurwitz_gate(-np.eye(3))

@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from hopcav.errors import ConventionError, HopcavError
+from hopcav.errors import ConventionError, HopcavError, InvalidStateError
 from hopcav.measures import (
     BipartitePair,
     EntanglementResult,
     extract_pair,
     fidelity_bound,
     log_negativity,
+    pair_measures,
+    pair_stack,
     partial_transpose,
     symplectic_eigenvalues,
     symplectic_form,
@@ -220,3 +222,56 @@ class TestSymplecticEigenvalues:
             [0.5 * math.exp(-2 * r), 0.5 * math.exp(2 * r)],
             rtol=1e-12,
         )
+
+
+class TestStackedMeasures:
+    """The stacked measures give, covariance by covariance, exactly what the
+    single-pair functions give, and the error the first of them raises."""
+
+    def covariances(self, rng, count):
+        out = []
+        for _ in range(count):
+            b = rng.normal(scale=0.8, size=(8, 8))
+            out.append(0.5 * np.eye(8) + b @ b.T)
+        return np.array(out)
+
+    def single(self, w):
+        try:
+            ent = [log_negativity(extract_pair(w, pair)) for pair in BipartitePair]
+            fid = teleportation_fidelity(extract_pair(w, BipartitePair.F1F2))
+            return (*(e.log_neg for e in ent), *(e.theta_minus for e in ent),
+                    fid, fidelity_bound(ent[3].log_neg))
+        except HopcavError as exc:
+            return exc
+
+    def test_pair_stack_equals_extract_pair(self):
+        w = self.covariances(np.random.default_rng(3), 5)
+        for pair in BipartitePair:
+            stacked = pair_stack(w, pair)
+            for k in range(len(w)):
+                assert np.array_equal(stacked[k], extract_pair(w[k], pair).matrix)
+
+    def test_equal_to_single_pair_functions(self):
+        rng = np.random.default_rng(4)
+        w = self.covariances(rng, 12)
+        # two-mode squeezed vacuum in the F1F2 pair: entangled, E_N > 0
+        w[0] = np.eye(8) * 0.5
+        w[0][np.ix_([2, 3, 6, 7], [2, 3, 6, 7])] = tmsv_matrix(0.5)
+        got = pair_measures(w)
+        for k in range(len(w)):
+            assert got[k] == self.single(w[k])
+        assert got[0][3] > 0.0
+
+    def test_errors_in_single_function_order(self):
+        w = self.covariances(np.random.default_rng(5), 3)
+        # F2M2 violates the uncertainty bound: log_negativity raises there
+        w[1][np.ix_([4, 5, 6, 7], [4, 5, 6, 7])] = tmsv_matrix(0.5, m=5.0)
+        # only the fidelity fails: a negative-definite F1F2 noise block
+        w[2] = -np.eye(8)
+        got = pair_measures(w)
+        for k in (1, 2):
+            want = self.single(w[k])
+            assert type(got[k]) is type(want) and str(got[k]) == str(want)
+        assert isinstance(got[1], InvalidStateError)
+        assert isinstance(got[2], ConventionError)
+        assert not isinstance(got[0], HopcavError)
