@@ -25,9 +25,9 @@ from .stability import stability_map
 
 # bound for the span tracer of the benchmark (perfbench/spans.py PATCHES);
 # ``point`` takes its matrices from the run_point result instead
-from .dynamics import build_diffusion, figure_drift  # noqa: E402,F401
-from .lyapunov import solve_lyapunov  # noqa: E402,F401
-from .steady_state import solve_fixed_detuning, solve_self_consistent  # noqa: E402,F401
+from .dynamics import build_diffusion, figure_drift  # noqa: F401
+from .lyapunov import solve_lyapunov  # noqa: F401
+from .steady_state import solve_fixed_detuning, solve_self_consistent  # noqa: F401
 
 EXIT_OK = 0
 EXIT_CONFIG = 1

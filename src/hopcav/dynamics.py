@@ -50,7 +50,8 @@ def drift_stack(mech_freq, mech_damping, cavity_decay, coupling, detuning,
     """
     s = _sign(detuning_sign)
     stack = np.zeros((len(hop_strength), 8, 8))
-    # entry by entry: a few scalar stores beat array calls at any stack size
+    # scalar stores: no per-call array overhead for a batch of one, and about
+    # 3 us per matrix in a sweep
     for a, g, d, xi in zip(stack, coupling, detuning, hop_strength):
         for i, o in enumerate((0, 4)):
             a[o + 0, o + 1] = mech_freq[i]

@@ -43,9 +43,9 @@ from .steady_state import SteadyState, solve_fixed_detuning, solve_self_consiste
 
 # bound for the span tracer of the benchmark (perfbench/spans.py PATCHES);
 # the batch calls the stacked kernels instead
-from .dynamics import figure_drift  # noqa: E402,F401
-from .lyapunov import is_hurwitz, solve_lyapunov  # noqa: E402,F401
-from .measures import (  # noqa: E402,F401
+from .dynamics import figure_drift  # noqa: F401
+from .lyapunov import is_hurwitz, solve_lyapunov  # noqa: F401
+from .measures import (  # noqa: F401
     extract_pair,
     fidelity_bound,
     log_negativity,
@@ -195,9 +195,9 @@ class PointResult:
 
     records: tuple[ResultRecord, ...]
     covariances: tuple[np.ndarray | None, ...]
-    steady_states: tuple[SteadyState | None, ...] = ()
-    drifts: tuple[np.ndarray | None, ...] = ()
-    diffusion: np.ndarray | HopcavError | None = None
+    steady_states: tuple[SteadyState | None, ...]
+    drifts: tuple[np.ndarray | None, ...]
+    diffusion: np.ndarray | HopcavError | None
 
 
 def _axis_value(params: PhysicalParams, name: str, value: float):
@@ -244,7 +244,8 @@ def _point_setup(config: SweepConfig, overrides: dict[str, float]):
 
 
 def _failed(rec: ResultRecord) -> PointResult:
-    return PointResult(records=(rec,), covariances=(None,), steady_states=(None,), drifts=(None,))
+    return PointResult(records=(rec,), covariances=(None,), steady_states=(None,), drifts=(None,),
+                       diffusion=None)
 
 
 def _diffusion(cache: dict, params: PhysicalParams, bath: SqueezedBath, nbar: float):

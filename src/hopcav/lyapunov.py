@@ -35,7 +35,7 @@ class LyapunovSolution:
     residual_norm: float
 
 
-def frobenius_norms(m: np.ndarray) -> np.ndarray:
+def _frobenius_norms(m: np.ndarray) -> np.ndarray:
     """Frobenius norm of each matrix of a stack, summed in the order
     ``np.linalg.norm`` sums a single matrix."""
     flat = np.ascontiguousarray(m).reshape(m.shape[0], m.shape[1] * m.shape[2])
@@ -55,7 +55,7 @@ def hurwitz_gate(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     except np.linalg.LinAlgError as exc:
         raise HopcavError(f"eigenvalue solver failed: {exc}") from exc
     absc = ev.real.max(axis=-1)
-    return absc < -ABSCISSA_RTOL * frobenius_norms(a), absc
+    return absc < -ABSCISSA_RTOL * _frobenius_norms(a), absc
 
 
 def lyapunov_stack(a: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -84,10 +84,10 @@ def lyapunov_stack(a: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray
         w[start:start + g] = np.linalg.solve(system[:g], rhs).reshape(g, n, n)
     w = 0.5 * (w + w.transpose(0, 2, 1))
 
-    qnorm = frobenius_norms(q)
+    qnorm = _frobenius_norms(q)
     r = a @ w + w @ a.transpose(0, 2, 1) + q
     # a zero Q leaves the absolute residual
-    return w, frobenius_norms(r) / np.where(qnorm == 0.0, 1.0, qnorm)
+    return w, _frobenius_norms(r) / np.where(qnorm == 0.0, 1.0, qnorm)
 
 
 def spectral_abscissa(a: np.ndarray) -> float:

@@ -26,8 +26,8 @@ from .steady_state import solve_fixed_detuning
 
 # bound for the span tracer of the benchmark (perfbench/spans.py PATCHES);
 # the map assembles its drifts as stacks instead
-from .dynamics import build_reduced, figure_drift  # noqa: E402,F401
-from .lyapunov import is_hurwitz  # noqa: E402,F401
+from .dynamics import build_reduced, figure_drift  # noqa: F401
+from .lyapunov import is_hurwitz  # noqa: F401
 
 
 def routh_hurwitz_reduced(omega_m: float, gamma_m: float, kappa: float,
@@ -62,7 +62,7 @@ class StabilityReport:
 def stability_point(params: PhysicalParams, delta: float, xi: float,
                     detuning_sign: str = "positive") -> StabilityReport:
     """Evaluate both stability routes at one (delta, xi) point given in
-    omega_m units: a map of one point."""
+    omega_m units, as a batch of one point."""
     return _reports(params, [(delta, xi)], detuning_sign)[0]
 
 
