@@ -10,7 +10,6 @@ from .dynamics import (
     build_diffusion,
     build_drift,
     build_reduced,
-    drift_matrix,
     figure_drift,
 )
 from .engine import (
@@ -35,11 +34,10 @@ from .errors import (
     UnknownPresetError,
     UnphysicalBathError,
 )
-from .lyapunov import LyapunovSolution, is_hurwitz, solve_lyapunov, spectral_abscissa
+from .lyapunov import LyapunovSolution, is_hurwitz, solve_lyapunov
 from .measures import (
     BipartitePair,
     EntanglementResult,
-    PairCovariance,
     extract_pair,
     fidelity_bound,
     log_negativity,
@@ -49,12 +47,11 @@ from .measures import (
     teleportation_fidelity,
 )
 from .params import (
-    DerivedScalars,
     Detuning,
     PhysicalParams,
     derive_coupling,
-    derived_scalars,
     drive_amplitude,
+    drive_amps,
     laser_angular_freq,
     thermal_occupation,
 )
@@ -74,5 +71,3 @@ from .steady_state import (
     solve_fixed_detuning,
     solve_self_consistent,
 )
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -17,6 +17,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import load_config, validate_config
+from .dynamics import QUADRATURE_LABELS
 from .engine import CSV_COLUMNS, csv_text, run_point, run_sweep
 from .errors import ConfigError, HopcavError, UnknownPresetError
 from .lyapunov import RESIDUAL_GATE
@@ -63,7 +64,7 @@ def _cmd_point(args) -> int:
     nbar = rec.nbar
 
     payload = {
-        "quadrature_order": ["q1", "p1", "x1", "y1", "q2", "p2", "x2", "y2"],
+        "quadrature_order": list(QUADRATURE_LABELS),
         "steady_state": {
             "amp_re": [steady.amp[0].real, steady.amp[1].real],
             "amp_im": [steady.amp[0].imag, steady.amp[1].imag],

@@ -14,9 +14,9 @@ import math
 from pathlib import Path
 
 from .engine import AXIS_NAMES, AxisSpec, BathSpec, SweepConfig
-from .errors import ConfigError
+from .errors import ConfigError, HopcavError
 from .params import Detuning, PhysicalParams
-from .squeezed import DpoParams, dpo_spectra, ideal_correlation
+from .squeezed import DpoParams, SqueezedBath
 
 TWO_PI = 2.0 * math.pi
 
@@ -49,22 +49,24 @@ FIELD_KINDS = {
     "hop_strength": "frequency",
 }
 
-REQUIRED_CAVITY_FIELDS = tuple(FIELD_KINDS)
+
+def _number(value, field: str, kind=float):
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{field}: non-numeric value {value!r}") from exc
 
 
 def _quantity(obj, field: str, kind: str, omega_m: float | None = None) -> float:
     if not isinstance(obj, dict) or set(obj) != {"value", "unit"}:
         raise ConfigError(f"{field}: expected an object {{'value': x, 'unit': u}}, got {obj!r}")
     unit = obj["unit"]
-    if unit not in UNITS:
+    if not isinstance(unit, str) or unit not in UNITS:
         raise ConfigError(f"{field}: unknown unit {unit!r}; allowed: {sorted(UNITS)}")
     unit_kind, scale = UNITS[unit]
     if unit_kind != kind:
         raise ConfigError(f"{field}: unit {unit!r} is a {unit_kind}, expected a {kind}")
-    try:
-        value = float(obj["value"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{field}: non-numeric value {obj['value']!r}") from exc
+    value = _number(obj["value"], field)
     if scale is None:
         if omega_m is None:
             raise ConfigError(f"{field}: omega_m units are not allowed here")
@@ -91,40 +93,43 @@ def _parse_bath(doc: dict, omega_m: float) -> BathSpec:
         raise ConfigError("bath: expected an object")
     if "dpo" in raw:
         d = raw["dpo"]
-        dpo = DpoParams(
-            dpo_decay=_quantity(d["decay"], "bath.dpo.decay", "frequency", omega_m),
-            amplification=_quantity(d["amplification"], "bath.dpo.amplification", "frequency", omega_m),
+        if not isinstance(d, dict):
+            raise ConfigError("bath.dpo: expected an object")
+        bath = SqueezedBath.from_dpo(DpoParams(
+            dpo_decay=_quantity(d.get("decay"), "bath.dpo.decay", "frequency", omega_m),
+            amplification=_quantity(d.get("amplification"), "bath.dpo.amplification",
+                                    "frequency", omega_m),
             center_freq=_quantity(d.get("center_freq", {"value": 0.0, "unit": "rad/s"}),
                                   "bath.dpo.center_freq", "frequency", omega_m),
-        )
-        n, m = dpo_spectra(dpo, dpo.center_freq)
-        return BathSpec(photon_number=n, correlation=min(m, ideal_correlation(n)))
+        ))
+        return BathSpec(photon_number=bath.photon_number, correlation=bath.correlation)
     if "photon_number" not in raw:
         raise ConfigError("bath: needs 'photon_number' (with 'correlation') or a 'dpo' object")
-    n = float(raw["photon_number"])
     corr = raw.get("correlation", 0.0)
-    if isinstance(corr, str):
-        if corr != "ideal":
-            raise ConfigError(f"bath.correlation: expected a number or 'ideal', got {corr!r}")
-        return BathSpec(photon_number=n, correlation="ideal")
-    return BathSpec(photon_number=n, correlation=float(corr))
+    return BathSpec(
+        photon_number=_number(raw["photon_number"], "bath.photon_number"),
+        correlation=corr if isinstance(corr, str) else _number(corr, "bath.correlation"),
+    )
 
 
 def _parse_axis(raw: dict, index: int) -> AxisSpec:
+    field = f"axes[{index}]"
     if not isinstance(raw, dict) or "name" not in raw:
-        raise ConfigError(f"axes[{index}]: expected an object with a 'name'")
+        raise ConfigError(f"{field}: expected an object with a 'name'")
     name = raw["name"]
     if name not in AXIS_NAMES:
-        raise ConfigError(f"axes[{index}]: unknown axis {name!r}; allowed: {AXIS_NAMES}")
+        raise ConfigError(f"{field}: unknown axis {name!r}; allowed: {AXIS_NAMES}")
     scale = 1e-3 if raw.get("unit") == "mW" else 1.0
     if "values" in raw:
-        return AxisSpec(name, tuple(float(v) * scale for v in raw["values"]))
-    try:
-        return AxisSpec.from_range(
-            name, float(raw["min"]) * scale, float(raw["max"]) * scale, int(raw["count"])
-        )
-    except KeyError as exc:
-        raise ConfigError(f"axes[{index}]: needs 'values' or 'min'/'max'/'count'") from exc
+        if not isinstance(raw["values"], (list, tuple)):
+            raise ConfigError(f"{field}.values: expected a list")
+        return AxisSpec(name, tuple(_number(v, f"{field}.values") * scale for v in raw["values"]))
+    if not {"min", "max", "count"} <= raw.keys():
+        raise ConfigError(f"{field}: needs 'values' or 'min'/'max'/'count'")
+    return AxisSpec.from_range(
+        name, _number(raw["min"], f"{field}.min") * scale,
+        _number(raw["max"], f"{field}.max") * scale, _number(raw["count"], f"{field}.count", int),
+    )
 
 
 def parse_config(doc: dict) -> SweepConfig:
@@ -139,6 +144,8 @@ def parse_config(doc: dict) -> SweepConfig:
     omega_m = mech[0] if isinstance(mech, tuple) else mech
 
     det_raw = doc.get("detuning", {"mode": "effective", "value": {"value": 0.0, "unit": "omega_m"}})
+    if not isinstance(det_raw, dict):
+        raise ConfigError(f"detuning: expected an object with 'mode' and 'value', got {det_raw!r}")
     mode = det_raw.get("mode", "effective")
     det_value = det_raw.get("value", {"value": 0.0, "unit": "omega_m"})
     if isinstance(det_value, list):
@@ -169,7 +176,7 @@ def parse_config(doc: dict) -> SweepConfig:
         params=params,
         bath=_parse_bath(doc, omega_m),
         axes=axes,
-        nbar_override=None if nbar is None else float(nbar),
+        nbar_override=None if nbar is None else _number(nbar, "nbar"),
         detuning_sign=doc.get("detuning_sign", "positive"),
         branch_policy=doc.get("branch_policy", "default"),
         label=doc.get("label", "sweep"),
@@ -195,8 +202,6 @@ def validate_config(path) -> list[str]:
     try:
         cfg = load_config(path)
         cfg.bath.resolve()  # exercises the quantum bound
-    except ConfigError as exc:
-        problems.append(str(exc))
-    except Exception as exc:  # bath bound violations and similar
+    except HopcavError as exc:  # bath bound violations included
         problems.append(str(exc))
     return problems

@@ -16,7 +16,7 @@ two conventions map onto each other by negating the detunings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,27 +70,13 @@ def drift_stack(mech_freq, mech_damping, cavity_decay, coupling, detuning,
     return stack
 
 
-def drift_matrix(mech_freq, mech_damping, cavity_decay, coupling, detuning,
-                 hop_strength: float, detuning_sign: str = "positive") -> np.ndarray:
-    """Assemble the 8x8 drift from per-cavity value pairs; see
-    :func:`drift_stack`."""
-    return drift_stack(mech_freq, mech_damping, cavity_decay, [coupling], [detuning],
-                       [hop_strength], detuning_sign)[0]
-
-
 def build_drift(params: PhysicalParams, steady: SteadyState,
                 detuning_sign: str = "positive") -> np.ndarray:
     """Drift matrix at a working point, placing the steady state's effective
     detunings and couplings into the selected sign convention."""
-    return drift_matrix(
-        params.mech_freq,
-        params.mech_damping,
-        params.cavity_decay,
-        steady.eff_coupling,
-        steady.eff_detuning,
-        params.hop_strength,
-        detuning_sign,
-    )
+    return drift_stack(params.mech_freq, params.mech_damping, params.cavity_decay,
+                       [steady.eff_coupling], [steady.eff_detuning],
+                       [params.hop_strength], detuning_sign)[0]
 
 
 def figure_drift(params: PhysicalParams, steady: SteadyState,
@@ -103,8 +89,10 @@ def figure_drift(params: PhysicalParams, steady: SteadyState,
     detuning and hopping).  This helper negates the stored detunings before
     placing them, so that the default flag reproduces the standard curves.
     """
-    view = replace(steady, eff_detuning=(-steady.eff_detuning[0], -steady.eff_detuning[1]))
-    return build_drift(params, view, detuning_sign)
+    return drift_stack(params.mech_freq, params.mech_damping, params.cavity_decay,
+                       [steady.eff_coupling],
+                       [(-steady.eff_detuning[0], -steady.eff_detuning[1])],
+                       [params.hop_strength], detuning_sign)[0]
 
 
 def build_diffusion(params: PhysicalParams, bath: SqueezedBath, nbar: float) -> np.ndarray:

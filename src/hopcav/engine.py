@@ -28,11 +28,11 @@ import io
 import itertools
 import operator
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import build_diffusion, drift_stack
+from .dynamics import DETUNING_SIGNS, build_diffusion, drift_stack
 from .errors import ConfigError, HopcavError
 from .lyapunov import CHUNK_POINTS, RESIDUAL_GATE, hurwitz_gate, lyapunov_stack
 from .measures import pair_measures
@@ -111,11 +111,13 @@ class BathSpec:
     photon_number: float = 0.0
     correlation: float | str = 0.0
 
+    def __post_init__(self):
+        if isinstance(self.correlation, str) and self.correlation != "ideal":
+            raise ConfigError(f"correlation must be a number or 'ideal', got {self.correlation!r}")
+
     def resolve(self, photon_number: float | None = None) -> SqueezedBath:
         n = self.photon_number if photon_number is None else photon_number
-        if isinstance(self.correlation, str):
-            if self.correlation != "ideal":
-                raise ConfigError(f"correlation must be a number or 'ideal', got {self.correlation!r}")
+        if self.correlation == "ideal":
             return SqueezedBath.ideal(n)
         return SqueezedBath(n, float(self.correlation))
 
@@ -142,6 +144,10 @@ class SweepConfig:
         if self.branch_policy not in BRANCH_POLICIES:
             raise ConfigError(
                 f"branch_policy must be one of {BRANCH_POLICIES}, got {self.branch_policy!r}"
+            )
+        if self.detuning_sign not in DETUNING_SIGNS:
+            raise ConfigError(
+                f"detuning_sign must be one of {DETUNING_SIGNS}, got {self.detuning_sign!r}"
             )
 
 
@@ -221,13 +227,13 @@ def _point_setup(config: SweepConfig, overrides: dict[str, float]):
         updates = {AXIS_FIELDS[name]: _axis_value(params, name, value)
                    for name, value in overrides.items() if name in AXIS_FIELDS}
         if updates:
-            params = params.with_(**updates)
+            params = replace(params, **updates)
     except HopcavError:
         # one axis at a time, so that the first bad axis, in the overrides'
         # order, gives the error
         for name, value in overrides.items():
             if name in AXIS_FIELDS:
-                params = params.with_(**{AXIS_FIELDS[name]: _axis_value(params, name, value)})
+                params = replace(params, **{AXIS_FIELDS[name]: _axis_value(params, name, value)})
             elif name not in AXIS_NAMES:
                 raise ConfigError(f"unknown axis {name!r}") from None
 
@@ -425,9 +431,6 @@ def _chunk_records(args) -> list[ResultRecord]:
 class SweepResult:
     records: tuple[ResultRecord, ...]
     residual_failure: bool
-
-    def column(self, name: str) -> list:
-        return [getattr(r, name) for r in self.records]
 
 
 def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:

@@ -90,11 +90,6 @@ def lyapunov_stack(a: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return w, _frobenius_norms(r) / np.where(qnorm == 0.0, 1.0, qnorm)
 
 
-def spectral_abscissa(a: np.ndarray) -> float:
-    """Largest real part of the eigenvalues of ``a``."""
-    return is_hurwitz(a)[1]
-
-
 def is_hurwitz(a: np.ndarray) -> tuple[bool, float]:
     """Whether all eigenvalues sit strictly in the left half-plane, together
     with the spectral abscissa; see :func:`hurwitz_gate`."""

@@ -35,25 +35,6 @@ class BipartitePair(Enum):
 
 
 @dataclass(frozen=True)
-class PairCovariance:
-    """4x4 two-mode covariance with its 2x2 blocks."""
-
-    matrix: np.ndarray
-
-    @property
-    def w1(self) -> np.ndarray:
-        return self.matrix[:2, :2]
-
-    @property
-    def w2(self) -> np.ndarray:
-        return self.matrix[2:, 2:]
-
-    @property
-    def wc(self) -> np.ndarray:
-        return self.matrix[:2, 2:]
-
-
-@dataclass(frozen=True)
 class EntanglementResult:
     theta_minus: float  # smallest symplectic eigenvalue of the partial transpose
     log_neg: float      # max(0, -ln(2 theta_minus))
@@ -67,19 +48,16 @@ def pair_stack(w: np.ndarray, pair: BipartitePair) -> np.ndarray:
     return w[:, idx][:, :, idx]
 
 
-def extract_pair(w: np.ndarray, pair: BipartitePair) -> PairCovariance:
-    """Select the rows and columns of one mode pair, order preserved."""
+def extract_pair(w: np.ndarray, pair: BipartitePair) -> np.ndarray:
+    """The 4x4 covariance of one mode pair, rows and columns in order."""
     w = np.asarray(w, dtype=float)
     if w.shape != (8, 8):
         raise HopcavError(f"expected an 8x8 covariance matrix, got {w.shape}")
-    return PairCovariance(matrix=pair_stack(w[None], pair)[0])
+    return pair_stack(w[None], pair)[0]
 
 
 def _as_pair_matrix(pair_cov) -> np.ndarray:
-    if isinstance(pair_cov, PairCovariance):
-        m = pair_cov.matrix
-    else:
-        m = np.asarray(pair_cov, dtype=float)
+    m = np.asarray(pair_cov, dtype=float)
     if m.shape != (4, 4):
         raise HopcavError(f"expected a 4x4 pair covariance, got {m.shape}")
     return m

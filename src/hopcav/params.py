@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from scipy.constants import c as SPEED_OF_LIGHT
 from scipy.constants import hbar as HBAR
@@ -123,18 +123,6 @@ class PhysicalParams:
                          "mech_damping", "cavity_decay", "drive_power")
         )
 
-    def with_(self, **updates) -> "PhysicalParams":
-        return replace(self, **updates)
-
-
-@dataclass(frozen=True)
-class DerivedScalars:
-    """Single-number quantities derived from :class:`PhysicalParams`."""
-
-    bare_coupling: tuple[float, float]  # rad/s
-    drive_amp: tuple[float, float]      # 1/s
-    thermal_occ: float                  # dimensionless
-
 
 def laser_angular_freq(wavelength: float) -> float:
     """Angular frequency 2*pi*c/lambda of the drive laser."""
@@ -175,15 +163,13 @@ def thermal_occupation(mech_freq: float, temperature: float) -> float:
     return 1.0 / math.expm1(x)
 
 
-def derived_scalars(params: PhysicalParams) -> DerivedScalars:
+def drive_amps(params: PhysicalParams) -> tuple[float, float]:
+    """Drive amplitudes |E_j| of both cavities; see :func:`drive_amplitude`."""
     omega_l = laser_angular_freq(params.laser_wavelength)
-    g = tuple(derive_coupling(params, j) for j in (1, 2))
-    e = tuple(
+    return tuple(
         drive_amplitude(params.drive_power[i], params.cavity_decay[i], omega_l)
         for i in (0, 1)
     )
-    nbar = thermal_occupation(params.mech_freq[0], params.bath_temperature)
-    return DerivedScalars(bare_coupling=g, drive_amp=e, thermal_occ=nbar)
 
 
 def _index(j: int) -> int:

@@ -16,7 +16,7 @@ a violation of s1 signals bistability, a violation of s2 self-oscillation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .dynamics import drift_stack, reduced_drift_stack
 from .errors import ConfigError, HopcavError
@@ -71,10 +71,9 @@ def stability_map(params: PhysicalParams, delta_values, xi_values,
     """Rectangular stability map over (delta, xi) grids in omega_m units.
 
     Points are evaluated in chunks of ``CHUNK_POINTS`` and returned in
-    row-major grid order; unstable points are data, not errors.
+    row-major grid order; unstable points are data, not errors.  Cavities
+    that are not identical raise :class:`ConfigError`.
     """
-    if not params.is_symmetric:
-        raise ValueError("stability maps use the collective model; cavities must be identical")
     points = [(float(d), float(x)) for d in delta_values for x in xi_values]
     return [
         report
@@ -94,7 +93,7 @@ def _reports(params: PhysicalParams, points, detuning_sign: str) -> list[Stabili
     detunings = []
     hops = []
     for delta, xi in points:
-        p = params.with_(hop_strength=xi * omega_m)
+        p = replace(params, hop_strength=xi * omega_m)
         d = delta * omega_m
         steady = solve_fixed_detuning(p, -d, -d)
         coupling = steady.eff_coupling[0]

@@ -20,7 +20,7 @@ import numpy as np
 from scipy import optimize
 
 from .errors import ConvergenceFailureError, DegenerateConfigurationError
-from .params import PhysicalParams, derive_coupling, drive_amplitude, laser_angular_freq
+from .params import PhysicalParams, derive_coupling, drive_amps
 
 RESIDUAL_TOL = 1e-10      # relative to the drive amplitude
 DUPLICATE_TOL = 1e-8      # branch dedup threshold on |delta a|
@@ -46,14 +46,6 @@ def effective_coupling(bare_coupling: float, amp: complex) -> float:
     """Field-enhanced coupling G = sqrt(2) * g * |a|; the global phase of the
     amplitude is rotated away."""
     return math.sqrt(2.0) * bare_coupling * abs(amp)
-
-
-def _drive_amps(params: PhysicalParams) -> tuple[float, float]:
-    omega_l = laser_angular_freq(params.laser_wavelength)
-    return tuple(
-        drive_amplitude(params.drive_power[i], params.cavity_decay[i], omega_l)
-        for i in (0, 1)
-    )
 
 
 def _closed_form_amps(params, e1, e2, delta1, delta2):
@@ -98,7 +90,7 @@ def _assemble(params, g, e, amp1, amp2, delta1, delta2, alpha1, alpha2, branch=0
 def solve_fixed_detuning(params: PhysicalParams, delta1: float, delta2: float) -> SteadyState:
     """Closed-form working point at given effective detunings (rad/s)."""
     g = tuple(derive_coupling(params, j) for j in (1, 2))
-    e = _drive_amps(params)
+    e = drive_amps(params)
     amp1, amp2, a1, a2 = _closed_form_amps(params, e[0], e[1], delta1, delta2)
     return _assemble(params, g, e, amp1, amp2, delta1, delta2, a1, a2)
 
@@ -116,7 +108,7 @@ def solve_self_consistent(
     linear limit).
     """
     g = coupling if coupling is not None else tuple(derive_coupling(params, j) for j in (1, 2))
-    e = _drive_amps(params)
+    e = drive_amps(params)
 
     if e[0] == 0.0 and e[1] == 0.0:
         a1 = complex(params.cavity_decay[0], delta01)

@@ -110,6 +110,41 @@ class TestUnitConversion:
         assert validate_config(path)
 
 
+MALFORMED = [
+    pytest.param("bath", {"dpo": {"amplification": {"value": 0.25, "unit": "rad/s"}}},
+                 "bath.dpo.decay", id="dpo-without-decay"),
+    pytest.param("bath", {"photon_number": "abc"}, "bath.photon_number", id="photon-number"),
+    pytest.param("bath", {"dpo": 1.0}, "bath.dpo", id="dpo-not-an-object"),
+    pytest.param("nbar", "x", "nbar", id="nbar"),
+    pytest.param("detuning", 1.0, "detuning", id="detuning-not-an-object"),
+    pytest.param("detuning", {"mode": "effective", "value": {"value": 1.0, "unit": ["omega_m"]}},
+                 "detuning.value", id="unit-not-a-string"),
+    pytest.param("axes", [{"name": "delta", "values": [0.5, "one"]}], "axes[0].values",
+                 id="axis-value"),
+    pytest.param("axes", [{"name": "delta", "values": 1.0}], "axes[0].values",
+                 id="axis-values-not-a-list"),
+    pytest.param("axes", [{"name": "delta", "min": 0.0, "max": 1.0, "count": "many"}],
+                 "axes[0].count", id="axis-count"),
+    pytest.param("detuning_sign", "sideways", "detuning_sign", id="detuning-sign"),
+    pytest.param("bath", {"photon_number": 0.05, "correlation": "maximal"}, "correlation",
+                 id="bath-marker"),
+]
+
+
+@pytest.mark.parametrize("key, value, field", MALFORMED)
+def test_malformed_value_is_a_configuration_error(tmp_path, capsys, key, value, field):
+    doc = doc_with(axes=[{"name": "delta", "values": [0.5, 1.0]}])
+    doc[key] = value
+    path = write_doc(tmp_path, doc)
+    problems = validate_config(path)
+    assert len(problems) == 1 and field in problems[0]
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and field in err
+    assert not out.exists()
+
+
 class TestCli:
     def test_point_json(self, tmp_path, capsys):
         path = write_doc(tmp_path, BASE_DOC)
@@ -183,6 +218,20 @@ class TestCli:
         a = (tmp_path / "a" / "fig3c.csv").read_bytes()
         b = (tmp_path / "b" / "fig3c.csv").read_bytes()
         assert a == b
+
+    def test_stability_needs_identical_cavities(self, tmp_path, capsys):
+        doc = doc_with(axes=[
+            {"name": "delta", "min": 0.0, "max": 2.0, "count": 3},
+            {"name": "xi", "min": 0.0, "max": 2.0, "count": 3},
+        ])
+        doc["cavity"]["cavity_decay"] = [{"value": 14.0, "unit": "MHz"},
+                                         {"value": 7.0, "unit": "MHz"}]
+        path = write_doc(tmp_path, doc)
+        out = tmp_path / "stab.csv"
+        assert main(["stability", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and "identical cavities" in err
+        assert not out.exists()
 
     def test_stability_csv(self, tmp_path):
         doc = doc_with(axes=[

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from hopcav.dynamics import (
     build_diffusion,
     build_drift,
     build_reduced,
-    drift_matrix,
+    drift_stack,
     figure_drift,
 )
 from hopcav.errors import ConfigError, UnphysicalBathError
@@ -103,7 +104,7 @@ class TestDriftMatrix:
 
     def test_characteristic_polynomial_symbolic(self):
         # all parameters 1: independently expand det(sI - A) with a CAS
-        a = drift_matrix((1, 1), (1, 1), (1, 1), (1, 1), (1, 1), 1.0)
+        a = drift_stack((1, 1), (1, 1), (1, 1), [(1, 1)], [(1, 1)], [1.0])[0]
         s = sympy.symbols("s")
         sym = sympy.Matrix(sympy.eye(8) * s - sympy.Matrix(a))
         coeffs = sympy.Poly(sym.det(), s).all_coeffs()
@@ -190,7 +191,7 @@ class TestReducedModel:
         delta = 1.1 * WM
         full = build_drift(p, fake_steady(p, coupling, delta))
         sector_sum = build_reduced(p, coupling, delta).drift            # delta + xi
-        sector_diff = build_reduced(p.with_(hop_strength=0.0), coupling,
+        sector_diff = build_reduced(dataclasses.replace(p, hop_strength=0.0), coupling,
                                     delta - 0.6 * WM).drift             # delta - xi
         got = list(np.concatenate([np.linalg.eigvals(sector_sum),
                                    np.linalg.eigvals(sector_diff)]))

@@ -330,3 +330,14 @@ class TestValidation:
     def test_bad_branch_policy(self):
         with pytest.raises(ConfigError):
             base_config(branch_policy="first")
+
+    def test_bad_detuning_sign(self):
+        with pytest.raises(ConfigError, match="detuning_sign"):
+            base_config(detuning_sign="sideways")
+
+    def test_bath_marker_other_than_ideal(self):
+        with pytest.raises(ConfigError, match="'ideal'"):
+            BathSpec(photon_number=0.05, correlation="maximal")
+        assert BathSpec(photon_number=0.05, correlation="ideal").resolve().correlation == (
+            pytest.approx(math.sqrt(0.05 * 1.05), rel=1e-15)
+        )

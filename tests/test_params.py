@@ -8,8 +8,8 @@ from hopcav.params import (
     Detuning,
     PhysicalParams,
     derive_coupling,
-    derived_scalars,
     drive_amplitude,
+    drive_amps,
     laser_angular_freq,
     thermal_occupation,
 )
@@ -164,10 +164,12 @@ class TestPhysicalParams:
         assert not p.is_symmetric
 
     def test_derived_scalars_bundle(self):
-        d = derived_scalars(make_params())
-        assert d.bare_coupling[0] == pytest.approx(1347.344632566003, rel=1e-12)
-        assert d.drive_amp[0] == pytest.approx(5989052157358.1839, rel=1e-12)
-        assert d.thermal_occ == pytest.approx(832.96486491733122, rel=1e-12)
+        p = make_params()
+        assert derive_coupling(p, 1) == pytest.approx(1347.344632566003, rel=1e-12)
+        assert drive_amps(p)[0] == pytest.approx(5989052157358.1839, rel=1e-12)
+        assert thermal_occupation(p.mech_freq[0], p.bath_temperature) == pytest.approx(
+            832.96486491733122, rel=1e-12
+        )
 
     def test_bad_detuning_mode(self):
         with pytest.raises(ConfigError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from hopcav.params import Detuning, PhysicalParams, derive_coupling, derived_scalars
+from hopcav.params import Detuning, PhysicalParams, derive_coupling, drive_amps
 from hopcav.steady_state import (
     effective_coupling,
     solve_fixed_detuning,
@@ -41,7 +41,7 @@ class TestFixedDetuning:
             delta = rng.uniform(-3e8, 3e8)
             p = make_params(cavity_decay=kap, xi=xi)
             ss = solve_fixed_detuning(p, delta, delta)
-            e = derived_scalars(p).drive_amp[0]
+            e = drive_amps(p)[0]
             expected = e / complex(kap, delta - xi)
             assert abs(ss.amp[0] - expected) <= 1e-12 * abs(expected)
             assert abs(ss.amp[1] - expected) <= 1e-12 * abs(expected)
@@ -50,7 +50,7 @@ class TestFixedDetuning:
         p = make_params(xi=0.0, drive_power=(0.05, 0.02))
         d1, d2 = 0.7 * WM, -0.3 * WM
         ss = solve_fixed_detuning(p, d1, d2)
-        e = derived_scalars(p).drive_amp
+        e = drive_amps(p)
         assert ss.amp[0] == pytest.approx(e[0] / complex(p.cavity_decay[0], d1), rel=1e-13)
         assert ss.amp[1] == pytest.approx(e[1] / complex(p.cavity_decay[1], d2), rel=1e-13)
 
@@ -121,9 +121,8 @@ class TestEffectiveCoupling:
 def scalar_branch_oracle(p, delta0):
     """Brute-force roots of the symmetric photon-number equation
     u (kappa^2 + (delta0 - b u - xi)^2) = E^2 on a dense grid."""
-    d = derived_scalars(p)
-    e = d.drive_amp[0]
-    g = d.bare_coupling[0]
+    e = drive_amps(p)[0]
+    g = derive_coupling(p, 1)
     kap = p.cavity_decay[0]
     xi = p.hop_strength
     b = g * g / p.mech_freq[0]
