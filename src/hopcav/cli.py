@@ -18,9 +18,8 @@ from pathlib import Path
 from . import __version__
 from .config import load_config, validate_config
 from .dynamics import QUADRATURE_LABELS
-from .engine import CSV_COLUMNS, csv_text, run_point, run_sweep
+from .engine import CSV_COLUMNS, csv_text, misses_residual_gate, run_point, run_sweep
 from .errors import ConfigError, HopcavError, UnknownPresetError
-from .lyapunov import RESIDUAL_GATE
 from .presets import PRESET_NAMES, fig_preset
 from .stability import stability_map
 
@@ -97,9 +96,7 @@ def _cmd_point(args) -> int:
                   f"lyapunov residual = {rec.lyap_residual:.3e}")
         else:
             print("no steady state: measures not emitted")
-    if rec.stable and (rec.lyap_residual is None or rec.lyap_residual >= RESIDUAL_GATE):
-        return EXIT_NUMERICAL
-    return EXIT_OK
+    return EXIT_NUMERICAL if misses_residual_gate(rec) else EXIT_OK
 
 
 def _write_sweep(config, out_path: Path, workers: int) -> int:

@@ -114,6 +114,10 @@ class BathSpec:
     def __post_init__(self):
         if isinstance(self.correlation, str) and self.correlation != "ideal":
             raise ConfigError(f"correlation must be a number or 'ideal', got {self.correlation!r}")
+        for name in ("photon_number", "correlation"):
+            value = getattr(self, name)
+            if not isinstance(value, str) and not 0.0 <= value < np.inf:
+                raise ConfigError(f"bath.{name} must be finite and nonnegative, got {value!r}")
 
     def resolve(self, photon_number: float | None = None) -> SqueezedBath:
         n = self.photon_number if photon_number is None else photon_number
@@ -149,6 +153,8 @@ class SweepConfig:
             raise ConfigError(
                 f"detuning_sign must be one of {DETUNING_SIGNS}, got {self.detuning_sign!r}"
             )
+        if self.nbar_override is not None and not 0.0 <= self.nbar_override < np.inf:
+            raise ConfigError(f"nbar must be finite and nonnegative, got {self.nbar_override!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -405,6 +411,12 @@ def run_points(config: SweepConfig, points: list[dict[str, float]]) -> list[Poin
     return results
 
 
+def misses_residual_gate(rec: ResultRecord) -> bool:
+    """A stable row whose Lyapunov residual is missing, NaN or not below the
+    gate: a numerical failure."""
+    return rec.stable and not (rec.lyap_residual is not None and rec.lyap_residual < RESIDUAL_GATE)
+
+
 def run_point(config: SweepConfig, overrides: dict[str, float] | None = None) -> PointResult:
     """Evaluate one grid point, a batch of one; returns one record per
     emitted branch."""
@@ -452,11 +464,7 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
         per_chunk = [_chunk_records(chunk) for chunk in chunks]
 
     records = tuple(itertools.chain.from_iterable(per_chunk))
-    bad = any(
-        r.stable and (r.lyap_residual is None or r.lyap_residual >= RESIDUAL_GATE)
-        for r in records
-    )
-    return SweepResult(records=records, residual_failure=bad)
+    return SweepResult(records=records, residual_failure=any(map(misses_residual_gate, records)))
 
 
 def _fmt(value) -> str:

@@ -96,10 +96,10 @@ class SqueezedBath:
         m = float(self.correlation)
         object.__setattr__(self, "photon_number", n)
         object.__setattr__(self, "correlation", m)
-        if n < 0.0:
-            raise UnphysicalBathError(f"photon number must be nonnegative, got {n}")
-        if m < 0.0:
-            raise UnphysicalBathError(f"correlation must be nonnegative, got {m}")
+        if not 0.0 <= n < math.inf:
+            raise UnphysicalBathError(f"photon number must be finite and nonnegative, got {n}")
+        if not 0.0 <= m < math.inf:
+            raise UnphysicalBathError(f"correlation must be finite and nonnegative, got {m}")
         bound = ideal_correlation(n)
         if m > bound * (1.0 + IDEAL_RTOL) + 1e-300:
             raise UnphysicalBathError(

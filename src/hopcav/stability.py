@@ -72,7 +72,7 @@ def stability_map(params: PhysicalParams, delta_values, xi_values,
 
     Points are evaluated in chunks of ``CHUNK_POINTS`` and returned in
     row-major grid order; unstable points are data, not errors.  Cavities
-    that are not identical raise :class:`ConfigError`.
+    that are not identical, or bare detunings, raise :class:`ConfigError`.
     """
     points = [(float(d), float(x)) for d in delta_values for x in xi_values]
     return [
@@ -87,6 +87,9 @@ def _reports(params: PhysicalParams, points, detuning_sign: str) -> list[Stabili
     collective (4x4) and full (8x8) drifts."""
     if not params.is_symmetric:
         raise ConfigError("the reduced collective model requires identical cavities")
+    if params.detuning.mode != "effective":
+        raise ConfigError("the stability map takes effective detunings; "
+                          f"got detuning mode {params.detuning.mode!r}")
     omega_m = params.mech_freq[0]
     scalars = []
     couplings = []

@@ -7,8 +7,10 @@ The working point is the solution of
 
 with the effective detuning Delta_j = Delta0_j - g_j^2 |a_j|^2 / omega_mj in
 bare mode.  ``solve_fixed_detuning`` evaluates the closed form at given
-effective detunings; ``solve_self_consistent`` finds every branch of the
-nonlinear bare-detuning problem.
+effective detunings; ``solve_self_consistent`` finds the branches of the
+nonlinear bare-detuning problem: from a scalar photon-number equation when the
+two cavities, detunings, couplings and drives are identical (every branch with
+a_1 = a_2), otherwise by a seeded damped iteration, which can miss branches.
 """
 
 from __future__ import annotations
@@ -101,7 +103,7 @@ def solve_self_consistent(
     delta02: float,
     coupling: tuple[float, float] | None = None,
 ) -> list[SteadyState]:
-    """All fixed points of the bare-detuning problem, sorted by |a_1|.
+    """Fixed points of the bare-detuning problem, sorted by |a_1|.
 
     More than one returned branch flags optical bistability.  ``coupling``
     overrides the derived single-photon couplings (useful for probing the
@@ -136,7 +138,8 @@ def solve_self_consistent(
     candidates: list[tuple[complex, complex]] = []
 
     if symmetric:
-        # scalar photon-number equation h(u) = u (kappa^2 + (d0 - b u - xi)^2) - E^2
+        # scalar photon-number equation h(u) = u (kappa^2 + (d0 - b u - xi)^2) - E^2,
+        # scanned for exact zeros and sign changes in grid order
         kap = params.cavity_decay[0]
         xi = params.hop_strength
         b = g[0] ** 2 / params.mech_freq[0]
@@ -147,42 +150,17 @@ def solve_self_consistent(
 
         grid = np.linspace(0.0, 1.05 * u_cap, 4001)
         vals = h(grid)
-        roots = []
-        for i in range(len(grid) - 1):
-            if vals[i] == 0.0:
-                roots.append(grid[i])
-            elif vals[i] * vals[i + 1] < 0.0:
-                roots.append(optimize.brentq(h, grid[i], grid[i + 1], xtol=1e-300, rtol=1e-15))
+        roots = [
+            grid[i] if vals[i] == 0.0
+            else optimize.brentq(h, grid[i], grid[i + 1], xtol=1e-300, rtol=1e-15)
+            for i in np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0))
+        ]
         if vals[-1] == 0.0:
             roots.append(grid[-1])
-        for u in roots:
-            amp1, amp2, _, _ = amps_at(u, u)
-            candidates.append((amp1, amp2))
-
-    # damped fixed-point iteration from seeds spanning [0, u_cap], followed by
-    # a multivariate root refinement; covers the asymmetric case and provides
-    # an independent second route for the symmetric one
-    for u0 in np.linspace(0.0, u_cap, N_SEEDS):
-        amp1, amp2 = 0j, 0j
-        try:
-            amp1, amp2, _, _ = amps_at(u0, u0)
-        except DegenerateConfigurationError:
-            continue
-        ok = True
-        for _ in range(400):
-            try:
-                n1, n2, _, _ = amps_at(abs(amp1) ** 2, abs(amp2) ** 2)
-            except DegenerateConfigurationError:
-                ok = False
-                break
-            step = max(abs(n1 - amp1), abs(n2 - amp2))
-            amp1 = (1.0 - DAMPING) * amp1 + DAMPING * n1
-            amp2 = (1.0 - DAMPING) * amp2 + DAMPING * n2
-            if step < 1e-13 * max(1.0, abs(amp1), abs(amp2)):
-                break
-        if not ok:
-            continue
-
+        candidates = [amps_at(u, u)[:2] for u in roots]
+    else:
+        # damped fixed-point iteration from seeds spanning [0, u_cap], followed
+        # by a multivariate root refinement
         def fun(v):
             c1 = complex(v[0], v[1])
             c2 = complex(v[2], v[3])
@@ -193,11 +171,23 @@ def solve_self_consistent(
             r2 = -al2 * c2 + 1j * params.hop_strength * c1 + e[1]
             return [r1.real, r1.imag, r2.real, r2.imag]
 
-        sol = optimize.root(fun, [amp1.real, amp1.imag, amp2.real, amp2.imag], method="hybr")
-        if sol.success:
-            candidates.append((complex(sol.x[0], sol.x[1]), complex(sol.x[2], sol.x[3])))
-        else:
-            candidates.append((amp1, amp2))
+        for u0 in np.linspace(0.0, u_cap, N_SEEDS):
+            try:
+                amp1, amp2, _, _ = amps_at(u0, u0)
+                for _ in range(400):
+                    n1, n2, _, _ = amps_at(abs(amp1) ** 2, abs(amp2) ** 2)
+                    step = max(abs(n1 - amp1), abs(n2 - amp2))
+                    amp1 = (1.0 - DAMPING) * amp1 + DAMPING * n1
+                    amp2 = (1.0 - DAMPING) * amp2 + DAMPING * n2
+                    if step < 1e-13 * max(1.0, abs(amp1), abs(amp2)):
+                        break
+            except DegenerateConfigurationError:
+                continue
+            sol = optimize.root(fun, [amp1.real, amp1.imag, amp2.real, amp2.imag], method="hybr")
+            if sol.success:
+                candidates.append((complex(sol.x[0], sol.x[1]), complex(sol.x[2], sol.x[3])))
+            else:
+                candidates.append((amp1, amp2))
 
     branches: list[SteadyState] = []
     best = math.inf

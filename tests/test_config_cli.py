@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from hopcav.cli import main
@@ -128,6 +129,15 @@ MALFORMED = [
     pytest.param("detuning_sign", "sideways", "detuning_sign", id="detuning-sign"),
     pytest.param("bath", {"photon_number": 0.05, "correlation": "maximal"}, "correlation",
                  id="bath-marker"),
+    pytest.param("nbar", -1.0, "nbar", id="nbar-negative"),
+    pytest.param("nbar", math.nan, "nbar", id="nbar-nan"),
+    pytest.param("nbar", math.inf, "nbar", id="nbar-infinite"),
+    pytest.param("bath", {"photon_number": math.nan}, "bath.photon_number",
+                 id="photon-number-nan"),
+    pytest.param("bath", {"photon_number": math.inf, "correlation": "ideal"},
+                 "bath.photon_number", id="photon-number-infinite"),
+    pytest.param("bath", {"photon_number": 0.05, "correlation": math.nan}, "bath.correlation",
+                 id="correlation-nan"),
 ]
 
 
@@ -175,6 +185,23 @@ class TestCli:
         assert sorted(calls) == ["lyapunov_stack", "solve_fixed_detuning"]
         payload = json.loads(capsys.readouterr().out)
         assert payload["lyap_residual"] == payload["record"]["lyap_residual"]
+
+    @pytest.mark.parametrize("command", ["sweep", "point"])
+    def test_nan_residual_misses_the_gate(self, tmp_path, capsys, monkeypatch, command):
+        from hopcav import engine
+
+        def nan_residuals(*args, _fn=engine.lyapunov_stack):
+            w, residuals = _fn(*args)
+            return w, np.full_like(residuals, np.nan)
+
+        monkeypatch.setattr(engine, "lyapunov_stack", nan_residuals)
+        doc = doc_with(axes=[{"name": "delta", "values": [0.5, 1.0]}])
+        path = write_doc(tmp_path, doc)
+        config = parse_config(doc)
+        assert engine.run_sweep(config).residual_failure
+        assert engine.misses_residual_gate(engine.run_point(config).records[0])
+        argv = ["--out", str(tmp_path / "sweep.csv")] if command == "sweep" else ["--json"]
+        assert main([command, "--config", str(path), *argv]) == 2
 
     def test_validate_ok_and_bad(self, tmp_path, capsys):
         good = write_doc(tmp_path, BASE_DOC, "good.json")
@@ -231,6 +258,19 @@ class TestCli:
         assert main(["stability", "--config", str(path), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and "identical cavities" in err
+        assert not out.exists()
+
+    def test_stability_needs_effective_detunings(self, tmp_path, capsys):
+        doc = doc_with(axes=[
+            {"name": "delta", "min": 0.0, "max": 2.0, "count": 3},
+            {"name": "xi", "min": 0.0, "max": 2.0, "count": 3},
+        ])
+        doc["detuning"]["mode"] = "bare"
+        path = write_doc(tmp_path, doc)
+        out = tmp_path / "stab.csv"
+        assert main(["stability", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and "effective detunings" in err
         assert not out.exists()
 
     def test_stability_csv(self, tmp_path):

@@ -105,6 +105,11 @@ class TestClassifyBath:
         with pytest.raises(UnphysicalBathError):
             SqueezedBath(0.1, -0.05)
 
+    @pytest.mark.parametrize("n, m", [(np.nan, 0.0), (np.inf, 0.0), (0.1, np.nan)])
+    def test_non_finite_rejected(self, n, m):
+        with pytest.raises(UnphysicalBathError):
+            SqueezedBath(n, m)
+
 
 class TestFromDpo:
     def test_center_evaluation_is_ideal(self):

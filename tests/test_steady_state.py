@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
+from hopcav import steady_state
 from hopcav.params import Detuning, PhysicalParams, derive_coupling, drive_amps
 from hopcav.steady_state import (
     effective_coupling,
@@ -209,3 +210,59 @@ class TestSelfConsistent:
         assert branches
         for ss in branches:
             assert ss.residual < 1e-10
+
+
+class RootCalled(Exception):
+    pass
+
+
+class TestRoutes:
+    """Symmetric inputs take only the scalar photon-number route; every other
+    input takes only the seeded iteration with its root refinement."""
+
+    @pytest.fixture
+    def routes(self, monkeypatch):
+        amps_calls = []
+        closed_form = steady_state._closed_form_amps
+
+        def counted(*args):
+            amps_calls.append(args)
+            return closed_form(*args)
+
+        def refuse(*args, **kwargs):
+            raise RootCalled
+
+        monkeypatch.setattr(steady_state, "_closed_form_amps", counted)
+        monkeypatch.setattr(steady_state.optimize, "root", refuse)
+        return amps_calls
+
+    def test_symmetric_inputs_use_the_scalar_route(self, routes):
+        # 100 mW is bistable across this window
+        p = make_params(power=0.1)
+        for delta0 in np.linspace(3.5 * WM, 4.3 * WM, 9):
+            routes.clear()
+            branches = solve_self_consistent(p, float(delta0), float(delta0))
+            oracle = scalar_branch_oracle(p, float(delta0))
+            assert len(branches) == len(oracle) == 3, f"delta0={delta0/WM}"
+            for ss, u in zip(branches, oracle):
+                assert abs(ss.amp[0]) ** 2 == pytest.approx(u, rel=1e-6)
+            # one closed-form evaluation per scalar root, no damped iteration
+            assert len(routes) == len(oracle)
+
+    def test_asymmetric_input_uses_the_seeded_route(self, routes):
+        p = make_params(power=(0.02, 0.05), xi=0.3 * WM)
+        with pytest.raises(RootCalled):
+            solve_self_consistent(p, 0.6 * WM, 0.9 * WM)
+
+    def test_no_near_duplicate_branch_near_a_pitchfork(self):
+        # symmetry-breaking branches split off within 1% of the middle
+        # branch here; a seeded refinement used to stop 2e-8 off that branch
+        # with a residual under the tolerance and add it as a fourth branch
+        p = make_params(power=0.22173034565638772, xi=0.7702247659467343 * WM)
+        delta0 = 5.5283269487508475 * WM
+        branches = solve_self_consistent(p, delta0, delta0)
+        oracle = scalar_branch_oracle(p, delta0)
+        assert len(branches) == len(oracle) == 3
+        for ss, u in zip(branches, oracle):
+            assert ss.amp[0] == ss.amp[1]
+            assert abs(ss.amp[0]) ** 2 == pytest.approx(u, rel=1e-6)
