@@ -11,6 +11,7 @@ point missed the residual gate), 3 unknown preset.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -180,7 +181,10 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged."""
     parser = argparse.ArgumentParser(
         prog="hopcav",
         description="Stationary entanglement and stability of two photon-hopping-"

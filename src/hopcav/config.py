@@ -37,6 +37,9 @@ UNITS = {
     "dimensionless": ("dimensionless", 1.0),
 }
 
+# the units a power axis may name; the other axes take none
+AXIS_POWER_UNITS = ("W", "mW")
+
 FIELD_KINDS = {
     "cavity_length": "length",
     "mirror_mass": "mass",
@@ -119,16 +122,26 @@ def _parse_axis(raw: dict, index: int) -> AxisSpec:
     name = raw["name"]
     if name not in AXIS_NAMES:
         raise ConfigError(f"{field}: unknown axis {name!r}; allowed: {AXIS_NAMES}")
-    scale = 1e-3 if raw.get("unit") == "mW" else 1.0
+    unit = raw.get("unit")
+    if unit is None:
+        scale = 1.0
+    elif name == "power" and unit in AXIS_POWER_UNITS:
+        scale = UNITS[unit][1]
+    else:
+        raise ConfigError(f"{field}.unit: only a power axis takes a unit, one of "
+                          f"{AXIS_POWER_UNITS}; got {unit!r} on axis {name!r}")
     if "values" in raw:
         if not isinstance(raw["values"], (list, tuple)):
             raise ConfigError(f"{field}.values: expected a list")
         return AxisSpec(name, tuple(_number(v, f"{field}.values") * scale for v in raw["values"]))
     if not {"min", "max", "count"} <= raw.keys():
         raise ConfigError(f"{field}: needs 'values' or 'min'/'max'/'count'")
+    count = _number(raw["count"], f"{field}.count")
+    if not count.is_integer():
+        raise ConfigError(f"{field}.count: expected a whole number, got {raw['count']!r}")
     return AxisSpec.from_range(
         name, _number(raw["min"], f"{field}.min") * scale,
-        _number(raw["max"], f"{field}.max") * scale, _number(raw["count"], f"{field}.count", int),
+        _number(raw["max"], f"{field}.max") * scale, int(count),
     )
 
 

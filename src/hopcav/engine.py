@@ -3,9 +3,18 @@ emission.
 
 A batch of grid points runs
 
-    working points, point by point -> stacked 8x8 drifts -> one Hurwitz
-    gate -> grouped Lyapunov solves of the stable branches -> stacked pair
-    measures + stability scalars -> one record per row
+    point setup from the sweep's caches -> working points -> stacked 8x8
+    drifts -> one Hurwitz gate -> grouped Lyapunov solves of the stable
+    branches -> stacked pair measures + stability scalars -> one record per
+    row
+
+The work that does not depend on the point runs once per sweep: the base
+parameters' couplings and bath, and for each distinct axis value its check
+and what it derives (drive amplitudes, thermal occupation, bath); each
+distinct (N, M, nbar) builds one diffusion matrix.  A point then works on
+plain floats.  In effective mode the working points are the closed form
+(:func:`hopcav.steady_state.fixed_detuning_points`); in bare mode each point
+runs the self-consistent solver.
 
 ``run_sweep`` evaluates the grid in chunks of at most ``CHUNK_POINTS`` points,
 which bounds the memory of the batch arrays, and ``run_point`` is a batch of
@@ -26,9 +35,11 @@ from __future__ import annotations
 
 import io
 import itertools
+import math
 import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,14 +47,15 @@ from .dynamics import DETUNING_SIGNS, build_diffusion, drift_stack
 from .errors import ConfigError, HopcavError
 from .lyapunov import CHUNK_POINTS, RESIDUAL_GATE, hurwitz_gate, lyapunov_stack
 from .measures import pair_measures
-from .params import Detuning, PhysicalParams, thermal_occupation
+from .params import Detuning, PhysicalParams, derive_coupling, drive_amps, thermal_occupation
 from .squeezed import SqueezedBath
 from .stability import routh_hurwitz_reduced
-from .steady_state import SteadyState, solve_fixed_detuning, solve_self_consistent
+from .steady_state import SteadyState, fixed_detuning_points, solve_self_consistent
 
 # bound for the span tracer of the benchmark (perfbench/spans.py PATCHES);
-# the batch calls the stacked kernels instead
+# the batch calls the batched working points and stacked kernels instead
 from .dynamics import figure_drift  # noqa: F401
+from .steady_state import solve_fixed_detuning  # noqa: F401
 from .lyapunov import is_hurwitz, solve_lyapunov  # noqa: F401
 from .measures import (  # noqa: F401
     extract_pair,
@@ -224,53 +236,147 @@ def _axis_value(params: PhysicalParams, name: str, value: float):
     return value
 
 
-def _point_setup(config: SweepConfig, overrides: dict[str, float]):
-    """Apply axis overrides to the base configuration."""
-    params = config.params
-    try:
-        if not overrides.keys() <= _KNOWN_AXES:
-            raise ConfigError("unknown axis")
-        updates = {AXIS_FIELDS[name]: _axis_value(params, name, value)
-                   for name, value in overrides.items() if name in AXIS_FIELDS}
-        if updates:
-            params = replace(params, **updates)
-    except HopcavError:
-        # one axis at a time, so that the first bad axis, in the overrides'
-        # order, gives the error
+def _axis_key(name: str, value: float) -> tuple:
+    # 0.0 and -0.0 are one dict key, but their cells differ
+    return name, value, value == 0 and math.copysign(1.0, value)
+
+
+class _Point(NamedTuple):
+    """A grid point set up for its working point."""
+
+    head: tuple          # the record's first six cells, delta to correlation
+    lang: tuple          # Langevin detunings, rad/s
+    hop: float           # rad/s
+    powers: tuple        # W
+    drives: tuple        # drive amplitudes |E_j|
+    symmetric: bool      # identical cavities and drives
+    diffusion: np.ndarray | HopcavError
+
+
+class _Sweep:
+    """What the points of one sweep share, worked out once: the base
+    parameters' couplings and bath and, for each distinct axis value, its
+    check (the ``PhysicalParams`` validation of the field it sets) and what it
+    derives.  The caches fill as points need them."""
+
+    def __init__(self, config: SweepConfig):
+        p = config.params
+        self.config = config
+        self.omega_m = p.mech_freq[0]
+        self.coupling = tuple(derive_coupling(p, j) for j in (1, 2))
+        self.defaults = {name: self._derive(p, name) for name in AXIS_FIELDS}
+        self.axes: dict = {}        # axis key -> derived or error
+        self.baths: dict = {}       # axis key of the photon number -> bath or error
+        self.diffusions: dict = {}  # (N, M, nbar) -> diffusion or error
+        self.bare: dict = {}        # (hop, powers) -> parameters of the bare-mode solver
+        self.bath = self._resolve_bath(None)
+
+    def _derive(self, params: PhysicalParams, name: str):
+        """What the field an axis sets gives a point: record cells and
+        working-point inputs (thermal occupation for the temperature)."""
+        if name == "delta":
+            value = params.detuning.value
+            # the Langevin solver runs with the opposite-signed detunings; see
+            # the module docstring for the axis convention
+            return value[0] / self.omega_m, (-value[0], -value[1])
+        if name == "xi":
+            return params.hop_strength / self.omega_m, params.hop_strength
+        if name == "power":
+            return params.drive_power, drive_amps(params), params.is_symmetric
+        return thermal_occupation(self.omega_m, params.bath_temperature)
+
+    def _check(self, values: list[tuple[str, float]]) -> None:
+        """Check axis values not seen before and cache what they derive:
+        together, in one ``PhysicalParams``, when all are good, else one at a
+        time, so that each bad value gets its own error."""
+        base = self.config.params
+        try:
+            params = replace(base, **{AXIS_FIELDS[n]: _axis_value(base, n, v) for n, v in values})
+        except HopcavError:
+            for name, value in values:
+                try:
+                    params = replace(base, **{AXIS_FIELDS[name]: _axis_value(base, name, value)})
+                    self.axes[_axis_key(name, value)] = self._derive(params, name)
+                except HopcavError as exc:
+                    self.axes[_axis_key(name, value)] = exc
+            return
+        for name, value in values:
+            self.axes[_axis_key(name, value)] = self._derive(params, name)
+        # a point's checked parameters serve its bare-mode solver, which reads
+        # only the hopping strength and the drive powers from them
+        self.bare.setdefault((params.hop_strength, params.drive_power), params)
+
+    def _resolve_bath(self, photon_number: float | None):
+        try:
+            return self.config.bath.resolve(photon_number=photon_number)
+        except HopcavError as exc:
+            return exc
+
+    def _bath(self, photon_number: float):
+        key = _axis_key("photon_number", photon_number)
+        if key not in self.baths:
+            self.baths[key] = self._resolve_bath(photon_number)
+        return self.baths[key]
+
+    def _diffusion(self, bath: SqueezedBath, nbar: float):
+        """The diffusion matrix, or the error building it raised; the grid axes
+        change only the bath and the occupation."""
+        key = (bath.photon_number, bath.correlation, nbar)
+        if key not in self.diffusions:
+            try:
+                self.diffusions[key] = build_diffusion(self.config.params, bath, nbar)
+            except HopcavError as exc:
+                self.diffusions[key] = exc
+        return self.diffusions[key]
+
+    def point(self, overrides: dict[str, float]) -> _Point | HopcavError:
+        """Set up one grid point, or return the error of its first bad axis in
+        the overrides' order, else of its bath."""
+        unseen = [(name, value) for name, value in overrides.items()
+                  if name in AXIS_FIELDS and _axis_key(name, value) not in self.axes]
+        if unseen:
+            self._check(unseen)
+        found = dict(self.defaults)
         for name, value in overrides.items():
             if name in AXIS_FIELDS:
-                params = replace(params, **{AXIS_FIELDS[name]: _axis_value(params, name, value)})
-            elif name not in AXIS_NAMES:
-                raise ConfigError(f"unknown axis {name!r}") from None
+                found[name] = self.axes[_axis_key(name, value)]
+                if isinstance(found[name], HopcavError):
+                    return found[name]
+            elif name not in _KNOWN_AXES:
+                return ConfigError(f"unknown axis {name!r}")
 
-    if "nbar" in overrides:
-        nbar = float(overrides["nbar"])
-    elif config.nbar_override is not None:
-        nbar = float(config.nbar_override)
-    else:
-        nbar = thermal_occupation(params.mech_freq[0], params.bath_temperature)
+        if "nbar" in overrides:
+            nbar = float(overrides["nbar"])
+        elif self.config.nbar_override is not None:
+            nbar = float(self.config.nbar_override)
+        else:
+            nbar = found["temperature"]
+        bath = self._bath(overrides["photon_number"]) if "photon_number" in overrides else self.bath
+        if isinstance(bath, HopcavError):
+            return bath
 
-    n_over = overrides.get("photon_number")
-    bath = config.bath.resolve(photon_number=n_over)
-    return params, bath, nbar
+        delta, lang = found["delta"]
+        xi, hop = found["xi"]
+        powers, drives, symmetric = found["power"]
+        head = (delta, xi, powers[0], nbar, bath.photon_number, bath.correlation)
+        return _Point(head, lang, hop, powers, drives, symmetric, self._diffusion(bath, nbar))
+
+    def bare_params(self, hop: float, powers: tuple) -> PhysicalParams:
+        """Parameters of the bare-mode solver, which reads the hopping strength
+        and the drive powers from them (all fields already checked)."""
+        key = (hop, powers)
+        if key not in self.bare:
+            self.bare[key] = replace(self.config.params, hop_strength=hop, drive_power=powers)
+        return self.bare[key]
+
+
+# measure cells and Lyapunov residual of a row without a covariance
+_UNMEASURED = (None,) * (len(MEASURE_FIELDS) + 1)
 
 
 def _failed(rec: ResultRecord) -> PointResult:
     return PointResult(records=(rec,), covariances=(None,), steady_states=(None,), drifts=(None,),
                        diffusion=None)
-
-
-def _diffusion(cache: dict, params: PhysicalParams, bath: SqueezedBath, nbar: float):
-    """The diffusion matrix, or the error building it raised; the grid axes
-    change only the bath and the occupation, so one batch builds it once per
-    distinct pair."""
-    key = (bath.photon_number, bath.correlation, nbar)
-    if key not in cache:
-        try:
-            cache[key] = build_diffusion(params, bath, nbar)
-        except HopcavError as exc:
-            cache[key] = exc
-    return cache[key]
 
 
 def _gate(config: SweepConfig, hops: list[float], steadies: list[SteadyState]):
@@ -296,29 +402,21 @@ def _gate(config: SweepConfig, hops: list[float], steadies: list[SteadyState]):
     return tuple([x for part in parts for x in part[i]] for i in range(3))
 
 
-def run_points(config: SweepConfig, points: list[dict[str, float]]) -> list[PointResult]:
-    """Evaluate a batch of grid points; one result per point, in order.
+def run_points(sweep: _Sweep, points: list[dict[str, float]]) -> list[PointResult]:
+    """Evaluate a batch of grid points of one sweep; one result per point, in
+    order.
 
     Per-point errors are caught and recorded in the ``error`` field so that
     sweeps continue.
     """
-    omega_m = config.params.mech_freq[0]
+    config = sweep.config
+    p = config.params
+    omega_m = sweep.omega_m
     results: list[PointResult | None] = [None] * len(points)
-    heads = {}      # point index -> (record fields, diffusion)
-    branches = []   # (point index, params, working point)
-    cache: dict = {}
+    ready: list[tuple[int, _Point]] = []
     for k, overrides in enumerate(points):
-        try:
-            params, bath, nbar = _point_setup(config, overrides)
-            base = dict(
-                delta=params.detuning.value[0] / omega_m,
-                xi=params.hop_strength / omega_m,
-                power=params.drive_power[0],
-                nbar=nbar,
-                photon_number=bath.photon_number,
-                correlation=bath.correlation,
-            )
-        except HopcavError as exc:
+        point = sweep.point(overrides)
+        if isinstance(point, HopcavError):
             results[k] = _failed(ResultRecord(
                 delta=float(overrides.get("delta", np.nan)),
                 xi=float(overrides.get("xi", np.nan)),
@@ -326,87 +424,86 @@ def run_points(config: SweepConfig, points: list[dict[str, float]]) -> list[Poin
                 nbar=float(overrides.get("nbar", np.nan)),
                 photon_number=float(overrides.get("photon_number", np.nan)),
                 correlation=np.nan,
-                error=str(exc),
+                error=str(point),
             ))
-            continue
-        try:
-            # the Langevin solver runs with the opposite-signed detunings; see
-            # the module docstring for the axis convention
-            lang = tuple(-v for v in params.detuning.value)
-            if params.detuning.mode == "effective":
-                steadies = [solve_fixed_detuning(params, lang[0], lang[1])]
-            else:
-                steadies = solve_self_consistent(params, lang[0], lang[1])
-        except HopcavError as exc:
-            results[k] = _failed(ResultRecord(**base, error=str(exc)))
-            continue
-        heads[k] = (base, _diffusion(cache, params, bath, nbar))
-        branches.extend((k, params, st) for st in steadies)
+        else:
+            ready.append((k, point))
 
-    drifts, stable, errors = _gate(
-        config, [b[1].hop_strength for b in branches], [b[2] for b in branches]
-    )
-    fields = []
+    if p.detuning.mode == "effective":
+        working = [
+            st if isinstance(st, HopcavError) else [st]
+            for st in fixed_detuning_points(
+                p.cavity_decay, p.mech_freq, sweep.coupling, [pt.drives for _, pt in ready],
+                [pt.hop for _, pt in ready], [pt.lang for _, pt in ready],
+            )
+        ]
+    else:
+        working = []
+        for _, pt in ready:
+            try:
+                working.append(solve_self_consistent(sweep.bare_params(pt.hop, pt.powers), *pt.lang))
+            except HopcavError as exc:
+                working.append(exc)
+
+    branches = []   # (point index, point, working point)
+    for (k, pt), steadies in zip(ready, working):
+        if isinstance(steadies, HopcavError):
+            results[k] = _failed(ResultRecord(*pt.head, error=str(steadies)))
+        else:
+            branches.extend((k, pt, st) for st in steadies)
+
+    drifts, verdicts, errors = _gate(config, [b[1].hop for b in branches], [b[2] for b in branches])
+    scalars = []    # per branch: stable, s1, s2
     solve = []
-    for j, (k, params, steady) in enumerate(branches):
-        f = dict(
-            heads[k][0],
-            amp1=abs(steady.amp[0]),
-            amp2=abs(steady.amp[1]),
-            coupling_ratio=steady.eff_coupling[0] / omega_m,
-            branch=steady.branch,
-        )
-        fields.append(f)
+    for j, (_, pt, steady) in enumerate(branches):
         if errors[j] is not None:
+            scalars.append((False, None, None))
             continue
-        if params.is_symmetric:
+        s1 = s2 = None
+        if pt.symmetric:
             # the figure-convention effective detuning, also valid in bare
             # mode where the shift has been absorbed
-            dfig = -steady.eff_detuning[0]
-            f["s1"], f["s2"] = routh_hurwitz_reduced(
-                params.mech_freq[0],
-                params.mech_damping[0],
-                params.cavity_decay[0],
-                steady.eff_coupling[0],
-                dfig + params.hop_strength,
+            s1, s2 = routh_hurwitz_reduced(
+                omega_m, p.mech_damping[0], p.cavity_decay[0], steady.eff_coupling[0],
+                -steady.eff_detuning[0] + pt.hop,
             )
-        f["stable"] = stable[j]
-        if stable[j]:
-            diffusion = heads[k][1]
-            if isinstance(diffusion, HopcavError):
-                errors[j] = str(diffusion)
+        scalars.append((verdicts[j], s1, s2))
+        if verdicts[j]:
+            if isinstance(pt.diffusion, HopcavError):
+                errors[j] = str(pt.diffusion)
             else:
                 solve.append(j)
 
+    measured = [_UNMEASURED] * len(branches)
     covariances: list[np.ndarray | None] = [None] * len(branches)
     if solve:
         w, residuals = lyapunov_stack(
             np.stack([drifts[j] for j in solve]),
-            np.stack([heads[branches[j][0]][1] for j in solve]),
+            np.stack([branches[j][1].diffusion for j in solve]),
         )
         for j, wj, residual, measures in zip(solve, w, residuals.tolist(), pair_measures(w)):
             if isinstance(measures, HopcavError):
                 errors[j] = str(measures)
             else:
-                fields[j].update(zip(MEASURE_FIELDS, measures), lyap_residual=residual)
+                measured[j] = (*measures, residual)
                 covariances[j] = wj
 
-    per_point: dict[int, list[int]] = {}
-    for j, (k, _, _) in enumerate(branches):
-        per_point.setdefault(k, []).append(j)
-    for k, rows in per_point.items():
-        records = [ResultRecord(**fields[j], error=errors[j] or "") for j in rows]
-        if config.branch_policy == "default" and len(records) > 1:
+    records = [
+        ResultRecord(*pt.head, abs(st.amp[0]), abs(st.amp[1]), st.eff_coupling[0] / omega_m,
+                     *scalars[j], *measured[j], st.branch, errors[j] or "")
+        for j, (_, pt, st) in enumerate(branches)
+    ]
+    for k, group in itertools.groupby(range(len(branches)), key=lambda j: branches[j][0]):
+        rows = list(group)
+        if config.branch_policy == "default" and len(rows) > 1:
             # default branch: the lowest-|amp| stable one, else the lowest-|amp|
-            chosen = next((i for i, r in enumerate(records) if r.stable), 0)
-            rows = [rows[chosen]]
-            records = [records[chosen]]
+            rows = [next((j for j in rows if records[j].stable), rows[0])]
         results[k] = PointResult(
-            records=tuple(records),
-            covariances=tuple(covariances[j] for j in rows),
-            steady_states=tuple(branches[j][2] for j in rows),
-            drifts=tuple(drifts[j] for j in rows),
-            diffusion=heads[k][1],
+            records=tuple([records[j] for j in rows]),
+            covariances=tuple([covariances[j] for j in rows]),
+            steady_states=tuple([branches[j][2] for j in rows]),
+            drifts=tuple([drifts[j] for j in rows]),
+            diffusion=branches[rows[0]][1].diffusion,
         )
     return results
 
@@ -420,7 +517,7 @@ def misses_residual_gate(rec: ResultRecord) -> bool:
 def run_point(config: SweepConfig, overrides: dict[str, float] | None = None) -> PointResult:
     """Evaluate one grid point, a batch of one; returns one record per
     emitted branch."""
-    return run_points(config, [dict(overrides or {})])[0]
+    return run_points(_Sweep(config), [dict(overrides or {})])[0]
 
 
 def grid_points(config: SweepConfig) -> list[dict[str, float]]:
@@ -435,8 +532,8 @@ def grid_points(config: SweepConfig) -> list[dict[str, float]]:
 
 
 def _chunk_records(args) -> list[ResultRecord]:
-    config, points = args
-    return [rec for result in run_points(config, points) for rec in result.records]
+    sweep, points = args
+    return [rec for result in run_points(sweep, points) for rec in result.records]
 
 
 @dataclass(frozen=True)
@@ -456,7 +553,8 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
     size = CHUNK_POINTS
     if workers > 1:
         size = min(size, -(-len(points) // (CHUNKS_PER_WORKER * workers)))
-    chunks = [(config, points[i:i + size]) for i in range(0, len(points), size)]
+    sweep = _Sweep(config)
+    chunks = [(sweep, points[i:i + size]) for i in range(0, len(points), size)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_chunk = list(pool.map(_chunk_records, chunks))

@@ -11,11 +11,12 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from scipy.constants import c as SPEED_OF_LIGHT
-from scipy.constants import hbar as HBAR
-from scipy.constants import k as K_BOLTZMANN
-
 from .errors import ConfigError
+
+# exact SI values (equal, bit for bit, to scipy.constants c, hbar and k)
+SPEED_OF_LIGHT = 299792458.0
+HBAR = 6.62607015e-34 / (2 * math.pi)
+K_BOLTZMANN = 1.380649e-23
 
 # The Markovian treatment of the mirror Brownian noise needs a high
 # mechanical quality factor; warn when it drops below this.

@@ -6,11 +6,13 @@ The working point is the solution of
     q_j = g_j |a_j|^2 / omega_mj,    p_j = 0
 
 with the effective detuning Delta_j = Delta0_j - g_j^2 |a_j|^2 / omega_mj in
-bare mode.  ``solve_fixed_detuning`` evaluates the closed form at given
-effective detunings; ``solve_self_consistent`` finds the branches of the
-nonlinear bare-detuning problem: from a scalar photon-number equation when the
-two cavities, detunings, couplings and drives are identical (every branch with
-a_1 = a_2), otherwise by a seeded damped iteration, which can miss branches.
+bare mode.  ``fixed_detuning_points`` evaluates the closed form at given
+effective detunings for a batch of points that share the cavities, and
+``solve_fixed_detuning`` is its single-point case.  ``solve_self_consistent``
+finds the branches of the nonlinear bare-detuning problem: from a scalar
+photon-number equation when the two cavities, detunings, couplings and drives
+are identical (every branch with a_1 = a_2), otherwise by a seeded damped
+iteration, which can miss branches.
 """
 
 from __future__ import annotations
@@ -19,9 +21,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import optimize
 
-from .errors import ConvergenceFailureError, DegenerateConfigurationError
+from .errors import ConvergenceFailureError, DegenerateConfigurationError, HopcavError
 from .params import PhysicalParams, derive_coupling, drive_amps
 
 RESIDUAL_TOL = 1e-10      # relative to the drive amplitude
@@ -50,12 +51,11 @@ def effective_coupling(bare_coupling: float, amp: complex) -> float:
     return math.sqrt(2.0) * bare_coupling * abs(amp)
 
 
-def _closed_form_amps(params, e1, e2, delta1, delta2):
-    xi = params.hop_strength
-    a1 = complex(params.cavity_decay[0], delta1)
-    a2 = complex(params.cavity_decay[1], delta2)
+def _closed_form_amps(kappa, xi, e1, e2, delta1, delta2):
+    a1 = complex(kappa[0], delta1)
+    a2 = complex(kappa[1], delta2)
     denom = a1 * a2 + xi * xi
-    if abs(denom) < 1e-12 * params.cavity_decay[0] * params.cavity_decay[1]:
+    if abs(denom) < 1e-12 * kappa[0] * kappa[1]:
         raise DegenerateConfigurationError(
             f"singular steady-state denominator |alpha1*alpha2 + xi^2| = {abs(denom):.3e}"
         )
@@ -64,37 +64,57 @@ def _closed_form_amps(params, e1, e2, delta1, delta2):
     return amp1, amp2, a1, a2
 
 
-def _residual(params, e1, e2, amp1, amp2, alpha1, alpha2) -> float:
-    xi = params.hop_strength
+def _residual(xi, e1, e2, amp1, amp2, alpha1, alpha2) -> float:
     r1 = -alpha1 * amp1 + 1j * xi * amp2 + e1
     r2 = -alpha2 * amp2 + 1j * xi * amp1 + e2
     scale = max(e1, e2, 1e-300)
     return max(abs(r1), abs(r2)) / scale
 
 
-def _assemble(params, g, e, amp1, amp2, delta1, delta2, alpha1, alpha2, branch=0):
-    q = tuple(
-        g[i] * abs(a) ** 2 / params.mech_freq[i] for i, a in enumerate((amp1, amp2))
-    )
-    coupling = tuple(effective_coupling(g[i], a) for i, a in enumerate((amp1, amp2)))
+def _assemble(mech_freq, xi, g, e, amp1, amp2, delta1, delta2, alpha1, alpha2, branch=0):
     return SteadyState(
         amp=(amp1, amp2),
-        displacement=q,
+        displacement=(g[0] * abs(amp1) ** 2 / mech_freq[0], g[1] * abs(amp2) ** 2 / mech_freq[1]),
         momentum=(0.0, 0.0),
         eff_detuning=(delta1, delta2),
-        eff_coupling=coupling,
+        eff_coupling=(effective_coupling(g[0], amp1), effective_coupling(g[1], amp2)),
         alpha=(alpha1, alpha2),
-        residual=_residual(params, e[0], e[1], amp1, amp2, alpha1, alpha2),
+        residual=_residual(xi, e[0], e[1], amp1, amp2, alpha1, alpha2),
         branch=branch,
     )
 
 
+def fixed_detuning_points(cavity_decay, mech_freq, coupling, drives, hop_strength,
+                          detuning) -> list[SteadyState | HopcavError]:
+    """Closed-form working points of a batch at given effective detunings.
+
+    ``cavity_decay``, ``mech_freq`` and the single-photon couplings
+    ``coupling`` are per-cavity pairs shared by the batch; ``drives`` (the
+    drive amplitudes |E_j|) and ``detuning`` (rad/s) hold one pair per point
+    and ``hop_strength`` one value per point.  A point whose closed form is
+    singular gets the error instead of a working point.
+    """
+    out = []
+    for e, xi, (delta1, delta2) in zip(drives, hop_strength, detuning):
+        try:
+            amp1, amp2, a1, a2 = _closed_form_amps(cavity_decay, xi, e[0], e[1], delta1, delta2)
+        except DegenerateConfigurationError as exc:
+            out.append(exc)
+            continue
+        out.append(_assemble(mech_freq, xi, coupling, e, amp1, amp2, delta1, delta2, a1, a2))
+    return out
+
+
 def solve_fixed_detuning(params: PhysicalParams, delta1: float, delta2: float) -> SteadyState:
-    """Closed-form working point at given effective detunings (rad/s)."""
-    g = tuple(derive_coupling(params, j) for j in (1, 2))
-    e = drive_amps(params)
-    amp1, amp2, a1, a2 = _closed_form_amps(params, e[0], e[1], delta1, delta2)
-    return _assemble(params, g, e, amp1, amp2, delta1, delta2, a1, a2)
+    """Closed-form working point at given effective detunings (rad/s); see
+    :func:`fixed_detuning_points`."""
+    (steady,) = fixed_detuning_points(
+        params.cavity_decay, params.mech_freq, tuple(derive_coupling(params, j) for j in (1, 2)),
+        [drive_amps(params)], [params.hop_strength], [(delta1, delta2)],
+    )
+    if isinstance(steady, HopcavError):
+        raise steady
+    return steady
 
 
 def solve_self_consistent(
@@ -109,13 +129,18 @@ def solve_self_consistent(
     overrides the derived single-photon couplings (useful for probing the
     linear limit).
     """
+    # imported here: only this solver needs SciPy, so importing hopcav does not load it
+    from scipy import optimize
+
     g = coupling if coupling is not None else tuple(derive_coupling(params, j) for j in (1, 2))
     e = drive_amps(params)
+    kappa = params.cavity_decay
+    xi = params.hop_strength
 
     if e[0] == 0.0 and e[1] == 0.0:
-        a1 = complex(params.cavity_decay[0], delta01)
-        a2 = complex(params.cavity_decay[1], delta02)
-        return [_assemble(params, g, e, 0j, 0j, delta01, delta02, a1, a2)]
+        a1 = complex(kappa[0], delta01)
+        a2 = complex(kappa[1], delta02)
+        return [_assemble(params.mech_freq, xi, g, e, 0j, 0j, delta01, delta02, a1, a2)]
 
     def detunings(u1, u2):
         return (
@@ -125,7 +150,7 @@ def solve_self_consistent(
 
     def amps_at(u1, u2):
         d1, d2 = detunings(u1, u2)
-        return _closed_form_amps(params, e[0], e[1], d1, d2)
+        return _closed_form_amps(kappa, xi, e[0], e[1], d1, d2)
 
     symmetric = (
         params.is_symmetric
@@ -140,8 +165,7 @@ def solve_self_consistent(
     if symmetric:
         # scalar photon-number equation h(u) = u (kappa^2 + (d0 - b u - xi)^2) - E^2,
         # scanned for exact zeros and sign changes in grid order
-        kap = params.cavity_decay[0]
-        xi = params.hop_strength
+        kap = kappa[0]
         b = g[0] ** 2 / params.mech_freq[0]
 
         def h(u):
@@ -165,10 +189,10 @@ def solve_self_consistent(
             c1 = complex(v[0], v[1])
             c2 = complex(v[2], v[3])
             d1, d2 = detunings(abs(c1) ** 2, abs(c2) ** 2)
-            al1 = complex(params.cavity_decay[0], d1)
-            al2 = complex(params.cavity_decay[1], d2)
-            r1 = -al1 * c1 + 1j * params.hop_strength * c2 + e[0]
-            r2 = -al2 * c2 + 1j * params.hop_strength * c1 + e[1]
+            al1 = complex(kappa[0], d1)
+            al2 = complex(kappa[1], d2)
+            r1 = -al1 * c1 + 1j * xi * c2 + e[0]
+            r2 = -al2 * c2 + 1j * xi * c1 + e[1]
             return [r1.real, r1.imag, r2.real, r2.imag]
 
         for u0 in np.linspace(0.0, u_cap, N_SEEDS):
@@ -193,9 +217,9 @@ def solve_self_consistent(
     best = math.inf
     for amp1, amp2 in candidates:
         d1, d2 = detunings(abs(amp1) ** 2, abs(amp2) ** 2)
-        al1 = complex(params.cavity_decay[0], d1)
-        al2 = complex(params.cavity_decay[1], d2)
-        res = _residual(params, e[0], e[1], amp1, amp2, al1, al2)
+        al1 = complex(kappa[0], d1)
+        al2 = complex(kappa[1], d2)
+        res = _residual(xi, e[0], e[1], amp1, amp2, al1, al2)
         best = min(best, res)
         if res >= RESIDUAL_TOL:
             continue
@@ -205,7 +229,7 @@ def solve_self_consistent(
             for s in branches
         )
         if not dup:
-            branches.append(_assemble(params, g, e, amp1, amp2, d1, d2, al1, al2))
+            branches.append(_assemble(params.mech_freq, xi, g, e, amp1, amp2, d1, d2, al1, al2))
 
     if not branches:
         raise ConvergenceFailureError(

@@ -14,6 +14,9 @@ on purpose: at a commit whose outputs are the accepted ones.  It writes
   each axis, in the ``hopcav stability`` row format.
 * ``point.json``: the output of ``hopcav point --json`` for
   ``configs/point.json``.
+* ``axis-kinds.json.gz``: the full sweep CSV (no header lines) of every
+  document of :func:`axis_kind_docs`, by name: small grids on every axis kind,
+  with bad axis values, in effective mode and in bare mode with every branch.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import contextlib
 import gzip
 import io
 import itertools
+import json
 from pathlib import Path
 
 GOLDEN_DIR = Path(__file__).resolve().parent
@@ -30,6 +34,39 @@ POINT_CONFIG = REPO / "configs" / "point.json"
 STABILITY_PRESET = "fig5"
 STABILITY_STRIDE = 5
 STABILITY_COLUMNS = ("delta", "xi", "s1", "s2", "hurwitz_reduced", "hurwitz_full", "agree")
+AXIS_KINDS = "axis-kinds.json.gz"
+
+DELTAS = {"name": "delta", "values": [0.2, 0.6, 1.0, 1.4, 1.8]}
+# name -> (axes, top-level overrides of configs/point.json); negative xi,
+# power, temperature, nbar and photon_number values are bad, and pairs of bad
+# axes come in both orders, so the first bad axis decides a row's error
+AXIS_CASES = {
+    "delta-xi": ([DELTAS, {"name": "xi", "values": [-0.5, 0.0, 0.5, 1.0]}], {}),
+    "power": ([{"name": "power", "values": [-10.0, 20.0, 50.0, 75.0], "unit": "mW"}, DELTAS], {}),
+    "temperature": ([{"name": "temperature", "values": [-1.0, 0.0, 0.4, 4.0]}, DELTAS], {}),
+    "temperature-nbar-fixed": ([{"name": "temperature", "values": [-1.0, 0.4]}, DELTAS],
+                               {"nbar": 836.0}),
+    "nbar": ([{"name": "nbar", "values": [-1.0, 0.0, 836.0]}, DELTAS], {}),
+    "photon_number-ideal": ([{"name": "photon_number", "values": [-0.05, 0.0, 0.05, 0.1]},
+                             DELTAS], {}),
+    "photon_number-fixed": ([{"name": "photon_number", "values": [-0.05, 0.0, 0.05, 0.1, 0.5]},
+                             {"name": "xi", "values": [0.0, 0.5]}],
+                            {"bath": {"photon_number": 0.0, "correlation": 0.3}}),
+    "xi-power": ([{"name": "xi", "values": [-0.5, 0.5]},
+                  {"name": "power", "values": [-0.01, 0.05]}], {}),
+    "power-xi": ([{"name": "power", "values": [-0.01, 0.05]},
+                  {"name": "xi", "values": [-0.5, 0.5]}], {}),
+    "temperature-photon_number": ([{"name": "temperature", "values": [-1.0, 0.4]},
+                                   {"name": "photon_number", "values": [-0.05, 0.05]}], {}),
+    "photon_number-temperature": ([{"name": "photon_number", "values": [-0.05, 0.05]},
+                                   {"name": "temperature", "values": [-1.0, 0.4]}], {}),
+    "nbar-xi": ([{"name": "nbar", "values": [-1.0, 836.0]},
+                 {"name": "xi", "values": [-0.5, 0.5]}], {}),
+    "xi-nbar": ([{"name": "xi", "values": [-0.5, 0.5]},
+                 {"name": "nbar", "values": [-1.0, 836.0]}], {}),
+    "bistable": ([{"name": "delta", "values": [-4.3, -3.9, -3.5]},
+                  {"name": "power", "values": [20.0, 100.0], "unit": "mW"}], {}),
+}
 
 
 def strides(config) -> tuple[int, ...]:
@@ -61,6 +98,29 @@ def edge_indices(config, per_point) -> list[int]:
                 out.update((flat, flat + stride))
             stride *= shape[axis]
     return sorted(out)
+
+
+def axis_kind_docs() -> dict[str, dict]:
+    """Every case of ``AXIS_CASES`` on ``configs/point.json``, once in
+    effective mode and once (name suffix ``-bare``) in bare mode with
+    ``branch_policy`` ``all``."""
+    base = json.loads(POINT_CONFIG.read_text(encoding="utf-8"))
+    docs = {}
+    for name, (axes, extra) in AXIS_CASES.items():
+        doc = dict(base, label=name, axes=axes, **extra)
+        docs[name] = doc
+        docs[f"{name}-bare"] = dict(doc, detuning=dict(base["detuning"], mode="bare"),
+                                    branch_policy="all")
+    return docs
+
+
+def axis_kind_csvs() -> dict[str, str]:
+    """Sweep CSV text of every document of :func:`axis_kind_docs`."""
+    from hopcav.config import parse_config
+    from hopcav.engine import csv_text, run_sweep
+
+    return {name: csv_text(run_sweep(parse_config(doc)).records)
+            for name, doc in axis_kind_docs().items()}
 
 
 def _gz(path: Path, text: str) -> None:
@@ -112,6 +172,8 @@ def main() -> None:
     if code != 0:
         raise SystemExit(f"hopcav point exited {code}")
     (GOLDEN_DIR / "point.json").write_text(buf.getvalue(), encoding="utf-8")
+
+    _gz(GOLDEN_DIR / AXIS_KINDS, json.dumps(axis_kind_csvs(), indent=0, sort_keys=True))
 
 
 if __name__ == "__main__":

@@ -1,0 +1,77 @@
+"""Print one sha256 per hopcav output, so that two commits' outputs can be
+compared with one ``diff``:
+
+    PYTHONPATH=src python tests/golden/output_digests.py > digests.txt
+
+The outputs: the CSV of every figure preset from ``hopcav fig`` with 1 and
+with 2 workers, the fig5 ``hopcav stability`` CSV (the benchmark's fig5
+document, ``perfbench/inputs.py`` at its default seed), and ``hopcav point
+--json`` for ``configs/point.json`` and for the benchmark's 16 point
+documents.  Each line reads ``<sha256>  <output>``; a command that exits
+non-zero prints its exit code in place of the digest.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import importlib.util
+import io
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent.parent
+POINT_CONFIG = REPO / "configs" / "point.json"
+
+_spec = importlib.util.spec_from_file_location("perfbench_inputs",
+                                               REPO / "perfbench" / "inputs.py")
+inputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(inputs)
+
+
+def _cli(argv: list[str]) -> tuple[int, str]:
+    from hopcav.cli import main
+
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    return code, buf.getvalue()
+
+
+def _digest(code: int, data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest() if code == 0 else f"exit {code}"
+
+
+def digests(work: Path) -> list[tuple[str, str]]:
+    from hopcav.presets import PRESET_NAMES
+
+    out = []
+    for name in PRESET_NAMES:
+        for workers in (1, 2):
+            target = work / f"w{workers}"
+            code, _ = _cli(["fig", name, "--out", str(target), "--workers", str(workers)])
+            data = (target / f"{name}.csv").read_bytes() if code == 0 else b""
+            out.append((f"{name}.csv ({workers} worker{'s' * (workers > 1)})", _digest(code, data)))
+
+    docs = dict(inputs.grid_configs("stability", inputs.DEFAULT_SEED))
+    docs.update((f"point{k:02d}", d)
+                for k, d in enumerate(inputs.point_configs(inputs.DEFAULT_SEED)))
+    paths = inputs.write_configs(docs, work / "inputs")
+    stability_csv = work / "fig5-stability.csv"
+    code, _ = _cli(["stability", "--config", str(paths.pop("fig5")), "--out", str(stability_csv)])
+    out.append(("fig5 stability", _digest(code, stability_csv.read_bytes() if code == 0 else b"")))
+
+    for label, path in [("configs/point.json", POINT_CONFIG), *paths.items()]:
+        code, text = _cli(["point", "--config", str(path), "--json"])
+        out.append((f"point --json {label}", _digest(code, text.encode("utf-8"))))
+    return out
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, digest in digests(Path(tmp)):
+            print(f"{digest}  {label}")
+
+
+if __name__ == "__main__":
+    main()

@@ -1,9 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hopcav
+from hopcav import cli
 from hopcav.cli import main
 from hopcav.config import parse_config, validate_config
 from hopcav.errors import ConfigError
@@ -94,6 +100,9 @@ class TestUnitConversion:
         cfg = parse_config(doc)
         assert cfg.axes[0].values == (0.0, 0.5, 1.0, 1.5, 2.0)
         assert cfg.axes[1].values == (0.025, 0.05)
+        doc["axes"][0]["count"] = 5.0
+        doc["axes"][1] = {"name": "power", "values": [0.025, 0.05], "unit": "W"}
+        assert parse_config(doc).axes == cfg.axes
 
     def test_dpo_bath(self):
         doc = doc_with(bath={"dpo": {
@@ -126,6 +135,12 @@ MALFORMED = [
                  id="axis-values-not-a-list"),
     pytest.param("axes", [{"name": "delta", "min": 0.0, "max": 1.0, "count": "many"}],
                  "axes[0].count", id="axis-count"),
+    pytest.param("axes", [{"name": "delta", "min": 0.0, "max": 1.0, "count": 2.9}],
+                 "axes[0].count", id="axis-count-fractional"),
+    pytest.param("axes", [{"name": "delta", "values": [0.5, 1.0], "unit": "mW"}],
+                 "axes[0].unit", id="axis-unit-off-power"),
+    pytest.param("axes", [{"name": "power", "values": [20.0, 50.0], "unit": "kW"}],
+                 "axes[0].unit", id="axis-unit-unknown"),
     pytest.param("detuning_sign", "sideways", "detuning_sign", id="detuning-sign"),
     pytest.param("bath", {"photon_number": 0.05, "correlation": "maximal"}, "correlation",
                  id="bath-marker"),
@@ -156,6 +171,24 @@ def test_malformed_value_is_a_configuration_error(tmp_path, capsys, key, value, 
 
 
 class TestCli:
+    def test_parser_is_built_once(self, tmp_path, capsys, monkeypatch):
+        # each call, after an argparse error too, behaves as in a fresh process
+        monkeypatch.setenv("COLUMNS", "80")
+        path = str(write_doc(tmp_path, BASE_DOC))
+        env = dict(os.environ, PYTHONPATH=str(Path(hopcav.__file__).resolve().parent.parent))
+        for argv in (["point"], ["validate", "--config", path], ["point", "--config", path, "--json"]):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr()
+            fresh = subprocess.run(
+                [sys.executable, "-c", "import sys; from hopcav.cli import main; sys.exit(main(sys.argv[1:]))",
+                 *argv], capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert (code, out.out, out.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert cli.build_parser() is cli.build_parser()
+
     def test_point_json(self, tmp_path, capsys):
         path = write_doc(tmp_path, BASE_DOC)
         assert main(["point", "--config", str(path), "--json"]) == 0
@@ -171,8 +204,9 @@ class TestCli:
         from hopcav import cli, engine
 
         calls = []
-        for module, name in ((engine, "lyapunov_stack"), (engine, "solve_fixed_detuning"),
-                             (cli, "solve_fixed_detuning"), (cli, "solve_lyapunov")):
+        for module, name in ((engine, "lyapunov_stack"), (engine, "fixed_detuning_points"),
+                             (engine, "solve_fixed_detuning"), (cli, "solve_fixed_detuning"),
+                             (cli, "solve_lyapunov")):
             fn = getattr(module, name)
 
             def counted(*args, _fn=fn, _name=name, **kwargs):
@@ -182,7 +216,7 @@ class TestCli:
             monkeypatch.setattr(module, name, counted)
         path = write_doc(tmp_path, BASE_DOC)
         assert main(["point", "--config", str(path), "--json"]) == 0
-        assert sorted(calls) == ["lyapunov_stack", "solve_fixed_detuning"]
+        assert sorted(calls) == ["fixed_detuning_points", "lyapunov_stack"]
         payload = json.loads(capsys.readouterr().out)
         assert payload["lyap_residual"] == payload["record"]["lyap_residual"]
 

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hopcav
 from hopcav import engine
 from hopcav.engine import (
     AxisSpec,
@@ -17,6 +22,7 @@ from hopcav.engine import (
 from hopcav.errors import ConfigError
 from hopcav.measures import symplectic_eigenvalues
 from hopcav.params import Detuning, PhysicalParams
+from hopcav.presets import fig_preset
 
 TWO_PI = 2.0 * math.pi
 WM = TWO_PI * 1e7
@@ -241,6 +247,29 @@ class TestBatchedPipeline:
         assert errors[1].startswith("correlation 0.3 exceeds the quantum bound")
         assert errors[-1] == ""
 
+    def test_sweep_checks_each_axis_value_once(self, monkeypatch):
+        # the parameter validation runs per distinct axis value, not per point
+        config = fig_preset("fig6b")
+        calls = []
+        post_init = PhysicalParams.__post_init__
+
+        def counted(self):
+            calls.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(PhysicalParams, "__post_init__", counted)
+        records = run_sweep(config).records
+        assert len(records) == 101 * 101
+        assert len(calls) <= 1 + sum(len(set(a.values)) for a in config.axes)
+
+    def test_unknown_axis_after_a_bad_one(self):
+        # the first bad axis in the overrides' order gives the error
+        cfg = base_config()
+        assert run_point(cfg, {"xi": -0.5, "speed": 1.0}).records[0].error == (
+            "hop_strength must be nonnegative")
+        assert run_point(cfg, {"speed": 1.0, "xi": -0.5}).records[0].error == (
+            "unknown axis 'speed'")
+
     def test_diffusion_error_only_on_stable_rows(self, monkeypatch):
         monkeypatch.setattr(engine, "CHUNK_POINTS", 4)
         # a negative occupation fails the diffusion, which only stable
@@ -341,3 +370,21 @@ class TestValidation:
         assert BathSpec(photon_number=0.05, correlation="ideal").resolve().correlation == (
             pytest.approx(math.sqrt(0.05 * 1.05), rel=1e-15)
         )
+
+
+def test_import_loads_no_scipy():
+    # only the bare-mode solver imports SciPy
+    code = (
+        "import sys\n"
+        "import hopcav\n"
+        "from hopcav.engine import run_point\n"
+        "from hopcav.presets import fig_preset\n"
+        "assert run_point(fig_preset('fig6b'), {'delta': 1.0, 'xi': 0.5}).records[0].stable\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    src = str(Path(hopcav.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

@@ -136,3 +136,11 @@ def test_point_json_matches_golden():
     problems = differences(got, golden, "point")
     assert problems == [], problems[:5]
     assert all(math.isfinite(v) for v in got["covariance"])
+
+
+def test_axis_kinds_match_golden_bytes():
+    # every axis kind with bad values: the CSV bytes, error texts included
+    golden = json.loads(golden_text(make_golden.AXIS_KINDS))
+    got = make_golden.axis_kind_csvs()
+    assert sorted(got) == sorted(golden)
+    assert [name for name in golden if got[name] != golden[name]] == []

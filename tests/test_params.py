@@ -174,3 +174,13 @@ class TestPhysicalParams:
     def test_bad_detuning_mode(self):
         with pytest.raises(ConfigError):
             Detuning("other", (0.0, 0.0))
+
+
+def test_si_constants_equal_scipy_bit_for_bit():
+    from scipy import constants
+
+    from hopcav import params
+
+    assert params.SPEED_OF_LIGHT == constants.c
+    assert params.HBAR == constants.hbar
+    assert params.K_BOLTZMANN == constants.k

@@ -4,11 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from hopcav.dynamics import build_reduced
+from hopcav.dynamics import build_reduced, figure_drift
 from hopcav.errors import ConfigError
 from hopcav.lyapunov import is_hurwitz
 from hopcav.params import Detuning, PhysicalParams
-from hopcav.stability import routh_hurwitz_reduced, stability_map, stability_point
+from hopcav.presets import fig_preset
+from hopcav.stability import (
+    StabilityReport,
+    routh_hurwitz_reduced,
+    stability_map,
+    stability_point,
+)
 from hopcav.steady_state import solve_fixed_detuning
 
 TWO_PI = 2.0 * math.pi
@@ -128,3 +134,46 @@ class TestStabilityMap:
         p = dataclasses.replace(p, cavity_decay=(TWO_PI * 14e6, TWO_PI * 7e6))
         with pytest.raises(ConfigError):
             stability_map(p, [0.0, 1.0], [0.0, 1.0])
+
+    def test_map_equals_point_by_point_oracle(self):
+        # 75 mW: the grid crosses the bistability (s1) and the
+        # self-oscillation (s2) boundaries; xi starts at 0
+        p = make_params(power=0.075)
+        deltas = np.linspace(-1.5, 2.0, 15)
+        xis = np.linspace(0.0, 1.5, 7)
+        oracle = []
+        for delta in deltas:
+            for xi in xis:
+                q = dataclasses.replace(p, hop_strength=float(xi) * WM)
+                d = float(delta) * WM
+                steady = solve_fixed_detuning(q, -d, -d)
+                coupling = steady.eff_coupling[0]
+                s1, s2 = routh_hurwitz_reduced(WM, q.mech_damping[0], q.cavity_decay[0],
+                                               coupling, d + q.hop_strength)
+                red = is_hurwitz(build_reduced(q, coupling, d).drift)[0]
+                full = is_hurwitz(figure_drift(q, steady))[0]
+                oracle.append(StabilityReport(float(delta), float(xi), s1, s2, red, full,
+                                              (s1 > 0.0 and s2 > 0.0) == red))
+        reports = stability_map(p, deltas, xis)
+        assert reports == oracle
+        assert any(r.s1 < 0 for r in reports) and any(r.s2 < 0 for r in reports)
+        assert any(r.hurwitz_full for r in reports)
+
+    def test_map_checks_each_hopping_value_once(self, monkeypatch):
+        config = fig_preset("fig5")
+        axes = {a.name: a.values for a in config.axes}
+        calls = []
+        post_init = PhysicalParams.__post_init__
+
+        def counted(self):
+            calls.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(PhysicalParams, "__post_init__", counted)
+        reports = stability_map(config.params, axes["delta"], axes["xi"])
+        assert len(reports) == 101 * 101
+        assert len(calls) <= 1 + len(set(axes["delta"])) + len(set(axes["xi"]))
+
+    def test_negative_hopping_is_rejected(self):
+        with pytest.raises(ConfigError, match="hop_strength must be nonnegative"):
+            stability_map(make_params(), [0.5, 1.0], [0.5, -0.5])

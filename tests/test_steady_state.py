@@ -233,7 +233,7 @@ class TestRoutes:
             raise RootCalled
 
         monkeypatch.setattr(steady_state, "_closed_form_amps", counted)
-        monkeypatch.setattr(steady_state.optimize, "root", refuse)
+        monkeypatch.setattr(optimize, "root", refuse)
         return amps_calls
 
     def test_symmetric_inputs_use_the_scalar_route(self, routes):
