@@ -13,13 +13,14 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import operator
 import sys
 from pathlib import Path
 
 from . import __version__
 from .config import load_config, validate_config
 from .dynamics import QUADRATURE_LABELS
-from .engine import CSV_COLUMNS, csv_text, misses_residual_gate, run_point, run_sweep
+from .engine import CSV_COLUMNS, csv_text, format_cell, misses_residual_gate, run_point, run_sweep
 from .errors import ConfigError, HopcavError, UnknownPresetError
 from .presets import PRESET_NAMES, fig_preset
 from .stability import stability_map
@@ -34,6 +35,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 EXIT_UNKNOWN_PRESET = 3
+
+STABILITY_COLUMNS = ("delta", "xi", "s1", "s2", "hurwitz_reduced", "hurwitz_full", "agree")
+_STABILITY_CELLS = operator.attrgetter(*STABILITY_COLUMNS)
 
 
 def _header(config) -> list[str]:
@@ -159,14 +163,9 @@ def _cmd_stability(args) -> int:
                  "collective conditions use the modified detuning delta + xi\n")
         fh.write(f"# both-conditions region: {both} of {len(reports)} points; "
                  f"sign/eigenvalue disagreements: {disagreements}\n")
-        fh.write("delta,xi,s1,s2,hurwitz_reduced,hurwitz_full,agree\n")
+        fh.write(",".join(STABILITY_COLUMNS) + "\n")
         for r in reports:
-            fh.write(
-                f"{r.delta:.12g},{r.xi:.12g},{r.s1:.12g},{r.s2:.12g},"
-                f"{'true' if r.hurwitz_reduced else 'false'},"
-                f"{'true' if r.hurwitz_full else 'false'},"
-                f"{'true' if r.agree else 'false'}\n"
-            )
+            fh.write(",".join(map(format_cell, _STABILITY_CELLS(r))) + "\n")
     print(f"wrote {len(reports)} stability reports to {out}")
     return EXIT_OK
 

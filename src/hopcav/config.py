@@ -40,18 +40,6 @@ UNITS = {
 # the units a power axis may name; the other axes take none
 AXIS_POWER_UNITS = ("W", "mW")
 
-FIELD_KINDS = {
-    "cavity_length": "length",
-    "mirror_mass": "mass",
-    "mech_freq": "frequency",
-    "mech_damping": "frequency",
-    "cavity_decay": "frequency",
-    "laser_wavelength": "length",
-    "drive_power": "power",
-    "bath_temperature": "temperature",
-    "hop_strength": "frequency",
-}
-
 
 def _number(value, field: str, kind=float):
     try:
@@ -211,10 +199,8 @@ def load_config(path) -> SweepConfig:
 def validate_config(path) -> list[str]:
     """Schema and invariant check only; returns a list of problems (empty
     when the configuration is usable)."""
-    problems: list[str] = []
     try:
-        cfg = load_config(path)
-        cfg.bath.resolve()  # exercises the quantum bound
-    except HopcavError as exc:  # bath bound violations included
-        problems.append(str(exc))
-    return problems
+        load_config(path)
+    except HopcavError as exc:
+        return [str(exc)]
+    return []

@@ -3,10 +3,11 @@ emission.
 
 A batch of grid points runs
 
-    point setup from the sweep's caches -> working points -> stacked 8x8
-    drifts -> one Hurwitz gate -> grouped Lyapunov solves of the stable
-    branches -> stacked pair measures + stability scalars -> one record per
-    row
+    point setup from the sweep's caches -> working points -> the stability
+    gate (stacked 8x8 drifts, one Hurwitz gate, stability scalars; shared
+    with the stability map, see :func:`hopcav.stability.gate_branches`) ->
+    grouped Lyapunov solves of the stable branches -> stacked pair measures
+    -> one record per row
 
 The work that does not depend on the point runs once per sweep: the base
 parameters' couplings and bath, and for each distinct axis value its check
@@ -43,18 +44,19 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import DETUNING_SIGNS, build_diffusion, drift_stack
+from .dynamics import DETUNING_SIGNS, build_diffusion
 from .errors import ConfigError, HopcavError
-from .lyapunov import CHUNK_POINTS, RESIDUAL_GATE, hurwitz_gate, lyapunov_stack
+from .lyapunov import CHUNK_POINTS, RESIDUAL_GATE, lyapunov_stack
 from .measures import pair_measures
 from .params import Detuning, PhysicalParams, derive_coupling, drive_amps, thermal_occupation
 from .squeezed import SqueezedBath
-from .stability import routh_hurwitz_reduced
+from .stability import gate_branches
 from .steady_state import SteadyState, fixed_detuning_points, solve_self_consistent
 
 # bound for the span tracer of the benchmark (perfbench/spans.py PATCHES);
 # the batch calls the batched working points and stacked kernels instead
 from .dynamics import figure_drift  # noqa: F401
+from .stability import routh_hurwitz_reduced  # noqa: F401
 from .steady_state import solve_fixed_detuning  # noqa: F401
 from .lyapunov import is_hurwitz, solve_lyapunov  # noqa: F401
 from .measures import (  # noqa: F401
@@ -167,6 +169,12 @@ class SweepConfig:
             )
         if self.nbar_override is not None and not 0.0 <= self.nbar_override < np.inf:
             raise ConfigError(f"nbar must be finite and nonnegative, got {self.nbar_override!r}")
+        if "photon_number" not in names:
+            # the base bath serves every point
+            try:
+                self.bath.resolve()
+            except HopcavError as exc:
+                raise ConfigError(f"bath: {exc}") from exc
 
 
 @dataclass(frozen=True, slots=True)
@@ -379,29 +387,6 @@ def _failed(rec: ResultRecord) -> PointResult:
                        diffusion=None)
 
 
-def _gate(config: SweepConfig, hops: list[float], steadies: list[SteadyState]):
-    """Drifts, Hurwitz verdicts and error texts (None where fine) of the
-    branches' working points.  When a stacked call raises, the branches are
-    redone one by one, so that only a failing branch carries the error."""
-    if not steadies:
-        return [], [], []
-    p = config.params
-    try:
-        drifts = drift_stack(
-            p.mech_freq, p.mech_damping, p.cavity_decay,
-            [st.eff_coupling for st in steadies],
-            # the figure convention: negated Langevin detunings (see figure_drift)
-            [(-st.eff_detuning[0], -st.eff_detuning[1]) for st in steadies],
-            hops, config.detuning_sign,
-        )
-        return drifts, hurwitz_gate(drifts)[0].tolist(), [None] * len(steadies)
-    except HopcavError as exc:
-        if len(steadies) == 1:
-            return [None], [False], [str(exc)]
-    parts = [_gate(config, [h], [st]) for h, st in zip(hops, steadies)]
-    return tuple([x for part in parts for x in part[i]] for i in range(3))
-
-
 def run_points(sweep: _Sweep, points: list[dict[str, float]]) -> list[PointResult]:
     """Evaluate a batch of grid points of one sweep; one result per point, in
     order.
@@ -452,25 +437,15 @@ def run_points(sweep: _Sweep, points: list[dict[str, float]]) -> list[PointResul
         else:
             branches.extend((k, pt, st) for st in steadies)
 
-    drifts, verdicts, errors = _gate(config, [b[1].hop for b in branches], [b[2] for b in branches])
-    scalars = []    # per branch: stable, s1, s2
+    drifts, verdicts, scalars, errors = gate_branches(
+        p, [b[2] for b in branches], [b[1].hop for b in branches],
+        [b[1].symmetric for b in branches], config.detuning_sign,
+    )
     solve = []
-    for j, (_, pt, steady) in enumerate(branches):
-        if errors[j] is not None:
-            scalars.append((False, None, None))
-            continue
-        s1 = s2 = None
-        if pt.symmetric:
-            # the figure-convention effective detuning, also valid in bare
-            # mode where the shift has been absorbed
-            s1, s2 = routh_hurwitz_reduced(
-                omega_m, p.mech_damping[0], p.cavity_decay[0], steady.eff_coupling[0],
-                -steady.eff_detuning[0] + pt.hop,
-            )
-        scalars.append((verdicts[j], s1, s2))
+    for j, (_, pt, _) in enumerate(branches):
         if verdicts[j]:
             if isinstance(pt.diffusion, HopcavError):
-                errors[j] = str(pt.diffusion)
+                errors[j] = pt.diffusion
             else:
                 solve.append(j)
 
@@ -483,14 +458,15 @@ def run_points(sweep: _Sweep, points: list[dict[str, float]]) -> list[PointResul
         )
         for j, wj, residual, measures in zip(solve, w, residuals.tolist(), pair_measures(w)):
             if isinstance(measures, HopcavError):
-                errors[j] = str(measures)
+                errors[j] = measures
             else:
                 measured[j] = (*measures, residual)
                 covariances[j] = wj
 
     records = [
         ResultRecord(*pt.head, abs(st.amp[0]), abs(st.amp[1]), st.eff_coupling[0] / omega_m,
-                     *scalars[j], *measured[j], st.branch, errors[j] or "")
+                     verdicts[j], *scalars[j], *measured[j], st.branch,
+                     "" if errors[j] is None else str(errors[j]))
         for j, (_, pt, st) in enumerate(branches)
     ]
     for k, group in itertools.groupby(range(len(branches)), key=lambda j: branches[j][0]):
@@ -565,7 +541,9 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
     return SweepResult(records=records, residual_failure=any(map(misses_residual_gate, records)))
 
 
-def _fmt(value) -> str:
+def format_cell(value) -> str:
+    """A CSV cell: floats with 12 significant digits, booleans as true/false,
+    None and NaN as empty cells."""
     if type(value) is float:  # most cells
         return "" if value != value else format(value, ".12g")
     if value is None:
@@ -590,7 +568,7 @@ def write_csv(records, stream, header_lines=()) -> None:
         stream.write(f"# {line}\n")
     stream.write(",".join(CSV_COLUMNS) + "\n")
     for rec in records:
-        cells = [_fmt(v) for v in _VALUE_CELLS(rec)]
+        cells = [format_cell(v) for v in _VALUE_CELLS(rec)]
         cells.append(rec.error.replace(",", ";").replace("\n", " "))
         stream.write(",".join(cells) + "\n")
 

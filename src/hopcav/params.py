@@ -46,6 +46,8 @@ class Detuning:
         if self.mode not in DETUNING_MODES:
             raise ConfigError(f"detuning mode must be one of {DETUNING_MODES}, got {self.mode!r}")
         object.__setattr__(self, "value", _pair(self.value))
+        if not all(map(math.isfinite, self.value)):
+            raise ConfigError(f"detuning value must be finite, got {self.value}")
 
 
 @dataclass(frozen=True)
@@ -88,6 +90,9 @@ class PhysicalParams:
             raise ConfigError("bath_temperature must be nonnegative")
         if self.hop_strength < 0.0:
             raise ConfigError("hop_strength must be nonnegative")
+        for name in ("laser_wavelength", "drive_power", "bath_temperature", "hop_strength"):
+            if not all(map(math.isfinite, _pair(getattr(self, name)))):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
 
         for j in (0, 1):
             q = self.mech_freq[j] / self.mech_damping[j]

@@ -43,6 +43,9 @@ class DpoParams:
     def __post_init__(self):
         if self.dpo_decay <= 0.0:
             raise ConfigError("dpo_decay must be strictly positive")
+        for name in ("dpo_decay", "center_freq"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 <= self.amplification < 0.5 * self.dpo_decay:
             raise ConfigError(
                 "amplification must satisfy 0 <= amplification < dpo_decay/2, "

@@ -1,5 +1,6 @@
-"""Stability analysis: the two sign conditions of the collective-mode model
-and grid maps comparing them against eigenvalue tests.
+"""Stability analysis: the two sign conditions of the collective-mode model,
+the one stability gate of sweeps and maps (:func:`gate_branches`), and grid
+maps comparing the conditions against eigenvalue tests.
 
 For the collective quartic with positive rates, the two nontrivial
 Routh-Hurwitz conditions are
@@ -16,7 +17,6 @@ a violation of s1 signals bistability, a violation of s2 self-oscillation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 from .dynamics import drift_stack, reduced_drift_stack
@@ -61,11 +61,49 @@ class StabilityReport:
     agree: bool
 
 
+def gate_branches(params: PhysicalParams, steadies, hops, symmetric, detuning_sign: str):
+    """The stability gate of a batch of branches: the figure-convention 8x8
+    drifts, their Hurwitz verdicts, the scalars (s1, s2) of the symmetric
+    branches (else None) and the errors (None where fine).
+
+    ``params`` gives the cavities' rates; ``steadies``, ``hops`` (rad/s) and
+    ``symmetric`` hold one working point, hopping strength and symmetry flag
+    per branch.  When a stacked call raises, the branches are redone one by
+    one, so that only a failing branch carries its error (with no drift, a
+    false verdict and no scalars).
+    """
+    try:
+        drifts = drift_stack(
+            params.mech_freq, params.mech_damping, params.cavity_decay,
+            [st.eff_coupling for st in steadies],
+            # the figure convention: negated Langevin detunings (see figure_drift)
+            [(-st.eff_detuning[0], -st.eff_detuning[1]) for st in steadies],
+            hops, detuning_sign,
+        )
+        verdicts = hurwitz_gate(drifts)[0].tolist()
+    except HopcavError as exc:
+        if len(steadies) == 1:
+            return [None], [False], [(None, None)], [exc]
+        parts = [gate_branches(params, [st], [h], [sym], detuning_sign)
+                 for st, h, sym in zip(steadies, hops, symmetric)]
+        return tuple([x for part in parts for x in part[i]] for i in range(4))
+    omega_m, gamma_m, kappa = params.mech_freq[0], params.mech_damping[0], params.cavity_decay[0]
+    scalars = [
+        # the figure-convention modified detuning delta + xi, also valid in
+        # bare mode where the shift has been absorbed
+        routh_hurwitz_reduced(omega_m, gamma_m, kappa, st.eff_coupling[0], h - st.eff_detuning[0])
+        if sym else (None, None)
+        for st, h, sym in zip(steadies, hops, symmetric)
+    ]
+    return drifts, verdicts, scalars, [None] * len(steadies)
+
+
 def stability_point(params: PhysicalParams, delta: float, xi: float,
                     detuning_sign: str = "positive") -> StabilityReport:
     """Evaluate both stability routes at one (delta, xi) point given in
     omega_m units, as a batch of one point."""
-    return _reports(params, [(delta, xi)], detuning_sign, {})[0]
+    (hop,) = _checked_hops(params, (xi,))
+    return _reports(params, [(delta, xi, hop)], detuning_sign)[0]
 
 
 def stability_map(params: PhysicalParams, delta_values, xi_values,
@@ -74,79 +112,58 @@ def stability_map(params: PhysicalParams, delta_values, xi_values,
 
     Points are evaluated in chunks of ``CHUNK_POINTS`` and returned in
     row-major grid order; unstable points are data, not errors.  Cavities
-    that are not identical, or bare detunings, raise :class:`ConfigError`.
+    that are not identical, or bare detunings, raise :class:`ConfigError`; a
+    point that cannot be evaluated raises its own error.
     """
-    points = [(float(d), float(x)) for d in delta_values for x in xi_values]
-    checked_hops: dict = {}
+    xis = [float(x) for x in xi_values]
+    hops = _checked_hops(params, xis)
+    points = [(float(d), x, h) for d in delta_values for x, h in zip(xis, hops)]
     return [
         report
         for start in range(0, len(points), CHUNK_POINTS)
-        for report in _reports(params, points[start:start + CHUNK_POINTS], detuning_sign,
-                               checked_hops)
+        for report in _reports(params, points[start:start + CHUNK_POINTS], detuning_sign)
     ]
 
 
-def _reports(params: PhysicalParams, points, detuning_sign: str,
-             checked_hops: dict) -> list[StabilityReport]:
-    """Working points of the batch, then both Hurwitz gates on the stacked
-    collective (4x4) and full (8x8) drifts.  ``checked_hops`` caches the
-    checked hopping strength of each distinct xi across the batches of one
-    map."""
+def _checked_hops(params: PhysicalParams, xi_values) -> list[float]:
+    """The hopping strengths (rad/s) of xi values in omega_m units, each
+    checked once by the hopping-strength validation, for a model the map
+    takes: identical cavities at effective detunings."""
     if not params.is_symmetric:
         raise ConfigError("the reduced collective model requires identical cavities")
     if params.detuning.mode != "effective":
         raise ConfigError("the stability map takes effective detunings; "
                           f"got detuning mode {params.detuning.mode!r}")
     omega_m = params.mech_freq[0]
-    hops = []
-    for _, xi in points:
-        # 0.0 and -0.0 are one dict key, but their drifts differ
-        key = (xi, xi == 0 and math.copysign(1.0, xi))
-        if key not in checked_hops:
-            checked_hops[key] = replace(params, hop_strength=xi * omega_m).hop_strength
-        hops.append(checked_hops[key])
-    detuning = [delta * omega_m for delta, _ in points]
+    return [replace(params, hop_strength=xi * omega_m).hop_strength for xi in xi_values]
+
+
+def _reports(params: PhysicalParams, points, detuning_sign: str) -> list[StabilityReport]:
+    """Working points of a batch of (delta, xi, checked hopping strength)
+    points, the shared gate of the full drifts, then the Hurwitz gate of the
+    stacked collective (4x4) drifts."""
+    omega_m = params.mech_freq[0]
+    hops = [h for _, _, h in points]
     steadies = fixed_detuning_points(
         params.cavity_decay, params.mech_freq, tuple(derive_coupling(params, j) for j in (1, 2)),
-        [drive_amps(params)] * len(points), hops, [(-d, -d) for d in detuning],
+        [drive_amps(params)] * len(points), hops,
+        [(-delta * omega_m, -delta * omega_m) for delta, _, _ in points],
     )
-    scalars = []
-    for (delta, xi), d, h, steady in zip(points, detuning, hops, steadies):
+    for steady in steadies:
         if isinstance(steady, HopcavError):
             raise steady
-        dp = d + h
-        s1, s2 = routh_hurwitz_reduced(
-            omega_m, params.mech_damping[0], params.cavity_decay[0], steady.eff_coupling[0], dp
-        )
-        scalars.append((delta, xi, s1, s2, dp))
-    try:
-        reduced = reduced_drift_stack(
-            omega_m, params.mech_damping[0], params.cavity_decay[0],
-            [st.eff_coupling[0] for st in steadies], [c[4] for c in scalars], detuning_sign,
-        )
-        hur_red = hurwitz_gate(reduced)[0].tolist()
-        full = drift_stack(
-            params.mech_freq, params.mech_damping, params.cavity_decay,
-            [st.eff_coupling for st in steadies],
-            # the figure convention: negated Langevin detunings (see figure_drift)
-            [(-st.eff_detuning[0], -st.eff_detuning[1]) for st in steadies],
-            hops, detuning_sign,
-        )
-        hur_full = hurwitz_gate(full)[0].tolist()
-    except HopcavError:
-        if len(points) == 1:
-            raise
-        # point by point, so that the first failing point raises its own error
-        return [_reports(params, [pt], detuning_sign, checked_hops)[0] for pt in points]
+    _, hur_full, scalars, errors = gate_branches(params, steadies, hops, [True] * len(points),
+                                                 detuning_sign)
+    for error in errors:
+        if error is not None:
+            raise error
+    reduced = reduced_drift_stack(
+        omega_m, params.mech_damping[0], params.cavity_decay[0],
+        [st.eff_coupling[0] for st in steadies],
+        [h - st.eff_detuning[0] for st, h in zip(steadies, hops)], detuning_sign,
+    )
     return [
-        StabilityReport(
-            delta=delta,
-            xi=xi,
-            s1=s1,
-            s2=s2,
-            hurwitz_reduced=red,
-            hurwitz_full=ful,
-            agree=(s1 > 0.0 and s2 > 0.0) == red,
-        )
-        for (delta, xi, s1, s2, _), red, ful in zip(scalars, hur_red, hur_full)
+        StabilityReport(delta, xi, s1, s2, red, ful, agree=(s1 > 0.0 and s2 > 0.0) == red)
+        for (delta, xi, _), (s1, s2), red, ful
+        in zip(points, scalars, hurwitz_gate(reduced)[0].tolist(), hur_full)
     ]

@@ -5,8 +5,8 @@ compared with one ``diff``:
 
 The outputs: the CSV of every figure preset from ``hopcav fig`` with 1 and
 with 2 workers, the fig5 ``hopcav stability`` CSV (the benchmark's fig5
-document, ``perfbench/inputs.py`` at its default seed), and ``hopcav point
---json`` for ``configs/point.json`` and for the benchmark's 16 point
+document, ``perfbench/inputs.py`` at its default seed) in both detuning sign
+conventions, and ``hopcav point --json`` for ``configs/point.json`` and for the benchmark's 16 point
 documents.  Each line reads ``<sha256>  <output>``; a command that exits
 non-zero prints its exit code in place of the digest.
 """
@@ -54,12 +54,14 @@ def digests(work: Path) -> list[tuple[str, str]]:
             out.append((f"{name}.csv ({workers} worker{'s' * (workers > 1)})", _digest(code, data)))
 
     docs = dict(inputs.grid_configs("stability", inputs.DEFAULT_SEED))
+    docs["fig5-negative"] = dict(docs["fig5"], detuning_sign="negative")
     docs.update((f"point{k:02d}", d)
                 for k, d in enumerate(inputs.point_configs(inputs.DEFAULT_SEED)))
     paths = inputs.write_configs(docs, work / "inputs")
-    stability_csv = work / "fig5-stability.csv"
-    code, _ = _cli(["stability", "--config", str(paths.pop("fig5")), "--out", str(stability_csv)])
-    out.append(("fig5 stability", _digest(code, stability_csv.read_bytes() if code == 0 else b"")))
+    for name, label in (("fig5", "fig5 stability"), ("fig5-negative", "fig5 stability (negative sign)")):
+        stability_csv = work / f"{name}-stability.csv"
+        code, _ = _cli(["stability", "--config", str(paths.pop(name)), "--out", str(stability_csv)])
+        out.append((label, _digest(code, stability_csv.read_bytes() if code == 0 else b"")))
 
     for label, path in [("configs/point.json", POINT_CONFIG), *paths.items()]:
         code, text = _cli(["point", "--config", str(path), "--json"])

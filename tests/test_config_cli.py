@@ -153,13 +153,38 @@ MALFORMED = [
                  "bath.photon_number", id="photon-number-infinite"),
     pytest.param("bath", {"photon_number": 0.05, "correlation": math.nan}, "bath.correlation",
                  id="correlation-nan"),
+    # the base bath serves every point when no photon_number axis overrides it
+    pytest.param("bath", {"photon_number": 0.0, "correlation": 0.3},
+                 "bath: correlation 0.3 exceeds the quantum bound",
+                 id="bath-above-quantum-bound"),
+    # a dotted key sets a field of a section
+    pytest.param("cavity.bath_temperature.value", math.inf, "bath_temperature",
+                 id="temperature-infinite"),
+    pytest.param("cavity.bath_temperature.value", math.nan, "bath_temperature",
+                 id="temperature-nan"),
+    pytest.param("cavity.laser_wavelength.value", math.inf, "laser_wavelength",
+                 id="wavelength-infinite"),
+    pytest.param("cavity.hop_strength.value", math.inf, "hop_strength", id="hopping-infinite"),
+    pytest.param("cavity.drive_power.value", math.nan, "drive_power", id="power-nan"),
+    pytest.param("detuning.value.value", math.nan, "detuning", id="detuning-nan"),
+    pytest.param("bath", {"dpo": {"decay": {"value": math.inf, "unit": "MHz"},
+                                  "amplification": {"value": 1.0, "unit": "MHz"}}},
+                 "dpo_decay", id="dpo-decay-infinite"),
+    pytest.param("bath", {"dpo": {"decay": {"value": 4.0, "unit": "MHz"},
+                                  "amplification": {"value": 1.0, "unit": "MHz"},
+                                  "center_freq": {"value": math.inf, "unit": "MHz"}}},
+                 "center_freq", id="dpo-center-infinite"),
 ]
 
 
 @pytest.mark.parametrize("key, value, field", MALFORMED)
 def test_malformed_value_is_a_configuration_error(tmp_path, capsys, key, value, field):
     doc = doc_with(axes=[{"name": "delta", "values": [0.5, 1.0]}])
-    doc[key] = value
+    *sections, name = key.split(".")
+    target = doc
+    for section in sections:
+        target = target[section]
+    target[name] = value
     path = write_doc(tmp_path, doc)
     problems = validate_config(path)
     assert len(problems) == 1 and field in problems[0]
@@ -168,6 +193,19 @@ def test_malformed_value_is_a_configuration_error(tmp_path, capsys, key, value, 
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and field in err
     assert not out.exists()
+
+
+def test_photon_number_axis_overrides_the_base_bath(tmp_path, capsys):
+    # the base bath is above the quantum bound, but no point uses it
+    doc = doc_with(bath={"photon_number": 0.0, "correlation": 0.3},
+                   axes=[{"name": "photon_number", "values": [0.5, 1.0]}])
+    path = write_doc(tmp_path, doc)
+    assert validate_config(path) == []
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines() if not line.startswith("#")]
+    assert [row[-1] for row in rows[1:]] == ["", ""]
+    assert [float(row[rows[0].index("correlation")]) for row in rows[1:]] == [0.3, 0.3]
 
 
 class TestCli:

@@ -102,8 +102,9 @@ class TestRunPoint:
         assert rec.correlation == pytest.approx(0.229128784747792, rel=1e-12)
 
     def test_point_errors_are_recorded_inline(self):
-        cfg = base_config(bath=BathSpec(photon_number=0.01, correlation=0.5))
-        (rec,) = run_point(cfg).records
+        # the correlation 0.5 exceeds the quantum bound at the point's N = 0.01
+        cfg = base_config(bath=BathSpec(photon_number=0.5, correlation=0.5))
+        (rec,) = run_point(cfg, {"photon_number": 0.01}).records
         assert rec.error != ""
         assert rec.en_f1m1 is None
 

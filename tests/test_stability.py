@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from hopcav.dynamics import build_reduced, figure_drift
-from hopcav.errors import ConfigError
+from hopcav.engine import AxisSpec, csv_text, run_point, run_sweep
+from hopcav.errors import ConfigError, HopcavError
 from hopcav.lyapunov import is_hurwitz
 from hopcav.params import Detuning, PhysicalParams
 from hopcav.presets import fig_preset
@@ -177,3 +178,43 @@ class TestStabilityMap:
     def test_negative_hopping_is_rejected(self):
         with pytest.raises(ConfigError, match="hop_strength must be nonnegative"):
             stability_map(make_params(), [0.5, 1.0], [0.5, -0.5])
+
+
+class TestSharedGate:
+    """The sweep and the map gate their working points through one stage."""
+
+    def test_map_matches_sweep_records(self):
+        config = fig_preset("fig5")
+        grid = np.linspace(0.0, 2.0, 11)
+        config = dataclasses.replace(config, axes=(AxisSpec("delta", grid), AxisSpec("xi", grid)))
+        records = run_sweep(config).records
+        reports = stability_map(config.params, grid, grid, config.detuning_sign)
+        assert [(r.s1, r.s2, r.hurwitz_full) for r in reports] == [
+            (rec.s1, rec.s2, rec.stable) for rec in records
+        ]
+        assert any(r.hurwitz_full for r in reports) and not all(r.hurwitz_full for r in reports)
+
+    def test_failing_branch_alone_carries_the_error(self):
+        # 1e300 W overflows the drive amplitude: its drifts cannot be gated,
+        # so the stacked gate raises and the branches are redone one by one
+        config = fig_preset("fig5")
+        config = dataclasses.replace(
+            config, axes=(AxisSpec("power", (0.05, 1e300)), AxisSpec("delta", (0.5, 1.0))),
+        )
+        records = run_sweep(config).records
+        assert [r.error.startswith("eigenvalue solver failed") for r in records] == [
+            False, False, True, True,
+        ]
+        assert all(r.stable for r in records[:2])
+        # the amplitudes are NaN, so the rows compare as CSV text
+        singles = [rec for r in records[2:]
+                   for rec in run_point(config, {"power": r.power, "delta": r.delta}).records]
+        assert csv_text(singles) == csv_text(records[2:])
+
+    def test_map_raises_the_failing_points_error(self):
+        config = fig_preset("fig5")
+        (rec,) = run_point(config, {"power": 1e300, "delta": 0.5}).records
+        params = dataclasses.replace(config.params, drive_power=1e300)
+        with pytest.raises(HopcavError) as info:
+            stability_map(params, [0.5, 1.0], [0.0, 0.5])
+        assert str(info.value) == rec.error
