@@ -15,6 +15,7 @@ import functools
 import json
 import operator
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -52,8 +53,9 @@ def _header(config) -> list[str]:
 
 
 def _cmd_point(args) -> int:
-    config = load_config(args.config)
-    result = run_point(config, {})
+    # the base parameters alone: checked as a configuration without its axes
+    config = replace(load_config(args.config), axes=())
+    result = run_point(config)
     rec = result.records[0]
     if rec.error:
         print(f"point failed: {rec.error}", file=sys.stderr)

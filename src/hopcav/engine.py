@@ -3,17 +3,18 @@ emission.
 
 A batch of grid points runs
 
-    point setup from the sweep's caches -> working points -> the stability
+    point setup from the sweep's axis tables -> working points -> the stability
     gate (stacked 8x8 drifts, one Hurwitz gate, stability scalars; shared
     with the stability map, see :func:`hopcav.stability.gate_branches`) ->
     grouped Lyapunov solves of the stable branches -> stacked pair measures
     -> one record per row
 
 The work that does not depend on the point runs once per sweep: the base
-parameters' couplings and bath, and for each distinct axis value its check
-and what it derives (drive amplitudes, thermal occupation, bath); each
-distinct (N, M, nbar) builds one diffusion matrix.  A point then works on
-plain floats.  In effective mode the working points are the closed form
+parameters' couplings and bath, and, when the sweep starts, each axis value's
+check and what it derives (drive amplitudes, thermal occupation, bath), in
+one table per axis; each distinct (N, M, nbar) builds one diffusion matrix.
+A grid point is one index per axis and works on plain floats.  In effective
+mode the working points are the closed form
 (:func:`hopcav.steady_state.fixed_detuning_points`); in bare mode each point
 runs the self-consistent solver.
 
@@ -36,7 +37,6 @@ from __future__ import annotations
 
 import io
 import itertools
-import math
 import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -70,7 +70,6 @@ from .measures import (  # noqa: F401
 CHUNKS_PER_WORKER = 4
 
 AXIS_NAMES = ("delta", "xi", "power", "temperature", "nbar", "photon_number")
-_KNOWN_AXES = frozenset(AXIS_NAMES)
 # the parameter field each axis sets; nbar and photon_number set none
 AXIS_FIELDS = {
     "delta": "detuning",
@@ -244,11 +243,6 @@ def _axis_value(params: PhysicalParams, name: str, value: float):
     return value
 
 
-def _axis_key(name: str, value: float) -> tuple:
-    # 0.0 and -0.0 are one dict key, but their cells differ
-    return name, value, value == 0 and math.copysign(1.0, value)
-
-
 class _Point(NamedTuple):
     """A grid point set up for its working point."""
 
@@ -263,21 +257,22 @@ class _Point(NamedTuple):
 
 class _Sweep:
     """What the points of one sweep share, worked out once: the base
-    parameters' couplings and bath and, for each distinct axis value, its
-    check (the ``PhysicalParams`` validation of the field it sets) and what it
-    derives.  The caches fill as points need them."""
+    parameters' couplings and bath and, for each axis, a table with one entry
+    per value: what the value derives, or the error its check (the
+    ``PhysicalParams`` validation of the field it sets, the bath of a photon
+    number) raised.  A grid point is one index per axis."""
 
-    def __init__(self, config: SweepConfig):
+    def __init__(self, config: SweepConfig, axes: list[tuple[str, tuple]]):
         p = config.params
         self.config = config
         self.omega_m = p.mech_freq[0]
         self.coupling = tuple(derive_coupling(p, j) for j in (1, 2))
         self.defaults = {name: self._derive(p, name) for name in AXIS_FIELDS}
-        self.axes: dict = {}        # axis key -> derived or error
-        self.baths: dict = {}       # axis key of the photon number -> bath or error
         self.diffusions: dict = {}  # (N, M, nbar) -> diffusion or error
         self.bare: dict = {}        # (hop, powers) -> parameters of the bare-mode solver
-        self.bath = self._resolve_bath(None)
+        self.bath = self._resolve(None)
+        self.axes = [(name, values, [self._entry(name, v) for v in values])
+                     for name, values in axes]
 
     def _derive(self, params: PhysicalParams, name: str):
         """What the field an axis sets gives a point: record cells and
@@ -293,38 +288,29 @@ class _Sweep:
             return params.drive_power, drive_amps(params), params.is_symmetric
         return thermal_occupation(self.omega_m, params.bath_temperature)
 
-    def _check(self, values: list[tuple[str, float]]) -> None:
-        """Check axis values not seen before and cache what they derive:
-        together, in one ``PhysicalParams``, when all are good, else one at a
-        time, so that each bad value gets its own error."""
+    def _entry(self, name: str, value: float):
+        """The table entry of one axis value."""
+        if name == "photon_number":
+            return self._resolve(value)
+        if name == "nbar":
+            return float(value)
+        if name not in AXIS_FIELDS:
+            return ConfigError(f"unknown axis {name!r}")
         base = self.config.params
         try:
-            params = replace(base, **{AXIS_FIELDS[n]: _axis_value(base, n, v) for n, v in values})
-        except HopcavError:
-            for name, value in values:
-                try:
-                    params = replace(base, **{AXIS_FIELDS[name]: _axis_value(base, name, value)})
-                    self.axes[_axis_key(name, value)] = self._derive(params, name)
-                except HopcavError as exc:
-                    self.axes[_axis_key(name, value)] = exc
-            return
-        for name, value in values:
-            self.axes[_axis_key(name, value)] = self._derive(params, name)
-        # a point's checked parameters serve its bare-mode solver, which reads
-        # only the hopping strength and the drive powers from them
+            params = replace(base, **{AXIS_FIELDS[name]: _axis_value(base, name, value)})
+        except HopcavError as exc:
+            return exc
+        # the checked parameters serve the bare-mode solver, which reads only
+        # the hopping strength and the drive powers from them
         self.bare.setdefault((params.hop_strength, params.drive_power), params)
+        return self._derive(params, name)
 
-    def _resolve_bath(self, photon_number: float | None):
+    def _resolve(self, photon_number: float | None):
         try:
             return self.config.bath.resolve(photon_number=photon_number)
         except HopcavError as exc:
             return exc
-
-    def _bath(self, photon_number: float):
-        key = _axis_key("photon_number", photon_number)
-        if key not in self.baths:
-            self.baths[key] = self._resolve_bath(photon_number)
-        return self.baths[key]
 
     def _diffusion(self, bath: SqueezedBath, nbar: float):
         """The diffusion matrix, or the error building it raised; the grid axes
@@ -337,37 +323,34 @@ class _Sweep:
                 self.diffusions[key] = exc
         return self.diffusions[key]
 
-    def point(self, overrides: dict[str, float]) -> _Point | HopcavError:
-        """Set up one grid point, or return the error of its first bad axis in
-        the overrides' order, else of its bath."""
-        unseen = [(name, value) for name, value in overrides.items()
-                  if name in AXIS_FIELDS and _axis_key(name, value) not in self.axes]
-        if unseen:
-            self._check(unseen)
-        found = dict(self.defaults)
-        for name, value in overrides.items():
-            if name in AXIS_FIELDS:
-                found[name] = self.axes[_axis_key(name, value)]
-                if isinstance(found[name], HopcavError):
-                    return found[name]
-            elif name not in _KNOWN_AXES:
-                return ConfigError(f"unknown axis {name!r}")
-
-        if "nbar" in overrides:
-            nbar = float(overrides["nbar"])
+    def point(self, index: tuple[int, ...]) -> _Point | HopcavError:
+        """Set up the grid point at one index per axis, or return the error of
+        its first bad axis in the axes' order, else of its bath."""
+        found = dict(self.defaults, photon_number=self.bath)
+        for (name, _, entries), i in zip(self.axes, index):
+            entry = entries[i]
+            if isinstance(entry, HopcavError) and name != "photon_number":
+                return entry
+            found[name] = entry
+        bath = found["photon_number"]
+        if isinstance(bath, HopcavError):
+            return bath
+        if "nbar" in found:
+            nbar = found["nbar"]
         elif self.config.nbar_override is not None:
             nbar = float(self.config.nbar_override)
         else:
             nbar = found["temperature"]
-        bath = self._bath(overrides["photon_number"]) if "photon_number" in overrides else self.bath
-        if isinstance(bath, HopcavError):
-            return bath
 
         delta, lang = found["delta"]
         xi, hop = found["xi"]
         powers, drives, symmetric = found["power"]
         head = (delta, xi, powers[0], nbar, bath.photon_number, bath.correlation)
         return _Point(head, lang, hop, powers, drives, symmetric, self._diffusion(bath, nbar))
+
+    def axis_values(self, index: tuple[int, ...]) -> dict[str, float]:
+        """The axis values of the grid point at ``index``."""
+        return {name: values[i] for (name, values, _), i in zip(self.axes, index)}
 
     def bare_params(self, hop: float, powers: tuple) -> PhysicalParams:
         """Parameters of the bare-mode solver, which reads the hopping strength
@@ -387,9 +370,9 @@ def _failed(rec: ResultRecord) -> PointResult:
                        diffusion=None)
 
 
-def run_points(sweep: _Sweep, points: list[dict[str, float]]) -> list[PointResult]:
-    """Evaluate a batch of grid points of one sweep; one result per point, in
-    order.
+def run_points(sweep: _Sweep, points: list[tuple[int, ...]]) -> list[PointResult]:
+    """Evaluate a batch of grid points of one sweep, each one index per axis;
+    one result per point, in order.
 
     Per-point errors are caught and recorded in the ``error`` field so that
     sweeps continue.
@@ -399,15 +382,16 @@ def run_points(sweep: _Sweep, points: list[dict[str, float]]) -> list[PointResul
     omega_m = sweep.omega_m
     results: list[PointResult | None] = [None] * len(points)
     ready: list[tuple[int, _Point]] = []
-    for k, overrides in enumerate(points):
-        point = sweep.point(overrides)
+    for k, index in enumerate(points):
+        point = sweep.point(index)
         if isinstance(point, HopcavError):
+            values = sweep.axis_values(index)
             results[k] = _failed(ResultRecord(
-                delta=float(overrides.get("delta", np.nan)),
-                xi=float(overrides.get("xi", np.nan)),
-                power=float(overrides.get("power", np.nan)),
-                nbar=float(overrides.get("nbar", np.nan)),
-                photon_number=float(overrides.get("photon_number", np.nan)),
+                delta=float(values.get("delta", np.nan)),
+                xi=float(values.get("xi", np.nan)),
+                power=float(values.get("power", np.nan)),
+                nbar=float(values.get("nbar", np.nan)),
+                photon_number=float(values.get("photon_number", np.nan)),
                 correlation=np.nan,
                 error=str(point),
             ))
@@ -491,15 +475,14 @@ def misses_residual_gate(rec: ResultRecord) -> bool:
 
 
 def run_point(config: SweepConfig, overrides: dict[str, float] | None = None) -> PointResult:
-    """Evaluate one grid point, a batch of one; returns one record per
-    emitted branch."""
-    return run_points(_Sweep(config), [dict(overrides or {})])[0]
+    """Evaluate one grid point, a batch of one sweep whose axes have one value
+    each; returns one record per emitted branch."""
+    axes = [(name, (value,)) for name, value in (overrides or {}).items()]
+    return run_points(_Sweep(config, axes), [(0,) * len(axes)])[0]
 
 
 def grid_points(config: SweepConfig) -> list[dict[str, float]]:
     """Row-major list of axis-override dicts for the configured grid."""
-    if not config.axes:
-        return [{}]
     names = [a.name for a in config.axes]
     return [
         dict(zip(names, combo))
@@ -525,11 +508,11 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
     With ``workers > 1`` a process pool evaluates the chunks, made small
     enough that every worker gets several.
     """
-    points = grid_points(config)
+    sweep = _Sweep(config, [(a.name, a.values) for a in config.axes])
+    points = list(itertools.product(*(range(len(a.values)) for a in config.axes)))
     size = CHUNK_POINTS
     if workers > 1:
         size = min(size, -(-len(points) // (CHUNKS_PER_WORKER * workers)))
-    sweep = _Sweep(config)
     chunks = [(sweep, points[i:i + size]) for i in range(0, len(points), size)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

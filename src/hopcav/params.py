@@ -103,24 +103,6 @@ class PhysicalParams:
                     stacklevel=2,
                 )
 
-    @classmethod
-    def symmetric(cls, *, cavity_length, mirror_mass, mech_freq, mech_damping,
-                  cavity_decay, laser_wavelength, drive_power, bath_temperature,
-                  hop_strength, detuning):
-        """Build identical-cavity parameters from scalars."""
-        return cls(
-            cavity_length=cavity_length,
-            mirror_mass=mirror_mass,
-            mech_freq=mech_freq,
-            mech_damping=mech_damping,
-            cavity_decay=cavity_decay,
-            laser_wavelength=laser_wavelength,
-            drive_power=drive_power,
-            bath_temperature=bath_temperature,
-            hop_strength=hop_strength,
-            detuning=detuning,
-        )
-
     @property
     def is_symmetric(self) -> bool:
         return all(

@@ -24,7 +24,7 @@ SURFACE_GRID = 101   # resolution of the two-axis maps
 
 
 def _base_params(power: float, mode: str = "effective", delta=0.0, xi=0.0) -> PhysicalParams:
-    return PhysicalParams.symmetric(
+    return PhysicalParams(
         cavity_length=1e-3,
         mirror_mass=5e-12,
         mech_freq=10.0 * MHZ,

@@ -40,7 +40,6 @@ class SteadyState:
     momentum: tuple[float, float]         # p_j, exactly zero
     eff_detuning: tuple[float, float]     # rad/s, as entering the Langevin drift
     eff_coupling: tuple[float, float]     # rad/s, G_j = sqrt(2) g_j |a_j|
-    alpha: tuple[complex, complex]        # kappa_j + i Delta_j
     residual: float                       # fixed-point residual / |E|
     branch: int = 0
 
@@ -78,7 +77,6 @@ def _assemble(mech_freq, xi, g, e, amp1, amp2, delta1, delta2, alpha1, alpha2, b
         momentum=(0.0, 0.0),
         eff_detuning=(delta1, delta2),
         eff_coupling=(effective_coupling(g[0], amp1), effective_coupling(g[1], amp2)),
-        alpha=(alpha1, alpha2),
         residual=_residual(xi, e[0], e[1], amp1, amp2, alpha1, alpha2),
         branch=branch,
     )

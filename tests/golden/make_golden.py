@@ -114,12 +114,12 @@ def axis_kind_docs() -> dict[str, dict]:
     return docs
 
 
-def axis_kind_csvs() -> dict[str, str]:
+def axis_kind_csvs(workers: int = 1) -> dict[str, str]:
     """Sweep CSV text of every document of :func:`axis_kind_docs`."""
     from hopcav.config import parse_config
     from hopcav.engine import csv_text, run_sweep
 
-    return {name: csv_text(run_sweep(parse_config(doc)).records)
+    return {name: csv_text(run_sweep(parse_config(doc), workers=workers).records)
             for name, doc in axis_kind_docs().items()}
 
 

@@ -76,7 +76,7 @@ def test_criterion_01_decoupled_lyapunov_closed_form():
         gamma_m = omega_m / rng.uniform(1e3, 1e5)
         kappa = rng.uniform(1e5, 1e9)
         delta = rng.uniform(-2.0, 2.0) * omega_m
-        p = PhysicalParams.symmetric(
+        p = PhysicalParams(
             cavity_length=1e-3, mirror_mass=5e-12, mech_freq=omega_m,
             mech_damping=gamma_m, cavity_decay=kappa, laser_wavelength=810e-9,
             drive_power=0.0, bath_temperature=0.4, hop_strength=0.0,

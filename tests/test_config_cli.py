@@ -208,6 +208,18 @@ def test_photon_number_axis_overrides_the_base_bath(tmp_path, capsys):
     assert [float(row[rows[0].index("correlation")]) for row in rows[1:]] == [0.3, 0.3]
 
 
+def test_point_rejects_the_base_bath_the_axes_replace(tmp_path, capsys):
+    # point evaluates the base parameters, whose bath is above the bound: a
+    # configuration error, not a numerical failure
+    doc = doc_with(bath={"photon_number": 0.0, "correlation": 0.3},
+                   axes=[{"name": "photon_number", "values": [0.5, 1.0]}])
+    path = write_doc(tmp_path, doc)
+    assert main(["point", "--config", str(path)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("configuration error: bath: correlation 0.3 exceeds the quantum bound")
+
+
 class TestCli:
     def test_parser_is_built_once(self, tmp_path, capsys, monkeypatch):
         # each call, after an argparse error too, behaves as in a fresh process

@@ -36,7 +36,7 @@ def make_params(xi=0.0, **overrides):
         detuning=Detuning("effective", (0.0, 0.0)),
     )
     base.update(overrides)
-    return PhysicalParams.symmetric(**base)
+    return PhysicalParams(**base)
 
 
 def fake_steady(params, coupling, detuning):
@@ -47,8 +47,6 @@ def fake_steady(params, coupling, detuning):
         momentum=(0.0, 0.0),
         eff_detuning=(detuning, detuning),
         eff_coupling=(coupling, coupling),
-        alpha=(complex(params.cavity_decay[0], detuning),
-               complex(params.cavity_decay[1], detuning)),
         residual=0.0,
     )
 

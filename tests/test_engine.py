@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import hopcav
 from hopcav import engine
@@ -29,7 +31,7 @@ WM = TWO_PI * 1e7
 
 
 def make_params(power=0.05, xi=0.0, delta=1.0, mode="effective"):
-    return PhysicalParams.symmetric(
+    return PhysicalParams(
         cavity_length=1e-3,
         mirror_mass=5e-12,
         mech_freq=WM,
@@ -41,6 +43,18 @@ def make_params(power=0.05, xi=0.0, delta=1.0, mode="effective"):
         hop_strength=xi * WM,
         detuning=Detuning(mode, (delta * WM, delta * WM)),
     )
+
+
+# values per axis kind for random grids: negative values are bad (delta has
+# none), and each pool holds both signed zeros
+AXIS_POOLS = {
+    "delta": (-0.0, 0.0, 0.5, 1.0, 1.5),
+    "xi": (-0.5, -0.0, 0.0, 0.3, 0.8),
+    "power": (-0.01, -0.0, 0.0, 0.05, 0.07),
+    "temperature": (-1.0, -0.0, 0.0, 0.4),
+    "nbar": (-1.0, -0.0, 0.0, 836.0),
+    "photon_number": (-0.05, -0.0, 0.0, 0.05, 0.5),
+}
 
 
 def base_config(**kwargs):
@@ -248,9 +262,8 @@ class TestBatchedPipeline:
         assert errors[1].startswith("correlation 0.3 exceeds the quantum bound")
         assert errors[-1] == ""
 
-    def test_sweep_checks_each_axis_value_once(self, monkeypatch):
-        # the parameter validation runs per distinct axis value, not per point
-        config = fig_preset("fig6b")
+    def count_checks(self, monkeypatch, config):
+        """Records of the sweep, and the number of parameters it built."""
         calls = []
         post_init = PhysicalParams.__post_init__
 
@@ -259,9 +272,51 @@ class TestBatchedPipeline:
             post_init(self)
 
         monkeypatch.setattr(PhysicalParams, "__post_init__", counted)
-        records = run_sweep(config).records
+        return run_sweep(config).records, len(calls)
+
+    def test_sweep_checks_each_axis_value_once(self, monkeypatch):
+        # the parameter validation runs once per axis value, when the sweep
+        # starts, and never per point
+        config = fig_preset("fig6b")
+        records, checks = self.count_checks(monkeypatch, config)
         assert len(records) == 101 * 101
-        assert len(calls) <= 1 + sum(len(set(a.values)) for a in config.axes)
+        assert checks == sum(len(a.values) for a in config.axes) == 202
+
+    def test_bare_sweep_builds_no_solver_parameters(self, monkeypatch):
+        # the bare-mode solver takes the parameters its axis values' checks built
+        config = fig_preset("fig2a")
+        _, checks = self.count_checks(monkeypatch, config)
+        assert checks == sum(len(a.values) for a in config.axes) == 205
+
+    def test_signed_zero_axis_values_keep_their_cells(self):
+        cfg = base_config(axes=(AxisSpec("xi", (-0.0, 0.0, 0.5)),))
+        records = run_sweep(cfg).records
+        assert records == tuple(self.per_point(cfg))
+        lines = csv_text(records).splitlines()[1:]
+        assert [line.split(",")[CSV_COLUMNS.index("xi")] for line in lines] == ["-0", "0", "0.5"]
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_sweep_equals_single_points_on_random_grids(self, monkeypatch, data):
+        # one or two axes of any kind, with bad values, duplicates and signed
+        # zeros, cut into chunks of 3 points
+        monkeypatch.setattr(engine, "CHUNK_POINTS", 3)
+        names = data.draw(st.lists(st.sampled_from(sorted(AXIS_POOLS)), min_size=1, max_size=2,
+                                   unique=True))
+        axes = tuple(
+            AxisSpec(name, tuple(data.draw(st.lists(st.sampled_from(AXIS_POOLS[name]),
+                                                    min_size=2, max_size=4))))
+            for name in names
+        )
+        cfg = base_config(
+            params=make_params(power=0.07, mode=data.draw(st.sampled_from(("effective", "bare")))),
+            bath=data.draw(st.sampled_from((BathSpec(0.0, "ideal"), BathSpec(0.5, 0.3)))),
+            nbar_override=data.draw(st.sampled_from((None, 836.0))),
+            branch_policy=data.draw(st.sampled_from(("default", "all"))),
+            axes=axes,
+        )
+        assert csv_text(run_sweep(cfg).records) == csv_text(self.per_point(cfg))
 
     def test_unknown_axis_after_a_bad_one(self):
         # the first bad axis in the overrides' order gives the error

@@ -144,3 +144,12 @@ def test_axis_kinds_match_golden_bytes():
     got = make_golden.axis_kind_csvs()
     assert sorted(got) == sorted(golden)
     assert [name for name in golden if got[name] != golden[name]] == []
+
+
+def test_axis_kinds_cross_the_pool():
+    # with 2 workers the axis tables, error entries included, are pickled to
+    # the pool's processes; the bytes stay the same
+    golden = json.loads(golden_text(make_golden.AXIS_KINDS))
+    got = make_golden.axis_kind_csvs(workers=2)
+    assert sorted(got) == sorted(golden)
+    assert [name for name in golden if got[name] != golden[name]] == []

@@ -23,7 +23,7 @@ WM = TWO_PI * 1e7
 
 
 def make_params(xi=0.0, power=0.05):
-    return PhysicalParams.symmetric(
+    return PhysicalParams(
         cavity_length=1e-3,
         mirror_mass=5e-12,
         mech_freq=WM,
@@ -86,7 +86,7 @@ class TestSolveLyapunov:
             nbar = rng.uniform(0.0, 1e4)
             n_ph = rng.uniform(0.0, 3.0)
             mech_freq = rng.uniform(1e6, 1e8)
-            p = PhysicalParams.symmetric(
+            p = PhysicalParams(
                 cavity_length=1e-3,
                 mirror_mass=5e-12,
                 mech_freq=mech_freq,

@@ -31,7 +31,7 @@ def make_params(**overrides):
         detuning=Detuning("effective", (0.0, 0.0)),
     )
     base.update(overrides)
-    return PhysicalParams.symmetric(**base)
+    return PhysicalParams(**base)
 
 
 class TestDeriveCoupling:

@@ -23,7 +23,7 @@ WM = TWO_PI * 1e7
 
 
 def make_params(xi=0.0, power=0.05):
-    return PhysicalParams.symmetric(
+    return PhysicalParams(
         cavity_length=1e-3,
         mirror_mass=5e-12,
         mech_freq=WM,

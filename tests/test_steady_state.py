@@ -30,7 +30,7 @@ def make_params(power=0.05, xi=0.0, mode="effective", delta=0.0, **overrides):
         detuning=Detuning(mode, (delta, delta)),
     )
     base.update(overrides)
-    return PhysicalParams.symmetric(**base)
+    return PhysicalParams(**base)
 
 
 class TestFixedDetuning:
