@@ -16,6 +16,7 @@ two conventions map onto each other by negating the detunings.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,38 +37,66 @@ def _sign(detuning_sign: str) -> float:
     return 1.0 if detuning_sign == "positive" else -1.0
 
 
+# the drift's 12 point-dependent entries, as flat indices of the 8x8 matrix:
+# the radiation-pressure couplings, the optical detunings and the hopping
+_DRIFT_ENTRIES = np.ravel_multi_index(np.array([
+    (1, 2), (3, 0), (2, 3), (3, 2),     # cavity 1: g1, g1, s d1, -s d1
+    (5, 6), (7, 4), (6, 7), (7, 6),     # cavity 2: g2, g2, s d2, -s d2
+    (2, 7), (3, 6), (6, 3), (7, 2),     # hopping: -xi, xi, -xi, xi
+]).T, (8, 8))
+# which of the columns (g1, g2, d1, d2, xi) each entry takes
+_DRIFT_SOURCES = np.array([0, 0, 2, 2, 1, 1, 3, 3, 4, 4, 4, 4])
+
+
+@functools.lru_cache(maxsize=16)
+def _drift_template(mech_freq, mech_damping, cavity_decay):
+    """The drift's entries that do not depend on the point (read-only)."""
+    a = np.zeros((8, 8))
+    for i, o in enumerate((0, 4)):
+        a[o + 0, o + 1] = mech_freq[i]
+        a[o + 1, o + 0] = -mech_freq[i]
+        a[o + 1, o + 1] = -mech_damping[i]
+        a[o + 2, o + 2] = -cavity_decay[i]
+        a[o + 3, o + 3] = -cavity_decay[i]
+    a.flags.writeable = False
+    return a
+
+
+@functools.lru_cache(maxsize=4)
+def _drift_signs(s: float) -> np.ndarray:
+    return np.array([1.0, 1.0, s, -s, 1.0, 1.0, s, -s, -1.0, 1.0, -1.0, 1.0])
+
+
+def _fill(template: np.ndarray, entries: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Copies of ``template``, one per row of ``values``, with that row stored
+    at the flat indices ``entries``."""
+    count, n = len(values), len(template)
+    stack = template[None].repeat(count, axis=0)
+    stack.reshape(count, n * n)[:, entries] = values
+    return stack
+
+
 def drift_stack(mech_freq, mech_damping, cavity_decay, coupling, detuning,
                 hop_strength, detuning_sign: str = "positive") -> np.ndarray:
     """Assemble P drift matrices, shape (P, 8, 8).
 
     ``mech_freq``, ``mech_damping`` and ``cavity_decay`` are per-cavity pairs
     shared by the stack; ``coupling`` and ``detuning`` hold one pair per
-    matrix and ``hop_strength`` one value per matrix.
+    matrix and ``hop_strength`` one value per matrix (sequences or arrays).
 
     The sparsity pattern has 22 structural entries: two mechanical 2x2 blocks,
     two optical 2x2 blocks, the radiation-pressure couplings, and the four
-    hopping entries connecting opposite optical quadratures.
+    hopping entries connecting opposite optical quadratures.  The 10 that the
+    rates fix come from one cached template; the other 12 are stored with one
+    indexed assignment.
     """
-    s = _sign(detuning_sign)
-    stack = np.zeros((len(hop_strength), 8, 8))
-    # scalar stores: no per-call array overhead for a batch of one, and about
-    # 3 us per matrix in a sweep
-    for a, g, d, xi in zip(stack, coupling, detuning, hop_strength):
-        for i, o in enumerate((0, 4)):
-            a[o + 0, o + 1] = mech_freq[i]
-            a[o + 1, o + 0] = -mech_freq[i]
-            a[o + 1, o + 1] = -mech_damping[i]
-            a[o + 1, o + 2] = g[i]
-            a[o + 2, o + 2] = -cavity_decay[i]
-            a[o + 2, o + 3] = s * d[i]
-            a[o + 3, o + 0] = g[i]
-            a[o + 3, o + 2] = -s * d[i]
-            a[o + 3, o + 3] = -cavity_decay[i]
-        a[2, 7] = -xi
-        a[3, 6] = xi
-        a[6, 3] = -xi
-        a[7, 2] = xi
-    return stack
+    signs = _drift_signs(_sign(detuning_sign))
+    columns = np.empty((len(hop_strength), 5))
+    columns[:, :2] = coupling
+    columns[:, 2:4] = detuning
+    columns[:, 4] = hop_strength
+    template = _drift_template(tuple(mech_freq), tuple(mech_damping), tuple(cavity_decay))
+    return _fill(template, _DRIFT_ENTRIES, columns.take(_DRIFT_SOURCES, axis=1) * signs)
 
 
 def build_drift(params: PhysicalParams, steady: SteadyState,
@@ -129,23 +158,31 @@ class ReducedModel:
     eff_detuning: float     # rad/s
 
 
+# the collective drift's point-dependent entries: g, g, s dp, -s dp
+_REDUCED_ENTRIES = np.ravel_multi_index(np.array([(1, 2), (3, 0), (2, 3), (3, 2)]).T, (4, 4))
+
+
+@functools.lru_cache(maxsize=16)
+def _reduced_template(omega_m: float, gamma_m: float, kappa: float) -> np.ndarray:
+    """The collective drift's entries that do not depend on the point (read-only)."""
+    a = np.zeros((4, 4))
+    a[0, 1] = omega_m
+    a[1, 0] = -omega_m
+    a[1, 1] = -gamma_m
+    a[2, 2] = a[3, 3] = -kappa
+    a.flags.writeable = False
+    return a
+
+
 def reduced_drift_stack(omega_m: float, gamma_m: float, kappa: float, coupling,
                         eff_detuning, detuning_sign: str = "positive") -> np.ndarray:
     """Collective-mode drifts, shape (P, 4, 4) in the ordering (Q, P, X, Y),
     for P couplings and P modified detunings delta + xi."""
     s = _sign(detuning_sign)
-    stack = np.zeros((len(eff_detuning), 4, 4))
-    for a, g, dp in zip(stack, coupling, eff_detuning):
-        a[0, 1] = omega_m
-        a[1, 0] = -omega_m
-        a[1, 1] = -gamma_m
-        a[1, 2] = g
-        a[2, 2] = -kappa
-        a[2, 3] = s * dp
-        a[3, 0] = g
-        a[3, 2] = -s * dp
-        a[3, 3] = -kappa
-    return stack
+    values = np.empty((len(eff_detuning), 4))
+    values[:, 0] = values[:, 1] = coupling
+    np.multiply.outer(eff_detuning, (s, -s), out=values[:, 2:])
+    return _fill(_reduced_template(omega_m, gamma_m, kappa), _REDUCED_ENTRIES, values)
 
 
 def build_reduced(params: PhysicalParams, coupling: float, delta: float,

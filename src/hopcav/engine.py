@@ -9,6 +9,11 @@ A batch of grid points runs
     grouped Lyapunov solves of the stable branches -> stacked pair measures
     -> one record per row
 
+as NumPy columns with one row per branch, from the working points to the
+records, which are built with one ``zip``.  The per-point objects
+(:class:`SteadyState`, :class:`PointResult`) are built only where a caller
+reads them: ``run_point`` (and so ``hopcav point``) and the bare-mode solver.
+
 The work that does not depend on the point runs once per sweep: the base
 parameters' couplings and bath, and, when the sweep starts, each axis value's
 check and what it derives (drive amplitudes, thermal occupation, bath), in
@@ -40,7 +45,7 @@ import itertools
 import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -50,7 +55,7 @@ from .lyapunov import CHUNK_POINTS, RESIDUAL_GATE, lyapunov_stack
 from .measures import pair_measures
 from .params import Detuning, PhysicalParams, derive_coupling, drive_amps, thermal_occupation
 from .squeezed import SqueezedBath
-from .stability import gate_branches
+from .stability import Gate, gate_branches
 from .steady_state import SteadyState, fixed_detuning_points, solve_self_consistent
 
 # bound for the span tracer of the benchmark (perfbench/spans.py PATCHES);
@@ -301,9 +306,10 @@ class _Sweep:
             params = replace(base, **{AXIS_FIELDS[name]: _axis_value(base, name, value)})
         except HopcavError as exc:
             return exc
-        # the checked parameters serve the bare-mode solver, which reads only
-        # the hopping strength and the drive powers from them
-        self.bare.setdefault((params.hop_strength, params.drive_power), params)
+        if base.detuning.mode == "bare":
+            # the checked parameters serve the bare-mode solver, which reads
+            # only the hopping strength and the drive powers from them
+            self.bare.setdefault((params.hop_strength, params.drive_power), params)
         return self._derive(params, name)
 
     def _resolve(self, photon_number: float | None):
@@ -365,28 +371,34 @@ class _Sweep:
 _UNMEASURED = (None,) * (len(MEASURE_FIELDS) + 1)
 
 
-def _failed(rec: ResultRecord) -> PointResult:
-    return PointResult(records=(rec,), covariances=(None,), steady_states=(None,), drifts=(None,),
-                       diffusion=None)
+class _Batch(NamedTuple):
+    """A batch of grid points evaluated as columns, one entry per branch, up
+    to the records; what ``run_point`` reports besides a point's records is
+    read from here."""
+
+    outcomes: list      # per point: its failed record, or the indices of its emitted branches
+    records: list       # per branch: its record
+    points: list        # per branch: its grid point
+    steady: Callable[[int], SteadyState]   # the working point of a branch
+    gate: Gate
+    covariances: dict   # measured branch -> its covariance
 
 
-def run_points(sweep: _Sweep, points: list[tuple[int, ...]]) -> list[PointResult]:
-    """Evaluate a batch of grid points of one sweep, each one index per axis;
-    one result per point, in order.
+def _evaluate(sweep: _Sweep, points: list[tuple[int, ...]]) -> _Batch:
+    """Evaluate a batch of grid points of one sweep, each one index per axis.
 
     Per-point errors are caught and recorded in the ``error`` field so that
     sweeps continue.
     """
     config = sweep.config
     p = config.params
-    omega_m = sweep.omega_m
-    results: list[PointResult | None] = [None] * len(points)
+    outcomes: list = [None] * len(points)
     ready: list[tuple[int, _Point]] = []
     for k, index in enumerate(points):
         point = sweep.point(index)
         if isinstance(point, HopcavError):
             values = sweep.axis_values(index)
-            results[k] = _failed(ResultRecord(
+            outcomes[k] = ResultRecord(
                 delta=float(values.get("delta", np.nan)),
                 xi=float(values.get("xi", np.nan)),
                 power=float(values.get("power", np.nan)),
@@ -394,78 +406,104 @@ def run_points(sweep: _Sweep, points: list[tuple[int, ...]]) -> list[PointResult
                 photon_number=float(values.get("photon_number", np.nan)),
                 correlation=np.nan,
                 error=str(point),
-            ))
+            )
         else:
             ready.append((k, point))
 
+    # the working points as columns, one row per branch
+    branches: list[tuple[int, _Point]] = []
     if p.detuning.mode == "effective":
-        working = [
-            st if isinstance(st, HopcavError) else [st]
-            for st in fixed_detuning_points(
-                p.cavity_decay, p.mech_freq, sweep.coupling, [pt.drives for _, pt in ready],
-                [pt.hop for _, pt in ready], [pt.lang for _, pt in ready],
-            )
-        ]
+        working = fixed_detuning_points(
+            p.cavity_decay, p.mech_freq, sweep.coupling, [pt.drives for _, pt in ready],
+            [pt.hop for _, pt in ready], [pt.lang for _, pt in ready],
+        )
+        for (k, pt), error in zip(ready, working.errors):
+            if error is None:
+                branches.append((k, pt))
+            else:
+                outcomes[k] = ResultRecord(*pt.head, error=str(error))
+        kept = [i for i, error in enumerate(working.errors) if error is None]
+        columns = (working.amp_abs, working.eff_coupling, working.eff_detuning)
+        if len(kept) < len(ready):
+            columns = tuple(column[kept] for column in columns)
+        amp_abs, coupling, detuning = columns
+        numbers = [0] * len(branches)
+
+        def steady(j: int) -> SteadyState:
+            return working.steady(kept[j])
     else:
-        working = []
-        for _, pt in ready:
+        states: list[SteadyState] = []
+        for k, pt in ready:
             try:
-                working.append(solve_self_consistent(sweep.bare_params(pt.hop, pt.powers), *pt.lang))
+                found = solve_self_consistent(sweep.bare_params(pt.hop, pt.powers), *pt.lang)
             except HopcavError as exc:
-                working.append(exc)
+                outcomes[k] = ResultRecord(*pt.head, error=str(exc))
+                continue
+            branches.extend((k, pt) for _ in found)
+            states.extend(found)
+        amp_abs = np.array([(abs(st.amp[0]), abs(st.amp[1])) for st in states]).reshape(-1, 2)
+        coupling = np.array([st.eff_coupling for st in states]).reshape(-1, 2)
+        detuning = np.array([st.eff_detuning for st in states]).reshape(-1, 2)
+        numbers = [st.branch for st in states]
+        steady = states.__getitem__
 
-    branches = []   # (point index, point, working point)
-    for (k, pt), steadies in zip(ready, working):
-        if isinstance(steadies, HopcavError):
-            results[k] = _failed(ResultRecord(*pt.head, error=str(steadies)))
-        else:
-            branches.extend((k, pt, st) for st in steadies)
-
-    drifts, verdicts, scalars, errors = gate_branches(
-        p, [b[2] for b in branches], [b[1].hop for b in branches],
-        [b[1].symmetric for b in branches], config.detuning_sign,
-    )
+    gate = gate_branches(p, coupling, detuning, [pt.hop for _, pt in branches],
+                         [pt.symmetric for _, pt in branches], config.detuning_sign)
+    errors = list(gate.errors)
     solve = []
-    for j, (_, pt, _) in enumerate(branches):
-        if verdicts[j]:
+    for j, ((_, pt), stable) in enumerate(zip(branches, gate.verdicts)):
+        if stable:
             if isinstance(pt.diffusion, HopcavError):
                 errors[j] = pt.diffusion
             else:
                 solve.append(j)
 
     measured = [_UNMEASURED] * len(branches)
-    covariances: list[np.ndarray | None] = [None] * len(branches)
+    covariances = {}
     if solve:
-        w, residuals = lyapunov_stack(
-            np.stack([drifts[j] for j in solve]),
-            np.stack([branches[j][1].diffusion for j in solve]),
-        )
-        for j, wj, residual, measures in zip(solve, w, residuals.tolist(), pair_measures(w)):
-            if isinstance(measures, HopcavError):
-                errors[j] = measures
-            else:
-                measured[j] = (*measures, residual)
+        w, residuals = lyapunov_stack(gate.drifts.take(solve, axis=0),
+                                      np.array([branches[j][1].diffusion for j in solve]))
+        measures = pair_measures(w)
+        for j, wj, residual, row, error in zip(solve, w, residuals.tolist(),
+                                                zip(*measures.columns), measures.errors):
+            if error is None:
+                measured[j] = (*row, residual)
                 covariances[j] = wj
+            else:
+                errors[j] = error
 
-    records = [
-        ResultRecord(*pt.head, abs(st.amp[0]), abs(st.amp[1]), st.eff_coupling[0] / omega_m,
-                     verdicts[j], *scalars[j], *measured[j], st.branch,
-                     "" if errors[j] is None else str(errors[j]))
-        for j, (_, pt, st) in enumerate(branches)
-    ]
+    records = []
+    if branches:
+        records = list(map(
+            ResultRecord, *zip(*[pt.head for _, pt in branches]),
+            amp_abs[:, 0].tolist(), amp_abs[:, 1].tolist(),
+            (coupling[:, 0] / sweep.omega_m).tolist(), gate.verdicts, gate.s1, gate.s2,
+            *zip(*measured), numbers, ["" if e is None else str(e) for e in errors],
+        ))
     for k, group in itertools.groupby(range(len(branches)), key=lambda j: branches[j][0]):
         rows = list(group)
         if config.branch_policy == "default" and len(rows) > 1:
             # default branch: the lowest-|amp| stable one, else the lowest-|amp|
             rows = [next((j for j in rows if records[j].stable), rows[0])]
-        results[k] = PointResult(
-            records=tuple([records[j] for j in rows]),
-            covariances=tuple([covariances[j] for j in rows]),
-            steady_states=tuple([branches[j][2] for j in rows]),
-            drifts=tuple([drifts[j] for j in rows]),
-            diffusion=branches[rows[0]][1].diffusion,
-        )
-    return results
+        outcomes[k] = rows
+    return _Batch(outcomes, records, [pt for _, pt in branches], steady, gate, covariances)
+
+
+def run_points(sweep: _Sweep, points: list[tuple[int, ...]]) -> list[ResultRecord]:
+    """Evaluate a batch of grid points of one sweep, each one index per axis;
+    the records of every point, in order (with branch rows kept adjacent).
+
+    Per-point errors are caught and recorded in the ``error`` field so that
+    sweeps continue.
+    """
+    batch = _evaluate(sweep, points)
+    records = []
+    for outcome in batch.outcomes:
+        if isinstance(outcome, ResultRecord):
+            records.append(outcome)
+        else:
+            records.extend([batch.records[j] for j in outcome])
+    return records
 
 
 def misses_residual_gate(rec: ResultRecord) -> bool:
@@ -478,7 +516,19 @@ def run_point(config: SweepConfig, overrides: dict[str, float] | None = None) ->
     """Evaluate one grid point, a batch of one sweep whose axes have one value
     each; returns one record per emitted branch."""
     axes = [(name, (value,)) for name, value in (overrides or {}).items()]
-    return run_points(_Sweep(config, axes), [(0,) * len(axes)])[0]
+    batch = _evaluate(_Sweep(config, axes), [(0,) * len(axes)])
+    (outcome,) = batch.outcomes
+    if isinstance(outcome, ResultRecord):
+        return PointResult(records=(outcome,), covariances=(None,), steady_states=(None,),
+                           drifts=(None,), diffusion=None)
+    gate = batch.gate
+    return PointResult(
+        records=tuple([batch.records[j] for j in outcome]),
+        covariances=tuple([batch.covariances.get(j) for j in outcome]),
+        steady_states=tuple([batch.steady(j) for j in outcome]),
+        drifts=tuple([gate.drifts[j] if gate.errors[j] is None else None for j in outcome]),
+        diffusion=batch.points[outcome[0]].diffusion,
+    )
 
 
 def grid_points(config: SweepConfig) -> list[dict[str, float]]:
@@ -491,8 +541,7 @@ def grid_points(config: SweepConfig) -> list[dict[str, float]]:
 
 
 def _chunk_records(args) -> list[ResultRecord]:
-    sweep, points = args
-    return [rec for result in run_points(sweep, points) for rec in result.records]
+    return run_points(*args)
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ class LyapunovSolution:
 def _frobenius_norms(m: np.ndarray) -> np.ndarray:
     """Frobenius norm of each matrix of a stack, summed in the order
     ``np.linalg.norm`` sums a single matrix."""
-    flat = np.ascontiguousarray(m).reshape(m.shape[0], m.shape[1] * m.shape[2])
+    flat = m.reshape(m.shape[0], m.shape[1] * m.shape[2])
     return np.sqrt(np.vecdot(flat, flat))
 
 
@@ -62,25 +62,32 @@ def lyapunov_stack(a: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """Symmetric solutions W and relative residuals of A W + W A^T = -Q for
     stacks of Hurwitz A (not checked) and symmetric Q.
 
-    The order-n^2 Kronecker-sum systems are filled in place, a group at a
-    time, and solved with dense pivoted elimination (deterministic).
+    The order-n^2 Kronecker-sum systems are filled a group at a time, in
+    place, and solved with dense pivoted elimination (deterministic).
     """
     count, n = a.shape[0], a.shape[1]
+    size = n * n
     group = max(1, min(LYAPUNOV_GROUP, count))
-    system = np.empty((group, n * n, n * n))
-    scratch = np.empty_like(system)
-    eye = np.eye(n)
+    system = np.zeros((group, size, size))
+    # strided views of the group's systems (strides in entries, times the
+    # entry size): left[p, i, j, k] is entry (i n + k, j n + k), which
+    # kron(A, I) sets to A[i, j]; right[p, i, j, k] is entry (i n + j, i n + k),
+    # which kron(I, A) sets to A[j, k]; both meet on the diagonal, diag[p, i, k]
+    # at (i n + k, i n + k), which holds A[i, i] + A[k, k]
+    strides = [size * size, n * size, n, size + 1], [size * size, n * size + n, size, 1]
+    left, right = (np.ndarray((group, n, n, n), system.dtype, system, 0,
+                              [s * system.itemsize for s in st]) for st in strides)
+    diag = np.ndarray((group, n, n), system.dtype, system, 0,
+                      [s * system.itemsize for s in (size * size, n * size + n, size + 1)])
     w = np.empty((count, n, n))
     for start in range(0, count, group):
         ag = a[start:start + group]
         g = len(ag)
-        s = system[:g].reshape(g, n, n, n, n)
-        t = scratch[:g].reshape(g, n, n, n, n)
-        # s[p, i, k, j, l] = kron(A, I) + kron(I, A) at row i n + k, column j n + l
-        np.multiply(ag[:, :, None, :, None], eye[None, None, :, None, :], out=s)
-        np.multiply(eye[None, :, None, :, None], ag[:, None, :, None, :], out=t)
-        s += t
-        rhs = -q[start:start + g].reshape(g, n * n, 1)
+        # every group writes the same entries, so none is left from the group before
+        left[:g] = ag[..., None]
+        right[:g] = ag[:, None]
+        diag[:g] += ag.diagonal(axis1=1, axis2=2)[..., None]
+        rhs = -q[start:start + g].reshape(g, size, 1)
         w[start:start + g] = np.linalg.solve(system[:g], rhs).reshape(g, n, n)
     w = 0.5 * (w + w.transpose(0, 2, 1))
 

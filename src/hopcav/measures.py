@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,6 +42,21 @@ class EntanglementResult:
     chi: float          # det W1 + det W2 - 2 det Wc
 
 
+# flat indices (row 8 + column) of the four pairs' 4x4 covariances in an 8x8
+# covariance, pairs in BipartitePair order
+_PAIR_ENTRIES = np.array([[[8 * r + c for c in pair.indices] for r in pair.indices]
+                          for pair in BipartitePair])
+# flat indices (row 4 + column) of the 2x2 blocks W1, W2 and Wc of a pair
+# covariance, in that order; then of W1, Wc and Wc^T, which enter Z
+_BLOCK_ENTRIES = np.array([[[0, 1], [4, 5]], [[10, 11], [14, 15]], [[2, 3], [6, 7]]])
+_Z_ENTRIES = np.array([[[0, 1], [4, 5]], [[2, 3], [6, 7]], [[2, 6], [3, 7]]])
+# S W1 S, S Wc and Wc^T S with S = diag(1, -1), entry by entry
+_Z_SIGNS = np.array([[[1.0, -1.0], [-1.0, 1.0]], [[1.0, 1.0], [-1.0, -1.0]],
+                     [[1.0, -1.0], [1.0, -1.0]]])
+_IDENTITY_2 = np.eye(2)
+_F1F2 = list(BipartitePair).index(BipartitePair.F1F2)
+
+
 def pair_stack(w: np.ndarray, pair: BipartitePair) -> np.ndarray:
     """The (P, 4, 4) covariances of one mode pair cut out of a (P, 8, 8) stack,
     order preserved."""
@@ -66,27 +82,40 @@ def _as_pair_matrix(pair_cov) -> np.ndarray:
 def _determinants(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """det W1, det W2 and det Wc along a new last axis, and det W, for pair
     covariances stacked in any leading axes."""
-    blocks = np.stack((m[..., :2, :2], m[..., 2:, 2:], m[..., :2, 2:]), axis=-3)
+    blocks = m.reshape(m.shape[:-2] + (16,)).take(_BLOCK_ENTRIES, axis=-1)
     return np.linalg.det(blocks), np.linalg.det(m)
 
 
-def _entanglement(det_w1: float, det_w2: float, det_wc: float,
-                  det_w: float) -> tuple[float, float, float]:
-    """theta_minus, log_neg and chi from the determinant invariants."""
-    chi = det_w1 + det_w2 - 2.0 * det_wc
-    disc = chi * chi - 4.0 * det_w
-    if disc < -DISCRIMINANT_RTOL * max(1.0, chi * chi):
-        raise InvalidStateError(
-            f"chi^2 - 4 det(W_R) = {disc:.3e} < 0; covariance is not a valid two-mode state"
-        )
-    disc = max(disc, 0.0)
-    theta_sq = 0.5 * (chi - math.sqrt(disc))
-    if theta_sq <= 0.0:
-        raise InvalidStateError(
-            f"nonpositive squared symplectic eigenvalue {theta_sq:.3e}"
-        )
-    theta = math.sqrt(theta_sq)
-    return theta, max(0.0, -math.log(2.0 * theta)), chi
+def _entanglement(det_blocks: np.ndarray, det_w: np.ndarray):
+    """theta_minus, log_neg and chi of pair covariances stacked in any leading
+    axes, from their determinant invariants, and the errors.
+
+    Returns theta_minus and chi as arrays, log_neg as a flat list and the
+    errors as (flat index, :class:`InvalidStateError`) pairs for the
+    covariances that fail: chi^2 significantly below 4 det W, else a
+    nonpositive squared symplectic eigenvalue.  Each value equals, bit for bit,
+    the float arithmetic of one covariance (``math.log`` per element, since
+    ``np.log`` can round differently).
+    """
+    chi = (det_blocks[..., 0] + det_blocks[..., 1]) - 2.0 * det_blocks[..., 2]
+    chi_sq = chi * chi
+    disc = chi_sq - 4.0 * det_w
+    invalid = disc < -DISCRIMINANT_RTOL * np.maximum(1.0, chi_sq)
+    theta_sq = 0.5 * (chi - np.sqrt(np.maximum(0.0, disc)))
+    nonpositive = theta_sq <= 0.0
+    # a failing covariance takes the placeholder 1 and is reported instead
+    theta = np.sqrt(np.where(nonpositive, 1.0, theta_sq))
+    log_neg = [max(0.0, -math.log(x)) for x in (2.0 * theta).ravel().tolist()]
+    errors = []
+    for i in np.ravel(invalid | nonpositive).nonzero()[0].tolist():
+        if invalid.flat[i]:
+            errors.append((i, InvalidStateError(
+                f"chi^2 - 4 det(W_R) = {disc.flat[i]:.3e} < 0; "
+                "covariance is not a valid two-mode state")))
+        else:
+            errors.append((i, InvalidStateError(
+                f"nonpositive squared symplectic eigenvalue {theta_sq.flat[i]:.3e}")))
+    return theta, log_neg, chi, errors
 
 
 def log_negativity(pair_cov) -> EntanglementResult:
@@ -96,28 +125,30 @@ def log_negativity(pair_cov) -> EntanglementResult:
     blocks; states with chi^2 significantly below 4 det(W_R) are rejected as
     numerically invalid.
     """
-    blocks, det_w = _determinants(_as_pair_matrix(pair_cov))
-    theta, log_neg, chi = _entanglement(*blocks.tolist(), float(det_w))
-    return EntanglementResult(theta_minus=theta, log_neg=log_neg, chi=chi)
+    theta, log_neg, chi, errors = _entanglement(*_determinants(_as_pair_matrix(pair_cov)))
+    if errors:
+        raise errors[0][1]
+    return EntanglementResult(theta_minus=theta.item(), log_neg=log_neg[0], chi=chi.item())
 
 
-def _fidelities(m: np.ndarray, w_in: np.ndarray) -> list:
-    """Teleportation fidelity of each pair covariance of a (P, 4, 4) stack, or
-    the :class:`ConventionError` of a nonpositive determinant."""
-    s = np.diag([1.0, -1.0])
-    w1 = m[:, :2, :2]
-    w2 = m[:, 2:, 2:]
-    wc = m[:, :2, 2:]
-    z = s @ w1 @ s + s @ wc + wc.transpose(0, 2, 1) @ s + w2
-    out = []
-    for k, arg in enumerate(np.linalg.det(2.0 * w_in + z).tolist()):
-        if arg <= 0.0:
-            out.append(ConventionError(
-                f"nonpositive fidelity determinant {arg:.3e}; Z = {z[k].tolist()}"
-            ))
-        else:
-            out.append(2.0 / math.sqrt(arg))
-    return out
+def _fidelities(m: np.ndarray, w_in: np.ndarray):
+    """Teleportation fidelities of the pair covariances of a (P, 4, 4) stack,
+    and the (index, :class:`ConventionError`) pairs of the nonpositive
+    determinants.
+
+    Z = S W1 S + S Wc + Wc^T S + W2 is summed entry by entry in the order of
+    the matrix expression; with S = diag(1, -1) each product is one signed
+    entry, so Z equals the matrix products' result.
+    """
+    signed = m.reshape(len(m), 16).take(_Z_ENTRIES, axis=1) * _Z_SIGNS
+    z = ((signed[:, 0] + signed[:, 1]) + signed[:, 2]) + m[:, 2:, 2:]
+    arg = np.linalg.det(2.0 * w_in + z)
+    nonpositive = arg <= 0.0
+    errors = [
+        (k, ConventionError(f"nonpositive fidelity determinant {arg[k]:.3e}; Z = {z[k].tolist()}"))
+        for k in nonpositive.nonzero()[0].tolist()
+    ]
+    return 2.0 / np.sqrt(np.where(nonpositive, 1.0, arg)), errors
 
 
 def teleportation_fidelity(pair_cov, w_in: np.ndarray | None = None) -> float:
@@ -135,36 +166,54 @@ def teleportation_fidelity(pair_cov, w_in: np.ndarray | None = None) -> float:
     w_in = np.asarray(w_in, dtype=float)
     if w_in.shape != (2, 2):
         raise HopcavError(f"w_in must be 2x2, got {w_in.shape}")
-    (fidelity,) = _fidelities(m[None], w_in)
-    if isinstance(fidelity, HopcavError):
-        raise fidelity
-    return fidelity
+    fidelity, errors = _fidelities(m[None], w_in)
+    if errors:
+        raise errors[0][1]
+    return fidelity.item()
 
 
-def pair_measures(w: np.ndarray) -> list:
-    """Every recorded measure of each covariance of a (P, 8, 8) stack.
+class PairMeasures(NamedTuple):
+    """The recorded measures of a (P, 8, 8) covariance stack as columns."""
 
-    For each covariance: the tuple (E_N of the four pairs in
-    :class:`BipartitePair` order, theta_minus of the four, the teleportation
-    fidelity of F1F2 and its bound), or the error that the first failing
+    columns: tuple   # 10 lists of P floats, in ``MEASURES`` order
+    errors: list     # per covariance: None, or the error of its first failing measure
+
+
+# the measure columns: E_N of the four pairs in BipartitePair order, theta_minus
+# of the four, the teleportation fidelity of F1F2 and its bound
+MEASURES = (
+    "en_f1m1", "en_f2m2", "en_m1m2", "en_f1f2",
+    "theta_f1m1", "theta_f2m2", "theta_m1m2", "theta_f1f2",
+    "fidelity", "fidelity_bound",
+)
+
+
+def pair_measures(w: np.ndarray) -> PairMeasures:
+    """Every recorded measure of each covariance of a (P, 8, 8) stack, as
+    columns in ``MEASURES`` order.
+
+    A covariance whose measures fail gets the error that the first failing
     measure raises, in the order :func:`log_negativity` over the pairs,
-    :func:`teleportation_fidelity` and :func:`fidelity_bound`.
+    :func:`teleportation_fidelity` and :func:`fidelity_bound`; its column
+    entries are then meaningless.  Every entry equals what the single-pair
+    functions give.
     """
-    m = np.stack([pair_stack(w, pair) for pair in BipartitePair], axis=1)
-    blocks, det_w = _determinants(m)
-    opt = list(BipartitePair).index(BipartitePair.F1F2)
-    fidelities = _fidelities(m[:, opt], np.eye(2))
-    out = []
-    for point_blocks, point_dets, fidelity in zip(blocks.tolist(), det_w.tolist(), fidelities):
-        try:
-            ent = [_entanglement(*b, d) for b, d in zip(point_blocks, point_dets)]
-            if isinstance(fidelity, HopcavError):
-                raise fidelity
-            log_negs = [e[1] for e in ent]
-            out.append((*log_negs, *(e[0] for e in ent), fidelity, fidelity_bound(log_negs[opt])))
-        except HopcavError as exc:
-            out.append(exc)
-    return out
+    pairs = len(BipartitePair)
+    m = w.reshape(len(w), 64).take(_PAIR_ENTRIES, axis=1)
+    theta, log_neg, _, pair_errors = _entanglement(*_determinants(m))
+    fidelity, fidelity_errors = _fidelities(m[:, _F1F2], _IDENTITY_2)
+    log_negs = [log_neg[q::pairs] for q in range(pairs)]
+    errors = [None] * len(w)
+    for i, error in pair_errors:
+        # flat indices run pair by pair within a covariance: the first is the
+        # first failing pair
+        if errors[i // pairs] is None:
+            errors[i // pairs] = error
+    for k, error in fidelity_errors:
+        if errors[k] is None:
+            errors[k] = error
+    bounds = [fidelity_bound(x) for x in log_negs[_F1F2]]
+    return PairMeasures((*log_negs, *theta.T.tolist(), fidelity.tolist(), bounds), errors)
 
 
 def fidelity_bound(log_neg: float) -> float:

@@ -69,18 +69,19 @@ class PhysicalParams:
     detuning: Detuning
 
     def __post_init__(self):
+        # frozen: the fields are normalized through the instance dict
+        fields = self.__dict__
         for name in ("cavity_length", "mirror_mass", "mech_freq",
                      "mech_damping", "cavity_decay", "drive_power"):
-            object.__setattr__(self, name, _pair(getattr(self, name)))
-        object.__setattr__(self, "laser_wavelength", float(self.laser_wavelength))
-        object.__setattr__(self, "bath_temperature", float(self.bath_temperature))
-        object.__setattr__(self, "hop_strength", float(self.hop_strength))
+            fields[name] = _pair(fields[name])
+        for name in ("laser_wavelength", "bath_temperature", "hop_strength"):
+            fields[name] = float(fields[name])
 
         for name in ("cavity_length", "mirror_mass", "mech_freq",
                      "mech_damping", "cavity_decay"):
-            lo = min(getattr(self, name))
-            if not lo > 0.0 or not all(math.isfinite(v) for v in getattr(self, name)):
-                raise ConfigError(f"{name} must be strictly positive, got {getattr(self, name)}")
+            value = fields[name]
+            if not min(value) > 0.0 or not all(map(math.isfinite, value)):
+                raise ConfigError(f"{name} must be strictly positive, got {value}")
         if not self.laser_wavelength > 0.0:
             raise ConfigError("laser_wavelength must be strictly positive")
         # drive power 0 is the meaningful undriven limit and stays allowed
@@ -91,8 +92,9 @@ class PhysicalParams:
         if self.hop_strength < 0.0:
             raise ConfigError("hop_strength must be nonnegative")
         for name in ("laser_wavelength", "drive_power", "bath_temperature", "hop_strength"):
-            if not all(map(math.isfinite, _pair(getattr(self, name)))):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+            value = fields[name]
+            if not all(map(math.isfinite, value if name == "drive_power" else (value,))):
+                raise ConfigError(f"{name} must be finite, got {value}")
 
         for j in (0, 1):
             q = self.mech_freq[j] / self.mech_damping[j]
@@ -110,6 +112,18 @@ class PhysicalParams:
             for name in ("cavity_length", "mirror_mass", "mech_freq",
                          "mech_damping", "cavity_decay", "drive_power")
         )
+
+
+def checked_hop_strength(value: float) -> float:
+    """A hopping strength (rad/s) as :class:`PhysicalParams` stores it, or the
+    :class:`ConfigError` that its validation raises for this field when the
+    other fields are valid; for callers that vary only the hopping."""
+    value = float(value)
+    if value < 0.0:
+        raise ConfigError("hop_strength must be nonnegative")
+    if not math.isfinite(value):
+        raise ConfigError(f"hop_strength must be finite, got {value}")
+    return value
 
 
 def laser_angular_freq(wavelength: float) -> float:

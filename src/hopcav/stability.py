@@ -17,12 +17,15 @@ a violation of s1 signals bistability, a violation of s2 self-oscillation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from .dynamics import drift_stack, reduced_drift_stack
 from .errors import ConfigError, HopcavError
 from .lyapunov import CHUNK_POINTS, hurwitz_gate
-from .params import PhysicalParams, derive_coupling, drive_amps
+from .params import PhysicalParams, checked_hop_strength, derive_coupling, drive_amps
 from .steady_state import fixed_detuning_points
 
 # bound for the span tracer of the benchmark (perfbench/spans.py PATCHES);
@@ -33,16 +36,22 @@ from .steady_state import solve_fixed_detuning  # noqa: F401
 
 
 def routh_hurwitz_reduced(omega_m: float, gamma_m: float, kappa: float,
-                          coupling: float, delta_eff: float) -> tuple[float, float]:
+                          coupling, delta_eff):
     """The two stability scalars (s1, s2) of the collective model at modified
-    detuning ``delta_eff``."""
+    detuning ``delta_eff``; ``coupling`` and ``delta_eff`` are floats or
+    arrays of one value per point."""
     g2 = coupling * coupling
     d2 = delta_eff * delta_eff
     k2 = kappa * kappa
-    s1 = omega_m * (k2 + d2) - g2 * delta_eff
+    k2_d2 = k2 + d2
+    s1 = omega_m * k2_d2 - g2 * delta_eff
+    # k2 + (omega_m -+ delta_eff)^2 along a last axis; float_power squares
+    # through the C library's pow, as ``x ** 2`` does on a float (``**`` on an
+    # array multiplies, which rounds differently)
+    sides = k2 + np.float_power(omega_m + np.multiply.outer(delta_eff, (-1.0, 1.0)), 2.0)
     s2 = 2.0 * gamma_m * kappa * (
-        (k2 + (omega_m - delta_eff) ** 2) * (k2 + (omega_m + delta_eff) ** 2)
-        + gamma_m * ((gamma_m + 2.0 * kappa) * (k2 + d2) + 2.0 * kappa * omega_m * omega_m)
+        sides[..., 0] * sides[..., 1]
+        + gamma_m * ((gamma_m + 2.0 * kappa) * k2_d2 + 2.0 * kappa * omega_m * omega_m)
     ) + delta_eff * omega_m * g2 * (gamma_m + 2.0 * kappa) ** 2
     return s1, s2
 
@@ -61,41 +70,53 @@ class StabilityReport:
     agree: bool
 
 
-def gate_branches(params: PhysicalParams, steadies, hops, symmetric, detuning_sign: str):
+class Gate(NamedTuple):
+    """The stability gate of a batch of branches, one entry per branch."""
+
+    drifts: np.ndarray   # (B, 8, 8) figure-convention drifts
+    verdicts: list       # Hurwitz verdicts (False where the gate failed)
+    s1: list             # stability scalars of the symmetric branches, else None
+    s2: list
+    errors: list         # None, or the error that the gate raised for the branch
+
+
+def gate_branches(params: PhysicalParams, coupling, detuning, hops, symmetric,
+                  detuning_sign: str) -> Gate:
     """The stability gate of a batch of branches: the figure-convention 8x8
     drifts, their Hurwitz verdicts, the scalars (s1, s2) of the symmetric
-    branches (else None) and the errors (None where fine).
+    branches and the errors.
 
-    ``params`` gives the cavities' rates; ``steadies``, ``hops`` (rad/s) and
-    ``symmetric`` hold one working point, hopping strength and symmetry flag
-    per branch.  When a stacked call raises, the branches are redone one by
-    one, so that only a failing branch carries its error (with no drift, a
-    false verdict and no scalars).
+    ``params`` gives the cavities' rates; the columns ``coupling`` (G_j) and
+    ``detuning`` (Langevin convention, rad/s), shape (B, 2), ``hops`` (rad/s)
+    and ``symmetric`` hold one working point, hopping strength and symmetry
+    flag per branch.  When the stacked gate raises, the branches are redone
+    one by one, so that only a failing branch carries its error (with a false
+    verdict and no scalars).
     """
+    hops = np.asarray(hops, dtype=float)
+    drifts = drift_stack(
+        params.mech_freq, params.mech_damping, params.cavity_decay, coupling,
+        # the figure convention: negated Langevin detunings (see figure_drift)
+        -detuning, hops, detuning_sign,
+    )
     try:
-        drifts = drift_stack(
-            params.mech_freq, params.mech_damping, params.cavity_decay,
-            [st.eff_coupling for st in steadies],
-            # the figure convention: negated Langevin detunings (see figure_drift)
-            [(-st.eff_detuning[0], -st.eff_detuning[1]) for st in steadies],
-            hops, detuning_sign,
-        )
         verdicts = hurwitz_gate(drifts)[0].tolist()
     except HopcavError as exc:
-        if len(steadies) == 1:
-            return [None], [False], [(None, None)], [exc]
-        parts = [gate_branches(params, [st], [h], [sym], detuning_sign)
-                 for st, h, sym in zip(steadies, hops, symmetric)]
-        return tuple([x for part in parts for x in part[i]] for i in range(4))
+        if len(hops) == 1:
+            return Gate(drifts, [False], [None], [None], [exc])
+        parts = [gate_branches(params, coupling[j:j + 1], detuning[j:j + 1], hops[j:j + 1],
+                               symmetric[j:j + 1], detuning_sign) for j in range(len(hops))]
+        return Gate(drifts, *([x for part in parts for x in part[i]] for i in range(1, 5)))
     omega_m, gamma_m, kappa = params.mech_freq[0], params.mech_damping[0], params.cavity_decay[0]
-    scalars = [
-        # the figure-convention modified detuning delta + xi, also valid in
-        # bare mode where the shift has been absorbed
-        routh_hurwitz_reduced(omega_m, gamma_m, kappa, st.eff_coupling[0], h - st.eff_detuning[0])
-        if sym else (None, None)
-        for st, h, sym in zip(steadies, hops, symmetric)
-    ]
-    return drifts, verdicts, scalars, [None] * len(steadies)
+    # the figure-convention modified detuning delta + xi, also valid in bare
+    # mode where the shift has been absorbed
+    s1, s2 = routh_hurwitz_reduced(omega_m, gamma_m, kappa, coupling[:, 0],
+                                   hops - detuning[:, 0])
+    s1, s2 = s1.tolist(), s2.tolist()
+    if not all(symmetric):
+        s1 = [s if sym else None for s, sym in zip(s1, symmetric)]
+        s2 = [s if sym else None for s, sym in zip(s2, symmetric)]
+    return Gate(drifts, verdicts, s1, s2, [None] * len(hops))
 
 
 def stability_point(params: PhysicalParams, delta: float, xi: float,
@@ -127,15 +148,15 @@ def stability_map(params: PhysicalParams, delta_values, xi_values,
 
 def _checked_hops(params: PhysicalParams, xi_values) -> list[float]:
     """The hopping strengths (rad/s) of xi values in omega_m units, each
-    checked once by the hopping-strength validation, for a model the map
-    takes: identical cavities at effective detunings."""
+    checked once by the hopping-strength validation of the parameters, for a
+    model the map takes: identical cavities at effective detunings."""
     if not params.is_symmetric:
         raise ConfigError("the reduced collective model requires identical cavities")
     if params.detuning.mode != "effective":
         raise ConfigError("the stability map takes effective detunings; "
                           f"got detuning mode {params.detuning.mode!r}")
     omega_m = params.mech_freq[0]
-    return [replace(params, hop_strength=xi * omega_m).hop_strength for xi in xi_values]
+    return [checked_hop_strength(xi * omega_m) for xi in xi_values]
 
 
 def _reports(params: PhysicalParams, points, detuning_sign: str) -> list[StabilityReport]:
@@ -144,26 +165,25 @@ def _reports(params: PhysicalParams, points, detuning_sign: str) -> list[Stabili
     stacked collective (4x4) drifts."""
     omega_m = params.mech_freq[0]
     hops = [h for _, _, h in points]
-    steadies = fixed_detuning_points(
+    working = fixed_detuning_points(
         params.cavity_decay, params.mech_freq, tuple(derive_coupling(params, j) for j in (1, 2)),
         [drive_amps(params)] * len(points), hops,
         [(-delta * omega_m, -delta * omega_m) for delta, _, _ in points],
     )
-    for steady in steadies:
-        if isinstance(steady, HopcavError):
-            raise steady
-    _, hur_full, scalars, errors = gate_branches(params, steadies, hops, [True] * len(points),
-                                                 detuning_sign)
-    for error in errors:
+    for error in working.errors:
+        if error is not None:
+            raise error
+    gate = gate_branches(params, working.eff_coupling, working.eff_detuning, working.hop_strength,
+                         [True] * len(points), detuning_sign)
+    for error in gate.errors:
         if error is not None:
             raise error
     reduced = reduced_drift_stack(
-        omega_m, params.mech_damping[0], params.cavity_decay[0],
-        [st.eff_coupling[0] for st in steadies],
-        [h - st.eff_detuning[0] for st, h in zip(steadies, hops)], detuning_sign,
+        omega_m, params.mech_damping[0], params.cavity_decay[0], working.eff_coupling[:, 0],
+        working.hop_strength - working.eff_detuning[:, 0], detuning_sign,
     )
     return [
         StabilityReport(delta, xi, s1, s2, red, ful, agree=(s1 > 0.0 and s2 > 0.0) == red)
-        for (delta, xi, _), (s1, s2), red, ful
-        in zip(points, scalars, hurwitz_gate(reduced)[0].tolist(), hur_full)
+        for (delta, xi, _), s1, s2, red, ful
+        in zip(points, gate.s1, gate.s2, hurwitz_gate(reduced)[0].tolist(), gate.verdicts)
     ]

@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceFailureError, DegenerateConfigurationError, HopcavError
+from .errors import ConvergenceFailureError, DegenerateConfigurationError
 from .params import PhysicalParams, derive_coupling, drive_amps
 
 RESIDUAL_TOL = 1e-10      # relative to the drive amplitude
@@ -50,11 +51,16 @@ def effective_coupling(bare_coupling: float, amp: complex) -> float:
     return math.sqrt(2.0) * bare_coupling * abs(amp)
 
 
+# a closed form whose denominator |alpha1 alpha2 + xi^2| is below this times
+# kappa1 kappa2 is singular
+DEGENERATE_RTOL = 1e-12
+
+
 def _closed_form_amps(kappa, xi, e1, e2, delta1, delta2):
     a1 = complex(kappa[0], delta1)
     a2 = complex(kappa[1], delta2)
     denom = a1 * a2 + xi * xi
-    if abs(denom) < 1e-12 * kappa[0] * kappa[1]:
+    if abs(denom) < DEGENERATE_RTOL * kappa[0] * kappa[1]:
         raise DegenerateConfigurationError(
             f"singular steady-state denominator |alpha1*alpha2 + xi^2| = {abs(denom):.3e}"
         )
@@ -82,37 +88,79 @@ def _assemble(mech_freq, xi, g, e, amp1, amp2, delta1, delta2, alpha1, alpha2, b
     )
 
 
+class WorkingPoints(NamedTuple):
+    """Closed-form working points of a batch as columns, one row per point;
+    see :func:`fixed_detuning_points`.  Rows listed in ``errors`` hold no
+    working point."""
+
+    cavity_decay: tuple[float, float]
+    mech_freq: tuple[float, float]
+    coupling: tuple[float, float]   # single-photon couplings g_j
+    drives: list                    # per point, the drive amplitudes (|E_1|, |E_2|)
+    hop_strength: np.ndarray        # (P,) rad/s
+    eff_detuning: np.ndarray        # (P, 2) rad/s, as entering the Langevin drift
+    amp: np.ndarray                 # (P, 2) complex amplitudes a_j
+    amp_abs: np.ndarray             # (P, 2) |a_j|
+    eff_coupling: np.ndarray        # (P, 2) G_j = sqrt(2) g_j |a_j|, rad/s
+    errors: list                    # per row: None, or the error of a singular closed form
+
+    def steady(self, i: int) -> SteadyState:
+        """The :class:`SteadyState` of row ``i``."""
+        amp1, amp2 = self.amp[i].tolist()
+        delta1, delta2 = self.eff_detuning[i].tolist()
+        kappa = self.cavity_decay
+        return _assemble(self.mech_freq, self.hop_strength[i].item(), self.coupling,
+                         self.drives[i], amp1, amp2, delta1, delta2,
+                         complex(kappa[0], delta1), complex(kappa[1], delta2))
+
+
 def fixed_detuning_points(cavity_decay, mech_freq, coupling, drives, hop_strength,
-                          detuning) -> list[SteadyState | HopcavError]:
-    """Closed-form working points of a batch at given effective detunings.
+                          detuning) -> WorkingPoints:
+    """Closed-form working points of a batch at given effective detunings, as
+    columns.
 
     ``cavity_decay``, ``mech_freq`` and the single-photon couplings
     ``coupling`` are per-cavity pairs shared by the batch; ``drives`` (the
     drive amplitudes |E_j|) and ``detuning`` (rad/s) hold one pair per point
     and ``hop_strength`` one value per point.  A point whose closed form is
-    singular gets the error instead of a working point.
+    singular gets its error instead of a working point (and NaN amplitudes).
+
+    The amplitudes are Python's complex arithmetic point by point: a NumPy
+    version must spell out Python's complex product and Smith quotient in
+    real arithmetic to give the same bits, and its three dozen array calls
+    cost a batch of one several times the per-point closed form.
     """
-    out = []
+    amps = []
+    errors = []
     for e, xi, (delta1, delta2) in zip(drives, hop_strength, detuning):
         try:
-            amp1, amp2, a1, a2 = _closed_form_amps(cavity_decay, xi, e[0], e[1], delta1, delta2)
+            amp1, amp2, _, _ = _closed_form_amps(cavity_decay, xi, e[0], e[1], delta1, delta2)
+            errors.append(None)
         except DegenerateConfigurationError as exc:
-            out.append(exc)
-            continue
-        out.append(_assemble(mech_freq, xi, coupling, e, amp1, amp2, delta1, delta2, a1, a2))
-    return out
+            amp1 = amp2 = complex(math.nan, math.nan)
+            errors.append(exc)
+        amps += (amp1, amp2)
+    amp = np.array(amps, dtype=complex).reshape(len(errors), 2)
+    # |a_j| as abs() gives it, and G_j = sqrt(2) g_j |a_j| as effective_coupling
+    amp_abs = np.hypot(amp.real, amp.imag)
+    root2 = math.sqrt(2.0)
+    return WorkingPoints(
+        cavity_decay, mech_freq, coupling, drives, np.asarray(hop_strength, dtype=float),
+        np.asarray(detuning, dtype=float).reshape(len(errors), 2), amp, amp_abs,
+        amp_abs * np.array([root2 * coupling[0], root2 * coupling[1]]), errors,
+    )
 
 
 def solve_fixed_detuning(params: PhysicalParams, delta1: float, delta2: float) -> SteadyState:
     """Closed-form working point at given effective detunings (rad/s); see
     :func:`fixed_detuning_points`."""
-    (steady,) = fixed_detuning_points(
+    points = fixed_detuning_points(
         params.cavity_decay, params.mech_freq, tuple(derive_coupling(params, j) for j in (1, 2)),
         [drive_amps(params)], [params.hop_strength], [(delta1, delta2)],
     )
-    if isinstance(steady, HopcavError):
-        raise steady
-    return steady
+    if points.errors[0] is not None:
+        raise points.errors[0]
+    return points.steady(0)
 
 
 def solve_self_consistent(

@@ -1,5 +1,6 @@
 import math
 import os
+from dataclasses import replace
 import subprocess
 import sys
 from pathlib import Path
@@ -287,6 +288,40 @@ class TestBatchedPipeline:
         config = fig_preset("fig2a")
         _, checks = self.count_checks(monkeypatch, config)
         assert checks == sum(len(a.values) for a in config.axes) == 205
+
+    def test_effective_sweep_keeps_no_solver_parameters(self):
+        # only the bare-mode solver reads the checked parameters of an axis
+        # value, so an effective sweep neither keeps nor ships them
+        import pickle
+
+        fig6b = fig_preset("fig6b")
+        sweep = engine._Sweep(fig6b, [(a.name, a.values) for a in fig6b.axes])
+        assert sweep.bare == {}
+        bare_mode = replace(fig6b, params=replace(fig6b.params, detuning=Detuning(
+            "bare", fig6b.params.detuning.value)))
+        kept = engine._Sweep(bare_mode, [(a.name, a.values) for a in bare_mode.axes])
+        assert len(kept.bare) == 101
+        assert len(pickle.dumps(sweep)) < len(pickle.dumps(kept)) - 10_000
+
+    def test_effective_sweep_builds_no_per_point_objects(self, monkeypatch):
+        # the chunk stays columns up to the records: no working point and no
+        # point result per grid point; run_point still returns both
+        built = []
+        for cls in (engine.SteadyState, engine.PointResult):
+            init = cls.__init__
+
+            def counted(self, *args, _init=init, **kwargs):
+                built.append(type(self).__name__)
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        records = run_sweep(fig_preset("fig6b")).records
+        assert len(records) == 101 * 101 and any(r.stable for r in records)
+        assert built == []
+        result = run_point(fig_preset("fig6b"), {"delta": 1.0, "xi": 0.5})
+        assert sorted(built) == ["PointResult", "SteadyState"]
+        assert result.steady_states[0].amp[0] != 0.0
+        assert result.covariances[0] is not None and result.drifts[0] is not None
 
     def test_signed_zero_axis_values_keep_their_cells(self):
         cfg = base_config(axes=(AxisSpec("xi", (-0.0, 0.0, 0.5)),))

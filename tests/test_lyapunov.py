@@ -194,6 +194,28 @@ class TestStackedKernels:
             assert np.array_equal(w[k], sol.w)
             assert residual[k] == sol.residual_norm
 
+    def test_kronecker_fill_of_every_group(self, monkeypatch):
+        # 37 systems: two full groups and a short one, each filled into the
+        # same buffer, which must hold no entry of the group before
+        rng = np.random.default_rng(13)
+        count = 37
+        assert count % LYAPUNOV_GROUP
+        a = self.drifts(rng, count)
+        q = np.array([random_psd(rng) for _ in range(count)])
+        systems = []
+        solve = np.linalg.solve
+
+        def captured(m, b):
+            systems.extend(m.copy())
+            return solve(m, b)
+
+        monkeypatch.setattr(np.linalg, "solve", captured)
+        lyapunov_stack(a, q)
+        assert len(systems) == count
+        eye = np.eye(8)
+        for k in range(count):
+            assert np.array_equal(systems[k], np.kron(a[k], eye) + np.kron(eye, a[k]))
+
     def test_single_matrix_types(self):
         ok, absc = is_hurwitz(-np.eye(3))
         assert type(ok) is bool and type(absc) is float

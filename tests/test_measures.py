@@ -222,6 +222,37 @@ class TestSymplecticEigenvalues:
         )
 
 
+def per_row(measures):
+    """The columns of a ``pair_measures`` result as one tuple per covariance,
+    or its error."""
+    rows = list(zip(*measures.columns))
+    return [row if error is None else error for row, error in zip(rows, measures.errors)]
+
+
+def scalar_measures(w):
+    """The recorded measures of one 8x8 covariance in plain float arithmetic:
+    the determinant invariants per pair, theta^2 = (chi - sqrt(disc)) / 2, and
+    Z = S W1 S + S Wc + Wc^T S + W2 as matrix products."""
+    dets = []
+    for pair in BipartitePair:
+        m = extract_pair(w, pair)
+        blocks = np.stack((m[:2, :2], m[2:, 2:], m[:2, 2:]))
+        dets.append((np.linalg.det(blocks).tolist(), float(np.linalg.det(m))))
+    out_en, out_theta = [], []
+    for (d1, d2, dc), dw in dets:
+        chi = d1 + d2 - 2.0 * dc
+        disc = max(chi * chi - 4.0 * dw, 0.0)
+        theta = math.sqrt(0.5 * (chi - math.sqrt(disc)))
+        out_theta.append(theta)
+        out_en.append(max(0.0, -math.log(2.0 * theta)))
+    m = extract_pair(w, BipartitePair.F1F2)
+    s = np.diag([1.0, -1.0])
+    w1, wc, w2 = m[:2, :2], m[:2, 2:], m[2:, 2:]
+    z = s @ w1 @ s + s @ wc + wc.T @ s + w2
+    fidelity = 2.0 / math.sqrt(float(np.linalg.det(2.0 * np.eye(2) + z)))
+    return (*out_en, *out_theta, fidelity, 1.0 / (1.0 + math.exp(-out_en[3])))
+
+
 class TestStackedMeasures:
     """The stacked measures give, covariance by covariance, exactly what the
     single-pair functions give, and the error the first of them raises."""
@@ -255,21 +286,42 @@ class TestStackedMeasures:
         # two-mode squeezed vacuum in the F1F2 pair: entangled, E_N > 0
         w[0] = np.eye(8) * 0.5
         w[0][np.ix_([2, 3, 6, 7], [2, 3, 6, 7])] = tmsv_matrix(0.5)
-        got = pair_measures(w)
+        got = per_row(pair_measures(w))
         for k in range(len(w)):
             assert got[k] == self.single(w[k])
         assert got[0][3] > 0.0
 
+    def test_columns_equal_the_scalar_arithmetic(self):
+        # every entry, bit for bit: the columns' numpy arithmetic against one
+        # covariance's float arithmetic, on stationary covariances of the
+        # fig6b grid (mirror pairs correlated to chi ~ 1e10) and random ones
+        from hopcav.engine import run_point
+        from hopcav.presets import fig_preset
+
+        config = fig_preset("fig6b")
+        stationary = [run_point(config, {"delta": d, "xi": x}).covariances[0]
+                      for d in (0.6, 1.0, 1.4) for x in (0.0, 0.5)]
+        w = np.concatenate([np.array(stationary), self.covariances(np.random.default_rng(6), 31)])
+        got = per_row(pair_measures(w))
+        for k in range(len(w)):
+            want = scalar_measures(w[k])
+            assert got[k] == want
+            assert [math.copysign(1.0, x) for x in got[k]] == [math.copysign(1.0, x) for x in want]
+
     def test_errors_in_single_function_order(self):
-        w = self.covariances(np.random.default_rng(5), 3)
+        w = self.covariances(np.random.default_rng(5), 4)
         # F2M2 violates the uncertainty bound: log_negativity raises there
         w[1][np.ix_([4, 5, 6, 7], [4, 5, 6, 7])] = tmsv_matrix(0.5, m=5.0)
         # only the fidelity fails: a negative-definite F1F2 noise block
         w[2] = -np.eye(8)
-        got = pair_measures(w)
-        for k in (1, 2):
+        # the first failing pair comes first: M1M2 and F1F2 both fail here
+        w[3][np.ix_([0, 1, 4, 5], [0, 1, 4, 5])] = tmsv_matrix(0.5, m=5.0)
+        w[3][np.ix_([2, 3, 6, 7], [2, 3, 6, 7])] = tmsv_matrix(0.5, m=4.0)
+        got = per_row(pair_measures(w))
+        for k in (1, 2, 3):
             want = self.single(w[k])
             assert type(got[k]) is type(want) and str(got[k]) == str(want)
         assert isinstance(got[1], InvalidStateError)
         assert isinstance(got[2], ConventionError)
+        assert isinstance(got[3], InvalidStateError)
         assert not isinstance(got[0], HopcavError)

@@ -175,6 +175,21 @@ class TestStabilityMap:
         assert len(reports) == 101 * 101
         assert len(calls) <= 1 + len(set(axes["delta"])) + len(set(axes["xi"]))
 
+    @pytest.mark.parametrize("xi", [0.3, -0.0, -0.5, math.inf, math.nan])
+    def test_hopping_check_is_the_parameters_check(self, xi):
+        # the map checks xi as PhysicalParams checks its hop_strength field
+        from hopcav.params import checked_hop_strength
+
+        params = make_params()
+        try:
+            want = dataclasses.replace(params, hop_strength=xi * WM).hop_strength
+        except ConfigError as exc:
+            with pytest.raises(ConfigError) as info:
+                checked_hop_strength(xi * WM)
+            assert str(info.value) == str(exc)
+        else:
+            assert checked_hop_strength(xi * WM) == want
+
     def test_negative_hopping_is_rejected(self):
         with pytest.raises(ConfigError, match="hop_strength must be nonnegative"):
             stability_map(make_params(), [0.5, 1.0], [0.5, -0.5])

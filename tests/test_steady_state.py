@@ -33,6 +33,60 @@ def make_params(power=0.05, xi=0.0, mode="effective", delta=0.0, **overrides):
     return PhysicalParams(**base)
 
 
+class TestWorkingPointColumns:
+    """The batch's columns equal, entry for entry, the per-point closed form
+    and the working point it assembles."""
+
+    def batch(self, rng, count):
+        kappa = (TWO_PI * 14e6, TWO_PI * 9e6)
+        coupling = (310.0, 290.0)
+        drives = [tuple(rng.uniform(0.0, 3e11, 2)) for _ in range(count)]
+        hops = list(rng.uniform(0.0, 2.0, count) * WM)
+        detunings = [tuple(rng.uniform(-4.0, 4.0, 2) * WM) for _ in range(count)]
+        return kappa, coupling, drives, hops, detunings
+
+    def test_columns_equal_the_per_point_closed_form(self):
+        rng = np.random.default_rng(31)
+        kappa, coupling, drives, hops, detunings = self.batch(rng, 400)
+        points = steady_state.fixed_detuning_points(kappa, (WM, WM), coupling, drives, hops,
+                                                    detunings)
+        larger_imaginary = 0
+        for k, (e, xi, (d1, d2)) in enumerate(zip(drives, hops, detunings)):
+            amp1, amp2, a1, a2 = steady_state._closed_form_amps(kappa, xi, e[0], e[1], d1, d2)
+            denom = a1 * a2 + xi * xi
+            larger_imaginary += abs(denom.imag) > abs(denom.real)
+            want = steady_state._assemble((WM, WM), xi, coupling, e, amp1, amp2, d1, d2, a1, a2)
+            assert points.errors[k] is None
+            assert points.amp[k].tolist() == [amp1, amp2]
+            assert points.amp_abs[k].tolist() == [abs(amp1), abs(amp2)]
+            assert points.eff_coupling[k].tolist() == list(want.eff_coupling)
+            assert points.eff_detuning[k].tolist() == [d1, d2]
+            assert points.steady(k) == want
+        # both branches of the complex quotient are taken
+        assert 0 < larger_imaginary < len(drives)
+
+    def test_singular_denominator_keeps_its_error_in_place(self, monkeypatch):
+        # |alpha1 alpha2 + xi^2| >= kappa1 kappa2 for positive decay rates, so a
+        # threshold above 1 is needed to reach the singular branch
+        monkeypatch.setattr(steady_state, "DEGENERATE_RTOL", 2.0)
+        rng = np.random.default_rng(32)
+        kappa, coupling, drives, hops, detunings = self.batch(rng, 200)
+        points = steady_state.fixed_detuning_points(kappa, (WM, WM), coupling, drives, hops,
+                                                    detunings)
+        singular = 0
+        for k, (e, xi, (d1, d2)) in enumerate(zip(drives, hops, detunings)):
+            try:
+                amp1, amp2, _, _ = steady_state._closed_form_amps(kappa, xi, e[0], e[1], d1, d2)
+            except steady_state.DegenerateConfigurationError as exc:
+                singular += 1
+                assert type(points.errors[k]) is type(exc) and str(points.errors[k]) == str(exc)
+                assert np.isnan(points.amp_abs[k]).all()
+            else:
+                assert points.errors[k] is None
+                assert points.amp[k].tolist() == [amp1, amp2]
+        assert 0 < singular < len(drives)
+
+
 class TestFixedDetuning:
     def test_symmetric_closed_form_random(self):
         rng = np.random.default_rng(21)
