@@ -27,7 +27,6 @@ from .errors import (
     ConfigError,
     ConventionError,
     ConvergenceFailureError,
-    DegenerateConfigurationError,
     HopcavError,
     InvalidStateError,
     StabilityError,

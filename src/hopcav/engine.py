@@ -411,27 +411,18 @@ def _evaluate(sweep: _Sweep, points: list[tuple[int, ...]]) -> _Batch:
             ready.append((k, point))
 
     # the working points as columns, one row per branch
-    branches: list[tuple[int, _Point]] = []
     if p.detuning.mode == "effective":
         working = fixed_detuning_points(
             p.cavity_decay, p.mech_freq, sweep.coupling, [pt.drives for _, pt in ready],
             [pt.hop for _, pt in ready], [pt.lang for _, pt in ready],
         )
-        for (k, pt), error in zip(ready, working.errors):
-            if error is None:
-                branches.append((k, pt))
-            else:
-                outcomes[k] = ResultRecord(*pt.head, error=str(error))
-        kept = [i for i, error in enumerate(working.errors) if error is None]
-        columns = (working.amp_abs, working.eff_coupling, working.eff_detuning)
-        if len(kept) < len(ready):
-            columns = tuple(column[kept] for column in columns)
-        amp_abs, coupling, detuning = columns
+        branches = ready
+        amp_abs, coupling, detuning = working.amp_abs, working.eff_coupling, working.eff_detuning
         numbers = [0] * len(branches)
-
-        def steady(j: int) -> SteadyState:
-            return working.steady(kept[j])
+        symmetric = [pt.symmetric for _, pt in branches]
+        steady = working.steady
     else:
+        branches: list[tuple[int, _Point]] = []
         states: list[SteadyState] = []
         for k, pt in ready:
             try:
@@ -445,10 +436,13 @@ def _evaluate(sweep: _Sweep, points: list[tuple[int, ...]]) -> _Batch:
         coupling = np.array([st.eff_coupling for st in states]).reshape(-1, 2)
         detuning = np.array([st.eff_detuning for st in states]).reshape(-1, 2)
         numbers = [st.branch for st in states]
+        # a symmetry-broken branch of a symmetric point has no collective model
+        symmetric = [pt.symmetric and st.amp[0] == st.amp[1]
+                     for (_, pt), st in zip(branches, states)]
         steady = states.__getitem__
 
-    gate = gate_branches(p, coupling, detuning, [pt.hop for _, pt in branches],
-                         [pt.symmetric for _, pt in branches], config.detuning_sign)
+    gate = gate_branches(p, coupling, detuning, [pt.hop for _, pt in branches], symmetric,
+                         config.detuning_sign)
     errors = list(gate.errors)
     solve = []
     for j, ((_, pt), stable) in enumerate(zip(branches, gate.verdicts)):

@@ -9,10 +9,6 @@ class ConfigError(HopcavError):
     """Invalid configuration document or parameter values."""
 
 
-class DegenerateConfigurationError(HopcavError):
-    """The steady-state denominator is (numerically) singular."""
-
-
 class ConvergenceFailureError(HopcavError):
     """The self-consistent steady-state search found no converged branch."""
 

@@ -170,9 +170,6 @@ def _reports(params: PhysicalParams, points, detuning_sign: str) -> list[Stabili
         [drive_amps(params)] * len(points), hops,
         [(-delta * omega_m, -delta * omega_m) for delta, _, _ in points],
     )
-    for error in working.errors:
-        if error is not None:
-            raise error
     gate = gate_branches(params, working.eff_coupling, working.eff_detuning, working.hop_strength,
                          [True] * len(points), detuning_sign)
     for error in gate.errors:

@@ -134,11 +134,15 @@ class TestBranchPolicy:
         )
 
     def test_all_branches_emitted(self):
+        # at xi = 0 the two uncoupled cavities have 3 branches each: 9 fixed points
         res = run_point(self.bare_config("all"))
-        assert len(res.records) == 3
+        assert len(res.records) == 9
         amps = [r.amp1 for r in res.records]
         assert amps == sorted(amps)
-        assert [r.branch for r in res.records] == [0, 1, 2]
+        assert [r.branch for r in res.records] == list(range(9))
+        # the collective scalars belong to the branches with a_1 = a_2 only
+        for r in res.records:
+            assert (r.s1 is None) == (r.amp1 != r.amp2)
 
     def test_default_branch_is_lowest_stable(self):
         res_all = run_point(self.bare_config("all"))
@@ -240,7 +244,7 @@ class TestBatchedPipeline:
         )
         records = run_sweep(cfg).records
         assert records == tuple(self.per_point(cfg))
-        assert max(r.branch for r in records) == 2
+        assert max(r.branch for r in records) == 8
         # each point's branch rows are consecutive, numbered from 0
         rows = [(r.delta, r.power, r.branch) for r in records]
         for prev, row in zip(rows, rows[1:]):
@@ -464,13 +468,14 @@ class TestValidation:
 
 
 def test_import_loads_no_scipy():
-    # only the bare-mode solver imports SciPy
+    # neither mode needs SciPy: effective-mode and bare-mode points run without it
     code = (
         "import sys\n"
         "import hopcav\n"
         "from hopcav.engine import run_point\n"
         "from hopcav.presets import fig_preset\n"
         "assert run_point(fig_preset('fig6b'), {'delta': 1.0, 'xi': 0.5}).records[0].stable\n"
+        "assert run_point(fig_preset('fig2a'), {'delta': 1.0, 'power': 0.035}).records\n"
         "print('scipy' in sys.modules)\n"
     )
     src = str(Path(hopcav.__file__).resolve().parent.parent)

@@ -1,7 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize
 
 from hopcav import steady_state
@@ -56,7 +60,6 @@ class TestWorkingPointColumns:
             denom = a1 * a2 + xi * xi
             larger_imaginary += abs(denom.imag) > abs(denom.real)
             want = steady_state._assemble((WM, WM), xi, coupling, e, amp1, amp2, d1, d2, a1, a2)
-            assert points.errors[k] is None
             assert points.amp[k].tolist() == [amp1, amp2]
             assert points.amp_abs[k].tolist() == [abs(amp1), abs(amp2)]
             assert points.eff_coupling[k].tolist() == list(want.eff_coupling)
@@ -64,27 +67,6 @@ class TestWorkingPointColumns:
             assert points.steady(k) == want
         # both branches of the complex quotient are taken
         assert 0 < larger_imaginary < len(drives)
-
-    def test_singular_denominator_keeps_its_error_in_place(self, monkeypatch):
-        # |alpha1 alpha2 + xi^2| >= kappa1 kappa2 for positive decay rates, so a
-        # threshold above 1 is needed to reach the singular branch
-        monkeypatch.setattr(steady_state, "DEGENERATE_RTOL", 2.0)
-        rng = np.random.default_rng(32)
-        kappa, coupling, drives, hops, detunings = self.batch(rng, 200)
-        points = steady_state.fixed_detuning_points(kappa, (WM, WM), coupling, drives, hops,
-                                                    detunings)
-        singular = 0
-        for k, (e, xi, (d1, d2)) in enumerate(zip(drives, hops, detunings)):
-            try:
-                amp1, amp2, _, _ = steady_state._closed_form_amps(kappa, xi, e[0], e[1], d1, d2)
-            except steady_state.DegenerateConfigurationError as exc:
-                singular += 1
-                assert type(points.errors[k]) is type(exc) and str(points.errors[k]) == str(exc)
-                assert np.isnan(points.amp_abs[k]).all()
-            else:
-                assert points.errors[k] is None
-                assert points.amp[k].tolist() == [amp1, amp2]
-        assert 0 < singular < len(drives)
 
 
 class TestFixedDetuning:
@@ -229,18 +211,21 @@ class TestSelfConsistent:
 
     def test_bistable_window_matches_scalar_scan(self):
         # 100 mW drive folds the response around bare detunings of 3.5-4.3
-        # mechanical frequencies
+        # mechanical frequencies; at xi = 0 the cavities are two uncoupled
+        # copies, so 3 branches each make 9 fixed points
         p = make_params(power=0.1)
         counts = []
         for delta0 in np.linspace(3.5 * WM, 4.3 * WM, 9):
             branches = solve_self_consistent(p, float(delta0), float(delta0))
             oracle = scalar_branch_oracle(p, float(delta0))
-            assert len(branches) == len(oracle), f"delta0={delta0/WM}"
-            for ss, u in zip(branches, oracle):
+            assert len(branches) == len(oracle) ** 2, f"delta0={delta0/WM}"
+            equal = [ss for ss in branches if ss.amp[0] == ss.amp[1]]
+            assert len(equal) == len(oracle)
+            for ss, u in zip(equal, oracle):
                 assert abs(ss.amp[0]) ** 2 == pytest.approx(u, rel=1e-6)
             counts.append(len(branches))
-        assert 3 in counts
-        assert set(counts) <= {1, 3}
+        assert 9 in counts
+        assert set(counts) <= {1, 9}
 
     def test_branch_residuals_and_consistency(self):
         p = make_params(power=0.05)
@@ -266,57 +251,228 @@ class TestSelfConsistent:
             assert ss.residual < 1e-10
 
 
-class RootCalled(Exception):
-    pass
-
-
 class TestRoutes:
-    """Symmetric inputs take only the scalar photon-number route; every other
-    input takes only the seeded iteration with its root refinement."""
+    """Symmetric inputs take only the scalar route (the cubic and the
+    quartic); every other input takes only the resultant."""
 
     @pytest.fixture
     def routes(self, monkeypatch):
-        amps_calls = []
-        closed_form = steady_state._closed_form_amps
-
-        def counted(*args):
-            amps_calls.append(args)
-            return closed_form(*args)
-
-        def refuse(*args, **kwargs):
-            raise RootCalled
-
-        monkeypatch.setattr(steady_state, "_closed_form_amps", counted)
-        monkeypatch.setattr(optimize, "root", refuse)
-        return amps_calls
+        calls = []
+        for name in ("_symmetric_candidates", "_general_candidates"):
+            def counted(*args, _name=name, _route=getattr(steady_state, name)):
+                calls.append(_name)
+                return _route(*args)
+            monkeypatch.setattr(steady_state, name, counted)
+        return calls
 
     def test_symmetric_inputs_use_the_scalar_route(self, routes):
-        # 100 mW is bistable across this window
         p = make_params(power=0.1)
         for delta0 in np.linspace(3.5 * WM, 4.3 * WM, 9):
             routes.clear()
-            branches = solve_self_consistent(p, float(delta0), float(delta0))
-            oracle = scalar_branch_oracle(p, float(delta0))
-            assert len(branches) == len(oracle) == 3, f"delta0={delta0/WM}"
-            for ss, u in zip(branches, oracle):
-                assert abs(ss.amp[0]) ** 2 == pytest.approx(u, rel=1e-6)
-            # one closed-form evaluation per scalar root, no damped iteration
-            assert len(routes) == len(oracle)
+            solve_self_consistent(p, float(delta0), float(delta0))
+            assert routes == ["_symmetric_candidates"]
 
-    def test_asymmetric_input_uses_the_seeded_route(self, routes):
+    def test_asymmetric_input_uses_the_resultant(self, routes):
         p = make_params(power=(0.02, 0.05), xi=0.3 * WM)
-        with pytest.raises(RootCalled):
-            solve_self_consistent(p, 0.6 * WM, 0.9 * WM)
+        solve_self_consistent(p, 0.6 * WM, 0.9 * WM)
+        assert routes == ["_general_candidates"]
 
     def test_no_near_duplicate_branch_near_a_pitchfork(self):
         # symmetry-breaking branches split off within 1% of the middle
-        # branch here; a seeded refinement used to stop 2e-8 off that branch
-        # with a residual under the tolerance and add it as a fourth branch
+        # branch here; a refinement that stops 2e-8 off that branch with a
+        # residual under the tolerance must not add a further branch
         p = make_params(power=0.22173034565638772, xi=0.7702247659467343 * WM)
         delta0 = 5.5283269487508475 * WM
         branches = solve_self_consistent(p, delta0, delta0)
+        assert len(branches) == 7
+        equal = [ss for ss in branches if ss.amp[0] == ss.amp[1]]
         oracle = scalar_branch_oracle(p, delta0)
-        assert len(branches) == len(oracle) == 3
-        for ss, u in zip(branches, oracle):
-            assert ss.amp[0] == ss.amp[1]
+        assert len(equal) == len(oracle) == 3
+        for ss, u in zip(equal, oracle):
             assert abs(ss.amp[0]) ** 2 == pytest.approx(u, rel=1e-6)
+        assert_distinct_sorted(branches)
+
+
+def assert_distinct_sorted(branches):
+    """Branches numbered in order, sorted by |a_1|, each a fixed point, and
+    pairwise apart by more than the dedup threshold."""
+    assert [ss.branch for ss in branches] == list(range(len(branches)))
+    amps = [abs(ss.amp[0]) for ss in branches]
+    assert amps == sorted(amps)
+    for ss in branches:
+        assert ss.residual < steady_state.RESIDUAL_TOL
+    for i, a in enumerate(branches):
+        for b in branches[:i]:
+            scale = max(1.0, abs(a.amp[0]), abs(a.amp[1]))
+            assert max(abs(a.amp[0] - b.amp[0]), abs(a.amp[1] - b.amp[1])) >= (
+                steady_state.DUPLICATE_TOL * scale)
+
+
+def resultant_fixed_points(p, delta01, delta02, digits=50):
+    """Every fixed point as (|a_1|^2, |a_2|^2), independently of the solver:
+    the two photon-number equations u_j |alpha_1 alpha_2 + xi^2|^2 =
+    |alpha_k E_j + i xi E_k|^2 in exact rational arithmetic, their resultant
+    in u_2 with roots u_1 at ``digits`` digits, and at each real u_1 >= 0 every
+    real root u_2 >= 0 of the second equation that solves the first."""
+    u1, u2 = sp.symbols("u1 u2")
+    rat = sp.Rational
+    e = [rat(v) for v in drive_amps(p)]
+    kap = [rat(v) for v in p.cavity_decay]
+    b = [rat(derive_coupling(p, j)) ** 2 / rat(p.mech_freq[j - 1]) for j in (1, 2)]
+    xi = rat(p.hop_strength)
+    d1, d2 = rat(delta01) - b[0] * u1, rat(delta02) - b[1] * u2
+    den = (kap[0] * kap[1] - d1 * d2 + xi ** 2) ** 2 + (kap[0] * d2 + kap[1] * d1) ** 2
+    f1 = sp.Poly(u1 * den - (kap[1] * e[0]) ** 2 - (d2 * e[0] + xi * e[1]) ** 2, u2, u1)
+    f2 = sp.Poly(u2 * den - (kap[0] * e[1]) ** 2 - (d1 * e[1] + xi * e[0]) ** 2, u2, u1)
+    coeffs = sp.Poly(sp.resultant(f1, f2, u2), u1).all_coeffs()
+
+    def real_nonnegative(roots):
+        return [r.real for r in roots if abs(r.imag) <= 1e-30 * abs(r) and r.real >= 0]
+
+    points = []
+    with mpmath.workdps(digits):
+        def mp(c):
+            return mpmath.mpf(c.p) / c.q
+
+        # roots of the resultant in units of (E / kappa)^2
+        unit = mpmath.mpf(max(drive_amps(p)) / min(p.cavity_decay)) ** 2
+        n = len(coeffs) - 1
+        scaled = [mp(c) * unit ** (n - i) for i, c in enumerate(coeffs)]
+        for r1 in real_nonnegative([unit * r for r in mpmath.polyroots(
+                scaled, maxsteps=200, extraprec=digits)]):
+            cubic = [sum(mp(c) * r1 ** m[1] for m, c in f2.terms() if m[0] == k)
+                     for k in range(3, -1, -1)]
+            for r2 in real_nonnegative(mpmath.polyroots(cubic, maxsteps=200, extraprec=digits)):
+                terms = [mp(c) * r2 ** m[0] * r1 ** m[1] for m, c in f1.terms()]
+                if abs(sum(terms)) < 1e-30 * sum(abs(t) for t in terms):
+                    points.append((float(r1), float(r2)))
+    return sorted(points)
+
+
+def cavity_count(p, j, delta0, g=None):
+    """Exact count of the fixed points of cavity ``j`` alone (xi = 0): the
+    real roots of u (kappa^2 + (delta0 - b u)^2) = E^2, by Sturm sequences."""
+    u = sp.symbols("u")
+    rat = sp.Rational
+    g = derive_coupling(p, j) if g is None else g
+    b = rat(g) ** 2 / rat(p.mech_freq[j - 1])
+    cubic = u * (rat(p.cavity_decay[j - 1]) ** 2 + (rat(delta0) - b * u) ** 2)
+    return sp.Poly(cubic - rat(drive_amps(p)[j - 1]) ** 2, u).count_roots(0)
+
+
+def photon_numbers(branches):
+    return sorted((abs(ss.amp[0]) ** 2, abs(ss.amp[1]) ** 2) for ss in branches)
+
+
+def assert_match_oracle(branches, oracle):
+    assert len(branches) == len(oracle)
+    for got, want in zip(photon_numbers(branches), oracle):
+        assert got == pytest.approx(want, rel=1e-9)
+
+
+class TestCompleteness:
+    """Every fixed point, counted and located independently."""
+
+    @pytest.mark.parametrize("power, xi, deltas, count", [
+        # the two examples of README's solver paragraph
+        ((0.1, 0.12), 0.2, (3.9, 4.0), 7),
+        (0.3, 0.5, (6.0, 6.0), 9),
+    ])
+    def test_readme_examples(self, power, xi, deltas, count):
+        p = make_params(power=power, xi=xi * WM)
+        branches = solve_self_consistent(p, deltas[0] * WM, deltas[1] * WM)
+        oracle = resultant_fixed_points(p, deltas[0] * WM, deltas[1] * WM)
+        assert len(oracle) == count
+        assert_match_oracle(branches, oracle)
+        assert_distinct_sorted(branches)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_inputs_match_the_resultant(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        power = rng.uniform(0.05, 0.4)
+        xi = rng.uniform(0.05, 1.2) * WM
+        delta1 = rng.uniform(2.0, 8.0) * WM
+        if seed % 2:
+            p = make_params(power=(power, power * rng.uniform(0.6, 1.4)), xi=xi)
+            delta2 = delta1 + rng.uniform(-0.8, 0.8) * WM
+        else:
+            p = make_params(power=power, xi=xi)
+            delta2 = delta1
+        branches = solve_self_consistent(p, delta1, delta2)
+        assert_match_oracle(branches, resultant_fixed_points(p, delta1, delta2))
+        assert_distinct_sorted(branches)
+
+    def test_uncoupled_cavities_multiply_their_counts(self):
+        # at xi = 0 each cavity is its own bistable system
+        p = make_params(power=(0.1, 0.12))
+        counts = set()
+        for d1, d2 in [(3.5, 3.5), (3.9, 4.0), (4.3, 3.7), (3.7, 4.3), (4.1, 4.1)]:
+            branches = solve_self_consistent(p, d1 * WM, d2 * WM)
+            want = cavity_count(p, 1, d1 * WM) * cavity_count(p, 2, d2 * WM)
+            assert len(branches) == want, (d1, d2)
+            assert_distinct_sorted(branches)
+            counts.add(want)
+        assert {9, 3} <= counts
+
+    @pytest.mark.parametrize("undriven", [1, 2])
+    def test_undriven_cavity_stays_empty(self, undriven):
+        # the undriven cavity has u = 0 exactly, on the edge of U >= 0
+        power = [0.1, 0.1]
+        power[undriven - 1] = 0.0
+        p = make_params(power=tuple(power))
+        driven = 3 - undriven
+        delta0 = 3.9 * WM
+        branches = solve_self_consistent(p, delta0, delta0)
+        assert len(branches) == cavity_count(p, driven, delta0) == 3
+        for ss in branches:
+            assert ss.amp[undriven - 1] == 0
+            assert ss.eff_detuning[undriven - 1] == delta0
+        assert_distinct_sorted(branches)
+
+    def test_linear_limit(self):
+        p = make_params(power=(0.1, 0.05), xi=0.4 * WM)
+        d1, d2 = 3.9 * WM, 3.1 * WM
+        (ss,) = solve_self_consistent(p, d1, d2, coupling=(0.0, 0.0))
+        fixed = solve_fixed_detuning(p, d1, d2)
+        assert ss.amp == fixed.amp
+        assert ss.eff_detuning == (d1, d2)
+
+    @pytest.mark.parametrize("moving", [1, 2])
+    def test_one_linear_cavity(self, moving):
+        # with g = 0 in one cavity only the other's count is left
+        p = make_params(power=0.1)
+        g = [0.0, 0.0]
+        g[moving - 1] = derive_coupling(p, moving)
+        delta0 = 3.9 * WM
+        branches = solve_self_consistent(p, delta0, delta0, coupling=tuple(g))
+        assert len(branches) == cavity_count(p, moving, delta0) == 3
+        assert_distinct_sorted(branches)
+
+    @pytest.mark.parametrize("xi", [5e-324, 1e-200, 1e-9])
+    def test_resonant_linear_cavity_feeding_an_undriven_one(self, xi):
+        # cavity 1 (g = 0, on resonance) meets the bound
+        # kappa_1 u_1 + kappa_2 u_2 <= |E| sqrt(u_1 + u_2) when cavity 2 holds
+        # almost no photons; with cavity 1 linear, cavity 2's equation alone
+        # gives u_2, where the resultant in u_2 vanishes as xi -> 0
+        p = make_params(power=(1.0, 0.0), xi=xi * WM)
+        coupling = (0.0, derive_coupling(p, 2))
+        (ss,) = solve_self_consistent(p, 0.0, 0.0, coupling=coupling)
+        fixed = solve_fixed_detuning(p, 0.0, ss.eff_detuning[1])
+        assert ss.amp[0] == pytest.approx(fixed.amp[0], rel=1e-12)
+        assert ss.amp[1] == pytest.approx(fixed.amp[1], rel=1e-12)
+        assert abs(ss.amp[0]) ** 2 == pytest.approx((drive_amps(p)[0] / p.cavity_decay[0]) ** 2,
+                                                    rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(power=st.floats(0.001, 0.4), ratio=st.floats(0.2, 2.0),
+           xi=st.floats(0.0, 1.5), delta1=st.floats(-2.0, 9.0), offset=st.floats(-1.5, 1.5),
+           symmetric=st.booleans())
+    def test_branches_are_distinct_sorted_fixed_points(self, power, ratio, xi, delta1, offset,
+                                                        symmetric):
+        if symmetric:
+            p = make_params(power=power, xi=xi * WM)
+            delta2 = delta1
+        else:
+            p = make_params(power=(power, power * ratio), xi=xi * WM)
+            delta2 = delta1 + offset
+        assert_distinct_sorted(solve_self_consistent(p, delta1 * WM, delta2 * WM))
