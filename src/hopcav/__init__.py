@@ -10,6 +10,7 @@ from .dynamics import (
     build_diffusion,
     build_drift,
     build_reduced,
+    collective_drifts,
     figure_drift,
 )
 from .engine import (

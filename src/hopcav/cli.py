@@ -95,7 +95,10 @@ def _cmd_point(args) -> int:
               f"P = {rec.power * 1e3:.6g} mW, nbar = {nbar:.6g}, "
               f"N = {rec.photon_number:.6g}, M = {rec.correlation:.6g}")
         print(f"|amp| = ({rec.amp1:.6g}, {rec.amp2:.6g}), G/omega_m = {rec.coupling_ratio:.6g}")
-        print(f"stable = {rec.stable}, s1 = {rec.s1:.6g}, s2 = {rec.s2:.6g}")
+        # the stability scalars exist only for the a_1 = a_2 branches of
+        # identical cavities and drives
+        s1, s2 = ("n/a" if s is None else f"{s:.6g}" for s in (rec.s1, rec.s2))
+        print(f"stable = {rec.stable}, s1 = {s1}, s2 = {s2}")
         if rec.stable:
             print(f"E_N: f1m1 = {rec.en_f1m1:.6g}, f2m2 = {rec.en_f2m2:.6g}, "
                   f"m1m2 = {rec.en_m1m2:.6g}, f1f2 = {rec.en_f1f2:.6g}")

@@ -1,5 +1,5 @@
 """Linearized fluctuation dynamics: the 8x8 drift and diffusion matrices and
-the 4x4 collective-mode reduction.
+the 4x4 collective-mode drift, a block of the 8x8 drift.
 
 Quadrature ordering (fixed everywhere):
 
@@ -67,15 +67,6 @@ def _drift_signs(s: float) -> np.ndarray:
     return np.array([1.0, 1.0, s, -s, 1.0, 1.0, s, -s, -1.0, 1.0, -1.0, 1.0])
 
 
-def _fill(template: np.ndarray, entries: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Copies of ``template``, one per row of ``values``, with that row stored
-    at the flat indices ``entries``."""
-    count, n = len(values), len(template)
-    stack = template[None].repeat(count, axis=0)
-    stack.reshape(count, n * n)[:, entries] = values
-    return stack
-
-
 def drift_stack(mech_freq, mech_damping, cavity_decay, coupling, detuning,
                 hop_strength, detuning_sign: str = "positive") -> np.ndarray:
     """Assemble P drift matrices, shape (P, 8, 8).
@@ -96,7 +87,10 @@ def drift_stack(mech_freq, mech_damping, cavity_decay, coupling, detuning,
     columns[:, 2:4] = detuning
     columns[:, 4] = hop_strength
     template = _drift_template(tuple(mech_freq), tuple(mech_damping), tuple(cavity_decay))
-    return _fill(template, _DRIFT_ENTRIES, columns.take(_DRIFT_SOURCES, axis=1) * signs)
+    count = len(columns)
+    stack = template[None].repeat(count, axis=0)
+    stack.reshape(count, 64)[:, _DRIFT_ENTRIES] = columns.take(_DRIFT_SOURCES, axis=1) * signs
+    return stack
 
 
 def build_drift(params: PhysicalParams, steady: SteadyState,
@@ -149,66 +143,39 @@ def build_diffusion(params: PhysicalParams, bath: SqueezedBath, nbar: float) -> 
     return q
 
 
+def collective_drifts(drifts: np.ndarray, detuning_sign: str) -> np.ndarray:
+    """The collective-mode drifts A11 - s A12, shape (P, 4, 4) in the ordering
+    (Q, P, X, Y), of a (P, 8, 8) stack of drifts of identical cavities at equal
+    couplings and detunings delta; s = +1 (-1) in the positive (negative) sign
+    convention.
+
+    Under u -> ((u1 + u2)/sqrt2, (u1 - u2)/sqrt2) such a drift splits into the
+    blocks A11 + A12 and A11 - A12.  The one returned carries the modified
+    detuning delta + xi: the (u1 - u2) sector under the positive sign, the
+    (u1 + u2) sector under the negative one.
+    """
+    return drifts[:, :4, :4] - _sign(detuning_sign) * drifts[:, :4, 4:]
+
+
 @dataclass(frozen=True)
 class ReducedModel:
     """Collective single-cavity model with effective detuning delta + xi."""
 
     drift: np.ndarray       # 4x4, ordering (Q, P, X, Y)
-    diffusion: np.ndarray   # 4x4
     eff_detuning: float     # rad/s
 
 
-# the collective drift's point-dependent entries: g, g, s dp, -s dp
-_REDUCED_ENTRIES = np.ravel_multi_index(np.array([(1, 2), (3, 0), (2, 3), (3, 2)]).T, (4, 4))
-
-
-@functools.lru_cache(maxsize=16)
-def _reduced_template(omega_m: float, gamma_m: float, kappa: float) -> np.ndarray:
-    """The collective drift's entries that do not depend on the point (read-only)."""
-    a = np.zeros((4, 4))
-    a[0, 1] = omega_m
-    a[1, 0] = -omega_m
-    a[1, 1] = -gamma_m
-    a[2, 2] = a[3, 3] = -kappa
-    a.flags.writeable = False
-    return a
-
-
-def reduced_drift_stack(omega_m: float, gamma_m: float, kappa: float, coupling,
-                        eff_detuning, detuning_sign: str = "positive") -> np.ndarray:
-    """Collective-mode drifts, shape (P, 4, 4) in the ordering (Q, P, X, Y),
-    for P couplings and P modified detunings delta + xi."""
-    s = _sign(detuning_sign)
-    values = np.empty((len(eff_detuning), 4))
-    values[:, 0] = values[:, 1] = coupling
-    np.multiply.outer(eff_detuning, (s, -s), out=values[:, 2:])
-    return _fill(_reduced_template(omega_m, gamma_m, kappa), _REDUCED_ENTRIES, values)
-
-
 def build_reduced(params: PhysicalParams, coupling: float, delta: float,
-                  bath: SqueezedBath | None = None, nbar: float = 0.0,
                   detuning_sign: str = "positive") -> ReducedModel:
-    """Collective-mode model of two identical cavities.
-
-    The collective quadratures obey single-cavity dynamics with the modified
-    detuning delta' = delta + hop_strength; its spectrum is a 4-eigenvalue
-    subset of the full drift's.  Asymmetric parameters are rejected.
+    """Collective-mode model of two identical cavities: the collective block
+    (:func:`collective_drifts`) of the full drift at couplings (G, G) and
+    detunings (delta, delta), a single-cavity drift at the modified detuning
+    delta + hop_strength.  Asymmetric parameters are rejected.
     """
     if not params.is_symmetric:
         raise ConfigError("the reduced collective model requires identical cavities")
-    gamma_m = params.mech_damping[0]
-    kappa = params.cavity_decay[0]
-    dp = delta + params.hop_strength
-    drift = reduced_drift_stack(params.mech_freq[0], gamma_m, kappa, [coupling], [dp],
-                                detuning_sign)[0]
-    if bath is None:
-        bath = SqueezedBath.vacuum()
-    n = bath.photon_number
-    m = bath.correlation
-    diffusion = np.diag([
-        0.0,
-        2.0 * gamma_m * (2.0 * nbar + 1.0),
-        2.0 * kappa * (2.0 * n + 1.0 + 2.0 * m),
-        2.0 * kappa * (2.0 * n + 1.0 - 2.0 * m),
-    ])
-    return ReducedModel(drift=drift, diffusion=diffusion, eff_detuning=dp)
+    drifts = drift_stack(params.mech_freq, params.mech_damping, params.cavity_decay,
+                         [(coupling, coupling)], [(delta, delta)], [params.hop_strength],
+                         detuning_sign)
+    return ReducedModel(drift=collective_drifts(drifts, detuning_sign)[0],
+                        eff_detuning=delta + params.hop_strength)

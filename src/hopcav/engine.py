@@ -52,7 +52,7 @@ import numpy as np
 from .dynamics import DETUNING_SIGNS, build_diffusion
 from .errors import ConfigError, HopcavError
 from .lyapunov import CHUNK_POINTS, RESIDUAL_GATE, lyapunov_stack
-from .measures import pair_measures
+from .measures import MEASURES, pair_measures
 from .params import Detuning, PhysicalParams, derive_coupling, drive_amps, thermal_occupation
 from .squeezed import SqueezedBath
 from .stability import Gate, gate_branches
@@ -212,13 +212,6 @@ class ResultRecord:
     error: str = ""
 
 
-MEASURE_FIELDS = (
-    "en_f1m1", "en_f2m2", "en_m1m2", "en_f1f2",
-    "theta_f1m1", "theta_f2m2", "theta_m1m2", "theta_f1f2",
-    "fidelity", "fidelity_bound",
-)
-
-
 @dataclass(frozen=True)
 class PointResult:
     """Records for every emitted branch of one grid point.
@@ -368,7 +361,7 @@ class _Sweep:
 
 
 # measure cells and Lyapunov residual of a row without a covariance
-_UNMEASURED = (None,) * (len(MEASURE_FIELDS) + 1)
+_UNMEASURED = (None,) * (len(MEASURES) + 1)
 
 
 class _Batch(NamedTuple):

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import drift_stack, reduced_drift_stack
+from .dynamics import collective_drifts, drift_stack
 from .errors import ConfigError, HopcavError
 from .lyapunov import CHUNK_POINTS, hurwitz_gate
 from .params import PhysicalParams, checked_hop_strength, derive_coupling, drive_amps
@@ -161,8 +161,8 @@ def _checked_hops(params: PhysicalParams, xi_values) -> list[float]:
 
 def _reports(params: PhysicalParams, points, detuning_sign: str) -> list[StabilityReport]:
     """Working points of a batch of (delta, xi, checked hopping strength)
-    points, the shared gate of the full drifts, then the Hurwitz gate of the
-    stacked collective (4x4) drifts."""
+    points, the shared gate of the full drifts, then the Hurwitz gate of
+    their collective (4x4) blocks."""
     omega_m = params.mech_freq[0]
     hops = [h for _, _, h in points]
     working = fixed_detuning_points(
@@ -175,10 +175,7 @@ def _reports(params: PhysicalParams, points, detuning_sign: str) -> list[Stabili
     for error in gate.errors:
         if error is not None:
             raise error
-    reduced = reduced_drift_stack(
-        omega_m, params.mech_damping[0], params.cavity_decay[0], working.eff_coupling[:, 0],
-        working.hop_strength - working.eff_detuning[:, 0], detuning_sign,
-    )
+    reduced = collective_drifts(gate.drifts, detuning_sign)
     return [
         StabilityReport(delta, xi, s1, s2, red, ful, agree=(s1 > 0.0 and s2 > 0.0) == red)
         for (delta, xi, _), s1, s2, red, ful

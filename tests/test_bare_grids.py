@@ -3,7 +3,6 @@ reference tables (``perfbench/reference/``), every row, with the benchmark's
 own comparator (``perfbench/check.py``); both files are only read."""
 
 import gzip
-import importlib.util
 from pathlib import Path
 
 import pytest
@@ -11,18 +10,11 @@ import pytest
 from hopcav.config import parse_config
 from hopcav.engine import csv_text, run_sweep
 
+# the benchmark's modules, from perfbench/ on the test path (pyproject.toml)
+import check
+import inputs
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-
-def _load(name):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-check = _load("check")
-inputs = _load("inputs")
 
 
 @pytest.mark.parametrize("name", ["fig2a", "fig2b"])

@@ -248,6 +248,19 @@ class TestCli:
         assert payload["record"]["stable"] is True
         assert payload["quadrature_order"][0] == "q1"
 
+    def test_point_text_without_stability_scalars(self, tmp_path, capsys):
+        # unequal drives: the collective scalars s1, s2 do not exist
+        doc = doc_with()
+        doc["cavity"]["drive_power"] = [{"value": 50.0, "unit": "mW"},
+                                        {"value": 40.0, "unit": "mW"}]
+        path = write_doc(tmp_path, doc)
+        assert main(["point", "--config", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "s1 = n/a, s2 = n/a" in out
+        assert main(["point", "--config", str(path), "--json"]) == 0
+        record = json.loads(capsys.readouterr().out)["record"]
+        assert record["s1"] is None and record["s2"] is None
+
     def test_point_solves_once(self, tmp_path, capsys, monkeypatch):
         # the command reuses the working point, matrices and covariance of
         # its run_point result

@@ -10,6 +10,7 @@ from hopcav.dynamics import (
     build_diffusion,
     build_drift,
     build_reduced,
+    collective_drifts,
     drift_stack,
     figure_drift,
 )
@@ -202,18 +203,54 @@ class TestReducedModel:
             want.pop(j)
         assert not want
 
-    def test_reduced_diffusion_definition(self):
-        p = make_params(xi=0.2 * WM)
-        bath = SqueezedBath.ideal(0.05)
-        red = build_reduced(p, 1e7, WM, bath=bath, nbar=10.0)
-        gm = p.mech_damping[0]
-        kap = p.cavity_decay[0]
-        n, m = bath.photon_number, bath.correlation
-        np.testing.assert_allclose(
-            red.diffusion,
-            np.diag([0.0, 2 * gm * 21.0, 2 * kap * (2 * n + 1 + 2 * m),
-                     2 * kap * (2 * n + 1 - 2 * m)]),
-        )
+    @staticmethod
+    def random_symmetric_stack(rng, detuning_sign, count=200):
+        """Drifts of identical cavities at equal random couplings and
+        detunings; delta = 0 and delta = xi are among them."""
+        wm, gm, kap = rng.uniform(0.1, 10.0, 3) * WM
+        coupling = rng.uniform(0.0, 3.0, count) * WM
+        delta = rng.uniform(-3.0, 3.0, count) * WM
+        xi = rng.uniform(-2.0, 2.0, count) * WM
+        delta[0] = 0.0
+        delta[1] = xi[1]
+        drifts = drift_stack((wm, wm), (gm, gm), (kap, kap), np.stack([coupling] * 2, axis=1),
+                             np.stack([delta] * 2, axis=1), xi, detuning_sign)
+        return drifts, (wm, gm, kap), coupling, delta, xi
+
+    @pytest.mark.parametrize("detuning_sign", ["positive", "negative"])
+    def test_collective_drifts_are_the_explicit_model(self, detuning_sign):
+        # the single-cavity drift at modified detuning delta + xi, (Q, P, X, Y)
+        s = 1.0 if detuning_sign == "positive" else -1.0
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            drifts, (wm, gm, kap), coupling, delta, xi = self.random_symmetric_stack(
+                rng, detuning_sign)
+            expected = np.zeros((len(xi), 4, 4))
+            expected[:, 0, 1] = wm
+            expected[:, 1, 0] = -wm
+            expected[:, 1, 1] = -gm
+            expected[:, 2, 2] = expected[:, 3, 3] = -kap
+            expected[:, 1, 2] = expected[:, 3, 0] = coupling
+            expected[:, 2, 3] = s * (delta + xi)
+            expected[:, 3, 2] = -s * (delta + xi)
+            assert np.all(collective_drifts(drifts, detuning_sign) == expected)
+
+    @pytest.mark.parametrize("detuning_sign, sector", [("positive", 1), ("negative", 0)])
+    def test_collective_drifts_are_a_sector_of_the_rotation(self, detuning_sign, sector):
+        # u -> ((u1 + u2)/sqrt2, (u1 - u2)/sqrt2) block-diagonalises the full
+        # drift; the delta + xi block is the (u1 - u2) sector under the
+        # positive sign and the (u1 + u2) sector under the negative one
+        eye = np.eye(4)
+        t = np.block([[eye, eye], [eye, -eye]]) / math.sqrt(2.0)
+        drifts, *_ = self.random_symmetric_stack(np.random.default_rng(11), detuning_sign)
+        rotated = t @ drifts @ t.T
+        scale = np.abs(drifts).max()
+        rows = slice(4 * sector, 4 * sector + 4)
+        np.testing.assert_allclose(rotated[:, rows, rows],
+                                   collective_drifts(drifts, detuning_sign),
+                                   rtol=0.0, atol=1e-15 * scale)
+        np.testing.assert_allclose(rotated[:, :4, 4:], 0.0, rtol=0.0, atol=1e-15 * scale)
+        np.testing.assert_allclose(rotated[:, 4:, :4], 0.0, rtol=0.0, atol=1e-15 * scale)
 
     def test_asymmetric_rejected(self):
         p = make_params(cavity_decay=(TWO_PI * 14e6, TWO_PI * 7e6))
