@@ -95,8 +95,8 @@ def _cmd_point(args) -> int:
               f"P = {rec.power * 1e3:.6g} mW, nbar = {nbar:.6g}, "
               f"N = {rec.photon_number:.6g}, M = {rec.correlation:.6g}")
         print(f"|amp| = ({rec.amp1:.6g}, {rec.amp2:.6g}), G/omega_m = {rec.coupling_ratio:.6g}")
-        # the stability scalars exist only for the a_1 = a_2 branches of
-        # identical cavities and drives
+        # the stability scalars exist only where the drift has a collective
+        # model (see stability.gate_branches)
         s1, s2 = ("n/a" if s is None else f"{s:.6g}" for s in (rec.s1, rec.s2))
         print(f"stable = {rec.stable}, s1 = {s1}, s2 = {s2}")
         if rec.stable:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, UnphysicalBathError
 from .params import PhysicalParams
-from .squeezed import SqueezedBath, ideal_correlation
+from .squeezed import SqueezedBath
 from .steady_state import SteadyState
 
 QUADRATURE_LABELS = ("q1", "p1", "x1", "y1", "q2", "p2", "x2", "y2")
@@ -129,8 +129,6 @@ def build_diffusion(params: PhysicalParams, bath: SqueezedBath, nbar: float) -> 
         raise UnphysicalBathError(f"thermal occupation must be nonnegative, got {nbar}")
     n = bath.photon_number
     m = bath.correlation
-    if m > ideal_correlation(n) * (1.0 + 1e-12) + 1e-300:
-        raise UnphysicalBathError("bath correlation exceeds the quantum bound")
     k1, k2 = params.cavity_decay
     kgeo = np.sqrt(k1 * k2)
     q = np.zeros((8, 8))

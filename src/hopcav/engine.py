@@ -249,7 +249,6 @@ class _Point(NamedTuple):
     hop: float           # rad/s
     powers: tuple        # W
     drives: tuple        # drive amplitudes |E_j|
-    symmetric: bool      # identical cavities and drives
     diffusion: np.ndarray | HopcavError
 
 
@@ -283,7 +282,7 @@ class _Sweep:
         if name == "xi":
             return params.hop_strength / self.omega_m, params.hop_strength
         if name == "power":
-            return params.drive_power, drive_amps(params), params.is_symmetric
+            return params.drive_power, drive_amps(params)
         return thermal_occupation(self.omega_m, params.bath_temperature)
 
     def _entry(self, name: str, value: float):
@@ -343,9 +342,9 @@ class _Sweep:
 
         delta, lang = found["delta"]
         xi, hop = found["xi"]
-        powers, drives, symmetric = found["power"]
+        powers, drives = found["power"]
         head = (delta, xi, powers[0], nbar, bath.photon_number, bath.correlation)
-        return _Point(head, lang, hop, powers, drives, symmetric, self._diffusion(bath, nbar))
+        return _Point(head, lang, hop, powers, drives, self._diffusion(bath, nbar))
 
     def axis_values(self, index: tuple[int, ...]) -> dict[str, float]:
         """The axis values of the grid point at ``index``."""
@@ -412,7 +411,6 @@ def _evaluate(sweep: _Sweep, points: list[tuple[int, ...]]) -> _Batch:
         branches = ready
         amp_abs, coupling, detuning = working.amp_abs, working.eff_coupling, working.eff_detuning
         numbers = [0] * len(branches)
-        symmetric = [pt.symmetric for _, pt in branches]
         steady = working.steady
     else:
         branches: list[tuple[int, _Point]] = []
@@ -429,12 +427,9 @@ def _evaluate(sweep: _Sweep, points: list[tuple[int, ...]]) -> _Batch:
         coupling = np.array([st.eff_coupling for st in states]).reshape(-1, 2)
         detuning = np.array([st.eff_detuning for st in states]).reshape(-1, 2)
         numbers = [st.branch for st in states]
-        # a symmetry-broken branch of a symmetric point has no collective model
-        symmetric = [pt.symmetric and st.amp[0] == st.amp[1]
-                     for (_, pt), st in zip(branches, states)]
         steady = states.__getitem__
 
-    gate = gate_branches(p, coupling, detuning, [pt.hop for _, pt in branches], symmetric,
+    gate = gate_branches(p, coupling, detuning, [pt.hop for _, pt in branches],
                          config.detuning_sign)
     errors = list(gate.errors)
     solve = []

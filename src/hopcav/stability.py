@@ -10,9 +10,11 @@ Routh-Hurwitz conditions are
          + gamma_m [ (gamma_m + 2 kappa)(kappa^2 + d'^2) + 2 kappa omega_m^2 ] }
          + d' omega_m G^2 (gamma_m + 2 kappa)^2
 
-with d' the modified detuning delta + xi.  (s1 > 0 and s2 > 0) is exactly
-equivalent to the collective drift (positive sign convention) being Hurwitz;
-a violation of s1 signals bistability, a violation of s2 self-oscillation.
+with d' = s (delta + xi), the modified detuning times s = +1 (-1) in the
+positive (negative) sign convention.  (s1 > 0 and s2 > 0) is exactly
+equivalent to the collective drift being Hurwitz; a violation of s1 signals
+bistability, a violation of s2 self-oscillation.  Only exchange-symmetric
+drifts (equal rates, couplings and detunings) have this model.
 """
 
 from __future__ import annotations
@@ -75,21 +77,22 @@ class Gate(NamedTuple):
 
     drifts: np.ndarray   # (B, 8, 8) figure-convention drifts
     verdicts: list       # Hurwitz verdicts (False where the gate failed)
-    s1: list             # stability scalars of the symmetric branches, else None
+    s1: list             # stability scalars where the drift has a collective model, else None
     s2: list
     errors: list         # None, or the error that the gate raised for the branch
 
 
-def gate_branches(params: PhysicalParams, coupling, detuning, hops, symmetric,
-                  detuning_sign: str) -> Gate:
+def gate_branches(params: PhysicalParams, coupling, detuning, hops, detuning_sign: str) -> Gate:
     """The stability gate of a batch of branches: the figure-convention 8x8
-    drifts, their Hurwitz verdicts, the scalars (s1, s2) of the symmetric
-    branches and the errors.
+    drifts, their Hurwitz verdicts, the scalars (s1, s2) of the branches with
+    a collective model and the errors.
 
     ``params`` gives the cavities' rates; the columns ``coupling`` (G_j) and
-    ``detuning`` (Langevin convention, rad/s), shape (B, 2), ``hops`` (rad/s)
-    and ``symmetric`` hold one working point, hopping strength and symmetry
-    flag per branch.  When the stacked gate raises, the branches are redone
+    ``detuning`` (Langevin convention, rad/s), shape (B, 2), and ``hops``
+    (rad/s) hold one working point and hopping strength per branch.  A branch
+    has a collective model exactly when its drift is exchange-symmetric: equal
+    mechanical frequencies, dampings and decay rates, G_1 == G_2 and
+    Delta_1 == Delta_2.  When the stacked gate raises, the branches are redone
     one by one, so that only a failing branch carries its error (with a false
     verdict and no scalars).
     """
@@ -105,17 +108,20 @@ def gate_branches(params: PhysicalParams, coupling, detuning, hops, symmetric,
         if len(hops) == 1:
             return Gate(drifts, [False], [None], [None], [exc])
         parts = [gate_branches(params, coupling[j:j + 1], detuning[j:j + 1], hops[j:j + 1],
-                               symmetric[j:j + 1], detuning_sign) for j in range(len(hops))]
+                               detuning_sign) for j in range(len(hops))]
         return Gate(drifts, *([x for part in parts for x in part[i]] for i in range(1, 5)))
-    omega_m, gamma_m, kappa = params.mech_freq[0], params.mech_damping[0], params.cavity_decay[0]
-    # the figure-convention modified detuning delta + xi, also valid in bare
-    # mode where the shift has been absorbed
-    s1, s2 = routh_hurwitz_reduced(omega_m, gamma_m, kappa, coupling[:, 0],
-                                   hops - detuning[:, 0])
+    # delta + xi in the figure convention (bare mode too, shift absorbed); the
+    # negative sign's collective block (collective_drifts) is the model at -(delta + xi)
+    modified = hops - detuning[:, 0] if detuning_sign == "positive" else detuning[:, 0] - hops
+    s1, s2 = routh_hurwitz_reduced(params.mech_freq[0], params.mech_damping[0],
+                                   params.cavity_decay[0], coupling[:, 0], modified)
     s1, s2 = s1.tolist(), s2.tolist()
-    if not all(symmetric):
-        s1 = [s if sym else None for s, sym in zip(s1, symmetric)]
-        s2 = [s if sym else None for s, sym in zip(s2, symmetric)]
+    # exchange-symmetric: the cavities' diagonal blocks are equal (the hopping
+    # blocks always are)
+    collective = (drifts[:, :4, :4] == drifts[:, 4:, 4:]).reshape(-1, 16).all(1).tolist()
+    if not all(collective):
+        s1 = [s if c else None for s, c in zip(s1, collective)]
+        s2 = [s if c else None for s, c in zip(s2, collective)]
     return Gate(drifts, verdicts, s1, s2, [None] * len(hops))
 
 
@@ -171,7 +177,7 @@ def _reports(params: PhysicalParams, points, detuning_sign: str) -> list[Stabili
         [(-delta * omega_m, -delta * omega_m) for delta, _, _ in points],
     )
     gate = gate_branches(params, working.eff_coupling, working.eff_detuning, working.hop_strength,
-                         [True] * len(points), detuning_sign)
+                         detuning_sign)
     for error in gate.errors:
         if error is not None:
             raise error

@@ -6,9 +6,12 @@ compared with one ``diff``:
 The outputs: the CSV of every figure preset from ``hopcav fig`` with 1 and
 with 2 workers, the fig5 ``hopcav stability`` CSV (the benchmark's fig5
 document, ``perfbench/inputs.py`` at its default seed) in both detuning sign
-conventions, and ``hopcav point --json`` for ``configs/point.json`` and for the benchmark's 16 point
-documents.  Each line reads ``<sha256>  <output>``; a command that exits
-non-zero prints its exit code in place of the digest.
+conventions, the ``hopcav sweep`` CSV of the benchmark's fig6b document in
+the negative sign convention on 1 worker, and ``hopcav point --json`` for
+``configs/point.json``, for the benchmark's 16 point documents and for
+``configs/point.json`` at xi = 0.5 omega_m with unequal detunings
+(1.0, 1.3) omega_m.  Each line reads ``<sha256>  <output>``; a command that
+exits non-zero prints its exit code in place of the digest.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import contextlib
 import hashlib
 import importlib.util
 import io
+import json
 import tempfile
 from pathlib import Path
 
@@ -55,13 +59,24 @@ def digests(work: Path) -> list[tuple[str, str]]:
 
     docs = dict(inputs.grid_configs("stability", inputs.DEFAULT_SEED))
     docs["fig5-negative"] = dict(docs["fig5"], detuning_sign="negative")
+    docs["fig6b-negative"] = dict(inputs.grid_configs("surface", inputs.DEFAULT_SEED)["fig6b"],
+                                  detuning_sign="negative")
     docs.update((f"point{k:02d}", d)
                 for k, d in enumerate(inputs.point_configs(inputs.DEFAULT_SEED)))
+    unequal = json.loads(POINT_CONFIG.read_text(encoding="utf-8"))
+    unequal["cavity"]["hop_strength"] = {"value": 0.5, "unit": "omega_m"}
+    unequal["detuning"]["value"] = [{"value": d, "unit": "omega_m"} for d in (1.0, 1.3)]
+    docs["unequal-detunings"] = unequal
     paths = inputs.write_configs(docs, work / "inputs")
     for name, label in (("fig5", "fig5 stability"), ("fig5-negative", "fig5 stability (negative sign)")):
         stability_csv = work / f"{name}-stability.csv"
         code, _ = _cli(["stability", "--config", str(paths.pop(name)), "--out", str(stability_csv)])
         out.append((label, _digest(code, stability_csv.read_bytes() if code == 0 else b"")))
+    sweep_csv = work / "fig6b-negative.csv"
+    code, _ = _cli(["sweep", "--config", str(paths.pop("fig6b-negative")), "--out", str(sweep_csv),
+                    "--workers", "1"])
+    out.append(("fig6b sweep (negative sign)",
+                _digest(code, sweep_csv.read_bytes() if code == 0 else b"")))
 
     for label, path in [("configs/point.json", POINT_CONFIG), *paths.items()]:
         code, text = _cli(["point", "--config", str(path), "--json"])

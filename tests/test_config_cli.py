@@ -261,6 +261,19 @@ class TestCli:
         record = json.loads(capsys.readouterr().out)["record"]
         assert record["s1"] is None and record["s2"] is None
 
+    @pytest.mark.parametrize("detunings", [(1.0, 1.3), (1.0, 1.0)])
+    def test_point_text_scalars_need_equal_detunings(self, tmp_path, capsys, detunings):
+        # identical cavities: only equal detunings give a collective model
+        doc = doc_with()
+        doc["detuning"]["value"] = [{"value": d, "unit": "omega_m"} for d in detunings]
+        assert main(["point", "--config", str(write_doc(tmp_path, doc))]) == 0
+        (line,) = [x for x in capsys.readouterr().out.splitlines() if x.startswith("stable = ")]
+        s1, s2 = (cell.split(" = ")[1] for cell in line.split(", ")[1:])
+        if detunings[0] == detunings[1]:
+            assert float(s1) and float(s2)
+        else:
+            assert (s1, s2) == ("n/a", "n/a")
+
     def test_point_solves_once(self, tmp_path, capsys, monkeypatch):
         # the command reuses the working point, matrices and covariance of
         # its run_point result

@@ -3,15 +3,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hopcav.dynamics import build_reduced, figure_drift
-from hopcav.engine import AxisSpec, csv_text, run_point, run_sweep
+from hopcav.dynamics import DETUNING_SIGNS, build_reduced, figure_drift
+from hopcav.engine import AxisSpec, SweepConfig, csv_text, run_point, run_sweep
 from hopcav.errors import ConfigError, HopcavError
 from hopcav.lyapunov import is_hurwitz
 from hopcav.params import Detuning, PhysicalParams
 from hopcav.presets import fig_preset
 from hopcav.stability import (
     StabilityReport,
+    gate_branches,
     routh_hurwitz_reduced,
     stability_map,
     stability_point,
@@ -233,3 +236,76 @@ class TestSharedGate:
         with pytest.raises(HopcavError) as info:
             stability_map(params, [0.5, 1.0], [0.0, 0.5])
         assert str(info.value) == rec.error
+
+
+class TestCollectiveRule:
+    """The gate gives (s1, s2) exactly to the branches whose drift is
+    exchange-symmetric, at the modified detuning of the sector it gates."""
+
+    @pytest.mark.parametrize("detuning_sign", DETUNING_SIGNS)
+    def test_scalars_exactly_on_exchange_symmetric_branches(self, detuning_sign):
+        rng = np.random.default_rng(5)
+        count = 12
+        coupling = np.repeat(rng.uniform(0.1, 2.0, (count, 1)) * WM, 2, axis=1)
+        detuning = np.repeat(rng.uniform(-2.0, 2.0, (count, 1)) * WM, 2, axis=1)
+        hops = rng.uniform(0.0, 2.0, count) * WM
+        coupling[1::4, 1] = np.nextafter(coupling[1::4, 1], np.inf)   # G_1 != G_2
+        detuning[2::4, 1] += 0.3 * WM                                  # Delta_1 != Delta_2
+        broken = [j % 4 in (1, 2) for j in range(count)]
+        p = make_params()
+        gm, kap = p.mech_damping[0], p.cavity_decay[0]
+        sign = 1.0 if detuning_sign == "positive" else -1.0
+        scalars = [tuple(float(s) for s in routh_hurwitz_reduced(
+            WM, gm, kap, coupling[j, 0], sign * (hops[j] - detuning[j, 0]))) for j in range(count)]
+        cases = [
+            (p, True),
+            # lengths, masses and drive powers do not enter the drift
+            (dataclasses.replace(p, cavity_length=(1e-3, 2e-3), mirror_mass=(5e-12, 7e-12),
+                                 drive_power=(0.05, 0.04)), True),
+            (dataclasses.replace(p, mech_freq=(WM, 1.1 * WM)), False),
+            (dataclasses.replace(p, mech_damping=(gm, 2.0 * gm)), False),
+            (dataclasses.replace(p, cavity_decay=(kap, 0.5 * kap)), False),
+        ]
+        for params, equal_rates in cases:
+            gate = gate_branches(params, coupling, detuning, hops, detuning_sign)
+            want = [pair if equal_rates and not off else (None, None)
+                    for pair, off in zip(scalars, broken)]
+            assert list(zip(gate.s1, gate.s2)) == want
+
+    @pytest.mark.parametrize("detunings, scalars", [((1.0, 1.3), False), ((1.0, 1.0), True)])
+    def test_point_scalars_need_equal_detunings(self, detunings, scalars):
+        detuning = Detuning("effective", tuple(d * WM for d in detunings))
+        params = dataclasses.replace(make_params(xi=0.5 * WM), detuning=detuning)
+        (rec,) = run_point(SweepConfig(params)).records
+        assert rec.stable
+        if scalars:
+            assert type(rec.s1) is float and type(rec.s2) is float
+        else:
+            assert rec.s1 is None and rec.s2 is None
+
+    def test_negative_sign_map_gates_the_mirrored_detuning(self):
+        # under the negative sign the collective block is the model at
+        # -(delta + xi): every point agrees, with the scalars taken there
+        p = make_params(power=0.075)
+        deltas = np.linspace(-1.5, 2.0, 15)
+        xis = np.linspace(0.0, 1.5, 7)
+        reports = stability_map(p, deltas, xis, "negative")
+        assert all(r.agree for r in reports)
+        for r in reports:
+            q = dataclasses.replace(p, hop_strength=r.xi * WM)
+            d = r.delta * WM
+            coupling = solve_fixed_detuning(q, -d, -d).eff_coupling[0]
+            s1, s2 = routh_hurwitz_reduced(WM, q.mech_damping[0], q.cavity_decay[0], coupling,
+                                           -(d + q.hop_strength))
+            assert (r.s1, r.s2) == (s1, s2)
+        assert any(r.hurwitz_reduced for r in reports)
+        assert not all(r.hurwitz_reduced for r in reports)
+
+    @settings(max_examples=200, deadline=None)
+    @given(delta=st.floats(-0.5, 2.5), xi=st.floats(0.0, 2.5), power=st.floats(0.010, 0.080),
+           detuning_sign=st.sampled_from(DETUNING_SIGNS))
+    def test_conditions_match_the_eigenvalues(self, delta, xi, power, detuning_sign):
+        report = stability_point(make_params(power=power), delta, xi, detuning_sign)
+        assert report.agree
+        if report.hurwitz_full:
+            assert report.s1 > 0.0 and report.s2 > 0.0
