@@ -164,8 +164,10 @@ def _cmd_stability(args) -> int:
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
         for line in _header(config):
             fh.write(f"# {line}\n")
+        # s1/s2 are taken at s (delta + xi), s = -1 under the negative sign
+        modified = "delta + xi" if config.detuning_sign == "positive" else "-(delta + xi)"
         fh.write("# axes quote the detuning positive on the cooling side; the "
-                 "collective conditions use the modified detuning delta + xi\n")
+                 f"collective conditions use the modified detuning {modified}\n")
         fh.write(f"# both-conditions region: {both} of {len(reports)} points; "
                  f"sign/eigenvalue disagreements: {disagreements}\n")
         fh.write(",".join(STABILITY_COLUMNS) + "\n")

@@ -1,5 +1,6 @@
 """Linearized fluctuation dynamics: the 8x8 drift and diffusion matrices and
-the 4x4 collective-mode drift, a block of the 8x8 drift.
+the 4x4 exchange blocks of an exchange-symmetric drift, the collective-mode
+drift among them.
 
 Quadrature ordering (fixed everywhere):
 
@@ -150,9 +151,22 @@ def collective_drifts(drifts: np.ndarray, detuning_sign: str) -> np.ndarray:
     Under u -> ((u1 + u2)/sqrt2, (u1 - u2)/sqrt2) such a drift splits into the
     blocks A11 + A12 and A11 - A12.  The one returned carries the modified
     detuning delta + xi: the (u1 - u2) sector under the positive sign, the
-    (u1 + u2) sector under the negative one.
+    (u1 + u2) sector under the negative one.  It is the first half of
+    :func:`exchange_blocks`.
     """
-    return drifts[:, :4, :4] - _sign(detuning_sign) * drifts[:, :4, 4:]
+    return exchange_blocks(drifts, detuning_sign)[:len(drifts)]
+
+
+def exchange_blocks(drifts: np.ndarray, detuning_sign: str) -> np.ndarray:
+    """Both exchange blocks of a (P, 8, 8) stack of drifts of identical
+    cavities at equal couplings and detunings, as one (2P, 4, 4) stack: the
+    collective drifts A11 - s A12 (:func:`collective_drifts`), then the
+    blocks A11 + s A12, the same model at modified detuning delta - xi.  Each
+    drift is orthogonally similar to the direct sum of its two blocks, so its
+    spectrum is the union of theirs.
+    """
+    diagonal, hopping = drifts[:, :4, :4], _sign(detuning_sign) * drifts[:, :4, 4:]
+    return np.concatenate([diagonal - hopping, diagonal + hopping])
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,11 @@ A W + W A^T = -Q, solved directly through the Kronecker-sum linear system.
 The kernels work on stacks of matrices, shape (P, n, n), with one LAPACK call
 per stack (or per group of Kronecker systems): a stacked call returns, matrix
 by matrix, exactly what the call on that one matrix returns.  ``is_hurwitz``
-and ``solve_lyapunov`` are their single-matrix cases.
+and ``solve_lyapunov`` are their single-matrix cases.  Every Hurwitz verdict
+takes its eigenvalues from :func:`spectral_abscissae` and its bound from
+:func:`hurwitz_margins`: :func:`hurwitz_gate` on the matrices themselves,
+the stability gate (:func:`hopcav.stability.gate_branches`) on the 4x4
+exchange blocks of the drifts that have them.
 """
 
 from __future__ import annotations
@@ -42,20 +46,33 @@ def _frobenius_norms(m: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(flat, flat))
 
 
-def hurwitz_gate(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hurwitz verdicts and spectral abscissae of a stack of square matrices.
-
-    A matrix passes when its spectral abscissa is below minus
-    ``ABSCISSA_RTOL`` times its Frobenius norm.
-    """
-    a = np.asarray(a, dtype=float)
-    _check_stack(a)
+def spectral_abscissae(a: np.ndarray) -> np.ndarray:
+    """The spectral abscissa (largest real part of an eigenvalue) of each
+    matrix of a stack, from one stacked eigenvalue call; raises
+    :class:`HopcavError` when the solver fails."""
     try:
         ev = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise HopcavError(f"eigenvalue solver failed: {exc}") from exc
-    absc = ev.real.max(axis=-1)
-    return absc < -ABSCISSA_RTOL * _frobenius_norms(a), absc
+    return ev.real.max(axis=-1)
+
+
+def hurwitz_margins(a: np.ndarray) -> np.ndarray:
+    """The bound each matrix of a stack must keep its spectral abscissa below
+    to pass the Hurwitz gate: minus ``ABSCISSA_RTOL`` times its Frobenius norm."""
+    return -ABSCISSA_RTOL * _frobenius_norms(a)
+
+
+def hurwitz_gate(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hurwitz verdicts and spectral abscissae of a stack of square matrices.
+
+    A matrix passes when its spectral abscissa is below its margin
+    (:func:`hurwitz_margins`).
+    """
+    a = np.asarray(a, dtype=float)
+    _check_stack(a)
+    absc = spectral_abscissae(a)
+    return absc < hurwitz_margins(a), absc
 
 
 def lyapunov_stack(a: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -15,6 +15,12 @@ positive (negative) sign convention.  (s1 > 0 and s2 > 0) is exactly
 equivalent to the collective drift being Hurwitz; a violation of s1 signals
 bistability, a violation of s2 self-oscillation.  Only exchange-symmetric
 drifts (equal rates, couplings and detunings) have this model.
+
+Such a drift is orthogonally similar to the direct sum of its collective
+block and the same model at delta - xi (Vitali et al., PRL 98, 030405
+(2007)), so the gate takes its Hurwitz verdict from the eigenvalues of those
+two 4x4 blocks, and the collective model's verdict from the same call; only
+the other drifts take an 8x8 eigenvalue problem.
 """
 
 from __future__ import annotations
@@ -24,9 +30,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import collective_drifts, drift_stack
+from .dynamics import drift_stack, exchange_blocks
 from .errors import ConfigError, HopcavError
-from .lyapunov import CHUNK_POINTS, hurwitz_gate
+from .lyapunov import CHUNK_POINTS, hurwitz_margins, spectral_abscissae
 from .params import PhysicalParams, checked_hop_strength, derive_coupling, drive_amps
 from .steady_state import fixed_detuning_points
 
@@ -77,6 +83,8 @@ class Gate(NamedTuple):
 
     drifts: np.ndarray   # (B, 8, 8) figure-convention drifts
     verdicts: list       # Hurwitz verdicts (False where the gate failed)
+    collective: list     # where the drift has a collective model, the Hurwitz verdict of its
+                         # collective block (hurwitz_gate of collective_drifts), else None
     s1: list             # stability scalars where the drift has a collective model, else None
     s2: list
     errors: list         # None, or the error that the gate raised for the branch
@@ -84,17 +92,19 @@ class Gate(NamedTuple):
 
 def gate_branches(params: PhysicalParams, coupling, detuning, hops, detuning_sign: str) -> Gate:
     """The stability gate of a batch of branches: the figure-convention 8x8
-    drifts, their Hurwitz verdicts, the scalars (s1, s2) of the branches with
-    a collective model and the errors.
+    drifts, their Hurwitz verdicts, the verdicts and scalars (s1, s2) of the
+    collective model of the branches that have one, and the errors.
 
     ``params`` gives the cavities' rates; the columns ``coupling`` (G_j) and
     ``detuning`` (Langevin convention, rad/s), shape (B, 2), and ``hops``
     (rad/s) hold one working point and hopping strength per branch.  A branch
     has a collective model exactly when its drift is exchange-symmetric: equal
     mechanical frequencies, dampings and decay rates, G_1 == G_2 and
-    Delta_1 == Delta_2.  When the stacked gate raises, the branches are redone
-    one by one, so that only a failing branch carries its error (with a false
-    verdict and no scalars).
+    Delta_1 == Delta_2.  Such a drift is gated on its two 4x4 exchange blocks
+    (see :func:`_hurwitz`), any other on its 8x8 eigenvalues.  When the
+    stacked gate raises, the branches are redone one by one, so that only a
+    failing branch carries its error (with a false verdict, and no collective
+    verdict or scalars).
     """
     hops = np.asarray(hops, dtype=float)
     drifts = drift_stack(
@@ -102,27 +112,56 @@ def gate_branches(params: PhysicalParams, coupling, detuning, hops, detuning_sig
         # the figure convention: negated Langevin detunings (see figure_drift)
         -detuning, hops, detuning_sign,
     )
+    # exchange-symmetric: the cavities' diagonal blocks are equal (the hopping
+    # blocks always are)
+    collective = (drifts[:, :4, :4] == drifts[:, 4:, 4:]).reshape(-1, 16).all(1)
     try:
-        verdicts = hurwitz_gate(drifts)[0].tolist()
+        verdicts, reduced = _hurwitz(drifts, collective, detuning_sign)
     except HopcavError as exc:
         if len(hops) == 1:
-            return Gate(drifts, [False], [None], [None], [exc])
+            return Gate(drifts, [False], [None], [None], [None], [exc])
         parts = [gate_branches(params, coupling[j:j + 1], detuning[j:j + 1], hops[j:j + 1],
                                detuning_sign) for j in range(len(hops))]
-        return Gate(drifts, *([x for part in parts for x in part[i]] for i in range(1, 5)))
+        return Gate(drifts, *([x for part in parts for x in part[i]] for i in range(1, 6)))
     # delta + xi in the figure convention (bare mode too, shift absorbed); the
     # negative sign's collective block (collective_drifts) is the model at -(delta + xi)
     modified = hops - detuning[:, 0] if detuning_sign == "positive" else detuning[:, 0] - hops
     s1, s2 = routh_hurwitz_reduced(params.mech_freq[0], params.mech_damping[0],
                                    params.cavity_decay[0], coupling[:, 0], modified)
     s1, s2 = s1.tolist(), s2.tolist()
-    # exchange-symmetric: the cavities' diagonal blocks are equal (the hopping
-    # blocks always are)
-    collective = (drifts[:, :4, :4] == drifts[:, 4:, 4:]).reshape(-1, 16).all(1).tolist()
-    if not all(collective):
-        s1 = [s if c else None for s, c in zip(s1, collective)]
-        s2 = [s if c else None for s, c in zip(s2, collective)]
-    return Gate(drifts, verdicts, s1, s2, [None] * len(hops))
+    if reduced.count(None):
+        s1 = [None if r is None else s for s, r in zip(s1, reduced)]
+        s2 = [None if r is None else s for s, r in zip(s2, reduced)]
+    return Gate(drifts, verdicts, reduced, s1, s2, [None] * len(hops))
+
+
+def _hurwitz(drifts: np.ndarray, collective: np.ndarray, detuning_sign: str) -> tuple[list, list]:
+    """The Hurwitz verdicts of a stack of 8x8 drifts, and those of the
+    collective blocks of the rows marked ``collective`` (None on the others).
+
+    An exchange-symmetric drift is orthogonally similar to the direct sum of
+    its two exchange blocks (:func:`hopcav.dynamics.exchange_blocks`), so its
+    spectral abscissa is the larger of theirs: the marked rows take the
+    eigenvalues of both 4x4 blocks, in one stacked call, and only the others
+    those of the 8x8 drift.  Each drift's verdict has the 8x8 drift's margin
+    and each collective verdict its block's own, as :func:`hurwitz_gate`
+    gives them.
+    """
+    every = collective.all()
+    symmetric = drifts if every else drifts[collective]
+    count = len(symmetric)
+    blocks = exchange_blocks(symmetric, detuning_sign)
+    pairs = spectral_abscissae(blocks).reshape(2, count)
+    reduced = (pairs[0] < hurwitz_margins(blocks[:count])).tolist()
+    if every:
+        absc = pairs.max(axis=0)
+    else:
+        absc = np.empty(len(drifts))
+        absc[collective] = pairs.max(axis=0)
+        absc[~collective] = spectral_abscissae(drifts[~collective])
+        marked = iter(reduced)
+        reduced = [next(marked) if c else None for c in collective.tolist()]
+    return (absc < hurwitz_margins(drifts)).tolist(), reduced
 
 
 def stability_point(params: PhysicalParams, delta: float, xi: float,
@@ -167,8 +206,7 @@ def _checked_hops(params: PhysicalParams, xi_values) -> list[float]:
 
 def _reports(params: PhysicalParams, points, detuning_sign: str) -> list[StabilityReport]:
     """Working points of a batch of (delta, xi, checked hopping strength)
-    points, the shared gate of the full drifts, then the Hurwitz gate of
-    their collective (4x4) blocks."""
+    points and their reports, all read off the shared gate."""
     omega_m = params.mech_freq[0]
     hops = [h for _, _, h in points]
     working = fixed_detuning_points(
@@ -181,9 +219,8 @@ def _reports(params: PhysicalParams, points, detuning_sign: str) -> list[Stabili
     for error in gate.errors:
         if error is not None:
             raise error
-    reduced = collective_drifts(gate.drifts, detuning_sign)
     return [
         StabilityReport(delta, xi, s1, s2, red, ful, agree=(s1 > 0.0 and s2 > 0.0) == red)
         for (delta, xi, _), s1, s2, red, ful
-        in zip(points, gate.s1, gate.s2, hurwitz_gate(reduced)[0].tolist(), gate.verdicts)
+        in zip(points, gate.s1, gate.s2, gate.collective, gate.verdicts)
     ]

@@ -18,7 +18,10 @@ drives take the roots of a cubic (the branches with a_1 = a_2) and of a
 quartic in u_1 + u_2 (the symmetry-broken pairs); any other input takes the
 roots u_1 of the hidden-variable resultant in u_2 (Cox, Little and O'Shea,
 *Ideals, Varieties, and Algorithms*, ch. 3), eigenvalues of a 15x15 block
-companion matrix.  Newton's method polishes every candidate.
+companion matrix, each paired with every real root u_2 of the second
+polynomial there.  A pair whose relative residual in either polynomial
+exceeds ROOT_RTOL is no common root and is dropped.  Newton's method polishes
+every candidate.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ RESIDUAL_TOL = 1e-10      # relative to the drive amplitude
 DUPLICATE_TOL = 1e-8      # branch dedup threshold on |delta a|
 REAL_TOL = 1e-6           # a root whose |imaginary part| is below this times 1 + |root| is real
 NEWTON_STEPS, NEWTON_RTOL = 50, 1e-12   # at most, per candidate; the last step's relative size
+ROOT_RTOL = 1e-4          # a resultant candidate's photon-number residuals before the polish
 SHIFT = -1.0              # the resultant's expansion point, away from the roots U_1 >= 0
 # companion matrices of the cubic (with a fourth eigenvalue, -1) and quartic of identical inputs
 _COMPANIONS = np.tile(np.eye(4, k=-1), (2, 1, 1))
@@ -200,8 +204,24 @@ def _general_candidates(k, c, b, e, x: float, cap: float) -> list[tuple]:
     coef = np.polynomial.polynomial.polyval(u1 - SHIFT, f2)
     comp = np.tile(np.eye(3, k=-1), (len(u1), 1, 1))
     comp[:, 0] = -(coef[2::-1] / coef[3]).T
-    return [(a, u2) for a, roots in zip(u1.tolist(), np.linalg.eigvals(comp).tolist())
-            for u2 in _real(roots, cap)]
+    pairs = [(a, u2) for a, roots in zip(u1.tolist(), np.linalg.eigvals(comp).tolist())
+             for u2 in _real(roots, cap)]
+    if not b[0]:   # U_1 = 0 stands in for the root that the polish finds
+        return pairs
+    # each real U_1 meets every real U_2 of its cubic, and a pair that is no common
+    # root would cost the polish all its NEWTON_STEPS
+    return [(a, u2) for a, u2 in pairs if _near_root(k, c, b, e, x, a, u2)]
+
+
+def _near_root(k, c, b, e, x: float, u1: float, u2: float) -> bool:
+    """Whether (U_1, U_2) solves both U_j D = N_j to ROOT_RTOL, relative to
+    (1 + |U_j|) D + N_j; the 1, as in REAL_TOL's 1 + |root|, passes an undriven
+    cavity, whose root U_j = 0 comes with rounding."""
+    alpha1, alpha2 = complex(k[0], c[0] - b[0] * u1), complex(k[1], c[1] - b[1] * u2)
+    den = abs(alpha1 * alpha2 + x * x) ** 2
+    numbers = abs(alpha2 * e[0] + 1j * x * e[1]) ** 2, abs(alpha1 * e[1] + 1j * x * e[0]) ** 2
+    return all(abs(u * den - n) <= ROOT_RTOL * ((1.0 + abs(u)) * den + n)
+               for u, n in zip((u1, u2), numbers))
 
 
 def _resultant_roots(f1, f2, cap: float):

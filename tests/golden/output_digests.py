@@ -7,10 +7,12 @@ The outputs: the CSV of every figure preset from ``hopcav fig`` with 1 and
 with 2 workers, the fig5 ``hopcav stability`` CSV (the benchmark's fig5
 document, ``perfbench/inputs.py`` at its default seed) in both detuning sign
 conventions, the ``hopcav sweep`` CSV of the benchmark's fig6b document in
-the negative sign convention on 1 worker, and ``hopcav point --json`` for
-``configs/point.json``, for the benchmark's 16 point documents and for
-``configs/point.json`` at xi = 0.5 omega_m with unequal detunings
-(1.0, 1.3) omega_m.  Each line reads ``<sha256>  <output>``; a command that
+the negative sign convention on 1 worker, the benchmark's fig6b sweep (on 1
+worker) and fig5 map at seed 3 (``inputs.grid_configs(..., 3)``: every axis
+shifted off the preset grid) in the positive sign convention, and
+``hopcav point --json`` for ``configs/point.json``, for the benchmark's 16
+point documents and for ``configs/point.json`` at xi = 0.5 omega_m with
+unequal detunings (1.0, 1.3) omega_m.  Each line reads ``<sha256>  <output>``; a command that
 exits non-zero prints its exit code in place of the digest.
 """
 
@@ -26,6 +28,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent.parent
 POINT_CONFIG = REPO / "configs" / "point.json"
+OFF_GRID_SEED = 3
 
 _spec = importlib.util.spec_from_file_location("perfbench_inputs",
                                                REPO / "perfbench" / "inputs.py")
@@ -61,6 +64,8 @@ def digests(work: Path) -> list[tuple[str, str]]:
     docs["fig5-negative"] = dict(docs["fig5"], detuning_sign="negative")
     docs["fig6b-negative"] = dict(inputs.grid_configs("surface", inputs.DEFAULT_SEED)["fig6b"],
                                   detuning_sign="negative")
+    docs["fig5-seed3"] = inputs.grid_configs("stability", OFF_GRID_SEED)["fig5"]
+    docs["fig6b-seed3"] = inputs.grid_configs("surface", OFF_GRID_SEED)["fig6b"]
     docs.update((f"point{k:02d}", d)
                 for k, d in enumerate(inputs.point_configs(inputs.DEFAULT_SEED)))
     unequal = json.loads(POINT_CONFIG.read_text(encoding="utf-8"))
@@ -68,15 +73,17 @@ def digests(work: Path) -> list[tuple[str, str]]:
     unequal["detuning"]["value"] = [{"value": d, "unit": "omega_m"} for d in (1.0, 1.3)]
     docs["unequal-detunings"] = unequal
     paths = inputs.write_configs(docs, work / "inputs")
-    for name, label in (("fig5", "fig5 stability"), ("fig5-negative", "fig5 stability (negative sign)")):
+    for name, label in (("fig5", "fig5 stability"), ("fig5-negative", "fig5 stability (negative sign)"),
+                        ("fig5-seed3", "fig5 stability (seed 3)")):
         stability_csv = work / f"{name}-stability.csv"
         code, _ = _cli(["stability", "--config", str(paths.pop(name)), "--out", str(stability_csv)])
         out.append((label, _digest(code, stability_csv.read_bytes() if code == 0 else b"")))
-    sweep_csv = work / "fig6b-negative.csv"
-    code, _ = _cli(["sweep", "--config", str(paths.pop("fig6b-negative")), "--out", str(sweep_csv),
-                    "--workers", "1"])
-    out.append(("fig6b sweep (negative sign)",
-                _digest(code, sweep_csv.read_bytes() if code == 0 else b"")))
+    for name, label in (("fig6b-negative", "fig6b sweep (negative sign)"),
+                        ("fig6b-seed3", "fig6b sweep (seed 3)")):
+        sweep_csv = work / f"{name}.csv"
+        code, _ = _cli(["sweep", "--config", str(paths.pop(name)), "--out", str(sweep_csv),
+                        "--workers", "1"])
+        out.append((label, _digest(code, sweep_csv.read_bytes() if code == 0 else b"")))
 
     for label, path in [("configs/point.json", POINT_CONFIG), *paths.items()]:
         code, text = _cli(["point", "--config", str(path), "--json"])

@@ -396,3 +396,23 @@ class TestCli:
         assert data[0] == "delta,xi,s1,s2,hurwitz_reduced,hurwitz_full,agree"
         assert len(data) == 1 + 36
         assert any("both-conditions region" in l for l in lines)
+
+    @pytest.mark.parametrize("detuning_sign, modified", [
+        ("positive", "delta + xi"), ("negative", "-(delta + xi)"),
+    ])
+    def test_stability_header_names_the_modified_detuning(self, tmp_path, detuning_sign,
+                                                          modified):
+        # s1/s2 are taken at s (delta + xi), with s = -1 under the negative sign
+        doc = doc_with(axes=[
+            {"name": "delta", "min": 0.0, "max": 2.0, "count": 3},
+            {"name": "xi", "min": 0.0, "max": 2.0, "count": 3},
+        ])
+        doc["detuning_sign"] = detuning_sign
+        path = write_doc(tmp_path, doc)
+        out = tmp_path / "stab.csv"
+        assert main(["stability", "--config", str(path), "--out", str(out)]) == 0
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert [l for l in lines if "modified detuning" in l] == [
+            "# axes quote the detuning positive on the cooling side; the collective "
+            f"conditions use the modified detuning {modified}"
+        ]

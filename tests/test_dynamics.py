@@ -12,6 +12,7 @@ from hopcav.dynamics import (
     build_reduced,
     collective_drifts,
     drift_stack,
+    exchange_blocks,
     figure_drift,
 )
 from hopcav.errors import ConfigError, UnphysicalBathError
@@ -217,23 +218,40 @@ class TestReducedModel:
                              np.stack([delta] * 2, axis=1), xi, detuning_sign)
         return drifts, (wm, gm, kap), coupling, delta, xi
 
+    @staticmethod
+    def single_cavity_drifts(rates, coupling, modified):
+        """The single-cavity drifts, (Q, P, X, Y), at the signed modified
+        detunings ``modified``."""
+        wm, gm, kap = rates
+        expected = np.zeros((len(modified), 4, 4))
+        expected[:, 0, 1] = wm
+        expected[:, 1, 0] = -wm
+        expected[:, 1, 1] = -gm
+        expected[:, 2, 2] = expected[:, 3, 3] = -kap
+        expected[:, 1, 2] = expected[:, 3, 0] = coupling
+        expected[:, 2, 3] = modified
+        expected[:, 3, 2] = -modified
+        return expected
+
     @pytest.mark.parametrize("detuning_sign", ["positive", "negative"])
     def test_collective_drifts_are_the_explicit_model(self, detuning_sign):
         # the single-cavity drift at modified detuning delta + xi, (Q, P, X, Y)
         s = 1.0 if detuning_sign == "positive" else -1.0
         rng = np.random.default_rng(7)
         for _ in range(5):
-            drifts, (wm, gm, kap), coupling, delta, xi = self.random_symmetric_stack(
-                rng, detuning_sign)
-            expected = np.zeros((len(xi), 4, 4))
-            expected[:, 0, 1] = wm
-            expected[:, 1, 0] = -wm
-            expected[:, 1, 1] = -gm
-            expected[:, 2, 2] = expected[:, 3, 3] = -kap
-            expected[:, 1, 2] = expected[:, 3, 0] = coupling
-            expected[:, 2, 3] = s * (delta + xi)
-            expected[:, 3, 2] = -s * (delta + xi)
+            drifts, rates, coupling, delta, xi = self.random_symmetric_stack(rng, detuning_sign)
+            expected = self.single_cavity_drifts(rates, coupling, s * (delta + xi))
             assert np.all(collective_drifts(drifts, detuning_sign) == expected)
+
+    @pytest.mark.parametrize("detuning_sign", ["positive", "negative"])
+    def test_exchange_blocks_are_both_models(self, detuning_sign):
+        # the model at delta + xi (the collective drifts), then at delta - xi
+        s = 1.0 if detuning_sign == "positive" else -1.0
+        drifts, rates, coupling, delta, xi = self.random_symmetric_stack(
+            np.random.default_rng(8), detuning_sign)
+        expected = [self.single_cavity_drifts(rates, coupling, s * (delta + sign * xi))
+                    for sign in (1.0, -1.0)]
+        assert np.all(exchange_blocks(drifts, detuning_sign) == np.concatenate(expected))
 
     @pytest.mark.parametrize("detuning_sign, sector", [("positive", 1), ("negative", 0)])
     def test_collective_drifts_are_a_sector_of_the_rotation(self, detuning_sign, sector):

@@ -6,12 +6,15 @@ import pytest
 from hopcav.dynamics import build_diffusion, figure_drift
 from hopcav.errors import HopcavError, StabilityError
 from hopcav.lyapunov import (
+    ABSCISSA_RTOL,
     LYAPUNOV_GROUP,
     LyapunovSolution,
     hurwitz_gate,
+    hurwitz_margins,
     is_hurwitz,
     lyapunov_stack,
     solve_lyapunov,
+    spectral_abscissae,
 )
 from hopcav.measures import symplectic_eigenvalues
 from hopcav.params import Detuning, PhysicalParams
@@ -227,3 +230,20 @@ class TestStackedKernels:
     def test_stack_shape_guard(self):
         with pytest.raises(HopcavError):
             hurwitz_gate(-np.eye(3))
+
+    def test_gate_is_abscissae_against_margins(self):
+        rng = np.random.default_rng(14)
+        a = np.concatenate([self.drifts(rng, 6), rng.normal(size=(6, 8, 8))])
+        ok, absc = hurwitz_gate(a)
+        assert np.array_equal(absc, spectral_abscissae(a))
+        assert np.array_equal(ok, absc < hurwitz_margins(a))
+        norms = np.array([np.linalg.norm(m) for m in a])
+        assert np.allclose(hurwitz_margins(a), -ABSCISSA_RTOL * norms, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_solver_failure_is_a_hopcav_error(self, bad):
+        a = np.stack([-np.eye(4), -np.eye(4)])
+        a[1, 0, 0] = bad
+        for gate in (spectral_abscissae, hurwitz_gate):
+            with pytest.raises(HopcavError, match="^eigenvalue solver failed: "):
+                gate(a)

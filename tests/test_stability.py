@@ -6,11 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopcav.dynamics import DETUNING_SIGNS, build_reduced, figure_drift
+from hopcav.dynamics import (
+    DETUNING_SIGNS,
+    build_reduced,
+    collective_drifts,
+    exchange_blocks,
+    figure_drift,
+)
 from hopcav.engine import AxisSpec, SweepConfig, csv_text, run_point, run_sweep
 from hopcav.errors import ConfigError, HopcavError
-from hopcav.lyapunov import is_hurwitz
-from hopcav.params import Detuning, PhysicalParams
+from hopcav.lyapunov import hurwitz_gate, hurwitz_margins, is_hurwitz, spectral_abscissae
+from hopcav.params import Detuning, PhysicalParams, derive_coupling, drive_amps
 from hopcav.presets import fig_preset
 from hopcav.stability import (
     StabilityReport,
@@ -19,7 +25,7 @@ from hopcav.stability import (
     stability_map,
     stability_point,
 )
-from hopcav.steady_state import solve_fixed_detuning
+from hopcav.steady_state import fixed_detuning_points, solve_fixed_detuning
 
 TWO_PI = 2.0 * math.pi
 WM = TWO_PI * 1e7
@@ -38,6 +44,18 @@ def make_params(xi=0.0, power=0.05):
         hop_strength=xi,
         detuning=Detuning("effective", (0.0, 0.0)),
     )
+
+
+def gate_columns(params, detunings, xis):
+    """The gate's columns (G_j, Langevin detunings, hopping strengths) of
+    closed-form working points at figure-convention detuning pairs and
+    hopping strengths, in omega_m units."""
+    working = fixed_detuning_points(
+        params.cavity_decay, params.mech_freq, tuple(derive_coupling(params, j) for j in (1, 2)),
+        [drive_amps(params)] * len(xis), [xi * WM for xi in xis],
+        [(-d1 * WM, -d2 * WM) for d1, d2 in detunings],
+    )
+    return working.eff_coupling, working.eff_detuning, working.hop_strength
 
 
 class TestRouthHurwitzFormulas:
@@ -309,3 +327,97 @@ class TestCollectiveRule:
         assert report.agree
         if report.hurwitz_full:
             assert report.s1 > 0.0 and report.s2 > 0.0
+
+
+class TestBlockGate:
+    """Exchange-symmetric drifts are gated on their two 4x4 exchange blocks."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(points=st.lists(st.tuples(st.floats(-0.5, 2.5), st.floats(0.0, 2.5)),
+                           min_size=1, max_size=6),
+           power=st.floats(0.010, 0.080), detuning_sign=st.sampled_from(DETUNING_SIGNS))
+    def test_block_verdicts_are_the_full_verdicts(self, points, power, detuning_sign):
+        params = make_params(power=power)
+        gate = gate_branches(params, *gate_columns(params, [(d, d) for d, _ in points],
+                                                   [xi for _, xi in points]), detuning_sign)
+        assert None not in gate.collective
+        ok, absc = hurwitz_gate(gate.drifts)
+        scale = np.linalg.norm(gate.drifts, axis=(1, 2))
+        blocks = spectral_abscissae(exchange_blocks(gate.drifts, detuning_sign))
+        assert np.all(np.abs(blocks.reshape(2, -1).max(axis=0) - absc) <= 1e-13 * scale)
+        clear = np.abs(absc) > 1e-9 * scale
+        assert np.array_equal(np.array(gate.verdicts)[clear], ok[clear])
+
+    @pytest.mark.parametrize("detuning_sign", DETUNING_SIGNS)
+    def test_collective_verdicts_are_the_collective_blocks_gate(self, detuning_sign):
+        # 75 mW: the grid crosses both boundaries of the collective model
+        params = make_params(power=0.075)
+        deltas, xis = np.meshgrid(np.linspace(-1.5, 2.0, 15), np.linspace(0.0, 1.5, 7))
+        gate = gate_branches(params, *gate_columns(params, zip(deltas.flat, deltas.flat),
+                                                   xis.ravel()), detuning_sign)
+        want = hurwitz_gate(collective_drifts(gate.drifts, detuning_sign))[0].tolist()
+        assert gate.collective == want
+        assert any(want) and not all(want)
+
+    def test_collective_verdict_takes_the_blocks_own_margin(self):
+        # bisect delta across a collective boundary (xi = 0.5) to a block
+        # abscissa between the 8x8 drift's margin and the block's own, less
+        # negative one: only the block's own margin passes it
+        params = make_params(power=0.075)
+
+        def probe(delta):
+            gate = gate_branches(params, *gate_columns(params, [(delta, delta)], [0.5]),
+                                 "positive")
+            block = collective_drifts(gate.drifts, "positive")
+            return (gate, spectral_abscissae(block)[0], hurwitz_margins(block)[0],
+                    hurwitz_margins(gate.drifts)[0])
+
+        stable, unstable = 1.1, 1.0
+        assert probe(stable)[0].collective == [True] and probe(unstable)[0].collective == [False]
+        for _ in range(200):
+            delta = 0.5 * (stable + unstable)
+            gate, absc, own, full = probe(delta)
+            if full <= absc < own:
+                break
+            if absc < full:
+                stable = delta
+            else:
+                unstable = delta
+        else:
+            pytest.fail("no abscissa between the two margins")
+        assert gate.collective == [True] and gate.verdicts == [False]
+
+    def test_mixed_stack_gates_each_row_as_its_batch_of_one(self):
+        params = make_params(power=0.075)
+        detunings = [(0.5, 0.5), (1.0, 1.3), (1.2, 1.2), (-0.4, 0.1), (1.6, 1.6)]
+        xis = [0.5, 0.5, 0.2, 1.0, 0.0]
+        rows = [gate_columns(params, detunings, xis),
+                # 1e300 W overflows the drive amplitude: its drift cannot be gated
+                gate_columns(dataclasses.replace(params, drive_power=1e300), [(0.5, 0.5)], [0.5])]
+        for columns in (rows[0], [np.concatenate(c) for c in zip(*rows)]):
+            gate = gate_branches(params, *columns, "positive")
+            assert [c is None for c in gate.collective[:5]] == [False, True, False, True, False]
+            for j in range(len(columns[2])):
+                single = gate_branches(params, *(c[j:j + 1] for c in columns), "positive")
+                assert [part[j] for part in gate[1:5]] == [part[0] for part in single[1:5]]
+                assert str(gate.errors[j]) == str(single.errors[0])
+            assert [str(e).startswith("eigenvalue solver failed") for e in gate.errors] == [
+                False] * 5 + [True] * (len(columns[2]) - 5)
+        assert gate.verdicts[-1] is False and gate.collective[-1] is None
+
+    def test_symmetric_rows_solve_no_8x8_eigenvalue_problem(self, monkeypatch):
+        shapes = []
+        eigvals = np.linalg.eigvals
+
+        def recorded(a):
+            shapes.append(np.shape(a))
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", recorded)
+        grid = np.linspace(0.0, 2.0, 11)
+        config = fig_preset("fig5")
+        assert len(stability_map(config.params, grid, grid, config.detuning_sign)) == 121
+        config = dataclasses.replace(fig_preset("fig6b"),
+                                     axes=(AxisSpec("delta", grid), AxisSpec("xi", grid)))
+        assert len(run_sweep(config).records) == 121
+        assert shapes and all(shape[1:] == (4, 4) for shape in shapes)

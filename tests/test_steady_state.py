@@ -386,6 +386,19 @@ class TestCompleteness:
         assert_match_oracle(branches, oracle)
         assert_distinct_sorted(branches)
 
+    def test_only_common_roots_are_polished(self, monkeypatch):
+        # README's first example: the resultant route pairs each real U_1 with
+        # every real U_2 of its cubic, 21 candidates, and only the 7 fixed
+        # points pass the residual test into the extended-precision polish
+        checked, polished = [], []
+        near_root, polish = steady_state._near_root, steady_state._polish
+        monkeypatch.setattr(steady_state, "_near_root",
+                            lambda *a: checked.append(a) or near_root(*a))
+        monkeypatch.setattr(steady_state, "_polish", lambda *a: polished.append(a) or polish(*a))
+        p = make_params(power=(0.1, 0.12), xi=0.2 * WM)
+        branches = solve_self_consistent(p, 3.9 * WM, 4.0 * WM)
+        assert (len(checked), len(polished), len(branches)) == (21, 7, 7)
+
     @pytest.mark.parametrize("seed", range(8))
     def test_random_inputs_match_the_resultant(self, seed):
         rng = np.random.default_rng(100 + seed)
