@@ -118,6 +118,13 @@ def _write_sweep(config, out_path: Path, workers: int) -> int:
     return EXIT_NUMERICAL if result.residual_failure else EXIT_OK
 
 
+def _worker_count(text: str) -> int:
+    """A ``--workers`` value: at least one process."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
+
+
 def _cmd_sweep(args) -> int:
     config = load_config(args.config)
     return _write_sweep(config, Path(args.out), args.workers)
@@ -207,13 +214,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run a configured parameter sweep to CSV")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_worker_count, default=1)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("fig", help="run a named figure preset")
     p.add_argument("preset", help=f"one of: {', '.join(PRESET_NAMES)}")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_worker_count, default=1)
     p.add_argument("--gnuplot", action="store_true", help="also emit a gnuplot script")
     p.set_defaults(func=_cmd_fig)
 

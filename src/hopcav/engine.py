@@ -3,23 +3,24 @@ emission.
 
 A batch of grid points runs
 
-    point setup from the sweep's axis tables -> working points -> the stability
+    inputs from the sweep's axis tables -> working points -> the stability
     gate (stacked 8x8 drifts, one Hurwitz gate, stability scalars; shared
     with the stability map, see :func:`hopcav.stability.gate_branches`) ->
     grouped Lyapunov solves of the stable branches -> stacked pair measures
     -> one record per row
 
-as NumPy columns with one row per branch, from the working points to the
+as NumPy columns with one row per branch, from the axis tables to the
 records, which are built with one ``zip``.  The per-point objects
 (:class:`SteadyState`, :class:`PointResult`) are built only where a caller
 reads them: ``run_point`` (and so ``hopcav point``) and the bare-mode solver.
 
 The work that does not depend on the point runs once per sweep: the base
-parameters' couplings and bath, and, when the sweep starts, each axis value's
-check and what it derives (drive amplitudes, thermal occupation, bath), in
-one table per axis; each distinct (N, M, nbar) builds one diffusion matrix.
-A grid point is one index per axis and works on plain floats.  In effective
-mode the working points are the closed form
+parameters' couplings and inputs and, when the sweep starts, each axis
+value's check and the inputs it sets (drive amplitudes, thermal occupation,
+bath), in one table per axis; each distinct (nbar, N, M) of a stable point
+builds one diffusion matrix.  A batch is a flat range of row-major grid
+indices, and index arithmetic on it selects each axis table's rows.  In
+effective mode the working points are the closed form
 (:func:`hopcav.steady_state.fixed_detuning_points`); in bare mode each point
 runs the self-consistent solver.
 
@@ -42,7 +43,9 @@ from __future__ import annotations
 
 import io
 import itertools
+import math
 import operator
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
@@ -75,13 +78,14 @@ from .measures import (  # noqa: F401
 CHUNKS_PER_WORKER = 4
 
 AXIS_NAMES = ("delta", "xi", "power", "temperature", "nbar", "photon_number")
-# the parameter field each axis sets; nbar and photon_number set none
-AXIS_FIELDS = {
-    "delta": "detuning",
-    "xi": "hop_strength",
-    "power": "drive_power",
-    "temperature": "bath_temperature",
-}
+# a grid point's inputs, one column each, grouped by the axis that sets them:
+# the record's first six cells (delta, xi, power, nbar, N, M) and what the
+# working point takes (the Langevin detunings and the hopping in rad/s, the
+# second drive power in W, the drive amplitudes |E_j|)
+INPUTS = ("delta", "lang1", "lang2", "xi", "hop", "power", "power2", "drive1", "drive2",
+          "nbar", "photon_number", "correlation")
+AXIS_INPUTS = {"delta": slice(0, 3), "xi": slice(3, 5), "power": slice(5, 9),
+               "temperature": slice(9, 10), "nbar": slice(9, 10), "photon_number": slice(10, 12)}
 BRANCH_POLICIES = ("default", "all")
 
 CSV_COLUMNS = (
@@ -93,6 +97,8 @@ CSV_COLUMNS = (
 )
 # every column but the last, the error text
 _VALUE_CELLS = operator.attrgetter(*CSV_COLUMNS[:-1])
+# the input columns of the record's first six cells
+_CELLS = [INPUTS.index(name) for name in CSV_COLUMNS[:6]]
 
 
 @dataclass(frozen=True)
@@ -229,126 +235,123 @@ class PointResult:
     diffusion: np.ndarray | HopcavError | None
 
 
-def _axis_value(params: PhysicalParams, name: str, value: float):
-    """The value an axis gives its parameter field (see ``AXIS_FIELDS``)."""
-    omega_m = params.mech_freq[0]
-    if name == "delta":
-        return Detuning(params.detuning.mode, (value * omega_m, value * omega_m))
-    if name == "xi":
-        return value * omega_m
-    if name == "power":
-        return (value, value)
-    return value
+class _Axis(NamedTuple):
+    """One axis of a sweep, with one table row per value: the inputs it sets,
+    or the error its check raised."""
 
-
-class _Point(NamedTuple):
-    """A grid point set up for its working point."""
-
-    head: tuple          # the record's first six cells, delta to correlation
-    lang: tuple          # Langevin detunings, rad/s
-    hop: float           # rad/s
-    powers: tuple        # W
-    drives: tuple        # drive amplitudes |E_j|
-    diffusion: np.ndarray | HopcavError
+    name: str
+    values: tuple
+    sets: slice           # the columns of INPUTS the axis sets
+    inputs: np.ndarray    # (values, sets); a bad value's row is never read
+    bad: np.ndarray       # per value: whether its check failed
+    errors: tuple         # per value: the error its check raised, or None
 
 
 class _Sweep:
-    """What the points of one sweep share, worked out once: the base
-    parameters' couplings and bath and, for each axis, a table with one entry
-    per value: what the value derives, or the error its check (the
-    ``PhysicalParams`` validation of the field it sets, the bath of a photon
-    number) raised.  A grid point is one index per axis."""
+    """What the points of one sweep share, worked out once, when the sweep
+    starts: the base parameters' couplings and inputs (see ``INPUTS``), and
+    each axis' table.  An axis value is checked by the ``PhysicalParams``
+    validation of the field it sets, a photon number by its bath.  Grid point
+    k is the k-th point of the axes' product in row-major order."""
 
     def __init__(self, config: SweepConfig, axes: list[tuple[str, tuple]]):
         p = config.params
+        names = [name for name, _ in axes]
         self.config = config
         self.omega_m = p.mech_freq[0]
         self.coupling = tuple(derive_coupling(p, j) for j in (1, 2))
-        self.defaults = {name: self._derive(p, name) for name in AXIS_FIELDS}
-        self.diffusions: dict = {}  # (N, M, nbar) -> diffusion or error
+        self.diffusions: dict = {}  # (nbar, N, M) -> diffusion or error
         self.bare: dict = {}        # (hop, powers) -> parameters of the bare-mode solver
-        self.bath = self._resolve(None)
-        self.axes = [(name, values, [self._entry(name, v) for v in values])
-                     for name, values in axes]
+        self.shape = tuple(len(values) for _, values in axes)
+        # the base bath's (N, M), or its error, which every point takes unless
+        # a photon_number axis sets the bath
+        self.bath, self.error = (np.nan, np.nan), None
+        if "photon_number" not in names:
+            try:
+                bath = config.bath.resolve()
+                self.bath = bath.photon_number, bath.correlation
+            except HopcavError as exc:
+                self.error = exc
+        self.base = np.array(self._entry(None)[0])
+        self.axes = []
+        for name, values in axes:
+            # the occupation: an nbar axis, else the override, else the temperature's
+            sets = slice(0) if name == "temperature" and "nbar" in names else (
+                AXIS_INPUTS.get(name, slice(0)))
+            rows, errors = zip(*[self._entry(name, value) for value in values])
+            self.axes.append(_Axis(name, values, sets, np.array(rows)[:, sets],
+                                   np.array([e is not None for e in errors]), errors))
 
-    def _derive(self, params: PhysicalParams, name: str):
-        """What the field an axis sets gives a point: record cells and
-        working-point inputs (thermal occupation for the temperature)."""
-        if name == "delta":
-            value = params.detuning.value
-            # the Langevin solver runs with the opposite-signed detunings; see
-            # the module docstring for the axis convention
-            return value[0] / self.omega_m, (-value[0], -value[1])
-        if name == "xi":
-            return params.hop_strength / self.omega_m, params.hop_strength
-        if name == "power":
-            return params.drive_power, drive_amps(params)
-        return thermal_occupation(self.omega_m, params.bath_temperature)
-
-    def _entry(self, name: str, value: float):
-        """The table entry of one axis value."""
-        if name == "photon_number":
-            return self._resolve(value)
-        if name == "nbar":
-            return float(value)
-        if name not in AXIS_FIELDS:
-            return ConfigError(f"unknown axis {name!r}")
-        base = self.config.params
+    def _entry(self, name: str | None, value: float = 0.0) -> tuple:
+        """The inputs of a grid point whose one axis value is ``value`` (the
+        base inputs for no axis) and None, or the base inputs and the error
+        the value's check raised."""
+        p, (n, m), nbar = self.config.params, self.bath, self.config.nbar_override
         try:
-            params = replace(base, **{AXIS_FIELDS[name]: _axis_value(base, name, value)})
+            if name == "nbar":
+                nbar = value
+            elif name == "photon_number":
+                bath = self.config.bath.resolve(photon_number=value)
+                n, m = bath.photon_number, bath.correlation
+            elif name == "delta":
+                p = replace(p, detuning=Detuning(p.detuning.mode, (value * self.omega_m,) * 2))
+            elif name == "xi":
+                p = replace(p, hop_strength=value * self.omega_m)
+            elif name == "power":
+                p = replace(p, drive_power=(value, value))
+            elif name == "temperature":
+                p = replace(p, bath_temperature=value)
+            elif name is not None:
+                raise ConfigError(f"unknown axis {name!r}")
         except HopcavError as exc:
-            return exc
-        if base.detuning.mode == "bare":
+            return self.base, exc
+        if p.detuning.mode == "bare":
             # the checked parameters serve the bare-mode solver, which reads
             # only the hopping strength and the drive powers from them
-            self.bare.setdefault((params.hop_strength, params.drive_power), params)
-        return self._derive(params, name)
+            self.bare.setdefault((p.hop_strength, p.drive_power), p)
+        d1, d2 = p.detuning.value
+        hop, (p1, p2) = p.hop_strength, p.drive_power
+        if nbar is None:
+            nbar = thermal_occupation(self.omega_m, p.bath_temperature)
+        # the Langevin solver runs with the opposite-signed detunings; see the
+        # module docstring for the axis convention
+        return [d1 / self.omega_m, -d1, -d2, hop / self.omega_m, hop, p1, p2, *drive_amps(p),
+                nbar, n, m], None
 
-    def _resolve(self, photon_number: float | None):
-        try:
-            return self.config.bath.resolve(photon_number=photon_number)
-        except HopcavError as exc:
-            return exc
+    def inputs(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """The inputs of grid points start to stop - 1, one row each, and
+        whether each point failed a check."""
+        # a point without axes is the grid of shape (1,)
+        index = np.unravel_index(np.arange(start, stop), self.shape or (1,))
+        rows = self.base[None].repeat(stop - start, 0)
+        bad = np.zeros(stop - start, bool) | (self.error is not None)
+        for axis, i in zip(self.axes, index):
+            rows[:, axis.sets] = axis.inputs.take(i, 0)
+            bad |= axis.bad.take(i)
+        return rows, bad
 
-    def _diffusion(self, bath: SqueezedBath, nbar: float):
-        """The diffusion matrix, or the error building it raised; the grid axes
-        change only the bath and the occupation."""
-        key = (bath.photon_number, bath.correlation, nbar)
+    def failure(self, k: int) -> ResultRecord:
+        """The record of grid point k, which failed a check: the error of its
+        first bad axis in the axes' order, else of its bath, with its axis
+        values as cells and NaN elsewhere."""
+        index = np.unravel_index(k, self.shape)
+        values = {axis.name: float(axis.values[i]) for axis, i in zip(self.axes, index)}
+        checks = sorted(zip(self.axes, index), key=lambda check: check[0].name == "photon_number")
+        error = next((axis.errors[i] for axis, i in checks if axis.bad[i]), self.error)
+        return ResultRecord(*[values.get(name, np.nan) for name in CSV_COLUMNS[:6]],
+                            error=str(error))
+
+    def diffusion(self, nbar: float, photon_number: float, correlation: float):
+        """The diffusion matrix of the last three inputs, or the error building
+        it raised; the grid axes change only the bath and the occupation."""
+        key = (nbar, photon_number, correlation)
         if key not in self.diffusions:
             try:
-                self.diffusions[key] = build_diffusion(self.config.params, bath, nbar)
+                self.diffusions[key] = build_diffusion(
+                    self.config.params, SqueezedBath(photon_number, correlation), nbar)
             except HopcavError as exc:
                 self.diffusions[key] = exc
         return self.diffusions[key]
-
-    def point(self, index: tuple[int, ...]) -> _Point | HopcavError:
-        """Set up the grid point at one index per axis, or return the error of
-        its first bad axis in the axes' order, else of its bath."""
-        found = dict(self.defaults, photon_number=self.bath)
-        for (name, _, entries), i in zip(self.axes, index):
-            entry = entries[i]
-            if isinstance(entry, HopcavError) and name != "photon_number":
-                return entry
-            found[name] = entry
-        bath = found["photon_number"]
-        if isinstance(bath, HopcavError):
-            return bath
-        if "nbar" in found:
-            nbar = found["nbar"]
-        elif self.config.nbar_override is not None:
-            nbar = float(self.config.nbar_override)
-        else:
-            nbar = found["temperature"]
-
-        delta, lang = found["delta"]
-        xi, hop = found["xi"]
-        powers, drives = found["power"]
-        head = (delta, xi, powers[0], nbar, bath.photon_number, bath.correlation)
-        return _Point(head, lang, hop, powers, drives, self._diffusion(bath, nbar))
-
-    def axis_values(self, index: tuple[int, ...]) -> dict[str, float]:
-        """The axis values of the grid point at ``index``."""
-        return {name: values[i] for (name, values, _), i in zip(self.axes, index)}
 
     def bare_params(self, hop: float, powers: tuple) -> PhysicalParams:
         """Parameters of the bare-mode solver, which reads the hopping strength
@@ -370,81 +373,71 @@ class _Batch(NamedTuple):
 
     outcomes: list      # per point: its failed record, or the indices of its emitted branches
     records: list       # per branch: its record
-    points: list        # per branch: its grid point
+    inputs: np.ndarray  # per branch: its point's inputs
     steady: Callable[[int], SteadyState]   # the working point of a branch
     gate: Gate
     covariances: dict   # measured branch -> its covariance
 
 
-def _evaluate(sweep: _Sweep, points: list[tuple[int, ...]]) -> _Batch:
-    """Evaluate a batch of grid points of one sweep, each one index per axis.
+def _evaluate(sweep: _Sweep, start: int, stop: int) -> _Batch:
+    """Evaluate grid points start to stop - 1 of one sweep.
 
     Per-point errors are caught and recorded in the ``error`` field so that
     sweeps continue.
     """
     config = sweep.config
     p = config.params
-    outcomes: list = [None] * len(points)
-    ready: list[tuple[int, _Point]] = []
-    for k, index in enumerate(points):
-        point = sweep.point(index)
-        if isinstance(point, HopcavError):
-            values = sweep.axis_values(index)
-            outcomes[k] = ResultRecord(
-                delta=float(values.get("delta", np.nan)),
-                xi=float(values.get("xi", np.nan)),
-                power=float(values.get("power", np.nan)),
-                nbar=float(values.get("nbar", np.nan)),
-                photon_number=float(values.get("photon_number", np.nan)),
-                correlation=np.nan,
-                error=str(point),
-            )
-        else:
-            ready.append((k, point))
+    inputs, bad = sweep.inputs(start, stop)
+    outcomes: list = [None] * (stop - start)
+    for k in bad.nonzero()[0].tolist():
+        outcomes[k] = sweep.failure(start + k)
+    ready = (~bad).nonzero()[0]
 
     # the working points as columns, one row per branch
     if p.detuning.mode == "effective":
+        owners = ready.tolist()     # per branch, its point
+        inputs = inputs.take(ready, 0)
         working = fixed_detuning_points(
-            p.cavity_decay, p.mech_freq, sweep.coupling, [pt.drives for _, pt in ready],
-            [pt.hop for _, pt in ready], [pt.lang for _, pt in ready],
+            p.cavity_decay, p.mech_freq, sweep.coupling, drives=inputs[:, 7:9].tolist(),
+            hop_strength=inputs[:, 4].tolist(), detuning=inputs[:, 1:3].tolist(),
         )
-        branches = ready
         amp_abs, coupling, detuning = working.amp_abs, working.eff_coupling, working.eff_detuning
-        numbers = [0] * len(branches)
+        numbers = [0] * len(owners)
         steady = working.steady
     else:
-        branches: list[tuple[int, _Point]] = []
-        states: list[SteadyState] = []
-        for k, pt in ready:
+        owners, states = [], []
+        for k, (delta, lang1, lang2, xi, hop, power, power2, _, _, *bath) in zip(
+                ready.tolist(), inputs.take(ready, 0).tolist()):
             try:
-                found = solve_self_consistent(sweep.bare_params(pt.hop, pt.powers), *pt.lang)
+                found = solve_self_consistent(sweep.bare_params(hop, (power, power2)), lang1, lang2)
             except HopcavError as exc:
-                outcomes[k] = ResultRecord(*pt.head, error=str(exc))
+                outcomes[k] = ResultRecord(delta, xi, power, *bath, error=str(exc))
                 continue
-            branches.extend((k, pt) for _ in found)
-            states.extend(found)
+            owners += [k] * len(found)
+            states += found
+        inputs = inputs.take(owners, 0)
         amp_abs = np.array([(abs(st.amp[0]), abs(st.amp[1])) for st in states]).reshape(-1, 2)
         coupling = np.array([st.eff_coupling for st in states]).reshape(-1, 2)
         detuning = np.array([st.eff_detuning for st in states]).reshape(-1, 2)
         numbers = [st.branch for st in states]
         steady = states.__getitem__
 
-    gate = gate_branches(p, coupling, detuning, [pt.hop for _, pt in branches],
-                         config.detuning_sign)
+    gate = gate_branches(p, coupling, detuning, inputs[:, 4], config.detuning_sign)
     errors = list(gate.errors)
-    solve = []
-    for j, ((_, pt), stable) in enumerate(zip(branches, gate.verdicts)):
+    solve, diffusions = [], []
+    for j, (stable, noise) in enumerate(zip(gate.verdicts, inputs[:, 9:].tolist())):
         if stable:
-            if isinstance(pt.diffusion, HopcavError):
-                errors[j] = pt.diffusion
+            diffusion = sweep.diffusion(*noise)
+            if isinstance(diffusion, HopcavError):
+                errors[j] = diffusion
             else:
                 solve.append(j)
+                diffusions.append(diffusion)
 
-    measured = [_UNMEASURED] * len(branches)
+    measured = [_UNMEASURED] * len(owners)
     covariances = {}
     if solve:
-        w, residuals = lyapunov_stack(gate.drifts.take(solve, axis=0),
-                                      np.array([branches[j][1].diffusion for j in solve]))
+        w, residuals = lyapunov_stack(gate.drifts.take(solve, axis=0), np.array(diffusions))
         measures = pair_measures(w)
         for j, wj, residual, row, error in zip(solve, w, residuals.tolist(),
                                                 zip(*measures.columns), measures.errors):
@@ -454,31 +447,29 @@ def _evaluate(sweep: _Sweep, points: list[tuple[int, ...]]) -> _Batch:
             else:
                 errors[j] = error
 
-    records = []
-    if branches:
-        records = list(map(
-            ResultRecord, *zip(*[pt.head for _, pt in branches]),
-            amp_abs[:, 0].tolist(), amp_abs[:, 1].tolist(),
-            (coupling[:, 0] / sweep.omega_m).tolist(), gate.verdicts, gate.s1, gate.s2,
-            *zip(*measured), numbers, ["" if e is None else str(e) for e in errors],
-        ))
-    for k, group in itertools.groupby(range(len(branches)), key=lambda j: branches[j][0]):
+    records = list(map(
+        ResultRecord, *inputs.take(_CELLS, 1).T.tolist(),
+        amp_abs[:, 0].tolist(), amp_abs[:, 1].tolist(),
+        (coupling[:, 0] / sweep.omega_m).tolist(), gate.verdicts, gate.s1, gate.s2,
+        *zip(*measured), numbers, ["" if e is None else str(e) for e in errors],
+    ))
+    for k, group in itertools.groupby(range(len(owners)), key=owners.__getitem__):
         rows = list(group)
         if config.branch_policy == "default" and len(rows) > 1:
             # default branch: the lowest-|amp| stable one, else the lowest-|amp|
             rows = [next((j for j in rows if records[j].stable), rows[0])]
         outcomes[k] = rows
-    return _Batch(outcomes, records, [pt for _, pt in branches], steady, gate, covariances)
+    return _Batch(outcomes, records, inputs, steady, gate, covariances)
 
 
-def run_points(sweep: _Sweep, points: list[tuple[int, ...]]) -> list[ResultRecord]:
-    """Evaluate a batch of grid points of one sweep, each one index per axis;
-    the records of every point, in order (with branch rows kept adjacent).
+def run_points(sweep: _Sweep, start: int, stop: int) -> list[ResultRecord]:
+    """Evaluate grid points start to stop - 1 of one sweep; the records of
+    every point, in order (with branch rows kept adjacent).
 
     Per-point errors are caught and recorded in the ``error`` field so that
     sweeps continue.
     """
-    batch = _evaluate(sweep, points)
+    batch = _evaluate(sweep, start, stop)
     records = []
     for outcome in batch.outcomes:
         if isinstance(outcome, ResultRecord):
@@ -497,8 +488,8 @@ def misses_residual_gate(rec: ResultRecord) -> bool:
 def run_point(config: SweepConfig, overrides: dict[str, float] | None = None) -> PointResult:
     """Evaluate one grid point, a batch of one sweep whose axes have one value
     each; returns one record per emitted branch."""
-    axes = [(name, (value,)) for name, value in (overrides or {}).items()]
-    batch = _evaluate(_Sweep(config, axes), [(0,) * len(axes)])
+    sweep = _Sweep(config, [(name, (value,)) for name, value in (overrides or {}).items()])
+    batch = _evaluate(sweep, 0, 1)
     (outcome,) = batch.outcomes
     if isinstance(outcome, ResultRecord):
         return PointResult(records=(outcome,), covariances=(None,), steady_states=(None,),
@@ -509,7 +500,7 @@ def run_point(config: SweepConfig, overrides: dict[str, float] | None = None) ->
         covariances=tuple([batch.covariances.get(j) for j in outcome]),
         steady_states=tuple([batch.steady(j) for j in outcome]),
         drifts=tuple([gate.drifts[j] if gate.errors[j] is None else None for j in outcome]),
-        diffusion=batch.points[outcome[0]].diffusion,
+        diffusion=sweep.diffusion(*batch.inputs[outcome[0], 9:].tolist()),
     )
 
 
@@ -522,10 +513,6 @@ def grid_points(config: SweepConfig) -> list[dict[str, float]]:
     ]
 
 
-def _chunk_records(args) -> list[ResultRecord]:
-    return run_points(*args)
-
-
 @dataclass(frozen=True)
 class SweepResult:
     records: tuple[ResultRecord, ...]
@@ -533,23 +520,26 @@ class SweepResult:
 
 
 def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
-    """Evaluate the whole grid in chunks; rows come out in row-major grid
-    order (with branch rows kept adjacent) regardless of the worker count.
+    """Evaluate the whole grid in chunks, flat ranges of grid points; rows
+    come out in row-major grid order (with branch rows kept adjacent)
+    regardless of the worker count.
 
-    With ``workers > 1`` a process pool evaluates the chunks, made small
-    enough that every worker gets several.
+    With ``workers > 1`` a process pool of at most one process per CPU
+    evaluates the chunks, made small enough that every worker gets several.
     """
     sweep = _Sweep(config, [(a.name, a.values) for a in config.axes])
-    points = list(itertools.product(*(range(len(a.values)) for a in config.axes)))
+    points = math.prod(sweep.shape)
+    workers = min(workers, os.cpu_count() or 1)
     size = CHUNK_POINTS
     if workers > 1:
-        size = min(size, -(-len(points) // (CHUNKS_PER_WORKER * workers)))
-    chunks = [(sweep, points[i:i + size]) for i in range(0, len(points), size)]
+        size = min(size, -(-points // (CHUNKS_PER_WORKER * workers)))
+    starts = range(0, points, size)
+    chunks = (itertools.repeat(sweep), starts, [min(start + size, points) for start in starts])
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_chunk = list(pool.map(_chunk_records, chunks))
+            per_chunk = list(pool.map(run_points, *chunks))
     else:
-        per_chunk = [_chunk_records(chunk) for chunk in chunks]
+        per_chunk = list(map(run_points, *chunks))
 
     records = tuple(itertools.chain.from_iterable(per_chunk))
     return SweepResult(records=records, residual_failure=any(map(misses_residual_gate, records)))

@@ -156,9 +156,10 @@ def teleportation_fidelity(pair_cov, w_in: np.ndarray | None = None) -> float:
     two-mode channel:  F = 2 / sqrt(det(2 W_in + Z)) with
     Z = S W1 S + S Wc + Wc^T S + W2 and S = diag(1, -1).
 
-    ``w_in`` defaults to the 2x2 identity (coherent-state input in the
-    unit-variance convention); pass 0.5 * I for the vacuum-variance-1/2
-    convention.
+    ``w_in`` defaults to the 2x2 identity, a coherent-state input in the
+    vacuum-variance-1 convention.  In the package's vacuum-variance-1/2
+    covariances a vacuum resource then gives 2/3, not 1/2, and no ``w_in``
+    gives 1/sqrt(det(I + Z)) (README "Known limitations").
     """
     m = _as_pair_matrix(pair_cov)
     if w_in is None:

@@ -239,6 +239,17 @@ class TestCli:
             assert (code, out.out, out.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
         assert cli.build_parser() is cli.build_parser()
 
+    @pytest.mark.parametrize("command", [["sweep", "--config", "cfg.json", "--out", "out.csv"],
+                                         ["fig", "fig3a", "--out", "out"]])
+    def test_workers_below_one_are_a_usage_error(self, capsys, command):
+        # rejected by the parser, before any configuration is read
+        for workers in ("0", "-3"):
+            with pytest.raises(SystemExit) as exc:
+                main([*command, "--workers", workers])
+            assert exc.value.code == 2
+            assert f"--workers: must be at least 1, got {workers}" in capsys.readouterr().err
+        assert cli.build_parser().parse_args([*command, "--workers", "5000"]).workers == 5000
+
     def test_point_json(self, tmp_path, capsys):
         path = write_doc(tmp_path, BASE_DOC)
         assert main(["point", "--config", str(path), "--json"]) == 0

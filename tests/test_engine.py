@@ -190,6 +190,36 @@ class TestRunSweep:
         parallel = run_sweep(cfg, workers=2)
         assert serial.records == parallel.records
 
+    def test_pool_never_exceeds_the_cpu_count(self, monkeypatch):
+        # a pool that records its size and maps in this process, so that no
+        # worker process starts
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        cfg = base_config(axes=(AxisSpec("delta", (0.5, 1.0, 1.5)),))
+        serial = run_sweep(cfg, workers=1).records
+        assert run_sweep(cfg, workers=5000).records == serial
+        assert run_sweep(cfg, workers=2).records == serial
+        assert sizes == [2, 2]
+        # an unknown CPU count runs serially
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert run_sweep(cfg, workers=4).records == serial
+        assert sizes == [2, 2]
+
     def test_residual_gate_flag(self):
         res = run_sweep(base_config(axes=(AxisSpec("delta", (0.5, 1.0, 1.5)),)))
         assert not res.residual_failure
@@ -364,6 +394,26 @@ class TestBatchedPipeline:
             "hop_strength must be nonnegative")
         assert run_point(cfg, {"speed": 1.0, "xi": -0.5}).records[0].error == (
             "unknown axis 'speed'")
+
+    @pytest.mark.parametrize("nbar_first", [False, True])
+    def test_temperature_and_nbar_axes(self, nbar_first):
+        # a bad temperature errors its row although the nbar axis sets the
+        # occupation, and the other rows take the nbar axis value, not the
+        # temperature's occupation
+        axes = (AxisSpec("temperature", (-1.0, 0.4)), AxisSpec("nbar", (836.0, 2000.0)))
+        cfg = base_config(nbar_override=None, axes=axes[::-1] if nbar_first else axes)
+        records = run_sweep(cfg).records
+        bad = "bath_temperature must be nonnegative"
+        rows = [(836.0, bad), (2000.0, bad), (836.0, ""), (2000.0, "")]
+        if nbar_first:
+            rows = [rows[0], rows[2], rows[1], rows[3]]
+        assert [(r.nbar, r.error) for r in records] == rows
+        for r in records:
+            cells = (r.delta, r.xi, r.power, r.photon_number, r.correlation)
+            if r.error:
+                assert all(math.isnan(c) for c in cells) and not r.stable
+            else:
+                assert cells == (1.0, 0.0, 0.05, 0.0, 0.0) and r.stable
 
     def test_diffusion_error_only_on_stable_rows(self, monkeypatch):
         monkeypatch.setattr(engine, "CHUNK_POINTS", 4)
