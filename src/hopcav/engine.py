@@ -12,17 +12,20 @@ A batch of grid points runs
 as NumPy columns with one row per branch, from the axis tables to the
 records, which are built with one ``zip``.  The per-point objects
 (:class:`SteadyState`, :class:`PointResult`) are built only where a caller
-reads them: ``run_point`` (and so ``hopcav point``) and the bare-mode solver.
+reads them: ``run_point`` (and so ``hopcav point``).
 
 The work that does not depend on the point runs once per sweep: the base
 parameters' couplings and inputs and, when the sweep starts, each axis
 value's check and the inputs it sets (drive amplitudes, thermal occupation,
 bath), in one table per axis; each distinct (nbar, N, M) of a stable point
 builds one diffusion matrix.  A batch is a flat range of row-major grid
-indices, and index arithmetic on it selects each axis table's rows.  In
-effective mode the working points are the closed form
-(:func:`hopcav.steady_state.fixed_detuning_points`); in bare mode each point
-runs the self-consistent solver.
+indices, and index arithmetic on it selects each axis table's rows.  The
+working points come from the batch's drive, hopping and Langevin-detuning
+columns: in effective mode the closed form
+(:func:`hopcav.steady_state.fixed_detuning_points`), in bare mode every fixed
+point of the self-consistent problem
+(:func:`hopcav.steady_state.self_consistent_points`), which solves the
+batch's identical-cavity points with one stacked companion eigenvalue call.
 
 ``run_sweep`` evaluates the grid in chunks of at most ``CHUNK_POINTS`` points,
 which bounds the memory of the batch arrays, and ``run_point`` is a batch of
@@ -59,13 +62,13 @@ from .measures import MEASURES, pair_measures
 from .params import Detuning, PhysicalParams, derive_coupling, drive_amps, thermal_occupation
 from .squeezed import SqueezedBath
 from .stability import Gate, gate_branches
-from .steady_state import SteadyState, fixed_detuning_points, solve_self_consistent
+from .steady_state import SteadyState, fixed_detuning_points, self_consistent_points
 
 # bound for the span tracer of the benchmark (perfbench/spans.py PATCHES);
 # the batch calls the batched working points and stacked kernels instead
 from .dynamics import figure_drift  # noqa: F401
 from .stability import routh_hurwitz_reduced  # noqa: F401
-from .steady_state import solve_fixed_detuning  # noqa: F401
+from .steady_state import solve_fixed_detuning, solve_self_consistent  # noqa: F401
 from .lyapunov import is_hurwitz, solve_lyapunov  # noqa: F401
 from .measures import (  # noqa: F401
     extract_pair,
@@ -261,7 +264,6 @@ class _Sweep:
         self.omega_m = p.mech_freq[0]
         self.coupling = tuple(derive_coupling(p, j) for j in (1, 2))
         self.diffusions: dict = {}  # (nbar, N, M) -> diffusion or error
-        self.bare: dict = {}        # (hop, powers) -> parameters of the bare-mode solver
         self.shape = tuple(len(values) for _, values in axes)
         # the base bath's (N, M), or its error, which every point takes unless
         # a photon_number axis sets the bath
@@ -305,10 +307,6 @@ class _Sweep:
                 raise ConfigError(f"unknown axis {name!r}")
         except HopcavError as exc:
             return self.base, exc
-        if p.detuning.mode == "bare":
-            # the checked parameters serve the bare-mode solver, which reads
-            # only the hopping strength and the drive powers from them
-            self.bare.setdefault((p.hop_strength, p.drive_power), p)
         d1, d2 = p.detuning.value
         hop, (p1, p2) = p.hop_strength, p.drive_power
         if nbar is None:
@@ -353,14 +351,6 @@ class _Sweep:
                 self.diffusions[key] = exc
         return self.diffusions[key]
 
-    def bare_params(self, hop: float, powers: tuple) -> PhysicalParams:
-        """Parameters of the bare-mode solver, which reads the hopping strength
-        and the drive powers from them (all fields already checked)."""
-        key = (hop, powers)
-        if key not in self.bare:
-            self.bare[key] = replace(self.config.params, hop_strength=hop, drive_power=powers)
-        return self.bare[key]
-
 
 # measure cells and Lyapunov residual of a row without a covariance
 _UNMEASURED = (None,) * (len(MEASURES) + 1)
@@ -393,34 +383,16 @@ def _evaluate(sweep: _Sweep, start: int, stop: int) -> _Batch:
         outcomes[k] = sweep.failure(start + k)
     ready = (~bad).nonzero()[0]
 
-    # the working points as columns, one row per branch
-    if p.detuning.mode == "effective":
-        owners = ready.tolist()     # per branch, its point
-        inputs = inputs.take(ready, 0)
-        working = fixed_detuning_points(
-            p.cavity_decay, p.mech_freq, sweep.coupling, drives=inputs[:, 7:9].tolist(),
-            hop_strength=inputs[:, 4].tolist(), detuning=inputs[:, 1:3].tolist(),
-        )
-        amp_abs, coupling, detuning = working.amp_abs, working.eff_coupling, working.eff_detuning
-        numbers = [0] * len(owners)
-        steady = working.steady
-    else:
-        owners, states = [], []
-        for k, (delta, lang1, lang2, xi, hop, power, power2, _, _, *bath) in zip(
-                ready.tolist(), inputs.take(ready, 0).tolist()):
-            try:
-                found = solve_self_consistent(sweep.bare_params(hop, (power, power2)), lang1, lang2)
-            except HopcavError as exc:
-                outcomes[k] = ResultRecord(delta, xi, power, *bath, error=str(exc))
-                continue
-            owners += [k] * len(found)
-            states += found
-        inputs = inputs.take(owners, 0)
-        amp_abs = np.array([(abs(st.amp[0]), abs(st.amp[1])) for st in states]).reshape(-1, 2)
-        coupling = np.array([st.eff_coupling for st in states]).reshape(-1, 2)
-        detuning = np.array([st.eff_detuning for st in states]).reshape(-1, 2)
-        numbers = [st.branch for st in states]
-        steady = states.__getitem__
+    # the working points as columns, one row per branch, each naming its point
+    inputs = inputs.take(ready, 0)
+    points = fixed_detuning_points if p.detuning.mode == "effective" else self_consistent_points
+    working = points(p.cavity_decay, p.mech_freq, sweep.coupling, drives=inputs[:, 7:9].tolist(),
+                     hop_strength=inputs[:, 4].tolist(), detuning=inputs[:, 1:3].tolist())
+    for i, exc in working.errors.items():
+        outcomes[ready[i]] = ResultRecord(*inputs[i].take(_CELLS).tolist(), error=str(exc))
+    owners = ready.take(working.owner).tolist()
+    inputs = inputs.take(working.owner, 0)
+    amp_abs, coupling, detuning = working.amp_abs, working.eff_coupling, working.eff_detuning
 
     gate = gate_branches(p, coupling, detuning, inputs[:, 4], config.detuning_sign)
     errors = list(gate.errors)
@@ -451,7 +423,7 @@ def _evaluate(sweep: _Sweep, start: int, stop: int) -> _Batch:
         ResultRecord, *inputs.take(_CELLS, 1).T.tolist(),
         amp_abs[:, 0].tolist(), amp_abs[:, 1].tolist(),
         (coupling[:, 0] / sweep.omega_m).tolist(), gate.verdicts, gate.s1, gate.s2,
-        *zip(*measured), numbers, ["" if e is None else str(e) for e in errors],
+        *zip(*measured), working.branch.tolist(), ["" if e is None else str(e) for e in errors],
     ))
     for k, group in itertools.groupby(range(len(owners)), key=owners.__getitem__):
         rows = list(group)
@@ -459,7 +431,7 @@ def _evaluate(sweep: _Sweep, start: int, stop: int) -> _Batch:
             # default branch: the lowest-|amp| stable one, else the lowest-|amp|
             rows = [next((j for j in rows if records[j].stable), rows[0])]
         outcomes[k] = rows
-    return _Batch(outcomes, records, inputs, steady, gate, covariances)
+    return _Batch(outcomes, records, inputs, working.steady, gate, covariances)
 
 
 def run_points(sweep: _Sweep, start: int, stop: int) -> list[ResultRecord]:

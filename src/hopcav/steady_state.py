@@ -10,18 +10,23 @@ bare mode.  ``fixed_detuning_points`` evaluates the closed form at given
 effective detunings for a batch of points that share the cavities, and
 ``solve_fixed_detuning`` is its single-point case.
 
-``solve_self_consistent`` finds every fixed point of the bare-detuning
-problem: the photon numbers u_j = |a_j|^2 are the real, nonnegative common
-roots of the polynomials u_j |alpha_1 alpha_2 + xi^2|^2 - |alpha_k E_j + i xi E_k|^2,
-alpha_j = kappa_j + i Delta_j.  Identical cavities, detunings, couplings and
-drives take the roots of a cubic (the branches with a_1 = a_2) and of a
-quartic in u_1 + u_2 (the symmetry-broken pairs); any other input takes the
-roots u_1 of the hidden-variable resultant in u_2 (Cox, Little and O'Shea,
-*Ideals, Varieties, and Algorithms*, ch. 3), eigenvalues of a 15x15 block
-companion matrix, each paired with every real root u_2 of the second
+``self_consistent_points`` finds every fixed point of the bare-detuning
+problem for a batch of points, as columns with one row per branch, and
+``solve_self_consistent`` is its single-point case.  The photon numbers
+u_j = |a_j|^2 are the real, nonnegative common roots of the polynomials
+u_j |alpha_1 alpha_2 + xi^2|^2 - |alpha_k E_j + i xi E_k|^2,
+alpha_j = kappa_j + i Delta_j.  Identical photon-number equations (equal
+decay rates, bare detunings, shifts per photon and drives) take the roots of
+a cubic (the branches with a_1 = a_2) and of a quartic in u_1 + u_2 (the
+symmetry-broken pairs), the companion matrices of every such point of a
+batch in one stacked eigenvalue call; any other input takes, point by point,
+the roots u_1 of the hidden-variable resultant in u_2 (Cox, Little and
+O'Shea, *Ideals, Varieties, and Algorithms*, ch. 3), eigenvalues of a 15x15
+block companion matrix, each paired with every real root u_2 of the second
 polynomial there.  A pair whose relative residual in either polynomial
 exceeds ROOT_RTOL is no common root and is dropped.  Newton's method polishes
-every candidate.
+every candidate, and of the candidates that polish onto one fixed point the
+one with the least residual is kept.
 """
 
 from __future__ import annotations
@@ -95,18 +100,21 @@ def _assemble(mech_freq, xi, g, e, amp1, amp2, delta1, delta2, alpha1, alpha2, b
 
 
 class WorkingPoints(NamedTuple):
-    """Closed-form working points of a batch as columns, one row per point;
-    see :func:`fixed_detuning_points`."""
+    """Working points of a batch as columns, one row per branch; see
+    :func:`fixed_detuning_points` and :func:`self_consistent_points`."""
 
     cavity_decay: tuple[float, float]
     mech_freq: tuple[float, float]
     coupling: tuple[float, float]   # single-photon couplings g_j
-    drives: list                    # per point, the drive amplitudes (|E_1|, |E_2|)
-    hop_strength: np.ndarray        # (P,) rad/s
-    eff_detuning: np.ndarray        # (P, 2) rad/s, as entering the Langevin drift
-    amp: np.ndarray                 # (P, 2) complex amplitudes a_j
-    amp_abs: np.ndarray             # (P, 2) |a_j|
-    eff_coupling: np.ndarray        # (P, 2) G_j = sqrt(2) g_j |a_j|, rad/s
+    drives: list                    # per branch, the drive amplitudes (|E_1|, |E_2|)
+    hop_strength: np.ndarray        # (B,) rad/s
+    eff_detuning: np.ndarray        # (B, 2) rad/s, as entering the Langevin drift
+    amp: np.ndarray                 # (B, 2) complex amplitudes a_j
+    amp_abs: np.ndarray             # (B, 2) |a_j|
+    eff_coupling: np.ndarray        # (B, 2) G_j = sqrt(2) g_j |a_j|, rad/s
+    branch: np.ndarray              # (B,) its index among the fixed points of its point
+    owner: np.ndarray               # (B,) its point, a row of the batch's inputs
+    errors: dict                    # point -> the error it raised in place of branches
 
     def steady(self, i: int) -> SteadyState:
         """The :class:`SteadyState` of row ``i``."""
@@ -115,13 +123,29 @@ class WorkingPoints(NamedTuple):
         kappa = self.cavity_decay
         return _assemble(self.mech_freq, self.hop_strength[i].item(), self.coupling,
                          self.drives[i], amp1, amp2, delta1, delta2,
-                         complex(kappa[0], delta1), complex(kappa[1], delta2))
+                         complex(kappa[0], delta1), complex(kappa[1], delta2),
+                         self.branch[i].item())
+
+
+def _columns(cavity_decay, mech_freq, coupling, drives, hop_strength, detuning, amps,
+             branch, owner, errors) -> WorkingPoints:
+    """The columns of branches given as their inputs, detunings and amplitudes."""
+    amp = np.array(amps, dtype=complex).reshape(len(drives), 2)
+    # |a_j| as abs() gives it, and G_j = sqrt(2) g_j |a_j| as effective_coupling
+    amp_abs = np.hypot(amp.real, amp.imag)
+    root2 = math.sqrt(2.0)
+    return WorkingPoints(
+        cavity_decay, mech_freq, coupling, drives, np.asarray(hop_strength, dtype=float),
+        np.asarray(detuning, dtype=float).reshape(len(drives), 2), amp, amp_abs,
+        amp_abs * np.array([root2 * coupling[0], root2 * coupling[1]]),
+        np.asarray(branch, dtype=int), np.asarray(owner, dtype=int), errors,
+    )
 
 
 def fixed_detuning_points(cavity_decay, mech_freq, coupling, drives, hop_strength,
                           detuning) -> WorkingPoints:
     """Closed-form working points of a batch at given effective detunings, as
-    columns.
+    columns with one branch per point.
 
     ``cavity_decay``, ``mech_freq`` and the single-photon couplings
     ``coupling`` are per-cavity pairs shared by the batch; ``drives`` (the
@@ -136,15 +160,9 @@ def fixed_detuning_points(cavity_decay, mech_freq, coupling, drives, hop_strengt
     amps = []
     for e, xi, (delta1, delta2) in zip(drives, hop_strength, detuning):
         amps += _closed_form_amps(cavity_decay, xi, e[0], e[1], delta1, delta2)[:2]
-    amp = np.array(amps, dtype=complex).reshape(len(drives), 2)
-    # |a_j| as abs() gives it, and G_j = sqrt(2) g_j |a_j| as effective_coupling
-    amp_abs = np.hypot(amp.real, amp.imag)
-    root2 = math.sqrt(2.0)
-    return WorkingPoints(
-        cavity_decay, mech_freq, coupling, drives, np.asarray(hop_strength, dtype=float),
-        np.asarray(detuning, dtype=float).reshape(len(drives), 2), amp, amp_abs,
-        amp_abs * np.array([root2 * coupling[0], root2 * coupling[1]]),
-    )
+    count = len(drives)
+    return _columns(cavity_decay, mech_freq, coupling, drives, hop_strength, detuning, amps,
+                    np.zeros(count, int), np.arange(count), {})
 
 
 def solve_fixed_detuning(params: PhysicalParams, delta1: float, delta2: float) -> SteadyState:
@@ -161,16 +179,24 @@ def _real(roots, cap: float) -> list[float]:   # the real roots in [0, cap], to 
             if abs(r.imag) <= REAL_TOL * (1.0 + abs(r)) and -REAL_TOL <= r.real <= cap + REAL_TOL]
 
 
-def _symmetric_candidates(c: float, b: float, x: float, cap: float) -> list[tuple]:
-    """(U, U) for each root of the a_1 = a_2 cubic, and (U_1, U_2) both ways for each
-    root s = U_1 + U_2 of the symmetry-broken quartic, with U_1 U_2 = p(s)."""
+def _companion_rows(c: float, b: float, x: float) -> tuple:
+    """The first rows of the companion matrices in _COMPANIONS of the a_1 = a_2 cubic
+    and of the symmetry-broken quartic in s = U_1 + U_2.  Each entry is a Python
+    float expression (``c ** 3`` is the C library's pow), so that every point's
+    matrices hold the same bits in any batch."""
     m, q, bb = c - x, c + x, b * b
-    comp = _COMPANIONS.copy()
-    comp[0, 0, :3] = 2.0 * m / b, -(1.0 + m * m) / bb, 1.0 / bb
-    comp[1, 0] = ((6.0 * c + 4.0 * x) / b, -(13.0 * c * c + 16.0 * c * x + 4.0 * x * x + 1.0) / bb,
-                  (12.0 * c ** 3 + 20.0 * c * c * x + 8.0 * c * x * x + 4.0 * c - b) / (b * bb),
-                  -2.0 * (2.0 * c * c * q * q + 2.0 * c * c - b * q) / (bb * bb))
-    cubic, quartic = np.linalg.eigvals(comp).tolist()
+    return (2.0 * m / b, -(1.0 + m * m) / bb, 1.0 / bb), (
+        (6.0 * c + 4.0 * x) / b, -(13.0 * c * c + 16.0 * c * x + 4.0 * x * x + 1.0) / bb,
+        (12.0 * c ** 3 + 20.0 * c * c * x + 8.0 * c * x * x + 4.0 * c - b) / (b * bb),
+        -2.0 * (2.0 * c * c * q * q + 2.0 * c * c - b * q) / (bb * bb))
+
+
+def _symmetric_candidates(roots, c: float, b: float, x: float, cap: float) -> list[tuple]:
+    """(U, U) for each root of the a_1 = a_2 cubic, and (U_1, U_2) both ways for each
+    root s = U_1 + U_2 of the symmetry-broken quartic, with U_1 U_2 = p(s); ``roots``
+    holds the eigenvalues of both companion matrices of :func:`_companion_rows`."""
+    cubic, quartic = roots
+    q, bb = c + x, b * b
     found = [(u, u) for u in _real(cubic, cap)]
     for s in _real(quartic, cap):   # U_1 and U_2 are the roots of t^2 - s t + p(s)
         r = math.sqrt(max(s * s - 4.0 * (s * s - 2.0 * s * q / b + (q * q + 1.0) / bb), 0.0))
@@ -262,59 +288,129 @@ def _polish(u1, u2, kappa, delta0, b, e, xi):
     return u1, u2
 
 
-def solve_self_consistent(params: PhysicalParams, delta01: float, delta02: float,
-                          coupling: tuple[float, float] | None = None) -> list[SteadyState]:
-    """Every fixed point of the bare-detuning problem (see the module docstring), by |a_1|.
-
-    More than one returned branch flags optical bistability.  ``coupling``
-    overrides the derived single-photon couplings (useful for probing the
-    linear limit).
-    """
-    g = coupling if coupling is not None else tuple(derive_coupling(params, j) for j in (1, 2))
-    e, kappa, xi = drive_amps(params), params.cavity_decay, params.hop_strength
-    mech = params.mech_freq
-
+def _scaled(kappa, g, shift, e, xi: float, delta0) -> tuple | None:
+    """The photon-number problem of one point in scaled units, or None where no
+    cavity has both radiation pressure and photons (the detunings stay bare)."""
     if all(g[j] == 0.0 or (e[j] == 0.0 and (xi == 0.0 or e[1 - j] == 0.0)) for j in (0, 1)):
-        # no cavity has both radiation pressure and photons: the detunings stay bare
-        amp1, amp2, a1, a2 = _closed_form_amps(kappa, xi, e[0], e[1], delta01, delta02)
-        return [_assemble(mech, xi, g, e, amp1, amp2, delta01, delta02, a1, a2)]
-
-    def detunings(u1, u2):
-        return delta01 - g[0] ** 2 * u1 / mech[0], delta02 - g[1] ** 2 * u2 / mech[1]
-
+        return None
     # U_j = u_j / unit, with rates in units of kappa_1 and drives in units of the larger
-    shift = (g[0] ** 2 / mech[0], g[1] ** 2 / mech[1])    # detuning per photon
     kap, unit = kappa[0], (max(e) / kappa[0]) ** 2
-    k, c = (1.0, kappa[1] / kap), (delta01 / kap, delta02 / kap)
+    k, c = (1.0, kappa[1] / kap), (delta0[0] / kap, delta0[1] / kap)
     b, es = (shift[0] * unit / kap, shift[1] * unit / kap), (e[0] / max(e), e[1] / max(e))
     # kappa_1 u_1 + kappa_2 u_2 = Re(E_1 a_1* + E_2 a_2*) bounds U_1 + U_2
     cap = (es[0] ** 2 + es[1] ** 2) / min(k) ** 2
-    symmetric = params.is_symmetric and delta01 == delta02 and g[0] == g[1] and e[0] == e[1]
-    candidates = (_symmetric_candidates(c[0], b[0], xi / kap, cap) if symmetric
-                  else _general_candidates(k, c, b, es, xi / kap, cap))
+    symmetric = (kappa[0] == kappa[1] and shift[0] == shift[1] and e[0] == e[1]
+                 and delta0[0] == delta0[1])
+    return symmetric, k, c, b, es, xi / kap, cap, unit
+
+
+def _fixed_points(candidates, kappa, mech, g, shift, e, xi: float, delta0, unit: float,
+                  cap: float) -> tuple[list, float]:
+    """The distinct fixed points the candidates (U_1, U_2) polish onto, by |a_1|, each
+    as (a_1, a_2, Delta_1, Delta_2), and the least residual of any candidate."""
+    def detunings(u1, u2):
+        return delta0[0] - g[0] ** 2 * u1 / mech[0], delta0[1] - g[1] ** 2 * u2 / mech[1]
 
     # each candidate is polished in the photon numbers u_j in extended precision
     # (every product in _polish then has an extended factor), so that it lands on
     # its correctly rounded value
     ext = np.longdouble
-    precise = ((ext(kappa[0]), ext(kappa[1])), (delta01, delta02), shift, e, ext(xi))
-    found, best = [], math.inf   # _assemble's arguments of each distinct branch; least residual
+    precise = ((ext(kappa[0]), ext(kappa[1])), delta0, shift, e, ext(xi))
+    found, best = [], math.inf   # (residual, a_1, a_2, Delta_1, Delta_2) per fixed point
     for u1, u2 in candidates:
         u1, u2 = map(float, _polish(ext(u1 * unit), ext(u2 * unit), *precise))
         if not all(-REAL_TOL <= u / unit <= cap + REAL_TOL for u in (u1, u2)):
             continue
         amp1, amp2, _, _ = _closed_form_amps(kappa, xi, e[0], e[1], *detunings(u1, u2))
         d1, d2 = detunings(abs(amp1) ** 2, abs(amp2) ** 2)
-        alpha = (complex(kappa[0], d1), complex(kappa[1], d2))
-        res = _residual(xi, e[0], e[1], amp1, amp2, *alpha)
+        res = _residual(xi, e[0], e[1], amp1, amp2, complex(kappa[0], d1), complex(kappa[1], d2))
         best = min(best, res)
+        if res >= RESIDUAL_TOL:
+            continue
+        # of the candidates that land on one fixed point the least residual is kept
+        # (then the least amplitudes), whichever other candidates exist
+        point = (res, amp1, amp2, d1, d2)
         scale = DUPLICATE_TOL * max(1.0, abs(amp1), abs(amp2))
-        if res < RESIDUAL_TOL and all(max(abs(amp1 - f[0]), abs(amp2 - f[1])) >= scale
-                                      for f in found):
-            found.append((amp1, amp2, d1, d2, *alpha))
+        same = next((i for i, f in enumerate(found)
+                     if max(abs(amp1 - f[1]), abs(amp2 - f[2])) < scale), None)
+        if same is None:
+            found.append(point)
+        elif _order(point) < _order(found[same]):
+            found[same] = point
+    found.sort(key=lambda f: abs(f[1]))
+    return [f[1:] for f in found], best
 
-    if not found:
-        raise ConvergenceFailureError(f"no self-consistent steady state converged "
-                                      f"(best residual {best:.3e})", best_residual=best)
-    found.sort(key=lambda f: abs(f[0]))
-    return [_assemble(mech, xi, g, e, *f, branch) for branch, f in enumerate(found)]
+
+def _order(point) -> tuple:   # a total order of (residual, a_1, a_2, ...)
+    res, amp1, amp2 = point[:3]
+    return res, amp1.real, amp1.imag, amp2.real, amp2.imag
+
+
+def self_consistent_points(cavity_decay, mech_freq, coupling, drives, hop_strength,
+                           detuning) -> WorkingPoints:
+    """Every fixed point of the bare-detuning problem (see the module docstring)
+    of each point of a batch, as columns with one row per branch.
+
+    The arguments are those of :func:`fixed_detuning_points`, with ``detuning``
+    the bare Langevin detunings.  A point's branches are adjacent and sorted by
+    |a_1|, numbered in ``branch``; more than one flags optical bistability.  A
+    point where no candidate converges has no branch, and its
+    :class:`ConvergenceFailureError` is in ``errors``.
+
+    The points with identical photon-number equations take the roots of their
+    cubics and quartics from one stacked eigenvalue call; the others take the
+    resultant one by one.  A point's columns do not depend on its batch.
+    """
+    kappa, mech, g = cavity_decay, mech_freq, coupling
+    shift = (g[0] ** 2 / mech[0], g[1] ** 2 / mech[1])    # detuning per photon
+    problems = [_scaled(kappa, g, shift, e, xi, delta0)
+                for e, xi, delta0 in zip(drives, hop_strength, detuning)]
+    rows = [_companion_rows(c[0], b[0], x)
+            for symmetric, _, c, b, _, x, _, _ in filter(None, problems) if symmetric]
+    roots = iter(())
+    if rows:
+        comp = np.tile(_COMPANIONS, (len(rows), 1, 1, 1))
+        comp[:, 0, 0, :3], comp[:, 1, 0] = zip(*rows)
+        roots = iter(np.linalg.eigvals(comp).tolist())
+
+    amps, detunings, branch, owner, errors = [], [], [], [], {}
+    for point, (e, xi, delta0, problem) in enumerate(zip(drives, hop_strength, detuning,
+                                                          problems)):
+        if problem is None:
+            found = [(*_closed_form_amps(kappa, xi, e[0], e[1], *delta0)[:2], *delta0)]
+        else:
+            symmetric, k, c, b, es, x, cap, unit = problem
+            candidates = (_symmetric_candidates(next(roots), c[0], b[0], x, cap) if symmetric
+                          else _general_candidates(k, c, b, es, x, cap))
+            found, best = _fixed_points(candidates, kappa, mech, g, shift, e, xi, delta0,
+                                        unit, cap)
+            if not found:
+                errors[point] = ConvergenceFailureError(
+                    f"no self-consistent steady state converged (best residual {best:.3e})",
+                    best_residual=best)
+                continue
+        for n, (amp1, amp2, d1, d2) in enumerate(found):
+            amps += amp1, amp2
+            detunings.append((d1, d2))
+            branch.append(n)
+            owner.append(point)
+    return _columns(kappa, mech, g, [drives[i] for i in owner], [hop_strength[i] for i in owner],
+                    detunings, amps, branch, owner, errors)
+
+
+def solve_self_consistent(params: PhysicalParams, delta01: float, delta02: float,
+                          coupling: tuple[float, float] | None = None) -> list[SteadyState]:
+    """Every fixed point of the bare-detuning problem, by |a_1|: the batch of one of
+    :func:`self_consistent_points`.
+
+    More than one returned branch flags optical bistability.  ``coupling``
+    overrides the derived single-photon couplings (useful for probing the
+    linear limit).
+    """
+    g = coupling if coupling is not None else tuple(derive_coupling(params, j) for j in (1, 2))
+    points = self_consistent_points(params.cavity_decay, params.mech_freq, g,
+                                    [drive_amps(params)], [params.hop_strength],
+                                    [(delta01, delta02)])
+    if points.errors:
+        raise points.errors[0]
+    return [points.steady(i) for i in range(len(points.owner))]

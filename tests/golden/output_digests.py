@@ -9,7 +9,8 @@ document, ``perfbench/inputs.py`` at its default seed) in both detuning sign
 conventions, the ``hopcav sweep`` CSV of the benchmark's fig6b document in
 the negative sign convention on 1 worker, the benchmark's fig6b sweep (on 1
 worker) and fig5 map at seed 3 (``inputs.grid_configs(..., 3)``: every axis
-shifted off the preset grid) in the positive sign convention, and
+shifted off the preset grid) in the positive sign convention, the
+benchmark's bare-detuning fig2a and fig2b sweeps at seed 3 on 1 worker, and
 ``hopcav point --json`` for ``configs/point.json``, for the benchmark's 16
 point documents and for ``configs/point.json`` at xi = 0.5 omega_m with
 unequal detunings (1.0, 1.3) omega_m.  Each line reads ``<sha256>  <output>``; a command that
@@ -66,6 +67,8 @@ def digests(work: Path) -> list[tuple[str, str]]:
                                   detuning_sign="negative")
     docs["fig5-seed3"] = inputs.grid_configs("stability", OFF_GRID_SEED)["fig5"]
     docs["fig6b-seed3"] = inputs.grid_configs("surface", OFF_GRID_SEED)["fig6b"]
+    docs.update((f"{name}-seed3", doc)
+                for name, doc in inputs.grid_configs("bare", OFF_GRID_SEED).items())
     docs.update((f"point{k:02d}", d)
                 for k, d in enumerate(inputs.point_configs(inputs.DEFAULT_SEED)))
     unequal = json.loads(POINT_CONFIG.read_text(encoding="utf-8"))
@@ -79,7 +82,9 @@ def digests(work: Path) -> list[tuple[str, str]]:
         code, _ = _cli(["stability", "--config", str(paths.pop(name)), "--out", str(stability_csv)])
         out.append((label, _digest(code, stability_csv.read_bytes() if code == 0 else b"")))
     for name, label in (("fig6b-negative", "fig6b sweep (negative sign)"),
-                        ("fig6b-seed3", "fig6b sweep (seed 3)")):
+                        ("fig6b-seed3", "fig6b sweep (seed 3)"),
+                        ("fig2a-seed3", "fig2a bare sweep (seed 3)"),
+                        ("fig2b-seed3", "fig2b bare sweep (seed 3)")):
         sweep_csv = work / f"{name}.csv"
         code, _ = _cli(["sweep", "--config", str(paths.pop(name)), "--out", str(sweep_csv),
                         "--workers", "1"])

@@ -318,28 +318,27 @@ class TestBatchedPipeline:
         assert checks == sum(len(a.values) for a in config.axes) == 202
 
     def test_bare_sweep_builds_no_solver_parameters(self, monkeypatch):
-        # the bare-mode solver takes the parameters its axis values' checks built
+        # the bare-mode solver takes the columns of the axis tables: no
+        # parameters are built beyond each axis value's check
         config = fig_preset("fig2a")
         _, checks = self.count_checks(monkeypatch, config)
         assert checks == sum(len(a.values) for a in config.axes) == 205
 
     def test_effective_sweep_keeps_no_solver_parameters(self):
-        # only the bare-mode solver reads the checked parameters of an axis
-        # value, so an effective sweep neither keeps nor ships them
+        # no sweep keeps parameters for its working points, so a bare-mode
+        # sweep ships no more than the effective one to each pool chunk
         import pickle
 
         fig6b = fig_preset("fig6b")
         sweep = engine._Sweep(fig6b, [(a.name, a.values) for a in fig6b.axes])
-        assert sweep.bare == {}
         bare_mode = replace(fig6b, params=replace(fig6b.params, detuning=Detuning(
             "bare", fig6b.params.detuning.value)))
-        kept = engine._Sweep(bare_mode, [(a.name, a.values) for a in bare_mode.axes])
-        assert len(kept.bare) == 101
-        assert len(pickle.dumps(sweep)) < len(pickle.dumps(kept)) - 10_000
+        bare = engine._Sweep(bare_mode, [(a.name, a.values) for a in bare_mode.axes])
+        assert abs(len(pickle.dumps(sweep)) - len(pickle.dumps(bare))) < 100
 
-    def test_effective_sweep_builds_no_per_point_objects(self, monkeypatch):
-        # the chunk stays columns up to the records: no working point and no
-        # point result per grid point; run_point still returns both
+    @staticmethod
+    def count_built(monkeypatch) -> list:
+        """The class names of the working points and point results built from now on."""
         built = []
         for cls in (engine.SteadyState, engine.PointResult):
             init = cls.__init__
@@ -349,6 +348,12 @@ class TestBatchedPipeline:
                 _init(self, *args, **kwargs)
 
             monkeypatch.setattr(cls, "__init__", counted)
+        return built
+
+    def test_effective_sweep_builds_no_per_point_objects(self, monkeypatch):
+        # the chunk stays columns up to the records: no working point and no
+        # point result per grid point; run_point still returns both
+        built = self.count_built(monkeypatch)
         records = run_sweep(fig_preset("fig6b")).records
         assert len(records) == 101 * 101 and any(r.stable for r in records)
         assert built == []
@@ -356,6 +361,18 @@ class TestBatchedPipeline:
         assert sorted(built) == ["PointResult", "SteadyState"]
         assert result.steady_states[0].amp[0] != 0.0
         assert result.covariances[0] is not None and result.drifts[0] is not None
+
+    def test_bare_sweep_builds_no_per_point_objects(self, monkeypatch):
+        # the bare-mode solver returns columns too; run_point builds the
+        # working point of each emitted branch
+        built = self.count_built(monkeypatch)
+        config = fig_preset("fig2a")
+        records = run_sweep(config).records
+        assert len(records) == 4 * 201 and any(r.stable for r in records)
+        assert built == []
+        result = run_point(config, {"delta": 1.0, "power": config.axes[1].values[-1]})
+        assert sorted(built) == ["PointResult"] + ["SteadyState"] * len(result.records)
+        assert [ss.branch for ss in result.steady_states] == [r.branch for r in result.records]
 
     def test_signed_zero_axis_values_keep_their_cells(self):
         cfg = base_config(axes=(AxisSpec("xi", (-0.0, 0.0, 0.5)),))

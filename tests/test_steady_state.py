@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
@@ -12,6 +12,7 @@ from hopcav import steady_state
 from hopcav.params import Detuning, PhysicalParams, derive_coupling, drive_amps
 from hopcav.steady_state import (
     effective_coupling,
+    self_consistent_points,
     solve_fixed_detuning,
     solve_self_consistent,
 )
@@ -291,6 +292,119 @@ class TestRoutes:
         for ss, u in zip(equal, oracle):
             assert abs(ss.amp[0]) ** 2 == pytest.approx(u, rel=1e-6)
         assert_distinct_sorted(branches)
+
+
+    def test_kept_duplicate_does_not_depend_on_candidate_order(self, monkeypatch):
+        # every candidate comes twice, once 1e-6 off, and the polish stops after
+        # one step, so that the copies land on different bits of one fixed point:
+        # the one with the least residual is kept, in either candidate order
+        monkeypatch.setattr(steady_state, "NEWTON_STEPS", 1)
+        routes = {name: getattr(steady_state, name)
+                  for name in ("_symmetric_candidates", "_general_candidates")}
+
+        def branches(reverse):
+            for name, route in routes.items():
+                def doubled(*args, _route=route):
+                    found = [c for u1, u2 in _route(*args)
+                             for c in ((u1, u2), (u1 * (1 + 1e-6), u2 * (1 + 1e-6)))]
+                    return found[::-1] if reverse else found
+                monkeypatch.setattr(steady_state, name, doubled)
+            return [solve_self_consistent(make_params(power=power, xi=xi * WM), d1 * WM, d2 * WM)
+                    for power, xi, d1, d2 in [
+                        ((0.1, 0.12), 0.2, 3.9, 4.0), ((0.12, 0.1), 0.2, 4.0, 3.9),
+                        (0.3, 0.5, 6.0, 6.0),
+                        (0.22173034565638772, 0.7702247659467343, 5.5283269487508475,
+                         5.5283269487508475)]]
+
+        forward = branches(reverse=False)
+        assert [len(found) for found in forward] == [7, 7, 9, 7]
+        assert branches(reverse=True) == forward
+
+
+# the cavities of make_params, which every row of a batch shares
+CAVITIES = (make_params().cavity_decay, make_params().mech_freq,
+            tuple(derive_coupling(make_params(), j) for j in (1, 2)))
+
+
+@st.composite
+def chunk_rows(draw):
+    """(kind, drive powers, xi / omega_m, Langevin detunings / omega_m) of one
+    row of a bare-mode batch."""
+    kind = draw(st.sampled_from(["symmetric", "drives", "detunings", "undriven", "bistable",
+                                 "raises"]))
+    power, xi, delta = draw(st.floats(0.001, 0.4)), draw(st.floats(0.0, 1.5)), draw(
+        st.floats(-2.0, 9.0))
+    powers, deltas = (power, power), (delta, delta)
+    if kind == "drives":
+        powers = (power, power * draw(st.floats(0.2, 2.0)))
+    elif kind == "detunings":
+        deltas = (delta, delta + draw(st.floats(-1.5, 1.5)))
+    elif kind == "undriven":
+        powers = (0.0, 0.0)
+    elif kind == "bistable":
+        # 100-150 mW with little hopping folds the response over these detunings
+        powers, xi = (draw(st.floats(0.1, 0.15)),) * 2, draw(st.floats(0.0, 0.1))
+        deltas = (draw(st.floats(3.6, 4.2)),) * 2
+    return kind, powers, xi, deltas
+
+
+def batch_columns(rows):
+    """The arguments of a batch of ``chunk_rows``."""
+    drives = [drive_amps(make_params(power=powers)) for _, powers, _, _ in rows]
+    return (*CAVITIES, drives, [xi * WM for _, _, xi, _ in rows],
+            [(d1 * WM, d2 * WM) for _, _, _, (d1, d2) in rows])
+
+
+def point_columns(points, point):
+    """Every column of one point's branches, as bytes, and their working points."""
+    rows = (points.owner == point).nonzero()[0]
+    return ([getattr(points, name)[rows].tobytes() for name in (
+        "amp", "amp_abs", "eff_coupling", "eff_detuning", "hop_strength", "branch")],
+            [points.drives[i] for i in rows], [points.steady(i) for i in rows])
+
+
+class TestChunks:
+    """A bare-mode batch: each point's columns are its batch of one."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.lists(chunk_rows(), min_size=1, max_size=8))
+    @example(rows=[("symmetric", (0.1, 0.1), 0.0, (3.9, 3.9)), ("undriven", (0.0, 0.0), 0.5, (1.0, 1.0)),
+                   ("raises", (0.2, 0.2), 0.3, (2.0, 2.0)), ("drives", (0.1, 0.12), 0.2, (3.9, 4.0)),
+                   ("detunings", (0.3, 0.3), 0.5, (6.0, 6.2)), ("bistable", (0.12, 0.12), 0.05,
+                                                               (3.9, 3.9))])
+    def test_points_do_not_depend_on_their_batch(self, rows):
+        # a row that raises is one whose polish is broken: it lands 1e-3 off
+        broken = {drive_amps(make_params(power=powers))
+                  for kind, powers, _, _ in rows if kind == "raises"}
+        polish = steady_state._polish
+
+        def polished(u1, u2, kappa, delta0, b, e, xi):
+            if tuple(e) in broken:
+                return u1 * 1.001, u2 * 1.001
+            return polish(u1, u2, kappa, delta0, b, e, xi)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(steady_state, "_polish", polished)
+            batch = self_consistent_points(*batch_columns(rows))
+            alone = [self_consistent_points(*batch_columns([row])) for row in rows]
+        assert list(batch.owner) == sorted(batch.owner)
+        for k, (row, single) in enumerate(zip(rows, alone)):
+            assert point_columns(batch, k) == point_columns(single, 0), row
+            assert ([str(batch.errors[k])] if k in batch.errors else []) == [
+                str(e) for e in single.errors.values()], row
+            if row[0] == "raises":
+                assert str(batch.errors[k]).startswith("no self-consistent steady state")
+
+    def test_symmetric_rows_take_one_eigenvalue_call(self, monkeypatch):
+        calls = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals",
+                            lambda a: calls.append(np.shape(a)) or eigvals(a))
+        rows = [("symmetric", (0.1, 0.1), 0.0, (d, d)) for d in np.linspace(3.5, 4.3, 9)]
+        rows.insert(4, ("undriven", (0.0, 0.0), 0.5, (1.0, 1.0)))
+        points = self_consistent_points(*batch_columns(rows))
+        assert calls == [(9, 2, 4, 4)]
+        assert len(points.owner) > len(rows)   # the bistable rows give several branches
 
 
 def assert_distinct_sorted(branches):
