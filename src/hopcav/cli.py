@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import operator
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -21,10 +20,10 @@ from pathlib import Path
 from . import __version__
 from .config import load_config, validate_config
 from .dynamics import QUADRATURE_LABELS
-from .engine import CSV_COLUMNS, csv_text, format_cell, misses_residual_gate, run_point, run_sweep
+from .engine import CSV_COLUMNS, csv_lines, csv_text, misses_residual_gate, run_point, run_sweep
 from .errors import ConfigError, HopcavError, UnknownPresetError
 from .presets import PRESET_NAMES, fig_preset
-from .stability import stability_map
+from .stability import StabilityReport, stability_map
 
 # bound for the span tracer of the benchmark (perfbench/spans.py PATCHES);
 # ``point`` takes its matrices from the run_point result instead
@@ -37,8 +36,7 @@ EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 EXIT_UNKNOWN_PRESET = 3
 
-STABILITY_COLUMNS = ("delta", "xi", "s1", "s2", "hurwitz_reduced", "hurwitz_full", "agree")
-_STABILITY_CELLS = operator.attrgetter(*STABILITY_COLUMNS)
+STABILITY_COLUMNS = StabilityReport._fields
 
 
 def _header(config) -> list[str]:
@@ -178,8 +176,7 @@ def _cmd_stability(args) -> int:
         fh.write(f"# both-conditions region: {both} of {len(reports)} points; "
                  f"sign/eigenvalue disagreements: {disagreements}\n")
         fh.write(",".join(STABILITY_COLUMNS) + "\n")
-        for r in reports:
-            fh.write(",".join(map(format_cell, _STABILITY_CELLS(r))) + "\n")
+        fh.writelines(csv_lines(reports))
     print(f"wrote {len(reports)} stability reports to {out}")
     return EXIT_OK
 

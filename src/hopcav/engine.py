@@ -10,9 +10,16 @@ A batch of grid points runs
     -> one record per row
 
 as NumPy columns with one row per branch, from the axis tables to the
-records, which are built with one ``zip``.  The per-point objects
-(:class:`SteadyState`, :class:`PointResult`) are built only where a caller
-reads them: ``run_point`` (and so ``hopcav point``).
+records.  A record is a named tuple of its CSV cells, built with one
+``tuple.__new__`` per branch row over one ``zip`` of the columns; only a
+chunk with several branches at a point groups its rows, to keep each point's
+default branch.  The per-point objects (:class:`SteadyState`,
+:class:`PointResult`) are built only where a caller reads them:
+``run_point`` (and so ``hopcav point``).
+
+Records become CSV lines through :func:`csv_lines`, which also writes the
+stability map's rows: one ``%`` template per pattern of cells renders a whole
+row, and only a line that reads 'nan' is rendered again.
 
 The work that does not depend on the point runs once per sweep: the base
 parameters' couplings and inputs and, when the sweep starts, each axis
@@ -51,7 +58,8 @@ import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple
+from types import NoneType
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -90,18 +98,6 @@ INPUTS = ("delta", "lang1", "lang2", "xi", "hop", "power", "power2", "drive1", "
 AXIS_INPUTS = {"delta": slice(0, 3), "xi": slice(3, 5), "power": slice(5, 9),
                "temperature": slice(9, 10), "nbar": slice(9, 10), "photon_number": slice(10, 12)}
 BRANCH_POLICIES = ("default", "all")
-
-CSV_COLUMNS = (
-    "delta", "xi", "power", "nbar", "photon_number", "correlation",
-    "amp1", "amp2", "coupling_ratio", "stable", "s1", "s2",
-    "en_f1m1", "en_f2m2", "en_m1m2", "en_f1f2",
-    "theta_f1m1", "theta_f2m2", "theta_m1m2", "theta_f1f2",
-    "fidelity", "fidelity_bound", "lyap_residual", "branch", "error",
-)
-# every column but the last, the error text
-_VALUE_CELLS = operator.attrgetter(*CSV_COLUMNS[:-1])
-# the input columns of the record's first six cells
-_CELLS = [INPUTS.index(name) for name in CSV_COLUMNS[:6]]
 
 
 @dataclass(frozen=True)
@@ -190,9 +186,9 @@ class SweepConfig:
                 raise ConfigError(f"bath: {exc}") from exc
 
 
-@dataclass(frozen=True, slots=True)
-class ResultRecord:
-    """One output row; measure fields are None at unstable or failed points."""
+class ResultRecord(NamedTuple):
+    """One output row, its cells in CSV column order; measure fields are None
+    at unstable or failed points."""
 
     delta: float
     xi: float
@@ -219,6 +215,11 @@ class ResultRecord:
     lyap_residual: float | None = None
     branch: int = 0
     error: str = ""
+
+
+CSV_COLUMNS = ResultRecord._fields
+# the input columns of the record's first six cells
+_CELLS = [INPUTS.index(name) for name in CSV_COLUMNS[:6]]
 
 
 @dataclass(frozen=True)
@@ -352,21 +353,21 @@ class _Sweep:
         return self.diffusions[key]
 
 
-# measure cells and Lyapunov residual of a row without a covariance
+# the measure cells and Lyapunov residual of a row without a covariance
 _UNMEASURED = (None,) * (len(MEASURES) + 1)
 
 
 class _Batch(NamedTuple):
-    """A batch of grid points evaluated as columns, one entry per branch, up
-    to the records; what ``run_point`` reports besides a point's records is
-    read from here."""
+    """A batch of grid points evaluated as columns, one row per branch, up to
+    the records; what ``run_point`` reports besides a point's records is read
+    from here."""
 
-    outcomes: list      # per point: its failed record, or the indices of its emitted branches
-    records: list       # per branch: its record
-    inputs: np.ndarray  # per branch: its point's inputs
-    steady: Callable[[int], SteadyState]   # the working point of a branch
+    records: list       # the emitted records in grid order, a point's branch rows adjacent
+    rows: Sequence      # per emitted record: its branch row, or None for a point that failed
+    inputs: np.ndarray  # per branch row: its point's inputs
+    steady: Callable[[int], SteadyState]           # the working point of a branch row
     gate: Gate
-    covariances: dict   # measured branch -> its covariance
+    covariance: Callable[[int], np.ndarray | None]  # of a measured branch row, else None
 
 
 def _evaluate(sweep: _Sweep, start: int, stop: int) -> _Batch:
@@ -378,9 +379,8 @@ def _evaluate(sweep: _Sweep, start: int, stop: int) -> _Batch:
     config = sweep.config
     p = config.params
     inputs, bad = sweep.inputs(start, stop)
-    outcomes: list = [None] * (stop - start)
-    for k in bad.nonzero()[0].tolist():
-        outcomes[k] = sweep.failure(start + k)
+    # the records of the points that fail, by batch position
+    failed = {k: sweep.failure(start + k) for k in bad.nonzero()[0].tolist()}
     ready = (~bad).nonzero()[0]
 
     # the working points as columns, one row per branch, each naming its point
@@ -389,7 +389,7 @@ def _evaluate(sweep: _Sweep, start: int, stop: int) -> _Batch:
     working = points(p.cavity_decay, p.mech_freq, sweep.coupling, drives=inputs[:, 7:9].tolist(),
                      hop_strength=inputs[:, 4].tolist(), detuning=inputs[:, 1:3].tolist())
     for i, exc in working.errors.items():
-        outcomes[ready[i]] = ResultRecord(*inputs[i].take(_CELLS).tolist(), error=str(exc))
+        failed[ready[i].item()] = ResultRecord(*inputs[i].take(_CELLS).tolist(), error=str(exc))
     owners = ready.take(working.owner).tolist()
     inputs = inputs.take(working.owner, 0)
     amp_abs, coupling, detuning = working.amp_abs, working.eff_coupling, working.eff_detuning
@@ -406,32 +406,42 @@ def _evaluate(sweep: _Sweep, start: int, stop: int) -> _Batch:
                 solve.append(j)
                 diffusions.append(diffusion)
 
+    # per branch row: its measure cells and Lyapunov residual
     measured = [_UNMEASURED] * len(owners)
-    covariances = {}
     if solve:
         w, residuals = lyapunov_stack(gate.drifts.take(solve, axis=0), np.array(diffusions))
         measures = pair_measures(w)
-        for j, wj, residual, row, error in zip(solve, w, residuals.tolist(),
-                                                zip(*measures.columns), measures.errors):
+        for j, row, error in zip(solve, zip(*measures.columns, residuals.tolist()),
+                                 measures.errors):
             if error is None:
-                measured[j] = (*row, residual)
-                covariances[j] = wj
+                measured[j] = row
             else:
                 errors[j] = error
 
-    records = list(map(
-        ResultRecord, *inputs.take(_CELLS, 1).T.tolist(),
-        amp_abs[:, 0].tolist(), amp_abs[:, 1].tolist(),
+    def covariance(j: int) -> np.ndarray | None:
+        return None if measured[j] is _UNMEASURED else w[solve.index(j)]
+
+    # one record per branch row, straight from the columns
+    records = list(map(tuple.__new__, itertools.repeat(ResultRecord), zip(
+        *inputs.take(_CELLS, 1).T.tolist(), *amp_abs.T.tolist(),
         (coupling[:, 0] / sweep.omega_m).tolist(), gate.verdicts, gate.s1, gate.s2,
-        *zip(*measured), working.branch.tolist(), ["" if e is None else str(e) for e in errors],
-    ))
-    for k, group in itertools.groupby(range(len(owners)), key=owners.__getitem__):
-        rows = list(group)
-        if config.branch_policy == "default" and len(rows) > 1:
-            # default branch: the lowest-|amp| stable one, else the lowest-|amp|
-            rows = [next((j for j in rows if records[j].stable), rows[0])]
-        outcomes[k] = rows
-    return _Batch(outcomes, records, inputs, working.steady, gate, covariances)
+        *zip(*measured), working.branch.tolist(),
+        ["" if e is None else str(e) for e in errors],
+    )))
+    rows = range(len(records))
+    if config.branch_policy == "default" and len(set(owners)) < len(owners):
+        # a point's default branch: the lowest-|amp| stable one, else the lowest-|amp|
+        rows = [next((j for j in group if gate.verdicts[j]), group[0])
+                for group in (list(g) for _, g in itertools.groupby(rows, owners.__getitem__))]
+    if failed:
+        # in point order; only a point's own branch rows tie on the point, and
+        # they keep their order
+        order = sorted([*zip(map(owners.__getitem__, rows), rows), *dict.fromkeys(failed).items()])
+        rows = [j for _, j in order]
+        emitted = [failed[k] if j is None else records[j] for k, j in order]
+    else:
+        emitted = records if len(rows) == len(records) else [records[j] for j in rows]
+    return _Batch(emitted, rows, inputs, working.steady, gate, covariance)
 
 
 def run_points(sweep: _Sweep, start: int, stop: int) -> list[ResultRecord]:
@@ -441,14 +451,7 @@ def run_points(sweep: _Sweep, start: int, stop: int) -> list[ResultRecord]:
     Per-point errors are caught and recorded in the ``error`` field so that
     sweeps continue.
     """
-    batch = _evaluate(sweep, start, stop)
-    records = []
-    for outcome in batch.outcomes:
-        if isinstance(outcome, ResultRecord):
-            records.append(outcome)
-        else:
-            records.extend([batch.records[j] for j in outcome])
-    return records
+    return _evaluate(sweep, start, stop).records
 
 
 def misses_residual_gate(rec: ResultRecord) -> bool:
@@ -462,17 +465,17 @@ def run_point(config: SweepConfig, overrides: dict[str, float] | None = None) ->
     each; returns one record per emitted branch."""
     sweep = _Sweep(config, [(name, (value,)) for name, value in (overrides or {}).items()])
     batch = _evaluate(sweep, 0, 1)
-    (outcome,) = batch.outcomes
-    if isinstance(outcome, ResultRecord):
-        return PointResult(records=(outcome,), covariances=(None,), steady_states=(None,),
+    records, rows = tuple(batch.records), batch.rows
+    if rows[0] is None:
+        return PointResult(records=records, covariances=(None,), steady_states=(None,),
                            drifts=(None,), diffusion=None)
     gate = batch.gate
     return PointResult(
-        records=tuple([batch.records[j] for j in outcome]),
-        covariances=tuple([batch.covariances.get(j) for j in outcome]),
-        steady_states=tuple([batch.steady(j) for j in outcome]),
-        drifts=tuple([gate.drifts[j] if gate.errors[j] is None else None for j in outcome]),
-        diffusion=sweep.diffusion(*batch.inputs[outcome[0], 9:].tolist()),
+        records=records,
+        covariances=tuple(map(batch.covariance, rows)),
+        steady_states=tuple(map(batch.steady, rows)),
+        drifts=tuple([gate.drifts[j] if gate.errors[j] is None else None for j in rows]),
+        diffusion=sweep.diffusion(*batch.inputs[rows[0], 9:].tolist()),
     )
 
 
@@ -517,21 +520,73 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
     return SweepResult(records=records, residual_failure=any(map(misses_residual_gate, records)))
 
 
-def format_cell(value) -> str:
-    """A CSV cell: floats with 12 significant digits, booleans as true/false,
-    None and NaN as empty cells."""
-    if type(value) is float:  # most cells
-        return "" if value != value else format(value, ".12g")
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    v = float(value)
-    if v != v:  # NaN
-        return ""
-    return format(v, ".12g")
+def _getter(positions: list) -> Callable:
+    """The cells of a row at ``positions``, as a tuple."""
+    if len(positions) == 1:
+        (i,) = positions
+        return lambda row: (row[i],)
+    return operator.itemgetter(*positions) if positions else lambda row: ()
+
+
+class _RowPattern:
+    """The CSV templates of the rows whose cells have one sequence of types.
+
+    A template spells out a row's booleans, text and missing cells and
+    formats its numbers: floats with 12 significant digits, integers as
+    integers.  There is one per value of the boolean and text cells, and per
+    set of NaN numbers, which it renders empty."""
+
+    def __init__(self, kinds: tuple):
+        self.kinds = kinds
+        self.spelled = [i for i, kind in enumerate(kinds) if kind is bool or issubclass(kind, str)]
+        self.numbers = [i for i, kind in enumerate(kinds)
+                        if kind is not NoneType and i not in self.spelled]
+        self.spelled_cells = _getter(self.spelled)
+        self.templates: dict = {}  # (spelled cells, NaN numbers) -> template and its cells
+
+    def line(self, row) -> str:
+        spelled = self.spelled_cells(row)
+        template, cells = self.templates.get((spelled, ())) or self._template(spelled, ())
+        line = template % cells(row)
+        if "nan" in line:
+            nans = tuple([i for i in self.numbers if row[i] != row[i]])
+            template, cells = self.templates.get((spelled, nans)) or self._template(spelled, nans)
+            line = template % cells(row)
+        return line
+
+    def _template(self, spelled: tuple, nans: tuple) -> tuple[str, Callable]:
+        texts = dict(zip(self.spelled, spelled))
+        parts = []
+        for i, kind in enumerate(self.kinds):
+            if kind is bool:
+                parts.append("true" if texts[i] else "false")
+            elif i in texts:
+                parts.append(texts[i].replace(",", ";").replace("\n", " ").replace("%", "%%"))
+            elif kind is NoneType or i in nans:
+                parts.append("")
+            else:
+                parts.append("%d" if issubclass(kind, (int, np.integer)) else "%.12g")
+        entry = ",".join(parts) + "\n", _getter([i for i in self.numbers if i not in nans])
+        self.templates[spelled, nans] = entry
+        return entry
+
+
+def csv_lines(rows) -> list[str]:
+    """The CSV lines of rows of cells: floats with 12 significant digits,
+    integers as integers, booleans as true/false, None and NaN as empty
+    cells, and text with commas as semicolons and newlines as spaces.
+
+    Each row is rendered by one ``%`` template, made once per pattern of
+    cells (see :class:`_RowPattern`); a line that reads 'nan' is rendered
+    again with its NaN cells empty.
+    """
+    patterns: dict = {}  # cell types -> _RowPattern
+    lines = []
+    for row in rows:
+        kinds = tuple(map(type, row))
+        pattern = patterns.get(kinds) or patterns.setdefault(kinds, _RowPattern(kinds))
+        lines.append(pattern.line(row))
+    return lines
 
 
 def write_csv(records, stream, header_lines=()) -> None:
@@ -543,10 +598,7 @@ def write_csv(records, stream, header_lines=()) -> None:
     for line in header_lines:
         stream.write(f"# {line}\n")
     stream.write(",".join(CSV_COLUMNS) + "\n")
-    for rec in records:
-        cells = [format_cell(v) for v in _VALUE_CELLS(rec)]
-        cells.append(rec.error.replace(",", ";").replace("\n", " "))
-        stream.write(",".join(cells) + "\n")
+    stream.writelines(csv_lines(records))
 
 
 def csv_text(records, header_lines=()) -> str:

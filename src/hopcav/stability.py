@@ -25,7 +25,6 @@ the other drifts take an 8x8 eigenvalue problem.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -64,10 +63,10 @@ def routh_hurwitz_reduced(omega_m: float, gamma_m: float, kappa: float,
     return s1, s2
 
 
-@dataclass(frozen=True)
-class StabilityReport:
-    """Per-point stability verdicts; detunings quoted in omega_m units using
-    the positive-on-the-cooling-side axis convention."""
+class StabilityReport(NamedTuple):
+    """Per-point stability verdicts, one stability-map CSV row; detunings
+    quoted in omega_m units using the positive-on-the-cooling-side axis
+    convention."""
 
     delta: float
     xi: float

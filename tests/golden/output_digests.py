@@ -10,11 +10,15 @@ conventions, the ``hopcav sweep`` CSV of the benchmark's fig6b document in
 the negative sign convention on 1 worker, the benchmark's fig6b sweep (on 1
 worker) and fig5 map at seed 3 (``inputs.grid_configs(..., 3)``: every axis
 shifted off the preset grid) in the positive sign convention, the
-benchmark's bare-detuning fig2a and fig2b sweeps at seed 3 on 1 worker, and
-``hopcav point --json`` for ``configs/point.json``, for the benchmark's 16
-point documents and for ``configs/point.json`` at xi = 0.5 omega_m with
-unequal detunings (1.0, 1.3) omega_m.  Each line reads ``<sha256>  <output>``; a command that
-exits non-zero prints its exit code in place of the digest.
+benchmark's bare-detuning fig2a and fig2b sweeps at seed 3 on 1 worker, the
+``hopcav sweep`` CSV of an error-row sweep on 1 and on 2 workers
+(``configs/sweep.json`` over a photon number axis with a negative value and
+values below the bound of a fixed correlation of 0.3: the only run whose
+rows carry errors and NaN cells), and ``hopcav point --json`` for
+``configs/point.json``, for the benchmark's 16 point documents and for
+``configs/point.json`` at xi = 0.5 omega_m with unequal detunings (1.0, 1.3)
+omega_m.  Each line reads ``<sha256>  <output>``; a command that exits
+non-zero prints its exit code in place of the digest.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent.parent
 POINT_CONFIG = REPO / "configs" / "point.json"
+SWEEP_CONFIG = REPO / "configs" / "sweep.json"
 OFF_GRID_SEED = 3
 
 _spec = importlib.util.spec_from_file_location("perfbench_inputs",
@@ -75,6 +80,11 @@ def digests(work: Path) -> list[tuple[str, str]]:
     unequal["cavity"]["hop_strength"] = {"value": 0.5, "unit": "omega_m"}
     unequal["detuning"]["value"] = [{"value": d, "unit": "omega_m"} for d in (1.0, 1.3)]
     docs["unequal-detunings"] = unequal
+    error_rows = json.loads(SWEEP_CONFIG.read_text(encoding="utf-8"))
+    error_rows["bath"] = {"photon_number": 0.0, "correlation": 0.3}
+    error_rows["axes"] = [{"name": "photon_number", "values": [-0.05, 0.0, 0.05, 0.1, 0.5]},
+                          {"name": "delta", "min": 0.0, "max": 2.0, "count": 41}]
+    docs["error-rows"] = error_rows
     paths = inputs.write_configs(docs, work / "inputs")
     for name, label in (("fig5", "fig5 stability"), ("fig5-negative", "fig5 stability (negative sign)"),
                         ("fig5-seed3", "fig5 stability (seed 3)")):
@@ -89,6 +99,13 @@ def digests(work: Path) -> list[tuple[str, str]]:
         code, _ = _cli(["sweep", "--config", str(paths.pop(name)), "--out", str(sweep_csv),
                         "--workers", "1"])
         out.append((label, _digest(code, sweep_csv.read_bytes() if code == 0 else b"")))
+    error_rows_path = paths.pop("error-rows")
+    for workers in (1, 2):
+        sweep_csv = work / f"error-rows.w{workers}.csv"
+        code, _ = _cli(["sweep", "--config", str(error_rows_path), "--out", str(sweep_csv),
+                        "--workers", str(workers)])
+        out.append((f"error-row sweep ({workers} worker{'s' * (workers > 1)})",
+                    _digest(code, sweep_csv.read_bytes() if code == 0 else b"")))
 
     for label, path in [("configs/point.json", POINT_CONFIG), *paths.items()]:
         code, text = _cli(["point", "--config", str(path), "--json"])

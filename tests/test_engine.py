@@ -16,7 +16,9 @@ from hopcav.engine import (
     AxisSpec,
     BathSpec,
     CSV_COLUMNS,
+    ResultRecord,
     SweepConfig,
+    csv_lines,
     csv_text,
     grid_points,
     run_point,
@@ -26,6 +28,7 @@ from hopcav.errors import ConfigError
 from hopcav.measures import symplectic_eigenvalues
 from hopcav.params import Detuning, PhysicalParams
 from hopcav.presets import fig_preset
+from hopcav.stability import StabilityReport
 
 TWO_PI = 2.0 * math.pi
 WM = TWO_PI * 1e7
@@ -219,6 +222,35 @@ class TestRunSweep:
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert run_sweep(cfg, workers=4).records == serial
         assert sizes == [2, 2]
+
+    @pytest.mark.parametrize("grid", ["error-rows", "bare-all", "bare-default"])
+    def test_records_cross_the_pool_unchanged(self, grid):
+        if grid == "error-rows":
+            # a negative photon number fails its check: a row of NaN cells
+            # around its axis values
+            cfg = base_config(
+                bath=BathSpec(photon_number=0.0, correlation="ideal"),
+                axes=(AxisSpec("photon_number", (-0.05, 0.0, 0.05)),
+                      AxisSpec.from_range("delta", 0.2, 1.8, 9)),
+            )
+        else:
+            # several branches per point, and a negative power's failed rows
+            # among them
+            cfg = base_config(
+                params=make_params(power=0.1, delta=-3.9, mode="bare"),
+                branch_policy=grid.split("-")[1],
+                axes=(AxisSpec("delta", (-4.3, -3.9, -3.5)),
+                      AxisSpec("power", (-0.01, 0.02, 0.1))),
+            )
+        serial = run_sweep(cfg, workers=1).records
+        pooled = run_sweep(cfg, workers=2).records
+        # NaN cells make equal records compare unequal once unpickled
+        assert csv_text(pooled) == csv_text(serial)
+        assert all(type(r) is ResultRecord for r in pooled)
+        assert any(math.isnan(r.correlation) for r in serial)
+        assert any(r.stable for r in serial)
+        if grid == "bare-all":
+            assert max(r.branch for r in serial) > 0
 
     def test_residual_gate_flag(self):
         res = run_sweep(base_config(axes=(AxisSpec("delta", (0.5, 1.0, 1.5)),)))
@@ -459,6 +491,68 @@ class TestDetuningSignConvention:
         assert not neg.stable
 
 
+def format_cell(value) -> str:
+    """A CSV cell: floats with 12 significant digits, booleans as true/false,
+    None and NaN as empty cells (the per-cell formatter the row templates
+    replaced)."""
+    if type(value) is float:  # most cells
+        return "" if value != value else format(value, ".12g")
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    v = float(value)
+    if v != v:  # NaN
+        return ""
+    return format(v, ".12g")
+
+
+def oracle_line(row) -> str:
+    """A CSV line cell by cell: a sweep record's error text with commas as
+    semicolons and newlines as spaces, every other cell by ``format_cell``."""
+    if isinstance(row, ResultRecord):
+        cells = [format_cell(v) for v in row[:-1]]
+        cells.append(row.error.replace(",", ";").replace("\n", " "))
+    else:
+        cells = [format_cell(v) for v in row]
+    return ",".join(cells) + "\n"
+
+
+FLOAT_CELLS = st.one_of(
+    st.sampled_from([math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
+                     2.5e-310, 1e300, -1e300, 1e-300, 1.7976931348623157e308, 0.1, 1 / 3]),
+    st.floats(),
+)
+# a cell kind, and the values a cell of that kind takes
+CELL_KINDS = {
+    "float": FLOAT_CELLS,
+    "float64": FLOAT_CELLS.map(np.float64),
+    "int": st.integers(-(10 ** 20), 10 ** 20),
+    "int64": st.integers(-(2 ** 63), 2 ** 63 - 1).map(np.int64),
+    "bool": st.booleans(),
+    "none": st.none(),
+}
+ERROR_TEXTS = st.one_of(st.just(""), st.text(st.sampled_from("ab ;,\n%dnan.e"), max_size=24),
+                        st.text(max_size=12))
+
+
+@st.composite
+def row_tables(draw, width, text=False):
+    """Rows of ``width`` cells (and an error text), a few sequences of cell
+    kinds shared by several rows, so that rows share their templates."""
+    kinds = st.lists(st.sampled_from(sorted(CELL_KINDS)), min_size=width, max_size=width)
+    patterns = draw(st.lists(kinds, min_size=1, max_size=3))
+    rows = []
+    for pattern in draw(st.lists(st.sampled_from(patterns), max_size=8)):
+        row = [draw(CELL_KINDS[kind]) for kind in pattern]
+        if text:
+            row.append(draw(ERROR_TEXTS))
+        rows.append(row)
+    return rows
+
+
 class TestCsv:
     def test_byte_identical_reruns(self):
         cfg = base_config(axes=(AxisSpec("delta", (0.3, 0.8, 1.3)),))
@@ -489,6 +583,23 @@ class TestCsv:
     def test_lf_line_endings(self):
         text = csv_text(run_point(base_config()).records)
         assert "\r" not in text
+
+    def test_records_are_named_tuples(self):
+        (rec,) = run_point(base_config()).records
+        assert tuple(rec) == tuple(getattr(rec, name) for name in CSV_COLUMNS)
+        failed = rec._replace(stable=False, error="bad, worse")
+        assert failed == ResultRecord(*rec[:9], False, *rec[10:-1], error="bad, worse")
+        cells = csv_text([failed]).splitlines()[1].split(",")
+        assert cells[CSV_COLUMNS.index("stable")] == "false"
+        assert cells[-1] == "bad; worse"
+
+    @settings(max_examples=100, deadline=None)
+    @given(sweep=row_tables(len(CSV_COLUMNS) - 1, text=True), stability=row_tables(7))
+    def test_row_formatter_matches_the_per_cell_oracle(self, sweep, stability):
+        sweep = [ResultRecord(*row) for row in sweep]
+        stability = [StabilityReport(*row) for row in stability]
+        assert csv_lines(sweep) == [oracle_line(row) for row in sweep]
+        assert csv_lines(stability) == [oracle_line(row) for row in stability]
 
 
 class TestValidation:
