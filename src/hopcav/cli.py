@@ -15,12 +15,13 @@ import functools
 import json
 import sys
 from dataclasses import replace
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import __version__
 from .config import load_config, validate_config
 from .dynamics import QUADRATURE_LABELS
-from .engine import CSV_COLUMNS, csv_lines, csv_text, misses_residual_gate, run_point, run_sweep
+from .engine import csv_lines, csv_text, misses_residual_gate, run_point, run_sweep
 from .errors import ConfigError, HopcavError, UnknownPresetError
 from .presets import PRESET_NAMES, fig_preset
 from .stability import StabilityReport, stability_map
@@ -37,6 +38,49 @@ EXIT_NUMERICAL = 2
 EXIT_UNKNOWN_PRESET = 3
 
 STABILITY_COLUMNS = StabilityReport._fields
+_FLOATS = frozenset({float})
+_STRINGS = frozenset({str})
+
+
+def json_text(doc, indent: str = "") -> str:
+    """``json.dumps(doc, indent=2)``, byte for byte, for a document nested
+    ``indent`` deep.
+
+    Strings, ints, bools, None and finite floats are written directly, and a
+    list of finite floats (exact ``float``, not a subclass) in one join; a
+    list or a dict with str keys is written item by item.  Everything else
+    (non-finite floats, float subclasses such as NumPy scalars, non-str keys,
+    empty containers) goes to ``json.dumps``.
+    """
+    kind = type(doc)
+    if kind is float:
+        text = float.__repr__(doc)
+        if "n" not in text:  # 'nan' and 'inf' are the only reprs with an n
+            return text
+    elif kind is str:
+        return encode_basestring_ascii(doc)
+    elif kind is int:
+        return int.__repr__(doc)
+    elif kind is bool:
+        return "true" if doc else "false"
+    elif doc is None:
+        return "null"
+    elif (kind is list or kind is tuple) and doc:
+        inner = indent + "  "
+        separator = ",\n" + inner
+        text = None
+        if set(map(type, doc)) == _FLOATS:
+            text = separator.join(map(float.__repr__, doc))
+        if text is None or "n" in text:
+            text = separator.join([json_text(item, inner) for item in doc])
+        return "[\n" + inner + text + "\n" + indent + "]"
+    elif kind is dict and doc and set(map(type, doc)) == _STRINGS:
+        inner = indent + "  "
+        return "{\n" + inner + (",\n" + inner).join(
+            [encode_basestring_ascii(key) + ": " + json_text(value, inner)
+             for key, value in doc.items()]) + "\n" + indent + "}"
+    # json.dumps writes no raw newline inside a string
+    return json.dumps(doc, indent=2).replace("\n", "\n" + indent)
 
 
 def _header(config) -> list[str]:
@@ -52,7 +96,9 @@ def _header(config) -> list[str]:
 
 def _cmd_point(args) -> int:
     # the base parameters alone: checked as a configuration without its axes
-    config = replace(load_config(args.config), axes=())
+    config = load_config(args.config)
+    if config.axes:
+        config = replace(config, axes=())
     result = run_point(config)
     rec = result.records[0]
     if rec.error:
@@ -80,14 +126,14 @@ def _cmd_point(args) -> int:
         },
         "drift": drift.flatten().tolist(),
         "diffusion": diffusion.flatten().tolist(),
-        "record": {col: getattr(rec, col) for col in CSV_COLUMNS},
+        "record": rec._asdict(),
     }
     if rec.stable:
         payload["covariance"] = result.covariances[0].flatten().tolist()
         payload["lyap_residual"] = rec.lyap_residual
 
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(json_text(payload))
     else:
         print(f"delta = {rec.delta:.6g} omega_m, xi = {rec.xi:.6g} omega_m, "
               f"P = {rec.power * 1e3:.6g} mW, nbar = {nbar:.6g}, "

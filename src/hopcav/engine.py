@@ -57,7 +57,7 @@ import math
 import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import NoneType
 from typing import Callable, NamedTuple, Sequence
 
@@ -67,7 +67,16 @@ from .dynamics import DETUNING_SIGNS, build_diffusion
 from .errors import ConfigError, HopcavError
 from .lyapunov import CHUNK_POINTS, RESIDUAL_GATE, lyapunov_stack
 from .measures import MEASURES, pair_measures
-from .params import Detuning, PhysicalParams, derive_coupling, drive_amps, thermal_occupation
+from .params import (
+    PhysicalParams,
+    checked_bath_temperature,
+    checked_detuning,
+    checked_drive_power,
+    checked_hop_strength,
+    derive_coupling,
+    drive_amps,
+    thermal_occupation,
+)
 from .squeezed import SqueezedBath
 from .stability import Gate, gate_branches
 from .steady_state import SteadyState, fixed_detuning_points, self_consistent_points
@@ -254,9 +263,10 @@ class _Axis(NamedTuple):
 class _Sweep:
     """What the points of one sweep share, worked out once, when the sweep
     starts: the base parameters' couplings and inputs (see ``INPUTS``), and
-    each axis' table.  An axis value is checked by the ``PhysicalParams``
-    validation of the field it sets, a photon number by its bath.  Grid point
-    k is the k-th point of the axes' product in row-major order."""
+    each axis' table.  An axis value is checked by the check of the
+    ``PhysicalParams`` field it sets (``params.checked_*``), a photon number
+    by its bath.  Grid point k is the k-th point of the axes' product in
+    row-major order."""
 
     def __init__(self, config: SweepConfig, axes: list[tuple[str, tuple]]):
         p = config.params
@@ -290,6 +300,8 @@ class _Sweep:
         base inputs for no axis) and None, or the base inputs and the error
         the value's check raised."""
         p, (n, m), nbar = self.config.params, self.bath, self.config.nbar_override
+        (d1, d2), hop, power, temperature = (p.detuning.value, p.hop_strength, p.drive_power,
+                                             p.bath_temperature)
         try:
             if name == "nbar":
                 nbar = value
@@ -297,25 +309,23 @@ class _Sweep:
                 bath = self.config.bath.resolve(photon_number=value)
                 n, m = bath.photon_number, bath.correlation
             elif name == "delta":
-                p = replace(p, detuning=Detuning(p.detuning.mode, (value * self.omega_m,) * 2))
+                d1, d2 = checked_detuning((value * self.omega_m,) * 2)
             elif name == "xi":
-                p = replace(p, hop_strength=value * self.omega_m)
+                hop = checked_hop_strength(value * self.omega_m)
             elif name == "power":
-                p = replace(p, drive_power=(value, value))
+                power = checked_drive_power((value, value))
             elif name == "temperature":
-                p = replace(p, bath_temperature=value)
+                temperature = checked_bath_temperature(value)
             elif name is not None:
                 raise ConfigError(f"unknown axis {name!r}")
         except HopcavError as exc:
             return self.base, exc
-        d1, d2 = p.detuning.value
-        hop, (p1, p2) = p.hop_strength, p.drive_power
         if nbar is None:
-            nbar = thermal_occupation(self.omega_m, p.bath_temperature)
+            nbar = thermal_occupation(self.omega_m, temperature)
         # the Langevin solver runs with the opposite-signed detunings; see the
         # module docstring for the axis convention
-        return [d1 / self.omega_m, -d1, -d2, hop / self.omega_m, hop, p1, p2, *drive_amps(p),
-                nbar, n, m], None
+        return [d1 / self.omega_m, -d1, -d2, hop / self.omega_m, hop, *power,
+                *drive_amps(p, power), nbar, n, m], None
 
     def inputs(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
         """The inputs of grid points start to stop - 1, one row each, and

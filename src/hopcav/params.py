@@ -45,9 +45,7 @@ class Detuning:
     def __post_init__(self):
         if self.mode not in DETUNING_MODES:
             raise ConfigError(f"detuning mode must be one of {DETUNING_MODES}, got {self.mode!r}")
-        object.__setattr__(self, "value", _pair(self.value))
-        if not all(map(math.isfinite, self.value)):
-            raise ConfigError(f"detuning value must be finite, got {self.value}")
+        object.__setattr__(self, "value", checked_detuning(self.value))
 
 
 @dataclass(frozen=True)
@@ -82,19 +80,11 @@ class PhysicalParams:
             value = fields[name]
             if not min(value) > 0.0 or not all(map(math.isfinite, value)):
                 raise ConfigError(f"{name} must be strictly positive, got {value}")
-        if not self.laser_wavelength > 0.0:
-            raise ConfigError("laser_wavelength must be strictly positive")
-        # drive power 0 is the meaningful undriven limit and stays allowed
-        if min(self.drive_power) < 0.0:
-            raise ConfigError("drive_power must be nonnegative")
-        if self.bath_temperature < 0.0:
-            raise ConfigError("bath_temperature must be nonnegative")
-        if self.hop_strength < 0.0:
-            raise ConfigError("hop_strength must be nonnegative")
-        for name in ("laser_wavelength", "drive_power", "bath_temperature", "hop_strength"):
-            value = fields[name]
-            if not all(map(math.isfinite, value if name == "drive_power" else (value,))):
-                raise ConfigError(f"{name} must be finite, got {value}")
+        # each field's own check; every field's sign comes before any field's
+        # finiteness, so the first pass leaves finiteness out
+        for finite in (False, True):
+            for name, check in _FIELD_CHECKS:
+                check(fields[name], finite=finite)
 
         for j in (0, 1):
             q = self.mech_freq[j] / self.mech_damping[j]
@@ -114,16 +104,66 @@ class PhysicalParams:
         )
 
 
-def checked_hop_strength(value: float) -> float:
-    """A hopping strength (rad/s) as :class:`PhysicalParams` stores it, or the
-    :class:`ConfigError` that its validation raises for this field when the
-    other fields are valid; for callers that vary only the hopping."""
+def checked_detuning(value) -> tuple[float, float]:
+    """A detuning pair (rad/s) as :class:`Detuning` stores it, or the
+    :class:`ConfigError` that its validation raises."""
+    value = _pair(value)
+    if not all(map(math.isfinite, value)):
+        raise ConfigError(f"detuning value must be finite, got {value}")
+    return value
+
+
+# The checks of single fields below return the value as PhysicalParams stores
+# it, or raise the ConfigError that PhysicalParams raises for this field when
+# the other fields are valid: for callers that vary one field at a time.  Each
+# checks the sign before finiteness; ``finite=False`` leaves finiteness out.
+
+def checked_laser_wavelength(value: float, *, finite: bool = True) -> float:
+    """A laser wavelength (m): strictly positive, then finite."""
+    value = float(value)
+    if not value > 0.0:
+        raise ConfigError("laser_wavelength must be strictly positive")
+    if finite and not math.isfinite(value):
+        raise ConfigError(f"laser_wavelength must be finite, got {value}")
+    return value
+
+
+def checked_drive_power(value, *, finite: bool = True) -> tuple[float, float]:
+    """A drive-power pair (W): nonnegative, then finite."""
+    value = _pair(value)
+    # drive power 0 is the meaningful undriven limit and stays allowed
+    if min(value) < 0.0:
+        raise ConfigError("drive_power must be nonnegative")
+    if finite and not all(map(math.isfinite, value)):
+        raise ConfigError(f"drive_power must be finite, got {value}")
+    return value
+
+
+def checked_bath_temperature(value: float, *, finite: bool = True) -> float:
+    """A bath temperature (K): nonnegative, then finite."""
+    value = float(value)
+    if value < 0.0:
+        raise ConfigError("bath_temperature must be nonnegative")
+    if finite and not math.isfinite(value):
+        raise ConfigError(f"bath_temperature must be finite, got {value}")
+    return value
+
+
+def checked_hop_strength(value: float, *, finite: bool = True) -> float:
+    """A hopping strength (rad/s): nonnegative, then finite."""
     value = float(value)
     if value < 0.0:
         raise ConfigError("hop_strength must be nonnegative")
-    if not math.isfinite(value):
+    if finite and not math.isfinite(value):
         raise ConfigError(f"hop_strength must be finite, got {value}")
     return value
+
+
+# the fields of PhysicalParams with a check of their own, in checking order
+_FIELD_CHECKS = (("laser_wavelength", checked_laser_wavelength),
+                 ("drive_power", checked_drive_power),
+                 ("bath_temperature", checked_bath_temperature),
+                 ("hop_strength", checked_hop_strength))
 
 
 def laser_angular_freq(wavelength: float) -> float:
@@ -165,11 +205,13 @@ def thermal_occupation(mech_freq: float, temperature: float) -> float:
     return 1.0 / math.expm1(x)
 
 
-def drive_amps(params: PhysicalParams) -> tuple[float, float]:
-    """Drive amplitudes |E_j| of both cavities; see :func:`drive_amplitude`."""
+def drive_amps(params: PhysicalParams, power: tuple[float, float] | None = None) -> tuple[float, float]:
+    """Drive amplitudes |E_j| of both cavities at the drive powers ``power``
+    (by default the parameters'); see :func:`drive_amplitude`."""
     omega_l = laser_angular_freq(params.laser_wavelength)
+    power = params.drive_power if power is None else power
     return tuple(
-        drive_amplitude(params.drive_power[i], params.cavity_decay[i], omega_l)
+        drive_amplitude(power[i], params.cavity_decay[i], omega_l)
         for i in (0, 1)
     )
 

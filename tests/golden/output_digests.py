@@ -14,11 +14,16 @@ benchmark's bare-detuning fig2a and fig2b sweeps at seed 3 on 1 worker, the
 ``hopcav sweep`` CSV of an error-row sweep on 1 and on 2 workers
 (``configs/sweep.json`` over a photon number axis with a negative value and
 values below the bound of a fixed correlation of 0.3: the only run whose
-rows carry errors and NaN cells), and ``hopcav point --json`` for
-``configs/point.json``, for the benchmark's 16 point documents and for
-``configs/point.json`` at xi = 0.5 omega_m with unequal detunings (1.0, 1.3)
-omega_m.  Each line reads ``<sha256>  <output>``; a command that exits
-non-zero prints its exit code in place of the digest.
+rows carry errors and NaN cells), the ``hopcav sweep`` CSV of an error-row
+sweep over a power axis and a temperature axis, each with a negative value
+(``configs/sweep.json`` without its nbar override, so that the temperature
+sets the occupation), and ``hopcav point --json`` for ``configs/point.json``,
+for the benchmark's 16 point documents, for ``configs/point.json`` at xi =
+0.5 omega_m with unequal detunings (1.0, 1.3) omega_m, at an unstable
+detuning of -0.5 omega_m (no covariance), and in bare mode at -3.9 omega_m
+and 100 mW (nine branches, one of them stable).  Each line reads
+``<sha256>  <output>``; a command that exits non-zero prints its exit code in
+place of the digest.
 """
 
 from __future__ import annotations
@@ -80,11 +85,23 @@ def digests(work: Path) -> list[tuple[str, str]]:
     unequal["cavity"]["hop_strength"] = {"value": 0.5, "unit": "omega_m"}
     unequal["detuning"]["value"] = [{"value": d, "unit": "omega_m"} for d in (1.0, 1.3)]
     docs["unequal-detunings"] = unequal
+    unstable = json.loads(POINT_CONFIG.read_text(encoding="utf-8"))
+    unstable["detuning"]["value"] = {"value": -0.5, "unit": "omega_m"}
+    docs["unstable"] = unstable
+    bare = json.loads(POINT_CONFIG.read_text(encoding="utf-8"))
+    bare["cavity"]["drive_power"] = {"value": 100.0, "unit": "mW"}
+    bare["detuning"] = {"mode": "bare", "value": {"value": -3.9, "unit": "omega_m"}}
+    docs["bare-branches"] = bare
     error_rows = json.loads(SWEEP_CONFIG.read_text(encoding="utf-8"))
     error_rows["bath"] = {"photon_number": 0.0, "correlation": 0.3}
     error_rows["axes"] = [{"name": "photon_number", "values": [-0.05, 0.0, 0.05, 0.1, 0.5]},
                           {"name": "delta", "min": 0.0, "max": 2.0, "count": 41}]
     docs["error-rows"] = error_rows
+    field_errors = json.loads(SWEEP_CONFIG.read_text(encoding="utf-8"))
+    del field_errors["nbar"]
+    field_errors["axes"] = [{"name": "power", "unit": "mW", "values": [-10.0, 0.0, 50.0]},
+                            {"name": "temperature", "values": [-1.0, 0.0, 0.4]}]
+    docs["field-errors"] = field_errors
     paths = inputs.write_configs(docs, work / "inputs")
     for name, label in (("fig5", "fig5 stability"), ("fig5-negative", "fig5 stability (negative sign)"),
                         ("fig5-seed3", "fig5 stability (seed 3)")):
@@ -94,7 +111,8 @@ def digests(work: Path) -> list[tuple[str, str]]:
     for name, label in (("fig6b-negative", "fig6b sweep (negative sign)"),
                         ("fig6b-seed3", "fig6b sweep (seed 3)"),
                         ("fig2a-seed3", "fig2a bare sweep (seed 3)"),
-                        ("fig2b-seed3", "fig2b bare sweep (seed 3)")):
+                        ("fig2b-seed3", "fig2b bare sweep (seed 3)"),
+                        ("field-errors", "power and temperature error-row sweep")):
         sweep_csv = work / f"{name}.csv"
         code, _ = _cli(["sweep", "--config", str(paths.pop(name)), "--out", str(sweep_csv),
                         "--workers", "1"])

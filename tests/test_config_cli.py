@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hopcav
 from hopcav import cli
@@ -259,6 +261,38 @@ class TestCli:
         assert payload["record"]["stable"] is True
         assert payload["quadrature_order"][0] == "q1"
 
+    @pytest.mark.parametrize("case", ["stable", "unstable", "unequal-drives", "nan-residual"])
+    def test_point_json_is_the_json_module_layout(self, tmp_path, capsys, monkeypatch, case):
+        # the document reads as json.dumps(..., indent=2) writes it: the
+        # stable layout of README "CLI", with null and NaN cells
+        from hopcav import engine
+
+        doc = doc_with()
+        if case == "unstable":
+            doc["detuning"]["value"] = {"value": -0.5, "unit": "omega_m"}
+        elif case == "unequal-drives":
+            doc["cavity"]["drive_power"] = [{"value": 50.0, "unit": "mW"},
+                                            {"value": 40.0, "unit": "mW"}]
+        elif case == "nan-residual":
+            def nan_residuals(*args, _fn=engine.lyapunov_stack):
+                w, residuals = _fn(*args)
+                return w, np.full_like(residuals, np.nan)
+
+            monkeypatch.setattr(engine, "lyapunov_stack", nan_residuals)
+        code = main(["point", "--config", str(write_doc(tmp_path, doc)), "--json"])
+        out = capsys.readouterr().out
+        assert code == (2 if case == "nan-residual" else 0)
+        payload = json.loads(out)
+        assert out == json.dumps(payload, indent=2) + "\n"
+        record = payload["record"]
+        assert ("covariance" in payload) == record["stable"] == (case != "unstable")
+        assert (record["s1"] is None) == (case == "unequal-drives")
+        residual = record["lyap_residual"]
+        if case == "unstable":
+            assert residual is None
+        else:
+            assert math.isnan(residual) == (case == "nan-residual")
+
     def test_point_text_without_stability_scalars(self, tmp_path, capsys):
         # unequal drives: the collective scalars s1, s2 do not exist
         doc = doc_with()
@@ -427,3 +461,39 @@ class TestCli:
             "# axes quote the detuning positive on the cooling side; the collective "
             f"conditions use the modified detuning {modified}"
         ]
+
+
+# JSON documents: scalars of every kind json.dumps takes (non-finite and
+# subnormal floats, NumPy scalars, text with control and non-ASCII characters),
+# flat float lists, and lists, tuples and dicts nested in each other, with str
+# and other keys
+_JSON_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308]),
+)
+_JSON_SCALARS = st.one_of(
+    _JSON_FLOATS,
+    _JSON_FLOATS.map(np.float64),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.text(),
+    st.sampled_from(["", "\x00\x1f\n\t\"\\", "\u00e9\u2028\U0001f600", "\ud800"]),
+)
+_JSON_DOCS = st.recursive(
+    st.one_of(_JSON_SCALARS, st.lists(st.floats()), st.lists(_JSON_FLOATS)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(st.text(), children, max_size=4),
+        st.dictionaries(st.one_of(st.integers(), st.floats(), st.booleans(), st.none()),
+                        children, max_size=3),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_DOCS)
+def test_json_text_is_json_dumps(doc):
+    assert cli.json_text(doc) == json.dumps(doc, indent=2)

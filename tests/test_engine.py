@@ -330,31 +330,65 @@ class TestBatchedPipeline:
         assert errors[-1] == ""
 
     def count_checks(self, monkeypatch, config):
-        """Records of the sweep, and the number of parameters it built."""
-        calls = []
+        """Records of the sweep, the number of parameters it built and the
+        number of field checks it ran."""
+        built, checks = [], []
         post_init = PhysicalParams.__post_init__
 
         def counted(self):
-            calls.append(self)
+            built.append(self)
             post_init(self)
 
         monkeypatch.setattr(PhysicalParams, "__post_init__", counted)
-        return run_sweep(config).records, len(calls)
+        for name in ("checked_detuning", "checked_hop_strength", "checked_drive_power",
+                     "checked_bath_temperature"):
+            def check(*args, _check=getattr(engine, name), **kwargs):
+                checks.append(args)
+                return _check(*args, **kwargs)
+
+            monkeypatch.setattr(engine, name, check)
+        return run_sweep(config).records, len(built), len(checks)
 
     def test_sweep_checks_each_axis_value_once(self, monkeypatch):
-        # the parameter validation runs once per axis value, when the sweep
-        # starts, and never per point
+        # each axis value runs its field's check once, when the sweep starts,
+        # and never per point
         config = fig_preset("fig6b")
-        records, checks = self.count_checks(monkeypatch, config)
+        records, built, checks = self.count_checks(monkeypatch, config)
         assert len(records) == 101 * 101
         assert checks == sum(len(a.values) for a in config.axes) == 202
+        assert built == 0
 
     def test_bare_sweep_builds_no_solver_parameters(self, monkeypatch):
         # the bare-mode solver takes the columns of the axis tables: no
-        # parameters are built beyond each axis value's check
+        # parameters are built, and each axis value is checked once
         config = fig_preset("fig2a")
-        _, checks = self.count_checks(monkeypatch, config)
+        _, built, checks = self.count_checks(monkeypatch, config)
         assert checks == sum(len(a.values) for a in config.axes) == 205
+        assert built == 0
+
+    # each axis kind's route through the full parameter validation
+    REPLACED = {
+        "delta": lambda p, v: replace(p, detuning=Detuning(p.detuning.mode, (v * WM,) * 2)),
+        "xi": lambda p, v: replace(p, hop_strength=v * WM),
+        "power": lambda p, v: replace(p, drive_power=(v, v)),
+        "temperature": lambda p, v: replace(p, bath_temperature=v),
+    }
+
+    # 1e300 omega_m overflows to inf; -inf is negative before it is infinite
+    @pytest.mark.parametrize("value", [-1.0, 0.0, 1e300, 0.5, -math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["delta", "xi", "power", "temperature"])
+    def test_axis_value_check_equals_the_parameter_validation(self, name, value):
+        # an axis value's field check gives the error, and a valid value the
+        # inputs, that PhysicalParams with the value in its field gives
+        config = base_config(nbar_override=None)
+        row, error = engine._Sweep(config, [])._entry(name, value)
+        try:
+            params = self.REPLACED[name](config.params, value)
+        except ConfigError as exc:
+            assert type(error) is ConfigError and str(error) == str(exc)
+            return
+        assert error is None
+        assert row == engine._Sweep(replace(config, params=params), [])._entry(None)[0]
 
     def test_effective_sweep_keeps_no_solver_parameters(self):
         # no sweep keeps parameters for its working points, so a bare-mode

@@ -23,6 +23,10 @@ from hopcav.steady_state import solve_fixed_detuning
 
 TWO_PI = 2.0 * math.pi
 WM = TWO_PI * 1e7
+# stacks called one after the other (one system, a full group and one more, a
+# short group, a full group), each from its offset into a stack of 37
+STACK_SIZES = (1, 17, 3, 16)
+STACK_STARTS = (30, 2, 21, 9)
 
 
 def make_params(xi=0.0, power=0.05):
@@ -196,6 +200,14 @@ class TestStackedKernels:
             sol = solve_lyapunov(a[k], q[k], assume_hurwitz=True)
             assert np.array_equal(w[k], sol.w)
             assert residual[k] == sol.residual_norm
+        # stacks of other sizes, one after the other: no call leaves state
+        # that the next one reads
+        for start, size in zip(STACK_STARTS, STACK_SIZES):
+            w, residual = lyapunov_stack(a[start:start + size], q[start:start + size])
+            for k in range(size):
+                sol = solve_lyapunov(a[start + k], q[start + k], assume_hurwitz=True)
+                assert np.array_equal(w[k], sol.w)
+                assert residual[k] == sol.residual_norm
 
     def test_kronecker_fill_of_every_group(self, monkeypatch):
         # 37 systems: two full groups and a short one, each filled into the
@@ -218,6 +230,14 @@ class TestStackedKernels:
         eye = np.eye(8)
         for k in range(count):
             assert np.array_equal(systems[k], np.kron(a[k], eye) + np.kron(eye, a[k]))
+        # and stacks of other sizes, one after the other, from other offsets
+        for start, size in zip(STACK_STARTS, STACK_SIZES):
+            systems.clear()
+            lyapunov_stack(a[start:start + size], q[start:start + size])
+            assert len(systems) == size
+            for k in range(size):
+                m = a[start + k]
+                assert np.array_equal(systems[k], np.kron(m, eye) + np.kron(eye, m))
 
     def test_single_matrix_types(self):
         ok, absc = is_hurwitz(-np.eye(3))

@@ -290,6 +290,13 @@ class TestStackedMeasures:
         for k in range(len(w)):
             assert got[k] == self.single(w[k])
         assert got[0][3] > 0.0
+        # stacks of 1, 17, 3 and 16, one after the other: no call leaves
+        # state that the next one reads
+        w = np.concatenate([w, self.covariances(rng, 25)])
+        for start, size in zip((30, 2, 21, 9), (1, 17, 3, 16)):
+            got = per_row(pair_measures(w[start:start + size]))
+            for k in range(size):
+                assert got[k] == self.single(w[start + k])
 
     def test_columns_equal_the_scalar_arithmetic(self):
         # every entry, bit for bit: the columns' numpy arithmetic against one

@@ -155,6 +155,23 @@ class TestPhysicalParams:
             with pytest.raises(ConfigError):
                 make_params(**{field: value})
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"drive_power": math.inf, "bath_temperature": -1.0}, "bath_temperature must be nonnegative"),
+        ({"laser_wavelength": math.inf, "hop_strength": -1.0}, "hop_strength must be nonnegative"),
+        ({"bath_temperature": math.nan, "hop_strength": math.inf},
+         "bath_temperature must be finite, got nan"),
+        ({"laser_wavelength": math.nan, "drive_power": -1.0}, "laser_wavelength must be strictly positive"),
+        ({"laser_wavelength": math.inf, "drive_power": math.nan}, "laser_wavelength must be finite, got inf"),
+        ({"drive_power": (0.05, -math.inf)}, "drive_power must be nonnegative"),
+        ({"drive_power": (math.nan, 0.05)}, "drive_power must be finite, got (nan, 0.05)"),
+    ])
+    def test_every_sign_before_any_finiteness(self, fields, message):
+        # several bad fields: the first bad sign in field order, else the
+        # first non-finite field
+        with pytest.raises(ConfigError) as info:
+            make_params(**fields)
+        assert str(info.value) == message
+
     def test_zero_power_allowed(self):
         assert make_params(drive_power=0.0).drive_power == (0.0, 0.0)
 
