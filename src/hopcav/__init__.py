@@ -8,7 +8,6 @@ from .dynamics import (
     QUADRATURE_LABELS,
     ReducedModel,
     build_diffusion,
-    build_drift,
     build_reduced,
     collective_drifts,
     figure_drift,

@@ -94,15 +94,6 @@ def drift_stack(mech_freq, mech_damping, cavity_decay, coupling, detuning,
     return stack
 
 
-def build_drift(params: PhysicalParams, steady: SteadyState,
-                detuning_sign: str = "positive") -> np.ndarray:
-    """Drift matrix at a working point, placing the steady state's effective
-    detunings and couplings into the selected sign convention."""
-    return drift_stack(params.mech_freq, params.mech_damping, params.cavity_decay,
-                       [steady.eff_coupling], [steady.eff_detuning],
-                       [params.hop_strength], detuning_sign)[0]
-
-
 def figure_drift(params: PhysicalParams, steady: SteadyState,
                  detuning_sign: str = "positive") -> np.ndarray:
     """Drift matrix for a sweep point quoted in the figure convention.
@@ -112,6 +103,8 @@ def figure_drift(params: PhysicalParams, steady: SteadyState,
     convention in which the intracavity amplitude decreases monotonically with
     detuning and hopping).  This helper negates the stored detunings before
     placing them, so that the default flag reproduces the standard curves.
+    The drift with the stored detunings placed as they are is this drift under
+    the other ``detuning_sign``.
     """
     return drift_stack(params.mech_freq, params.mech_damping, params.cavity_decay,
                        [steady.eff_coupling],

@@ -101,11 +101,22 @@ AXIS_NAMES = ("delta", "xi", "power", "temperature", "nbar", "photon_number")
 # a grid point's inputs, one column each, grouped by the axis that sets them:
 # the record's first six cells (delta, xi, power, nbar, N, M) and what the
 # working point takes (the Langevin detunings and the hopping in rad/s, the
-# second drive power in W, the drive amplitudes |E_j|)
-INPUTS = ("delta", "lang1", "lang2", "xi", "hop", "power", "power2", "drive1", "drive2",
+# drive amplitudes |E_j|)
+INPUTS = ("delta", "lang1", "lang2", "xi", "hop", "power", "drive1", "drive2",
           "nbar", "photon_number", "correlation")
-AXIS_INPUTS = {"delta": slice(0, 3), "xi": slice(3, 5), "power": slice(5, 9),
-               "temperature": slice(9, 10), "nbar": slice(9, 10), "photon_number": slice(10, 12)}
+
+
+def _span(first: str, last: str | None = None) -> slice:
+    """The columns of INPUTS from ``first`` through ``last`` (or ``first``)."""
+    return slice(INPUTS.index(first), INPUTS.index(last or first) + 1)
+
+
+AXIS_INPUTS = {"delta": _span("delta", "lang2"), "xi": _span("xi", "hop"),
+               "power": _span("power", "drive2"), "temperature": _span("nbar"),
+               "nbar": _span("nbar"), "photon_number": _span("photon_number", "correlation")}
+_LANGEVIN, _DRIVES, _NOISE = (_span("lang1", "lang2"), _span("drive1", "drive2"),
+                              _span("nbar", "correlation"))
+_HOP = INPUTS.index("hop")
 BRANCH_POLICIES = ("default", "all")
 
 
@@ -324,7 +335,7 @@ class _Sweep:
             nbar = thermal_occupation(self.omega_m, temperature)
         # the Langevin solver runs with the opposite-signed detunings; see the
         # module docstring for the axis convention
-        return [d1 / self.omega_m, -d1, -d2, hop / self.omega_m, hop, *power,
+        return [d1 / self.omega_m, -d1, -d2, hop / self.omega_m, hop, power[0],
                 *drive_amps(p, power), nbar, n, m], None
 
     def inputs(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
@@ -396,18 +407,19 @@ def _evaluate(sweep: _Sweep, start: int, stop: int) -> _Batch:
     # the working points as columns, one row per branch, each naming its point
     inputs = inputs.take(ready, 0)
     points = fixed_detuning_points if p.detuning.mode == "effective" else self_consistent_points
-    working = points(p.cavity_decay, p.mech_freq, sweep.coupling, drives=inputs[:, 7:9].tolist(),
-                     hop_strength=inputs[:, 4].tolist(), detuning=inputs[:, 1:3].tolist())
+    working = points(p.cavity_decay, p.mech_freq, sweep.coupling,
+                     drives=inputs[:, _DRIVES].tolist(), hop_strength=inputs[:, _HOP].tolist(),
+                     detuning=inputs[:, _LANGEVIN].tolist())
     for i, exc in working.errors.items():
         failed[ready[i].item()] = ResultRecord(*inputs[i].take(_CELLS).tolist(), error=str(exc))
     owners = ready.take(working.owner).tolist()
     inputs = inputs.take(working.owner, 0)
     amp_abs, coupling, detuning = working.amp_abs, working.eff_coupling, working.eff_detuning
 
-    gate = gate_branches(p, coupling, detuning, inputs[:, 4], config.detuning_sign)
+    gate = gate_branches(p, coupling, detuning, inputs[:, _HOP], config.detuning_sign)
     errors = list(gate.errors)
     solve, diffusions = [], []
-    for j, (stable, noise) in enumerate(zip(gate.verdicts, inputs[:, 9:].tolist())):
+    for j, (stable, noise) in enumerate(zip(gate.verdicts, inputs[:, _NOISE].tolist())):
         if stable:
             diffusion = sweep.diffusion(*noise)
             if isinstance(diffusion, HopcavError):
@@ -485,7 +497,7 @@ def run_point(config: SweepConfig, overrides: dict[str, float] | None = None) ->
         covariances=tuple(map(batch.covariance, rows)),
         steady_states=tuple(map(batch.steady, rows)),
         drifts=tuple([gate.drifts[j] if gate.errors[j] is None else None for j in rows]),
-        diffusion=sweep.diffusion(*batch.inputs[rows[0], 9:].tolist()),
+        diffusion=sweep.diffusion(*batch.inputs[rows[0], _NOISE].tolist()),
     )
 
 

@@ -123,11 +123,12 @@ def is_hurwitz(a: np.ndarray) -> tuple[bool, float]:
     return bool(ok[0]), float(absc[0])
 
 
-def solve_lyapunov(a: np.ndarray, q: np.ndarray, *, assume_hurwitz: bool = False) -> LyapunovSolution:
-    """Unique symmetric solution of A W + W A^T = -Q for a Hurwitz A.
+def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> LyapunovSolution:
+    """Unique symmetric solution of A W + W A^T = -Q for a Hurwitz A: the
+    batch of one of :func:`lyapunov_stack`, behind the Hurwitz gate.
 
     Raises :class:`StabilityError` when A is not Hurwitz, so callers treat the
-    point as having no steady state; see :func:`lyapunov_stack`.
+    point as having no steady state.
     """
     a = np.asarray(a, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -136,12 +137,11 @@ def solve_lyapunov(a: np.ndarray, q: np.ndarray, *, assume_hurwitz: bool = False
         raise HopcavError(f"shape mismatch: A {a.shape} vs Q {q.shape}")
     if not np.allclose(q, q.T, rtol=0.0, atol=1e-12 * max(1.0, np.linalg.norm(q))):
         raise HopcavError("Q must be symmetric")
-    if not assume_hurwitz:
-        ok, absc = is_hurwitz(a)
-        if not ok:
-            raise StabilityError(
-                f"drift is not Hurwitz (spectral abscissa {absc:.6e}); no steady state"
-            )
+    ok, absc = is_hurwitz(a)
+    if not ok:
+        raise StabilityError(
+            f"drift is not Hurwitz (spectral abscissa {absc:.6e}); no steady state"
+        )
     w, residual = lyapunov_stack(a[None], q[None])
     return LyapunovSolution(w=w[0], residual_norm=float(residual[0]))
 

@@ -53,15 +53,10 @@ _Z_ENTRIES = np.array([[[0, 1], [4, 5]], [[2, 3], [6, 7]], [[2, 6], [3, 7]]])
 # S W1 S, S Wc and Wc^T S with S = diag(1, -1), entry by entry
 _Z_SIGNS = np.array([[[1.0, -1.0], [-1.0, 1.0]], [[1.0, 1.0], [-1.0, -1.0]],
                      [[1.0, -1.0], [1.0, -1.0]]])
-_IDENTITY_2 = np.eye(2)
-_F1F2 = list(BipartitePair).index(BipartitePair.F1F2)
-
-
-def pair_stack(w: np.ndarray, pair: BipartitePair) -> np.ndarray:
-    """The (P, 4, 4) covariances of one mode pair cut out of a (P, 8, 8) stack,
-    order preserved."""
-    idx = list(pair.indices)
-    return w[:, idx][:, :, idx]
+# 2 W_in of a coherent input state, W_in = I (see teleportation_fidelity)
+_TWO_W_IN = 2.0 * np.eye(2)
+_PAIRS = list(BipartitePair)
+_F1F2 = _PAIRS.index(BipartitePair.F1F2)
 
 
 def extract_pair(w: np.ndarray, pair: BipartitePair) -> np.ndarray:
@@ -69,7 +64,7 @@ def extract_pair(w: np.ndarray, pair: BipartitePair) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     if w.shape != (8, 8):
         raise HopcavError(f"expected an 8x8 covariance matrix, got {w.shape}")
-    return pair_stack(w[None], pair)[0]
+    return w.take(_PAIR_ENTRIES[_PAIRS.index(pair)])
 
 
 def _as_pair_matrix(pair_cov) -> np.ndarray:
@@ -131,10 +126,10 @@ def log_negativity(pair_cov) -> EntanglementResult:
     return EntanglementResult(theta_minus=theta.item(), log_neg=log_neg[0], chi=chi.item())
 
 
-def _fidelities(m: np.ndarray, w_in: np.ndarray):
-    """Teleportation fidelities of the pair covariances of a (P, 4, 4) stack,
-    and the (index, :class:`ConventionError`) pairs of the nonpositive
-    determinants.
+def _fidelities(m: np.ndarray):
+    """Teleportation fidelities of the pair covariances of a (P, 4, 4) stack
+    (see :func:`teleportation_fidelity`), and the (index,
+    :class:`ConventionError`) pairs of the nonpositive determinants.
 
     Z = S W1 S + S Wc + Wc^T S + W2 is summed entry by entry in the order of
     the matrix expression; with S = diag(1, -1) each product is one signed
@@ -142,7 +137,7 @@ def _fidelities(m: np.ndarray, w_in: np.ndarray):
     """
     signed = m.reshape(len(m), 16).take(_Z_ENTRIES, axis=1) * _Z_SIGNS
     z = ((signed[:, 0] + signed[:, 1]) + signed[:, 2]) + m[:, 2:, 2:]
-    arg = np.linalg.det(2.0 * w_in + z)
+    arg = np.linalg.det(_TWO_W_IN + z)
     nonpositive = arg <= 0.0
     errors = [
         (k, ConventionError(f"nonpositive fidelity determinant {arg[k]:.3e}; Z = {z[k].tolist()}"))
@@ -151,23 +146,19 @@ def _fidelities(m: np.ndarray, w_in: np.ndarray):
     return 2.0 / np.sqrt(np.where(nonpositive, 1.0, arg)), errors
 
 
-def teleportation_fidelity(pair_cov, w_in: np.ndarray | None = None) -> float:
-    """Fidelity for teleporting a single-mode Gaussian state through the
-    two-mode channel:  F = 2 / sqrt(det(2 W_in + Z)) with
-    Z = S W1 S + S Wc + Wc^T S + W2 and S = diag(1, -1).
+def teleportation_fidelity(pair_cov) -> float:
+    """Fidelity for teleporting a coherent state through the two-mode
+    channel:  F = 2 / sqrt(det(2 W_in + Z)) with W_in = I,
+    Z = S W1 S + S Wc + Wc^T S + W2 and S = diag(1, -1); the batch of one of
+    the fidelity column of :func:`pair_measures`.
 
-    ``w_in`` defaults to the 2x2 identity, a coherent-state input in the
-    vacuum-variance-1 convention.  In the package's vacuum-variance-1/2
-    covariances a vacuum resource then gives 2/3, not 1/2, and no ``w_in``
-    gives 1/sqrt(det(I + Z)) (README "Known limitations").
+    W_in = I is a coherent input in the vacuum-variance-1 convention.  In the
+    package's vacuum-variance-1/2 covariances a vacuum resource then gives
+    2/3, not the 1/2 of Braunstein & Kimble, PRL 80, 869 (1998), whose
+    coherent-state fidelity here is 1/sqrt(det(I + Z)) (README "Known
+    limitations").
     """
-    m = _as_pair_matrix(pair_cov)
-    if w_in is None:
-        w_in = np.eye(2)
-    w_in = np.asarray(w_in, dtype=float)
-    if w_in.shape != (2, 2):
-        raise HopcavError(f"w_in must be 2x2, got {w_in.shape}")
-    fidelity, errors = _fidelities(m[None], w_in)
+    fidelity, errors = _fidelities(_as_pair_matrix(pair_cov)[None])
     if errors:
         raise errors[0][1]
     return fidelity.item()
@@ -202,7 +193,7 @@ def pair_measures(w: np.ndarray) -> PairMeasures:
     pairs = len(BipartitePair)
     m = w.reshape(len(w), 64).take(_PAIR_ENTRIES, axis=1)
     theta, log_neg, _, pair_errors = _entanglement(*_determinants(m))
-    fidelity, fidelity_errors = _fidelities(m[:, _F1F2], _IDENTITY_2)
+    fidelity, fidelity_errors = _fidelities(m[:, _F1F2])
     log_negs = [log_neg[q::pairs] for q in range(pairs)]
     errors = [None] * len(w)
     for i, error in pair_errors:

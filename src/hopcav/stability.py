@@ -32,7 +32,8 @@ import numpy as np
 from .dynamics import drift_stack, exchange_blocks
 from .errors import ConfigError, HopcavError
 from .lyapunov import CHUNK_POINTS, hurwitz_margins, spectral_abscissae
-from .params import PhysicalParams, checked_hop_strength, derive_coupling, drive_amps
+from .params import (PhysicalParams, checked_detuning, checked_hop_strength, derive_coupling,
+                     drive_amps)
 from .steady_state import fixed_detuning_points
 
 # bound for the span tracer of the benchmark (perfbench/spans.py PATCHES);
@@ -167,8 +168,8 @@ def stability_point(params: PhysicalParams, delta: float, xi: float,
                     detuning_sign: str = "positive") -> StabilityReport:
     """Evaluate both stability routes at one (delta, xi) point given in
     omega_m units, as a batch of one point."""
-    (hop,) = _checked_hops(params, (xi,))
-    return _reports(params, [(delta, xi, hop)], detuning_sign)[0]
+    (lang,), (hop,) = _checked_axes(params, (delta,), (xi,))
+    return _reports(params, [(delta, xi, lang, hop)], detuning_sign)[0]
 
 
 def stability_map(params: PhysicalParams, delta_values, xi_values,
@@ -180,9 +181,9 @@ def stability_map(params: PhysicalParams, delta_values, xi_values,
     that are not identical, or bare detunings, raise :class:`ConfigError`; a
     point that cannot be evaluated raises its own error.
     """
-    xis = [float(x) for x in xi_values]
-    hops = _checked_hops(params, xis)
-    points = [(float(d), x, h) for d in delta_values for x, h in zip(xis, hops)]
+    deltas, xis = [float(d) for d in delta_values], [float(x) for x in xi_values]
+    langs, hops = _checked_axes(params, deltas, xis)
+    points = [(d, x, lang, h) for d, lang in zip(deltas, langs) for x, h in zip(xis, hops)]
     return [
         report
         for start in range(0, len(points), CHUNK_POINTS)
@@ -190,28 +191,29 @@ def stability_map(params: PhysicalParams, delta_values, xi_values,
     ]
 
 
-def _checked_hops(params: PhysicalParams, xi_values) -> list[float]:
-    """The hopping strengths (rad/s) of xi values in omega_m units, each
-    checked once by the hopping-strength validation of the parameters, for a
-    model the map takes: identical cavities at effective detunings."""
+def _checked_axes(params: PhysicalParams, delta_values,
+                  xi_values) -> tuple[list[float], list[float]]:
+    """The Langevin detunings and hopping strengths (rad/s) of delta and xi
+    values in omega_m units, each checked once as a sweep checks its axes,
+    for a model the map takes: identical cavities at effective detunings."""
     if not params.is_symmetric:
         raise ConfigError("the reduced collective model requires identical cavities")
     if params.detuning.mode != "effective":
         raise ConfigError("the stability map takes effective detunings; "
                           f"got detuning mode {params.detuning.mode!r}")
     omega_m = params.mech_freq[0]
-    return [checked_hop_strength(xi * omega_m) for xi in xi_values]
+    # the Langevin solver runs with the opposite-signed detunings
+    return ([-checked_detuning((delta * omega_m,) * 2)[0] for delta in delta_values],
+            [checked_hop_strength(xi * omega_m) for xi in xi_values])
 
 
 def _reports(params: PhysicalParams, points, detuning_sign: str) -> list[StabilityReport]:
-    """Working points of a batch of (delta, xi, checked hopping strength)
-    points and their reports, all read off the shared gate."""
-    omega_m = params.mech_freq[0]
-    hops = [h for _, _, h in points]
+    """Working points of a batch of checked (delta, xi, Langevin detuning,
+    hopping strength) points and their reports, all read off the shared gate."""
     working = fixed_detuning_points(
         params.cavity_decay, params.mech_freq, tuple(derive_coupling(params, j) for j in (1, 2)),
-        [drive_amps(params)] * len(points), hops,
-        [(-delta * omega_m, -delta * omega_m) for delta, _, _ in points],
+        [drive_amps(params)] * len(points), [h for *_, h in points],
+        [(lang, lang) for _, _, lang, _ in points],
     )
     gate = gate_branches(params, working.eff_coupling, working.eff_detuning, working.hop_strength,
                          detuning_sign)
@@ -220,6 +222,6 @@ def _reports(params: PhysicalParams, points, detuning_sign: str) -> list[Stabili
             raise error
     return [
         StabilityReport(delta, xi, s1, s2, red, ful, agree=(s1 > 0.0 and s2 > 0.0) == red)
-        for (delta, xi, _), s1, s2, red, ful
+        for (delta, xi, *_), s1, s2, red, ful
         in zip(points, gate.s1, gate.s2, gate.collective, gate.verdicts)
     ]

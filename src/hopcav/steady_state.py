@@ -398,16 +398,15 @@ def self_consistent_points(cavity_decay, mech_freq, coupling, drives, hop_streng
                     detunings, amps, branch, owner, errors)
 
 
-def solve_self_consistent(params: PhysicalParams, delta01: float, delta02: float,
-                          coupling: tuple[float, float] | None = None) -> list[SteadyState]:
+def solve_self_consistent(params: PhysicalParams, delta01: float,
+                          delta02: float) -> list[SteadyState]:
     """Every fixed point of the bare-detuning problem, by |a_1|: the batch of one of
-    :func:`self_consistent_points`.
+    :func:`self_consistent_points` at the derived single-photon couplings; that
+    takes any others (g = 0 for the linear limit) as an input.
 
-    More than one returned branch flags optical bistability.  ``coupling``
-    overrides the derived single-photon couplings (useful for probing the
-    linear limit).
+    More than one returned branch flags optical bistability.
     """
-    g = coupling if coupling is not None else tuple(derive_coupling(params, j) for j in (1, 2))
+    g = tuple(derive_coupling(params, j) for j in (1, 2))
     points = self_consistent_points(params.cavity_decay, params.mech_freq, g,
                                     [drive_amps(params)], [params.hop_strength],
                                     [(delta01, delta02)])

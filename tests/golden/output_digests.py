@@ -6,7 +6,9 @@ compared with one ``diff``:
 The outputs: the CSV of every figure preset from ``hopcav fig`` with 1 and
 with 2 workers, the fig5 ``hopcav stability`` CSV (the benchmark's fig5
 document, ``perfbench/inputs.py`` at its default seed) in both detuning sign
-conventions, the ``hopcav sweep`` CSV of the benchmark's fig6b document in
+conventions, the ``hopcav stability`` CSV of ``configs/sweep.json`` over
+delta = (0, 1e308) and xi = (0, 0.5) (finite axis values whose detuning,
+1e308 omega_m, is not: a configuration error), the ``hopcav sweep`` CSV of the benchmark's fig6b document in
 the negative sign convention on 1 worker, the benchmark's fig6b sweep (on 1
 worker) and fig5 map at seed 3 (``inputs.grid_configs(..., 3)``: every axis
 shifted off the preset grid) in the positive sign convention, the
@@ -102,9 +104,14 @@ def digests(work: Path) -> list[tuple[str, str]]:
     field_errors["axes"] = [{"name": "power", "unit": "mW", "values": [-10.0, 0.0, 50.0]},
                             {"name": "temperature", "values": [-1.0, 0.0, 0.4]}]
     docs["field-errors"] = field_errors
+    overflow = json.loads(SWEEP_CONFIG.read_text(encoding="utf-8"))
+    overflow["axes"] = [{"name": "delta", "values": [0.0, 1e308]},
+                        {"name": "xi", "values": [0.0, 0.5]}]
+    docs["delta-overflow"] = overflow
     paths = inputs.write_configs(docs, work / "inputs")
     for name, label in (("fig5", "fig5 stability"), ("fig5-negative", "fig5 stability (negative sign)"),
-                        ("fig5-seed3", "fig5 stability (seed 3)")):
+                        ("fig5-seed3", "fig5 stability (seed 3)"),
+                        ("delta-overflow", "delta 1e308 stability")):
         stability_csv = work / f"{name}-stability.csv"
         code, _ = _cli(["stability", "--config", str(paths.pop(name)), "--out", str(stability_csv)])
         out.append((label, _digest(code, stability_csv.read_bytes() if code == 0 else b"")))

@@ -11,9 +11,9 @@ import time
 import numpy as np
 import pytest
 
-from hopcav.dynamics import build_diffusion, build_drift, build_reduced
+from hopcav.dynamics import build_diffusion, build_reduced, figure_drift
 from hopcav.engine import grid_points, run_point, run_sweep
-from hopcav.lyapunov import is_hurwitz, solve_lyapunov
+from hopcav.lyapunov import is_hurwitz, lyapunov_stack, solve_lyapunov
 from hopcav.measures import fidelity_bound, log_negativity, symplectic_eigenvalues
 from hopcav.params import Detuning, PhysicalParams, thermal_occupation
 from hopcav.presets import PRESET_NAMES, fig_preset
@@ -83,7 +83,8 @@ def test_criterion_01_decoupled_lyapunov_closed_form():
             detuning=Detuning("effective", (delta, delta)),
         )
         steady = solve_fixed_detuning(p, delta, delta)
-        a = build_drift(p, steady)
+        # the Langevin-convention drift: figure_drift under the other sign
+        a = figure_drift(p, steady, "negative")
         q = build_diffusion(p, SqueezedBath(n_ph, 0.0), nbar)
         sol = solve_lyapunov(a, q)
         expected = np.diag([nbar + 0.5, nbar + 0.5, n_ph + 0.5, n_ph + 0.5] * 2)
@@ -195,8 +196,8 @@ def test_criterion_06_peak_shift_with_hopping(presets):
             continue
         q = np.diag([0.0, p.mech_damping[0] * (2 * nbar + 1),
                      p.cavity_decay[0], p.cavity_decay[0]])
-        sol = solve_lyapunov(red.drift, q, assume_hurwitz=True)
-        en = log_negativity(sol.w).log_neg
+        w, _ = lyapunov_stack(red.drift[None], q[None])
+        en = log_negativity(w[0]).log_neg
         if en > best[1]:
             best = (dp, en)
     reduced_ok = 0.8 <= best[0] <= 1.2

@@ -428,6 +428,25 @@ class TestCli:
         assert err.startswith("configuration error: ") and "effective detunings" in err
         assert not out.exists()
 
+    def test_stability_checks_the_detuning_as_the_sweep_does(self, tmp_path, capsys):
+        # every delta is finite, but 1e308 omega_m is not
+        doc = doc_with(axes=[{"name": "delta", "values": [0.0, 1e308]},
+                             {"name": "xi", "values": [0.0, 0.5]}])
+        path = write_doc(tmp_path, doc)
+        sweep_csv, out = tmp_path / "sweep.csv", tmp_path / "stab.csv"
+        assert main(["sweep", "--config", str(path), "--out", str(sweep_csv)]) == 0
+        rows = [l for l in sweep_csv.read_text(encoding="utf-8").splitlines()
+                if l.startswith("1e+308,")]
+        errors = {l.rsplit(",", 1)[1] for l in rows}
+        assert len(rows) == 2 and len(errors) == 1
+        capsys.readouterr()
+        assert main(["stability", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: detuning value must be finite")
+        # the CSV writes the message's commas as semicolons
+        assert err.strip() == "configuration error: " + errors.pop().replace(";", ",")
+        assert not out.exists()
+
     def test_stability_csv(self, tmp_path):
         doc = doc_with(axes=[
             {"name": "delta", "min": 0.0, "max": 2.0, "count": 6},

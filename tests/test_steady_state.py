@@ -180,11 +180,21 @@ def scalar_branch_oracle(p, delta0):
     return sorted(roots)
 
 
+def branches_at(params, coupling, delta01, delta02):
+    """The branches of one bare-detuning point at the couplings ``coupling``
+    in place of the derived ones: a batch of one of self_consistent_points."""
+    points = self_consistent_points(params.cavity_decay, params.mech_freq, coupling,
+                                    [drive_amps(params)], [params.hop_strength],
+                                    [(delta01, delta02)])
+    assert not points.errors
+    return [points.steady(i) for i in range(len(points.owner))]
+
+
 class TestSelfConsistent:
     def test_zero_coupling_reduces_to_fixed_detuning(self):
         p = make_params(power=0.05, xi=0.4 * WM)
         d0 = 0.8 * WM
-        branches = solve_self_consistent(p, d0, d0, coupling=(0.0, 0.0))
+        branches = branches_at(p, (0.0, 0.0), d0, d0)
         assert len(branches) == 1
         fixed = solve_fixed_detuning(p, d0, d0)
         assert branches[0].amp[0] == pytest.approx(fixed.amp[0], rel=1e-10)
@@ -559,7 +569,7 @@ class TestCompleteness:
     def test_linear_limit(self):
         p = make_params(power=(0.1, 0.05), xi=0.4 * WM)
         d1, d2 = 3.9 * WM, 3.1 * WM
-        (ss,) = solve_self_consistent(p, d1, d2, coupling=(0.0, 0.0))
+        (ss,) = branches_at(p, (0.0, 0.0), d1, d2)
         fixed = solve_fixed_detuning(p, d1, d2)
         assert ss.amp == fixed.amp
         assert ss.eff_detuning == (d1, d2)
@@ -571,7 +581,7 @@ class TestCompleteness:
         g = [0.0, 0.0]
         g[moving - 1] = derive_coupling(p, moving)
         delta0 = 3.9 * WM
-        branches = solve_self_consistent(p, delta0, delta0, coupling=tuple(g))
+        branches = branches_at(p, tuple(g), delta0, delta0)
         assert len(branches) == cavity_count(p, moving, delta0) == 3
         assert_distinct_sorted(branches)
 
@@ -583,7 +593,7 @@ class TestCompleteness:
         # gives u_2, where the resultant in u_2 vanishes as xi -> 0
         p = make_params(power=(1.0, 0.0), xi=xi * WM)
         coupling = (0.0, derive_coupling(p, 2))
-        (ss,) = solve_self_consistent(p, 0.0, 0.0, coupling=coupling)
+        (ss,) = branches_at(p, coupling, 0.0, 0.0)
         fixed = solve_fixed_detuning(p, 0.0, ss.eff_detuning[1])
         assert ss.amp[0] == pytest.approx(fixed.amp[0], rel=1e-12)
         assert ss.amp[1] == pytest.approx(fixed.amp[1], rel=1e-12)
