@@ -4,11 +4,14 @@ A W + W A^T = -Q, solved directly through the Kronecker-sum linear system.
 The kernels work on stacks of matrices, shape (P, n, n), with one LAPACK call
 per stack (or per group of Kronecker systems): a stacked call returns, matrix
 by matrix, exactly what the call on that one matrix returns.  ``is_hurwitz``
-and ``solve_lyapunov`` are their single-matrix cases.  Every Hurwitz verdict
+and ``solve_lyapunov`` are their single-matrix cases.  An eigenvalue verdict
 takes its eigenvalues from :func:`spectral_abscissae` and its bound from
 :func:`hurwitz_margins`: :func:`hurwitz_gate` on the matrices themselves,
-the stability gate (:func:`hopcav.stability.gate_branches`) on the 4x4
-exchange blocks of the drifts that have them.
+the stability map (:func:`hopcav.stability.stability_map`) on the 4x4
+exchange blocks of the drifts that have them.  A sweep's gate
+(:func:`hopcav.stability.gate_branches`) decides those drifts from the signs
+of their Routh-Hurwitz scalars instead, and takes the same eigenvalue
+verdict only where a scalar is too close to 0 for its sign to match it.
 """
 
 from __future__ import annotations

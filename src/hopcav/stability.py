@@ -11,16 +11,25 @@ Routh-Hurwitz conditions are
          + d' omega_m G^2 (gamma_m + 2 kappa)^2
 
 with d' = s (delta + xi), the modified detuning times s = +1 (-1) in the
-positive (negative) sign convention.  (s1 > 0 and s2 > 0) is exactly
-equivalent to the collective drift being Hurwitz; a violation of s1 signals
-bistability, a violation of s2 self-oscillation.  Only exchange-symmetric
-drifts (equal rates, couplings and detunings) have this model.
+positive (negative) sign convention.  Of the characteristic polynomial
+lambda^4 + a1 lambda^3 + a2 lambda^2 + a3 lambda + a4, a4 = omega_m s1 and
+the third Hurwitz determinant is s2, while a1, a2, a3 and the second
+determinant are sums of positive terms (``tests/test_model_symbolic.py``);
+so (s1 > 0 and s2 > 0) is exactly equivalent to the collective drift being
+Hurwitz (DeJesus & Kaufman, PRA 35, 5288 (1987)).  A violation of s1
+signals bistability, a violation of s2 self-oscillation.  Only
+exchange-symmetric drifts (equal rates, couplings and detunings) have this
+model.
 
 Such a drift is orthogonally similar to the direct sum of its collective
 block and the same model at delta - xi (Vitali et al., PRL 98, 030405
-(2007)), so the gate takes its Hurwitz verdict from the eigenvalues of those
-two 4x4 blocks, and the collective model's verdict from the same call; only
-the other drifts take an 8x8 eigenvalue problem.
+(2007)).  A sweep's gate therefore decides it from the four scalars at
+delta + xi and delta - xi, and falls back to the eigenvalues of the two 4x4
+blocks where a scalar is too close to 0 for its sign to give the verdict of
+the eigenvalue test and its margin (:data:`BAND_MARGINS`); the other drifts
+take an 8x8 eigenvalue problem.  A stability map, which exists to compare
+the sign conditions with eigenvalue tests, takes its verdicts from the
+eigenvalues of the blocks throughout.
 """
 
 from __future__ import annotations
@@ -43,25 +52,56 @@ from .lyapunov import is_hurwitz  # noqa: F401
 from .steady_state import solve_fixed_detuning  # noqa: F401
 
 
+# The band around 0 in which a scalar's sign does not decide a row, in Hurwitz
+# margins m = ABSCISSA_RTOL ||A||_F of the row's 8x8 drift.  The signs and the
+# eigenvalue gate disagree only where a block's spectral abscissa alpha lies
+# within the margin of 0, give or take the eigenvalue solver's error.  To
+# first order in alpha near a root, a scalar relative to the sum of its terms'
+# magnitudes is below 3.2 rho |alpha|, rho = 1/min(gamma_m, kappa) +
+# gamma_m/omega_m^2 (a sensitivity, not a small number: 1e5/omega_m at the
+# presets' gamma_m = 1e-5 omega_m):
+# - at a real root alpha, omega_m s1 = a4 = -alpha a3 + O(alpha^2), so the
+#   relative s1 is |alpha| (gamma_m/(2 omega_m^2) + kappa/(kappa^2 + d'^2));
+# - at a complex pair alpha +- i Omega, s2 is the product of the six pair
+#   sums of the eigenvalues (Orlando's formula): -2 alpha (a1 + 2 alpha)
+#   times |p'(i Omega)|^2/(4 Omega^2) = a1 a3 + (a2 - 2 a3/a1)^2 =: E at
+#   first order, and its terms sum to twice its positive part P there; a1 E/P
+#   tends to 1/gamma_m as gamma_m/kappa -> 0 and is at most
+#   (19/6)/min(gamma_m, kappa) over all positive rates.
+# A row is decided by its signs only where every scalar clears 4 rho times
+# 16 margins: the margin itself and an eigenvalue error of up to 15 more.
+BAND_MARGINS = 64.0
+
+
 def routh_hurwitz_reduced(omega_m: float, gamma_m: float, kappa: float,
                           coupling, delta_eff):
     """The two stability scalars (s1, s2) of the collective model at modified
     detuning ``delta_eff``; ``coupling`` and ``delta_eff`` are floats or
     arrays of one value per point."""
+    cavity, pulled, damped, pushed = _routh_hurwitz_terms(omega_m, gamma_m, kappa, coupling,
+                                                          delta_eff)
+    return cavity - pulled, damped + pushed
+
+
+def _routh_hurwitz_terms(omega_m, gamma_m, kappa, coupling, delta_eff):
+    """The terms of the scalars of :func:`routh_hurwitz_reduced`: s1 is the
+    first minus the second, s2 the third plus the fourth; the first and the
+    third are positive."""
     g2 = coupling * coupling
     d2 = delta_eff * delta_eff
     k2 = kappa * kappa
     k2_d2 = k2 + d2
-    s1 = omega_m * k2_d2 - g2 * delta_eff
+    cavity, pulled = omega_m * k2_d2, g2 * delta_eff
     # k2 + (omega_m -+ delta_eff)^2 along a last axis; float_power squares
     # through the C library's pow, as ``x ** 2`` does on a float (``**`` on an
     # array multiplies, which rounds differently)
     sides = k2 + np.float_power(omega_m + np.multiply.outer(delta_eff, (-1.0, 1.0)), 2.0)
-    s2 = 2.0 * gamma_m * kappa * (
+    damped = 2.0 * gamma_m * kappa * (
         sides[..., 0] * sides[..., 1]
         + gamma_m * ((gamma_m + 2.0 * kappa) * k2_d2 + 2.0 * kappa * omega_m * omega_m)
-    ) + delta_eff * omega_m * g2 * (gamma_m + 2.0 * kappa) ** 2
-    return s1, s2
+    )
+    pushed = delta_eff * omega_m * g2 * (gamma_m + 2.0 * kappa) ** 2
+    return cavity, pulled, damped, pushed
 
 
 class StabilityReport(NamedTuple):
@@ -100,13 +140,28 @@ def gate_branches(params: PhysicalParams, coupling, detuning, hops, detuning_sig
     (rad/s) hold one working point and hopping strength per branch.  A branch
     has a collective model exactly when its drift is exchange-symmetric: equal
     mechanical frequencies, dampings and decay rates, G_1 == G_2 and
-    Delta_1 == Delta_2.  Such a drift is gated on its two 4x4 exchange blocks
-    (see :func:`_hurwitz`), any other on its 8x8 eigenvalues.  When the
-    stacked gate raises, the branches are redone one by one, so that only a
-    failing branch carries its error (with a false verdict, and no collective
-    verdict or scalars).
+    Delta_1 == Delta_2.  Such a drift is decided in closed form, from one
+    scalar computation over both of its exchange blocks: it is Hurwitz when
+    s1 and s2 at delta + xi and at delta - xi are all positive, and its
+    collective verdict is the pair at delta + xi.  A symmetric drift with a
+    scalar that is not finite or lies within the band of 0
+    (:data:`BAND_MARGINS`) takes the eigenvalues of its two 4x4 exchange
+    blocks instead, and any other drift its 8x8 eigenvalues (see
+    :func:`_hurwitz`), so every verdict is the eigenvalue verdict of
+    :func:`hurwitz_gate`, margin included.  When the stacked eigenvalue call
+    raises, the branches are redone one by one, so that only a failing branch
+    carries its error (with a false verdict, and no collective verdict or
+    scalars).
     """
+    return _gate(params, coupling, detuning, hops, detuning_sign, closed_form=True)
+
+
+def _gate(params: PhysicalParams, coupling, detuning, hops, detuning_sign: str,
+          closed_form: bool) -> Gate:
+    """:func:`gate_branches`, or with ``closed_form`` false the same gate with
+    every verdict taken from eigenvalues, as the stability map takes them."""
     hops = np.asarray(hops, dtype=float)
+    count = len(hops)
     drifts = drift_stack(
         params.mech_freq, params.mech_damping, params.cavity_decay, coupling,
         # the figure convention: negated Langevin detunings (see figure_drift)
@@ -115,29 +170,68 @@ def gate_branches(params: PhysicalParams, coupling, detuning, hops, detuning_sig
     # exchange-symmetric: the cavities' diagonal blocks are equal (the hopping
     # blocks always are)
     collective = (drifts[:, :4, :4] == drifts[:, 4:, 4:]).reshape(-1, 16).all(1)
-    try:
-        verdicts, reduced = _hurwitz(drifts, collective, detuning_sign)
-    except HopcavError as exc:
-        if len(hops) == 1:
-            return Gate(drifts, [False], [None], [None], [None], [exc])
-        parts = [gate_branches(params, coupling[j:j + 1], detuning[j:j + 1], hops[j:j + 1],
-                               detuning_sign) for j in range(len(hops))]
-        return Gate(drifts, *([x for part in parts for x in part[i]] for i in range(1, 6)))
+    rates = params.mech_freq[0], params.mech_damping[0], params.cavity_decay[0]
     # delta + xi in the figure convention (bare mode too, shift absorbed); the
     # negative sign's collective block (collective_drifts) is the model at -(delta + xi)
-    modified = hops - detuning[:, 0] if detuning_sign == "positive" else detuning[:, 0] - hops
-    s1, s2 = routh_hurwitz_reduced(params.mech_freq[0], params.mech_damping[0],
-                                   params.cavity_decay[0], coupling[:, 0], modified)
-    s1, s2 = s1.tolist(), s2.tolist()
-    if reduced.count(None):
-        s1 = [None if r is None else s for s, r in zip(s1, reduced)]
-        s2 = [None if r is None else s for s, r in zip(s2, reduced)]
-    return Gate(drifts, verdicts, reduced, s1, s2, [None] * len(hops))
+    positive = detuning_sign == "positive"
+    modified = hops - detuning[:, 0] if positive else detuning[:, 0] - hops
+    try:
+        if closed_form:
+            # and the other block's delta - xi
+            other = -hops - detuning[:, 0] if positive else detuning[:, 0] + hops
+            verdicts, reduced, s1, s2 = _closed_form(rates, coupling[:, 0], modified, other,
+                                                     drifts, collective, detuning_sign)
+        else:
+            verdicts, reduced = _hurwitz(drifts, collective, detuning_sign)
+            s1, s2 = routh_hurwitz_reduced(*rates, coupling[:, 0], modified)
+    except HopcavError as exc:
+        if count == 1:
+            return Gate(drifts, [False], [None], [None], [None], [exc])
+        parts = [_gate(params, coupling[j:j + 1], detuning[j:j + 1], hops[j:j + 1],
+                       detuning_sign, closed_form) for j in range(count)]
+        return Gate(drifts, *([x for part in parts for x in part[i]] for i in range(1, 6)))
+    verdicts, reduced, s1, s2 = verdicts.tolist(), reduced.tolist(), s1.tolist(), s2.tolist()
+    marked = collective.tolist()
+    if not all(marked):
+        reduced, s1, s2 = ([x if c else None for x, c in zip(column, marked)]
+                           for column in (reduced, s1, s2))
+    return Gate(drifts, verdicts, reduced, s1, s2, [None] * count)
 
 
-def _hurwitz(drifts: np.ndarray, collective: np.ndarray, detuning_sign: str) -> tuple[list, list]:
-    """The Hurwitz verdicts of a stack of 8x8 drifts, and those of the
-    collective blocks of the rows marked ``collective`` (None on the others).
+def _closed_form(rates, coupling, modified, other, drifts: np.ndarray, collective: np.ndarray,
+                 detuning_sign: str):
+    """The verdicts of the drifts and of their collective blocks, and the
+    scalars (s1, s2) at the ``modified`` detunings: from the signs of the
+    scalars at ``modified`` and at the ``other`` block's detunings where all
+    four clear the band (:data:`BAND_MARGINS`), else from :func:`_hurwitz`."""
+    omega_m, gamma_m, kappa = rates
+    count = len(modified)
+    # a working point can overflow the scalars, or hold NaN; such a row is not
+    # decided by them
+    with np.errstate(over="ignore", invalid="ignore"):
+        cavity, pulled, damped, pushed = (part.reshape(2, count) for part in _routh_hurwitz_terms(
+            omega_m, gamma_m, kappa, np.tile(coupling, 2), np.concatenate([modified, other])))
+        s1, s2 = cavity - pulled, damped + pushed
+        band = (BAND_MARGINS * (1.0 / min(gamma_m, kappa) + gamma_m / (omega_m * omega_m))
+                * -hurwitz_margins(drifts))
+        # each scalar against the sum of its terms' magnitudes; false where a
+        # scalar or its terms are not finite
+        decided = ((abs(s1) > band * (cavity + abs(pulled)))
+                   & (abs(s2) > band * (damped + abs(pushed)))).all(0) & collective
+    signs = (s1 > 0.0) & (s2 > 0.0)
+    verdicts, reduced = signs[0] & signs[1], signs[0]
+    if not decided.all():
+        rest = ~decided
+        verdicts[rest], reduced[rest] = _hurwitz(drifts[rest], collective[rest], detuning_sign)
+    return verdicts, reduced, s1[0], s2[0]
+
+
+def _hurwitz(drifts: np.ndarray, collective: np.ndarray,
+             detuning_sign: str) -> tuple[np.ndarray, np.ndarray]:
+    """The Hurwitz verdicts of a stack of 8x8 drifts from their eigenvalues,
+    and those of the collective blocks of the rows marked ``collective``
+    (false on the others): the gate of the map, and of the sweep's rows
+    that the scalars do not decide.
 
     An exchange-symmetric drift is orthogonally similar to the direct sum of
     its two exchange blocks (:func:`hopcav.dynamics.exchange_blocks`), so its
@@ -152,16 +246,16 @@ def _hurwitz(drifts: np.ndarray, collective: np.ndarray, detuning_sign: str) -> 
     count = len(symmetric)
     blocks = exchange_blocks(symmetric, detuning_sign)
     pairs = spectral_abscissae(blocks).reshape(2, count)
-    reduced = (pairs[0] < hurwitz_margins(blocks[:count])).tolist()
     if every:
+        reduced = pairs[0] < hurwitz_margins(blocks[:count])
         absc = pairs.max(axis=0)
     else:
+        reduced = np.zeros(len(drifts), dtype=bool)
+        reduced[collective] = pairs[0] < hurwitz_margins(blocks[:count])
         absc = np.empty(len(drifts))
         absc[collective] = pairs.max(axis=0)
         absc[~collective] = spectral_abscissae(drifts[~collective])
-        marked = iter(reduced)
-        reduced = [next(marked) if c else None for c in collective.tolist()]
-    return (absc < hurwitz_margins(drifts)).tolist(), reduced
+    return absc < hurwitz_margins(drifts), reduced
 
 
 def stability_point(params: PhysicalParams, delta: float, xi: float,
@@ -215,8 +309,8 @@ def _reports(params: PhysicalParams, points, detuning_sign: str) -> list[Stabili
         [drive_amps(params)] * len(points), [h for *_, h in points],
         [(lang, lang) for _, _, lang, _ in points],
     )
-    gate = gate_branches(params, working.eff_coupling, working.eff_detuning, working.hop_strength,
-                         detuning_sign)
+    gate = _gate(params, working.eff_coupling, working.eff_detuning, working.hop_strength,
+                 detuning_sign, closed_form=False)
     for error in gate.errors:
         if error is not None:
             raise error

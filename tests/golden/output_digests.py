@@ -13,6 +13,13 @@ the negative sign convention on 1 worker, the benchmark's fig6b sweep (on 1
 worker) and fig5 map at seed 3 (``inputs.grid_configs(..., 3)``: every axis
 shifted off the preset grid) in the positive sign convention, the
 benchmark's bare-detuning fig2a and fig2b sweeps at seed 3 on 1 worker, the
+``hopcav sweep`` CSV of ``configs/sweep.json`` at 75 mW over xi = (0, 0.5)
+and a delta axis of stability boundaries (``BOUNDARIES``: at xi = 0 the
+self-oscillation boundary and both bistability boundaries, at xi = 0.5 the
+bistability boundary of the block at delta + xi) with the values 1 and 2 ulp
+either side, whose rows' Routh-Hurwitz scalars lie within the band of 0
+where the sweep's gate takes eigenvalues (its line names the sweep's exit
+code: 2, since rows this close to a boundary miss the residual gate), the
 ``hopcav sweep`` CSV of an error-row sweep on 1 and on 2 workers
 (``configs/sweep.json`` over a photon number axis with a negative value and
 values below the bound of a fixed correlation of 0.3: the only run whose
@@ -35,6 +42,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -42,6 +50,11 @@ REPO = Path(__file__).resolve().parent.parent.parent
 POINT_CONFIG = REPO / "configs" / "point.json"
 SWEEP_CONFIG = REPO / "configs" / "sweep.json"
 OFF_GRID_SEED = 3
+# delta (omega_m) within one ulp of a flip of the stable flag of
+# configs/sweep.json at 75 mW, by xi (omega_m); found by bisecting the
+# eigenvalue gate's verdict
+BOUNDARIES = {0.0: (-4.8933532878624355e-06, 0.34481972585985016, 1.5763736869998135),
+              0.5: (1.0763736869995013,)}
 
 _spec = importlib.util.spec_from_file_location("perfbench_inputs",
                                                REPO / "perfbench" / "inputs.py")
@@ -56,6 +69,13 @@ def _cli(argv: list[str]) -> tuple[int, str]:
     with contextlib.redirect_stdout(buf):
         code = main(argv)
     return code, buf.getvalue()
+
+
+def _ulps(value: float, steps: int) -> float:
+    """``value`` moved ``steps`` floats up (down for a negative count)."""
+    for _ in range(abs(steps)):
+        value = math.nextafter(value, math.copysign(math.inf, steps))
+    return value
 
 
 def _digest(code: int, data: bytes) -> str:
@@ -108,6 +128,14 @@ def digests(work: Path) -> list[tuple[str, str]]:
     overflow["axes"] = [{"name": "delta", "values": [0.0, 1e308]},
                         {"name": "xi", "values": [0.0, 0.5]}]
     docs["delta-overflow"] = overflow
+    boundaries = json.loads(SWEEP_CONFIG.read_text(encoding="utf-8"))
+    boundaries["cavity"]["drive_power"] = {"value": 75.0, "unit": "mW"}
+    boundaries["axes"] = [
+        {"name": "xi", "values": list(BOUNDARIES)},
+        {"name": "delta", "values": [_ulps(v, k) for vs in BOUNDARIES.values() for v in vs
+                                     for k in range(-2, 3)]},
+    ]
+    docs["boundaries"] = boundaries
     paths = inputs.write_configs(docs, work / "inputs")
     for name, label in (("fig5", "fig5 stability"), ("fig5-negative", "fig5 stability (negative sign)"),
                         ("fig5-seed3", "fig5 stability (seed 3)"),
@@ -124,6 +152,12 @@ def digests(work: Path) -> list[tuple[str, str]]:
         code, _ = _cli(["sweep", "--config", str(paths.pop(name)), "--out", str(sweep_csv),
                         "--workers", "1"])
         out.append((label, _digest(code, sweep_csv.read_bytes() if code == 0 else b"")))
+    # the barely stable rows at the boundaries miss the Lyapunov residual gate,
+    # so this sweep exits 2 after writing its CSV: the line carries both
+    sweep_csv = work / "boundaries.csv"
+    code, _ = _cli(["sweep", "--config", str(paths.pop("boundaries")), "--out", str(sweep_csv),
+                    "--workers", "1"])
+    out.append((f"stability-boundary sweep (exit {code})", _digest(0, sweep_csv.read_bytes())))
     error_rows_path = paths.pop("error-rows")
     for workers in (1, 2):
         sweep_csv = work / f"error-rows.w{workers}.csv"

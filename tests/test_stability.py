@@ -1,15 +1,18 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hopcav import stability
 from hopcav.dynamics import (
     DETUNING_SIGNS,
     build_reduced,
     collective_drifts,
+    drift_stack,
     exchange_blocks,
     figure_drift,
 )
@@ -396,6 +399,11 @@ class TestBlockGate:
         else:
             pytest.fail("no abscissa between the two margins")
         assert gate.collective == [True] and gate.verdicts == [False]
+        # the signs call that row stable: it lies within the band, so the gate
+        # took the eigenvalues of its blocks
+        with mock.patch.object(stability, "_hurwitz", wraps=stability._hurwitz) as spy:
+            assert probe(delta)[0][1:] == gate[1:]
+        assert spy.call_count == 1
 
     def test_mixed_stack_gates_each_row_as_its_batch_of_one(self):
         params = make_params(power=0.075)
@@ -427,7 +435,77 @@ class TestBlockGate:
         grid = np.linspace(0.0, 2.0, 11)
         config = fig_preset("fig5")
         assert len(stability_map(config.params, grid, grid, config.detuning_sign)) == 121
+        # the map takes the eigenvalues of both blocks of every point
+        assert shapes and all(shape[1:] == (4, 4) for shape in shapes)
+        shapes.clear()
         config = dataclasses.replace(fig_preset("fig6b"),
                                      axes=(AxisSpec("delta", grid), AxisSpec("xi", grid)))
         assert len(run_sweep(config).records) == 121
-        assert shapes and all(shape[1:] == (4, 4) for shape in shapes)
+        # the sweep decides every point from the signs of its scalars
+        assert shapes == []
+
+
+class TestClosedFormGate:
+    """A sweep's gate decides an exchange-symmetric row from the signs of s1
+    and s2 at delta + xi and at delta - xi, and takes the eigenvalues of its
+    blocks where a scalar lies within the band of 0."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(detuning_sign=st.sampled_from(DETUNING_SIGNS), damping=st.floats(-5.0, -3.0),
+           xi=st.floats(0.0, 2.0), boundary=st.sampled_from(("s1", "s2")),
+           half=st.sampled_from((0, 1)))
+    def test_signs_give_the_eigenvalue_verdicts_at_the_boundaries(self, detuning_sign, damping,
+                                                                  xi, boundary, half):
+        # at G = 2 omega_m the model at modified detuning d' self-oscillates
+        # (s2 < 0) below a d' of -8e-6 to -8e-4 omega_m, as gamma_m/omega_m
+        # runs from 1e-5 to 1e-3, and is bistable (s1 < 0) above about 0.57
+        # omega_m; bisect the detuning to where the chosen block (at d' =
+        # s (delta + xi), or s (delta - xi)) crosses the margin of the 8x8
+        # drift, where the signs still call it stable
+        params = dataclasses.replace(make_params(), mech_damping=10.0 ** damping * WM)
+        s = 1.0 if detuning_sign == "positive" else -1.0
+        shift = -xi if half == 0 else xi
+
+        def drifts(deltas):
+            # figure-convention detunings, delta in omega_m units
+            count = len(deltas)
+            return drift_stack(params.mech_freq, params.mech_damping, params.cavity_decay,
+                               np.full((count, 2), 2.0 * WM), np.outer(deltas, (WM, WM)),
+                               np.full(count, xi * WM), detuning_sign)
+
+        def stable(delta):
+            drift = drifts([delta])
+            block = spectral_abscissae(exchange_blocks(drift, detuning_sign))[half]
+            return block < hurwitz_margins(drift)[0]
+
+        a, b = (s * d + shift for d in ((0.0, -0.5) if boundary == "s2" else (0.0, 2.0)))
+        assert stable(a) and not stable(b)
+        while math.nextafter(a, b) != b:
+            mid = 0.5 * (a + b)
+            a, b = (mid, b) if stable(mid) else (a, mid)
+        root = abs(s * (a - shift))
+        deltas = [a, *(math.nextafter(a, sgn * math.inf) for sgn in (-1, 1)),
+                  *(math.nextafter(math.nextafter(a, sgn * math.inf), sgn * math.inf)
+                    for sgn in (-1, 1)),
+                  a - 0.05 * root, a + 0.05 * root]
+        columns = np.full((7, 2), 2.0 * WM), -np.outer(deltas, (WM, WM)), np.full(7, xi * WM)
+        with mock.patch.object(stability, "_hurwitz", wraps=stability._hurwitz) as spy:
+            gate = gate_branches(params, *columns, detuning_sign)
+        assert np.array_equal(gate.drifts, drifts(deltas))
+        # the five rows at the boundary lie within the band and take the
+        # eigenvalues of their blocks; of the two rows 5% of d' away, at least
+        # one is decided by the signs (the other block may sit near a root)
+        assert spy.call_count == 1
+        routed = spy.call_args.args[0]
+        assert np.array_equal(routed[:5], gate.drifts[:5])
+        decided = [j for j in (5, 6)
+                   if not any(np.array_equal(gate.drifts[j], r) for r in routed[5:])]
+        assert decided
+        # every row has the verdicts of the map's eigenvalue gate, and a row
+        # decided by the signs those of hurwitz_gate on its 8x8 drift and on
+        # its collective block
+        assert gate[1:] == stability._gate(params, *columns, detuning_sign, closed_form=False)[1:]
+        full = hurwitz_gate(gate.drifts)[0]
+        block = hurwitz_gate(collective_drifts(gate.drifts, detuning_sign))[0]
+        for j in decided:
+            assert (gate.verdicts[j], gate.collective[j]) == (full[j], block[j])
