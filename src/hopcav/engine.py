@@ -4,8 +4,9 @@ emission.
 A batch of grid points runs
 
     inputs from the sweep's axis tables -> working points -> the stability
-    gate (stacked 8x8 drifts, one Hurwitz gate, stability scalars; shared
-    with the stability map, see :func:`hopcav.stability.gate_branches`) ->
+    gate (stacked 8x8 drifts, stability scalars, Hurwitz verdicts from their
+    signs or from eigenvalues; a stage shared with the stability map, see
+    :func:`hopcav.stability.gate_branches`) ->
     grouped Lyapunov solves of the stable branches -> stacked pair measures
     -> one record per row
 
