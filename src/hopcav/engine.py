@@ -33,7 +33,9 @@ columns: in effective mode the closed form
 (:func:`hopcav.steady_state.fixed_detuning_points`), in bare mode every fixed
 point of the self-consistent problem
 (:func:`hopcav.steady_state.self_consistent_points`), which solves the
-batch's identical-cavity points with one stacked companion eigenvalue call.
+batch's identical-cavity points with one stacked companion eigenvalue call
+and keeps the batch's candidates in one table, by point, whose starting
+values convert to extended precision at once.
 
 ``run_sweep`` evaluates the grid in chunks of at most ``CHUNK_POINTS`` points,
 which bounds the memory of the batch arrays, and ``run_point`` is a batch of
@@ -429,7 +431,9 @@ def _evaluate(sweep: _Sweep, start: int, stop: int) -> _Batch:
                 solve.append(j)
                 diffusions.append(diffusion)
 
-    # per branch row: its measure cells and Lyapunov residual
+    # per branch row: its measure cells and Lyapunov residual; a row whose
+    # measures fail keeps its residual, which tells a failed solve from a
+    # measure of a good one
     measured = [_UNMEASURED] * len(owners)
     if solve:
         w, residuals = lyapunov_stack(gate.drifts.take(solve, axis=0), np.array(diffusions))
@@ -439,10 +443,11 @@ def _evaluate(sweep: _Sweep, start: int, stop: int) -> _Batch:
             if error is None:
                 measured[j] = row
             else:
+                measured[j] = (*_UNMEASURED[:-1], row[-1])
                 errors[j] = error
 
     def covariance(j: int) -> np.ndarray | None:
-        return None if measured[j] is _UNMEASURED else w[solve.index(j)]
+        return None if errors[j] is not None or measured[j] is _UNMEASURED else w[solve.index(j)]
 
     # one record per branch row, straight from the columns
     records = list(map(tuple.__new__, itertools.repeat(ResultRecord), zip(
@@ -478,9 +483,10 @@ def run_points(sweep: _Sweep, start: int, stop: int) -> list[ResultRecord]:
 
 
 def misses_residual_gate(rec: ResultRecord) -> bool:
-    """A stable row whose Lyapunov residual is missing, NaN or not below the
-    gate: a numerical failure."""
-    return rec.stable and not (rec.lyap_residual is not None and rec.lyap_residual < RESIDUAL_GATE)
+    """A stable row with an error, or whose Lyapunov residual is missing, NaN
+    or not below the gate: a numerical failure."""
+    return rec.stable and not (rec.lyap_residual is not None
+                               and rec.lyap_residual < RESIDUAL_GATE and not rec.error)
 
 
 def run_point(config: SweepConfig, overrides: dict[str, float] | None = None) -> PointResult:
@@ -511,6 +517,14 @@ def grid_points(config: SweepConfig) -> list[dict[str, float]]:
     ]
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity where the platform has
+    one (``os.cpu_count`` also counts CPUs outside it), else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 @dataclass(frozen=True)
 class SweepResult:
     records: tuple[ResultRecord, ...]
@@ -522,12 +536,13 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
     come out in row-major grid order (with branch rows kept adjacent)
     regardless of the worker count.
 
-    With ``workers > 1`` a process pool of at most one process per CPU
-    evaluates the chunks, made small enough that every worker gets several.
+    With ``workers > 1`` a process pool of at most one process per CPU this
+    process may run on evaluates the chunks, made small enough that every
+    worker gets several.
     """
     sweep = _Sweep(config, [(a.name, a.values) for a in config.axes])
     points = math.prod(sweep.shape)
-    workers = min(workers, os.cpu_count() or 1)
+    workers = min(workers, _usable_cpus())
     size = CHUNK_POINTS
     if workers > 1:
         size = min(size, -(-points // (CHUNKS_PER_WORKER * workers)))

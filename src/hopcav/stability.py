@@ -240,6 +240,13 @@ def _hurwitz(drifts: np.ndarray, collective: np.ndarray,
     those of the 8x8 drift.  Each drift's verdict has the 8x8 drift's margin
     and each collective verdict its block's own, as :func:`hurwitz_gate`
     gives them.
+
+    The blocks' eigenvalues and the 8x8 drift's round apart: on rows bisected
+    onto a boundary the two abscissae differed by up to 6e-4 margins.  So
+    within about 1 ulp of the delta where a block crosses the margin, a
+    verdict here can differ from :func:`hurwitz_gate` (or ``is_hurwitz``) on
+    the same 8x8 drift; 0.01 margins away from the margin they agree
+    (``tests/test_stability.py``, ``TestBlockGate``).
     """
     every = collective.all()
     symmetric = drifts if every else drifts[collective]

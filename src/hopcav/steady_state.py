@@ -27,6 +27,15 @@ polynomial there.  A pair whose relative residual in either polynomial
 exceeds ROOT_RTOL is no common root and is dropped.  Newton's method polishes
 every candidate, and of the candidates that polish onto one fixed point the
 one with the least residual is kept.
+
+A batch's candidates form one table, by point: the real roots of the stacked
+eigenvalue call and the identical-cavity points' candidates come from array
+tests over its output, and the table's starting photon numbers convert to
+extended precision at once.  The work per point that an array would replace
+by a few dozen NumPy calls (the scaled problem, the companion rows, the bound
+and residual tests and the choice of branches) stays scalar: a NumPy call
+costs about a microsecond whatever its size, so that a batch of one, which
+``run_point`` solves, would pay more for it than a chunk saves.
 """
 
 from __future__ import annotations
@@ -174,34 +183,88 @@ def solve_fixed_detuning(params: PhysicalParams, delta1: float, delta2: float) -
     ).steady(0)
 
 
-def _real(roots, cap: float) -> list[float]:   # the real roots in [0, cap], to REAL_TOL
-    return [r.real for r in roots
-            if abs(r.imag) <= REAL_TOL * (1.0 + abs(r)) and -REAL_TOL <= r.real <= cap + REAL_TOL]
+def _real(roots, cap):
+    """Which of the complex ``roots`` are real and in [0, cap], to REAL_TOL; ``cap``
+    broadcasts against them.  |root| is hypot, as Python's abs of a complex gives it."""
+    re, im = roots.real, roots.imag
+    return ((np.abs(im) <= REAL_TOL * (1.0 + np.hypot(re, im)))
+            & (-REAL_TOL <= re) & (re <= cap + REAL_TOL))
 
 
 def _companion_rows(c: float, b: float, x: float) -> tuple:
     """The first rows of the companion matrices in _COMPANIONS of the a_1 = a_2 cubic
-    and of the symmetry-broken quartic in s = U_1 + U_2.  Each entry is a Python
-    float expression (``c ** 3`` is the C library's pow), so that every point's
-    matrices hold the same bits in any batch."""
+    and of the symmetry-broken quartic in s = U_1 + U_2, the cubic's three entries
+    then the quartic's four.  Each entry is a Python float expression (``c ** 3`` is
+    the C library's pow), so that every point's matrices hold the same bits in any
+    batch."""
     m, q, bb = c - x, c + x, b * b
-    return (2.0 * m / b, -(1.0 + m * m) / bb, 1.0 / bb), (
-        (6.0 * c + 4.0 * x) / b, -(13.0 * c * c + 16.0 * c * x + 4.0 * x * x + 1.0) / bb,
-        (12.0 * c ** 3 + 20.0 * c * c * x + 8.0 * c * x * x + 4.0 * c - b) / (b * bb),
-        -2.0 * (2.0 * c * c * q * q + 2.0 * c * c - b * q) / (bb * bb))
+    return (2.0 * m / b, -(1.0 + m * m) / bb, 1.0 / bb,
+            (6.0 * c + 4.0 * x) / b, -(13.0 * c * c + 16.0 * c * x + 4.0 * x * x + 1.0) / bb,
+            (12.0 * c ** 3 + 20.0 * c * c * x + 8.0 * c * x * x + 4.0 * c - b) / (b * bb),
+            -2.0 * (2.0 * c * c * q * q + 2.0 * c * c - b * q) / (bb * bb))
 
 
-def _symmetric_candidates(roots, c: float, b: float, x: float, cap: float) -> list[tuple]:
-    """(U, U) for each root of the a_1 = a_2 cubic, and (U_1, U_2) both ways for each
-    root s = U_1 + U_2 of the symmetry-broken quartic, with U_1 U_2 = p(s); ``roots``
-    holds the eigenvalues of both companion matrices of :func:`_companion_rows`."""
-    cubic, quartic = roots
+def _symmetric_candidates(roots, c, b, x, cap) -> tuple:
+    """(row, U_1, U_2) of the candidates of rows with identical inputs, by row: (U, U)
+    for each root of the a_1 = a_2 cubic, then (U_1, U_2) both ways for each root
+    s = U_1 + U_2 of the symmetry-broken quartic, with U_1 U_2 = p(s).  ``roots``
+    holds the eigenvalues of both companion matrices of :func:`_companion_rows` of
+    each row, and ``c``, ``b``, ``x`` and ``cap`` the rows' inputs."""
+    real, values = _real(roots, np.reshape(cap, (-1, 1, 1))), roots.real
+    cubic, quartic = real[:, 0], real[:, 1]
+    row, u = cubic.nonzero()[0], values[:, 0][cubic]
+    pair, col = quartic.nonzero()
+    if not len(pair):
+        return row, u, u
+    s = values[pair, 1, col]
+    c, b, x = (np.array(column)[pair] for column in (c, b, x))
     q, bb = c + x, b * b
-    found = [(u, u) for u in _real(cubic, cap)]
-    for s in _real(quartic, cap):   # U_1 and U_2 are the roots of t^2 - s t + p(s)
-        r = math.sqrt(max(s * s - 4.0 * (s * s - 2.0 * s * q / b + (q * q + 1.0) / bb), 0.0))
-        found += [(0.5 * (s - r), 0.5 * (s + r)), (0.5 * (s + r), 0.5 * (s - r))] if r else []
-    return found
+    # U_1 and U_2 are the roots of t^2 - s t + p(s)
+    r = np.sqrt(np.maximum(s * s - 4.0 * (s * s - 2.0 * s * q / b + (q * q + 1.0) / bb), 0.0))
+    split = r != 0.0
+    s, r, pair = s[split], r[split], pair[split]
+    low, high = 0.5 * (s - r), 0.5 * (s + r)
+    # each row's cubic candidates come first: a stable sort keeps them there
+    rows = np.concatenate([row, pair.repeat(2)])
+    order = rows.argsort(kind="stable")
+    return (rows[order], np.concatenate([u, np.stack([low, high], 1).ravel()])[order],
+            np.concatenate([u, np.stack([high, low], 1).ravel()])[order])
+
+
+def _candidates(problems: list) -> tuple:
+    """(point, U_1, U_2) of every candidate of a batch's problems (see :func:`_scaled`),
+    by point: the points with identical photon-number equations take the roots of
+    their cubics and quartics from one stacked eigenvalue call, the others their
+    resultants."""
+    symmetric, general, pairs = [], [], []
+    for point, problem in enumerate(problems):
+        if problem and problem[0]:
+            symmetric.append(point)
+        elif problem:
+            _, k, c, b, es, x, cap, _ = problem
+            found = _general_candidates(k, c, b, es, x, cap)
+            general += [point] * len(found)
+            pairs += found
+    parts = []
+    if symmetric:
+        # c_1, b_1, x and the bound of each identical-cavity point
+        c, b, x, cap = zip(*[(problem[2][0], problem[3][0], problem[5], problem[6])
+                             for problem in map(problems.__getitem__, symmetric)])
+        comp = np.tile(_COMPANIONS, (len(symmetric), 1, 1, 1))
+        rows = np.array(list(map(_companion_rows, c, b, x)))
+        comp[:, 0, 0, :3], comp[:, 1, 0] = rows[:, :3], rows[:, 3:]
+        row, u1, u2 = _symmetric_candidates(np.linalg.eigvals(comp), c, b, x, cap)
+        parts.append((np.array(symmetric)[row], u1, u2))
+    if general:
+        pairs = np.array(pairs)
+        parts.append((np.array(general), pairs[:, 0], pairs[:, 1]))
+    if len(parts) == 1:
+        return parts[0]
+    if not parts:
+        return np.zeros(0, int), np.zeros(0), np.zeros(0)
+    point, u1, u2 = map(np.concatenate, zip(*parts))
+    order = point.argsort(kind="stable")
+    return point[order], u1[order], u2[order]
 
 
 def _general_candidates(k, c, b, e, x: float, cap: float) -> list[tuple]:
@@ -230,8 +293,9 @@ def _general_candidates(k, c, b, e, x: float, cap: float) -> list[tuple]:
     coef = np.polynomial.polynomial.polyval(u1 - SHIFT, f2)
     comp = np.tile(np.eye(3, k=-1), (len(u1), 1, 1))
     comp[:, 0] = -(coef[2::-1] / coef[3]).T
-    pairs = [(a, u2) for a, roots in zip(u1.tolist(), np.linalg.eigvals(comp).tolist())
-             for u2 in _real(roots, cap)]
+    roots = np.linalg.eigvals(comp)
+    row, col = _real(roots, cap).nonzero()
+    pairs = list(zip(u1[row].tolist(), roots[row, col].real.tolist()))
     if not b[0]:   # U_1 = 0 stands in for the root that the polish finds
         return pairs
     # each real U_1 meets every real U_2 of its cubic, and a pair that is no common
@@ -259,25 +323,31 @@ def _resultant_roots(f1, f2, cap: float):
     comp = np.eye(15, k=-5)
     comp[:5] = -np.concatenate(np.linalg.solve(sylvester[0], sylvester[1:]), axis=1)
     mu = np.linalg.eigvals(comp)
-    return np.array(_real((SHIFT + 1.0 / mu[abs(mu) * (cap - SHIFT) > 0.5]).tolist(), cap))
+    roots = SHIFT + 1.0 / mu[abs(mu) * (cap - SHIFT) > 0.5]
+    return roots[_real(roots, cap)].real
 
 
 def _polish(u1, u2, kappa, delta0, b, e, xi):
     """Newton's method on (u_1 D - N_1, u_2 D - N_2) from (u1, u2), in the
     arithmetic of the arguments, with alpha_j = kappa_j + i (delta0_j - b_j u_j)."""
+    (k1, k2), (c1, c2), (b1, b2), (e1, e2) = kappa, delta0, b, e
+    # the products that do not change from step to step, each once
+    kk, xx, xe1, xe2 = k1 * k2, xi * xi, xi * e1, xi * e2
+    ek1, ek2 = (e1 * k2) ** 2, (e2 * k1) ** 2
+    bb1, bb2, eb1, eb2 = 2.0 * b1, 2.0 * b2, 2.0 * e1 * b2, 2.0 * e2 * b1
     for _ in range(NEWTON_STEPS):
-        d1, d2 = delta0[0] - b[0] * u1, delta0[1] - b[1] * u2
+        d1, d2 = c1 - b1 * u1, c2 - b2 * u2
         # z = alpha_1 alpha_2 + xi^2, and beta_j = alpha_k E_j + i xi E_k = E_j kappa_k + i n_j
-        zr, zi = kappa[0] * kappa[1] - d1 * d2 + xi * xi, kappa[0] * d2 + d1 * kappa[1]
-        n1, n2 = e[0] * d2 + xi * e[1], e[1] * d1 + xi * e[0]
+        zr, zi = kk - d1 * d2 + xx, k1 * d2 + d1 * k2
+        n1, n2 = e1 * d2 + xe2, e2 * d1 + xe1
         den = zr * zr + zi * zi
         # d alpha_j / d u_j = -i b_j
-        den_1 = 2.0 * b[0] * (zr * d2 - zi * kappa[1])
-        den_2 = 2.0 * b[1] * (zr * d1 - zi * kappa[0])
-        f1 = u1 * den - (e[0] * kappa[1]) ** 2 - n1 * n1
-        f2 = u2 * den - (e[1] * kappa[0]) ** 2 - n2 * n2
-        j11, j12 = den + u1 * den_1, u1 * den_2 + 2.0 * e[0] * b[1] * n1
-        j21, j22 = u2 * den_1 + 2.0 * e[1] * b[0] * n2, den + u2 * den_2
+        den_1 = bb1 * (zr * d2 - zi * k2)
+        den_2 = bb2 * (zr * d1 - zi * k1)
+        f1 = u1 * den - ek1 - n1 * n1
+        f2 = u2 * den - ek2 - n2 * n2
+        j11, j12 = den + u1 * den_1, u1 * den_2 + eb1 * n1
+        j21, j22 = u2 * den_1 + eb2 * n2, den + u2 * den_2
         det = j11 * j22 - j12 * j21
         if not det:
             break
@@ -291,45 +361,29 @@ def _polish(u1, u2, kappa, delta0, b, e, xi):
 def _scaled(kappa, g, shift, e, xi: float, delta0) -> tuple | None:
     """The photon-number problem of one point in scaled units, or None where no
     cavity has both radiation pressure and photons (the detunings stay bare)."""
-    if all(g[j] == 0.0 or (e[j] == 0.0 and (xi == 0.0 or e[1 - j] == 0.0)) for j in (0, 1)):
+    e1, e2 = e
+    if not ((g[0] != 0.0 and (e1 != 0.0 or (xi != 0.0 and e2 != 0.0)))
+            or (g[1] != 0.0 and (e2 != 0.0 or (xi != 0.0 and e1 != 0.0)))):
         return None
     # U_j = u_j / unit, with rates in units of kappa_1 and drives in units of the larger
-    kap, unit = kappa[0], (max(e) / kappa[0]) ** 2
-    k, c = (1.0, kappa[1] / kap), (delta0[0] / kap, delta0[1] / kap)
-    b, es = (shift[0] * unit / kap, shift[1] * unit / kap), (e[0] / max(e), e[1] / max(e))
+    kap, top = kappa[0], max(e)
+    unit, k = (top / kap) ** 2, (1.0, kappa[1] / kap)
+    es = (e1 / top, e2 / top)
     # kappa_1 u_1 + kappa_2 u_2 = Re(E_1 a_1* + E_2 a_2*) bounds U_1 + U_2
     cap = (es[0] ** 2 + es[1] ** 2) / min(k) ** 2
-    symmetric = (kappa[0] == kappa[1] and shift[0] == shift[1] and e[0] == e[1]
+    symmetric = (kappa[0] == kappa[1] and shift[0] == shift[1] and e1 == e2
                  and delta0[0] == delta0[1])
-    return symmetric, k, c, b, es, xi / kap, cap, unit
+    return (symmetric, k, (delta0[0] / kap, delta0[1] / kap),
+            (shift[0] * unit / kap, shift[1] * unit / kap), es, xi / kap, cap, unit)
 
 
-def _fixed_points(candidates, kappa, mech, g, shift, e, xi: float, delta0, unit: float,
-                  cap: float) -> tuple[list, float]:
-    """The distinct fixed points the candidates (U_1, U_2) polish onto, by |a_1|, each
-    as (a_1, a_2, Delta_1, Delta_2), and the least residual of any candidate."""
-    def detunings(u1, u2):
-        return delta0[0] - g[0] ** 2 * u1 / mech[0], delta0[1] - g[1] ** 2 * u2 / mech[1]
-
-    # each candidate is polished in the photon numbers u_j in extended precision
-    # (every product in _polish then has an extended factor), so that it lands on
-    # its correctly rounded value
-    ext = np.longdouble
-    precise = ((ext(kappa[0]), ext(kappa[1])), delta0, shift, e, ext(xi))
-    found, best = [], math.inf   # (residual, a_1, a_2, Delta_1, Delta_2) per fixed point
-    for u1, u2 in candidates:
-        u1, u2 = map(float, _polish(ext(u1 * unit), ext(u2 * unit), *precise))
-        if not all(-REAL_TOL <= u / unit <= cap + REAL_TOL for u in (u1, u2)):
-            continue
-        amp1, amp2, _, _ = _closed_form_amps(kappa, xi, e[0], e[1], *detunings(u1, u2))
-        d1, d2 = detunings(abs(amp1) ** 2, abs(amp2) ** 2)
-        res = _residual(xi, e[0], e[1], amp1, amp2, complex(kappa[0], d1), complex(kappa[1], d2))
-        best = min(best, res)
-        if res >= RESIDUAL_TOL:
-            continue
-        # of the candidates that land on one fixed point the least residual is kept
-        # (then the least amplitudes), whichever other candidates exist
-        point = (res, amp1, amp2, d1, d2)
+def _distinct(points) -> list:
+    """The distinct fixed points among (residual, a_1, a_2, Delta_1, Delta_2), by |a_1|:
+    of the candidates that land on one fixed point the least residual is kept (then
+    the least amplitudes), whichever other candidates exist."""
+    found = []
+    for point in points:
+        _, amp1, amp2 = point[:3]
         scale = DUPLICATE_TOL * max(1.0, abs(amp1), abs(amp2))
         same = next((i for i, f in enumerate(found)
                      if max(abs(amp1 - f[1]), abs(amp2 - f[2])) < scale), None)
@@ -338,7 +392,7 @@ def _fixed_points(candidates, kappa, mech, g, shift, e, xi: float, delta0, unit:
         elif _order(point) < _order(found[same]):
             found[same] = point
     found.sort(key=lambda f: abs(f[1]))
-    return [f[1:] for f in found], best
+    return found
 
 
 def _order(point) -> tuple:   # a total order of (residual, a_1, a_2, ...)
@@ -357,45 +411,76 @@ def self_consistent_points(cavity_decay, mech_freq, coupling, drives, hop_streng
     point where no candidate converges has no branch, and its
     :class:`ConvergenceFailureError` is in ``errors``.
 
-    The points with identical photon-number equations take the roots of their
-    cubics and quartics from one stacked eigenvalue call; the others take the
-    resultant one by one.  A point's columns do not depend on its batch.
+    The batch's candidates form one table, by point (:func:`_candidates`); the
+    identical-cavity points' real roots and candidates come from array tests
+    over one stacked eigenvalue call, and the table's starting photon numbers
+    become extended precision in one conversion.  Each candidate is polished on
+    its own, and only a point with two or more converged candidates runs the
+    duplicate scan.  A point's columns do not depend on its batch.
     """
     kappa, mech, g = cavity_decay, mech_freq, coupling
     shift = (g[0] ** 2 / mech[0], g[1] ** 2 / mech[1])    # detuning per photon
     problems = [_scaled(kappa, g, shift, e, xi, delta0)
                 for e, xi, delta0 in zip(drives, hop_strength, detuning)]
-    rows = [_companion_rows(c[0], b[0], x)
-            for symmetric, _, c, b, _, x, _, _ in filter(None, problems) if symmetric]
-    roots = iter(())
-    if rows:
-        comp = np.tile(_COMPANIONS, (len(rows), 1, 1, 1))
-        comp[:, 0, 0, :3], comp[:, 1, 0] = zip(*rows)
-        roots = iter(np.linalg.eigvals(comp).tolist())
+    owner, u1, u2 = _candidates(problems)
 
-    amps, detunings, branch, owner, errors = [], [], [], [], {}
-    for point, (e, xi, delta0, problem) in enumerate(zip(drives, hop_strength, detuning,
-                                                          problems)):
-        if problem is None:
-            found = [(*_closed_form_amps(kappa, xi, e[0], e[1], *delta0)[:2], *delta0)]
+    # each candidate is polished in the photon numbers u_j in extended precision
+    # (every product in _polish then has an extended factor), so that it lands on
+    # its correctly rounded value; the starting values convert once
+    ext, owner = np.longdouble, owner.tolist()
+    units = np.array([problems[point][-1] for point in owner])
+    start1 = (u1 * units).astype(ext)
+    # U_2 is U_1 itself when every candidate is an a_1 = a_2 branch
+    start2 = start1 if u2 is u1 else (u2 * units).astype(ext)
+    precise = (ext(kappa[0]), ext(kappa[1]))
+    polished = [_polish(a, b, precise, detuning[point], shift, drives[point], xi)
+                for point, a, b, xi in zip(owner, start1, start2, np.array(
+                    [hop_strength[point] for point in owner], dtype=ext))]
+    g2 = (g[0] ** 2, g[1] ** 2)
+
+    def detunings(delta0, u1, u2):
+        return delta0[0] - g2[0] * u1 / mech[0], delta0[1] - g2[1] * u2 / mech[1]
+
+    # per point: those of its candidates in the bound that converge, as
+    # (residual, a_1, a_2, Delta_1, Delta_2), and the least residual of the others
+    best, converged = {}, {}
+    for point, (u1, u2) in zip(owner, polished):
+        u1, u2, problem = float(u1), float(u2), problems[point]
+        cap, unit = problem[6] + REAL_TOL, problem[7]
+        if not (-REAL_TOL <= u1 / unit <= cap and -REAL_TOL <= u2 / unit <= cap):
+            continue
+        e, xi, delta0 = drives[point], hop_strength[point], detuning[point]
+        amp1, amp2, _, _ = _closed_form_amps(kappa, xi, e[0], e[1], *detunings(delta0, u1, u2))
+        d1, d2 = detunings(delta0, abs(amp1) ** 2, abs(amp2) ** 2)
+        res = _residual(xi, e[0], e[1], amp1, amp2, complex(kappa[0], d1), complex(kappa[1], d2))
+        if res < RESIDUAL_TOL:
+            converged.setdefault(point, []).append((res, amp1, amp2, d1, d2))
         else:
-            symmetric, k, c, b, es, x, cap, unit = problem
-            candidates = (_symmetric_candidates(next(roots), c[0], b[0], x, cap) if symmetric
-                          else _general_candidates(k, c, b, es, x, cap))
-            found, best = _fixed_points(candidates, kappa, mech, g, shift, e, xi, delta0,
-                                        unit, cap)
+            best[point] = min(best.get(point, math.inf), res)
+
+    amps, detuned, branch, owners, errors = [], [], [], [], {}
+    for point, problem in enumerate(problems):
+        if problem is None:
+            e, delta0 = drives[point], detuning[point]
+            found = [(None, *_closed_form_amps(kappa, hop_strength[point], e[0], e[1],
+                                               *delta0)[:2], *delta0)]
+        else:
+            found = converged.get(point)
             if not found:
+                residual = best.get(point, math.inf)
                 errors[point] = ConvergenceFailureError(
-                    f"no self-consistent steady state converged (best residual {best:.3e})",
-                    best_residual=best)
+                    f"no self-consistent steady state converged (best residual {residual:.3e})",
+                    best_residual=residual)
                 continue
-        for n, (amp1, amp2, d1, d2) in enumerate(found):
+            if len(found) > 1:
+                found = _distinct(found)
+        for n, (_, amp1, amp2, d1, d2) in enumerate(found):
             amps += amp1, amp2
-            detunings.append((d1, d2))
+            detuned.append((d1, d2))
             branch.append(n)
-            owner.append(point)
-    return _columns(kappa, mech, g, [drives[i] for i in owner], [hop_strength[i] for i in owner],
-                    detunings, amps, branch, owner, errors)
+            owners.append(point)
+    return _columns(kappa, mech, g, [drives[i] for i in owners], [hop_strength[i] for i in owners],
+                    detuned, amps, branch, owners, errors)
 
 
 def solve_self_consistent(params: PhysicalParams, delta01: float,

@@ -33,16 +33,32 @@ detuning of -0.5 omega_m (no covariance), and in bare mode at -3.9 omega_m
 and 100 mW (nine branches, one of them stable).  Each line reads
 ``<sha256>  <output>``; a command that exits non-zero prints its exit code in
 place of the digest.
+
+To compare with another commit, give its source tree:
+
+    git archive <commit> src | tar -x -C PARENT
+    python tests/golden/output_digests.py --against PARENT/src
+
+This runs the script twice in subprocesses, with the same inputs (this
+checkout's configs and ``perfbench/inputs.py``), importing ``hopcav`` once
+from this checkout's ``src/`` and once from the given tree (a ``src/``
+directory, or a checkout that holds one).  It prints only the lines that
+differ, the other tree's prefixed ``-`` and this one's ``+``, and exits 1 if
+any do, else 0 (2 if either run fails).
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import importlib.util
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -172,11 +188,46 @@ def digests(work: Path) -> list[tuple[str, str]]:
     return out
 
 
-def main() -> None:
+def _lines_under(src: Path) -> subprocess.Popen:
+    """This script, printing its lines with ``hopcav`` imported from ``src``."""
+    return subprocess.Popen([sys.executable, __file__], stdout=subprocess.PIPE, text=True,
+                            env={**os.environ, "PYTHONPATH": str(src)})
+
+
+def compare(other: Path) -> int:
+    """Print the lines that differ between this checkout's ``src/`` and the
+    tree ``other``; 1 if any do, else 0, and 2 if a run cannot be made."""
+    if not (other / "hopcav").is_dir():
+        other = other / "src"
+    if not (other / "hopcav").is_dir():
+        print(f"no hopcav package under {other}", file=sys.stderr)
+        return 2
+    runs = [_lines_under(src) for src in (other, REPO / "src")]
+    theirs, ours = [run.communicate()[0].splitlines() for run in runs]
+    if any(run.returncode for run in runs):
+        print("a digest run failed", file=sys.stderr)
+        return 2
+    differ = False
+    for k in range(max(len(theirs), len(ours))):
+        old, new = (lines[k] if k < len(lines) else "" for lines in (theirs, ours))
+        if old != new:
+            differ = True
+            print(f"-{old}\n+{new}")
+    return int(differ)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.partition("\n\n")[0])
+    parser.add_argument("--against", metavar="PARENT_SRC", type=Path,
+                        help="print only the lines that differ from this source tree's")
+    args = parser.parse_args()
+    if args.against is not None:
+        return compare(args.against.resolve())
     with tempfile.TemporaryDirectory() as tmp:
         for label, digest in digests(Path(tmp)):
             print(f"{digest}  {label}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 from dataclasses import replace
@@ -21,10 +22,13 @@ from hopcav.engine import (
     csv_lines,
     csv_text,
     grid_points,
+    misses_residual_gate,
     run_point,
     run_sweep,
 )
+from hopcav.config import parse_config
 from hopcav.errors import ConfigError
+from hopcav.lyapunov import RESIDUAL_GATE
 from hopcav.measures import symplectic_eigenvalues
 from hopcav.params import Detuning, PhysicalParams
 from hopcav.presets import fig_preset
@@ -32,6 +36,7 @@ from hopcav.stability import StabilityReport
 
 TWO_PI = 2.0 * math.pi
 WM = TWO_PI * 1e7
+REPO = Path(__file__).resolve().parent.parent
 
 
 def make_params(power=0.05, xi=0.0, delta=1.0, mode="effective"):
@@ -193,9 +198,10 @@ class TestRunSweep:
         parallel = run_sweep(cfg, workers=2)
         assert serial.records == parallel.records
 
-    def test_pool_never_exceeds_the_cpu_count(self, monkeypatch):
-        # a pool that records its size and maps in this process, so that no
-        # worker process starts
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """The sizes of the pools the sweeps start, from a pool that maps in
+        this process, so that no worker process starts."""
         sizes = []
 
         class SerialPool:
@@ -212,16 +218,33 @@ class TestRunSweep:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(engine, "ProcessPoolExecutor", SerialPool)
+        return sizes
+
+    def test_pool_never_exceeds_the_cpu_count(self, monkeypatch, pool_sizes):
+        # without an affinity, as on platforms that have none, the CPU count caps
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         cfg = base_config(axes=(AxisSpec("delta", (0.5, 1.0, 1.5)),))
         serial = run_sweep(cfg, workers=1).records
         assert run_sweep(cfg, workers=5000).records == serial
         assert run_sweep(cfg, workers=2).records == serial
-        assert sizes == [2, 2]
+        assert pool_sizes == [2, 2]
         # an unknown CPU count runs serially
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert run_sweep(cfg, workers=4).records == serial
-        assert sizes == [2, 2]
+        assert pool_sizes == [2, 2]
+
+    def test_pool_never_exceeds_the_affinity(self, monkeypatch, pool_sizes):
+        # a process allowed on one CPU of eight starts no pool
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        cfg = base_config(axes=(AxisSpec("delta", (0.5, 1.0, 1.5)),))
+        serial = run_sweep(cfg, workers=1).records
+        assert run_sweep(cfg, workers=2).records == serial
+        assert pool_sizes == []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+        assert run_sweep(cfg, workers=4).records == serial
+        assert pool_sizes == [2]
 
     @pytest.mark.parametrize("grid", ["error-rows", "bare-all", "bare-default"])
     def test_records_cross_the_pool_unchanged(self, grid):
@@ -255,6 +278,29 @@ class TestRunSweep:
     def test_residual_gate_flag(self):
         res = run_sweep(base_config(axes=(AxisSpec("delta", (0.5, 1.0, 1.5)),)))
         assert not res.residual_failure
+
+    def test_failed_measures_keep_the_lyapunov_residual(self):
+        # configs/sweep.json at 75 mW, 1 ulp inside the self-oscillation
+        # boundary: the drift is barely stable, the Kronecker solve misses the
+        # residual gate and the measures then fail on the covariance it gives;
+        # the record keeps the solve's residual beside the measures' error
+        doc = json.loads((REPO / "configs" / "sweep.json").read_text(encoding="utf-8"))
+        doc["cavity"]["drive_power"] = {"value": 75.0, "unit": "mW"}
+        delta = math.nextafter(-4.8933532878624355e-06, math.inf)
+        doc["axes"] = [{"name": "delta", "values": [delta, 0.2]}]
+        result = run_sweep(parse_config(doc))
+        edge, inside = result.records
+        assert edge.stable and edge.error.startswith("nonpositive squared symplectic eigenvalue")
+        assert edge.en_f1m1 is None and edge.fidelity is None
+        assert 1e-5 < edge.lyap_residual < 1e-3
+        assert inside.stable and not inside.error and inside.lyap_residual < RESIDUAL_GATE
+        assert result.residual_failure and misses_residual_gate(edge)
+        assert csv_lines([edge])[0].split(",")[-3:-1] == [f"{edge.lyap_residual:.12g}", "0"]
+        # run_point reports no covariance for the row, as for any failed row
+        (point,) = run_point(parse_config(doc), {"delta": delta}).covariances
+        assert point is None
+        # a stable row with an error fails the sweep even below the residual gate
+        assert misses_residual_gate(edge._replace(lyap_residual=0.0))
 
     def test_pointwise_monotone_in_photon_number(self):
         # squeezed-input family: mirror-cavity entanglement can only drop when

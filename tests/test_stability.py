@@ -342,6 +342,49 @@ class TestCollectiveRule:
             assert report.s1 > 0.0 and report.s2 > 0.0
 
 
+# draws of a row at a stability boundary of the collective model, as
+# boundary_row takes them
+BOUNDARY_ROWS = dict(detuning_sign=st.sampled_from(DETUNING_SIGNS), damping=st.floats(-5.0, -3.0),
+                     xi=st.floats(0.0, 2.0), boundary=st.sampled_from(("s1", "s2")),
+                     half=st.sampled_from((0, 1)))
+
+
+def boundary_row(detuning_sign, damping, xi, boundary, half):
+    """Parameters with gamma_m = 10^damping omega_m, a function from
+    figure-convention delta values (omega_m units) to their 8x8 drifts at
+    G = 2 omega_m and the given xi, and the largest stable-side delta at the
+    chosen boundary of the chosen block, bisected to the last float.
+
+    At G = 2 omega_m the model at modified detuning d' self-oscillates
+    (s2 < 0) below a d' of -8e-6 to -8e-4 omega_m, as gamma_m/omega_m runs
+    from 1e-5 to 1e-3, and is bistable (s1 < 0) above about 0.57 omega_m;
+    the detuning is bisected to where the block (half 0 at d' =
+    s (delta + xi), half 1 at s (delta - xi)) crosses the margin of the 8x8
+    drift, where the signs still call it stable.
+    """
+    params = dataclasses.replace(make_params(), mech_damping=10.0 ** damping * WM)
+    s = 1.0 if detuning_sign == "positive" else -1.0
+    shift = -xi if half == 0 else xi
+
+    def drifts(deltas):
+        count = len(deltas)
+        return drift_stack(params.mech_freq, params.mech_damping, params.cavity_decay,
+                           np.full((count, 2), 2.0 * WM), np.outer(deltas, (WM, WM)),
+                           np.full(count, xi * WM), detuning_sign)
+
+    def stable(delta):
+        drift = drifts([delta])
+        block = spectral_abscissae(exchange_blocks(drift, detuning_sign))[half]
+        return block < hurwitz_margins(drift)[0]
+
+    a, b = (s * d + shift for d in ((0.0, -0.5) if boundary == "s2" else (0.0, 2.0)))
+    assert stable(a) and not stable(b)
+    while math.nextafter(a, b) != b:
+        mid = 0.5 * (a + b)
+        a, b = (mid, b) if stable(mid) else (a, mid)
+    return params, drifts, a
+
+
 class TestBlockGate:
     """Exchange-symmetric drifts are gated on their two 4x4 exchange blocks."""
 
@@ -360,6 +403,38 @@ class TestBlockGate:
         assert np.all(np.abs(blocks.reshape(2, -1).max(axis=0) - absc) <= 1e-13 * scale)
         clear = np.abs(absc) > 1e-9 * scale
         assert np.array_equal(np.array(gate.verdicts)[clear], ok[clear])
+
+    # Near the margin the two 4x4 blocks' eigenvalues and the 8x8 drift's
+    # round apart: on the bisected rows below, their abscissae differed by at
+    # most 6e-4 margins (900 bisections, both signs, boundaries and blocks), and
+    # their verdicts only on rows within 2e-4 margins of the 8x8 threshold.
+    ROUNDING_BAND = 0.01   # margins
+
+    @settings(max_examples=100, deadline=None)
+    @given(**BOUNDARY_ROWS)
+    def test_block_verdicts_near_the_margin(self, detuning_sign, damping, xi, boundary, half):
+        # rows 0, 1, 2, 4, ..., 2^44 floats either side of a boundary: the
+        # near ones straddle the 8x8 threshold within rounding, the far ones
+        # clear it by many margins
+        params, drifts, a = boundary_row(detuning_sign, damping, xi, boundary, half)
+        deltas = [a + k * math.ulp(a) for k in (0, *(sgn * 2.0 ** j for j in range(45)
+                                                     for sgn in (-1, 1)))]
+        count = len(deltas)
+        columns = (np.full((count, 2), 2.0 * WM), -np.outer(deltas, (WM, WM)),
+                   np.full(count, xi * WM))
+        # the map's gate: every verdict from the eigenvalues of the two blocks
+        gate = stability._gate(params, *columns, detuning_sign, closed_form=False)
+        assert np.array_equal(gate.drifts, drifts(deltas)) and None not in gate.collective
+        full, absc = hurwitz_gate(gate.drifts)
+        margin = hurwitz_margins(gate.drifts)
+        clear = np.abs(absc - margin) > self.ROUNDING_BAND * -margin
+        assert np.array_equal(np.array(gate.verdicts)[clear], full[clear])
+        # rows clear of the band on both sides of the boundary, and of both
+        # verdicts unless the other block is unstable there
+        assert clear[1::2].any() and clear[2::2].any()
+        other = spectral_abscissae(exchange_blocks(gate.drifts[:1], detuning_sign))[1 - half]
+        if other < margin[0]:
+            assert full[clear].any() and not full[clear].all()
 
     @pytest.mark.parametrize("detuning_sign", DETUNING_SIGNS)
     def test_collective_verdicts_are_the_collective_blocks_gate(self, detuning_sign):
@@ -451,38 +526,12 @@ class TestClosedFormGate:
     blocks where a scalar lies within the band of 0."""
 
     @settings(max_examples=150, deadline=None)
-    @given(detuning_sign=st.sampled_from(DETUNING_SIGNS), damping=st.floats(-5.0, -3.0),
-           xi=st.floats(0.0, 2.0), boundary=st.sampled_from(("s1", "s2")),
-           half=st.sampled_from((0, 1)))
+    @given(**BOUNDARY_ROWS)
     def test_signs_give_the_eigenvalue_verdicts_at_the_boundaries(self, detuning_sign, damping,
                                                                   xi, boundary, half):
-        # at G = 2 omega_m the model at modified detuning d' self-oscillates
-        # (s2 < 0) below a d' of -8e-6 to -8e-4 omega_m, as gamma_m/omega_m
-        # runs from 1e-5 to 1e-3, and is bistable (s1 < 0) above about 0.57
-        # omega_m; bisect the detuning to where the chosen block (at d' =
-        # s (delta + xi), or s (delta - xi)) crosses the margin of the 8x8
-        # drift, where the signs still call it stable
-        params = dataclasses.replace(make_params(), mech_damping=10.0 ** damping * WM)
+        params, drifts, a = boundary_row(detuning_sign, damping, xi, boundary, half)
         s = 1.0 if detuning_sign == "positive" else -1.0
         shift = -xi if half == 0 else xi
-
-        def drifts(deltas):
-            # figure-convention detunings, delta in omega_m units
-            count = len(deltas)
-            return drift_stack(params.mech_freq, params.mech_damping, params.cavity_decay,
-                               np.full((count, 2), 2.0 * WM), np.outer(deltas, (WM, WM)),
-                               np.full(count, xi * WM), detuning_sign)
-
-        def stable(delta):
-            drift = drifts([delta])
-            block = spectral_abscissae(exchange_blocks(drift, detuning_sign))[half]
-            return block < hurwitz_margins(drift)[0]
-
-        a, b = (s * d + shift for d in ((0.0, -0.5) if boundary == "s2" else (0.0, 2.0)))
-        assert stable(a) and not stable(b)
-        while math.nextafter(a, b) != b:
-            mid = 0.5 * (a + b)
-            a, b = (mid, b) if stable(mid) else (a, mid)
         root = abs(s * (a - shift))
         deltas = [a, *(math.nextafter(a, sgn * math.inf) for sgn in (-1, 1)),
                   *(math.nextafter(math.nextafter(a, sgn * math.inf), sgn * math.inf)

@@ -309,16 +309,17 @@ class TestRoutes:
         # one step, so that the copies land on different bits of one fixed point:
         # the one with the least residual is kept, in either candidate order
         monkeypatch.setattr(steady_state, "NEWTON_STEPS", 1)
-        routes = {name: getattr(steady_state, name)
-                  for name in ("_symmetric_candidates", "_general_candidates")}
+        candidates = steady_state._candidates
 
         def branches(reverse):
-            for name, route in routes.items():
-                def doubled(*args, _route=route):
-                    found = [c for u1, u2 in _route(*args)
-                             for c in ((u1, u2), (u1 * (1 + 1e-6), u2 * (1 + 1e-6)))]
-                    return found[::-1] if reverse else found
-                monkeypatch.setattr(steady_state, name, doubled)
+            def doubled(problems):
+                # the candidate table of a batch of one, every row of it the point's
+                row, u1, u2 = (column.repeat(2) for column in candidates(problems))
+                u1[1::2] *= 1 + 1e-6
+                u2[1::2] *= 1 + 1e-6
+                return (row, u1[::-1], u2[::-1]) if reverse else (row, u1, u2)
+
+            monkeypatch.setattr(steady_state, "_candidates", doubled)
             return [solve_self_consistent(make_params(power=power, xi=xi * WM), d1 * WM, d2 * WM)
                     for power, xi, d1, d2 in [
                         ((0.1, 0.12), 0.2, 3.9, 4.0), ((0.12, 0.1), 0.2, 4.0, 3.9),
@@ -415,6 +416,72 @@ class TestChunks:
         points = self_consistent_points(*batch_columns(rows))
         assert calls == [(9, 2, 4, 4)]
         assert len(points.owner) > len(rows)   # the bistable rows give several branches
+
+
+def scalar_real(roots, cap):
+    """The real roots in [0, cap], root by root in Python's complex arithmetic:
+    the reference for the array test of ``steady_state._real``."""
+    tol = steady_state.REAL_TOL
+    return [r.real for r in roots
+            if abs(r.imag) <= tol * (1.0 + abs(r)) and -tol <= r.real <= cap + tol]
+
+
+def scalar_candidates(roots, c, b, x, cap):
+    """The candidates of one identical-cavity point from the eigenvalues of its two
+    companion matrices, root by root: the reference for the batched
+    ``steady_state._symmetric_candidates``."""
+    cubic, quartic = roots
+    q, bb = c + x, b * b
+    found = [(u, u) for u in scalar_real(cubic, cap)]
+    for s in scalar_real(quartic, cap):
+        r = math.sqrt(max(s * s - 4.0 * (s * s - 2.0 * s * q / b + (q * q + 1.0) / bb), 0.0))
+        found += [(0.5 * (s - r), 0.5 * (s + r)), (0.5 * (s + r), 0.5 * (s - r))] if r else []
+    return found
+
+
+class TestCandidateTable:
+    """The array stages of the candidate table against the root-by-root loops
+    they replace, bit for bit."""
+
+    def test_real_root_mask_is_the_scalar_test(self):
+        rng = np.random.default_rng(7)
+        cap = 2.0
+        tol = steady_state.REAL_TOL
+        re = rng.uniform(-0.5, 2.5, 400)
+        # imaginary parts around the tolerance 1e-6 (1 + |root|), and 0
+        im = np.where(rng.random(len(re)) < 0.3, 0.0,
+                      tol * (1.0 + np.abs(re)) * rng.uniform(0.5, 1.5, len(re)))
+        # and real roots on and just past both ends of [-tol, cap + tol]
+        edges = [-tol, np.nextafter(-tol, -1), 0.0, -0.0, cap, cap + tol,
+                 np.nextafter(cap + tol, 9)]
+        roots = np.concatenate([re + 1j * im, np.array(edges) + 0j])
+        mask = steady_state._real(roots, cap)
+        assert roots[mask].real.tolist() == scalar_real(roots.tolist(), cap)
+        assert 0 < mask.sum() < len(roots)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(chunk_rows(), min_size=1, max_size=8))
+    @example(rows=[("bistable", (0.3, 0.3), 0.5, (6.0, 6.0)),
+                   ("symmetric", (0.1, 0.1), 0.0, (3.9, 3.9))])
+    def test_symmetric_candidates_are_the_scalar_loop(self, rows):
+        kappa, mech, g = CAVITIES
+        shift = (g[0] ** 2 / mech[0], g[1] ** 2 / mech[1])
+        drives, hops, detunings = batch_columns(rows)[3:]
+        problems = [steady_state._scaled(kappa, g, shift, e, xi, d)
+                    for e, xi, d in zip(drives, hops, detunings)]
+        points = [k for k, problem in enumerate(problems) if problem and problem[0]]
+        if not points:
+            return
+        c, b, x, cap = zip(*[(problems[k][2][0], problems[k][3][0], problems[k][5],
+                              problems[k][6]) for k in points])
+        comp = np.tile(steady_state._COMPANIONS, (len(points), 1, 1, 1))
+        companion = np.array(list(map(steady_state._companion_rows, c, b, x)))
+        comp[:, 0, 0, :3], comp[:, 1, 0] = companion[:, :3], companion[:, 3:]
+        roots = np.linalg.eigvals(comp)
+        row, u1, u2 = steady_state._symmetric_candidates(roots, c, b, x, cap)
+        want = [(j, *pair) for j, args in enumerate(zip(roots.tolist(), c, b, x, cap))
+                for pair in scalar_candidates(*args)]
+        assert list(zip(row.tolist(), u1.tolist(), u2.tolist())) == want
 
 
 def assert_distinct_sorted(branches):
