@@ -29,7 +29,10 @@ blocks where a scalar is too close to 0 for its sign to give the verdict of
 the eigenvalue test and its margin (:data:`BAND_MARGINS`); the other drifts
 take an 8x8 eigenvalue problem.  A stability map, which exists to compare
 the sign conditions with eigenvalue tests, takes its verdicts from the
-eigenvalues of the blocks throughout.
+eigenvalues of the blocks throughout.  A point's collective block depends on
+delta + xi alone, so it recurs across a grid's rows and chunks, and the map
+takes the eigenvalues of each distinct one once, from a table that its
+chunks share (:func:`_hurwitz`); every block at delta - xi goes to LAPACK.
 """
 
 from __future__ import annotations
@@ -157,9 +160,15 @@ def gate_branches(params: PhysicalParams, coupling, detuning, hops, detuning_sig
 
 
 def _gate(params: PhysicalParams, coupling, detuning, hops, detuning_sign: str,
-          closed_form: bool) -> Gate:
+          closed_form: bool, known: dict | None = None) -> Gate:
     """:func:`gate_branches`, or with ``closed_form`` false the same gate with
-    every verdict taken from eigenvalues, as the stability map takes them."""
+    every verdict taken from eigenvalues, as the stability map takes them.
+
+    ``known`` is the table of collective blocks whose spectral abscissae are
+    known (see :func:`_hurwitz`): the map's, across its chunks; by default a
+    table for this call."""
+    if known is None:
+        known = {}
     hops = np.asarray(hops, dtype=float)
     count = len(hops)
     drifts = drift_stack(
@@ -180,15 +189,15 @@ def _gate(params: PhysicalParams, coupling, detuning, hops, detuning_sign: str,
             # and the other block's delta - xi
             other = -hops - detuning[:, 0] if positive else detuning[:, 0] + hops
             verdicts, reduced, s1, s2 = _closed_form(rates, coupling[:, 0], modified, other,
-                                                     drifts, collective, detuning_sign)
+                                                     drifts, collective, detuning_sign, known)
         else:
-            verdicts, reduced = _hurwitz(drifts, collective, detuning_sign)
+            verdicts, reduced = _hurwitz(drifts, collective, detuning_sign, known)
             s1, s2 = routh_hurwitz_reduced(*rates, coupling[:, 0], modified)
     except HopcavError as exc:
         if count == 1:
             return Gate(drifts, [False], [None], [None], [None], [exc])
         parts = [_gate(params, coupling[j:j + 1], detuning[j:j + 1], hops[j:j + 1],
-                       detuning_sign, closed_form) for j in range(count)]
+                       detuning_sign, closed_form, known) for j in range(count)]
         return Gate(drifts, *([x for part in parts for x in part[i]] for i in range(1, 6)))
     verdicts, reduced, s1, s2 = verdicts.tolist(), reduced.tolist(), s1.tolist(), s2.tolist()
     marked = collective.tolist()
@@ -199,7 +208,7 @@ def _gate(params: PhysicalParams, coupling, detuning, hops, detuning_sign: str,
 
 
 def _closed_form(rates, coupling, modified, other, drifts: np.ndarray, collective: np.ndarray,
-                 detuning_sign: str):
+                 detuning_sign: str, known: dict):
     """The verdicts of the drifts and of their collective blocks, and the
     scalars (s1, s2) at the ``modified`` detunings: from the signs of the
     scalars at ``modified`` and at the ``other`` block's detunings where all
@@ -222,12 +231,13 @@ def _closed_form(rates, coupling, modified, other, drifts: np.ndarray, collectiv
     verdicts, reduced = signs[0] & signs[1], signs[0]
     if not decided.all():
         rest = ~decided
-        verdicts[rest], reduced[rest] = _hurwitz(drifts[rest], collective[rest], detuning_sign)
+        verdicts[rest], reduced[rest] = _hurwitz(drifts[rest], collective[rest], detuning_sign,
+                                                 known)
     return verdicts, reduced, s1[0], s2[0]
 
 
-def _hurwitz(drifts: np.ndarray, collective: np.ndarray,
-             detuning_sign: str) -> tuple[np.ndarray, np.ndarray]:
+def _hurwitz(drifts: np.ndarray, collective: np.ndarray, detuning_sign: str,
+             known: dict) -> tuple[np.ndarray, np.ndarray]:
     """The Hurwitz verdicts of a stack of 8x8 drifts from their eigenvalues,
     and those of the collective blocks of the rows marked ``collective``
     (false on the others): the gate of the map, and of the sweep's rows
@@ -241,6 +251,19 @@ def _hurwitz(drifts: np.ndarray, collective: np.ndarray,
     and each collective verdict its block's own, as :func:`hurwitz_gate`
     gives them.
 
+    ``known`` maps the bytes of a collective block to its spectral abscissa,
+    and the stacked call takes only the collective blocks it does not hold,
+    each once, beside every block at delta - xi; it then holds theirs too.  A
+    stability map passes one table to all of its chunks: a point's collective
+    block is the collective model at delta + xi, whose coupling G and
+    modified detuning both follow delta + xi, so on a grid of equal delta and
+    xi steps it repeats along every line of constant delta + xi, across rows
+    and chunks (1 223 distinct blocks in the 10 201 points of the fig5 map).
+    The key is the block itself, -0.0 included, and a stacked call gives each
+    matrix the eigenvalues of its own call, so a block found in the table
+    gets the abscissa its eigenvalues would give, bit for bit.  A call that
+    raises adds nothing to the table.
+
     The blocks' eigenvalues and the 8x8 drift's round apart: on rows bisected
     onto a boundary the two abscissae differed by up to 6e-4 margins.  So
     within about 1 ulp of the delta where a block crosses the margin, a
@@ -248,19 +271,33 @@ def _hurwitz(drifts: np.ndarray, collective: np.ndarray,
     the same 8x8 drift; 0.01 margins away from the margin they agree
     (``tests/test_stability.py``, ``TestBlockGate``).
     """
-    every = collective.all()
+    # a Python test and loop: a one-point map pays for each NumPy call
+    every = all(collective.tolist())
     symmetric = drifts if every else drifts[collective]
     count = len(symmetric)
     blocks = exchange_blocks(symmetric, detuning_sign)
-    pairs = spectral_abscissae(blocks).reshape(2, count)
+    # each collective block's bytes, and the blocks that the table lacks, each
+    # with one of its rows
+    raw, size = blocks.tobytes(), 16 * blocks.itemsize
+    keys, fresh = [], {}
+    for j in range(count):
+        key = raw[j * size:(j + 1) * size]
+        keys.append(key)
+        if key not in known:
+            fresh[key] = j
+    new = len(fresh)
+    found = spectral_abscissae(blocks if new == count else
+                               np.concatenate([blocks[list(fresh.values())], blocks[count:]]))
+    known.update(zip(fresh, found.tolist()))
+    first = found[:count] if new == count else np.array([known[key] for key in keys])
     if every:
-        reduced = pairs[0] < hurwitz_margins(blocks[:count])
-        absc = pairs.max(axis=0)
+        reduced = first < hurwitz_margins(blocks[:count])
+        absc = np.maximum(first, found[new:])
     else:
         reduced = np.zeros(len(drifts), dtype=bool)
-        reduced[collective] = pairs[0] < hurwitz_margins(blocks[:count])
+        reduced[collective] = first < hurwitz_margins(blocks[:count])
         absc = np.empty(len(drifts))
-        absc[collective] = pairs.max(axis=0)
+        absc[collective] = np.maximum(first, found[new:])
         absc[~collective] = spectral_abscissae(drifts[~collective])
     return absc < hurwitz_margins(drifts), reduced
 
@@ -270,7 +307,7 @@ def stability_point(params: PhysicalParams, delta: float, xi: float,
     """Evaluate both stability routes at one (delta, xi) point given in
     omega_m units, as a batch of one point."""
     (lang,), (hop,) = _checked_axes(params, (delta,), (xi,))
-    return _reports(params, [(delta, xi, lang, hop)], detuning_sign)[0]
+    return _reports(params, [(delta, xi, lang, hop)], detuning_sign, {})[0]
 
 
 def stability_map(params: PhysicalParams, delta_values, xi_values,
@@ -278,17 +315,21 @@ def stability_map(params: PhysicalParams, delta_values, xi_values,
     """Rectangular stability map over (delta, xi) grids in omega_m units.
 
     Points are evaluated in chunks of ``CHUNK_POINTS`` and returned in
-    row-major grid order; unstable points are data, not errors.  Cavities
-    that are not identical, or bare detunings, raise :class:`ConfigError`; a
-    point that cannot be evaluated raises its own error.
+    row-major grid order; unstable points are data, not errors.  The chunks
+    share one table of the collective blocks' spectral abscissae, so each
+    distinct block's eigenvalues are taken once (see :func:`_hurwitz`).
+    Cavities that are not identical, or bare detunings, raise
+    :class:`ConfigError`; a point that cannot be evaluated raises its own
+    error.
     """
     deltas, xis = [float(d) for d in delta_values], [float(x) for x in xi_values]
     langs, hops = _checked_axes(params, deltas, xis)
     points = [(d, x, lang, h) for d, lang in zip(deltas, langs) for x, h in zip(xis, hops)]
+    known = {}
     return [
         report
         for start in range(0, len(points), CHUNK_POINTS)
-        for report in _reports(params, points[start:start + CHUNK_POINTS], detuning_sign)
+        for report in _reports(params, points[start:start + CHUNK_POINTS], detuning_sign, known)
     ]
 
 
@@ -308,21 +349,24 @@ def _checked_axes(params: PhysicalParams, delta_values,
             [checked_hop_strength(xi * omega_m) for xi in xi_values])
 
 
-def _reports(params: PhysicalParams, points, detuning_sign: str) -> list[StabilityReport]:
+def _reports(params: PhysicalParams, points, detuning_sign: str,
+             known: dict) -> list[StabilityReport]:
     """Working points of a batch of checked (delta, xi, Langevin detuning,
-    hopping strength) points and their reports, all read off the shared gate."""
+    hopping strength) points and their reports, all read off the shared gate
+    with the map's table of collective blocks ``known``."""
+    coupling = derive_coupling(params, 1), derive_coupling(params, 2)
     working = fixed_detuning_points(
-        params.cavity_decay, params.mech_freq, tuple(derive_coupling(params, j) for j in (1, 2)),
+        params.cavity_decay, params.mech_freq, coupling,
         [drive_amps(params)] * len(points), [h for *_, h in points],
         [(lang, lang) for _, _, lang, _ in points],
     )
     gate = _gate(params, working.eff_coupling, working.eff_detuning, working.hop_strength,
-                 detuning_sign, closed_form=False)
+                 detuning_sign, closed_form=False, known=known)
     for error in gate.errors:
         if error is not None:
             raise error
     return [
-        StabilityReport(delta, xi, s1, s2, red, ful, agree=(s1 > 0.0 and s2 > 0.0) == red)
+        StabilityReport(delta, xi, s1, s2, red, ful, (s1 > 0.0 and s2 > 0.0) == red)
         for (delta, xi, *_), s1, s2, red, ful
         in zip(points, gate.s1, gate.s2, gate.collective, gate.verdicts)
     ]

@@ -236,13 +236,20 @@ def _candidates(problems: list) -> tuple:
     by point: the points with identical photon-number equations take the roots of
     their cubics and quartics from one stacked eigenvalue call, the others their
     resultants."""
-    symmetric, general, pairs = [], [], []
+    symmetric, rows, general, pairs = [], [], [], []
     for point, problem in enumerate(problems):
         if problem and problem[0]:
-            symmetric.append(point)
+            row = _finite_rows(problem[2][0], problem[3][0], problem[5])
+            if row:
+                symmetric.append(point)
+                rows.append(row)
         elif problem:
             _, k, c, b, es, x, cap, _ = problem
-            found = _general_candidates(k, c, b, es, x, cap)
+            try:
+                found = _general_candidates(k, c, b, es, x, cap)
+            except (ArithmeticError, np.linalg.LinAlgError):
+                # a point whose polynomials degenerate has no candidate
+                found = []
             general += [point] * len(found)
             pairs += found
     parts = []
@@ -251,7 +258,7 @@ def _candidates(problems: list) -> tuple:
         c, b, x, cap = zip(*[(problem[2][0], problem[3][0], problem[5], problem[6])
                              for problem in map(problems.__getitem__, symmetric)])
         comp = np.tile(_COMPANIONS, (len(symmetric), 1, 1, 1))
-        rows = np.array(list(map(_companion_rows, c, b, x)))
+        rows = np.array(rows)
         comp[:, 0, 0, :3], comp[:, 1, 0] = rows[:, :3], rows[:, 3:]
         row, u1, u2 = _symmetric_candidates(np.linalg.eigvals(comp), c, b, x, cap)
         parts.append((np.array(symmetric)[row], u1, u2))
@@ -267,9 +274,23 @@ def _candidates(problems: list) -> tuple:
     return point[order], u1[order], u2[order]
 
 
+def _finite_rows(c: float, b: float, x: float) -> tuple:
+    """:func:`_companion_rows`, or () where an entry is not finite (a scaled shift
+    per photon b that underflows to 0 or nearly so): such a point has no
+    candidate, and the stacked eigenvalue call would fail on it."""
+    try:
+        rows = _companion_rows(c, b, x)
+    except ArithmeticError:
+        return ()
+    return rows if all(map(math.isfinite, rows)) else ()
+
+
 def _general_candidates(k, c, b, e, x: float, cap: float) -> list[tuple]:
     """(U_1, U_2) of any input: each real root U_1 of the resultant in U_2 of both
-    photon-number equations, with each real root U_2 of the second one there."""
+    photon-number equations, with each real root U_2 of the second one there; none
+    where neither cavity's scaled shift per photon is nonzero."""
+    if not (b[0] or b[1]):
+        return []
     if b[1] == 0.0 or (e[1] < e[0] and b[0] != 0.0):
         # eliminate U_2 of the more strongly driven cavity whose detuning moves:
         # at xi = 0 an undriven cavity 2 makes the resultant vanish identically
@@ -360,7 +381,9 @@ def _polish(u1, u2, kappa, delta0, b, e, xi):
 
 def _scaled(kappa, g, shift, e, xi: float, delta0) -> tuple | None:
     """The photon-number problem of one point in scaled units, or None where no
-    cavity has both radiation pressure and photons (the detunings stay bare)."""
+    cavity has both radiation pressure and photons, or where the shift of the
+    largest photon number in the bound leaves both bare detunings as they are
+    (the detunings stay bare)."""
     e1, e2 = e
     if not ((g[0] != 0.0 and (e1 != 0.0 or (xi != 0.0 and e2 != 0.0)))
             or (g[1] != 0.0 and (e2 != 0.0 or (xi != 0.0 and e1 != 0.0)))):
@@ -371,6 +394,11 @@ def _scaled(kappa, g, shift, e, xi: float, delta0) -> tuple | None:
     es = (e1 / top, e2 / top)
     # kappa_1 u_1 + kappa_2 u_2 = Re(E_1 a_1* + E_2 a_2*) bounds U_1 + U_2
     cap = (es[0] ** 2 + es[1] ** 2) / min(k) ** 2
+    # a drive so weak that the shift rounds away (its scaled shift per photon
+    # can underflow to 0, where the polynomials degenerate)
+    u_cap = cap * unit
+    if delta0[0] - shift[0] * u_cap == delta0[0] and delta0[1] - shift[1] * u_cap == delta0[1]:
+        return None
     symmetric = (kappa[0] == kappa[1] and shift[0] == shift[1] and e1 == e2
                  and delta0[0] == delta0[1])
     return (symmetric, k, (delta0[0] / kap, delta0[1] / kap),
@@ -408,8 +436,10 @@ def self_consistent_points(cavity_decay, mech_freq, coupling, drives, hop_streng
     The arguments are those of :func:`fixed_detuning_points`, with ``detuning``
     the bare Langevin detunings.  A point's branches are adjacent and sorted by
     |a_1|, numbered in ``branch``; more than one flags optical bistability.  A
-    point where no candidate converges has no branch, and its
-    :class:`ConvergenceFailureError` is in ``errors``.
+    point where no candidate converges, or whose polynomials degenerate, has
+    no branch, and its :class:`ConvergenceFailureError` is in ``errors``; a
+    point whose drive is too weak to shift its bare detunings takes the
+    closed form at them (see :func:`_scaled`).
 
     The batch's candidates form one table, by point (:func:`_candidates`); the
     identical-cavity points' real roots and candidates come from array tests

@@ -20,10 +20,16 @@ bistability boundary of the block at delta + xi) with the values 1 and 2 ulp
 either side, whose rows' Routh-Hurwitz scalars lie within the band of 0
 where the sweep's gate takes eigenvalues (its line names the sweep's exit
 code: 2, since rows this close to a boundary miss the residual gate), the
-``hopcav sweep`` CSV of an error-row sweep on 1 and on 2 workers
+``hopcav stability`` CSV of the same document (the stability-boundary map:
+the map's eigenvalue verdicts within 2 ulp of a block's margin), the
+``hopcav sweep`` CSV of ``configs/sweep.json`` in bare mode at 1 omega_m
+over a power axis of 1e-297 mW and 35 mW and delta = (0, 1) (the tiny-drive
+bare sweep: drives whose radiation-pressure shift rounds away at delta = 1,
+and whose photon-number problem degenerates at delta = 0), the ``hopcav
+sweep`` CSV of an error-row sweep on 1 and on 2 workers
 (``configs/sweep.json`` over a photon number axis with a negative value and
-values below the bound of a fixed correlation of 0.3: the only run whose
-rows carry errors and NaN cells), the ``hopcav sweep`` CSV of an error-row
+values below the bound of a fixed correlation of 0.3: rows that carry
+errors and NaN cells), the ``hopcav sweep`` CSV of an error-row
 sweep over a power axis and a temperature axis, each with a negative value
 (``configs/sweep.json`` without its nbar override, so that the temperature
 sets the occupation), and ``hopcav point --json`` for ``configs/point.json``,
@@ -32,7 +38,7 @@ for the benchmark's 16 point documents, for ``configs/point.json`` at xi =
 detuning of -0.5 omega_m (no covariance), and in bare mode at -3.9 omega_m
 and 100 mW (nine branches, one of them stable).  Each line reads
 ``<sha256>  <output>``; a command that exits non-zero prints its exit code in
-place of the digest.
+place of the digest, and one that raises the name of its exception.
 
 To compare with another commit, give its source tree:
 
@@ -78,12 +84,17 @@ inputs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(inputs)
 
 
-def _cli(argv: list[str]) -> tuple[int, str]:
+def _cli(argv: list[str]) -> tuple[int | str, str]:
+    """The exit code and stdout of a ``hopcav`` command, or in place of the
+    code the name of the exception that it raised."""
     from hopcav.cli import main
 
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except Exception as exc:   # a crash is an output too: one line, not a failed run
+            code = type(exc).__name__
     return code, buf.getvalue()
 
 
@@ -94,8 +105,10 @@ def _ulps(value: float, steps: int) -> float:
     return value
 
 
-def _digest(code: int, data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest() if code == 0 else f"exit {code}"
+def _digest(code: int | str, data: bytes) -> str:
+    if code == 0:
+        return hashlib.sha256(data).hexdigest()
+    return f"exit {code}" if isinstance(code, int) else f"raised {code}"
 
 
 def digests(work: Path) -> list[tuple[str, str]]:
@@ -152,10 +165,17 @@ def digests(work: Path) -> list[tuple[str, str]]:
                                      for k in range(-2, 3)]},
     ]
     docs["boundaries"] = boundaries
+    docs["boundary-map"] = boundaries
+    tiny = json.loads(SWEEP_CONFIG.read_text(encoding="utf-8"))
+    tiny["detuning"] = {"mode": "bare", "value": {"value": 1.0, "unit": "omega_m"}}
+    tiny["axes"] = [{"name": "power", "unit": "mW", "values": [1e-297, 35.0]},
+                    {"name": "delta", "values": [0.0, 1.0]}]
+    docs["tiny-drive"] = tiny
     paths = inputs.write_configs(docs, work / "inputs")
     for name, label in (("fig5", "fig5 stability"), ("fig5-negative", "fig5 stability (negative sign)"),
                         ("fig5-seed3", "fig5 stability (seed 3)"),
-                        ("delta-overflow", "delta 1e308 stability")):
+                        ("delta-overflow", "delta 1e308 stability"),
+                        ("boundary-map", "stability-boundary map")):
         stability_csv = work / f"{name}-stability.csv"
         code, _ = _cli(["stability", "--config", str(paths.pop(name)), "--out", str(stability_csv)])
         out.append((label, _digest(code, stability_csv.read_bytes() if code == 0 else b"")))
@@ -163,7 +183,8 @@ def digests(work: Path) -> list[tuple[str, str]]:
                         ("fig6b-seed3", "fig6b sweep (seed 3)"),
                         ("fig2a-seed3", "fig2a bare sweep (seed 3)"),
                         ("fig2b-seed3", "fig2b bare sweep (seed 3)"),
-                        ("field-errors", "power and temperature error-row sweep")):
+                        ("field-errors", "power and temperature error-row sweep"),
+                        ("tiny-drive", "tiny-drive bare sweep")):
         sweep_csv = work / f"{name}.csv"
         code, _ = _cli(["sweep", "--config", str(paths.pop(name)), "--out", str(sweep_csv),
                         "--workers", "1"])

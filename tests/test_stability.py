@@ -18,7 +18,8 @@ from hopcav.dynamics import (
 )
 from hopcav.engine import AxisSpec, SweepConfig, csv_text, run_point, run_sweep
 from hopcav.errors import ConfigError, HopcavError
-from hopcav.lyapunov import hurwitz_gate, hurwitz_margins, is_hurwitz, spectral_abscissae
+from hopcav.lyapunov import (CHUNK_POINTS, hurwitz_gate, hurwitz_margins, is_hurwitz,
+                             spectral_abscissae)
 from hopcav.params import Detuning, PhysicalParams, derive_coupling, drive_amps
 from hopcav.presets import fig_preset
 from hopcav.stability import (
@@ -510,7 +511,7 @@ class TestBlockGate:
         grid = np.linspace(0.0, 2.0, 11)
         config = fig_preset("fig5")
         assert len(stability_map(config.params, grid, grid, config.detuning_sign)) == 121
-        # the map takes the eigenvalues of both blocks of every point
+        # the map takes the eigenvalues of the blocks of every point
         assert shapes and all(shape[1:] == (4, 4) for shape in shapes)
         shapes.clear()
         config = dataclasses.replace(fig_preset("fig6b"),
@@ -518,6 +519,97 @@ class TestBlockGate:
         assert len(run_sweep(config).records) == 121
         # the sweep decides every point from the signs of its scalars
         assert shapes == []
+
+
+def points_of(params, deltas, xis, detuning_sign):
+    """The reports of a (delta, xi) grid, point by point."""
+    return [stability_point(params, float(d), float(x), detuning_sign)
+            for d in deltas for x in xis]
+
+
+class TestBlockTable:
+    """A map takes each distinct collective block's eigenvalues once, from a
+    table that its chunks share, and its reports are those of its points."""
+
+    @settings(max_examples=8, deadline=None)
+    @given(start=st.integers(-48, 96), xi_start=st.integers(0, 64), step=st.integers(1, 6),
+           rows=st.integers(16, 20), power=st.floats(0.010, 0.080),
+           detuning_sign=st.sampled_from(DETUNING_SIGNS))
+    def test_equal_steps(self, start, xi_start, step, rows, power, detuning_sign):
+        # dyadic delta and xi steps of one size: a collective block recurs
+        # along each line of constant delta + xi, across the 256-point chunks
+        deltas = (start + step * np.arange(rows)) / 32.0
+        xis = (xi_start + step * np.arange(17)) / 32.0
+        params = make_params(power=power)
+        reports = stability_map(params, deltas, xis, detuning_sign)
+        assert len(reports) > CHUNK_POINTS
+        assert reports == points_of(params, deltas, xis, detuning_sign)
+
+    @settings(max_examples=8, deadline=None)
+    @given(start=st.floats(-0.5, 2.0), xi_start=st.floats(0.0, 1.0), step=st.floats(0.01, 0.15),
+           ratio=st.floats(0.3, 3.0), power=st.floats(0.010, 0.080),
+           detuning_sign=st.sampled_from(DETUNING_SIGNS))
+    def test_incommensurate_steps(self, start, xi_start, step, ratio, power, detuning_sign):
+        deltas = start + step * np.arange(19)
+        xis = xi_start + step * (ratio * math.sqrt(2.0)) * np.arange(15)
+        params = make_params(power=power)
+        reports = stability_map(params, deltas, xis, detuning_sign)
+        assert len(reports) > CHUNK_POINTS
+        assert reports == points_of(params, deltas, xis, detuning_sign)
+
+    @settings(max_examples=60, deadline=None)
+    @given(**BOUNDARY_ROWS)
+    def test_rows_at_the_margin_from_the_table(self, detuning_sign, damping, xi, boundary, half):
+        # rows bisected onto a block's margin, and 1 and 2 ulp either side, gated
+        # twice with one table: the second time every collective block comes
+        # from the table; each row keeps the verdicts of its batch of one
+        params, _, a = boundary_row(detuning_sign, damping, xi, boundary, half)
+        deltas = [a + k * math.ulp(a) for k in range(-2, 3)]
+        columns = (np.full((5, 2), 2.0 * WM), -np.outer(deltas, (WM, WM)), np.full(5, xi * WM))
+        singles = [stability._gate(params, *(c[j:j + 1] for c in columns), detuning_sign,
+                                   closed_form=False)[1:] for j in range(5)]
+        known = {}
+        for order in (slice(None), slice(None, None, -1)):
+            gate = stability._gate(params, *(c[order] for c in columns), detuning_sign,
+                                   closed_form=False, known=known)
+            assert [part[j] for j in range(5) for part in gate[1:]] == [
+                part[0] for single in singles[order] for part in single]
+        assert len(known) == len({block.tobytes() for block in
+                                  collective_drifts(gate.drifts, detuning_sign)})
+
+    def test_map_takes_each_distinct_collective_block_once(self, monkeypatch):
+        # 21 x 21 points at equal steps of 0.1 omega_m, in two chunks
+        params = make_params(power=0.075)
+        grid = np.linspace(0.0, 2.0, 21)
+        deltas, xis = np.meshgrid(grid, grid, indexing="ij")
+        drifts = gate_branches(params, *gate_columns(params, zip(deltas.flat, deltas.flat),
+                                                     xis.ravel()), "positive").drifts
+        distinct = len({block.tobytes() for block in collective_drifts(drifts, "positive")})
+        shapes = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals",
+                            lambda a: shapes.append(np.shape(a)) or eigvals(a))
+        reports = stability_map(params, grid, grid)
+        count = len(reports)
+        assert count == 441 > CHUNK_POINTS and distinct < count
+        # every block at delta - xi, and each distinct collective block once
+        assert all(shape[1:] == (4, 4) for shape in shapes)
+        assert sum(shape[0] for shape in shapes) == count + distinct < 2 * count
+
+    def test_failed_blocks_stay_out_of_the_table(self):
+        # 1e300 W overflows the drive amplitude: the stacked call raises, the
+        # rows are redone one by one, and only the row that passes adds its block
+        params = make_params(power=0.075)
+        rows = [gate_columns(params, [(0.5, 0.5)], [0.5]),
+                gate_columns(dataclasses.replace(params, drive_power=1e300), [(0.5, 0.5)], [0.5])]
+        columns = [np.concatenate(c) for c in zip(*rows)]
+        known = {}
+        gate = stability._gate(params, *columns, "positive", closed_form=False, known=known)
+        assert gate.errors[0] is None and str(gate.errors[1]).startswith("eigenvalue solver failed")
+        assert list(known) == [collective_drifts(gate.drifts[:1], "positive")[0].tobytes()]
+        # the table's entry is the block's own abscissa
+        assert list(known.values()) == spectral_abscissae(
+            collective_drifts(gate.drifts[:1], "positive")).tolist()
 
 
 class TestClosedFormGate:

@@ -1,4 +1,7 @@
+import dataclasses
+import json
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -9,14 +12,20 @@ from hypothesis import strategies as st
 from scipy import optimize
 
 from hopcav import steady_state
+from hopcav.cli import main
+from hopcav.engine import AxisSpec, csv_text, run_point, run_sweep
+from hopcav.errors import ConvergenceFailureError
 from hopcav.params import Detuning, PhysicalParams, derive_coupling, drive_amps
+from hopcav.presets import fig_preset
 from hopcav.steady_state import (
     effective_coupling,
+    fixed_detuning_points,
     self_consistent_points,
     solve_fixed_detuning,
     solve_self_consistent,
 )
 
+REPO = Path(__file__).resolve().parent.parent
 TWO_PI = 2.0 * math.pi
 WM = TWO_PI * 1e7
 
@@ -416,6 +425,70 @@ class TestChunks:
         points = self_consistent_points(*batch_columns(rows))
         assert calls == [(9, 2, 4, 4)]
         assert len(points.owner) > len(rows)   # the bistable rows give several branches
+
+
+def fig2a_batch(points):
+    """``self_consistent_points`` over (drive amplitudes, Langevin detunings in
+    omega_m units) at the cavities and hopping of the fig2a preset."""
+    params = fig_preset("fig2a").params
+    wm = params.mech_freq[0]
+    return self_consistent_points(
+        params.cavity_decay, params.mech_freq, tuple(derive_coupling(params, j) for j in (1, 2)),
+        [e for e, _ in points], [params.hop_strength] * len(points),
+        [(d1 * wm, d2 * wm) for _, (d1, d2) in points])
+
+
+class TestTinyDrives:
+    """A drive so weak that the radiation-pressure shift of every photon number
+    in the bound rounds away leaves the detunings bare; a point whose problem
+    degenerates otherwise records its own error.  Either way the batch's other
+    points are their batches of one."""
+
+    # the fig2a preset's point at bare delta = 1 omega_m (35 mW)
+    FIG2A = (drive_amps(fig_preset("fig2a").params), (-1.0, -1.0))
+
+    @pytest.mark.parametrize("drives", [(1e-138, 1e-138), (1e-138, 2e-138), (5e-324, 5e-324)])
+    def test_shift_below_rounding_takes_the_closed_form(self, drives):
+        tiny = (drives, (-1.0, -1.0))
+        batch = fig2a_batch([tiny, self.FIG2A])
+        assert batch.errors == {} and list(batch.owner) == [0, 1]
+        assert point_columns(batch, 1) == point_columns(fig2a_batch([self.FIG2A]), 0)
+        params = fig_preset("fig2a").params
+        wm = params.mech_freq[0]
+        linear = fixed_detuning_points(
+            params.cavity_decay, params.mech_freq, batch.coupling, [drives],
+            [params.hop_strength], [(-wm, -wm)])
+        assert point_columns(batch, 0)[0] == point_columns(linear, 0)[0]
+
+    @pytest.mark.parametrize("drives", [(1e-138, 1e-138), (1e-138, 2e-138)])
+    def test_degenerate_point_records_its_own_error(self, drives):
+        # at zero bare detuning the shift does not round away, but the scaled
+        # shift per photon underflows: the polynomials degenerate
+        batch = fig2a_batch([(drives, (0.0, 0.0)), self.FIG2A])
+        assert list(batch.owner) == [1] and list(batch.errors) == [0]
+        assert isinstance(batch.errors[0], ConvergenceFailureError)
+        alone = fig2a_batch([self.FIG2A])
+        assert point_columns(batch, 1) == point_columns(alone, 0)
+
+    def test_sweep_over_a_tiny_power(self, tmp_path):
+        # 1e-300 W: drive amplitudes near 1e-137
+        config = dataclasses.replace(fig_preset("fig2a"), axes=(
+            AxisSpec("delta", (0.0, 1.0)), AxisSpec("power", (1e-300, 0.035))))
+        records = run_sweep(config).records
+        assert [bool(r.error) for r in records] == [True, False, False, False]
+        assert records[2].amp1 < 1e-140 < records[3].amp1
+        singles = [rec for r in records
+                   for rec in run_point(config, {"delta": r.delta, "power": r.power}).records]
+        assert csv_text(singles) == csv_text(records)
+        doc = json.loads((REPO / "configs" / "sweep.json").read_text(encoding="utf-8"))
+        doc["detuning"] = {"mode": "bare", "value": {"value": 1.0, "unit": "omega_m"}}
+        doc["axes"] = [{"name": "power", "unit": "mW", "values": [1e-297, 35.0]},
+                       {"name": "delta", "values": [0.0, 1.0]}]
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "tiny.csv"),
+                     "--workers", "1"]) == 0
+        assert len((tmp_path / "tiny.csv").read_text(encoding="utf-8").splitlines()) > 4
 
 
 def scalar_real(roots, cap):
