@@ -6,12 +6,13 @@ per stack (or per group of Kronecker systems): a stacked call returns, matrix
 by matrix, exactly what the call on that one matrix returns.  ``is_hurwitz``
 and ``solve_lyapunov`` are their single-matrix cases.  An eigenvalue verdict
 takes its eigenvalues from :func:`spectral_abscissae` and its bound from
-:func:`hurwitz_margins`: :func:`hurwitz_gate` on the matrices themselves,
-the stability map (:func:`hopcav.stability.stability_map`) on the 4x4
-exchange blocks of the drifts that have them.  A sweep's gate
-(:func:`hopcav.stability.gate_branches`) decides those drifts from the signs
-of their Routh-Hurwitz scalars instead, and takes the same eigenvalue
-verdict only where a scalar is too close to 0 for its sign to match it.
+:func:`hurwitz_margins`: :func:`hurwitz_gate` on the matrices themselves.
+The gate of sweeps and stability maps
+(:func:`hopcav.stability.gate_branches`) decides a drift that has 4x4
+exchange blocks from the signs of their Routh-Hurwitz scalars, and takes the
+eigenvalue verdict of the blocks only where a scalar is too close to 0 for
+its sign to match it; a stability map adds the eigenvalue verdict of each
+distinct collective block, one stacked call per chunk.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ def spectral_abscissae(a: np.ndarray) -> np.ndarray:
         ev = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise HopcavError(f"eigenvalue solver failed: {exc}") from exc
-    return ev.real.max(axis=-1)
+    return np.maximum.reduce(ev.real, axis=-1)
 
 
 def hurwitz_margins(a: np.ndarray) -> np.ndarray:

@@ -28,25 +28,27 @@ delta + xi and delta - xi, and falls back to the eigenvalues of the two 4x4
 blocks where a scalar is too close to 0 for its sign to give the verdict of
 the eigenvalue test and its margin (:data:`BAND_MARGINS`); the other drifts
 take an 8x8 eigenvalue problem.  A stability map, which exists to compare
-the sign conditions with eigenvalue tests, takes its verdicts from the
-eigenvalues of the blocks throughout.  A point's collective block depends on
-delta + xi alone, so it recurs across a grid's rows and chunks, and the map
-takes the eigenvalues of each distinct one once, from a table that its
-chunks share (:func:`_hurwitz`); every block at delta - xi goes to LAPACK.
+the sign conditions with eigenvalue tests, takes its full verdicts and
+scalars from that gate and adds the eigenvalue verdict of each point's
+collective block.  That block depends on delta + xi alone, so it recurs
+across a grid's rows and chunks, and the map takes the eigenvalues of each
+distinct one once, in one call per chunk, from a table that its chunks
+share (:func:`_collective_verdicts`).
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import drift_stack, exchange_blocks
+from .dynamics import collective_drifts, drift_stack, exchange_blocks
 from .errors import ConfigError, HopcavError
 from .lyapunov import CHUNK_POINTS, hurwitz_margins, spectral_abscissae
 from .params import (PhysicalParams, checked_detuning, checked_hop_strength, derive_coupling,
                      drive_amps)
-from .steady_state import fixed_detuning_points
+from .steady_state import _closed_form_amps
 
 # bound for the span tracer of the benchmark (perfbench/spans.py PATCHES);
 # the map assembles its working points and drifts as batches instead
@@ -126,8 +128,6 @@ class Gate(NamedTuple):
 
     drifts: np.ndarray   # (B, 8, 8) figure-convention drifts
     verdicts: list       # Hurwitz verdicts (False where the gate failed)
-    collective: list     # where the drift has a collective model, the Hurwitz verdict of its
-                         # collective block (hurwitz_gate of collective_drifts), else None
     s1: list             # stability scalars where the drift has a collective model, else None
     s2: list
     errors: list         # None, or the error that the gate raised for the branch
@@ -135,8 +135,8 @@ class Gate(NamedTuple):
 
 def gate_branches(params: PhysicalParams, coupling, detuning, hops, detuning_sign: str) -> Gate:
     """The stability gate of a batch of branches: the figure-convention 8x8
-    drifts, their Hurwitz verdicts, the verdicts and scalars (s1, s2) of the
-    collective model of the branches that have one, and the errors.
+    drifts, their Hurwitz verdicts, the scalars (s1, s2) of the collective
+    model of the branches that have one, and the errors.
 
     ``params`` gives the cavities' rates; the columns ``coupling`` (G_j) and
     ``detuning`` (Langevin convention, rad/s), shape (B, 2), and ``hops``
@@ -145,30 +145,15 @@ def gate_branches(params: PhysicalParams, coupling, detuning, hops, detuning_sig
     mechanical frequencies, dampings and decay rates, G_1 == G_2 and
     Delta_1 == Delta_2.  Such a drift is decided in closed form, from one
     scalar computation over both of its exchange blocks: it is Hurwitz when
-    s1 and s2 at delta + xi and at delta - xi are all positive, and its
-    collective verdict is the pair at delta + xi.  A symmetric drift with a
-    scalar that is not finite or lies within the band of 0
+    s1 and s2 at delta + xi and at delta - xi are all positive.  A symmetric
+    drift with a scalar that is not finite or lies within the band of 0
     (:data:`BAND_MARGINS`) takes the eigenvalues of its two 4x4 exchange
     blocks instead, and any other drift its 8x8 eigenvalues (see
     :func:`_hurwitz`), so every verdict is the eigenvalue verdict of
     :func:`hurwitz_gate`, margin included.  When the stacked eigenvalue call
     raises, the branches are redone one by one, so that only a failing branch
-    carries its error (with a false verdict, and no collective verdict or
-    scalars).
+    carries its error (with a false verdict, and no scalars).
     """
-    return _gate(params, coupling, detuning, hops, detuning_sign, closed_form=True)
-
-
-def _gate(params: PhysicalParams, coupling, detuning, hops, detuning_sign: str,
-          closed_form: bool, known: dict | None = None) -> Gate:
-    """:func:`gate_branches`, or with ``closed_form`` false the same gate with
-    every verdict taken from eigenvalues, as the stability map takes them.
-
-    ``known`` is the table of collective blocks whose spectral abscissae are
-    known (see :func:`_hurwitz`): the map's, across its chunks; by default a
-    table for this call."""
-    if known is None:
-        known = {}
     hops = np.asarray(hops, dtype=float)
     count = len(hops)
     drifts = drift_stack(
@@ -179,90 +164,69 @@ def _gate(params: PhysicalParams, coupling, detuning, hops, detuning_sign: str,
     # exchange-symmetric: the cavities' diagonal blocks are equal (the hopping
     # blocks always are)
     collective = (drifts[:, :4, :4] == drifts[:, 4:, 4:]).reshape(-1, 16).all(1)
-    rates = params.mech_freq[0], params.mech_damping[0], params.cavity_decay[0]
-    # delta + xi in the figure convention (bare mode too, shift absorbed); the
-    # negative sign's collective block (collective_drifts) is the model at -(delta + xi)
-    positive = detuning_sign == "positive"
-    modified = hops - detuning[:, 0] if positive else detuning[:, 0] - hops
+    # delta + xi, then the other block's delta - xi, in the figure convention
+    # (bare mode too, shift absorbed); the negative sign's collective block
+    # (collective_drifts) is the model at -(delta + xi)
+    shifts = np.array([hops, -hops])
+    modified = shifts - detuning[:, 0] if detuning_sign == "positive" else detuning[:, 0] - shifts
     try:
-        if closed_form:
-            # and the other block's delta - xi
-            other = -hops - detuning[:, 0] if positive else detuning[:, 0] + hops
-            verdicts, reduced, s1, s2 = _closed_form(rates, coupling[:, 0], modified, other,
-                                                     drifts, collective, detuning_sign, known)
-        else:
-            verdicts, reduced = _hurwitz(drifts, collective, detuning_sign, known)
-            s1, s2 = routh_hurwitz_reduced(*rates, coupling[:, 0], modified)
+        verdicts, s1, s2 = _closed_form(params, coupling[:, 0], modified, drifts, collective,
+                                        detuning_sign)
     except HopcavError as exc:
         if count == 1:
-            return Gate(drifts, [False], [None], [None], [None], [exc])
-        parts = [_gate(params, coupling[j:j + 1], detuning[j:j + 1], hops[j:j + 1],
-                       detuning_sign, closed_form, known) for j in range(count)]
-        return Gate(drifts, *([x for part in parts for x in part[i]] for i in range(1, 6)))
-    verdicts, reduced, s1, s2 = verdicts.tolist(), reduced.tolist(), s1.tolist(), s2.tolist()
+            return Gate(drifts, [False], [None], [None], [exc])
+        parts = [gate_branches(params, coupling[j:j + 1], detuning[j:j + 1], hops[j:j + 1],
+                               detuning_sign) for j in range(count)]
+        return Gate(drifts, *([x for part in parts for x in part[i]] for i in range(1, 5)))
+    verdicts, s1, s2 = verdicts.tolist(), s1.tolist(), s2.tolist()
     marked = collective.tolist()
     if not all(marked):
-        reduced, s1, s2 = ([x if c else None for x, c in zip(column, marked)]
-                           for column in (reduced, s1, s2))
-    return Gate(drifts, verdicts, reduced, s1, s2, [None] * count)
+        s1, s2 = ([x if c else None for x, c in zip(column, marked)] for column in (s1, s2))
+    return Gate(drifts, verdicts, s1, s2, [None] * count)
 
 
-def _closed_form(rates, coupling, modified, other, drifts: np.ndarray, collective: np.ndarray,
-                 detuning_sign: str, known: dict):
-    """The verdicts of the drifts and of their collective blocks, and the
-    scalars (s1, s2) at the ``modified`` detunings: from the signs of the
-    scalars at ``modified`` and at the ``other`` block's detunings where all
-    four clear the band (:data:`BAND_MARGINS`), else from :func:`_hurwitz`."""
-    omega_m, gamma_m, kappa = rates
-    count = len(modified)
+def _closed_form(params: PhysicalParams, coupling, modified, drifts: np.ndarray,
+                 collective: np.ndarray, detuning_sign: str):
+    """The verdicts of the drifts, and the scalars (s1, s2) at the first row
+    of the (2, B) ``modified`` detunings: from the signs of the scalars at
+    both rows where all four clear the band (:data:`BAND_MARGINS`), else from
+    :func:`_hurwitz`."""
+    omega_m, gamma_m, kappa = params.mech_freq[0], params.mech_damping[0], params.cavity_decay[0]
     # a working point can overflow the scalars, or hold NaN; such a row is not
     # decided by them
     with np.errstate(over="ignore", invalid="ignore"):
-        cavity, pulled, damped, pushed = (part.reshape(2, count) for part in _routh_hurwitz_terms(
-            omega_m, gamma_m, kappa, np.tile(coupling, 2), np.concatenate([modified, other])))
-        s1, s2 = cavity - pulled, damped + pushed
-        band = (BAND_MARGINS * (1.0 / min(gamma_m, kappa) + gamma_m / (omega_m * omega_m))
-                * -hurwitz_margins(drifts))
-        # each scalar against the sum of its terms' magnitudes; false where a
-        # scalar or its terms are not finite
-        decided = ((abs(s1) > band * (cavity + abs(pulled)))
-                   & (abs(s2) > band * (damped + abs(pushed)))).all(0) & collective
-    signs = (s1 > 0.0) & (s2 > 0.0)
-    verdicts, reduced = signs[0] & signs[1], signs[0]
-    if not decided.all():
+        band = hurwitz_margins(drifts) * -(BAND_MARGINS * (1.0 / min(gamma_m, kappa)
+                                                           + gamma_m / (omega_m * omega_m)))
+        cavity, pulled, damped, pushed = _routh_hurwitz_terms(omega_m, gamma_m, kappa, coupling,
+                                                              modified)
+        # (s1, s2) by block, each a positive term plus a signed one, against
+        # the sum of its terms' magnitudes; false where a scalar or its terms
+        # are not finite
+        positive, signed = np.array([cavity, damped]), np.array([-pulled, pushed])
+        scalars = positive + signed
+        decided = abs(scalars) > (positive + abs(signed)) * band
+    verdicts = (scalars > 0.0).all((0, 1))
+    decided = decided.all((0, 1)) & collective
+    # a Python test: a one-point map pays for each NumPy call
+    if not all(decided.tolist()):
         rest = ~decided
-        verdicts[rest], reduced[rest] = _hurwitz(drifts[rest], collective[rest], detuning_sign,
-                                                 known)
-    return verdicts, reduced, s1[0], s2[0]
+        verdicts[rest] = _hurwitz(drifts[rest], collective[rest], detuning_sign)
+    return verdicts, scalars[0, 0], scalars[1, 0]
 
 
-def _hurwitz(drifts: np.ndarray, collective: np.ndarray, detuning_sign: str,
-             known: dict) -> tuple[np.ndarray, np.ndarray]:
-    """The Hurwitz verdicts of a stack of 8x8 drifts from their eigenvalues,
-    and those of the collective blocks of the rows marked ``collective``
-    (false on the others): the gate of the map, and of the sweep's rows
-    that the scalars do not decide.
+def _hurwitz(drifts: np.ndarray, collective: np.ndarray, detuning_sign: str) -> np.ndarray:
+    """The Hurwitz verdicts of a stack of 8x8 drifts from their eigenvalues:
+    the gate of the rows that the scalars do not decide, in a sweep and in a
+    stability map alike (the map's collective verdicts come from
+    :func:`_collective_verdicts`, one eigenvalue call per chunk for the
+    blocks that its table lacks).
 
-    An exchange-symmetric drift is orthogonally similar to the direct sum of
-    its two exchange blocks (:func:`hopcav.dynamics.exchange_blocks`), so its
-    spectral abscissa is the larger of theirs: the marked rows take the
-    eigenvalues of both 4x4 blocks, in one stacked call, and only the others
-    those of the 8x8 drift.  Each drift's verdict has the 8x8 drift's margin
-    and each collective verdict its block's own, as :func:`hurwitz_gate`
-    gives them.
-
-    ``known`` maps the bytes of a collective block to its spectral abscissa,
-    and the stacked call takes only the collective blocks it does not hold,
-    each once, beside every block at delta - xi; it then holds theirs too.  A
-    stability map passes one table to all of its chunks: a point's collective
-    block is the collective model at delta + xi, whose coupling G and
-    modified detuning both follow delta + xi, so on a grid of equal delta and
-    xi steps it repeats along every line of constant delta + xi, across rows
-    and chunks (1 223 distinct blocks in the 10 201 points of the fig5 map).
-    The key is the block itself, -0.0 included, and a stacked call gives each
-    matrix the eigenvalues of its own call, so a block found in the table
-    gets the abscissa its eigenvalues would give, bit for bit.  A call that
-    raises adds nothing to the table.
+    An exchange-symmetric drift (a row marked ``collective``) is orthogonally
+    similar to the direct sum of its two exchange blocks
+    (:func:`hopcav.dynamics.exchange_blocks`), so its spectral abscissa is the
+    larger of theirs: the marked rows take the eigenvalues of both 4x4
+    blocks, in one stacked call, and only the others those of the 8x8 drift.
+    Each verdict has the 8x8 drift's margin, as :func:`hurwitz_gate` gives it.
 
     The blocks' eigenvalues and the 8x8 drift's round apart: on rows bisected
     onto a boundary the two abscissae differed by up to 6e-4 margins.  So
@@ -271,35 +235,46 @@ def _hurwitz(drifts: np.ndarray, collective: np.ndarray, detuning_sign: str,
     the same 8x8 drift; 0.01 margins away from the margin they agree
     (``tests/test_stability.py``, ``TestBlockGate``).
     """
-    # a Python test and loop: a one-point map pays for each NumPy call
+    # a Python test: a one-point map pays for each NumPy call
     every = all(collective.tolist())
     symmetric = drifts if every else drifts[collective]
     count = len(symmetric)
-    blocks = exchange_blocks(symmetric, detuning_sign)
-    # each collective block's bytes, and the blocks that the table lacks, each
-    # with one of its rows
-    raw, size = blocks.tobytes(), 16 * blocks.itemsize
-    keys, fresh = [], {}
-    for j in range(count):
-        key = raw[j * size:(j + 1) * size]
-        keys.append(key)
-        if key not in known:
-            fresh[key] = j
-    new = len(fresh)
-    found = spectral_abscissae(blocks if new == count else
-                               np.concatenate([blocks[list(fresh.values())], blocks[count:]]))
-    known.update(zip(fresh, found.tolist()))
-    first = found[:count] if new == count else np.array([known[key] for key in keys])
+    found = spectral_abscissae(exchange_blocks(symmetric, detuning_sign))
+    pairs = np.maximum(found[:count], found[count:])
     if every:
-        reduced = first < hurwitz_margins(blocks[:count])
-        absc = np.maximum(first, found[new:])
+        absc = pairs
     else:
-        reduced = np.zeros(len(drifts), dtype=bool)
-        reduced[collective] = first < hurwitz_margins(blocks[:count])
         absc = np.empty(len(drifts))
-        absc[collective] = np.maximum(first, found[new:])
+        absc[collective] = pairs
         absc[~collective] = spectral_abscissae(drifts[~collective])
-    return absc < hurwitz_margins(drifts), reduced
+    return absc < hurwitz_margins(drifts)
+
+
+def _collective_verdicts(blocks: np.ndarray, known: dict) -> list:
+    """The Hurwitz verdicts of a stack of collective blocks (4x4, each with
+    its own margin, as :func:`hurwitz_gate` gives them), from a table.
+
+    ``known`` maps the bytes of a collective block to its verdict; one
+    stacked eigenvalue call takes the blocks it does not hold, each once, and
+    it then holds theirs too.  A stability map passes one table to all of
+    its chunks: a point's collective block is the collective model at
+    delta + xi, whose coupling G and modified detuning both follow
+    delta + xi, so on a grid of equal delta and xi steps it repeats along
+    every line of constant delta + xi, across rows and chunks (1 223
+    distinct blocks in the 10 201 points of the fig5 map).  The key is the
+    block itself, -0.0 included, and a stacked call gives each matrix the
+    eigenvalues of its own call, so a block found in the table gets the
+    verdict its eigenvalues would give, bit for bit.  A call that raises
+    adds nothing to the table.
+    """
+    raw, size = blocks.tobytes(), 16 * blocks.itemsize
+    keys = [raw[j:j + size] for j in range(0, len(raw), size)]
+    # each block that the table lacks, with one of its rows
+    fresh = {key: j for j, key in enumerate(keys) if key not in known}
+    if fresh:
+        new = blocks if len(fresh) == len(keys) else blocks[list(fresh.values())]
+        known.update(zip(fresh, (spectral_abscissae(new) < hurwitz_margins(new)).tolist()))
+    return [known[key] for key in keys]
 
 
 def stability_point(params: PhysicalParams, delta: float, xi: float,
@@ -316,8 +291,8 @@ def stability_map(params: PhysicalParams, delta_values, xi_values,
 
     Points are evaluated in chunks of ``CHUNK_POINTS`` and returned in
     row-major grid order; unstable points are data, not errors.  The chunks
-    share one table of the collective blocks' spectral abscissae, so each
-    distinct block's eigenvalues are taken once (see :func:`_hurwitz`).
+    share one table of the collective blocks' verdicts, so each distinct
+    block's eigenvalues are taken once (see :func:`_collective_verdicts`).
     Cavities that are not identical, or bare detunings, raise
     :class:`ConfigError`; a point that cannot be evaluated raises its own
     error.
@@ -354,19 +329,23 @@ def _reports(params: PhysicalParams, points, detuning_sign: str,
     """Working points of a batch of checked (delta, xi, Langevin detuning,
     hopping strength) points and their reports, all read off the shared gate
     with the map's table of collective blocks ``known``."""
-    coupling = derive_coupling(params, 1), derive_coupling(params, 2)
-    working = fixed_detuning_points(
-        params.cavity_decay, params.mech_freq, coupling,
-        [drive_amps(params)] * len(points), [h for *_, h in points],
-        [(lang, lang) for _, _, lang, _ in points],
-    )
-    gate = _gate(params, working.eff_coupling, working.eff_detuning, working.hop_strength,
-                 detuning_sign, closed_form=False, known=known)
+    # the columns of the closed-form working points (fixed_detuning_points)
+    # that the gate reads: G_j = sqrt(2) g_j |a_j|, equal g_j in the
+    # identical cavities
+    e1, e2 = drive_amps(params)
+    kappa = params.cavity_decay
+    amps = np.array([_closed_form_amps(kappa, hop, e1, e2, lang, lang)[:2]
+                     for _, _, lang, hop in points])
+    coupling = np.hypot(amps.real, amps.imag) * (math.sqrt(2.0) * derive_coupling(params, 1))
+    # (Langevin detunings of both cavities, hopping strength) by point
+    columns = np.array([(lang, lang, hop) for _, _, lang, hop in points])
+    gate = gate_branches(params, coupling, columns[:, :2], columns[:, 2], detuning_sign)
     for error in gate.errors:
         if error is not None:
             raise error
+    reduced = _collective_verdicts(collective_drifts(gate.drifts, detuning_sign), known)
     return [
         StabilityReport(delta, xi, s1, s2, red, ful, (s1 > 0.0 and s2 > 0.0) == red)
         for (delta, xi, *_), s1, s2, red, ful
-        in zip(points, gate.s1, gate.s2, gate.collective, gate.verdicts)
+        in zip(points, gate.s1, gate.s2, reduced, gate.verdicts)
     ]

@@ -382,8 +382,8 @@ def _polish(u1, u2, kappa, delta0, b, e, xi):
 def _scaled(kappa, g, shift, e, xi: float, delta0) -> tuple | None:
     """The photon-number problem of one point in scaled units, or None where no
     cavity has both radiation pressure and photons, or where the shift of the
-    largest photon number in the bound leaves both bare detunings as they are
-    (the detunings stay bare)."""
+    largest photon number in the bound rounds away beside kappa_j + |delta0_j|
+    in both cavities (the detunings stay bare)."""
     e1, e2 = e
     if not ((g[0] != 0.0 and (e1 != 0.0 or (xi != 0.0 and e2 != 0.0)))
             or (g[1] != 0.0 and (e2 != 0.0 or (xi != 0.0 and e1 != 0.0)))):
@@ -394,10 +394,13 @@ def _scaled(kappa, g, shift, e, xi: float, delta0) -> tuple | None:
     es = (e1 / top, e2 / top)
     # kappa_1 u_1 + kappa_2 u_2 = Re(E_1 a_1* + E_2 a_2*) bounds U_1 + U_2
     cap = (es[0] ** 2 + es[1] ** 2) / min(k) ** 2
-    # a drive so weak that the shift rounds away (its scaled shift per photon
-    # can underflow to 0, where the polynomials degenerate)
+    # a drive so weak that the shift rounds away beside kappa_j + |delta0_j|:
+    # below half an ulp of it, which holds wherever it rounds away beside
+    # delta0_j (its scaled shift per photon can underflow to 0, where the
+    # polynomials degenerate)
     u_cap = cap * unit
-    if delta0[0] - shift[0] * u_cap == delta0[0] and delta0[1] - shift[1] * u_cap == delta0[1]:
+    if (shift[0] * u_cap * 2.0 ** 53 <= kappa[0] + abs(delta0[0])
+            and shift[1] * u_cap * 2.0 ** 53 <= kappa[1] + abs(delta0[1])):
         return None
     symmetric = (kappa[0] == kappa[1] and shift[0] == shift[1] and e1 == e2
                  and delta0[0] == delta0[1])

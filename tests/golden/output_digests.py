@@ -11,7 +11,8 @@ delta = (0, 1e308) and xi = (0, 0.5) (finite axis values whose detuning,
 1e308 omega_m, is not: a configuration error), the ``hopcav sweep`` CSV of the benchmark's fig6b document in
 the negative sign convention on 1 worker, the benchmark's fig6b sweep (on 1
 worker) and fig5 map at seed 3 (``inputs.grid_configs(..., 3)``: every axis
-shifted off the preset grid) in the positive sign convention, the
+shifted off the preset grid) in the positive sign convention, the fig5 map
+at seed 3 in the negative sign convention, the
 benchmark's bare-detuning fig2a and fig2b sweeps at seed 3 on 1 worker, the
 ``hopcav sweep`` CSV of ``configs/sweep.json`` at 75 mW over xi = (0, 0.5)
 and a delta axis of stability boundaries (``BOUNDARIES``: at xi = 0 the
@@ -21,7 +22,8 @@ either side, whose rows' Routh-Hurwitz scalars lie within the band of 0
 where the sweep's gate takes eigenvalues (its line names the sweep's exit
 code: 2, since rows this close to a boundary miss the residual gate), the
 ``hopcav stability`` CSV of the same document (the stability-boundary map:
-the map's eigenvalue verdicts within 2 ulp of a block's margin), the
+the verdicts of the shared gate's eigenvalue fallback, and of the collective
+blocks, within 2 ulp of a block's margin), the
 ``hopcav sweep`` CSV of ``configs/sweep.json`` in bare mode at 1 omega_m
 over a power axis of 1e-297 mW and 35 mW and delta = (0, 1) (the tiny-drive
 bare sweep: drives whose radiation-pressure shift rounds away at delta = 1,
@@ -127,6 +129,7 @@ def digests(work: Path) -> list[tuple[str, str]]:
     docs["fig6b-negative"] = dict(inputs.grid_configs("surface", inputs.DEFAULT_SEED)["fig6b"],
                                   detuning_sign="negative")
     docs["fig5-seed3"] = inputs.grid_configs("stability", OFF_GRID_SEED)["fig5"]
+    docs["fig5-seed3-negative"] = dict(docs["fig5-seed3"], detuning_sign="negative")
     docs["fig6b-seed3"] = inputs.grid_configs("surface", OFF_GRID_SEED)["fig6b"]
     docs.update((f"{name}-seed3", doc)
                 for name, doc in inputs.grid_configs("bare", OFF_GRID_SEED).items())
@@ -174,6 +177,7 @@ def digests(work: Path) -> list[tuple[str, str]]:
     paths = inputs.write_configs(docs, work / "inputs")
     for name, label in (("fig5", "fig5 stability"), ("fig5-negative", "fig5 stability (negative sign)"),
                         ("fig5-seed3", "fig5 stability (seed 3)"),
+                        ("fig5-seed3-negative", "fig5 stability (seed 3, negative sign)"),
                         ("delta-overflow", "delta 1e308 stability"),
                         ("boundary-map", "stability-boundary map")):
         stability_csv = work / f"{name}-stability.csv"

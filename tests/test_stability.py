@@ -230,6 +230,65 @@ class TestStabilityMap:
             stability_map(make_params(), [0.5, 1.0], [0.5, -0.5])
 
 
+# draws of a row at a stability boundary of the collective model, as
+# boundary_row takes them
+BOUNDARY_ROWS = dict(detuning_sign=st.sampled_from(DETUNING_SIGNS), damping=st.floats(-5.0, -3.0),
+                     xi=st.floats(0.0, 2.0), boundary=st.sampled_from(("s1", "s2")),
+                     half=st.sampled_from((0, 1)))
+
+
+def boundary_row(detuning_sign, damping, xi, boundary, half, power=None):
+    """Parameters with gamma_m = 10^damping omega_m, a function from
+    figure-convention delta values (omega_m units) to their 8x8 drifts at
+    G = 2 omega_m and the given xi, and the largest stable-side delta at the
+    chosen boundary of the chosen block, bisected to the last float.
+
+    At G = 2 omega_m the model at modified detuning d' self-oscillates
+    (s2 < 0) below a d' of -8e-6 to -8e-4 omega_m, as gamma_m/omega_m runs
+    from 1e-5 to 1e-3, and is bistable (s1 < 0) above about 0.57 omega_m;
+    the detuning is bisected to where the block (half 0 at d' =
+    s (delta + xi), half 1 at s (delta - xi)) crosses the margin of the 8x8
+    drift, where the signs still call it stable.
+
+    With a drive ``power`` (W), the drifts are instead those of the
+    closed-form working points at that power, as a stability map and a sweep
+    take them, and the power is doubled until the model is bistable at
+    d' = 1 omega_m, or self-oscillates at d' = -0.5 omega_m (at d' = 0 it is
+    stable at any coupling).
+    """
+    params = dataclasses.replace(make_params(), mech_damping=10.0 ** damping * WM)
+    s = 1.0 if detuning_sign == "positive" else -1.0
+    shift = -xi if half == 0 else xi
+
+    def drifts(deltas):
+        count = len(deltas)
+        if power is not None:
+            return gate_branches(params, *gate_columns(params, [(d, d) for d in deltas],
+                                                       [xi] * count), detuning_sign).drifts
+        return drift_stack(params.mech_freq, params.mech_damping, params.cavity_decay,
+                           np.full((count, 2), 2.0 * WM), np.outer(deltas, (WM, WM)),
+                           np.full(count, xi * WM), detuning_sign)
+
+    def stable(delta):
+        drift = drifts([delta])
+        block = spectral_abscissae(exchange_blocks(drift, detuning_sign))[half]
+        return block < hurwitz_margins(drift)[0]
+
+    far = -0.5 if boundary == "s2" else (2.0 if power is None else 1.0)
+    a, b = (s * d + shift for d in (0.0, far))
+    if power is not None:
+        for _ in range(40):
+            params = dataclasses.replace(params, drive_power=power)
+            if not stable(b):
+                break
+            power *= 2.0
+    assert stable(a) and not stable(b)
+    while math.nextafter(a, b) != b:
+        mid = 0.5 * (a + b)
+        a, b = (mid, b) if stable(mid) else (a, mid)
+    return params, drifts, a
+
+
 class TestSharedGate:
     """The sweep and the map gate their working points through one stage."""
 
@@ -243,6 +302,31 @@ class TestSharedGate:
             (rec.s1, rec.s2, rec.stable) for rec in records
         ]
         assert any(r.hurwitz_full for r in reports) and not all(r.hurwitz_full for r in reports)
+
+    @settings(max_examples=40, deadline=None)
+    @given(**BOUNDARY_ROWS)
+    def test_map_matches_sweep_records_at_the_margins(self, detuning_sign, damping, xi, boundary,
+                                                      half):
+        # working points bisected onto a block's margin, and 1 and 2 ulp
+        # either side: their scalars lie within the band, so both take the
+        # eigenvalues of their blocks
+        params, drifts, a = boundary_row(detuning_sign, damping, xi, boundary, half, power=0.075)
+        deltas = [a + k * math.ulp(a) for k in range(-2, 3)]
+        with mock.patch.object(stability, "_hurwitz", wraps=stability._hurwitz) as spy:
+            reports = stability_map(params, deltas, [xi], detuning_sign)
+        assert spy.call_count == 1
+        config = SweepConfig(dataclasses.replace(params, hop_strength=xi * WM),
+                             axes=(AxisSpec("delta", deltas),), detuning_sign=detuning_sign)
+        records = run_sweep(config).records
+        assert [(r.s1, r.s2, r.hurwitz_full) for r in reports] == [
+            (rec.s1, rec.s2, rec.stable) for rec in records]
+        # the full verdicts are those of the eigenvalues of both blocks, and
+        # the collective verdicts hurwitz_gate's on the collective blocks
+        rows = drifts(deltas)
+        assert [r.hurwitz_full for r in reports] == stability._hurwitz(
+            rows, np.ones(5, dtype=bool), detuning_sign).tolist()
+        assert [r.hurwitz_reduced for r in reports] == hurwitz_gate(
+            collective_drifts(rows, detuning_sign))[0].tolist()
 
     def test_failing_branch_alone_carries_the_error(self):
         # 1e300 W overflows the drive amplitude: its drifts cannot be gated,
@@ -343,49 +427,6 @@ class TestCollectiveRule:
             assert report.s1 > 0.0 and report.s2 > 0.0
 
 
-# draws of a row at a stability boundary of the collective model, as
-# boundary_row takes them
-BOUNDARY_ROWS = dict(detuning_sign=st.sampled_from(DETUNING_SIGNS), damping=st.floats(-5.0, -3.0),
-                     xi=st.floats(0.0, 2.0), boundary=st.sampled_from(("s1", "s2")),
-                     half=st.sampled_from((0, 1)))
-
-
-def boundary_row(detuning_sign, damping, xi, boundary, half):
-    """Parameters with gamma_m = 10^damping omega_m, a function from
-    figure-convention delta values (omega_m units) to their 8x8 drifts at
-    G = 2 omega_m and the given xi, and the largest stable-side delta at the
-    chosen boundary of the chosen block, bisected to the last float.
-
-    At G = 2 omega_m the model at modified detuning d' self-oscillates
-    (s2 < 0) below a d' of -8e-6 to -8e-4 omega_m, as gamma_m/omega_m runs
-    from 1e-5 to 1e-3, and is bistable (s1 < 0) above about 0.57 omega_m;
-    the detuning is bisected to where the block (half 0 at d' =
-    s (delta + xi), half 1 at s (delta - xi)) crosses the margin of the 8x8
-    drift, where the signs still call it stable.
-    """
-    params = dataclasses.replace(make_params(), mech_damping=10.0 ** damping * WM)
-    s = 1.0 if detuning_sign == "positive" else -1.0
-    shift = -xi if half == 0 else xi
-
-    def drifts(deltas):
-        count = len(deltas)
-        return drift_stack(params.mech_freq, params.mech_damping, params.cavity_decay,
-                           np.full((count, 2), 2.0 * WM), np.outer(deltas, (WM, WM)),
-                           np.full(count, xi * WM), detuning_sign)
-
-    def stable(delta):
-        drift = drifts([delta])
-        block = spectral_abscissae(exchange_blocks(drift, detuning_sign))[half]
-        return block < hurwitz_margins(drift)[0]
-
-    a, b = (s * d + shift for d in ((0.0, -0.5) if boundary == "s2" else (0.0, 2.0)))
-    assert stable(a) and not stable(b)
-    while math.nextafter(a, b) != b:
-        mid = 0.5 * (a + b)
-        a, b = (mid, b) if stable(mid) else (a, mid)
-    return params, drifts, a
-
-
 class TestBlockGate:
     """Exchange-symmetric drifts are gated on their two 4x4 exchange blocks."""
 
@@ -397,7 +438,7 @@ class TestBlockGate:
         params = make_params(power=power)
         gate = gate_branches(params, *gate_columns(params, [(d, d) for d, _ in points],
                                                    [xi for _, xi in points]), detuning_sign)
-        assert None not in gate.collective
+        assert None not in gate.s1
         ok, absc = hurwitz_gate(gate.drifts)
         scale = np.linalg.norm(gate.drifts, axis=(1, 2))
         blocks = spectral_abscissae(exchange_blocks(gate.drifts, detuning_sign))
@@ -423,13 +464,16 @@ class TestBlockGate:
         count = len(deltas)
         columns = (np.full((count, 2), 2.0 * WM), -np.outer(deltas, (WM, WM)),
                    np.full(count, xi * WM))
-        # the map's gate: every verdict from the eigenvalues of the two blocks
-        gate = stability._gate(params, *columns, detuning_sign, closed_form=False)
-        assert np.array_equal(gate.drifts, drifts(deltas)) and None not in gate.collective
+        gate = gate_branches(params, *columns, detuning_sign)
+        assert np.array_equal(gate.drifts, drifts(deltas)) and None not in gate.s1
+        # every verdict from the eigenvalues of the two blocks, as the gate
+        # takes them within the band; the gate's own are the same
+        verdicts = stability._hurwitz(gate.drifts, np.ones(count, dtype=bool), detuning_sign)
+        assert gate.verdicts == verdicts.tolist()
         full, absc = hurwitz_gate(gate.drifts)
         margin = hurwitz_margins(gate.drifts)
         clear = np.abs(absc - margin) > self.ROUNDING_BAND * -margin
-        assert np.array_equal(np.array(gate.verdicts)[clear], full[clear])
+        assert np.array_equal(verdicts[clear], full[clear])
         # rows clear of the band on both sides of the boundary, and of both
         # verdicts unless the other block is unstable there
         assert clear[1::2].any() and clear[2::2].any()
@@ -441,11 +485,13 @@ class TestBlockGate:
     def test_collective_verdicts_are_the_collective_blocks_gate(self, detuning_sign):
         # 75 mW: the grid crosses both boundaries of the collective model
         params = make_params(power=0.075)
-        deltas, xis = np.meshgrid(np.linspace(-1.5, 2.0, 15), np.linspace(0.0, 1.5, 7))
+        delta_values, xi_values = np.linspace(-1.5, 2.0, 15), np.linspace(0.0, 1.5, 7)
+        reports = stability_map(params, delta_values, xi_values, detuning_sign)
+        deltas, xis = np.meshgrid(delta_values, xi_values, indexing="ij")
         gate = gate_branches(params, *gate_columns(params, zip(deltas.flat, deltas.flat),
                                                    xis.ravel()), detuning_sign)
         want = hurwitz_gate(collective_drifts(gate.drifts, detuning_sign))[0].tolist()
-        assert gate.collective == want
+        assert [r.hurwitz_reduced for r in reports] == want
         assert any(want) and not all(want)
 
     def test_collective_verdict_takes_the_blocks_own_margin(self):
@@ -458,14 +504,14 @@ class TestBlockGate:
             gate = gate_branches(params, *gate_columns(params, [(delta, delta)], [0.5]),
                                  "positive")
             block = collective_drifts(gate.drifts, "positive")
-            return (gate, spectral_abscissae(block)[0], hurwitz_margins(block)[0],
-                    hurwitz_margins(gate.drifts)[0])
+            return (stability_point(params, delta, 0.5), spectral_abscissae(block)[0],
+                    hurwitz_margins(block)[0], hurwitz_margins(gate.drifts)[0])
 
         stable, unstable = 1.1, 1.0
-        assert probe(stable)[0].collective == [True] and probe(unstable)[0].collective == [False]
+        assert probe(stable)[0].hurwitz_reduced and not probe(unstable)[0].hurwitz_reduced
         for _ in range(200):
             delta = 0.5 * (stable + unstable)
-            gate, absc, own, full = probe(delta)
+            report, absc, own, full = probe(delta)
             if full <= absc < own:
                 break
             if absc < full:
@@ -474,11 +520,11 @@ class TestBlockGate:
                 unstable = delta
         else:
             pytest.fail("no abscissa between the two margins")
-        assert gate.collective == [True] and gate.verdicts == [False]
+        assert report.hurwitz_reduced and not report.hurwitz_full
         # the signs call that row stable: it lies within the band, so the gate
         # took the eigenvalues of its blocks
         with mock.patch.object(stability, "_hurwitz", wraps=stability._hurwitz) as spy:
-            assert probe(delta)[0][1:] == gate[1:]
+            assert stability_point(params, delta, 0.5) == report
         assert spy.call_count == 1
 
     def test_mixed_stack_gates_each_row_as_its_batch_of_one(self):
@@ -490,14 +536,14 @@ class TestBlockGate:
                 gate_columns(dataclasses.replace(params, drive_power=1e300), [(0.5, 0.5)], [0.5])]
         for columns in (rows[0], [np.concatenate(c) for c in zip(*rows)]):
             gate = gate_branches(params, *columns, "positive")
-            assert [c is None for c in gate.collective[:5]] == [False, True, False, True, False]
+            assert [c is None for c in gate.s1[:5]] == [False, True, False, True, False]
             for j in range(len(columns[2])):
                 single = gate_branches(params, *(c[j:j + 1] for c in columns), "positive")
-                assert [part[j] for part in gate[1:5]] == [part[0] for part in single[1:5]]
+                assert [part[j] for part in gate[1:4]] == [part[0] for part in single[1:4]]
                 assert str(gate.errors[j]) == str(single.errors[0])
             assert [str(e).startswith("eigenvalue solver failed") for e in gate.errors] == [
                 False] * 5 + [True] * (len(columns[2]) - 5)
-        assert gate.verdicts[-1] is False and gate.collective[-1] is None
+        assert gate.verdicts[-1] is False and gate.s1[-1] is None
 
     def test_symmetric_rows_solve_no_8x8_eigenvalue_problem(self, monkeypatch):
         shapes = []
@@ -511,7 +557,7 @@ class TestBlockGate:
         grid = np.linspace(0.0, 2.0, 11)
         config = fig_preset("fig5")
         assert len(stability_map(config.params, grid, grid, config.detuning_sign)) == 121
-        # the map takes the eigenvalues of the blocks of every point
+        # the map takes the eigenvalues of its collective blocks
         assert shapes and all(shape[1:] == (4, 4) for shape in shapes)
         shapes.clear()
         config = dataclasses.replace(fig_preset("fig6b"),
@@ -560,22 +606,27 @@ class TestBlockTable:
     @settings(max_examples=60, deadline=None)
     @given(**BOUNDARY_ROWS)
     def test_rows_at_the_margin_from_the_table(self, detuning_sign, damping, xi, boundary, half):
-        # rows bisected onto a block's margin, and 1 and 2 ulp either side, gated
-        # twice with one table: the second time every collective block comes
-        # from the table; each row keeps the verdicts of its batch of one
-        params, _, a = boundary_row(detuning_sign, damping, xi, boundary, half)
+        # rows bisected onto a block's margin, and 1 and 2 ulp either side,
+        # gated twice and their collective blocks verdicted twice with one
+        # table: the second time every collective block comes from the table;
+        # each row keeps the verdicts of its batch of one, and its collective
+        # verdict is hurwitz_gate's on its block alone
+        params, drifts, a = boundary_row(detuning_sign, damping, xi, boundary, half)
         deltas = [a + k * math.ulp(a) for k in range(-2, 3)]
         columns = (np.full((5, 2), 2.0 * WM), -np.outer(deltas, (WM, WM)), np.full(5, xi * WM))
-        singles = [stability._gate(params, *(c[j:j + 1] for c in columns), detuning_sign,
-                                   closed_form=False)[1:] for j in range(5)]
+        blocks = collective_drifts(drifts(deltas), detuning_sign)
+        singles = [gate_branches(params, *(c[j:j + 1] for c in columns), detuning_sign)[1:]
+                   for j in range(5)]
+        alone = [hurwitz_gate(blocks[j:j + 1])[0].tolist() for j in range(5)]
         known = {}
         for order in (slice(None), slice(None, None, -1)):
-            gate = stability._gate(params, *(c[order] for c in columns), detuning_sign,
-                                   closed_form=False, known=known)
+            gate = gate_branches(params, *(c[order] for c in columns), detuning_sign)
             assert [part[j] for j in range(5) for part in gate[1:]] == [
                 part[0] for single in singles[order] for part in single]
-        assert len(known) == len({block.tobytes() for block in
-                                  collective_drifts(gate.drifts, detuning_sign)})
+            assert np.array_equal(collective_drifts(gate.drifts, detuning_sign), blocks[order])
+            assert [[v] for v in stability._collective_verdicts(blocks[order], known)] == (
+                alone[order])
+        assert len(known) == len({block.tobytes() for block in blocks})
 
     def test_map_takes_each_distinct_collective_block_once(self, monkeypatch):
         # 21 x 21 points at equal steps of 0.1 omega_m, in two chunks
@@ -589,27 +640,35 @@ class TestBlockTable:
         eigvals = np.linalg.eigvals
         monkeypatch.setattr(np.linalg, "eigvals",
                             lambda a: shapes.append(np.shape(a)) or eigvals(a))
-        reports = stability_map(params, grid, grid)
+        with mock.patch.object(stability, "_hurwitz", wraps=stability._hurwitz) as spy:
+            reports = stability_map(params, grid, grid)
         count = len(reports)
         assert count == 441 > CHUNK_POINTS and distinct < count
-        # every block at delta - xi, and each distinct collective block once
+        # each distinct collective block once, and both blocks of each row that
+        # the signs do not decide
+        band = sum(len(call.args[0]) for call in spy.call_args_list)
         assert all(shape[1:] == (4, 4) for shape in shapes)
-        assert sum(shape[0] for shape in shapes) == count + distinct < 2 * count
+        assert sum(shape[0] for shape in shapes) == distinct + 2 * band < count
 
     def test_failed_blocks_stay_out_of_the_table(self):
-        # 1e300 W overflows the drive amplitude: the stacked call raises, the
-        # rows are redone one by one, and only the row that passes adds its block
+        # 1e300 W overflows the drive amplitude: its block cannot be gated, so
+        # the stacked call over both rows' blocks raises and adds nothing; the
+        # row that passes alone adds its block
         params = make_params(power=0.075)
         rows = [gate_columns(params, [(0.5, 0.5)], [0.5]),
                 gate_columns(dataclasses.replace(params, drive_power=1e300), [(0.5, 0.5)], [0.5])]
         columns = [np.concatenate(c) for c in zip(*rows)]
-        known = {}
-        gate = stability._gate(params, *columns, "positive", closed_form=False, known=known)
+        gate = gate_branches(params, *columns, "positive")
         assert gate.errors[0] is None and str(gate.errors[1]).startswith("eigenvalue solver failed")
-        assert list(known) == [collective_drifts(gate.drifts[:1], "positive")[0].tobytes()]
-        # the table's entry is the block's own abscissa
-        assert list(known.values()) == spectral_abscissae(
-            collective_drifts(gate.drifts[:1], "positive")).tolist()
+        blocks = collective_drifts(gate.drifts, "positive")
+        known = {}
+        with pytest.raises(HopcavError, match="eigenvalue solver failed"):
+            stability._collective_verdicts(blocks, known)
+        assert known == {}
+        want = hurwitz_gate(blocks[:1])[0].tolist()
+        assert stability._collective_verdicts(blocks[:1], known) == want
+        # the table's entry is the block's own verdict
+        assert list(known.items()) == [(blocks[0].tobytes(), want[0])]
 
 
 class TestClosedFormGate:
@@ -642,11 +701,16 @@ class TestClosedFormGate:
         decided = [j for j in (5, 6)
                    if not any(np.array_equal(gate.drifts[j], r) for r in routed[5:])]
         assert decided
-        # every row has the verdicts of the map's eigenvalue gate, and a row
-        # decided by the signs those of hurwitz_gate on its 8x8 drift and on
-        # its collective block
-        assert gate[1:] == stability._gate(params, *columns, detuning_sign, closed_form=False)[1:]
+        # every row has the verdict of the eigenvalues of its two blocks, and
+        # a row decided by the signs that of hurwitz_gate on its 8x8 drift,
+        # with the signs at delta + xi that of hurwitz_gate on its collective
+        # block
+        assert gate.verdicts == stability._hurwitz(gate.drifts, np.ones(7, dtype=bool),
+                                                   detuning_sign).tolist()
+        assert list(zip(gate.s1, gate.s2)) == [tuple(float(x) for x in routh_hurwitz_reduced(
+            WM, params.mech_damping[0], params.cavity_decay[0], 2.0 * WM, s * (d * WM + xi * WM)))
+            for d in deltas]
         full = hurwitz_gate(gate.drifts)[0]
         block = hurwitz_gate(collective_drifts(gate.drifts, detuning_sign))[0]
         for j in decided:
-            assert (gate.verdicts[j], gate.collective[j]) == (full[j], block[j])
+            assert (gate.verdicts[j], gate.s1[j] > 0.0 and gate.s2[j] > 0.0) == (full[j], block[j])

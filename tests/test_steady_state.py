@@ -14,7 +14,6 @@ from scipy import optimize
 from hopcav import steady_state
 from hopcav.cli import main
 from hopcav.engine import AxisSpec, csv_text, run_point, run_sweep
-from hopcav.errors import ConvergenceFailureError
 from hopcav.params import Detuning, PhysicalParams, derive_coupling, drive_amps
 from hopcav.presets import fig_preset
 from hopcav.steady_state import (
@@ -440,9 +439,8 @@ def fig2a_batch(points):
 
 class TestTinyDrives:
     """A drive so weak that the radiation-pressure shift of every photon number
-    in the bound rounds away leaves the detunings bare; a point whose problem
-    degenerates otherwise records its own error.  Either way the batch's other
-    points are their batches of one."""
+    in the bound rounds away beside kappa_j + |delta0_j| leaves the detunings
+    bare, and the batch's other points are their batches of one."""
 
     # the fig2a preset's point at bare delta = 1 omega_m (35 mW)
     FIG2A = (drive_amps(fig_preset("fig2a").params), (-1.0, -1.0))
@@ -460,22 +458,28 @@ class TestTinyDrives:
             [params.hop_strength], [(-wm, -wm)])
         assert point_columns(batch, 0)[0] == point_columns(linear, 0)[0]
 
-    @pytest.mark.parametrize("drives", [(1e-138, 1e-138), (1e-138, 2e-138)])
-    def test_degenerate_point_records_its_own_error(self, drives):
-        # at zero bare detuning the shift does not round away, but the scaled
-        # shift per photon underflows: the polynomials degenerate
+    @pytest.mark.parametrize("drives", [(1e-28, 1e-28), (1e-138, 1e-138), (1e-138, 2e-138),
+                                        (3e-154, 3e-154)])
+    def test_zero_bare_detuning_takes_the_closed_form(self, drives):
+        # at zero bare detuning the shift rounds away beside kappa, as it does
+        # beside a bare detuning of -1 omega_m; the scaled shift per photon
+        # underflows there, so the polynomials would degenerate
         batch = fig2a_batch([(drives, (0.0, 0.0)), self.FIG2A])
-        assert list(batch.owner) == [1] and list(batch.errors) == [0]
-        assert isinstance(batch.errors[0], ConvergenceFailureError)
-        alone = fig2a_batch([self.FIG2A])
-        assert point_columns(batch, 1) == point_columns(alone, 0)
+        assert batch.errors == {} and list(batch.owner) == [0, 1]
+        assert point_columns(batch, 1) == point_columns(fig2a_batch([self.FIG2A]), 0)
+        params = fig_preset("fig2a").params
+        linear = fixed_detuning_points(
+            params.cavity_decay, params.mech_freq, batch.coupling, [drives],
+            [params.hop_strength], [(0.0, 0.0)])
+        assert point_columns(batch, 0)[0] == point_columns(linear, 0)[0]
 
     def test_sweep_over_a_tiny_power(self, tmp_path):
         # 1e-300 W: drive amplitudes near 1e-137
         config = dataclasses.replace(fig_preset("fig2a"), axes=(
             AxisSpec("delta", (0.0, 1.0)), AxisSpec("power", (1e-300, 0.035))))
         records = run_sweep(config).records
-        assert [bool(r.error) for r in records] == [True, False, False, False]
+        assert [bool(r.error) for r in records] == [False, False, False, False]
+        assert records[0].amp1 < 1e-140 < records[1].amp1
         assert records[2].amp1 < 1e-140 < records[3].amp1
         singles = [rec for r in records
                    for rec in run_point(config, {"delta": r.delta, "power": r.power}).records]
