@@ -9,10 +9,11 @@ takes its eigenvalues from :func:`spectral_abscissae` and its bound from
 :func:`hurwitz_margins`: :func:`hurwitz_gate` on the matrices themselves.
 The gate of sweeps and stability maps
 (:func:`hopcav.stability.gate_branches`) decides a drift that has 4x4
-exchange blocks from the signs of their Routh-Hurwitz scalars, and takes the
-eigenvalue verdict of the blocks only where a scalar is too close to 0 for
-its sign to match it; a stability map adds the eigenvalue verdict of each
-distinct collective block, one stacked call per chunk.
+exchange blocks from the signs of their Routh-Hurwitz scalars, and takes
+:func:`hurwitz_gate` on the 8x8 drift where a scalar is too close to 0 for
+its sign to match it, and on every other drift; a stability map adds the
+verdict of :func:`hurwitz_gate` on each distinct collective block, one
+stacked call per chunk.
 """
 
 from __future__ import annotations

@@ -24,15 +24,16 @@ model.
 Such a drift is orthogonally similar to the direct sum of its collective
 block and the same model at delta - xi (Vitali et al., PRL 98, 030405
 (2007)).  A sweep's gate therefore decides it from the four scalars at
-delta + xi and delta - xi, and falls back to the eigenvalues of the two 4x4
-blocks where a scalar is too close to 0 for its sign to give the verdict of
-the eigenvalue test and its margin (:data:`BAND_MARGINS`); the other drifts
-take an 8x8 eigenvalue problem.  A stability map, which exists to compare
-the sign conditions with eigenvalue tests, takes its full verdicts and
-scalars from that gate and adds the eigenvalue verdict of each point's
-collective block.  That block depends on delta + xi alone, so it recurs
-across a grid's rows and chunks, and the map takes the eigenvalues of each
-distinct one once, in one call per chunk, from a table that its chunks
+delta + xi and delta - xi.  Where a scalar is too close to 0 for its sign to
+give the verdict of the eigenvalue test and its margin (:data:`BAND_MARGINS`),
+and for every drift without a collective model, the gate takes
+:func:`hopcav.lyapunov.hurwitz_gate` on the 8x8 drift: the one eigenvalue
+route, so every verdict is that of ``is_hurwitz``.  A stability map, which
+exists to compare the sign conditions with eigenvalue tests, takes its full
+verdicts and scalars from that gate and adds the eigenvalue verdict of each
+point's collective block.  That block depends on delta + xi alone, so it
+recurs across a grid's rows and chunks, and the map takes the eigenvalues of
+each distinct one once, in one call per chunk, from a table that its chunks
 share (:func:`_collective_verdicts`).
 """
 
@@ -43,9 +44,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import collective_drifts, drift_stack, exchange_blocks
+from .dynamics import collective_drifts, drift_stack
 from .errors import ConfigError, HopcavError
-from .lyapunov import CHUNK_POINTS, hurwitz_margins, spectral_abscissae
+from .lyapunov import CHUNK_POINTS, hurwitz_gate, hurwitz_margins
 from .params import (PhysicalParams, checked_detuning, checked_hop_strength, derive_coupling,
                      drive_amps)
 from .steady_state import _closed_form_amps
@@ -58,9 +59,12 @@ from .steady_state import solve_fixed_detuning  # noqa: F401
 
 
 # The band around 0 in which a scalar's sign does not decide a row, in Hurwitz
-# margins m = ABSCISSA_RTOL ||A||_F of the row's 8x8 drift.  The signs and the
-# eigenvalue gate disagree only where a block's spectral abscissa alpha lies
-# within the margin of 0, give or take the eigenvalue solver's error.  To
+# margins m = ABSCISSA_RTOL ||A||_F of the row's 8x8 drift; such a row takes
+# the eigenvalues of that drift.  The signs and the eigenvalue gate disagree
+# only where a block's spectral abscissa alpha lies within the margin of 0,
+# give or take the eigenvalue solver's error (the 8x8 eigenvalues and a
+# block's round apart by at most 6e-4 margins on rows bisected onto a
+# boundary, tests/test_stability.py TestBlockGate).  To
 # first order in alpha near a root, a scalar relative to the sum of its terms'
 # magnitudes is below 3.2 rho |alpha|, rho = 1/min(gamma_m, kappa) +
 # gamma_m/omega_m^2 (a sensitivity, not a small number: 1e5/omega_m at the
@@ -145,14 +149,14 @@ def gate_branches(params: PhysicalParams, coupling, detuning, hops, detuning_sig
     mechanical frequencies, dampings and decay rates, G_1 == G_2 and
     Delta_1 == Delta_2.  Such a drift is decided in closed form, from one
     scalar computation over both of its exchange blocks: it is Hurwitz when
-    s1 and s2 at delta + xi and at delta - xi are all positive.  A symmetric
-    drift with a scalar that is not finite or lies within the band of 0
-    (:data:`BAND_MARGINS`) takes the eigenvalues of its two 4x4 exchange
-    blocks instead, and any other drift its 8x8 eigenvalues (see
-    :func:`_hurwitz`), so every verdict is the eigenvalue verdict of
-    :func:`hurwitz_gate`, margin included.  When the stacked eigenvalue call
-    raises, the branches are redone one by one, so that only a failing branch
-    carries its error (with a false verdict, and no scalars).
+    s1 and s2 at delta + xi and at delta - xi are all positive.  Every other
+    drift (an asymmetric one, or a symmetric one with a scalar that is not
+    finite or lies within the band of 0, :data:`BAND_MARGINS`) takes
+    :func:`hurwitz_gate` on its 8x8 drift, in one stacked call, so every
+    verdict is that of :func:`hurwitz_gate` (and ``is_hurwitz``) on the
+    branch's drift, margin included.  When that call raises, its branches
+    are redone one by one, so that only a failing branch carries its error
+    (with a false verdict, and no scalars).
     """
     hops = np.asarray(hops, dtype=float)
     count = len(hops)
@@ -169,36 +173,14 @@ def gate_branches(params: PhysicalParams, coupling, detuning, hops, detuning_sig
     # (collective_drifts) is the model at -(delta + xi)
     shifts = np.array([hops, -hops])
     modified = shifts - detuning[:, 0] if detuning_sign == "positive" else detuning[:, 0] - shifts
-    try:
-        verdicts, s1, s2 = _closed_form(params, coupling[:, 0], modified, drifts, collective,
-                                        detuning_sign)
-    except HopcavError as exc:
-        if count == 1:
-            return Gate(drifts, [False], [None], [None], [exc])
-        parts = [gate_branches(params, coupling[j:j + 1], detuning[j:j + 1], hops[j:j + 1],
-                               detuning_sign) for j in range(count)]
-        return Gate(drifts, *([x for part in parts for x in part[i]] for i in range(1, 5)))
-    verdicts, s1, s2 = verdicts.tolist(), s1.tolist(), s2.tolist()
-    marked = collective.tolist()
-    if not all(marked):
-        s1, s2 = ([x if c else None for x, c in zip(column, marked)] for column in (s1, s2))
-    return Gate(drifts, verdicts, s1, s2, [None] * count)
-
-
-def _closed_form(params: PhysicalParams, coupling, modified, drifts: np.ndarray,
-                 collective: np.ndarray, detuning_sign: str):
-    """The verdicts of the drifts, and the scalars (s1, s2) at the first row
-    of the (2, B) ``modified`` detunings: from the signs of the scalars at
-    both rows where all four clear the band (:data:`BAND_MARGINS`), else from
-    :func:`_hurwitz`."""
     omega_m, gamma_m, kappa = params.mech_freq[0], params.mech_damping[0], params.cavity_decay[0]
     # a working point can overflow the scalars, or hold NaN; such a row is not
     # decided by them
     with np.errstate(over="ignore", invalid="ignore"):
         band = hurwitz_margins(drifts) * -(BAND_MARGINS * (1.0 / min(gamma_m, kappa)
                                                            + gamma_m / (omega_m * omega_m)))
-        cavity, pulled, damped, pushed = _routh_hurwitz_terms(omega_m, gamma_m, kappa, coupling,
-                                                              modified)
+        cavity, pulled, damped, pushed = _routh_hurwitz_terms(omega_m, gamma_m, kappa,
+                                                              coupling[:, 0], modified)
         # (s1, s2) by block, each a positive term plus a signed one, against
         # the sum of its terms' magnitudes; false where a scalar or its terms
         # are not finite
@@ -206,48 +188,25 @@ def _closed_form(params: PhysicalParams, coupling, modified, drifts: np.ndarray,
         scalars = positive + signed
         decided = abs(scalars) > (positive + abs(signed)) * band
     verdicts = (scalars > 0.0).all((0, 1))
-    decided = decided.all((0, 1)) & collective
+    errors = [None] * count
     # a Python test: a one-point map pays for each NumPy call
-    if not all(decided.tolist()):
-        rest = ~decided
-        verdicts[rest] = _hurwitz(drifts[rest], collective[rest], detuning_sign)
-    return verdicts, scalars[0, 0], scalars[1, 0]
-
-
-def _hurwitz(drifts: np.ndarray, collective: np.ndarray, detuning_sign: str) -> np.ndarray:
-    """The Hurwitz verdicts of a stack of 8x8 drifts from their eigenvalues:
-    the gate of the rows that the scalars do not decide, in a sweep and in a
-    stability map alike (the map's collective verdicts come from
-    :func:`_collective_verdicts`, one eigenvalue call per chunk for the
-    blocks that its table lacks).
-
-    An exchange-symmetric drift (a row marked ``collective``) is orthogonally
-    similar to the direct sum of its two exchange blocks
-    (:func:`hopcav.dynamics.exchange_blocks`), so its spectral abscissa is the
-    larger of theirs: the marked rows take the eigenvalues of both 4x4
-    blocks, in one stacked call, and only the others those of the 8x8 drift.
-    Each verdict has the 8x8 drift's margin, as :func:`hurwitz_gate` gives it.
-
-    The blocks' eigenvalues and the 8x8 drift's round apart: on rows bisected
-    onto a boundary the two abscissae differed by up to 6e-4 margins.  So
-    within about 1 ulp of the delta where a block crosses the margin, a
-    verdict here can differ from :func:`hurwitz_gate` (or ``is_hurwitz``) on
-    the same 8x8 drift; 0.01 margins away from the margin they agree
-    (``tests/test_stability.py``, ``TestBlockGate``).
-    """
-    # a Python test: a one-point map pays for each NumPy call
-    every = all(collective.tolist())
-    symmetric = drifts if every else drifts[collective]
-    count = len(symmetric)
-    found = spectral_abscissae(exchange_blocks(symmetric, detuning_sign))
-    pairs = np.maximum(found[:count], found[count:])
-    if every:
-        absc = pairs
-    else:
-        absc = np.empty(len(drifts))
-        absc[collective] = pairs
-        absc[~collective] = spectral_abscissae(drifts[~collective])
-    return absc < hurwitz_margins(drifts)
+    done = (decided.all((0, 1)) & collective).tolist()
+    if not all(done):
+        rest = [j for j, d in enumerate(done) if not d]
+        try:
+            verdicts[rest] = hurwitz_gate(drifts[rest])[0]
+        except HopcavError:
+            for j in rest:
+                try:
+                    verdicts[j] = hurwitz_gate(drifts[j:j + 1])[0][0]
+                except HopcavError as exc:
+                    # a failing branch keeps no scalars
+                    verdicts[j], errors[j], collective[j] = False, exc, False
+    marked = collective.tolist()
+    s1, s2 = scalars[0, 0].tolist(), scalars[1, 0].tolist()
+    if not all(marked):
+        s1, s2 = ([x if c else None for x, c in zip(column, marked)] for column in (s1, s2))
+    return Gate(drifts, verdicts.tolist(), s1, s2, errors)
 
 
 def _collective_verdicts(blocks: np.ndarray, known: dict) -> list:
@@ -273,7 +232,7 @@ def _collective_verdicts(blocks: np.ndarray, known: dict) -> list:
     fresh = {key: j for j, key in enumerate(keys) if key not in known}
     if fresh:
         new = blocks if len(fresh) == len(keys) else blocks[list(fresh.values())]
-        known.update(zip(fresh, (spectral_abscissae(new) < hurwitz_margins(new)).tolist()))
+        known.update(zip(fresh, hurwitz_gate(new)[0].tolist()))
     return [known[key] for key in keys]
 
 

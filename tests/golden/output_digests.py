@@ -19,11 +19,12 @@ and a delta axis of stability boundaries (``BOUNDARIES``: at xi = 0 the
 self-oscillation boundary and both bistability boundaries, at xi = 0.5 the
 bistability boundary of the block at delta + xi) with the values 1 and 2 ulp
 either side, whose rows' Routh-Hurwitz scalars lie within the band of 0
-where the sweep's gate takes eigenvalues (its line names the sweep's exit
-code: 2, since rows this close to a boundary miss the residual gate), the
+where the sweep's gate takes the eigenvalues of the 8x8 drift (its line
+names the sweep's exit code: 2, since rows this close to a boundary miss the
+residual gate), the
 ``hopcav stability`` CSV of the same document (the stability-boundary map:
-the verdicts of the shared gate's eigenvalue fallback, and of the collective
-blocks, within 2 ulp of a block's margin), the
+the verdicts of the shared gate's 8x8 eigenvalue fallback, and of the
+collective blocks, within 2 ulp of a block's margin), the
 ``hopcav sweep`` CSV of ``configs/sweep.json`` in bare mode at 1 omega_m
 over a power axis of 1e-297 mW and 35 mW and delta = (0, 1) (the tiny-drive
 bare sweep: drives whose radiation-pressure shift rounds away at delta = 1,

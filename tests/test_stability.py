@@ -21,7 +21,7 @@ from hopcav.errors import ConfigError, HopcavError
 from hopcav.lyapunov import (CHUNK_POINTS, hurwitz_gate, hurwitz_margins, is_hurwitz,
                              spectral_abscissae)
 from hopcav.params import Detuning, PhysicalParams, derive_coupling, drive_amps
-from hopcav.presets import fig_preset
+from hopcav.presets import PRESET_NAMES, fig_preset
 from hopcav.stability import (
     StabilityReport,
     gate_branches,
@@ -309,22 +309,22 @@ class TestSharedGate:
                                                       half):
         # working points bisected onto a block's margin, and 1 and 2 ulp
         # either side: their scalars lie within the band, so both take the
-        # eigenvalues of their blocks
+        # eigenvalues of their 8x8 drifts
         params, drifts, a = boundary_row(detuning_sign, damping, xi, boundary, half, power=0.075)
         deltas = [a + k * math.ulp(a) for k in range(-2, 3)]
-        with mock.patch.object(stability, "_hurwitz", wraps=stability._hurwitz) as spy:
+        with mock.patch.object(stability, "hurwitz_gate", wraps=hurwitz_gate) as spy:
             reports = stability_map(params, deltas, [xi], detuning_sign)
-        assert spy.call_count == 1
+        assert [call.args[0].shape for call in spy.call_args_list
+                if call.args[0].shape[1:] == (8, 8)] == [(5, 8, 8)]
         config = SweepConfig(dataclasses.replace(params, hop_strength=xi * WM),
                              axes=(AxisSpec("delta", deltas),), detuning_sign=detuning_sign)
         records = run_sweep(config).records
         assert [(r.s1, r.s2, r.hurwitz_full) for r in reports] == [
             (rec.s1, rec.s2, rec.stable) for rec in records]
-        # the full verdicts are those of the eigenvalues of both blocks, and
-        # the collective verdicts hurwitz_gate's on the collective blocks
+        # the full verdicts are hurwitz_gate's on the 8x8 drifts, and the
+        # collective verdicts hurwitz_gate's on the collective blocks
         rows = drifts(deltas)
-        assert [r.hurwitz_full for r in reports] == stability._hurwitz(
-            rows, np.ones(5, dtype=bool), detuning_sign).tolist()
+        assert [r.hurwitz_full for r in reports] == hurwitz_gate(rows)[0].tolist()
         assert [r.hurwitz_reduced for r in reports] == hurwitz_gate(
             collective_drifts(rows, detuning_sign))[0].tolist()
 
@@ -428,7 +428,8 @@ class TestCollectiveRule:
 
 
 class TestBlockGate:
-    """Exchange-symmetric drifts are gated on their two 4x4 exchange blocks."""
+    """The verdicts of exchange-symmetric drifts are those of their two 4x4
+    exchange blocks, and of their 8x8 eigenvalues."""
 
     @settings(max_examples=100, deadline=None)
     @given(points=st.lists(st.tuples(st.floats(-0.5, 2.5), st.floats(0.0, 2.5)),
@@ -466,14 +467,19 @@ class TestBlockGate:
                    np.full(count, xi * WM))
         gate = gate_branches(params, *columns, detuning_sign)
         assert np.array_equal(gate.drifts, drifts(deltas)) and None not in gate.s1
-        # every verdict from the eigenvalues of the two blocks, as the gate
-        # takes them within the band; the gate's own are the same
-        verdicts = stability._hurwitz(gate.drifts, np.ones(count, dtype=bool), detuning_sign)
-        assert gate.verdicts == verdicts.tolist()
+        # every verdict is hurwitz_gate's on the 8x8 drift, within the band
+        # and outside it
         full, absc = hurwitz_gate(gate.drifts)
+        assert gate.verdicts == full.tolist()
+        # the blocks' eigenvalues give the same verdicts, and the same
+        # abscissae within rounding, away from the margin: the data behind
+        # the band
+        pair = spectral_abscissae(exchange_blocks(gate.drifts, detuning_sign)).reshape(2, -1)
+        blocks = pair.max(axis=0)
         margin = hurwitz_margins(gate.drifts)
+        assert np.all(np.abs(blocks - absc) <= self.ROUNDING_BAND * -margin)
         clear = np.abs(absc - margin) > self.ROUNDING_BAND * -margin
-        assert np.array_equal(verdicts[clear], full[clear])
+        assert np.array_equal((blocks < margin)[clear], full[clear])
         # rows clear of the band on both sides of the boundary, and of both
         # verdicts unless the other block is unstable there
         assert clear[1::2].any() and clear[2::2].any()
@@ -522,10 +528,12 @@ class TestBlockGate:
             pytest.fail("no abscissa between the two margins")
         assert report.hurwitz_reduced and not report.hurwitz_full
         # the signs call that row stable: it lies within the band, so the gate
-        # took the eigenvalues of its blocks
-        with mock.patch.object(stability, "_hurwitz", wraps=stability._hurwitz) as spy:
+        # took the eigenvalues of its 8x8 drift, and the collective verdict
+        # those of its block
+        with mock.patch.object(stability, "hurwitz_gate", wraps=hurwitz_gate) as spy:
             assert stability_point(params, delta, 0.5) == report
-        assert spy.call_count == 1
+        assert sorted(call.args[0].shape for call in spy.call_args_list) == [(1, 4, 4),
+                                                                            (1, 8, 8)]
 
     def test_mixed_stack_gates_each_row_as_its_batch_of_one(self):
         params = make_params(power=0.075)
@@ -640,15 +648,25 @@ class TestBlockTable:
         eigvals = np.linalg.eigvals
         monkeypatch.setattr(np.linalg, "eigvals",
                             lambda a: shapes.append(np.shape(a)) or eigvals(a))
-        with mock.patch.object(stability, "_hurwitz", wraps=stability._hurwitz) as spy:
-            reports = stability_map(params, grid, grid)
+        reports = stability_map(params, grid, grid)
         count = len(reports)
         assert count == 441 > CHUNK_POINTS and distinct < count
-        # each distinct collective block once, and both blocks of each row that
-        # the signs do not decide
-        band = sum(len(call.args[0]) for call in spy.call_args_list)
+        # each distinct collective block once; the signs decide every row
         assert all(shape[1:] == (4, 4) for shape in shapes)
-        assert sum(shape[0] for shape in shapes) == distinct + 2 * band < count
+        assert sum(shape[0] for shape in shapes) == distinct
+        # working points bisected onto a block's margin, and 1 and 2 ulp
+        # either side, all five within the band: each distinct collective
+        # block once, and each row's 8x8 drift once
+        for detuning_sign in DETUNING_SIGNS:
+            params, drifts, a = boundary_row(detuning_sign, -3.0, 0.5, "s1", 1, power=0.075)
+            deltas = [a + k * math.ulp(a) for k in range(-2, 3)]
+            distinct = len({block.tobytes()
+                            for block in collective_drifts(drifts(deltas), detuning_sign)})
+            shapes.clear()
+            assert len(stability_map(params, deltas, [0.5], detuning_sign)) == 5
+            assert sum(shape[0] for shape in shapes if shape[1:] == (4, 4)) == distinct
+            assert sum(shape[0] for shape in shapes if shape[1:] == (8, 8)) == 5
+            assert all(shape[1:] in ((4, 4), (8, 8)) for shape in shapes)
 
     def test_failed_blocks_stay_out_of_the_table(self):
         # 1e300 W overflows the drive amplitude: its block cannot be gated, so
@@ -674,7 +692,7 @@ class TestBlockTable:
 class TestClosedFormGate:
     """A sweep's gate decides an exchange-symmetric row from the signs of s1
     and s2 at delta + xi and at delta - xi, and takes the eigenvalues of its
-    blocks where a scalar lies within the band of 0."""
+    8x8 drift where a scalar lies within the band of 0."""
 
     @settings(max_examples=150, deadline=None)
     @given(**BOUNDARY_ROWS)
@@ -689,24 +707,23 @@ class TestClosedFormGate:
                     for sgn in (-1, 1)),
                   a - 0.05 * root, a + 0.05 * root]
         columns = np.full((7, 2), 2.0 * WM), -np.outer(deltas, (WM, WM)), np.full(7, xi * WM)
-        with mock.patch.object(stability, "_hurwitz", wraps=stability._hurwitz) as spy:
+        with mock.patch.object(stability, "hurwitz_gate", wraps=hurwitz_gate) as spy:
             gate = gate_branches(params, *columns, detuning_sign)
         assert np.array_equal(gate.drifts, drifts(deltas))
         # the five rows at the boundary lie within the band and take the
-        # eigenvalues of their blocks; of the two rows 5% of d' away, at least
-        # one is decided by the signs (the other block may sit near a root)
+        # eigenvalues of their 8x8 drifts; of the two rows 5% of d' away, at
+        # least one is decided by the signs (the other block may sit near a
+        # root)
         assert spy.call_count == 1
         routed = spy.call_args.args[0]
         assert np.array_equal(routed[:5], gate.drifts[:5])
         decided = [j for j in (5, 6)
                    if not any(np.array_equal(gate.drifts[j], r) for r in routed[5:])]
         assert decided
-        # every row has the verdict of the eigenvalues of its two blocks, and
-        # a row decided by the signs that of hurwitz_gate on its 8x8 drift,
-        # with the signs at delta + xi that of hurwitz_gate on its collective
-        # block
-        assert gate.verdicts == stability._hurwitz(gate.drifts, np.ones(7, dtype=bool),
-                                                   detuning_sign).tolist()
+        # every row has the verdict of hurwitz_gate on its 8x8 drift, and a
+        # row decided by the signs has, at delta + xi, that of hurwitz_gate on
+        # its collective block
+        assert gate.verdicts == hurwitz_gate(gate.drifts)[0].tolist()
         assert list(zip(gate.s1, gate.s2)) == [tuple(float(x) for x in routh_hurwitz_reduced(
             WM, params.mech_damping[0], params.cavity_decay[0], 2.0 * WM, s * (d * WM + xi * WM)))
             for d in deltas]
@@ -714,3 +731,10 @@ class TestClosedFormGate:
         block = hurwitz_gate(collective_drifts(gate.drifts, detuning_sign))[0]
         for j in decided:
             assert (gate.verdicts[j], gate.s1[j] > 0.0 and gate.s2[j] > 0.0) == (full[j], block[j])
+
+    def test_no_preset_row_falls_in_the_band(self):
+        # the signs decide every row of every figure preset's grid
+        with mock.patch.object(stability, "hurwitz_gate", wraps=hurwitz_gate) as spy:
+            for name in PRESET_NAMES:
+                assert run_sweep(fig_preset(name)).records
+        assert spy.call_count == 0
