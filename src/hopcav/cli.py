@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 from dataclasses import replace
@@ -21,15 +22,17 @@ from pathlib import Path
 from . import __version__
 from .config import load_config, validate_config
 from .dynamics import QUADRATURE_LABELS
-from .engine import csv_lines, csv_text, misses_residual_gate, run_point, run_sweep
+from .engine import csv_text, misses_residual_gate, run_point, run_sweep
 from .errors import ConfigError, HopcavError, UnknownPresetError
 from .presets import PRESET_NAMES, fig_preset
-from .stability import StabilityReport, stability_map
+from .stability import MapColumns, StabilityReport, map_columns
 
 # bound for the span tracer of the benchmark (perfbench/spans.py PATCHES);
-# ``point`` takes its matrices from the run_point result instead
+# ``point`` takes its matrices from the run_point result instead, and
+# ``stability`` writes its CSV from the map's columns
 from .dynamics import build_diffusion, figure_drift  # noqa: F401
 from .lyapunov import solve_lyapunov  # noqa: F401
+from .stability import stability_map  # noqa: F401
 from .steady_state import solve_fixed_detuning, solve_self_consistent  # noqa: F401
 
 EXIT_OK = 0
@@ -38,6 +41,10 @@ EXIT_NUMERICAL = 2
 EXIT_UNKNOWN_PRESET = 3
 
 STABILITY_COLUMNS = StabilityReport._fields
+# the cells of a stability row after s2 (hurwitz_reduced, hurwitz_full,
+# agree), by their values
+_VERDICT_CELLS = {flags: "".join(",true" if flag else ",false" for flag in flags) + "\n"
+                  for flags in itertools.product((False, True), repeat=3)}
 _FLOATS = frozenset({float})
 _STRINGS = frozenset({str})
 
@@ -200,18 +207,40 @@ def _cmd_fig(args) -> int:
     return code
 
 
+def stability_csv(columns: MapColumns) -> str:
+    """The CSV lines of a stability map, from its columns: the text of
+    ``csv_lines`` of its reports, byte for byte.
+
+    Each axis value is formatted once, and each pattern of verdicts spelled
+    once; one ``%`` renders the whole map, its s1 and s2 cells with 12
+    significant digits (+-inf as inf and -inf).  A NaN cell reads 'nan',
+    which no other cell can contain, and is then made empty.
+    """
+    count = len(columns.s1)
+    cells = [None] * (5 * count)  # per point: delta, xi, s1, s2, verdicts
+    cells[0::5], cells[1::5] = columns.per_point(["%.12g," % delta for delta in columns.delta],
+                                                 ["%.12g," % xi for xi in columns.xi])
+    cells[2::5] = columns.s1
+    cells[3::5] = columns.s2
+    cells[4::5] = map(_VERDICT_CELLS.__getitem__,
+                      zip(columns.hurwitz_reduced, columns.hurwitz_full, columns.agree))
+    text = ("%s%s%.12g,%.12g%s" * count) % tuple(cells)
+    return text.replace("nan", "") if "nan" in text else text
+
+
 def _cmd_stability(args) -> int:
     config = load_config(args.config)
     axes = {a.name: a.values for a in config.axes}
     if set(axes) != {"delta", "xi"}:
         raise ConfigError("the stability command needs exactly the axes 'delta' and 'xi'")
-    reports = stability_map(
+    columns = map_columns(
         config.params, axes["delta"], axes["xi"], detuning_sign=config.detuning_sign
     )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    both = sum(1 for r in reports if r.s1 > 0 and r.s2 > 0)
-    disagreements = sum(1 for r in reports if not r.agree)
+    count = len(columns.agree)
+    both = sum(s1 > 0.0 and s2 > 0.0 for s1, s2 in zip(columns.s1, columns.s2))
+    disagreements = columns.agree.count(False)
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
         for line in _header(config):
             fh.write(f"# {line}\n")
@@ -219,11 +248,11 @@ def _cmd_stability(args) -> int:
         modified = "delta + xi" if config.detuning_sign == "positive" else "-(delta + xi)"
         fh.write("# axes quote the detuning positive on the cooling side; the "
                  f"collective conditions use the modified detuning {modified}\n")
-        fh.write(f"# both-conditions region: {both} of {len(reports)} points; "
+        fh.write(f"# both-conditions region: {both} of {count} points; "
                  f"sign/eigenvalue disagreements: {disagreements}\n")
         fh.write(",".join(STABILITY_COLUMNS) + "\n")
-        fh.writelines(csv_lines(reports))
-    print(f"wrote {len(reports)} stability reports to {out}")
+        fh.write(stability_csv(columns))
+    print(f"wrote {count} stability reports to {out}")
     return EXIT_OK
 
 

@@ -18,9 +18,12 @@ default branch.  The per-point objects (:class:`SteadyState`,
 :class:`PointResult`) are built only where a caller reads them:
 ``run_point`` (and so ``hopcav point``).
 
-Records become CSV lines through :func:`csv_lines`, which also writes the
-stability map's rows: one ``%`` template per pattern of cells renders a whole
-row, and only a line that reads 'nan' is rendered again.
+Records become CSV lines through :func:`csv_lines`, which also writes any
+rows of cells a library caller passes (a stability map's reports among
+them): one ``%`` template per pattern of cells renders a whole row, and only
+a line that reads 'nan' is rendered again.  ``hopcav stability`` writes its
+map from the map's columns instead (:func:`hopcav.cli.stability_csv`), with
+the same bytes.
 
 The work that does not depend on the point runs once per sweep: the base
 parameters' couplings and inputs and, when the sweep starts, each axis

@@ -13,7 +13,7 @@ exchange blocks from the signs of their Routh-Hurwitz scalars, and takes
 :func:`hurwitz_gate` on the 8x8 drift where a scalar is too close to 0 for
 its sign to match it, and on every other drift; a stability map adds the
 verdict of :func:`hurwitz_gate` on each distinct collective block, one
-stacked call per chunk.
+stacked call per map.
 """
 
 from __future__ import annotations
@@ -62,9 +62,13 @@ def spectral_abscissae(a: np.ndarray) -> np.ndarray:
     return np.maximum.reduce(ev.real, axis=-1)
 
 
+@np.errstate(over="ignore")
 def hurwitz_margins(a: np.ndarray) -> np.ndarray:
     """The bound each matrix of a stack must keep its spectral abscissa below
-    to pass the Hurwitz gate: minus ``ABSCISSA_RTOL`` times its Frobenius norm."""
+    to pass the Hurwitz gate: minus ``ABSCISSA_RTOL`` times its Frobenius norm.
+
+    A norm whose sum of squares overflows (entries past about 1e154) is inf,
+    so its margin is -inf, which no spectral abscissa is below."""
     return -ABSCISSA_RTOL * _frobenius_norms(a)
 
 

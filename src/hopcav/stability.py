@@ -31,14 +31,19 @@ and for every drift without a collective model, the gate takes
 route, so every verdict is that of ``is_hurwitz``.  A stability map, which
 exists to compare the sign conditions with eigenvalue tests, takes its full
 verdicts and scalars from that gate and adds the eigenvalue verdict of each
-point's collective block.  That block depends on delta + xi alone, so it
-recurs across a grid's rows and chunks, and the map takes the eigenvalues of
-each distinct one once, in one call per chunk, from a table that its chunks
-share (:func:`_collective_verdicts`).
+point's collective block.  The map is one columnar pass
+(:func:`map_columns`): working points factored by axis, the gate on chunks
+of its points, and one table of the collective blocks per map.  A block
+depends on delta + xi alone, so it recurs across a grid's rows, and the map
+takes the eigenvalues of each distinct one once, in one call
+(:func:`_collective_verdicts`).  The ``hopcav stability`` CSV is written from
+these columns (:func:`hopcav.cli.stability_csv`); :func:`stability_map`
+gives a library caller the map's rows.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import NamedTuple
 
@@ -49,7 +54,6 @@ from .errors import ConfigError, HopcavError
 from .lyapunov import CHUNK_POINTS, hurwitz_gate, hurwitz_margins
 from .params import (PhysicalParams, checked_detuning, checked_hop_strength, derive_coupling,
                      drive_amps)
-from .steady_state import _closed_form_amps
 
 # bound for the span tracer of the benchmark (perfbench/spans.py PATCHES);
 # the map assembles its working points and drifts as batches instead
@@ -143,9 +147,10 @@ def gate_branches(params: PhysicalParams, coupling, detuning, hops, detuning_sig
     model of the branches that have one, and the errors.
 
     ``params`` gives the cavities' rates; the columns ``coupling`` (G_j) and
-    ``detuning`` (Langevin convention, rad/s), shape (B, 2), and ``hops``
-    (rad/s) hold one working point and hopping strength per branch.  A branch
-    has a collective model exactly when its drift is exchange-symmetric: equal
+    ``detuning`` (Langevin convention, rad/s), shape (B, 2) or, for pairs of
+    equal values, (B, 1), and ``hops`` (rad/s) hold one working point and
+    hopping strength per branch.  A branch has a collective model exactly
+    when its drift is exchange-symmetric: equal
     mechanical frequencies, dampings and decay rates, G_1 == G_2 and
     Delta_1 == Delta_2.  Such a drift is decided in closed form, from one
     scalar computation over both of its exchange blocks: it is Hurwitz when
@@ -174,11 +179,11 @@ def gate_branches(params: PhysicalParams, coupling, detuning, hops, detuning_sig
     shifts = np.array([hops, -hops])
     modified = shifts - detuning[:, 0] if detuning_sign == "positive" else detuning[:, 0] - shifts
     omega_m, gamma_m, kappa = params.mech_freq[0], params.mech_damping[0], params.cavity_decay[0]
+    band = hurwitz_margins(drifts) * -(BAND_MARGINS * (1.0 / min(gamma_m, kappa)
+                                                       + gamma_m / (omega_m * omega_m)))
     # a working point can overflow the scalars, or hold NaN; such a row is not
     # decided by them
     with np.errstate(over="ignore", invalid="ignore"):
-        band = hurwitz_margins(drifts) * -(BAND_MARGINS * (1.0 / min(gamma_m, kappa)
-                                                           + gamma_m / (omega_m * omega_m)))
         cavity, pulled, damped, pushed = _routh_hurwitz_terms(omega_m, gamma_m, kappa,
                                                               coupling[:, 0], modified)
         # (s1, s2) by block, each a positive term plus a signed one, against
@@ -215,12 +220,12 @@ def _collective_verdicts(blocks: np.ndarray, known: dict) -> list:
 
     ``known`` maps the bytes of a collective block to its verdict; one
     stacked eigenvalue call takes the blocks it does not hold, each once, and
-    it then holds theirs too.  A stability map passes one table to all of
-    its chunks: a point's collective block is the collective model at
-    delta + xi, whose coupling G and modified detuning both follow
-    delta + xi, so on a grid of equal delta and xi steps it repeats along
-    every line of constant delta + xi, across rows and chunks (1 223
-    distinct blocks in the 10 201 points of the fig5 map).  The key is the
+    it then holds theirs too.  A stability map passes the blocks of all of
+    its points with an empty table: a point's collective block is the
+    collective model at delta + xi, whose coupling G and modified detuning
+    both follow delta + xi, so on a grid of equal delta and xi steps it
+    repeats along every line of constant delta + xi (1 223 distinct blocks
+    in the 10 201 points of the fig5 map).  The key is the
     block itself, -0.0 included, and a stacked call gives each matrix the
     eigenvalues of its own call, so a block found in the table gets the
     verdict its eigenvalues would give, bit for bit.  A call that raises
@@ -236,35 +241,104 @@ def _collective_verdicts(blocks: np.ndarray, known: dict) -> list:
     return [known[key] for key in keys]
 
 
+class MapColumns(NamedTuple):
+    """A stability map as columns: its two axes (omega_m units), and the
+    cells of :class:`StabilityReport` after them with one entry per point, in
+    row-major grid order (delta the slow axis)."""
+
+    delta: list
+    xi: list
+    s1: list
+    s2: list
+    hurwitz_reduced: list
+    hurwitz_full: list
+    agree: list
+
+    def per_point(self, by_delta: list, by_xi: list) -> tuple[list, list]:
+        """Items of the map's delta and xi values (``by_delta``, ``by_xi``, in
+        axis order) as two columns of one entry per point."""
+        return [item for item in by_delta for _ in self.xi], by_xi * len(self.delta)
+
+    def reports(self) -> list[StabilityReport]:
+        """The map's rows, one :class:`StabilityReport` per point, each one
+        ``tuple.__new__`` over one ``zip`` of the columns."""
+        return list(map(tuple.__new__, itertools.repeat(StabilityReport),
+                        zip(*self.per_point(self.delta, self.xi), *self[2:])))
+
+
 def stability_point(params: PhysicalParams, delta: float, xi: float,
                     detuning_sign: str = "positive") -> StabilityReport:
     """Evaluate both stability routes at one (delta, xi) point given in
-    omega_m units, as a batch of one point."""
-    (lang,), (hop,) = _checked_axes(params, (delta,), (xi,))
-    return _reports(params, [(delta, xi, lang, hop)], detuning_sign, {})[0]
+    omega_m units: the 1 x 1 map, whose columns hold one cell each."""
+    return StabilityReport._make([column[0] for column in
+                                  map_columns(params, (delta,), (xi,), detuning_sign)])
 
 
 def stability_map(params: PhysicalParams, delta_values, xi_values,
                   detuning_sign: str = "positive") -> list[StabilityReport]:
-    """Rectangular stability map over (delta, xi) grids in omega_m units.
+    """Rectangular stability map over (delta, xi) grids in omega_m units, one
+    report per point in row-major grid order; see :func:`map_columns`."""
+    return map_columns(params, delta_values, xi_values, detuning_sign).reports()
 
-    Points are evaluated in chunks of ``CHUNK_POINTS`` and returned in
-    row-major grid order; unstable points are data, not errors.  The chunks
-    share one table of the collective blocks' verdicts, so each distinct
-    block's eigenvalues are taken once (see :func:`_collective_verdicts`).
-    Cavities that are not identical, or bare detunings, raise
-    :class:`ConfigError`; a point that cannot be evaluated raises its own
-    error.
+
+def map_columns(params: PhysicalParams, delta_values, xi_values,
+                detuning_sign: str = "positive") -> MapColumns:
+    """Rectangular stability map over (delta, xi) grids in omega_m units, as
+    columns.
+
+    The whole map is one columnar pass: the closed-form working points
+    factored by axis, the gate (:func:`gate_branches`) on chunks of
+    ``CHUNK_POINTS`` points, which bounds the memory of its drifts, and one
+    table of the collective blocks' verdicts, so each distinct block's
+    eigenvalues are taken once (see :func:`_collective_verdicts`).  Unstable
+    points are data, not errors.  Cavities that are not identical, or bare
+    detunings, raise :class:`ConfigError`; a point that cannot be evaluated
+    raises its own error.
     """
     deltas, xis = [float(d) for d in delta_values], [float(x) for x in xi_values]
     langs, hops = _checked_axes(params, deltas, xis)
-    points = [(d, x, lang, h) for d, lang in zip(deltas, langs) for x, h in zip(xis, hops)]
-    known = {}
-    return [
-        report
-        for start in range(0, len(points), CHUNK_POINTS)
-        for report in _reports(params, points[start:start + CHUNK_POINTS], detuning_sign, known)
-    ]
+    # the working points' couplings G_j = sqrt(2) g_j |a_j| that the gate
+    # reads; identical cavities (_checked_axes) have equal decay rates, drives
+    # and detunings, so a_2 is a_1 bit for bit and G_2 is G_1: the columns
+    # hold one value of each pair, which the gate broadcasts
+    amps = np.array(_grid_amps(params.cavity_decay[0], *drive_amps(params), langs, hops))
+    coupling = np.hypot(amps.real, amps.imag) * (math.sqrt(2.0) * derive_coupling(params, 1))
+    coupling, detuning = coupling[:, None], np.array(langs).repeat(len(xis))[:, None]
+    hops = np.array(hops * len(deltas))
+    s1, s2, full = [], [], []
+    blocks = np.empty((len(hops), 4, 4))
+    for start in range(0, len(hops), CHUNK_POINTS):
+        rows = slice(start, start + CHUNK_POINTS)
+        gate = gate_branches(params, coupling[rows], detuning[rows], hops[rows], detuning_sign)
+        for error in gate.errors:
+            if error is not None:
+                raise error
+        s1 += gate.s1
+        s2 += gate.s2
+        full += gate.verdicts
+        blocks[rows] = collective_drifts(gate.drifts, detuning_sign)
+    reduced = _collective_verdicts(blocks, {})
+    # a zip of Python floats: cheaper than their arrays' comparisons on a map
+    # of any size
+    agree = [(a > 0.0 and b > 0.0) == red for a, b, red in zip(s1, s2, reduced)]
+    return MapColumns(deltas, xis, s1, s2, reduced, full, agree)
+
+
+def _grid_amps(kappa: float, e1: float, e2: float, langs, hops) -> list[complex]:
+    """The closed-form amplitude a_1 of identical cavities
+    (:func:`hopcav.steady_state._closed_form_amps` with equal decay rates
+    ``kappa`` and equal detunings) at every point of a grid of Langevin
+    detunings ``langs`` and hopping strengths ``hops`` (rad/s), row-major.
+
+    On the grid, alpha = kappa + i Delta and its products follow Delta alone,
+    and xi^2 and i xi E_2 follow xi alone, so each axis value's factors are
+    taken once, and a point takes (alpha E_1 + i xi E_2) / (alpha^2 + xi^2):
+    the closed form's operations on the same operands, so the same bits.
+    """
+    by_delta = [(alpha * e1, alpha * alpha) for alpha in [complex(kappa, lang) for lang in langs]]
+    by_xi = [(1j * hop * e2, hop * hop) for hop in hops]
+    return [(drive + hopped) / (square + hop2)
+            for drive, square in by_delta for hopped, hop2 in by_xi]
 
 
 def _checked_axes(params: PhysicalParams, delta_values,
@@ -281,30 +355,3 @@ def _checked_axes(params: PhysicalParams, delta_values,
     # the Langevin solver runs with the opposite-signed detunings
     return ([-checked_detuning((delta * omega_m,) * 2)[0] for delta in delta_values],
             [checked_hop_strength(xi * omega_m) for xi in xi_values])
-
-
-def _reports(params: PhysicalParams, points, detuning_sign: str,
-             known: dict) -> list[StabilityReport]:
-    """Working points of a batch of checked (delta, xi, Langevin detuning,
-    hopping strength) points and their reports, all read off the shared gate
-    with the map's table of collective blocks ``known``."""
-    # the columns of the closed-form working points (fixed_detuning_points)
-    # that the gate reads: G_j = sqrt(2) g_j |a_j|, equal g_j in the
-    # identical cavities
-    e1, e2 = drive_amps(params)
-    kappa = params.cavity_decay
-    amps = np.array([_closed_form_amps(kappa, hop, e1, e2, lang, lang)[:2]
-                     for _, _, lang, hop in points])
-    coupling = np.hypot(amps.real, amps.imag) * (math.sqrt(2.0) * derive_coupling(params, 1))
-    # (Langevin detunings of both cavities, hopping strength) by point
-    columns = np.array([(lang, lang, hop) for _, _, lang, hop in points])
-    gate = gate_branches(params, coupling, columns[:, :2], columns[:, 2], detuning_sign)
-    for error in gate.errors:
-        if error is not None:
-            raise error
-    reduced = _collective_verdicts(collective_drifts(gate.drifts, detuning_sign), known)
-    return [
-        StabilityReport(delta, xi, s1, s2, red, ful, (s1 > 0.0 and s2 > 0.0) == red)
-        for (delta, xi, *_), s1, s2, red, ful
-        in zip(points, gate.s1, gate.s2, reduced, gate.verdicts)
-    ]

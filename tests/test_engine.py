@@ -26,13 +26,14 @@ from hopcav.engine import (
     run_point,
     run_sweep,
 )
+from hopcav.cli import stability_csv
 from hopcav.config import parse_config
 from hopcav.errors import ConfigError
 from hopcav.lyapunov import RESIDUAL_GATE
 from hopcav.measures import symplectic_eigenvalues
 from hopcav.params import Detuning, PhysicalParams
 from hopcav.presets import fig_preset
-from hopcav.stability import StabilityReport
+from hopcav.stability import MapColumns, StabilityReport
 
 TWO_PI = 2.0 * math.pi
 WM = TWO_PI * 1e7
@@ -680,6 +681,31 @@ class TestCsv:
         stability = [StabilityReport(*row) for row in stability]
         assert csv_lines(sweep) == [oracle_line(row) for row in sweep]
         assert csv_lines(stability) == [oracle_line(row) for row in stability]
+
+
+@st.composite
+def map_tables(draw):
+    """The columns of a stability map: finite delta and xi axes, and s1, s2
+    and verdict columns of one entry per point."""
+    axis = st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1e-300, -2.5e-310, 1e300, 1 / 3]),
+                              st.floats(allow_nan=False, allow_infinity=False)),
+                    min_size=1, max_size=4)
+    deltas, xis = draw(axis), draw(axis)
+    count = len(deltas) * len(xis)
+    cells = [st.lists(FLOAT_CELLS, min_size=count, max_size=count)] * 2 + [
+        st.lists(st.booleans(), min_size=count, max_size=count)] * 3
+    return MapColumns(deltas, xis, *(draw(column) for column in cells))
+
+
+@settings(max_examples=100, deadline=None)
+@given(columns=map_tables())
+def test_stability_writer_matches_the_row_formatter(columns):
+    # the CLI's columnar writer gives the lines csv_lines gives the map's
+    # reports, NaN empty and +-inf spelled out, and so the per-cell oracle's
+    reports = columns.reports()
+    assert len(reports) == len(columns.delta) * len(columns.xi)
+    assert stability_csv(columns) == "".join(csv_lines(reports))
+    assert stability_csv(columns) == "".join(oracle_line(row) for row in reports)
 
 
 class TestValidation:

@@ -18,10 +18,13 @@ from hopcav.cli import main
 from hopcav.engine import AxisSpec, csv_text, grid_points, run_point, run_sweep
 from hopcav.lyapunov import RESIDUAL_GATE
 from hopcav.presets import PRESET_NAMES, fig_preset
+from hopcav import stability
 from hopcav.stability import stability_map
 
 # the benchmark's modules, from perfbench/ on the test path (pyproject.toml)
 import check
+import inputs
+import workloads
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 # the golden preset rows also carry their grid point's row-major index
@@ -107,6 +110,22 @@ def test_stability_map_matches_golden():
     assert len(golden) == len(reports)
     problems = differences(got, golden, "fig5-stability")
     assert problems == [], problems[:5]
+
+
+def test_stability_cli_matches_the_benchmark_reference_bytes(tmp_path, monkeypatch):
+    # the benchmark's fig5 map, written by ``hopcav stability`` from the map's
+    # columns: its rows are the benchmark's reference table byte for byte,
+    # and no per-point report is built on the way
+    def no_reports(self):
+        raise AssertionError("the CLI built the map's reports")
+
+    monkeypatch.setattr(stability.MapColumns, "reports", no_reports)
+    paths = inputs.write_configs(inputs.grid_configs("stability", 0), tmp_path)
+    out = tmp_path / "fig5.csv"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["stability", "--config", str(paths["fig5"]), "--out", str(out)]) == 0
+    reference = gzip.decompress((workloads.REFERENCE_DIR / "fig5.csv.gz").read_bytes())
+    assert workloads.data_text(out.read_text(encoding="utf-8")) == reference.decode("utf-8")
 
 
 def test_point_json_matches_golden():

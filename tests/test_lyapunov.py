@@ -260,6 +260,16 @@ class TestStackedKernels:
         norms = np.array([np.linalg.norm(m) for m in a])
         assert np.allclose(hurwitz_margins(a), -ABSCISSA_RTOL * norms, rtol=1e-15, atol=0.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_norm_gives_an_infinite_margin(self):
+        # squares past the largest float: the norm is inf, with no warning,
+        # so no abscissa is below the margin
+        a = np.stack([-np.eye(4), -np.eye(4)])
+        a[1, 0, 0] = -1e200
+        margins = hurwitz_margins(a)
+        assert margins[0] == -ABSCISSA_RTOL * 2.0 and margins[1] == -math.inf
+        assert hurwitz_gate(a)[0].tolist() == [True, False]
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_solver_failure_is_a_hopcav_error(self, bad):
         a = np.stack([-np.eye(4), -np.eye(4)])

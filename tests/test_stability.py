@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopcav import stability
+from hopcav import stability, steady_state
 from hopcav.dynamics import (
     DETUNING_SIGNS,
     build_reduced,
@@ -228,6 +228,22 @@ class TestStabilityMap:
     def test_negative_hopping_is_rejected(self):
         with pytest.raises(ConfigError, match="hop_strength must be nonnegative"):
             stability_map(make_params(), [0.5, 1.0], [0.5, -0.5])
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_drift_norms_warn_nothing(self):
+        # at delta = 1e150 omega_m the drift's entries pass 1e154, so the sum
+        # of squares of its Frobenius norm overflows: its margin is -inf, so
+        # neither its drift nor its collective block passes the eigenvalue
+        # gate, while the infinite scalars are positive
+        params = fig_preset("fig5").params
+        far = StabilityReport(1e150, 0.5, math.inf, math.inf, False, False, False)
+        assert stability_point(params, 1e150, 0.5) == far
+        near = stability_point(params, 0.5, 0.5)
+        assert near.hurwitz_full and near.agree
+        assert stability_map(params, [0.5, 1e150], [0.5]) == [near, far]
+        (record,) = run_point(fig_preset("fig6b"), {"delta": 1e150, "xi": 0.5}).records
+        assert (record.stable, record.s1, record.s2, record.error) == (False, math.inf,
+                                                                      math.inf, "")
 
 
 # draws of a row at a stability boundary of the collective model, as
@@ -582,8 +598,9 @@ def points_of(params, deltas, xis, detuning_sign):
 
 
 class TestBlockTable:
-    """A map takes each distinct collective block's eigenvalues once, from a
-    table that its chunks share, and its reports are those of its points."""
+    """A map takes each distinct collective block's eigenvalues once, from
+    one table over all of its chunks, and its reports are those of its
+    points."""
 
     @settings(max_examples=8, deadline=None)
     @given(start=st.integers(-48, 96), xi_start=st.integers(0, 64), step=st.integers(1, 6),
@@ -687,6 +704,48 @@ class TestBlockTable:
         assert stability._collective_verdicts(blocks[:1], known) == want
         # the table's entry is the block's own verdict
         assert list(known.items()) == [(blocks[0].tobytes(), want[0])]
+
+
+# finite axis values in rad/s, of both signs and of tiny and huge magnitudes
+RAD_S_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e-300, -1e300, 1e300, 1.7976931348623157e308,
+                     WM, -0.5 * WM]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+class TestColumns:
+    """A map is evaluated as columns; its amplitudes are the closed form's,
+    factored by axis, and its reports are those of its points."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(langs=st.lists(RAD_S_VALUES, min_size=1, max_size=5),
+           hops=st.lists(RAD_S_VALUES, min_size=1, max_size=5), power=st.floats(0.0, 0.1))
+    def test_factored_amplitudes_are_the_closed_form(self, langs, hops, power):
+        params = make_params(power=power)
+        e1, e2 = drive_amps(params)
+        got = stability._grid_amps(params.cavity_decay[0], e1, e2, langs, hops)
+        want = [steady_state._closed_form_amps(params.cavity_decay, hop, e1, e2, lang, lang)[:2]
+                for lang in langs for hop in hops]
+
+        def bits(z):
+            return z.real.hex(), z.imag.hex()
+
+        assert [bits(z) for z in got] == [bits(a1) for a1, _ in want]
+        # identical cavities: a_2 is a_1, bit for bit
+        assert [bits(a2) for _, a2 in want] == [bits(a1) for a1, _ in want]
+
+    @settings(max_examples=25, deadline=None)
+    @given(deltas=st.lists(st.one_of(st.just(-0.0), st.floats(-3.0, 3.0)), min_size=1,
+                           max_size=5),
+           xis=st.lists(st.one_of(st.just(-0.0), st.floats(0.0, 3.0)), min_size=1, max_size=5),
+           power=st.floats(0.010, 0.080), detuning_sign=st.sampled_from(DETUNING_SIGNS))
+    def test_map_is_its_points(self, deltas, xis, power, detuning_sign):
+        params = make_params(power=power)
+        columns = stability.map_columns(params, deltas, xis, detuning_sign)
+        reports = stability_map(params, deltas, xis, detuning_sign)
+        assert reports == columns.reports() == points_of(params, deltas, xis, detuning_sign)
+        assert [r.xi for r in reports] == xis * len(deltas)
 
 
 class TestClosedFormGate:
