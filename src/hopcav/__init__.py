@@ -21,6 +21,7 @@ from .engine import (
     SweepResult,
     run_point,
     run_sweep,
+    sweep_batches,
     write_csv,
 )
 from .errors import (

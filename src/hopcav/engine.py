@@ -14,9 +14,8 @@ as NumPy columns with one row per branch, from the axis tables to the
 records.  A record is a named tuple of its CSV cells, built with one
 ``tuple.__new__`` per branch row over one ``zip`` of the columns; only a
 chunk with several branches at a point groups its rows, to keep each point's
-default branch.  The per-point objects (:class:`SteadyState`,
-:class:`PointResult`) are built only where a caller reads them:
-``run_point`` (and so ``hopcav point``).
+default branch.  Only ``run_point`` (and so ``hopcav point``) builds the
+per-point objects (:class:`SteadyState`, :class:`PointResult`).
 
 Records become CSV lines through :func:`csv_lines`, which also writes any
 rows of cells a library caller passes (a stability map's reports among
@@ -41,7 +40,8 @@ and keeps the batch's candidates in one table, by point, whose starting
 values convert to extended precision at once.
 
 ``run_sweep`` evaluates the grid in chunks of at most ``CHUNK_POINTS`` points,
-which bounds the memory of the batch arrays, and ``run_point`` is a batch of
+which bounds the memory of the batch arrays; :func:`sweep_batches` yields the
+same chunks' records with their covariances, and ``run_point`` is a batch of
 one.  Every stacked LAPACK call returns, matrix by matrix, what the call on
 one matrix returns, so a point's record does not depend on its batch.
 
@@ -65,7 +65,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from types import NoneType
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -386,15 +386,19 @@ _UNMEASURED = (None,) * (len(MEASURES) + 1)
 
 class _Batch(NamedTuple):
     """A batch of grid points evaluated as columns, one row per branch, up to
-    the records; what ``run_point`` reports besides a point's records is read
-    from here."""
+    the records, and what ``run_point`` and ``sweep_batches`` read besides."""
 
     records: list       # the emitted records in grid order, a point's branch rows adjacent
     rows: Sequence      # per emitted record: its branch row, or None for a point that failed
-    inputs: np.ndarray  # per branch row: its point's inputs
-    steady: Callable[[int], SteadyState]           # the working point of a branch row
+    steady: Callable[[int], SteadyState]  # the working point of a branch row
     gate: Gate
-    covariance: Callable[[int], np.ndarray | None]  # of a measured branch row, else None
+    w: np.ndarray       # the stationary covariances of the branch rows solved
+    solved: np.ndarray  # per branch row: its index in w, or -1 if unstable or failed
+
+    def covariances(self) -> list:
+        """Per emitted record: its stationary covariance, or None (see ``solved``)."""
+        return [None if j is None or self.solved[j] < 0 else self.w[self.solved[j]]
+                for j in self.rows]
 
 
 def _evaluate(sweep: _Sweep, start: int, stop: int) -> _Batch:
@@ -438,8 +442,10 @@ def _evaluate(sweep: _Sweep, start: int, stop: int) -> _Batch:
     # measures fail keeps its residual, which tells a failed solve from a
     # measure of a good one
     measured = [_UNMEASURED] * len(owners)
+    w, solved = np.empty((0, 8, 8)), np.full(len(owners), -1)
     if solve:
         w, residuals = lyapunov_stack(gate.drifts.take(solve, axis=0), np.array(diffusions))
+        solved[solve] = np.arange(len(solve))
         measures = pair_measures(w)
         for j, row, error in zip(solve, zip(*measures.columns, residuals.tolist()),
                                  measures.errors):
@@ -448,9 +454,7 @@ def _evaluate(sweep: _Sweep, start: int, stop: int) -> _Batch:
             else:
                 measured[j] = (*_UNMEASURED[:-1], row[-1])
                 errors[j] = error
-
-    def covariance(j: int) -> np.ndarray | None:
-        return None if errors[j] is not None or measured[j] is _UNMEASURED else w[solve.index(j)]
+                solved[j] = -1
 
     # one record per branch row, straight from the columns
     records = list(map(tuple.__new__, itertools.repeat(ResultRecord), zip(
@@ -472,16 +476,12 @@ def _evaluate(sweep: _Sweep, start: int, stop: int) -> _Batch:
         emitted = [failed[k] if j is None else records[j] for k, j in order]
     else:
         emitted = records if len(rows) == len(records) else [records[j] for j in rows]
-    return _Batch(emitted, rows, inputs, working.steady, gate, covariance)
+    return _Batch(emitted, rows, working.steady, gate, w, solved)
 
 
 def run_points(sweep: _Sweep, start: int, stop: int) -> list[ResultRecord]:
-    """Evaluate grid points start to stop - 1 of one sweep; the records of
-    every point, in order (with branch rows kept adjacent).
-
-    Per-point errors are caught and recorded in the ``error`` field so that
-    sweeps continue.
-    """
+    """The records of grid points start to stop - 1 of one sweep: the chunk
+    that ``run_sweep`` maps on one worker or on its pool."""
     return _evaluate(sweep, start, stop).records
 
 
@@ -497,18 +497,28 @@ def run_point(config: SweepConfig, overrides: dict[str, float] | None = None) ->
     each; returns one record per emitted branch."""
     sweep = _Sweep(config, [(name, (value,)) for name, value in (overrides or {}).items()])
     batch = _evaluate(sweep, 0, 1)
-    records, rows = tuple(batch.records), batch.rows
+    records, rows, covariances = tuple(batch.records), batch.rows, tuple(batch.covariances())
     if rows[0] is None:
-        return PointResult(records=records, covariances=(None,), steady_states=(None,),
+        return PointResult(records=records, covariances=covariances, steady_states=(None,),
                            drifts=(None,), diffusion=None)
     gate = batch.gate
     return PointResult(
         records=records,
-        covariances=tuple(map(batch.covariance, rows)),
+        covariances=covariances,
         steady_states=tuple(map(batch.steady, rows)),
         drifts=tuple([gate.drifts[j] if gate.errors[j] is None else None for j in rows]),
-        diffusion=sweep.diffusion(*batch.inputs[rows[0], _NOISE].tolist()),
+        diffusion=sweep.diffusion(*records[0][3:6]),  # its nbar, N and M
     )
+
+
+def sweep_batches(config: SweepConfig) -> Iterator[tuple[list[ResultRecord], list]]:
+    """Evaluate the grid in the chunks ``run_sweep`` takes on one worker; yield
+    each chunk's records with their covariances, aligned, as ``run_point`` has them."""
+    sweep = _Sweep(config, [(a.name, a.values) for a in config.axes])
+    points, size = math.prod(sweep.shape), CHUNK_POINTS
+    batches = (_evaluate(sweep, start, min(start + size, points))
+               for start in range(0, points, size))
+    return ((batch.records, batch.covariances()) for batch in batches)
 
 
 def grid_points(config: SweepConfig) -> list[dict[str, float]]:

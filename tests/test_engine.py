@@ -515,7 +515,35 @@ class TestBatchedPipeline:
             branch_policy=data.draw(st.sampled_from(("default", "all"))),
             axes=axes,
         )
-        assert csv_text(run_sweep(cfg).records) == csv_text(self.per_point(cfg))
+        results = [run_point(cfg, p) for p in grid_points(cfg)]
+        records = run_sweep(cfg).records
+        assert csv_text(records) == csv_text([r for res in results for r in res.records])
+        # the batch route takes the same chunks: the sweep's records (repr
+        # tells NaN cells and signed zeros apart), with run_point's covariances
+        batches = list(engine.sweep_batches(cfg))
+        assert len(batches) == math.ceil(len(results) / 3)
+        assert repr([r for chunk, _ in batches for r in chunk]) == repr(list(records))
+        got = [w for _, chunk in batches for w in chunk]
+        expected = [w for res in results for w in res.covariances]
+        assert len(got) == len(expected)
+        for w, want in zip(got, expected):
+            assert (w is None) == (want is None)
+            assert want is None or np.array_equal(w, want)
+
+    def test_sweep_batches_evaluates_chunks_not_points(self, monkeypatch):
+        # the acceptance suite's route to records and covariances: one batch
+        # per chunk of the grid, and no batch of one per point
+        calls = {"run_point": 0, "_evaluate": 0}
+        for name in calls:
+            def spy(*args, _name=name, _call=getattr(engine, name), **kwargs):
+                calls[_name] += 1
+                return _call(*args, **kwargs)
+
+            monkeypatch.setattr(engine, name, spy)
+        config = fig_preset("fig3a")
+        batches = list(engine.sweep_batches(config))
+        assert sum(len(records) for records, _ in batches) == len(grid_points(config)) == 603
+        assert calls == {"run_point": 0, "_evaluate": math.ceil(603 / engine.CHUNK_POINTS)}
 
     def test_unknown_axis_after_a_bad_one(self):
         # the first bad axis in the overrides' order gives the error
