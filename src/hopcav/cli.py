@@ -14,10 +14,13 @@ import argparse
 import functools
 import itertools
 import json
+import operator
 import sys
 from dataclasses import replace
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .config import load_config, validate_config
@@ -211,21 +214,28 @@ def stability_csv(columns: MapColumns) -> str:
     """The CSV lines of a stability map, from its columns: the text of
     ``csv_lines`` of its reports, byte for byte.
 
-    Each axis value is formatted once, and each pattern of verdicts spelled
-    once; one ``%`` renders the whole map, its s1 and s2 cells with 12
-    significant digits (+-inf as inf and -inf).  A NaN cell reads 'nan',
-    which no other cell can contain, and is then made empty.
+    Each axis value is formatted once, each distinct s1 and s2 cell once
+    (:func:`_distinct_texts`), and each pattern of verdicts spelled once;
+    one join renders the whole map.
     """
     count = len(columns.s1)
     cells = [None] * (5 * count)  # per point: delta, xi, s1, s2, verdicts
     cells[0::5], cells[1::5] = columns.per_point(["%.12g," % delta for delta in columns.delta],
                                                  ["%.12g," % xi for xi in columns.xi])
-    cells[2::5] = columns.s1
-    cells[3::5] = columns.s2
+    cells[2::5] = _distinct_texts(columns.s1, "%.12g,")
+    cells[3::5] = _distinct_texts(columns.s2, "%.12g")
     cells[4::5] = map(_VERDICT_CELLS.__getitem__,
                       zip(columns.hurwitz_reduced, columns.hurwitz_full, columns.agree))
-    text = ("%s%s%.12g,%.12g%s" * count) % tuple(cells)
-    return text.replace("nan", "") if "nan" in text else text
+    return "".join(cells)
+
+
+def _distinct_texts(values: list, template: str) -> list:
+    """``template % value`` of each float of ``values``, a NaN's 'nan' made
+    empty, formatted once per distinct bit pattern (not value: 0.0 and -0.0
+    print apart, and a NaN equals nothing)."""
+    bits, inverse = np.unique(np.array(values, dtype=float).view(np.int64), return_inverse=True)
+    texts = [(template % value).replace("nan", "") for value in bits.view(float).tolist()]
+    return np.array(texts, dtype=object)[inverse].tolist()
 
 
 def _cmd_stability(args) -> int:
@@ -239,7 +249,8 @@ def _cmd_stability(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     count = len(columns.agree)
-    both = sum(s1 > 0.0 and s2 > 0.0 for s1, s2 in zip(columns.s1, columns.s2))
+    # agree is (s1 > 0 and s2 > 0) == hurwitz_reduced: equal where both hold
+    both = sum(map(operator.eq, columns.agree, columns.hurwitz_reduced))
     disagreements = columns.agree.count(False)
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
         for line in _header(config):

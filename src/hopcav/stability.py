@@ -36,9 +36,10 @@ point's collective block.  The map is one columnar pass
 of its points, and one table of the collective blocks per map.  A block
 depends on delta + xi alone, so it recurs across a grid's rows, and the map
 takes the eigenvalues of each distinct one once, in one call
-(:func:`_collective_verdicts`).  The ``hopcav stability`` CSV is written from
-these columns (:func:`hopcav.cli.stability_csv`); :func:`stability_map`
-gives a library caller the map's rows.
+(:func:`_collective_verdicts`, keyed by the blocks' bytes with no Python per
+block).  The ``hopcav stability`` CSV is written from these columns
+(:func:`hopcav.cli.stability_csv`, which formats each distinct s1 and s2
+cell once); :func:`stability_map` gives a library caller the map's rows.
 """
 
 from __future__ import annotations
@@ -225,20 +226,22 @@ def _collective_verdicts(blocks: np.ndarray, known: dict) -> list:
     collective model at delta + xi, whose coupling G and modified detuning
     both follow delta + xi, so on a grid of equal delta and xi steps it
     repeats along every line of constant delta + xi (1 223 distinct blocks
-    in the 10 201 points of the fig5 map).  The key is the
-    block itself, -0.0 included, and a stacked call gives each matrix the
-    eigenvalues of its own call, so a block found in the table gets the
-    verdict its eigenvalues would give, bit for bit.  A call that raises
-    adds nothing to the table.
+    in the 10 201 points of the fig5 map).  The key is the block's bytes
+    (``block.tobytes()``, one item of a void array), -0.0 included, and a
+    stacked call gives each matrix the eigenvalues of its own call, so a
+    block found in the table gets the verdict its eigenvalues would give, bit
+    for bit.  No Python runs per block.  A call that raises adds nothing.
     """
-    raw, size = blocks.tobytes(), 16 * blocks.itemsize
-    keys = [raw[j:j + size] for j in range(0, len(raw), size)]
-    # each block that the table lacks, with one of its rows
-    fresh = {key: j for j, key in enumerate(keys) if key not in known}
+    keys = np.frombuffer(blocks.tobytes(), f"V{16 * blocks.itemsize}").tolist()
+    # each block that the table lacks, first occurrence first, with one of its
+    # rows; when every block is fresh the keys are in row order
+    fresh = dict(zip(keys, range(len(keys))))
+    for key in fresh.keys() & known.keys():
+        del fresh[key]
     if fresh:
         new = blocks if len(fresh) == len(keys) else blocks[list(fresh.values())]
         known.update(zip(fresh, hurwitz_gate(new)[0].tolist()))
-    return [known[key] for key in keys]
+    return list(map(known.__getitem__, keys))
 
 
 class MapColumns(NamedTuple):

@@ -461,6 +461,30 @@ class TestCli:
         assert len(data) == 1 + 36
         assert any("both-conditions region" in l for l in lines)
 
+    def test_stability_header_counts_the_points_meeting_both_conditions(self, tmp_path,
+                                                                        monkeypatch):
+        # synthetic columns: a row whose signs and eigenvalues disagree, and
+        # NaN s1 cells with either collective verdict
+        s1 = [1.0, math.nan, 2.0, math.nan, -1.0, 3.0]
+        s2 = [1.0, 1.0, 3.0, 2.0, 2.0, -0.0]
+        reduced = [True, True, False, False, True, False]
+        agree = [(a > 0.0 and b > 0.0) == red for a, b, red in zip(s1, s2, reduced)]
+        columns = cli.MapColumns([0.0, 1.0], [0.5, 1.0, 1.5], s1, s2, reduced, [False] * 6,
+                                 agree)
+        monkeypatch.setattr(cli, "map_columns", lambda *args, **kwargs: columns)
+        doc = doc_with(axes=[
+            {"name": "delta", "min": 0.0, "max": 1.0, "count": 2},
+            {"name": "xi", "min": 0.5, "max": 1.5, "count": 3},
+        ])
+        out = tmp_path / "stab.csv"
+        assert main(["stability", "--config", str(write_doc(tmp_path, doc)),
+                     "--out", str(out)]) == 0
+        both = sum(a > 0.0 and b > 0.0 for a, b in zip(s1, s2))
+        assert both == 2 and agree.count(False) == 3
+        assert [l for l in out.read_text(encoding="utf-8").splitlines()
+                if "both-conditions" in l] == [
+            f"# both-conditions region: {both} of 6 points; sign/eigenvalue disagreements: 3"]
+
     @pytest.mark.parametrize("detuning_sign, modified", [
         ("positive", "delta + xi"), ("negative", "-(delta + xi)"),
     ])

@@ -714,13 +714,17 @@ class TestCsv:
 @st.composite
 def map_tables(draw):
     """The columns of a stability map: finite delta and xi axes, and s1, s2
-    and verdict columns of one entry per point."""
+    and verdict columns of one entry per point.  The s1 and s2 cells come
+    from a small pool per map, a few values and their negations, so that
+    cells repeat and a column can hold both 0.0 and -0.0, or NaN and -NaN."""
     axis = st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1e-300, -2.5e-310, 1e300, 1 / 3]),
                               st.floats(allow_nan=False, allow_infinity=False)),
                     min_size=1, max_size=4)
     deltas, xis = draw(axis), draw(axis)
     count = len(deltas) * len(xis)
-    cells = [st.lists(FLOAT_CELLS, min_size=count, max_size=count)] * 2 + [
+    pool = draw(st.lists(FLOAT_CELLS, min_size=1, max_size=3))
+    pool += [-value for value in pool]
+    cells = [st.lists(st.sampled_from(pool), min_size=count, max_size=count)] * 2 + [
         st.lists(st.booleans(), min_size=count, max_size=count)] * 3
     return MapColumns(deltas, xis, *(draw(column) for column in cells))
 

@@ -685,6 +685,30 @@ class TestBlockTable:
             assert sum(shape[0] for shape in shapes if shape[1:] == (8, 8)) == 5
             assert all(shape[1:] in ((4, 4), (8, 8)) for shape in shapes)
 
+    def test_table_of_distinct_reversed_and_repeated_blocks(self):
+        # stable and unstable collective blocks across delta; each stack's
+        # verdicts are hurwitz_gate's on each block alone, and its table is
+        # keyed by the blocks' bytes, a -0.0 entry apart from its 0.0
+        params = make_params(power=0.075)
+        deltas = np.linspace(-1.0, 2.0, 13)
+        gate = gate_branches(params, *gate_columns(params, zip(deltas, deltas), [0.5] * 13),
+                             "positive")
+        distinct = collective_drifts(gate.drifts, "positive")
+        signed = distinct[4].copy()
+        signed[signed == 0.0] = -0.0
+        repeated = np.concatenate([distinct[[0, 3, 3, 12, 0, 7, 4]], signed[None], distinct[4:5]])
+        assert len({block.tobytes() for block in distinct}) == 13
+        shared = {}
+        for blocks in (distinct, distinct[::-1], repeated):
+            alone = [hurwitz_gate(block[None])[0][0] for block in blocks]
+            known = {}
+            assert stability._collective_verdicts(blocks, known) == alone
+            assert known == dict(zip((block.tobytes() for block in blocks), alone))
+            # one table across the stacks: the later ones find their blocks in it
+            assert stability._collective_verdicts(blocks, shared) == alone
+        assert sorted(set(shared.values())) == [False, True]
+        assert len(shared) == 14 and shared[signed.tobytes()] == shared[distinct[4].tobytes()]
+
     def test_failed_blocks_stay_out_of_the_table(self):
         # 1e300 W overflows the drive amplitude: its block cannot be gated, so
         # the stacked call over both rows' blocks raises and adds nothing; the
