@@ -25,15 +25,17 @@ import numpy as np
 from . import __version__
 from .config import load_config, validate_config
 from .dynamics import QUADRATURE_LABELS
-from .engine import csv_text, misses_residual_gate, run_point, run_sweep
+from .engine import csv_points, map_chunks, misses_residual_gate, run_point, write_csv
 from .errors import ConfigError, HopcavError, UnknownPresetError
 from .presets import PRESET_NAMES, fig_preset
 from .stability import MapColumns, StabilityReport, map_columns
 
 # bound for the span tracer of the benchmark (perfbench/spans.py PATCHES);
-# ``point`` takes its matrices from the run_point result instead, and
-# ``stability`` writes its CSV from the map's columns
+# ``point`` takes its matrices from the run_point result instead,
+# ``stability`` writes its CSV from the map's columns, and ``sweep`` and
+# ``fig`` write the CSV texts of their chunks' tasks
 from .dynamics import build_diffusion, figure_drift  # noqa: F401
+from .engine import csv_text, run_sweep  # noqa: F401
 from .lyapunov import solve_lyapunov  # noqa: F401
 from .stability import stability_map  # noqa: F401
 from .steady_state import solve_fixed_detuning, solve_self_consistent  # noqa: F401
@@ -164,12 +166,17 @@ def _cmd_point(args) -> int:
 
 
 def _write_sweep(config, out_path: Path, workers: int) -> int:
-    result = run_sweep(config, workers=workers)
+    # each chunk's CSV text, formatted where it was evaluated; the file is
+    # opened only once every chunk has returned
+    texts, counts, misses = zip(*map_chunks(csv_points, config, workers))
     out_path.parent.mkdir(parents=True, exist_ok=True)
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(csv_text(result.records, _header(config)))
-    print(f"wrote {len(result.records)} records to {out_path}")
-    return EXIT_NUMERICAL if result.residual_failure else EXIT_OK
+        write_csv((), fh, _header(config))  # the '#' header and the column row
+        # one write, not one per chunk: the joined text's large block raises
+        # glibc's mmap threshold, so later sweeps fault in fewer fresh pages
+        fh.write("".join(texts))
+    print(f"wrote {sum(counts)} records to {out_path}")
+    return EXIT_NUMERICAL if any(misses) else EXIT_OK
 
 
 def _worker_count(text: str) -> int:

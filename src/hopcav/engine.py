@@ -20,9 +20,12 @@ per-point objects (:class:`SteadyState`, :class:`PointResult`).
 Records become CSV lines through :func:`csv_lines`, which also writes any
 rows of cells a library caller passes (a stability map's reports among
 them): one ``%`` template per pattern of cells renders a whole row, and only
-a line that reads 'nan' is rendered again.  ``hopcav stability`` writes its
-map from the map's columns instead (:func:`hopcav.cli.stability_csv`), with
-the same bytes.
+a line that reads 'nan' is rendered again.  ``hopcav sweep`` and ``hopcav
+fig`` format each chunk's lines where the chunk is evaluated
+(:func:`csv_points`), in a pool's worker when there is one, and write the
+chunks' texts in grid order.  ``hopcav stability`` writes its map from the
+map's columns instead (:func:`hopcav.cli.stability_csv`), with the same
+bytes.
 
 The work that does not depend on the point runs once per sweep: the base
 parameters' couplings and inputs and, when the sweep starts, each axis
@@ -39,11 +42,14 @@ batch's identical-cavity points with one stacked companion eigenvalue call
 and keeps the batch's candidates in one table, by point, whose starting
 values convert to extended precision at once.
 
-``run_sweep`` evaluates the grid in chunks of at most ``CHUNK_POINTS`` points,
-which bounds the memory of the batch arrays; :func:`sweep_batches` yields the
-same chunks' records with their covariances, and ``run_point`` is a batch of
-one.  Every stacked LAPACK call returns, matrix by matrix, what the call on
-one matrix returns, so a point's record does not depend on its batch.
+One scheduler, :func:`map_chunks`, cuts the grid into chunks of at most
+``CHUNK_POINTS`` points, which bounds the memory of the batch arrays, and runs
+one task per chunk, on one worker or on a process pool: ``run_points`` for
+``run_sweep``, ``csv_points`` for the CLI.  :func:`sweep_batches` yields the
+one-worker chunks' records with their covariances, and ``run_point`` is a
+batch of one.  Every stacked LAPACK call returns, matrix by matrix, what the
+call on one matrix returns, so a point's record does not depend on its
+batch.
 
 Sweep detunings are quoted in the figure convention (positive on the cooling
 side, in units of omega_m); the steady-state solver is evaluated with the
@@ -62,7 +68,6 @@ import itertools
 import math
 import operator
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from types import NoneType
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -481,8 +486,16 @@ def _evaluate(sweep: _Sweep, start: int, stop: int) -> _Batch:
 
 def run_points(sweep: _Sweep, start: int, stop: int) -> list[ResultRecord]:
     """The records of grid points start to stop - 1 of one sweep: the chunk
-    that ``run_sweep`` maps on one worker or on its pool."""
+    task of ``run_sweep``."""
     return _evaluate(sweep, start, stop).records
+
+
+def csv_points(sweep: _Sweep, start: int, stop: int) -> tuple[str, int, bool]:
+    """The CSV lines of grid points start to stop - 1 of one sweep, joined,
+    with their record count and whether any record misses the residual gate:
+    the chunk task of ``hopcav sweep`` and ``hopcav fig``."""
+    records = run_points(sweep, start, stop)
+    return "".join(csv_lines(records)), len(records), any(map(misses_residual_gate, records))
 
 
 def misses_residual_gate(rec: ResultRecord) -> bool:
@@ -515,9 +528,7 @@ def sweep_batches(config: SweepConfig) -> Iterator[tuple[list[ResultRecord], lis
     """Evaluate the grid in the chunks ``run_sweep`` takes on one worker; yield
     each chunk's records with their covariances, aligned, as ``run_point`` has them."""
     sweep = _Sweep(config, [(a.name, a.values) for a in config.axes])
-    points, size = math.prod(sweep.shape), CHUNK_POINTS
-    batches = (_evaluate(sweep, start, min(start + size, points))
-               for start in range(0, points, size))
+    batches = (_evaluate(sweep, start, stop) for start, stop in _chunks(math.prod(sweep.shape)))
     return ((batch.records, batch.covariances()) for batch in batches)
 
 
@@ -538,6 +549,32 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _chunks(points: int, workers: int = 1) -> list[tuple[int, int]]:
+    """The (start, stop) ranges that cut a grid of ``points`` points into
+    chunks of at most ``CHUNK_POINTS``, and for a pool small enough that each
+    of its ``workers`` gets several."""
+    size = CHUNK_POINTS
+    if workers > 1:
+        size = min(size, -(-points // (CHUNKS_PER_WORKER * workers)))
+    return [(start, min(start + size, points)) for start in range(0, points, size)]
+
+
+def map_chunks(task: Callable, config: SweepConfig, workers: int = 1) -> list:
+    """``task(sweep, start, stop)`` of each chunk of the grid, in grid order;
+    with ``workers > 1``, run on a pool of at most one process per CPU this
+    process may run on, each result sent back pickled."""
+    sweep = _Sweep(config, [(a.name, a.values) for a in config.axes])
+    workers = min(workers, _usable_cpus())
+    starts, stops = zip(*_chunks(math.prod(sweep.shape), workers))
+    if workers > 1:
+        # only a pool needs concurrent.futures and multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(task, itertools.repeat(sweep), starts, stops))
+    return list(map(task, itertools.repeat(sweep), starts, stops))
+
+
 @dataclass(frozen=True)
 class SweepResult:
     records: tuple[ResultRecord, ...]
@@ -545,29 +582,12 @@ class SweepResult:
 
 
 def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
-    """Evaluate the whole grid in chunks, flat ranges of grid points; rows
-    come out in row-major grid order (with branch rows kept adjacent)
-    regardless of the worker count.
-
-    With ``workers > 1`` a process pool of at most one process per CPU this
-    process may run on evaluates the chunks, made small enough that every
-    worker gets several.
+    """Evaluate the whole grid in chunks (:func:`map_chunks`); rows come out
+    in row-major grid order (with branch rows kept adjacent) regardless of
+    the worker count.  ``hopcav sweep`` takes each chunk's CSV text instead
+    (:func:`csv_points`), which its worker formats.
     """
-    sweep = _Sweep(config, [(a.name, a.values) for a in config.axes])
-    points = math.prod(sweep.shape)
-    workers = min(workers, _usable_cpus())
-    size = CHUNK_POINTS
-    if workers > 1:
-        size = min(size, -(-points // (CHUNKS_PER_WORKER * workers)))
-    starts = range(0, points, size)
-    chunks = (itertools.repeat(sweep), starts, [min(start + size, points) for start in starts])
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_chunk = list(pool.map(run_points, *chunks))
-    else:
-        per_chunk = list(map(run_points, *chunks))
-
-    records = tuple(itertools.chain.from_iterable(per_chunk))
+    records = tuple(itertools.chain.from_iterable(map_chunks(run_points, config, workers)))
     return SweepResult(records=records, residual_failure=any(map(misses_residual_gate, records)))
 
 

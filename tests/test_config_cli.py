@@ -341,7 +341,7 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["lyap_residual"] == payload["record"]["lyap_residual"]
 
-    @pytest.mark.parametrize("command", ["sweep", "point"])
+    @pytest.mark.parametrize("command", ["sweep", "point", "sweep-last-chunk"])
     def test_nan_residual_misses_the_gate(self, tmp_path, capsys, monkeypatch, command):
         from hopcav import engine
 
@@ -351,12 +351,98 @@ class TestCli:
 
         monkeypatch.setattr(engine, "lyapunov_stack", nan_residuals)
         doc = doc_with(axes=[{"name": "delta", "values": [0.5, 1.0]}])
+        if command == "sweep-last-chunk":
+            # chunks of one point: the first two are unstable and take no
+            # Lyapunov solve, so only the last chunk misses the gate
+            monkeypatch.setattr(engine, "CHUNK_POINTS", 1)
+            doc["axes"][0]["values"] = [-0.5, -0.5, 1.0]
         path = write_doc(tmp_path, doc)
         config = parse_config(doc)
         assert engine.run_sweep(config).residual_failure
         assert engine.misses_residual_gate(engine.run_point(config).records[0])
-        argv = ["--out", str(tmp_path / "sweep.csv")] if command == "sweep" else ["--json"]
-        assert main([command, "--config", str(path), *argv]) == 2
+        if command == "sweep-last-chunk":
+            assert [any(map(engine.misses_residual_gate, records))
+                    for records, _ in engine.sweep_batches(config)] == [False, False, True]
+        argv = ["--json"] if command == "point" else ["--out", str(tmp_path / "sweep.csv")]
+        assert main([command.split("-")[0], "--config", str(path), *argv]) == 2
+
+    @staticmethod
+    def mixed_grid_doc(branch_policy):
+        """A bare-detuning grid with a failed power value (an error row per
+        delta), unstable and stable rows, and points of several branches."""
+        doc = doc_with(nbar=836.0, branch_policy=branch_policy, axes=[
+            {"name": "delta", "values": [-4.3, -3.9, 1.0]},
+            {"name": "power", "values": [-10.0, 20.0, 100.0], "unit": "mW"}])
+        doc["cavity"]["hop_strength"] = {"value": 0.0, "unit": "omega_m"}
+        doc["detuning"] = {"mode": "bare", "value": {"value": -3.9, "unit": "omega_m"}}
+        return doc
+
+    @pytest.mark.parametrize("branch_policy", ["default", "all"])
+    def test_sweep_csv_is_the_records_csv(self, tmp_path, capsys, monkeypatch, branch_policy):
+        # the chunks' texts written in grid order are the header plus the CSV
+        # of run_sweep's records, on 1 and on 2 workers, in 5 chunks of 2 points
+        from hopcav import engine
+
+        monkeypatch.setattr(engine, "CHUNK_POINTS", 2)
+        doc = self.mixed_grid_doc(branch_policy)
+        config = parse_config(doc)
+        records = engine.run_sweep(config).records
+        assert any(r.error for r in records) and any(r.stable for r in records)
+        assert any(not (r.stable or r.error) for r in records)
+        assert max(r.branch for r in records) > 0
+        expected = engine.csv_text(records, cli._header(config)).encode("utf-8")
+        path = write_doc(tmp_path, doc)
+        for workers in ("1", "2"):
+            out = tmp_path / f"sweep.w{workers}.csv"
+            assert main(["sweep", "--config", str(path), "--out", str(out),
+                         "--workers", workers]) == 0
+            assert out.read_bytes() == expected
+            assert capsys.readouterr().out == f"wrote {len(records)} records to {out}\n"
+
+    def test_sweep_and_fig_write_the_chunks_texts(self, tmp_path, capsys, monkeypatch):
+        # on one worker the CLI runs the chunk-to-CSV task once per chunk,
+        # and never builds the grid's records with run_sweep or csv_text
+        from hopcav import engine
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the CLI called the records route")
+
+        for module, name in ((engine, "run_sweep"), (cli, "run_sweep"), (cli, "csv_text")):
+            monkeypatch.setattr(module, name, refuse)
+        chunks = []
+
+        def counted(sweep, start, stop, _fn=cli.csv_points):
+            chunks.append((start, stop))
+            return _fn(sweep, start, stop)
+
+        monkeypatch.setattr(cli, "csv_points", counted)
+        size = engine.CHUNK_POINTS
+        doc = doc_with(axes=[{"name": "delta", "min": 0.5, "max": 1.5, "count": size + 1}])
+        argvs = [(["sweep", "--config", str(write_doc(tmp_path, doc)),
+                   "--out", str(tmp_path / "sweep.csv")], size + 1),
+                 (["fig", "fig3a", "--out", str(tmp_path)], 603)]
+        for argv, points in argvs:
+            chunks.clear()
+            assert main(argv) == 0
+            assert chunks == [(start, min(start + size, points))
+                              for start in range(0, points, size)]
+            assert len(chunks) == math.ceil(points / size)
+            assert capsys.readouterr().out.startswith(f"wrote {points} records")
+
+    def test_failed_sweep_leaves_the_output_untouched(self, tmp_path, monkeypatch):
+        # the output is opened only once every chunk has returned
+        from hopcav import engine
+        from hopcav.errors import ConvergenceFailureError
+
+        def fail(*args):
+            raise ConvergenceFailureError("no chunk evaluates")
+
+        monkeypatch.setattr(engine, "_evaluate", fail)
+        out = tmp_path / "sweep.csv"
+        out.write_text("an earlier sweep\n", encoding="utf-8")
+        path = write_doc(tmp_path, doc_with(axes=[{"name": "delta", "values": [0.5, 1.0]}]))
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+        assert out.read_text(encoding="utf-8") == "an earlier sweep\n"
 
     def test_validate_ok_and_bad(self, tmp_path, capsys):
         good = write_doc(tmp_path, BASE_DOC, "good.json")
@@ -540,3 +626,19 @@ _JSON_DOCS = st.recursive(
 @given(_JSON_DOCS)
 def test_json_text_is_json_dumps(doc):
     assert cli.json_text(doc) == json.dumps(doc, indent=2)
+
+
+def test_import_loads_no_process_pool(tmp_path):
+    # concurrent.futures and multiprocessing load only when a sweep starts its
+    # pool, and a two-worker sweep still runs
+    path = write_doc(tmp_path, doc_with(axes=[{"name": "delta", "values": [0.5, 1.0, 1.5]}]))
+    out = tmp_path / "sweep.csv"
+    code = ("import sys, hopcav, hopcav.cli\n"
+            "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))\n"
+            "sys.exit(hopcav.cli.main(sys.argv[1:]))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(hopcav.__file__).resolve().parent.parent))
+    run = subprocess.run(
+        [sys.executable, "-c", code, "sweep", "--config", str(path), "--out", str(out),
+         "--workers", "2"], capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (run.returncode, run.stdout) == (0, f"[]\nwrote 3 records to {out}\n")

@@ -218,7 +218,8 @@ class TestRunSweep:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", SerialPool)
+        # the scheduler imports the pool from concurrent.futures when it starts one
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
         return sizes
 
     def test_pool_never_exceeds_the_cpu_count(self, monkeypatch, pool_sizes):
