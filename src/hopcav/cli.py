@@ -118,12 +118,6 @@ def _cmd_point(args) -> int:
         return EXIT_NUMERICAL
 
     steady = result.steady_states[0]
-    drift = result.drifts[0]
-    diffusion = result.diffusion
-    if isinstance(diffusion, HopcavError):
-        # an unstable point needs no diffusion, but the document has one
-        raise diffusion
-    nbar = rec.nbar
 
     payload = {
         "quadrature_order": list(QUADRATURE_LABELS),
@@ -136,8 +130,8 @@ def _cmd_point(args) -> int:
             "residual": steady.residual,
             "branch": steady.branch,
         },
-        "drift": drift.flatten().tolist(),
-        "diffusion": diffusion.flatten().tolist(),
+        "drift": result.drifts[0].flatten().tolist(),
+        "diffusion": result.diffusion.flatten().tolist(),
         "record": rec._asdict(),
     }
     if rec.stable:
@@ -148,7 +142,7 @@ def _cmd_point(args) -> int:
         print(json_text(payload))
     else:
         print(f"delta = {rec.delta:.6g} omega_m, xi = {rec.xi:.6g} omega_m, "
-              f"P = {rec.power * 1e3:.6g} mW, nbar = {nbar:.6g}, "
+              f"P = {rec.power * 1e3:.6g} mW, nbar = {rec.nbar:.6g}, "
               f"N = {rec.photon_number:.6g}, M = {rec.correlation:.6g}")
         print(f"|amp| = ({rec.amp1:.6g}, {rec.amp2:.6g}), G/omega_m = {rec.coupling_ratio:.6g}")
         # the stability scalars exist only where the drift has a collective

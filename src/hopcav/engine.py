@@ -30,9 +30,10 @@ bytes.
 The work that does not depend on the point runs once per sweep: the base
 parameters' couplings and inputs and, when the sweep starts, each axis
 value's check and the inputs it sets (drive amplitudes, thermal occupation,
-bath), in one table per axis; each distinct (nbar, N, M) of a stable point
-builds one diffusion matrix.  A batch is a flat range of row-major grid
-indices, and index arithmetic on it selects each axis table's rows.  The
+bath), in one table per axis, so no ``PhysicalParams`` is built per point;
+each distinct (nbar, N, M) of a stable point, all three checked, builds one
+diffusion matrix.  A batch is a flat range of row-major grid indices, and
+index arithmetic on it selects each axis table's rows.  The
 working points come from the batch's drive, hopping and Langevin-detuning
 columns: in effective mode the closed form
 (:func:`hopcav.steady_state.fixed_detuning_points`), in bare mode every fixed
@@ -180,6 +181,14 @@ class BathSpec:
         return SqueezedBath(n, float(self.correlation))
 
 
+def checked_nbar(value: float) -> float:
+    """A thermal occupation, from the configuration or an nbar axis: finite
+    and nonnegative."""
+    if not 0.0 <= value < np.inf:
+        raise ConfigError(f"nbar must be finite and nonnegative, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Base parameters plus the declarative grid description."""
@@ -207,8 +216,13 @@ class SweepConfig:
             raise ConfigError(
                 f"detuning_sign must be one of {DETUNING_SIGNS}, got {self.detuning_sign!r}"
             )
-        if self.nbar_override is not None and not 0.0 <= self.nbar_override < np.inf:
-            raise ConfigError(f"nbar must be finite and nonnegative, got {self.nbar_override!r}")
+        if self.nbar_override is not None:
+            checked_nbar(self.nbar_override)
+        # the label and each note are one '#' line of the CSV header
+        texts = [("label", self.label)] + [("header_notes", note) for note in self.header_notes]
+        for name, text in texts:
+            if not isinstance(text, str) or "".join(text.splitlines()) != text:
+                raise ConfigError(f"{name} must be text on one line, got {text!r}")
         if "photon_number" not in names:
             # the base bath serves every point
             try:
@@ -259,15 +273,15 @@ class PointResult:
 
     Alongside each record: the stationary covariance (None where unstable or
     failed), the working point and the drift (None where not reached).
-    ``diffusion`` is the point's diffusion matrix, or the error building it
-    raised.
+    ``diffusion`` is the point's diffusion matrix (None where the point
+    failed a check).
     """
 
     records: tuple[ResultRecord, ...]
     covariances: tuple[np.ndarray | None, ...]
     steady_states: tuple[SteadyState | None, ...]
     drifts: tuple[np.ndarray | None, ...]
-    diffusion: np.ndarray | HopcavError | None
+    diffusion: np.ndarray | None
 
 
 class _Axis(NamedTuple):
@@ -286,9 +300,9 @@ class _Sweep:
     """What the points of one sweep share, worked out once, when the sweep
     starts: the base parameters' couplings and inputs (see ``INPUTS``), and
     each axis' table.  An axis value is checked by the check of the
-    ``PhysicalParams`` field it sets (``params.checked_*``), a photon number
-    by its bath.  Grid point k is the k-th point of the axes' product in
-    row-major order."""
+    ``PhysicalParams`` field it sets (``params.checked_*``), an occupation by
+    :func:`checked_nbar` as the configuration's, a photon number by its bath.
+    Grid point k is the k-th point of the axes' product in row-major order."""
 
     def __init__(self, config: SweepConfig, axes: list[tuple[str, tuple]]):
         p = config.params
@@ -296,7 +310,7 @@ class _Sweep:
         self.config = config
         self.omega_m = p.mech_freq[0]
         self.coupling = tuple(derive_coupling(p, j) for j in (1, 2))
-        self.diffusions: dict = {}  # (nbar, N, M) -> diffusion or error
+        self.diffusions: dict = {}  # (nbar, N, M) -> diffusion
         self.shape = tuple(len(values) for _, values in axes)
         # the base bath's (N, M), or its error, which every point takes unless
         # a photon_number axis sets the bath
@@ -326,7 +340,7 @@ class _Sweep:
                                              p.bath_temperature)
         try:
             if name == "nbar":
-                nbar = value
+                nbar = checked_nbar(value)
             elif name == "photon_number":
                 bath = self.config.bath.resolve(photon_number=value)
                 n, m = bath.photon_number, bath.correlation
@@ -372,16 +386,13 @@ class _Sweep:
         return ResultRecord(*[values.get(name, np.nan) for name in CSV_COLUMNS[:6]],
                             error=str(error))
 
-    def diffusion(self, nbar: float, photon_number: float, correlation: float):
-        """The diffusion matrix of the last three inputs, or the error building
-        it raised; the grid axes change only the bath and the occupation."""
+    def diffusion(self, nbar: float, photon_number: float, correlation: float) -> np.ndarray:
+        """The diffusion matrix of the last three inputs, which passed their
+        checks; the grid axes change only the bath and the occupation."""
         key = (nbar, photon_number, correlation)
         if key not in self.diffusions:
-            try:
-                self.diffusions[key] = build_diffusion(
-                    self.config.params, SqueezedBath(photon_number, correlation), nbar)
-            except HopcavError as exc:
-                self.diffusions[key] = exc
+            self.diffusions[key] = build_diffusion(
+                self.config.params, SqueezedBath(photon_number, correlation), nbar)
         return self.diffusions[key]
 
 
@@ -433,15 +444,8 @@ def _evaluate(sweep: _Sweep, start: int, stop: int) -> _Batch:
 
     gate = gate_branches(p, coupling, detuning, inputs[:, _HOP], config.detuning_sign)
     errors = list(gate.errors)
-    solve, diffusions = [], []
-    for j, (stable, noise) in enumerate(zip(gate.verdicts, inputs[:, _NOISE].tolist())):
-        if stable:
-            diffusion = sweep.diffusion(*noise)
-            if isinstance(diffusion, HopcavError):
-                errors[j] = diffusion
-            else:
-                solve.append(j)
-                diffusions.append(diffusion)
+    solve = [j for j, stable in enumerate(gate.verdicts) if stable]
+    diffusions = [sweep.diffusion(*noise) for noise in inputs[solve, _NOISE].tolist()]
 
     # per branch row: its measure cells and Lyapunov residual; a row whose
     # measures fail keeps its residual, which tells a failed solve from a

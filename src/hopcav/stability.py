@@ -33,7 +33,7 @@ exists to compare the sign conditions with eigenvalue tests, takes its full
 verdicts and scalars from that gate and adds the eigenvalue verdict of each
 point's collective block.  The map is one columnar pass
 (:func:`map_columns`): working points factored by axis, the gate on chunks
-of its points, and one table of the collective blocks per map.  A block
+of its points, and one dict of the map's distinct collective blocks.  A block
 depends on delta + xi alone, so it recurs across a grid's rows, and the map
 takes the eigenvalues of each distinct one once, in one call
 (:func:`_collective_verdicts`, keyed by the blocks' bytes with no Python per
@@ -83,7 +83,9 @@ from .steady_state import solve_fixed_detuning  # noqa: F401
 #   tends to 1/gamma_m as gamma_m/kappa -> 0 and is at most
 #   (19/6)/min(gamma_m, kappa) over all positive rates.
 # A row is decided by its signs only where every scalar clears 4 rho times
-# 16 margins: the margin itself and an eigenvalue error of up to 15 more.
+# 16 margins: the margin itself and an eigenvalue error of up to 15 more.  No
+# preset row falls in the band (TestClosedFormGate in tests/test_stability.py):
+# the smallest relative scalar, on fig3a, is 39 times its band.
 BAND_MARGINS = 64.0
 
 
@@ -106,10 +108,9 @@ def _routh_hurwitz_terms(omega_m, gamma_m, kappa, coupling, delta_eff):
     k2 = kappa * kappa
     k2_d2 = k2 + d2
     cavity, pulled = omega_m * k2_d2, g2 * delta_eff
-    # k2 + (omega_m -+ delta_eff)^2 along a last axis; float_power squares
-    # through the C library's pow, as ``x ** 2`` does on a float (``**`` on an
-    # array multiplies, which rounds differently)
-    sides = k2 + np.float_power(omega_m + np.multiply.outer(delta_eff, (-1.0, 1.0)), 2.0)
+    # k2 + (omega_m -+ delta_eff)^2 along a last axis
+    shifted = omega_m + np.multiply.outer(delta_eff, (-1.0, 1.0))
+    sides = k2 + shifted * shifted
     damped = 2.0 * gamma_m * kappa * (
         sides[..., 0] * sides[..., 1]
         + gamma_m * ((gamma_m + 2.0 * kappa) * k2_d2 + 2.0 * kappa * omega_m * omega_m)
@@ -215,33 +216,29 @@ def gate_branches(params: PhysicalParams, coupling, detuning, hops, detuning_sig
     return Gate(drifts, verdicts.tolist(), s1, s2, errors)
 
 
-def _collective_verdicts(blocks: np.ndarray, known: dict) -> list:
+def _collective_verdicts(blocks: np.ndarray) -> list:
     """The Hurwitz verdicts of a stack of collective blocks (4x4, each with
-    its own margin, as :func:`hurwitz_gate` gives them), from a table.
+    its own margin, as :func:`hurwitz_gate` gives them), each distinct block
+    taken once.
 
-    ``known`` maps the bytes of a collective block to its verdict; one
-    stacked eigenvalue call takes the blocks it does not hold, each once, and
-    it then holds theirs too.  A stability map passes the blocks of all of
-    its points with an empty table: a point's collective block is the
-    collective model at delta + xi, whose coupling G and modified detuning
-    both follow delta + xi, so on a grid of equal delta and xi steps it
-    repeats along every line of constant delta + xi (1 223 distinct blocks
-    in the 10 201 points of the fig5 map).  The key is the block's bytes
-    (``block.tobytes()``, one item of a void array), -0.0 included, and a
-    stacked call gives each matrix the eigenvalues of its own call, so a
-    block found in the table gets the verdict its eigenvalues would give, bit
-    for bit.  No Python runs per block.  A call that raises adds nothing.
+    A stability map passes the blocks of all of its points: a point's
+    collective block is the collective model at delta + xi, whose coupling G
+    and modified detuning both follow delta + xi, so on a grid of equal delta
+    and xi steps it repeats along every line of constant delta + xi (1 223
+    distinct blocks in the 10 201 points of the fig5 map).  One dict, keyed
+    by a block's bytes (``block.tobytes()``, one item of a void array), -0.0
+    included, holds the distinct blocks, and one stacked eigenvalue call
+    takes them; a stacked call gives each matrix the eigenvalues of its own
+    call, so every block gets the verdict of its own eigenvalues, bit for
+    bit.  No Python runs per block.
     """
     keys = np.frombuffer(blocks.tobytes(), f"V{16 * blocks.itemsize}").tolist()
-    # each block that the table lacks, first occurrence first, with one of its
-    # rows; when every block is fresh the keys are in row order
-    fresh = dict(zip(keys, range(len(keys))))
-    for key in fresh.keys() & known.keys():
-        del fresh[key]
-    if fresh:
-        new = blocks if len(fresh) == len(keys) else blocks[list(fresh.values())]
-        known.update(zip(fresh, hurwitz_gate(new)[0].tolist()))
-    return list(map(known.__getitem__, keys))
+    # each distinct block, first occurrence first, with one of its rows; when
+    # every block is distinct the keys are in row order
+    distinct = dict(zip(keys, range(len(keys))))
+    taken = blocks if len(distinct) == len(keys) else blocks[list(distinct.values())]
+    verdicts = dict(zip(distinct, hurwitz_gate(taken)[0].tolist()))
+    return list(map(verdicts.__getitem__, keys))
 
 
 class MapColumns(NamedTuple):
@@ -320,7 +317,7 @@ def map_columns(params: PhysicalParams, delta_values, xi_values,
         s2 += gate.s2
         full += gate.verdicts
         blocks[rows] = collective_drifts(gate.drifts, detuning_sign)
-    reduced = _collective_verdicts(blocks, {})
+    reduced = _collective_verdicts(blocks)
     # a zip of Python floats: cheaper than their arrays' comparisons on a map
     # of any size
     agree = [(a > 0.0 and b > 0.0) == red for a, b, red in zip(s1, s2, reduced)]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -195,6 +196,30 @@ def test_malformed_value_is_a_configuration_error(tmp_path, capsys, key, value, 
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and field in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("label", ["two\nlines", "trailing\r\n", "page\x0cbreak",
+                                   ["not", "a", "string"], 5, None])
+def test_label_is_one_line_of_text(tmp_path, capsys, label):
+    # the label is a '#' line of the CSV header: a line break in it would
+    # start a line that is neither a header nor the column row
+    path = write_doc(tmp_path, doc_with(label=label,
+                                        axes=[{"name": "delta", "values": [0.5, 1.0]}]))
+    assert main(["validate", "--config", str(path)]) == 1
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 1
+    assert f"configuration error: label must be text on one line, got {label!r}" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("note", ["two\nlines", "\u2028", 5])
+def test_header_notes_are_lines_of_text(note):
+    config = parse_config(BASE_DOC)
+    with pytest.raises(ConfigError, match="header_notes must be text on one line"):
+        dataclasses.replace(config, header_notes=("a good note", note))
+    assert dataclasses.replace(config, header_notes=("a good note",)).header_notes == (
+        "a good note",)
 
 
 def test_photon_number_axis_overrides_the_base_bath(tmp_path, capsys):

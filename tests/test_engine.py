@@ -574,20 +574,37 @@ class TestBatchedPipeline:
             else:
                 assert cells == (1.0, 0.0, 0.05, 0.0, 0.0) and r.stable
 
-    def test_diffusion_error_only_on_stable_rows(self, monkeypatch):
+    def test_negative_nbar_fails_at_the_axis_check(self, monkeypatch):
         monkeypatch.setattr(engine, "CHUNK_POINTS", 4)
-        # a negative occupation fails the diffusion, which only stable
-        # points build
-        cfg = base_config(
-            params=make_params(power=0.07),
-            axes=(AxisSpec("nbar", (-1.0, 836.0)), AxisSpec.from_range("delta", 0.2, 1.8, 9)),
-        )
+        # a negative occupation fails its point at the axis check, with the
+        # nbar override's message, whether the point is stable or not; -0.0
+        # passes
+        deltas = AxisSpec.from_range("delta", 0.2, 1.8, 9)
+        cfg = base_config(params=make_params(power=0.07),
+                          axes=(AxisSpec("nbar", (-1.0, -0.0, 836.0)), deltas))
+        with pytest.raises(ConfigError) as override:
+            replace(cfg, nbar_override=-1.0)
+        message = str(override.value)
+        assert message == "nbar must be finite and nonnegative, got -1.0"
         records = run_sweep(cfg).records
         assert csv_text(records) == csv_text(self.per_point(cfg))
-        negative = [r for r in records if r.nbar < 0.0]
-        assert {r.error != "" for r in negative} == {True, False}
-        assert all((r.error != "") == r.stable for r in negative)
-        assert all(r.en_f1m1 is None for r in negative)
+        negative, zero = records[:9], records[9:18]
+        assert {r.stable for r in zero} == {True, False}
+        assert all(r.error == "" and math.copysign(1.0, r.nbar) == -1.0 for r in zero)
+        assert [(r.delta, r.nbar, r.error, r.stable) for r in negative] == [
+            (delta, -1.0, message, False) for delta in deltas.values]
+        for r in negative:
+            assert all(math.isnan(c) for c in (r.xi, r.power, r.photon_number, r.correlation))
+            assert r[6:-1] == ResultRecord(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)[6:-1]
+        point = run_point(cfg, {"nbar": -1.0})
+        (rec,) = point.records
+        assert rec.nbar == -1.0 and rec.error == message
+        assert all(math.isnan(c) for c in (rec.delta, rec.xi, rec.power, rec.photon_number,
+                                           rec.correlation))
+        assert point.diffusion is None and point.drifts == (None,)
+        assert point.covariances == (None,) and point.steady_states == (None,)
+        zero = run_point(cfg, {"nbar": -0.0})
+        assert zero.records[0].error == "" and zero.diffusion is not None
 
 
 class TestDetuningSignConvention:

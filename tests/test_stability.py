@@ -632,9 +632,8 @@ class TestBlockTable:
     @given(**BOUNDARY_ROWS)
     def test_rows_at_the_margin_from_the_table(self, detuning_sign, damping, xi, boundary, half):
         # rows bisected onto a block's margin, and 1 and 2 ulp either side,
-        # gated twice and their collective blocks verdicted twice with one
-        # table: the second time every collective block comes from the table;
-        # each row keeps the verdicts of its batch of one, and its collective
+        # gated and their collective blocks verdicted in both orders: each
+        # row keeps the verdicts of its batch of one, and its collective
         # verdict is hurwitz_gate's on its block alone
         params, drifts, a = boundary_row(detuning_sign, damping, xi, boundary, half)
         deltas = [a + k * math.ulp(a) for k in range(-2, 3)]
@@ -643,15 +642,13 @@ class TestBlockTable:
         singles = [gate_branches(params, *(c[j:j + 1] for c in columns), detuning_sign)[1:]
                    for j in range(5)]
         alone = [hurwitz_gate(blocks[j:j + 1])[0].tolist() for j in range(5)]
-        known = {}
         for order in (slice(None), slice(None, None, -1)):
             gate = gate_branches(params, *(c[order] for c in columns), detuning_sign)
             assert [part[j] for j in range(5) for part in gate[1:]] == [
                 part[0] for single in singles[order] for part in single]
             assert np.array_equal(collective_drifts(gate.drifts, detuning_sign), blocks[order])
-            assert [[v] for v in stability._collective_verdicts(blocks[order], known)] == (
+            assert [[v] for v in stability._collective_verdicts(blocks[order])] == (
                 alone[order])
-        assert len(known) == len({block.tobytes() for block in blocks})
 
     def test_map_takes_each_distinct_collective_block_once(self, monkeypatch):
         # 21 x 21 points at equal steps of 0.1 omega_m, in two chunks
@@ -687,8 +684,8 @@ class TestBlockTable:
 
     def test_table_of_distinct_reversed_and_repeated_blocks(self):
         # stable and unstable collective blocks across delta; each stack's
-        # verdicts are hurwitz_gate's on each block alone, and its table is
-        # keyed by the blocks' bytes, a -0.0 entry apart from its 0.0
+        # verdicts are hurwitz_gate's on each block alone, a -0.0 copy's
+        # included
         params = make_params(power=0.075)
         deltas = np.linspace(-1.0, 2.0, 13)
         gate = gate_branches(params, *gate_columns(params, zip(deltas, deltas), [0.5] * 13),
@@ -698,21 +695,17 @@ class TestBlockTable:
         signed[signed == 0.0] = -0.0
         repeated = np.concatenate([distinct[[0, 3, 3, 12, 0, 7, 4]], signed[None], distinct[4:5]])
         assert len({block.tobytes() for block in distinct}) == 13
-        shared = {}
         for blocks in (distinct, distinct[::-1], repeated):
             alone = [hurwitz_gate(block[None])[0][0] for block in blocks]
-            known = {}
-            assert stability._collective_verdicts(blocks, known) == alone
-            assert known == dict(zip((block.tobytes() for block in blocks), alone))
-            # one table across the stacks: the later ones find their blocks in it
-            assert stability._collective_verdicts(blocks, shared) == alone
-        assert sorted(set(shared.values())) == [False, True]
-        assert len(shared) == 14 and shared[signed.tobytes()] == shared[distinct[4].tobytes()]
+            assert stability._collective_verdicts(blocks) == alone
+            assert sorted(set(alone)) == [False, True]
+        # the -0.0 copy is keyed apart from its 0.0 block, with the same verdict
+        assert alone[-2] == alone[-1]
 
     def test_failed_blocks_stay_out_of_the_table(self):
         # 1e300 W overflows the drive amplitude: its block cannot be gated, so
-        # the stacked call over both rows' blocks raises and adds nothing; the
-        # row that passes alone adds its block
+        # the stacked call over both rows' blocks raises; the row that passes
+        # alone gets its block's own verdict
         params = make_params(power=0.075)
         rows = [gate_columns(params, [(0.5, 0.5)], [0.5]),
                 gate_columns(dataclasses.replace(params, drive_power=1e300), [(0.5, 0.5)], [0.5])]
@@ -720,14 +713,10 @@ class TestBlockTable:
         gate = gate_branches(params, *columns, "positive")
         assert gate.errors[0] is None and str(gate.errors[1]).startswith("eigenvalue solver failed")
         blocks = collective_drifts(gate.drifts, "positive")
-        known = {}
         with pytest.raises(HopcavError, match="eigenvalue solver failed"):
-            stability._collective_verdicts(blocks, known)
-        assert known == {}
+            stability._collective_verdicts(blocks)
         want = hurwitz_gate(blocks[:1])[0].tolist()
-        assert stability._collective_verdicts(blocks[:1], known) == want
-        # the table's entry is the block's own verdict
-        assert list(known.items()) == [(blocks[0].tobytes(), want[0])]
+        assert stability._collective_verdicts(blocks[:1]) == want
 
 
 # finite axis values in rad/s, of both signs and of tiny and huge magnitudes
