@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import operator
 import sys
@@ -20,15 +19,14 @@ from dataclasses import replace
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .config import load_config, validate_config
 from .dynamics import QUADRATURE_LABELS
-from .engine import csv_points, map_chunks, misses_residual_gate, run_point, write_csv
+from .engine import (csv_points, map_chunks, misses_residual_gate, run_point, stability_csv,
+                     write_csv)
 from .errors import ConfigError, HopcavError, UnknownPresetError
 from .presets import PRESET_NAMES, fig_preset
-from .stability import MapColumns, StabilityReport, map_columns
+from .stability import StabilityReport, map_columns
 
 # bound for the span tracer of the benchmark (perfbench/spans.py PATCHES);
 # ``point`` takes its matrices from the run_point result instead,
@@ -46,10 +44,6 @@ EXIT_NUMERICAL = 2
 EXIT_UNKNOWN_PRESET = 3
 
 STABILITY_COLUMNS = StabilityReport._fields
-# the cells of a stability row after s2 (hurwitz_reduced, hurwitz_full,
-# agree), by their values
-_VERDICT_CELLS = {flags: "".join(",true" if flag else ",false" for flag in flags) + "\n"
-                  for flags in itertools.product((False, True), repeat=3)}
 _FLOATS = frozenset({float})
 _STRINGS = frozenset({str})
 
@@ -196,11 +190,7 @@ plot '{name}.csv' using 1:13 with lines
 
 
 def _cmd_fig(args) -> int:
-    try:
-        config = fig_preset(args.preset)
-    except UnknownPresetError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_UNKNOWN_PRESET
+    config = fig_preset(args.preset)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     code = _write_sweep(config, out_dir / f"{args.preset}.csv", args.workers)
@@ -209,34 +199,6 @@ def _cmd_fig(args) -> int:
             GNUPLOT_TEMPLATE.format(name=args.preset), encoding="utf-8"
         )
     return code
-
-
-def stability_csv(columns: MapColumns) -> str:
-    """The CSV lines of a stability map, from its columns: the text of
-    ``csv_lines`` of its reports, byte for byte.
-
-    Each axis value is formatted once, each distinct s1 and s2 cell once
-    (:func:`_distinct_texts`), and each pattern of verdicts spelled once;
-    one join renders the whole map.
-    """
-    count = len(columns.s1)
-    cells = [None] * (5 * count)  # per point: delta, xi, s1, s2, verdicts
-    cells[0::5], cells[1::5] = columns.per_point(["%.12g," % delta for delta in columns.delta],
-                                                 ["%.12g," % xi for xi in columns.xi])
-    cells[2::5] = _distinct_texts(columns.s1, "%.12g,")
-    cells[3::5] = _distinct_texts(columns.s2, "%.12g")
-    cells[4::5] = map(_VERDICT_CELLS.__getitem__,
-                      zip(columns.hurwitz_reduced, columns.hurwitz_full, columns.agree))
-    return "".join(cells)
-
-
-def _distinct_texts(values: list, template: str) -> list:
-    """``template % value`` of each float of ``values``, a NaN's 'nan' made
-    empty, formatted once per distinct bit pattern (not value: 0.0 and -0.0
-    print apart, and a NaN equals nothing)."""
-    bits, inverse = np.unique(np.array(values, dtype=float).view(np.int64), return_inverse=True)
-    texts = [(template % value).replace("nan", "") for value in bits.view(float).tolist()]
-    return np.array(texts, dtype=object)[inverse].tolist()
 
 
 def _cmd_stability(args) -> int:

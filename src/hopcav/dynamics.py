@@ -119,8 +119,8 @@ def build_diffusion(params: PhysicalParams, bath: SqueezedBath, nbar: float) -> 
     kappa (2N + 1) on the optical quadratures.  The squeezed correlations put
     +/- 2 sqrt(kappa1 kappa2) M on the (x1, x2) and (y1, y2) cross entries.
     """
-    if nbar < 0.0:
-        raise UnphysicalBathError(f"thermal occupation must be nonnegative, got {nbar}")
+    if not 0.0 <= nbar < np.inf:
+        raise UnphysicalBathError(f"thermal occupation must be finite and nonnegative, got {nbar}")
     n = bath.photon_number
     m = bath.correlation
     k1, k2 = params.cavity_decay

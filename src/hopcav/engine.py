@@ -17,15 +17,17 @@ chunk with several branches at a point groups its rows, to keep each point's
 default branch.  Only ``run_point`` (and so ``hopcav point``) builds the
 per-point objects (:class:`SteadyState`, :class:`PointResult`).
 
-Records become CSV lines through :func:`csv_lines`, which also writes any
-rows of cells a library caller passes (a stability map's reports among
-them): one ``%`` template per pattern of cells renders a whole row, and only
-a line that reads 'nan' is rendered again.  ``hopcav sweep`` and ``hopcav
-fig`` format each chunk's lines where the chunk is evaluated
-(:func:`csv_points`), in a pool's worker when there is one, and write the
-chunks' texts in grid order.  ``hopcav stability`` writes its map from the
-map's columns instead (:func:`hopcav.cli.stability_csv`), with the same
-bytes.
+Every CSV cell is written by one set of cell formatters, a column at a
+time, each text with the separator that follows it; one joiner interleaves
+the text columns into rows with one ``"".join``.  A column takes its
+formatter from what it holds: ``hopcav sweep`` and ``hopcav fig`` format
+each chunk's records by the record layout's column kinds, where the chunk is
+evaluated (:func:`csv_points`), in a pool's worker when there is one, and
+write the chunks' texts in grid order; ``hopcav stability`` writes its map
+from the map's columns (:func:`stability_csv`); and :func:`csv_lines`, for
+library callers' rows (a stability map's reports among them), takes each
+column's kind from its cells' types.  The input cells and the map's s1 and
+s2 repeat, so each distinct one is formatted once.
 
 The work that does not depend on the point runs once per sweep: the base
 parameters' couplings and inputs and, when the sweep starts, each axis
@@ -67,10 +69,8 @@ from __future__ import annotations
 import io
 import itertools
 import math
-import operator
 import os
 from dataclasses import dataclass
-from types import NoneType
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -90,7 +90,7 @@ from .params import (
     thermal_occupation,
 )
 from .squeezed import SqueezedBath
-from .stability import Gate, gate_branches
+from .stability import Gate, MapColumns, gate_branches
 from .steady_state import SteadyState, fixed_detuning_points, self_consistent_points
 
 # bound for the span tracer of the benchmark (perfbench/spans.py PATCHES);
@@ -499,7 +499,7 @@ def csv_points(sweep: _Sweep, start: int, stop: int) -> tuple[str, int, bool]:
     with their record count and whether any record misses the residual gate:
     the chunk task of ``hopcav sweep`` and ``hopcav fig``."""
     records = run_points(sweep, start, stop)
-    return "".join(csv_lines(records)), len(records), any(map(misses_residual_gate, records))
+    return _record_text(records), len(records), any(map(misses_residual_gate, records))
 
 
 def misses_residual_gate(rec: ResultRecord) -> bool:
@@ -595,55 +595,89 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
     return SweepResult(records=records, residual_failure=any(map(misses_residual_gate, records)))
 
 
-def _getter(positions: list) -> Callable:
-    """The cells of a row at ``positions``, as a tuple."""
-    if len(positions) == 1:
-        (i,) = positions
-        return lambda row: (row[i],)
-    return operator.itemgetter(*positions) if positions else lambda row: ()
+# The cell formatters: each takes a column of cells and the separator that
+# follows them ("," or, after a row's last cell, "\n") and returns the
+# column's texts, separator included.
 
 
-class _RowPattern:
-    """The CSV templates of the rows whose cells have one sequence of types.
+def _float_cells(column, end: str) -> list[str]:
+    """Floats with 12 significant digits, None and NaN as empty cells."""
+    template = "%.12g" + end
+    texts = [end if value is None else template % value for value in column]
+    nan = "nan" + end
+    return [end if text == nan else text for text in texts] if nan in texts else texts
 
-    A template spells out a row's booleans, text and missing cells and
-    formats its numbers: floats with 12 significant digits, integers as
-    integers.  There is one per value of the boolean and text cells, and per
-    set of NaN numbers, which it renders empty."""
 
-    def __init__(self, kinds: tuple):
-        self.kinds = kinds
-        self.spelled = [i for i, kind in enumerate(kinds) if kind is bool or issubclass(kind, str)]
-        self.numbers = [i for i, kind in enumerate(kinds)
-                        if kind is not NoneType and i not in self.spelled]
-        self.spelled_cells = _getter(self.spelled)
-        self.templates: dict = {}  # (spelled cells, NaN numbers) -> template and its cells
+def _distinct_cells(column, end: str) -> list[str]:
+    """The texts of :func:`_float_cells` for a column of floats that repeat,
+    each distinct bit pattern formatted once (not each value: 0.0 and -0.0
+    print apart, and a NaN equals nothing)."""
+    bits, inverse = np.unique(np.array(column, dtype=float).view(np.int64), return_inverse=True)
+    texts = _float_cells(bits.view(float).tolist(), end)
+    return np.array(texts, dtype=object)[inverse].tolist()
 
-    def line(self, row) -> str:
-        spelled = self.spelled_cells(row)
-        template, cells = self.templates.get((spelled, ())) or self._template(spelled, ())
-        line = template % cells(row)
-        if "nan" in line:
-            nans = tuple([i for i in self.numbers if row[i] != row[i]])
-            template, cells = self.templates.get((spelled, nans)) or self._template(spelled, nans)
-            line = template % cells(row)
-        return line
 
-    def _template(self, spelled: tuple, nans: tuple) -> tuple[str, Callable]:
-        texts = dict(zip(self.spelled, spelled))
-        parts = []
-        for i, kind in enumerate(self.kinds):
-            if kind is bool:
-                parts.append("true" if texts[i] else "false")
-            elif i in texts:
-                parts.append(texts[i].replace(",", ";").replace("\n", " ").replace("%", "%%"))
-            elif kind is NoneType or i in nans:
-                parts.append("")
-            else:
-                parts.append("%d" if issubclass(kind, (int, np.integer)) else "%.12g")
-        entry = ",".join(parts) + "\n", _getter([i for i in self.numbers if i not in nans])
-        self.templates[spelled, nans] = entry
-        return entry
+def _bool_cells(column, end: str) -> list[str]:
+    true, false = "true" + end, "false" + end
+    return [true if value else false for value in column]
+
+
+def _int_cells(column, end: str) -> list[str]:
+    return list(map(("%d" + end).__mod__, column))
+
+
+def _text_cells(column, end: str) -> list[str]:
+    """Text with commas as semicolons and newlines as spaces."""
+    return [text.replace(",", ";").replace("\n", " ") + end for text in column]
+
+
+def _kind_cells(kind: type) -> Callable:
+    """The formatter of cells of type ``kind``; None is an empty float cell."""
+    if issubclass(kind, bool):
+        return _bool_cells
+    if issubclass(kind, (int, np.integer)):
+        return _int_cells
+    return _text_cells if issubclass(kind, str) else _float_cells
+
+
+def _joined(texts: list) -> str:
+    """The CSV lines of the text columns ``texts`` (separators included), as
+    one text."""
+    width = len(texts)
+    cells = [None] * sum(map(len, texts))
+    for i, column in enumerate(texts):
+        cells[i::width] = column
+    return "".join(cells)
+
+
+def _ends(width: int) -> list[str]:
+    """The separators after a row's ``width`` cells."""
+    return [","] * (width - 1) + ["\n"]
+
+
+# the formatter of each record column, from the record layout: the six input
+# columns repeat within a chunk, so they take the distinct route
+_RECORD_CELLS = ((_distinct_cells,) * 6 + (_float_cells,) * 3 + (_bool_cells,)
+                 + (_float_cells,) * 13 + (_int_cells, _text_cells))
+_RECORD_ENDS = _ends(len(CSV_COLUMNS))
+
+
+def _record_text(records: list) -> str:
+    """The CSV lines of sweep records, joined, each column formatted by its
+    kind in the record layout."""
+    return _joined([cells(column, end)
+                    for cells, column, end in zip(_RECORD_CELLS, zip(*records), _RECORD_ENDS)])
+
+
+def stability_csv(columns: MapColumns) -> str:
+    """The CSV lines of a stability map, from its columns: the text of
+    :func:`csv_lines` of its reports.  Each axis value is formatted once, and
+    each distinct s1 and s2 cell once."""
+    return _joined([*columns.per_point(_float_cells(columns.delta, ","),
+                                       _float_cells(columns.xi, ",")),
+                    _distinct_cells(columns.s1, ","), _distinct_cells(columns.s2, ","),
+                    _bool_cells(columns.hurwitz_reduced, ","),
+                    _bool_cells(columns.hurwitz_full, ","), _bool_cells(columns.agree, "\n")])
 
 
 def csv_lines(rows) -> list[str]:
@@ -651,17 +685,16 @@ def csv_lines(rows) -> list[str]:
     integers as integers, booleans as true/false, None and NaN as empty
     cells, and text with commas as semicolons and newlines as spaces.
 
-    Each row is rendered by one ``%`` template, made once per pattern of
-    cells (see :class:`_RowPattern`); a line that reads 'nan' is rendered
-    again with its NaN cells empty.
+    Each column takes the formatter of its cells' types, and a column whose
+    types need several formatters is formatted cell by cell.
     """
-    patterns: dict = {}  # cell types -> _RowPattern
-    lines = []
-    for row in rows:
-        kinds = tuple(map(type, row))
-        pattern = patterns.get(kinds) or patterns.setdefault(kinds, _RowPattern(kinds))
-        lines.append(pattern.line(row))
-    return lines
+    columns, texts = list(zip(*rows)), []
+    for column, end in zip(columns, _ends(len(columns))):
+        cells, *others = {_kind_cells(kind) for kind in set(map(type, column))}
+        texts.append([_kind_cells(type(value))([value], end)[0] for value in column]
+                     if others else cells(column, end))
+    text = _joined(texts)
+    return [line + "\n" for line in text.split("\n")[:-1]]
 
 
 def write_csv(records, stream, header_lines=()) -> None:

@@ -37,9 +37,10 @@ of its points, and one dict of the map's distinct collective blocks.  A block
 depends on delta + xi alone, so it recurs across a grid's rows, and the map
 takes the eigenvalues of each distinct one once, in one call
 (:func:`_collective_verdicts`, keyed by the blocks' bytes with no Python per
-block).  The ``hopcav stability`` CSV is written from these columns
-(:func:`hopcav.cli.stability_csv`, which formats each distinct s1 and s2
-cell once); :func:`stability_map` gives a library caller the map's rows.
+block).  The ``hopcav stability`` CSV is written from these columns by the
+sweep CSV's cell formatters (:func:`hopcav.engine.stability_csv`, which
+formats each distinct s1 and s2 cell once); :func:`stability_map` gives a
+library caller the map's rows.
 """
 
 from __future__ import annotations

@@ -139,11 +139,10 @@ def preset_table(config, indexed_records) -> str:
 
 
 def stability_table(reports) -> str:
-    def cell(v):
-        return ("true" if v else "false") if isinstance(v, bool) else format(v, ".12g")
+    """CSV text of stability reports, in the ``hopcav stability`` cell format."""
+    from hopcav.engine import csv_lines
 
-    rows = [",".join(cell(getattr(r, c)) for c in STABILITY_COLUMNS) for r in reports]
-    return "\n".join((",".join(STABILITY_COLUMNS), *rows)) + "\n"
+    return ",".join(STABILITY_COLUMNS) + "\n" + "".join(csv_lines(reports))
 
 
 def main() -> None:

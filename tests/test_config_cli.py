@@ -16,6 +16,8 @@ from hopcav import cli
 from hopcav.cli import main
 from hopcav.config import parse_config, validate_config
 from hopcav.errors import ConfigError
+from hopcav.presets import PRESET_NAMES
+from hopcav.stability import MapColumns
 
 TWO_PI = 2.0 * math.pi
 
@@ -482,8 +484,10 @@ class TestCli:
         path.write_text("{not json", encoding="utf-8")
         assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 1
 
-    def test_unknown_preset_exit_code(self, tmp_path):
+    def test_unknown_preset_exit_code(self, tmp_path, capsys):
         assert main(["fig", "fig99", "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == (
+            f"unknown preset 'fig99'; available: {', '.join(PRESET_NAMES)}\n")
 
     def test_sweep_csv(self, tmp_path):
         doc = doc_with(axes=[{"name": "delta", "min": 0.5, "max": 1.5, "count": 3}])
@@ -580,8 +584,8 @@ class TestCli:
         s2 = [1.0, 1.0, 3.0, 2.0, 2.0, -0.0]
         reduced = [True, True, False, False, True, False]
         agree = [(a > 0.0 and b > 0.0) == red for a, b, red in zip(s1, s2, reduced)]
-        columns = cli.MapColumns([0.0, 1.0], [0.5, 1.0, 1.5], s1, s2, reduced, [False] * 6,
-                                 agree)
+        columns = MapColumns([0.0, 1.0], [0.5, 1.0, 1.5], s1, s2, reduced, [False] * 6,
+                             agree)
         monkeypatch.setattr(cli, "map_columns", lambda *args, **kwargs: columns)
         doc = doc_with(axes=[
             {"name": "delta", "min": 0.0, "max": 1.0, "count": 2},

@@ -176,6 +176,11 @@ class TestDiffusionMatrix:
         with pytest.raises(UnphysicalBathError):
             build_diffusion(make_params(), SqueezedBath.vacuum(), -1.0)
 
+    @pytest.mark.parametrize("nbar", [math.nan, math.inf, -math.inf])
+    def test_non_finite_occupation_rejected(self, nbar):
+        with pytest.raises(UnphysicalBathError, match="finite"):
+            build_diffusion(make_params(), SqueezedBath.vacuum(), nbar)
+
 
 class TestReducedModel:
     def test_no_hopping_single_cavity_form(self):

@@ -26,7 +26,7 @@ from hopcav.engine import (
     run_point,
     run_sweep,
 )
-from hopcav.cli import stability_csv
+from hopcav.engine import stability_csv
 from hopcav.config import parse_config
 from hopcav.errors import ConfigError
 from hopcav.lyapunov import RESIDUAL_GATE
@@ -727,6 +727,32 @@ class TestCsv:
         stability = [StabilityReport(*row) for row in stability]
         assert csv_lines(sweep) == [oracle_line(row) for row in sweep]
         assert csv_lines(stability) == [oracle_line(row) for row in stability]
+
+
+@st.composite
+def record_tables(draw):
+    """Sweep records with the cell kinds of the record layout.  The input
+    cells come from a small pool per table, a few values, their negations
+    and both zeros, so that they repeat and a column can hold both 0.0 and
+    -0.0; the optional cells are None or any float."""
+    pool = draw(st.lists(FLOAT_CELLS, min_size=1, max_size=3))
+    inputs = st.lists(st.sampled_from([0.0, -0.0, *pool, *(-value for value in pool)]),
+                      min_size=6, max_size=6)
+    optional = st.lists(st.one_of(st.none(), FLOAT_CELLS), min_size=16, max_size=16)
+    record = st.builds(lambda cells, rest, stable, branch, error: ResultRecord(
+        *cells, *rest[:3], stable, *rest[3:], branch, error),
+        inputs, optional, st.booleans(), CELL_KINDS["int"], ERROR_TEXTS)
+    return draw(st.lists(record, max_size=8))
+
+
+@settings(max_examples=100, deadline=None)
+@given(records=record_tables())
+def test_record_writer_matches_the_row_formatter(records):
+    # csv_points formats a chunk's records by the columns' kinds in the record
+    # layout, not by their cells' types: the lines csv_lines gives them, and
+    # so the per-cell oracle's
+    assert engine._record_text(records) == "".join(csv_lines(records))
+    assert engine._record_text(records) == "".join(oracle_line(row) for row in records)
 
 
 @st.composite
