@@ -19,15 +19,14 @@ per-point objects (:class:`SteadyState`, :class:`PointResult`).
 
 Every CSV cell is written by one set of cell formatters, a column at a
 time, each text with the separator that follows it; one joiner interleaves
-the text columns into rows with one ``"".join``.  A column takes its
-formatter from what it holds: ``hopcav sweep`` and ``hopcav fig`` format
-each chunk's records by the record layout's column kinds, where the chunk is
-evaluated (:func:`csv_points`), in a pool's worker when there is one, and
-write the chunks' texts in grid order; ``hopcav stability`` writes its map
-from the map's columns (:func:`stability_csv`); and :func:`csv_lines`, for
-library callers' rows (a stability map's reports among them), takes each
-column's kind from its cells' types.  The input cells and the map's s1 and
-s2 repeat, so each distinct one is formatted once.
+the text columns into rows with one ``"".join``.  Records take their column
+kinds from the record layout (:func:`write_csv`; :func:`csv_points`, with
+which ``hopcav sweep`` and ``hopcav fig`` format each chunk where it is
+evaluated, in a pool's worker when there is one); ``hopcav stability``
+writes its map from the map's columns (:func:`stability_csv`); and
+:func:`csv_lines`, for rows of other shapes (a stability map's reports),
+takes each column's kind from its cells' types.  The input cells and the
+map's s1 and s2 repeat, so each distinct one is formatted once.
 
 The work that does not depend on the point runs once per sweep: the base
 parameters' couplings and inputs and, when the sweep starts, each axis
@@ -655,18 +654,20 @@ def _ends(width: int) -> list[str]:
     return [","] * (width - 1) + ["\n"]
 
 
-# the formatter of each record column, from the record layout: the six input
-# columns repeat within a chunk, so they take the distinct route
-_RECORD_CELLS = ((_distinct_cells,) * 6 + (_float_cells,) * 3 + (_bool_cells,)
-                 + (_float_cells,) * 13 + (_int_cells, _text_cells))
+# each record column's formatter: its default's type's, or, for the six input
+# fields, which have no default and repeat within a chunk, the distinct route
+_RECORD_CELLS = [_kind_cells(type(ResultRecord._field_defaults[name]))
+                 if name in ResultRecord._field_defaults else _distinct_cells
+                 for name in CSV_COLUMNS]
 _RECORD_ENDS = _ends(len(CSV_COLUMNS))
 
 
-def _record_text(records: list) -> str:
+def _record_text(records) -> str:
     """The CSV lines of sweep records, joined, each column formatted by its
     kind in the record layout."""
-    return _joined([cells(column, end)
-                    for cells, column, end in zip(_RECORD_CELLS, zip(*records), _RECORD_ENDS)])
+    columns = list(zip(*records)) or [()] * len(CSV_COLUMNS)
+    return _joined([cells(column, end) for cells, column, end
+                    in zip(_RECORD_CELLS, columns, _RECORD_ENDS, strict=True)])
 
 
 def stability_csv(columns: MapColumns) -> str:
@@ -681,13 +682,14 @@ def stability_csv(columns: MapColumns) -> str:
 
 
 def csv_lines(rows) -> list[str]:
-    """The CSV lines of rows of cells: floats with 12 significant digits,
-    integers as integers, booleans as true/false, None and NaN as empty
-    cells, and text with commas as semicolons and newlines as spaces.
-
-    Each column takes the formatter of its cells' types, and a column whose
-    types need several formatters is formatted cell by cell.
-    """
+    """The CSV lines of rows of cells, all of one width: floats with 12
+    significant digits, integers as integers, booleans as true/false, None
+    and NaN empty, and text with commas as semicolons and newlines as spaces.
+    Each column takes the formatter of its cells' types, cell by cell for a
+    column whose types need several."""
+    rows = list(rows)
+    if len(set(map(len, rows))) > 1:
+        raise ValueError(f"CSV rows of widths {sorted(set(map(len, rows)))}, not one")
     columns, texts = list(zip(*rows)), []
     for column, end in zip(columns, _ends(len(columns))):
         cells, *others = {_kind_cells(kind) for kind in set(map(type, column))}
@@ -706,7 +708,7 @@ def write_csv(records, stream, header_lines=()) -> None:
     for line in header_lines:
         stream.write(f"# {line}\n")
     stream.write(",".join(CSV_COLUMNS) + "\n")
-    stream.writelines(csv_lines(records))
+    stream.write(_record_text(records))
 
 
 def csv_text(records, header_lines=()) -> str:

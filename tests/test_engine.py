@@ -748,11 +748,20 @@ def record_tables(draw):
 @settings(max_examples=100, deadline=None)
 @given(records=record_tables())
 def test_record_writer_matches_the_row_formatter(records):
-    # csv_points formats a chunk's records by the columns' kinds in the record
-    # layout, not by their cells' types: the lines csv_lines gives them, and
-    # so the per-cell oracle's
+    # csv_points and write_csv format records by the columns' kinds in the
+    # record layout, not by their cells' types: the lines csv_lines gives
+    # them, and so the per-cell oracle's
     assert engine._record_text(records) == "".join(csv_lines(records))
     assert engine._record_text(records) == "".join(oracle_line(row) for row in records)
+
+
+def test_row_formatter_rejects_rows_of_several_widths():
+    # transposing rows of several widths would cut each to the shortest
+    with pytest.raises(ValueError, match="widths"):
+        csv_lines([(1.0, 2.0), (1.0,)])
+    with pytest.raises(ValueError):
+        engine._record_text([(1.0, 2.0)])
+    assert csv_lines([]) == [] and engine._record_text([]) == ""
 
 
 @st.composite
