@@ -152,6 +152,49 @@ def collective_drifts(drifts: np.ndarray, detuning_sign: str) -> np.ndarray:
     return diagonal - hopping if _sign(detuning_sign) > 0.0 else diagonal + hopping
 
 
+# the collective drift's point-dependent entries, as flat indices of the 4x4
+# matrix: the couplings G (twice) and the modified detunings, and which cell
+# of (G, A[2, 3], A[3, 2]) each takes
+_COLLECTIVE_ENTRIES = np.ravel_multi_index(np.array([(1, 2), (3, 0), (2, 3), (3, 2)]).T, (4, 4))
+_COLLECTIVE_SOURCES = np.array([0, 0, 1, 2])
+
+
+def collective_cells(coupling, detuning, hop_strength, detuning_sign: str) -> np.ndarray:
+    """The cells that define the collective drifts (:func:`collective_drifts`)
+    of drifts of identical cavities at equal couplings G and equal detunings
+    delta (as :func:`drift_stack` places them): one row (G, A[2, 3], A[3, 2])
+    per block, shape (P, 3).
+
+    ``coupling`` holds one G per block; ``detuning`` and ``hop_strength``
+    broadcast to one value per block in row-major order (a grid's delta
+    values as a column and its xi values as a row).  The two detuning
+    entries are s delta + s xi and -s delta - s xi, the drift's own
+    operations on its entries s delta, -s delta and -+xi (a product with
+    s = +-1 is exact, and a - b is a + (-b)), so they are the block's entries
+    bit for bit, and they are two cells: the signs of zero do not make one
+    the negative of the other.
+    """
+    s = _sign(detuning_sign)
+    cells = np.empty((len(coupling), 3))
+    cells[:, 0] = coupling
+    cells[:, 1] = (s * detuning + s * hop_strength).ravel()
+    cells[:, 2] = (-s * detuning - s * hop_strength).ravel()
+    return cells
+
+
+def collective_stack(mech_freq, mech_damping, cavity_decay, cells) -> np.ndarray:
+    """The collective drifts of identical cavities with the rates of the first
+    of the per-cavity pairs, shape (P, 4, 4), from their cells
+    (:func:`collective_cells`): for a nonnegative G, the blocks of
+    :func:`collective_drifts` bit for bit (under the negative sign that
+    function adds the hopping block's 0.0 to a G of -0.0)."""
+    count = len(cells)
+    template = _drift_template(tuple(mech_freq), tuple(mech_damping), tuple(cavity_decay))
+    stack = template[:4, :4][None].repeat(count, axis=0)
+    stack.reshape(count, 16)[:, _COLLECTIVE_ENTRIES] = cells.take(_COLLECTIVE_SOURCES, axis=1)
+    return stack
+
+
 def exchange_blocks(drifts: np.ndarray, detuning_sign: str) -> np.ndarray:
     """Both exchange blocks of a (P, 8, 8) stack of drifts of identical
     cavities at equal couplings and detunings, as one (2P, 4, 4) stack: the

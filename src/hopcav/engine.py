@@ -3,10 +3,10 @@ emission.
 
 A batch of grid points runs
 
-    inputs from the sweep's axis tables -> working points -> the stability
-    gate (stacked 8x8 drifts, stability scalars, Hurwitz verdicts from their
-    signs or from eigenvalues; a stage shared with the stability map, see
-    :func:`hopcav.stability.gate_branches`) ->
+    inputs from the sweep's axis tables -> working points -> stacked 8x8
+    drifts -> the stability gate (stability scalars, Hurwitz verdicts from
+    their signs or from eigenvalues; a stage shared with the stability map,
+    see :func:`hopcav.stability.gate_branches`) ->
     grouped Lyapunov solves of the stable branches -> stacked pair measures
     -> one record per row
 
@@ -74,7 +74,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .dynamics import DETUNING_SIGNS, build_diffusion
+from .dynamics import DETUNING_SIGNS, build_diffusion, drift_stack
 from .errors import ConfigError, HopcavError
 from .lyapunov import CHUNK_POINTS, RESIDUAL_GATE, lyapunov_stack
 from .measures import MEASURES, pair_measures
@@ -89,7 +89,7 @@ from .params import (
     thermal_occupation,
 )
 from .squeezed import SqueezedBath
-from .stability import Gate, MapColumns, gate_branches
+from .stability import MapColumns, gate_branches
 from .steady_state import SteadyState, fixed_detuning_points, self_consistent_points
 
 # bound for the span tracer of the benchmark (perfbench/spans.py PATCHES);
@@ -406,7 +406,8 @@ class _Batch(NamedTuple):
     records: list       # the emitted records in grid order, a point's branch rows adjacent
     rows: Sequence      # per emitted record: its branch row, or None for a point that failed
     steady: Callable[[int], SteadyState]  # the working point of a branch row
-    gate: Gate
+    drifts: np.ndarray  # (rows, 8, 8) figure-convention drifts of the branch rows
+    errors: list        # per branch row: None, or the error that the gate raised
     w: np.ndarray       # the stationary covariances of the branch rows solved
     solved: np.ndarray  # per branch row: its index in w, or -1 if unstable or failed
 
@@ -441,7 +442,13 @@ def _evaluate(sweep: _Sweep, start: int, stop: int) -> _Batch:
     inputs = inputs.take(working.owner, 0)
     amp_abs, coupling, detuning = working.amp_abs, working.eff_coupling, working.eff_detuning
 
-    gate = gate_branches(p, coupling, detuning, inputs[:, _HOP], config.detuning_sign)
+    hops = inputs[:, _HOP]
+    # every branch row's drift, once: the gate takes the rows it cannot
+    # decide by sign, the Lyapunov solve the stable ones, run_point them all
+    drifts = drift_stack(p.mech_freq, p.mech_damping, p.cavity_decay, coupling,
+                         # the figure convention: negated Langevin detunings
+                         -detuning, hops, config.detuning_sign)
+    gate = gate_branches(p, coupling, detuning, hops, config.detuning_sign, drifts)
     errors = list(gate.errors)
     solve = [j for j, stable in enumerate(gate.verdicts) if stable]
     diffusions = [sweep.diffusion(*noise) for noise in inputs[solve, _NOISE].tolist()]
@@ -452,7 +459,7 @@ def _evaluate(sweep: _Sweep, start: int, stop: int) -> _Batch:
     measured = [_UNMEASURED] * len(owners)
     w, solved = np.empty((0, 8, 8)), np.full(len(owners), -1)
     if solve:
-        w, residuals = lyapunov_stack(gate.drifts.take(solve, axis=0), np.array(diffusions))
+        w, residuals = lyapunov_stack(drifts.take(solve, axis=0), np.array(diffusions))
         solved[solve] = np.arange(len(solve))
         measures = pair_measures(w)
         for j, row, error in zip(solve, zip(*measures.columns, residuals.tolist()),
@@ -484,7 +491,7 @@ def _evaluate(sweep: _Sweep, start: int, stop: int) -> _Batch:
         emitted = [failed[k] if j is None else records[j] for k, j in order]
     else:
         emitted = records if len(rows) == len(records) else [records[j] for j in rows]
-    return _Batch(emitted, rows, working.steady, gate, w, solved)
+    return _Batch(emitted, rows, working.steady, drifts, gate.errors, w, solved)
 
 
 def run_points(sweep: _Sweep, start: int, stop: int) -> list[ResultRecord]:
@@ -517,12 +524,11 @@ def run_point(config: SweepConfig, overrides: dict[str, float] | None = None) ->
     if rows[0] is None:
         return PointResult(records=records, covariances=covariances, steady_states=(None,),
                            drifts=(None,), diffusion=None)
-    gate = batch.gate
     return PointResult(
         records=records,
         covariances=covariances,
         steady_states=tuple(map(batch.steady, rows)),
-        drifts=tuple([gate.drifts[j] if gate.errors[j] is None else None for j in rows]),
+        drifts=tuple([batch.drifts[j] if batch.errors[j] is None else None for j in rows]),
         diffusion=sweep.diffusion(*records[0][3:6]),  # its nbar, N and M
     )
 

@@ -5,15 +5,17 @@ The kernels work on stacks of matrices, shape (P, n, n), with one LAPACK call
 per stack (or per group of Kronecker systems): a stacked call returns, matrix
 by matrix, exactly what the call on that one matrix returns.  ``is_hurwitz``
 and ``solve_lyapunov`` are their single-matrix cases.  An eigenvalue verdict
-takes its eigenvalues from :func:`spectral_abscissae` and its bound from
-:func:`hurwitz_margins`: :func:`hurwitz_gate` on the matrices themselves.
-The gate of sweeps and stability maps
-(:func:`hopcav.stability.gate_branches`) decides a drift that has 4x4
-exchange blocks from the signs of their Routh-Hurwitz scalars, and takes
-:func:`hurwitz_gate` on the 8x8 drift where a scalar is too close to 0 for
-its sign to match it, and on every other drift; a stability map adds the
-verdict of :func:`hurwitz_gate` on each distinct collective block, one
-stacked call per map.
+takes its eigenvalues from :func:`spectral_abscissae`, one call of the LAPACK
+kernel behind ``np.linalg.eigvals`` (the same eigenvalues, without that
+function's per-call wrapping), and its bound from :func:`hurwitz_margins`:
+:func:`hurwitz_gate` on the matrices themselves.  The gate of sweeps and
+stability maps (:func:`hopcav.stability.gate_branches`) decides a drift that
+has 4x4 exchange blocks from the signs of their Routh-Hurwitz scalars, with
+a band scaled by the drift's Frobenius norm that it sums from the working
+point's columns, and takes :func:`hurwitz_gate` on the 8x8 drift where a
+scalar is too close to 0 for its sign to match it, and on every other drift;
+a stability map adds the verdict of :func:`hurwitz_gate` on each distinct
+collective block, one stacked call per map.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg._umath_linalg import eigvals as _eigvals
 
 from .errors import HopcavError, StabilityError
 
@@ -51,14 +54,25 @@ def _frobenius_norms(m: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(flat, flat))
 
 
+def _nonconvergence(err, flag):
+    raise HopcavError("eigenvalue solver failed: Eigenvalues did not converge")
+
+
 def spectral_abscissae(a: np.ndarray) -> np.ndarray:
     """The spectral abscissa (largest real part of an eigenvalue) of each
-    matrix of a stack, from one stacked eigenvalue call; raises
-    :class:`HopcavError` when the solver fails."""
-    try:
-        ev = np.linalg.eigvals(a)
-    except np.linalg.LinAlgError as exc:
-        raise HopcavError(f"eigenvalue solver failed: {exc}") from exc
+    matrix of a stack of real matrices, from one stacked eigenvalue call;
+    raises :class:`HopcavError` on a non-finite entry or when the solver
+    fails.
+
+    The call is the LAPACK kernel behind ``np.linalg.eigvals``, with that
+    function's checks and floating-point state but without its wrapping, so
+    the eigenvalues are its own, bit for bit."""
+    if not np.isfinite(a).all():
+        raise HopcavError("eigenvalue solver failed: Array must not contain infs or NaNs")
+    # the kernel flags a failure to converge as an invalid operation
+    with np.errstate(call=_nonconvergence, invalid="call", over="ignore", divide="ignore",
+                     under="ignore"):
+        ev = _eigvals(a, signature="d->D")
     return np.maximum.reduce(ev.real, axis=-1)
 
 

@@ -24,36 +24,42 @@ model.
 Such a drift is orthogonally similar to the direct sum of its collective
 block and the same model at delta - xi (Vitali et al., PRL 98, 030405
 (2007)).  A sweep's gate therefore decides it from the four scalars at
-delta + xi and delta - xi.  Where a scalar is too close to 0 for its sign to
-give the verdict of the eigenvalue test and its margin (:data:`BAND_MARGINS`),
-and for every drift without a collective model, the gate takes
-:func:`hopcav.lyapunov.hurwitz_gate` on the 8x8 drift: the one eigenvalue
-route, so every verdict is that of ``is_hurwitz``.  A stability map, which
-exists to compare the sign conditions with eigenvalue tests, takes its full
-verdicts and scalars from that gate and adds the eigenvalue verdict of each
-point's collective block.  The map is one columnar pass
-(:func:`map_columns`): working points factored by axis, the gate on chunks
-of its points, and one dict of the map's distinct collective blocks.  A block
-depends on delta + xi alone, so it recurs across a grid's rows, and the map
-takes the eigenvalues of each distinct one once, in one call
-(:func:`_collective_verdicts`, keyed by the blocks' bytes with no Python per
-block).  The ``hopcav stability`` CSV is written from these columns by the
-sweep CSV's cell formatters (:func:`hopcav.engine.stability_csv`, which
-formats each distinct s1 and s2 cell once); :func:`stability_map` gives a
-library caller the map's rows.
+delta + xi and delta - xi, and it reads everything it decides from the
+working point's columns: exchange symmetry from equal per-cavity rates,
+couplings and detunings, and the band of each scalar from the drift's
+Frobenius norm, a sum of the columns' squares.  Where a scalar is too close
+to 0 for its sign to give the verdict of the eigenvalue test and its margin
+(:data:`BAND_MARGINS`), and for every drift without a collective model, the
+gate takes :func:`hopcav.lyapunov.hurwitz_gate` on the 8x8 drift, which it
+assembles for those rows alone: the one eigenvalue route, so every verdict is
+that of ``is_hurwitz``.  A stability map, which exists to compare the sign
+conditions with eigenvalue tests, takes its full verdicts and scalars from
+that gate and adds the eigenvalue verdict of each point's collective block.
+The map is one columnar pass (:func:`map_columns`): working points factored
+by axis, the gate on chunks of its points, and one dict of the map's
+distinct collective blocks.  A block depends on delta + xi alone, so it
+recurs across a grid's rows; the dict is keyed by the three cells that
+define a block (G and its two modified-detuning entries), and the map
+assembles each distinct block and takes its eigenvalues once, in one call
+(:func:`_collective_verdicts`, with no Python per block).  The ``hopcav
+stability`` CSV is written from these columns by the sweep CSV's cell
+formatters (:func:`hopcav.engine.stability_csv`, which formats each distinct
+s1 and s2 cell once); :func:`stability_map` gives a library caller the map's
+rows.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import collective_drifts, drift_stack
+from .dynamics import collective_cells, collective_stack, drift_stack
 from .errors import ConfigError, HopcavError
-from .lyapunov import CHUNK_POINTS, hurwitz_gate, hurwitz_margins
+from .lyapunov import ABSCISSA_RTOL, CHUNK_POINTS, hurwitz_gate
 from .params import (PhysicalParams, checked_detuning, checked_hop_strength, derive_coupling,
                      drive_amps)
 
@@ -88,6 +94,14 @@ from .steady_state import solve_fixed_detuning  # noqa: F401
 # preset row falls in the band (TestClosedFormGate in tests/test_stability.py):
 # the smallest relative scalar, on fig3a, is 39 times its band.
 BAND_MARGINS = 64.0
+
+# grid points per gate call of a stability map.  The gate assembles no drift
+# for a row that its signs decide, so a map's chunk holds only the gate's
+# column temporaries, about 0.3 kB a point; in chunks of this size they stay
+# in a core's cache, and the gate over the fig5 map took 1.5 ms against 2.7 ms
+# in chunks of CHUNK_POINTS (one x86 core; 512 and 2 048 points took 2.0 and
+# 1.8 ms)
+MAP_CHUNK_POINTS = 4 * CHUNK_POINTS
 
 
 def routh_hurwitz_reduced(omega_m: float, gamma_m: float, kappa: float,
@@ -137,17 +151,17 @@ class StabilityReport(NamedTuple):
 class Gate(NamedTuple):
     """The stability gate of a batch of branches, one entry per branch."""
 
-    drifts: np.ndarray   # (B, 8, 8) figure-convention drifts
     verdicts: list       # Hurwitz verdicts (False where the gate failed)
     s1: list             # stability scalars where the drift has a collective model, else None
     s2: list
     errors: list         # None, or the error that the gate raised for the branch
 
 
-def gate_branches(params: PhysicalParams, coupling, detuning, hops, detuning_sign: str) -> Gate:
-    """The stability gate of a batch of branches: the figure-convention 8x8
-    drifts, their Hurwitz verdicts, the scalars (s1, s2) of the collective
-    model of the branches that have one, and the errors.
+def gate_branches(params: PhysicalParams, coupling, detuning, hops, detuning_sign: str,
+                  drifts=None) -> Gate:
+    """The stability gate of a batch of branches: the Hurwitz verdicts of
+    their figure-convention 8x8 drifts, the scalars (s1, s2) of the
+    collective model of the branches that have one, and the errors.
 
     ``params`` gives the cavities' rates; the columns ``coupling`` (G_j) and
     ``detuning`` (Langevin convention, rad/s), shape (B, 2) or, for pairs of
@@ -155,38 +169,39 @@ def gate_branches(params: PhysicalParams, coupling, detuning, hops, detuning_sig
     hopping strength per branch.  A branch has a collective model exactly
     when its drift is exchange-symmetric: equal
     mechanical frequencies, dampings and decay rates, G_1 == G_2 and
-    Delta_1 == Delta_2.  Such a drift is decided in closed form, from one
-    scalar computation over both of its exchange blocks: it is Hurwitz when
-    s1 and s2 at delta + xi and at delta - xi are all positive.  Every other
-    drift (an asymmetric one, or a symmetric one with a scalar that is not
-    finite or lies within the band of 0, :data:`BAND_MARGINS`) takes
-    :func:`hurwitz_gate` on its 8x8 drift, in one stacked call, so every
+    Delta_1 == Delta_2 (false on NaN).  Such a drift is decided in closed
+    form, from one scalar computation over both of its exchange blocks: it is
+    Hurwitz when s1 and s2 at delta + xi and at delta - xi are all positive.
+    Every other drift (an asymmetric one, or a symmetric one with a scalar
+    that is not finite or lies within the band of 0, :data:`BAND_MARGINS`)
+    takes :func:`hurwitz_gate` on its 8x8 drift, in one stacked call, so every
     verdict is that of :func:`hurwitz_gate` (and ``is_hurwitz``) on the
-    branch's drift, margin included.  When that call raises, its branches
-    are redone one by one, so that only a failing branch carries its error
-    (with a false verdict, and no scalars).
+    branch's drift, margin included.  Those drifts are rows of ``drifts``,
+    the batch's (B, 8, 8) stack, where the caller has one; otherwise the gate
+    assembles them, and no other.  When that call raises, its branches are
+    redone one by one, so that only a failing branch carries its error (with
+    a false verdict, and no scalars).
     """
     hops = np.asarray(hops, dtype=float)
     count = len(hops)
-    drifts = drift_stack(
-        params.mech_freq, params.mech_damping, params.cavity_decay, coupling,
-        # the figure convention: negated Langevin detunings (see figure_drift)
-        -detuning, hops, detuning_sign,
-    )
-    # exchange-symmetric: the cavities' diagonal blocks are equal (the hopping
-    # blocks always are)
-    collective = (drifts[:, :4, :4] == drifts[:, 4:, 4:]).reshape(-1, 16).all(1)
+    omega_m, gamma_m, kappa = params.mech_freq[0], params.mech_damping[0], params.cavity_decay[0]
+    # exchange-symmetric: equal rates, couplings and detunings, where the
+    # drift's two diagonal blocks are equal (its hopping blocks always are)
+    rate_squares, equal_rates = _rates(params.mech_freq, params.mech_damping, params.cavity_decay)
+    collective = (coupling[:, 0] == coupling[:, -1]) & (detuning[:, 0] == detuning[:, -1])
+    collective &= equal_rates
     # delta + xi, then the other block's delta - xi, in the figure convention
     # (bare mode too, shift absorbed); the negative sign's collective block
     # (collective_drifts) is the model at -(delta + xi)
     shifts = np.array([hops, -hops])
     modified = shifts - detuning[:, 0] if detuning_sign == "positive" else detuning[:, 0] - shifts
-    omega_m, gamma_m, kappa = params.mech_freq[0], params.mech_damping[0], params.cavity_decay[0]
-    band = hurwitz_margins(drifts) * -(BAND_MARGINS * (1.0 / min(gamma_m, kappa)
-                                                       + gamma_m / (omega_m * omega_m)))
-    # a working point can overflow the scalars, or hold NaN; such a row is not
-    # decided by them
+    # a working point can overflow the scalars or the drift's norm, or hold
+    # NaN; such a row is not decided by the scalars
     with np.errstate(over="ignore", invalid="ignore"):
+        # BAND_MARGINS Hurwitz margins (ABSCISSA_RTOL ||A||_F) times rho
+        rho = 1.0 / min(gamma_m, kappa) + gamma_m / (omega_m * omega_m)
+        band = _drift_norms(rate_squares, coupling, detuning, hops) * (
+            ABSCISSA_RTOL * BAND_MARGINS * rho)
         cavity, pulled, damped, pushed = _routh_hurwitz_terms(omega_m, gamma_m, kappa,
                                                               coupling[:, 0], modified)
         # (s1, s2) by block, each a positive term plus a signed one, against
@@ -201,12 +216,16 @@ def gate_branches(params: PhysicalParams, coupling, detuning, hops, detuning_sig
     done = (decided.all((0, 1)) & collective).tolist()
     if not all(done):
         rest = [j for j, d in enumerate(done) if not d]
+        routed = drifts[rest] if drifts is not None else drift_stack(
+            params.mech_freq, params.mech_damping, params.cavity_decay, coupling[rest],
+            # the figure convention: negated Langevin detunings (see figure_drift)
+            -detuning[rest], hops[rest], detuning_sign)
         try:
-            verdicts[rest] = hurwitz_gate(drifts[rest])[0]
+            verdicts[rest] = hurwitz_gate(routed)[0]
         except HopcavError:
-            for j in rest:
+            for i, j in enumerate(rest):
                 try:
-                    verdicts[j] = hurwitz_gate(drifts[j:j + 1])[0][0]
+                    verdicts[j] = hurwitz_gate(routed[i:i + 1])[0][0]
                 except HopcavError as exc:
                     # a failing branch keeps no scalars
                     verdicts[j], errors[j], collective[j] = False, exc, False
@@ -214,31 +233,61 @@ def gate_branches(params: PhysicalParams, coupling, detuning, hops, detuning_sig
     s1, s2 = scalars[0, 0].tolist(), scalars[1, 0].tolist()
     if not all(marked):
         s1, s2 = ([x if c else None for x, c in zip(column, marked)] for column in (s1, s2))
-    return Gate(drifts, verdicts.tolist(), s1, s2, errors)
+    return Gate(verdicts.tolist(), s1, s2, errors)
 
 
-def _collective_verdicts(blocks: np.ndarray) -> list:
-    """The Hurwitz verdicts of a stack of collective blocks (4x4, each with
-    its own margin, as :func:`hurwitz_gate` gives them), each distinct block
-    taken once.
+@functools.lru_cache(maxsize=16)
+def _rates(mech_freq, mech_damping, cavity_decay) -> tuple[float, bool]:
+    """The sum of the squares of a drift's rate entries (each mechanical
+    frequency and decay rate twice, each damping once), and whether the two
+    cavities' rates are equal."""
+    squares = sum(2.0 * w * w + g * g + 2.0 * k * k
+                  for w, g, k in zip(mech_freq, mech_damping, cavity_decay))
+    return squares, all(rate[0] == rate[1] for rate in (mech_freq, mech_damping, cavity_decay))
 
-    A stability map passes the blocks of all of its points: a point's
+
+def _drift_norms(rate_squares: float, coupling, detuning, hops) -> np.ndarray:
+    """The Frobenius norm of each branch's figure-convention 8x8 drift
+    (:func:`hopcav.dynamics.drift_stack`), from the gate's columns and the
+    sum of the squares of its rate entries (:func:`_rates`): the drift holds
+    each G_j and Delta_j twice and xi four times, so ||A||_F^2 is
+    sum(rates^2) + 2 (G_1^2 + G_2^2) + 2 (Delta_1^2 + Delta_2^2) + 4 xi^2.
+
+    A column of one value holds an equal pair.  The sum is taken in another
+    order than :func:`hopcav.lyapunov.hurwitz_margins` takes it, so the norm
+    can differ from that one in its last bits; it overflows to inf where that
+    one does."""
+    squares = (rate_squares + np.vecdot(coupling, coupling) * (4.0 / coupling.shape[1])
+               + np.vecdot(detuning, detuning) * (4.0 / detuning.shape[1]) + 4.0 * hops * hops)
+    return np.sqrt(squares)
+
+
+def _collective_verdicts(params: PhysicalParams, cells: np.ndarray) -> list:
+    """The Hurwitz verdicts of the collective blocks of a stack of cells
+    (:func:`hopcav.dynamics.collective_cells`, one row (G, A[2, 3], A[3, 2])
+    per block), each 4x4 block with its own margin, as :func:`hurwitz_gate`
+    gives it, and each distinct block taken once.
+
+    A stability map passes the cells of all of its points: a point's
     collective block is the collective model at delta + xi, whose coupling G
     and modified detuning both follow delta + xi, so on a grid of equal delta
     and xi steps it repeats along every line of constant delta + xi (1 223
-    distinct blocks in the 10 201 points of the fig5 map).  One dict, keyed
-    by a block's bytes (``block.tobytes()``, one item of a void array), -0.0
-    included, holds the distinct blocks, and one stacked eigenvalue call
-    takes them; a stacked call gives each matrix the eigenvalues of its own
-    call, so every block gets the verdict of its own eigenvalues, bit for
+    distinct blocks in the 10 201 points of the fig5 map).  The three cells
+    are the entries in which blocks of the same rates differ, so one dict,
+    keyed by a row's 24 bytes (one item of a void array), -0.0 included,
+    holds the distinct blocks.  Only they are assembled
+    (:func:`hopcav.dynamics.collective_stack`), and one stacked eigenvalue
+    call takes them; a stacked call gives each matrix the eigenvalues of its
+    own call, so every block gets the verdict of its own eigenvalues, bit for
     bit.  No Python runs per block.
     """
-    keys = np.frombuffer(blocks.tobytes(), f"V{16 * blocks.itemsize}").tolist()
-    # each distinct block, first occurrence first, with one of its rows; when
-    # every block is distinct the keys are in row order
+    keys = np.frombuffer(cells.tobytes(), f"V{3 * cells.itemsize}").tolist()
+    # each distinct row, first occurrence first, with one of its points; when
+    # every row is distinct the keys are in point order
     distinct = dict(zip(keys, range(len(keys))))
-    taken = blocks if len(distinct) == len(keys) else blocks[list(distinct.values())]
-    verdicts = dict(zip(distinct, hurwitz_gate(taken)[0].tolist()))
+    taken = cells if len(distinct) == len(keys) else cells[list(distinct.values())]
+    blocks = collective_stack(params.mech_freq, params.mech_damping, params.cavity_decay, taken)
+    verdicts = dict(zip(distinct, hurwitz_gate(blocks)[0].tolist()))
     return list(map(verdicts.__getitem__, keys))
 
 
@@ -288,13 +337,16 @@ def map_columns(params: PhysicalParams, delta_values, xi_values,
     columns.
 
     The whole map is one columnar pass: the closed-form working points
-    factored by axis, the gate (:func:`gate_branches`) on chunks of
-    ``CHUNK_POINTS`` points, which bounds the memory of its drifts, and one
-    table of the collective blocks' verdicts, so each distinct block's
-    eigenvalues are taken once (see :func:`_collective_verdicts`).  Unstable
-    points are data, not errors.  Cavities that are not identical, or bare
-    detunings, raise :class:`ConfigError`; a point that cannot be evaluated
-    raises its own error.
+    factored by axis, the gate (:func:`gate_branches`) from their columns on
+    chunks of ``MAP_CHUNK_POINTS`` points, which bounds the memory of its
+    temporaries and of the 8x8 drifts of the rows it cannot decide by sign,
+    and one table of the collective blocks' verdicts keyed by each block's
+    three defining cells, so each distinct block is assembled, and its
+    eigenvalues taken, once (see :func:`_collective_verdicts`).  No other 8x8
+    drift or 4x4 block is assembled.  Unstable points are data, not errors.
+    Cavities that are not identical, or bare detunings, raise
+    :class:`ConfigError`; a point that cannot be evaluated raises its own
+    error.
     """
     deltas, xis = [float(d) for d in delta_values], [float(x) for x in xi_values]
     langs, hops = _checked_axes(params, deltas, xis)
@@ -304,12 +356,15 @@ def map_columns(params: PhysicalParams, delta_values, xi_values,
     # hold one value of each pair, which the gate broadcasts
     amps = np.array(_grid_amps(params.cavity_decay[0], *drive_amps(params), langs, hops))
     coupling = np.hypot(amps.real, amps.imag) * (math.sqrt(2.0) * derive_coupling(params, 1))
-    coupling, detuning = coupling[:, None], np.array(langs).repeat(len(xis))[:, None]
-    hops = np.array(hops * len(deltas))
+    # the figure convention's detunings, as the drift places them (the
+    # negated Langevin ones), by delta, against the hopping strengths by xi
+    langs, by_xi = np.array(langs), np.array(hops)
+    cells = collective_cells(coupling, -langs[:, None], by_xi, detuning_sign)
+    coupling, detuning = coupling[:, None], langs.repeat(len(xis))[:, None]
+    hops = np.tile(by_xi, len(deltas))
     s1, s2, full = [], [], []
-    blocks = np.empty((len(hops), 4, 4))
-    for start in range(0, len(hops), CHUNK_POINTS):
-        rows = slice(start, start + CHUNK_POINTS)
+    for start in range(0, len(hops), MAP_CHUNK_POINTS):
+        rows = slice(start, start + MAP_CHUNK_POINTS)
         gate = gate_branches(params, coupling[rows], detuning[rows], hops[rows], detuning_sign)
         for error in gate.errors:
             if error is not None:
@@ -317,8 +372,7 @@ def map_columns(params: PhysicalParams, delta_values, xi_values,
         s1 += gate.s1
         s2 += gate.s2
         full += gate.verdicts
-        blocks[rows] = collective_drifts(gate.drifts, detuning_sign)
-    reduced = _collective_verdicts(blocks)
+    reduced = _collective_verdicts(params, cells)
     # a zip of Python floats: cheaper than their arrays' comparisons on a map
     # of any size
     agree = [(a > 0.0 and b > 0.0) == red for a, b, red in zip(s1, s2, reduced)]

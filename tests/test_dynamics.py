@@ -4,12 +4,17 @@ import math
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopcav.dynamics import (
+    DETUNING_SIGNS,
     QUADRATURE_LABELS,
     build_diffusion,
     build_reduced,
+    collective_cells,
     collective_drifts,
+    collective_stack,
     drift_stack,
     exchange_blocks,
     figure_drift,
@@ -293,6 +298,31 @@ class TestReducedModel:
         p = make_params(cavity_decay=(TWO_PI * 14e6, TWO_PI * 7e6))
         with pytest.raises(ConfigError):
             build_reduced(p, 1e7, WM)
+
+    @settings(max_examples=100, deadline=None)
+    @given(deltas=st.lists(st.one_of(st.sampled_from((0.0, -0.0, 0.5, -0.5)),
+                                      st.floats(-3.0, 3.0)), min_size=1, max_size=4),
+           xis=st.lists(st.one_of(st.sampled_from((0.0, -0.0, 0.5)), st.floats(0.0, 3.0)),
+                        min_size=1, max_size=4),
+           coupling=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+           detuning_sign=st.sampled_from(DETUNING_SIGNS))
+    def test_collective_cells_give_the_collective_drifts(self, deltas, xis, coupling,
+                                                          detuning_sign):
+        # a grid of delta (as the drift places it) by xi, row-major, with
+        # zeros of both signs and delta = -xi, where the two detuning cells
+        # are not each other's negatives in their signs of zero
+        p = make_params()
+        d, x = np.meshgrid(np.array(deltas) * WM, np.array(xis) * WM, indexing="ij")
+        couplings = np.full(d.size, coupling * WM)
+        drifts = drift_stack(p.mech_freq, p.mech_damping, p.cavity_decay,
+                             couplings[:, None], d.reshape(-1, 1), x.ravel(), detuning_sign)
+        cells = collective_cells(couplings, np.array(deltas)[:, None] * WM, np.array(xis) * WM,
+                                 detuning_sign)
+        blocks = collective_stack(p.mech_freq, p.mech_damping, p.cavity_decay, cells)
+        assert blocks.tobytes() == collective_drifts(drifts, detuning_sign).tobytes()
+        # the same cells from one column per block
+        assert collective_cells(couplings, d.ravel(), x.ravel(), detuning_sign).tobytes() == (
+            cells.tobytes())
 
 
 class TestAgainstSteadyState:

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hopcav.dynamics import build_diffusion, figure_drift
+from hopcav import lyapunov
+from hopcav.dynamics import build_diffusion, drift_stack, figure_drift
 from hopcav.errors import HopcavError, StabilityError
 from hopcav.lyapunov import (
     ABSCISSA_RTOL,
@@ -277,3 +280,60 @@ class TestStackedKernels:
         for gate in (spectral_abscissae, hurwitz_gate):
             with pytest.raises(HopcavError, match="^eigenvalue solver failed: "):
                 gate(a)
+
+
+class TestEigenvalueKernel:
+    """The spectral abscissae come from the LAPACK kernel behind
+    ``np.linalg.eigvals``: that function's eigenvalues, bit for bit, and its
+    errors' texts."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(count=st.integers(0, 12), order=st.sampled_from((1, 2, 4, 8)),
+           seed=st.integers(0, 2**32 - 1), scale=st.sampled_from((1e-300, 1.0, WM, 1e150)),
+           kind=st.sampled_from(("general", "triangular", "drift")))
+    def test_abscissae_are_the_eigvals_real_parts(self, count, order, seed, scale, kind):
+        # general stacks have complex pairs; an all-triangular stack has a
+        # real spectrum, which np.linalg.eigvals returns as a real array
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(count, order, order)) * scale
+        if kind == "triangular":
+            a = np.triu(a)
+        elif kind == "drift":
+            order = 8
+            a = drift_stack((WM, WM), (1e-5 * WM, 1e-5 * WM), (1.4 * WM, 1.4 * WM),
+                            rng.uniform(0.0, 3.0, (count, 2)) * WM,
+                            rng.uniform(-3.0, 3.0, (count, 2)) * WM,
+                            rng.uniform(0.0, 2.0, count) * WM)
+        want = np.linalg.eigvals(a).real.max(axis=-1, initial=-np.inf)
+        got = spectral_abscissae(a)
+        assert got.shape == (count,) and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_stacks_raise_the_eigvals_text(self, bad):
+        a = np.stack([-np.eye(4), -np.eye(4)])
+        a[1, 2, 3] = bad
+        with pytest.raises(np.linalg.LinAlgError) as want:
+            np.linalg.eigvals(a)
+        for gate in (spectral_abscissae, hurwitz_gate):
+            with pytest.raises(HopcavError) as got:
+                gate(a)
+            assert str(got.value) == f"eigenvalue solver failed: {want.value}"
+            assert str(got.value) == ("eigenvalue solver failed: "
+                                      "Array must not contain infs or NaNs")
+
+    def test_nonconvergence_raises_the_eigvals_text(self, monkeypatch):
+        # a kernel that fails to converge flags an invalid operation; stand
+        # one in that does, in the kernel's place behind both functions
+        def unconverged(a, **kwargs):
+            np.subtract(np.inf, np.inf)
+            return np.full(a.shape[:-1], np.nan + 0j)
+
+        monkeypatch.setattr(np.linalg._linalg._umath_linalg, "eigvals", unconverged)
+        monkeypatch.setattr(lyapunov, "_eigvals", unconverged)
+        a = -np.eye(4)[None]
+        with pytest.raises(np.linalg.LinAlgError) as want:
+            np.linalg.eigvals(a)
+        with pytest.raises(HopcavError) as got:
+            spectral_abscissae(a)
+        assert str(got.value) == f"eigenvalue solver failed: {want.value}"
+        assert str(got.value) == "eigenvalue solver failed: Eigenvalues did not converge"

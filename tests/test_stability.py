@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopcav import stability, steady_state
+from hopcav import engine, lyapunov, stability, steady_state
 from hopcav.dynamics import (
     DETUNING_SIGNS,
     build_reduced,
+    collective_cells,
     collective_drifts,
+    collective_stack,
     drift_stack,
     exchange_blocks,
     figure_drift,
@@ -54,12 +56,37 @@ def gate_columns(params, detunings, xis):
     """The gate's columns (G_j, Langevin detunings, hopping strengths) of
     closed-form working points at figure-convention detuning pairs and
     hopping strengths, in omega_m units."""
+    omega_m = params.mech_freq[0]
     working = fixed_detuning_points(
         params.cavity_decay, params.mech_freq, tuple(derive_coupling(params, j) for j in (1, 2)),
-        [drive_amps(params)] * len(xis), [xi * WM for xi in xis],
-        [(-d1 * WM, -d2 * WM) for d1, d2 in detunings],
+        [drive_amps(params)] * len(xis), [xi * omega_m for xi in xis],
+        [(-d1 * omega_m, -d2 * omega_m) for d1, d2 in detunings],
     )
     return working.eff_coupling, working.eff_detuning, working.hop_strength
+
+
+def column_drifts(params, coupling, detuning, hops, detuning_sign):
+    """The figure-convention 8x8 drifts of the gate's columns, as the gate
+    and a sweep assemble them."""
+    return drift_stack(params.mech_freq, params.mech_damping, params.cavity_decay, coupling,
+                       -np.asarray(detuning), np.asarray(hops, dtype=float), detuning_sign)
+
+
+def cells_of(blocks):
+    """The cells (G, A[2, 3], A[3, 2]) of a stack of collective blocks."""
+    return blocks[:, (1, 2, 3), (2, 3, 2)]
+
+
+def recorded_eigvals(monkeypatch, shapes):
+    """Record the shape of every stack the eigenvalue kernel of the Hurwitz
+    gate takes."""
+    eigvals = lyapunov._eigvals
+
+    def recorded(a, **kwargs):
+        shapes.append(np.shape(a))
+        return eigvals(a, **kwargs)
+
+    monkeypatch.setattr(lyapunov, "_eigvals", recorded)
 
 
 class TestRouthHurwitzFormulas:
@@ -279,8 +306,8 @@ def boundary_row(detuning_sign, damping, xi, boundary, half, power=None):
     def drifts(deltas):
         count = len(deltas)
         if power is not None:
-            return gate_branches(params, *gate_columns(params, [(d, d) for d in deltas],
-                                                       [xi] * count), detuning_sign).drifts
+            return column_drifts(params, *gate_columns(params, [(d, d) for d in deltas],
+                                                       [xi] * count), detuning_sign)
         return drift_stack(params.mech_freq, params.mech_damping, params.cavity_decay,
                            np.full((count, 2), 2.0 * WM), np.outer(deltas, (WM, WM)),
                            np.full(count, xi * WM), detuning_sign)
@@ -453,12 +480,13 @@ class TestBlockGate:
            power=st.floats(0.010, 0.080), detuning_sign=st.sampled_from(DETUNING_SIGNS))
     def test_block_verdicts_are_the_full_verdicts(self, points, power, detuning_sign):
         params = make_params(power=power)
-        gate = gate_branches(params, *gate_columns(params, [(d, d) for d, _ in points],
-                                                   [xi for _, xi in points]), detuning_sign)
+        columns = gate_columns(params, [(d, d) for d, _ in points], [xi for _, xi in points])
+        gate = gate_branches(params, *columns, detuning_sign)
+        drifts = column_drifts(params, *columns, detuning_sign)
         assert None not in gate.s1
-        ok, absc = hurwitz_gate(gate.drifts)
-        scale = np.linalg.norm(gate.drifts, axis=(1, 2))
-        blocks = spectral_abscissae(exchange_blocks(gate.drifts, detuning_sign))
+        ok, absc = hurwitz_gate(drifts)
+        scale = np.linalg.norm(drifts, axis=(1, 2))
+        blocks = spectral_abscissae(exchange_blocks(drifts, detuning_sign))
         assert np.all(np.abs(blocks.reshape(2, -1).max(axis=0) - absc) <= 1e-13 * scale)
         clear = np.abs(absc) > 1e-9 * scale
         assert np.array_equal(np.array(gate.verdicts)[clear], ok[clear])
@@ -482,24 +510,25 @@ class TestBlockGate:
         columns = (np.full((count, 2), 2.0 * WM), -np.outer(deltas, (WM, WM)),
                    np.full(count, xi * WM))
         gate = gate_branches(params, *columns, detuning_sign)
-        assert np.array_equal(gate.drifts, drifts(deltas)) and None not in gate.s1
+        rows = column_drifts(params, *columns, detuning_sign)
+        assert np.array_equal(rows, drifts(deltas)) and None not in gate.s1
         # every verdict is hurwitz_gate's on the 8x8 drift, within the band
         # and outside it
-        full, absc = hurwitz_gate(gate.drifts)
+        full, absc = hurwitz_gate(rows)
         assert gate.verdicts == full.tolist()
         # the blocks' eigenvalues give the same verdicts, and the same
         # abscissae within rounding, away from the margin: the data behind
         # the band
-        pair = spectral_abscissae(exchange_blocks(gate.drifts, detuning_sign)).reshape(2, -1)
+        pair = spectral_abscissae(exchange_blocks(rows, detuning_sign)).reshape(2, -1)
         blocks = pair.max(axis=0)
-        margin = hurwitz_margins(gate.drifts)
+        margin = hurwitz_margins(rows)
         assert np.all(np.abs(blocks - absc) <= self.ROUNDING_BAND * -margin)
         clear = np.abs(absc - margin) > self.ROUNDING_BAND * -margin
         assert np.array_equal((blocks < margin)[clear], full[clear])
         # rows clear of the band on both sides of the boundary, and of both
         # verdicts unless the other block is unstable there
         assert clear[1::2].any() and clear[2::2].any()
-        other = spectral_abscissae(exchange_blocks(gate.drifts[:1], detuning_sign))[1 - half]
+        other = spectral_abscissae(exchange_blocks(rows[:1], detuning_sign))[1 - half]
         if other < margin[0]:
             assert full[clear].any() and not full[clear].all()
 
@@ -510,9 +539,9 @@ class TestBlockGate:
         delta_values, xi_values = np.linspace(-1.5, 2.0, 15), np.linspace(0.0, 1.5, 7)
         reports = stability_map(params, delta_values, xi_values, detuning_sign)
         deltas, xis = np.meshgrid(delta_values, xi_values, indexing="ij")
-        gate = gate_branches(params, *gate_columns(params, zip(deltas.flat, deltas.flat),
-                                                   xis.ravel()), detuning_sign)
-        want = hurwitz_gate(collective_drifts(gate.drifts, detuning_sign))[0].tolist()
+        drifts = column_drifts(params, *gate_columns(params, zip(deltas.flat, deltas.flat),
+                                                     xis.ravel()), detuning_sign)
+        want = hurwitz_gate(collective_drifts(drifts, detuning_sign))[0].tolist()
         assert [r.hurwitz_reduced for r in reports] == want
         assert any(want) and not all(want)
 
@@ -523,11 +552,11 @@ class TestBlockGate:
         params = make_params(power=0.075)
 
         def probe(delta):
-            gate = gate_branches(params, *gate_columns(params, [(delta, delta)], [0.5]),
-                                 "positive")
-            block = collective_drifts(gate.drifts, "positive")
+            drifts = column_drifts(params, *gate_columns(params, [(delta, delta)], [0.5]),
+                                   "positive")
+            block = collective_drifts(drifts, "positive")
             return (stability_point(params, delta, 0.5), spectral_abscissae(block)[0],
-                    hurwitz_margins(block)[0], hurwitz_margins(gate.drifts)[0])
+                    hurwitz_margins(block)[0], hurwitz_margins(drifts)[0])
 
         stable, unstable = 1.1, 1.0
         assert probe(stable)[0].hurwitz_reduced and not probe(unstable)[0].hurwitz_reduced
@@ -563,7 +592,7 @@ class TestBlockGate:
             assert [c is None for c in gate.s1[:5]] == [False, True, False, True, False]
             for j in range(len(columns[2])):
                 single = gate_branches(params, *(c[j:j + 1] for c in columns), "positive")
-                assert [part[j] for part in gate[1:4]] == [part[0] for part in single[1:4]]
+                assert [part[j] for part in gate[:3]] == [part[0] for part in single[:3]]
                 assert str(gate.errors[j]) == str(single.errors[0])
             assert [str(e).startswith("eigenvalue solver failed") for e in gate.errors] == [
                 False] * 5 + [True] * (len(columns[2]) - 5)
@@ -571,13 +600,7 @@ class TestBlockGate:
 
     def test_symmetric_rows_solve_no_8x8_eigenvalue_problem(self, monkeypatch):
         shapes = []
-        eigvals = np.linalg.eigvals
-
-        def recorded(a):
-            shapes.append(np.shape(a))
-            return eigvals(a)
-
-        monkeypatch.setattr(np.linalg, "eigvals", recorded)
+        recorded_eigvals(monkeypatch, shapes)
         grid = np.linspace(0.0, 2.0, 11)
         config = fig_preset("fig5")
         assert len(stability_map(config.params, grid, grid, config.detuning_sign)) == 121
@@ -608,7 +631,7 @@ class TestBlockTable:
            detuning_sign=st.sampled_from(DETUNING_SIGNS))
     def test_equal_steps(self, start, xi_start, step, rows, power, detuning_sign):
         # dyadic delta and xi steps of one size: a collective block recurs
-        # along each line of constant delta + xi, across the 256-point chunks
+        # along each line of constant delta + xi, across more than a sweep chunk
         deltas = (start + step * np.arange(rows)) / 32.0
         xis = (xi_start + step * np.arange(17)) / 32.0
         params = make_params(power=power)
@@ -639,29 +662,28 @@ class TestBlockTable:
         deltas = [a + k * math.ulp(a) for k in range(-2, 3)]
         columns = (np.full((5, 2), 2.0 * WM), -np.outer(deltas, (WM, WM)), np.full(5, xi * WM))
         blocks = collective_drifts(drifts(deltas), detuning_sign)
-        singles = [gate_branches(params, *(c[j:j + 1] for c in columns), detuning_sign)[1:]
+        singles = [gate_branches(params, *(c[j:j + 1] for c in columns), detuning_sign)
                    for j in range(5)]
         alone = [hurwitz_gate(blocks[j:j + 1])[0].tolist() for j in range(5)]
         for order in (slice(None), slice(None, None, -1)):
             gate = gate_branches(params, *(c[order] for c in columns), detuning_sign)
-            assert [part[j] for j in range(5) for part in gate[1:]] == [
+            assert [part[j] for j in range(5) for part in gate] == [
                 part[0] for single in singles[order] for part in single]
-            assert np.array_equal(collective_drifts(gate.drifts, detuning_sign), blocks[order])
-            assert [[v] for v in stability._collective_verdicts(blocks[order])] == (
-                alone[order])
+            assert np.array_equal(collective_drifts(column_drifts(
+                params, *(c[order] for c in columns), detuning_sign), detuning_sign), blocks[order])
+            assert [[v] for v in stability._collective_verdicts(
+                params, cells_of(blocks[order]))] == alone[order]
 
     def test_map_takes_each_distinct_collective_block_once(self, monkeypatch):
-        # 21 x 21 points at equal steps of 0.1 omega_m, in two chunks
+        # 21 x 21 points at equal steps of 0.1 omega_m
         params = make_params(power=0.075)
         grid = np.linspace(0.0, 2.0, 21)
         deltas, xis = np.meshgrid(grid, grid, indexing="ij")
-        drifts = gate_branches(params, *gate_columns(params, zip(deltas.flat, deltas.flat),
-                                                     xis.ravel()), "positive").drifts
+        drifts = column_drifts(params, *gate_columns(params, zip(deltas.flat, deltas.flat),
+                                                     xis.ravel()), "positive")
         distinct = len({block.tobytes() for block in collective_drifts(drifts, "positive")})
         shapes = []
-        eigvals = np.linalg.eigvals
-        monkeypatch.setattr(np.linalg, "eigvals",
-                            lambda a: shapes.append(np.shape(a)) or eigvals(a))
+        recorded_eigvals(monkeypatch, shapes)
         reports = stability_map(params, grid, grid)
         count = len(reports)
         assert count == 441 > CHUNK_POINTS and distinct < count
@@ -688,18 +710,22 @@ class TestBlockTable:
         # included
         params = make_params(power=0.075)
         deltas = np.linspace(-1.0, 2.0, 13)
-        gate = gate_branches(params, *gate_columns(params, zip(deltas, deltas), [0.5] * 13),
-                             "positive")
-        distinct = collective_drifts(gate.drifts, "positive")
-        signed = distinct[4].copy()
+        drifts = column_drifts(params, *gate_columns(params, zip(deltas, deltas), [0.5] * 13),
+                               "positive")
+        distinct = collective_drifts(drifts, "positive")
+        # at delta = -0.5 the modified detuning delta + xi is 0: a copy of that
+        # block with -0.0 in its detuning cells
+        signed = distinct[2].copy()
+        assert signed[2, 3] == signed[3, 2] == 0.0
         signed[signed == 0.0] = -0.0
-        repeated = np.concatenate([distinct[[0, 3, 3, 12, 0, 7, 4]], signed[None], distinct[4:5]])
+        repeated = np.concatenate([distinct[[0, 3, 3, 12, 0, 7, 2]], signed[None], distinct[2:3]])
         assert len({block.tobytes() for block in distinct}) == 13
         for blocks in (distinct, distinct[::-1], repeated):
             alone = [hurwitz_gate(block[None])[0][0] for block in blocks]
-            assert stability._collective_verdicts(blocks) == alone
+            assert stability._collective_verdicts(params, cells_of(blocks)) == alone
             assert sorted(set(alone)) == [False, True]
         # the -0.0 copy is keyed apart from its 0.0 block, with the same verdict
+        assert cells_of(repeated[-2:-1]).tobytes() != cells_of(repeated[-1:]).tobytes()
         assert alone[-2] == alone[-1]
 
     def test_failed_blocks_stay_out_of_the_table(self):
@@ -712,11 +738,11 @@ class TestBlockTable:
         columns = [np.concatenate(c) for c in zip(*rows)]
         gate = gate_branches(params, *columns, "positive")
         assert gate.errors[0] is None and str(gate.errors[1]).startswith("eigenvalue solver failed")
-        blocks = collective_drifts(gate.drifts, "positive")
+        blocks = collective_drifts(column_drifts(params, *columns, "positive"), "positive")
         with pytest.raises(HopcavError, match="eigenvalue solver failed"):
-            stability._collective_verdicts(blocks)
+            stability._collective_verdicts(params, cells_of(blocks))
         want = hurwitz_gate(blocks[:1])[0].tolist()
-        assert stability._collective_verdicts(blocks[:1]) == want
+        assert stability._collective_verdicts(params, cells_of(blocks[:1])) == want
 
 
 # finite axis values in rad/s, of both signs and of tiny and huge magnitudes
@@ -781,26 +807,27 @@ class TestClosedFormGate:
         columns = np.full((7, 2), 2.0 * WM), -np.outer(deltas, (WM, WM)), np.full(7, xi * WM)
         with mock.patch.object(stability, "hurwitz_gate", wraps=hurwitz_gate) as spy:
             gate = gate_branches(params, *columns, detuning_sign)
-        assert np.array_equal(gate.drifts, drifts(deltas))
+        rows = column_drifts(params, *columns, detuning_sign)
+        assert np.array_equal(rows, drifts(deltas))
         # the five rows at the boundary lie within the band and take the
         # eigenvalues of their 8x8 drifts; of the two rows 5% of d' away, at
         # least one is decided by the signs (the other block may sit near a
         # root)
         assert spy.call_count == 1
         routed = spy.call_args.args[0]
-        assert np.array_equal(routed[:5], gate.drifts[:5])
+        assert np.array_equal(routed[:5], rows[:5])
         decided = [j for j in (5, 6)
-                   if not any(np.array_equal(gate.drifts[j], r) for r in routed[5:])]
+                   if not any(np.array_equal(rows[j], r) for r in routed[5:])]
         assert decided
         # every row has the verdict of hurwitz_gate on its 8x8 drift, and a
         # row decided by the signs has, at delta + xi, that of hurwitz_gate on
         # its collective block
-        assert gate.verdicts == hurwitz_gate(gate.drifts)[0].tolist()
+        assert gate.verdicts == hurwitz_gate(rows)[0].tolist()
         assert list(zip(gate.s1, gate.s2)) == [tuple(float(x) for x in routh_hurwitz_reduced(
             WM, params.mech_damping[0], params.cavity_decay[0], 2.0 * WM, s * (d * WM + xi * WM)))
             for d in deltas]
-        full = hurwitz_gate(gate.drifts)[0]
-        block = hurwitz_gate(collective_drifts(gate.drifts, detuning_sign))[0]
+        full = hurwitz_gate(rows)[0]
+        block = hurwitz_gate(collective_drifts(rows, detuning_sign))[0]
         for j in decided:
             assert (gate.verdicts[j], gate.s1[j] > 0.0 and gate.s2[j] > 0.0) == (full[j], block[j])
 
@@ -810,3 +837,189 @@ class TestClosedFormGate:
             for name in PRESET_NAMES:
                 assert run_sweep(fig_preset(name)).records
         assert spy.call_count == 0
+
+
+def bits(column):
+    """The cells of a gate column as texts: floats by their bits (NaN
+    included), errors by their messages."""
+    return [x.hex() if isinstance(x, float) else x if x is None or isinstance(x, bool)
+            else str(x) for x in column]
+
+
+# one gate row: its kind, G_1, delta_1 (figure convention) and xi in omega_m
+# units, and the offsets of G_2 and delta_2 in an asymmetric row
+GATE_ROWS = st.tuples(st.sampled_from(("symmetric", "asymmetric", "nan", "overflow")),
+                      st.floats(0.0, 3.0), st.floats(-3.0, 3.0), st.floats(0.0, 2.5),
+                      st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+# a per-cavity rate made unequal, by a factor on the second cavity's
+UNEQUAL_RATES = st.sampled_from((None, ("mech_freq", 1.1), ("mech_damping", 0.5),
+                                 ("cavity_decay", 0.5)))
+
+
+class TestColumnGate:
+    """The gate reads exchange symmetry, the band and the scalars from the
+    working point's columns; its verdicts are those of the eigenvalues of the
+    8x8 drifts that the columns assemble."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.lists(GATE_ROWS, min_size=1, max_size=6), unequal=UNEQUAL_RATES,
+           boundary=st.one_of(st.none(), st.fixed_dictionaries(
+               {k: v for k, v in BOUNDARY_ROWS.items() if k != "detuning_sign"})),
+           detuning_sign=st.sampled_from(DETUNING_SIGNS), narrow=st.booleans())
+    def test_gate_from_columns_is_the_drifts_gate(self, rows, unequal, boundary, detuning_sign,
+                                                  narrow):
+        params = make_params()
+        if boundary is not None:
+            # five rows bisected onto a block's boundary, and 1 and 2 ulp
+            # either side: their scalars lie within the band
+            params, _, a = boundary_row(detuning_sign, **boundary)
+            rows = [*rows, *(("symmetric", 2.0, a + k * math.ulp(a), boundary["xi"], 0.0, 0.0)
+                             for k in range(-2, 3))]
+        if unequal is not None:
+            name, factor = unequal
+            rate = getattr(params, name)[0]
+            params = dataclasses.replace(params, **{name: (rate, factor * rate)})
+        coupling, delta = [], []
+        for kind, g, d, _, dg, dd in rows:
+            if kind == "nan":
+                g = math.nan
+            elif kind == "overflow":
+                # squares past the largest float: the norm and the scalars overflow
+                g = 1e200
+            coupling.append((g, abs(g + dg) if kind == "asymmetric" else g))
+            delta.append((d, d + dd if kind == "asymmetric" else d))
+        coupling = np.array(coupling) * WM
+        # the gate's detunings are the Langevin ones, the figure's negated
+        detuning = -np.array(delta) * WM
+        hops = np.array([row[3] for row in rows]) * WM
+        paired = (coupling[:, 0] == coupling[:, 1]) | np.isnan(coupling).all(1)
+        if narrow and paired.all() and (detuning[:, 0] == detuning[:, 1]).all():
+            # columns of one value per equal pair, as the map passes them
+            coupling, detuning = coupling[:, :1], detuning[:, :1]
+        drifts = column_drifts(params, coupling, detuning, hops, detuning_sign)
+        gate = gate_branches(params, coupling, detuning, hops, detuning_sign)
+        # with the caller's drifts, the same gate
+        given_drifts = gate_branches(params, coupling, detuning, hops, detuning_sign, drifts)
+        assert list(map(bits, given_drifts)) == list(map(bits, gate))
+
+        equal_rates = all(r[0] == r[1] for r in (params.mech_freq, params.mech_damping,
+                                                 params.cavity_decay))
+        omega_m, gamma_m, kappa = (params.mech_freq[0], params.mech_damping[0],
+                                   params.cavity_decay[0])
+        for j in range(len(rows)):
+            # each row's verdict is hurwitz_gate's on its own drift
+            try:
+                want, error = bool(hurwitz_gate(drifts[j:j + 1])[0][0]), None
+            except HopcavError as exc:
+                want, error = False, str(exc)
+            assert gate.verdicts[j] is want
+            assert (None if gate.errors[j] is None else str(gate.errors[j])) == error
+            # the scalars exactly where the drift is exchange-symmetric
+            symmetric = (equal_rates and coupling[j, 0] == coupling[j, -1]
+                         and detuning[j, 0] == detuning[j, -1] and error is None)
+            if not symmetric:
+                assert (gate.s1[j], gate.s2[j]) == (None, None)
+                continue
+            modified = (hops[j] - detuning[j, 0] if detuning_sign == "positive"
+                        else detuning[j, 0] - hops[j])
+            with np.errstate(over="ignore", invalid="ignore"):
+                cavity, pulled, damped, pushed = stability._routh_hurwitz_terms(
+                    omega_m, gamma_m, kappa, coupling[j, 0], modified)
+                pair = float(cavity - pulled), float(damped + pushed)
+            assert bits([gate.s1[j], gate.s2[j]]) == bits(pair)
+
+        # the norms behind the band are the drifts' norms, to rounding
+        with np.errstate(over="ignore", invalid="ignore"):
+            rate_squares = stability._rates(params.mech_freq, params.mech_damping,
+                                            params.cavity_decay)[0]
+            norms = stability._drift_norms(rate_squares, coupling, detuning, hops)
+            want = lyapunov._frobenius_norms(drifts)
+            close = np.abs(norms - want) <= 1e-15 * want
+        same = (norms == want) | (np.isnan(norms) & np.isnan(want))
+        assert np.all(same | close)
+
+
+class TestGateAssembly:
+    """The map assembles no 8x8 drift and no block per row; a sweep assembles
+    each chunk's drifts once."""
+
+    @staticmethod
+    def fig5_axes():
+        config = fig_preset("fig5")
+        axes = {a.name: a.values for a in config.axes}
+        return config.params, axes["delta"], axes["xi"]
+
+    def test_map_assembles_no_drift_and_each_distinct_block_once(self, monkeypatch):
+        params, deltas, xis = self.fig5_axes()
+        d, x = np.meshgrid(deltas, xis, indexing="ij")
+        columns = gate_columns(params, zip(d.flat, d.flat), x.ravel())
+        assembled = []
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a drift was assembled")
+
+        def recorded(mech_freq, mech_damping, cavity_decay, cells):
+            assembled.append(len(cells))
+            return collective_stack(mech_freq, mech_damping, cavity_decay, cells)
+
+        for detuning_sign in DETUNING_SIGNS:
+            drifts = column_drifts(params, *columns, detuning_sign)
+            distinct = len({block.tobytes() for block in collective_drifts(drifts, detuning_sign)})
+            with monkeypatch.context() as patch:
+                patch.setattr(stability, "drift_stack", refused)
+                patch.setattr(stability, "collective_stack", recorded)
+                assembled.clear()
+                columns_of_map = stability.map_columns(params, deltas, xis, detuning_sign)
+            assert len(columns_of_map.s1) == 101 * 101
+            assert assembled == [distinct] and distinct < 101 * 101 / 8
+
+    @pytest.mark.parametrize("detuning_sign", DETUNING_SIGNS)
+    def test_table_verdicts_are_each_rows_block_gate(self, detuning_sign):
+        # every row's collective verdict is hurwitz_gate's on its own
+        # collective_drifts block, which the block assembled from its cells is,
+        # bit for bit
+        params, deltas, xis = self.fig5_axes()
+        d, x = np.meshgrid(deltas, xis, indexing="ij")
+        coupling, detuning, hops = gate_columns(params, zip(d.flat, d.flat), x.ravel())
+        blocks = collective_drifts(column_drifts(params, coupling, detuning, hops, detuning_sign),
+                                   detuning_sign)
+        cells = collective_cells(coupling[:, 0], -detuning[:, 0], hops, detuning_sign)
+        assert collective_stack(params.mech_freq, params.mech_damping, params.cavity_decay,
+                                cells).tobytes() == blocks.tobytes()
+        reduced = stability.map_columns(params, deltas, xis, detuning_sign).hurwitz_reduced
+        assert reduced == hurwitz_gate(blocks)[0].tolist()
+        assert any(reduced)
+
+    @pytest.mark.parametrize("detuning_sign", DETUNING_SIGNS)
+    def test_point_is_its_row_of_the_full_map(self, detuning_sign):
+        params, deltas, xis = self.fig5_axes()
+        reports = stability_map(params, deltas, xis, detuning_sign)
+        rows = np.random.default_rng(9).choice(len(reports), 150, replace=False)
+        for k in sorted({0, len(reports) - 1, *rows.tolist()}):
+            delta, xi = deltas[k // len(xis)], xis[k % len(xis)]
+            assert stability_point(params, delta, xi, detuning_sign) == reports[k]
+
+    def test_sweep_assembles_each_chunks_drifts_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            drifts = drift_stack(*args, **kwargs)
+            calls.append(len(drifts))
+            return drifts
+
+        monkeypatch.setattr(engine, "drift_stack", counted)
+        monkeypatch.setattr(stability, "drift_stack", counted)
+        grid = np.linspace(0.0, 2.0, 21)
+        config = dataclasses.replace(fig_preset("fig6b"),
+                                     axes=(AxisSpec("delta", grid), AxisSpec("xi", grid)))
+        assert len(run_sweep(config).records) == 441 > CHUNK_POINTS
+        assert calls == [CHUNK_POINTS, 441 - CHUNK_POINTS]
+        # a point in the band, whose gate takes the eigenvalues of its 8x8
+        # drift: one drift, from the batch's one call, which the point returns
+        params, drifts, a = boundary_row("positive", -3.0, 0.5, "s1", 1, power=0.075)
+        config = SweepConfig(dataclasses.replace(params, hop_strength=0.5 * WM))
+        calls.clear()
+        with mock.patch.object(stability, "hurwitz_gate", wraps=hurwitz_gate) as spy:
+            point = run_point(config, {"delta": a})
+        assert calls == [1] and [c.args[0].shape for c in spy.call_args_list] == [(1, 8, 8)]
+        assert np.array_equal(point.drifts[0], drifts([a])[0])
