@@ -4,13 +4,15 @@ Commands: ``point`` (full matrices and measures at one working point),
 ``sweep`` (grid to CSV), ``fig`` (named figure presets), ``stability``
 (stability-map CSV), and ``validate`` (configuration check only).
 
-Exit codes: 0 success, 1 configuration error, 2 numerical failure (a stable
-point missed the residual gate), 3 unknown preset.
+Exit codes: 0 success, 1 configuration error (an input that cannot be read
+or is invalid, or an output path that cannot be written), 2 numerical failure
+(a stable point missed the residual gate), 3 unknown preset.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import operator
@@ -22,8 +24,8 @@ from pathlib import Path
 from . import __version__
 from .config import load_config, validate_config
 from .dynamics import QUADRATURE_LABELS
-from .engine import (csv_points, map_chunks, misses_residual_gate, run_point, stability_csv,
-                     write_csv)
+from .engine import (CSV_COLUMNS, csv_points, map_chunks, misses_residual_gate, run_point,
+                     stability_csv, write_table)
 from .errors import ConfigError, HopcavError, UnknownPresetError
 from .presets import PRESET_NAMES, fig_preset
 from .stability import StabilityReport, map_columns
@@ -43,7 +45,6 @@ EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 EXIT_UNKNOWN_PRESET = 3
 
-STABILITY_COLUMNS = StabilityReport._fields
 _FLOATS = frozenset({float})
 _STRINGS = frozenset({str})
 
@@ -153,16 +154,26 @@ def _cmd_point(args) -> int:
     return EXIT_NUMERICAL if misses_residual_gate(rec) else EXIT_OK
 
 
+@contextlib.contextmanager
+def _output(path: Path):
+    """``path`` open for writing (UTF-8, LF line ends), its parent directory
+    made first.  An ``OSError`` on the way is a configuration error."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="\n") as stream:
+            yield stream
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_sweep(config, out_path: Path, workers: int) -> int:
     # each chunk's CSV text, formatted where it was evaluated; the file is
     # opened only once every chunk has returned
     texts, counts, misses = zip(*map_chunks(csv_points, config, workers))
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        write_csv((), fh, _header(config))  # the '#' header and the column row
+    with _output(out_path) as stream:
         # one write, not one per chunk: the joined text's large block raises
         # glibc's mmap threshold, so later sweeps fault in fewer fresh pages
-        fh.write("".join(texts))
+        write_table(stream, _header(config), CSV_COLUMNS, "".join(texts))
     print(f"wrote {sum(counts)} records to {out_path}")
     return EXIT_NUMERICAL if any(misses) else EXIT_OK
 
@@ -192,12 +203,10 @@ plot '{name}.csv' using 1:13 with lines
 def _cmd_fig(args) -> int:
     config = fig_preset(args.preset)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     code = _write_sweep(config, out_dir / f"{args.preset}.csv", args.workers)
     if args.gnuplot:
-        (out_dir / f"{args.preset}.gp").write_text(
-            GNUPLOT_TEMPLATE.format(name=args.preset), encoding="utf-8"
-        )
+        with _output(out_dir / f"{args.preset}.gp") as stream:
+            stream.write(GNUPLOT_TEMPLATE.format(name=args.preset))
     return code
 
 
@@ -210,22 +219,19 @@ def _cmd_stability(args) -> int:
         config.params, axes["delta"], axes["xi"], detuning_sign=config.detuning_sign
     )
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     count = len(columns.agree)
     # agree is (s1 > 0 and s2 > 0) == hurwitz_reduced: equal where both hold
     both = sum(map(operator.eq, columns.agree, columns.hurwitz_reduced))
     disagreements = columns.agree.count(False)
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        for line in _header(config):
-            fh.write(f"# {line}\n")
-        # s1/s2 are taken at s (delta + xi), s = -1 under the negative sign
-        modified = "delta + xi" if config.detuning_sign == "positive" else "-(delta + xi)"
-        fh.write("# axes quote the detuning positive on the cooling side; the "
-                 f"collective conditions use the modified detuning {modified}\n")
-        fh.write(f"# both-conditions region: {both} of {count} points; "
-                 f"sign/eigenvalue disagreements: {disagreements}\n")
-        fh.write(",".join(STABILITY_COLUMNS) + "\n")
-        fh.write(stability_csv(columns))
+    # s1/s2 are taken at s (delta + xi), s = -1 under the negative sign
+    modified = "delta + xi" if config.detuning_sign == "positive" else "-(delta + xi)"
+    header = [*_header(config),
+              "axes quote the detuning positive on the cooling side; the collective "
+              f"conditions use the modified detuning {modified}",
+              f"both-conditions region: {both} of {count} points; "
+              f"sign/eigenvalue disagreements: {disagreements}"]
+    with _output(out) as stream:
+        write_table(stream, header, StabilityReport._fields, stability_csv(columns))
     print(f"wrote {count} stability reports to {out}")
     return EXIT_OK
 

@@ -19,14 +19,15 @@ per-point objects (:class:`SteadyState`, :class:`PointResult`).
 
 Every CSV cell is written by one set of cell formatters, a column at a
 time, each text with the separator that follows it; one joiner interleaves
-the text columns into rows with one ``"".join``.  Records take their column
-kinds from the record layout (:func:`write_csv`; :func:`csv_points`, with
-which ``hopcav sweep`` and ``hopcav fig`` format each chunk where it is
-evaluated, in a pool's worker when there is one); ``hopcav stability``
-writes its map from the map's columns (:func:`stability_csv`); and
-:func:`csv_lines`, for rows of other shapes (a stability map's reports),
-takes each column's kind from its cells' types.  The input cells and the
-map's s1 and s2 repeat, so each distinct one is formatted once.
+the text columns into rows with one ``"".join``.  There are two table
+layouts: records take their column kinds from the record layout
+(:func:`write_csv`; :func:`csv_points`, with which ``hopcav sweep`` and
+``hopcav fig`` format each chunk where it is evaluated, in a pool's worker
+when there is one), and ``hopcav stability`` writes its map from the map's
+columns (:func:`stability_csv`).  The input cells and the map's s1 and s2
+repeat, so each distinct one is formatted once.  Every CSV file, of either
+layout, is written by :func:`write_table`: its '# ' header lines, its
+column row and its body.
 
 The work that does not depend on the point runs once per sweep: the base
 parameters' couplings and inputs and, when the sweep starts, each axis
@@ -636,15 +637,6 @@ def _text_cells(column, end: str) -> list[str]:
     return [text.replace(",", ";").replace("\n", " ") + end for text in column]
 
 
-def _kind_cells(kind: type) -> Callable:
-    """The formatter of cells of type ``kind``; None is an empty float cell."""
-    if issubclass(kind, bool):
-        return _bool_cells
-    if issubclass(kind, (int, np.integer)):
-        return _int_cells
-    return _text_cells if issubclass(kind, str) else _float_cells
-
-
 def _joined(texts: list) -> str:
     """The CSV lines of the text columns ``texts`` (separators included), as
     one text."""
@@ -655,17 +647,14 @@ def _joined(texts: list) -> str:
     return "".join(cells)
 
 
-def _ends(width: int) -> list[str]:
-    """The separators after a row's ``width`` cells."""
-    return [","] * (width - 1) + ["\n"]
-
-
-# each record column's formatter: its default's type's, or, for the six input
-# fields, which have no default and repeat within a chunk, the distinct route
-_RECORD_CELLS = [_kind_cells(type(ResultRecord._field_defaults[name]))
+# each record column's formatter: the one of its default's type (None is an
+# empty float cell), or, for the six input fields, which have no default and
+# repeat within a chunk, the distinct route
+_DEFAULT_CELLS = {bool: _bool_cells, int: _int_cells, str: _text_cells}
+_RECORD_CELLS = [_DEFAULT_CELLS.get(type(ResultRecord._field_defaults[name]), _float_cells)
                  if name in ResultRecord._field_defaults else _distinct_cells
                  for name in CSV_COLUMNS]
-_RECORD_ENDS = _ends(len(CSV_COLUMNS))
+_RECORD_ENDS = [","] * (len(CSV_COLUMNS) - 1) + ["\n"]
 
 
 def _record_text(records) -> str:
@@ -677,9 +666,9 @@ def _record_text(records) -> str:
 
 
 def stability_csv(columns: MapColumns) -> str:
-    """The CSV lines of a stability map, from its columns: the text of
-    :func:`csv_lines` of its reports.  Each axis value is formatted once, and
-    each distinct s1 and s2 cell once."""
+    """The CSV lines of a stability map, from its columns, joined: one line
+    per :class:`hopcav.stability.StabilityReport`, in its field order.  Each
+    axis value is formatted once, and each distinct s1 and s2 cell once."""
     return _joined([*columns.per_point(_float_cells(columns.delta, ","),
                                        _float_cells(columns.xi, ",")),
                     _distinct_cells(columns.s1, ","), _distinct_cells(columns.s2, ","),
@@ -687,22 +676,12 @@ def stability_csv(columns: MapColumns) -> str:
                     _bool_cells(columns.hurwitz_full, ","), _bool_cells(columns.agree, "\n")])
 
 
-def csv_lines(rows) -> list[str]:
-    """The CSV lines of rows of cells, all of one width: floats with 12
-    significant digits, integers as integers, booleans as true/false, None
-    and NaN empty, and text with commas as semicolons and newlines as spaces.
-    Each column takes the formatter of its cells' types, cell by cell for a
-    column whose types need several."""
-    rows = list(rows)
-    if len(set(map(len, rows))) > 1:
-        raise ValueError(f"CSV rows of widths {sorted(set(map(len, rows)))}, not one")
-    columns, texts = list(zip(*rows)), []
-    for column, end in zip(columns, _ends(len(columns))):
-        cells, *others = {_kind_cells(kind) for kind in set(map(type, column))}
-        texts.append([_kind_cells(type(value))([value], end)[0] for value in column]
-                     if others else cells(column, end))
-    text = _joined(texts)
-    return [line + "\n" for line in text.split("\n")[:-1]]
+def write_table(stream, header_lines, columns, body: str) -> None:
+    """Write one CSV file to ``stream``: a '# ' line per header line, the
+    column-name row, then ``body``, the joined data lines, in one write (no
+    copy of it is made)."""
+    stream.write("".join([f"# {line}\n" for line in header_lines]) + ",".join(columns) + "\n")
+    stream.write(body)
 
 
 def write_csv(records, stream, header_lines=()) -> None:
@@ -711,10 +690,7 @@ def write_csv(records, stream, header_lines=()) -> None:
     Floats use 12 significant digits and missing values are empty cells, so
     repeated runs of the same configuration are byte-identical.
     """
-    for line in header_lines:
-        stream.write(f"# {line}\n")
-    stream.write(",".join(CSV_COLUMNS) + "\n")
-    stream.write(_record_text(records))
+    write_table(stream, header_lines, CSV_COLUMNS, _record_text(records))
 
 
 def csv_text(records, header_lines=()) -> str:

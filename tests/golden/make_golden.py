@@ -33,7 +33,6 @@ REPO = GOLDEN_DIR.parent.parent
 POINT_CONFIG = REPO / "configs" / "point.json"
 STABILITY_PRESET = "fig5"
 STABILITY_STRIDE = 5
-STABILITY_COLUMNS = ("delta", "xi", "s1", "s2", "hurwitz_reduced", "hurwitz_full", "agree")
 AXIS_KINDS = "axis-kinds.json.gz"
 
 DELTAS = {"name": "delta", "values": [0.2, 0.6, 1.0, 1.4, 1.8]}
@@ -138,18 +137,33 @@ def preset_table(config, indexed_records) -> str:
     return "point," + lines[0] + "".join(body)
 
 
-def stability_table(reports) -> str:
-    """CSV text of stability reports, in the ``hopcav stability`` cell format."""
-    from hopcav.engine import csv_lines
+def stability_columns():
+    """The columns of the ``STABILITY_PRESET`` stability map on every
+    ``STABILITY_STRIDE``-th value of each axis."""
+    from hopcav.presets import fig_preset
+    from hopcav.stability import map_columns
 
-    return ",".join(STABILITY_COLUMNS) + "\n" + "".join(csv_lines(reports))
+    config = fig_preset(STABILITY_PRESET)
+    axes = {a.name: a.values for a in config.axes}
+    return map_columns(config.params, axes["delta"][::STABILITY_STRIDE],
+                       axes["xi"][::STABILITY_STRIDE], config.detuning_sign)
+
+
+def stability_table(columns) -> str:
+    """CSV text of a stability map's columns: the column row and the lines
+    that ``hopcav stability`` writes after its header lines."""
+    from hopcav.engine import stability_csv, write_table
+    from hopcav.stability import StabilityReport
+
+    buf = io.StringIO()
+    write_table(buf, (), StabilityReport._fields, stability_csv(columns))
+    return buf.getvalue()
 
 
 def main() -> None:
     from hopcav.cli import main as cli_main
     from hopcav.engine import grid_points, run_point
     from hopcav.presets import PRESET_NAMES, fig_preset
-    from hopcav.stability import stability_map
 
     for name in PRESET_NAMES:
         config = fig_preset(name)
@@ -159,11 +173,7 @@ def main() -> None:
         _gz(GOLDEN_DIR / f"{name}.csv.gz", preset_table(config, rows))
         print(f"{name}: {len(keep)} points, {len(rows)} rows")
 
-    config = fig_preset(STABILITY_PRESET)
-    axes = {a.name: a.values for a in config.axes}
-    reports = stability_map(config.params, axes["delta"][::STABILITY_STRIDE],
-                            axes["xi"][::STABILITY_STRIDE], config.detuning_sign)
-    _gz(GOLDEN_DIR / f"{STABILITY_PRESET}-stability.csv.gz", stability_table(reports))
+    _gz(GOLDEN_DIR / f"{STABILITY_PRESET}-stability.csv.gz", stability_table(stability_columns()))
 
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):

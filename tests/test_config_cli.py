@@ -484,6 +484,32 @@ class TestCli:
         path.write_text("{not json", encoding="utf-8")
         assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 1
 
+    @pytest.mark.parametrize("case", ["sweep", "stability", "fig", "fig-parent", "fig-gnuplot"])
+    def test_unwritable_output_is_a_configuration_error(self, tmp_path, capsys, case):
+        # an --out that is a directory, or under a regular file, exits 1 with
+        # the path in the message, as an unreadable --config does
+        axes = [{"name": "delta", "values": [0.5, 1.0]}, {"name": "xi", "values": [0.0, 0.5]}]
+        path = write_doc(tmp_path, doc_with(axes=axes))
+        taken = tmp_path / "taken"
+        taken.mkdir()
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory\n", encoding="utf-8")
+        argv, target = {
+            "sweep": (["sweep", "--config", str(path), "--out", str(taken)], taken),
+            "stability": (["stability", "--config", str(path), "--out", str(taken)], taken),
+            "fig": (["fig", "fig3c", "--out", str(blocker)], blocker / "fig3c.csv"),
+            "fig-parent": (["fig", "fig3c", "--out", str(blocker / "sub")],
+                           blocker / "sub" / "fig3c.csv"),
+            "fig-gnuplot": (["fig", "fig3c", "--out", str(tmp_path), "--gnuplot"],
+                            tmp_path / "fig3c.gp"),
+        }[case]
+        if case == "fig-gnuplot":
+            target.mkdir()  # the CSV is written, the script's path is taken
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: cannot write {target}: ")
+        assert "Traceback" not in err and err.count("\n") == 1
+
     def test_unknown_preset_exit_code(self, tmp_path, capsys):
         assert main(["fig", "fig99", "--out", str(tmp_path)]) == 3
         assert capsys.readouterr().err == (

@@ -19,7 +19,6 @@ from hopcav.engine import AxisSpec, csv_text, grid_points, run_point, run_sweep
 from hopcav.lyapunov import RESIDUAL_GATE
 from hopcav.presets import PRESET_NAMES, fig_preset
 from hopcav import stability
-from hopcav.stability import stability_map
 
 # the benchmark's modules, from perfbench/ on the test path (pyproject.toml)
 import check
@@ -100,16 +99,19 @@ def test_preset_rows_match_golden(preset):
 
 
 def test_stability_map_matches_golden():
-    config = fig_preset(make_golden.STABILITY_PRESET)
-    axes = {a.name: a.values for a in config.axes}
-    step = make_golden.STABILITY_STRIDE
-    reports = stability_map(config.params, axes["delta"][::step], axes["xi"][::step],
-                            config.detuning_sign)
-    got = check.read_table(make_golden.stability_table(reports))
+    columns = make_golden.stability_columns()
+    got = check.read_table(make_golden.stability_table(columns))
     golden = check.read_table(golden_text(f"{make_golden.STABILITY_PRESET}-stability.csv.gz"))
-    assert len(golden) == len(reports)
+    assert len(golden) == len(columns.agree)
     problems = differences(got, golden, "fig5-stability")
     assert problems == [], problems[:5]
+
+
+def test_stability_golden_is_the_cli_writers_bytes():
+    # the golden map is the column row and data lines of the CLI's writer,
+    # byte for byte, not only within the comparator's bounds
+    text = make_golden.stability_table(make_golden.stability_columns())
+    assert text == golden_text(f"{make_golden.STABILITY_PRESET}-stability.csv.gz")
 
 
 def test_stability_cli_matches_the_benchmark_reference_bytes(tmp_path, monkeypatch):
