@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import functools
 import json
 import operator
+import os
 import sys
 from dataclasses import replace
 from json.encoder import encode_basestring_ascii
@@ -155,20 +157,37 @@ def _cmd_point(args) -> int:
 
 
 @contextlib.contextmanager
-def _output(path: Path):
-    """``path`` open for writing (UTF-8, LF line ends), its parent directory
-    made first.  An ``OSError`` on the way is a configuration error."""
+def _writing(path: Path):
+    """An ``OSError`` raised while ``path`` is made ready or written is a
+    configuration error that names it."""
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8", newline="\n") as stream:
-            yield stream
+        yield
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
+def _ready(*paths: Path) -> None:
+    """Make each output's parent directory, and reject an output that is a
+    directory as ``open`` would, before any point is evaluated; no file is
+    opened, so an earlier one stays as it is until its output is written."""
+    for path in paths:
+        with _writing(path):
+            path.parent.mkdir(parents=True, exist_ok=True)
+            if path.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+
+
+@contextlib.contextmanager
+def _output(path: Path):
+    """``path`` open for writing (UTF-8, LF line ends), its parent directory
+    made by :func:`_ready`."""
+    with _writing(path), open(path, "w", encoding="utf-8", newline="\n") as stream:
+        yield stream
+
+
 def _write_sweep(config, out_path: Path, workers: int) -> int:
-    # each chunk's CSV text, formatted where it was evaluated; the file is
-    # opened only once every chunk has returned
+    # each chunk's CSV text, formatted where it was evaluated; zip reads every
+    # chunk first, so the file is opened only once every chunk has returned
     texts, counts, misses = zip(*map_chunks(csv_points, config, workers))
     with _output(out_path) as stream:
         # one write, not one per chunk: the joined text's large block raises
@@ -187,7 +206,9 @@ def _worker_count(text: str) -> int:
 
 def _cmd_sweep(args) -> int:
     config = load_config(args.config)
-    return _write_sweep(config, Path(args.out), args.workers)
+    out = Path(args.out)
+    _ready(out)
+    return _write_sweep(config, out, args.workers)
 
 
 GNUPLOT_TEMPLATE = """\
@@ -203,9 +224,11 @@ plot '{name}.csv' using 1:13 with lines
 def _cmd_fig(args) -> int:
     config = fig_preset(args.preset)
     out_dir = Path(args.out)
-    code = _write_sweep(config, out_dir / f"{args.preset}.csv", args.workers)
+    out, script = out_dir / f"{args.preset}.csv", out_dir / f"{args.preset}.gp"
+    _ready(out, *([script] if args.gnuplot else []))
+    code = _write_sweep(config, out, args.workers)
     if args.gnuplot:
-        with _output(out_dir / f"{args.preset}.gp") as stream:
+        with _output(script) as stream:
             stream.write(GNUPLOT_TEMPLATE.format(name=args.preset))
     return code
 
@@ -215,10 +238,11 @@ def _cmd_stability(args) -> int:
     axes = {a.name: a.values for a in config.axes}
     if set(axes) != {"delta", "xi"}:
         raise ConfigError("the stability command needs exactly the axes 'delta' and 'xi'")
+    out = Path(args.out)
+    _ready(out)
     columns = map_columns(
         config.params, axes["delta"], axes["xi"], detuning_sign=config.detuning_sign
     )
-    out = Path(args.out)
     count = len(columns.agree)
     # agree is (s1 > 0 and s2 > 0) == hurwitz_reduced: equal where both hold
     both = sum(map(operator.eq, columns.agree, columns.hurwitz_reduced))

@@ -189,7 +189,7 @@ def load_config(path) -> SweepConfig:
     p = Path(path)
     try:
         doc = json.loads(p.read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {p}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{p} is not valid JSON: {exc}") from exc

@@ -48,8 +48,8 @@ values convert to extended precision at once.
 One scheduler, :func:`map_chunks`, cuts the grid into chunks of at most
 ``CHUNK_POINTS`` points, which bounds the memory of the batch arrays, and runs
 one task per chunk, on one worker or on a process pool: ``run_points`` for
-``run_sweep``, ``csv_points`` for the CLI.  :func:`sweep_batches` yields the
-one-worker chunks' records with their covariances, and ``run_point`` is a
+``run_sweep``, ``csv_points`` for the CLI, and the batch for the one-worker
+chunks that :func:`sweep_batches` yields as they are read.  ``run_point`` is a
 batch of one.  Every stacked LAPACK call returns, matrix by matrix, what the
 call on one matrix returns, so a point's record does not depend on its
 batch.
@@ -71,7 +71,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -444,12 +444,12 @@ def _evaluate(sweep: _Sweep, start: int, stop: int) -> _Batch:
     amp_abs, coupling, detuning = working.amp_abs, working.eff_coupling, working.eff_detuning
 
     hops = inputs[:, _HOP]
-    # every branch row's drift, once: the gate takes the rows it cannot
-    # decide by sign, the Lyapunov solve the stable ones, run_point them all
+    # every branch row's drift, once, for the Lyapunov solve of the stable
+    # ones and for run_point (the gate assembles the rows it routes itself)
     drifts = drift_stack(p.mech_freq, p.mech_damping, p.cavity_decay, coupling,
                          # the figure convention: negated Langevin detunings
                          -detuning, hops, config.detuning_sign)
-    gate = gate_branches(p, coupling, detuning, hops, config.detuning_sign, drifts)
+    gate = gate_branches(p, coupling, detuning, hops, config.detuning_sign)
     errors = list(gate.errors)
     solve = [j for j, stable in enumerate(gate.verdicts) if stable]
     diffusions = [sweep.diffusion(*noise) for noise in inputs[solve, _NOISE].tolist()]
@@ -535,11 +535,9 @@ def run_point(config: SweepConfig, overrides: dict[str, float] | None = None) ->
 
 
 def sweep_batches(config: SweepConfig) -> Iterator[tuple[list[ResultRecord], list]]:
-    """Evaluate the grid in the chunks ``run_sweep`` takes on one worker; yield
-    each chunk's records with their covariances, aligned, as ``run_point`` has them."""
-    sweep = _Sweep(config, [(a.name, a.values) for a in config.axes])
-    batches = (_evaluate(sweep, start, stop) for start, stop in _chunks(math.prod(sweep.shape)))
-    return ((batch.records, batch.covariances()) for batch in batches)
+    """Each one-worker chunk of :func:`map_chunks`, evaluated when it is read:
+    its records with their covariances, aligned, as ``run_point`` has them."""
+    return ((b.records, b.covariances()) for b in map_chunks(_evaluate, config))
 
 
 def grid_points(config: SweepConfig) -> list[dict[str, float]]:
@@ -569,10 +567,11 @@ def _chunks(points: int, workers: int = 1) -> list[tuple[int, int]]:
     return [(start, min(start + size, points)) for start in range(0, points, size)]
 
 
-def map_chunks(task: Callable, config: SweepConfig, workers: int = 1) -> list:
-    """``task(sweep, start, stop)`` of each chunk of the grid, in grid order;
-    with ``workers > 1``, run on a pool of at most one process per CPU this
-    process may run on, each result sent back pickled."""
+def map_chunks(task: Callable, config: SweepConfig, workers: int = 1) -> Iterable:
+    """``task(sweep, start, stop)`` of each chunk of the grid, in grid order:
+    on one worker a lazy ``map``, which runs a chunk's task when it is read;
+    with ``workers > 1``, a list, run on a pool of at most one process per
+    CPU this process may run on, each result sent back pickled."""
     sweep = _Sweep(config, [(a.name, a.values) for a in config.axes])
     workers = min(workers, _usable_cpus())
     starts, stops = zip(*_chunks(math.prod(sweep.shape), workers))
@@ -582,7 +581,7 @@ def map_chunks(task: Callable, config: SweepConfig, workers: int = 1) -> list:
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(task, itertools.repeat(sweep), starts, stops))
-    return list(map(task, itertools.repeat(sweep), starts, stops))
+    return map(task, itertools.repeat(sweep), starts, stops)
 
 
 @dataclass(frozen=True)

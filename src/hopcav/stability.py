@@ -157,8 +157,7 @@ class Gate(NamedTuple):
     errors: list         # None, or the error that the gate raised for the branch
 
 
-def gate_branches(params: PhysicalParams, coupling, detuning, hops, detuning_sign: str,
-                  drifts=None) -> Gate:
+def gate_branches(params: PhysicalParams, coupling, detuning, hops, detuning_sign: str) -> Gate:
     """The stability gate of a batch of branches: the Hurwitz verdicts of
     their figure-convention 8x8 drifts, the scalars (s1, s2) of the
     collective model of the branches that have one, and the errors.
@@ -176,11 +175,10 @@ def gate_branches(params: PhysicalParams, coupling, detuning, hops, detuning_sig
     that is not finite or lies within the band of 0, :data:`BAND_MARGINS`)
     takes :func:`hurwitz_gate` on its 8x8 drift, in one stacked call, so every
     verdict is that of :func:`hurwitz_gate` (and ``is_hurwitz``) on the
-    branch's drift, margin included.  Those drifts are rows of ``drifts``,
-    the batch's (B, 8, 8) stack, where the caller has one; otherwise the gate
-    assembles them, and no other.  When that call raises, its branches are
-    redone one by one, so that only a failing branch carries its error (with
-    a false verdict, and no scalars).
+    branch's drift, margin included; the gate assembles those drifts, and no
+    other, in one call.  When that call raises, its branches are redone one
+    by one, so that only a failing branch carries its error (with a false
+    verdict, and no scalars).
     """
     hops = np.asarray(hops, dtype=float)
     count = len(hops)
@@ -216,7 +214,7 @@ def gate_branches(params: PhysicalParams, coupling, detuning, hops, detuning_sig
     done = (decided.all((0, 1)) & collective).tolist()
     if not all(done):
         rest = [j for j, d in enumerate(done) if not d]
-        routed = drifts[rest] if drifts is not None else drift_stack(
+        routed = drift_stack(
             params.mech_freq, params.mech_damping, params.cavity_decay, coupling[rest],
             # the figure convention: negated Langevin detunings (see figure_drift)
             -detuning[rest], hops[rest], detuning_sign)

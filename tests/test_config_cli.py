@@ -479,15 +479,30 @@ class TestCli:
         path = write_doc(tmp_path, bad, "bad.json")
         assert main(["validate", "--config", str(path)]) == 1
 
-    def test_config_error_exit_code(self, tmp_path):
+    def test_config_error_exit_code(self, tmp_path, capsys):
+        # a file that is not JSON, and one that is not UTF-8
         path = tmp_path / "broken.json"
-        path.write_text("{not json", encoding="utf-8")
-        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 1
+        for content in (b"{not json", b"\xff\xfe{}"):
+            path.write_bytes(content)
+            assert main(["validate", "--config", str(path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("invalid: ") and err.count("\n") == 1
+            assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("configuration error: ") and str(path) in err
+            assert "Traceback" not in err
 
     @pytest.mark.parametrize("case", ["sweep", "stability", "fig", "fig-parent", "fig-gnuplot"])
-    def test_unwritable_output_is_a_configuration_error(self, tmp_path, capsys, case):
+    def test_unwritable_output_is_a_configuration_error(self, tmp_path, capsys, monkeypatch,
+                                                        case):
         # an --out that is a directory, or under a regular file, exits 1 with
-        # the path in the message, as an unreadable --config does
+        # the path in the message, as an unreadable --config does, before any
+        # point is evaluated
+        def refused(*args, **kwargs):
+            raise AssertionError("points were evaluated")
+
+        monkeypatch.setattr(cli, "map_chunks", refused)
+        monkeypatch.setattr(cli, "map_columns", refused)
         axes = [{"name": "delta", "values": [0.5, 1.0]}, {"name": "xi", "values": [0.0, 0.5]}]
         path = write_doc(tmp_path, doc_with(axes=axes))
         taken = tmp_path / "taken"
@@ -504,7 +519,7 @@ class TestCli:
                             tmp_path / "fig3c.gp"),
         }[case]
         if case == "fig-gnuplot":
-            target.mkdir()  # the CSV is written, the script's path is taken
+            target.mkdir()  # the CSV's path is free, the script's is taken
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: cannot write {target}: ")

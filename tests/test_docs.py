@@ -1,6 +1,8 @@
 """README.md names only what the package has: every backticked
 ``module.name`` whose module is a hopcav module, and every name of the
-README's ``from hopcav import (...)`` block, resolves by ``getattr``."""
+README's ``from hopcav import (...)`` block, resolves by ``getattr``.  So
+does every ``:func:``, ``:class:``, ``:data:`` and ``:meth:`` reference of the
+package's docstrings and comments."""
 
 import importlib
 import pkgutil
@@ -13,6 +15,7 @@ import hopcav
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 MODULES = {info.name for info in pkgutil.iter_modules(hopcav.__path__)}
+PACKAGE = Path(hopcav.__file__).parent
 
 
 def dotted_names() -> list[str]:
@@ -50,3 +53,35 @@ def test_dotted_name_resolves(dotted):
 @pytest.mark.parametrize("name", imported_names())
 def test_imported_name_resolves(name):
     assert hasattr(hopcav, name), name
+
+
+def cross_references() -> list[tuple[str, str]]:
+    """(module, target) of every ``:func:``, ``:class:``, ``:data:`` and
+    ``:meth:`` reference in the package's sources."""
+    return [(path.stem, target) for path in sorted(PACKAGE.glob("*.py"))
+            for target in re.findall(r":(?:func|class|data|meth):`~?([^`]+)`",
+                                     path.read_text(encoding="utf-8"))]
+
+
+def resolves(module: str, names: list[str]) -> bool:
+    """Whether ``names`` is an attribute path of the hopcav module ``module``."""
+    found = importlib.import_module(f"hopcav.{module}")
+    for name in names:
+        if not hasattr(found, name):
+            return False
+        found = getattr(found, name)
+    return True
+
+
+def test_the_sources_hold_cross_references():
+    # the extraction itself works: without references the check passes vacuously
+    assert len(cross_references()) >= 50
+
+
+@pytest.mark.parametrize("module, target", cross_references())
+def test_cross_reference_resolves(module, target):
+    # relative to its own module, or as hopcav.module.name
+    names = target.split(".")
+    if names[0] == "hopcav" and len(names) > 2 and names[1] in MODULES:
+        module, names = names[1], names[2:]
+    assert resolves(module, names), f"{module}: {target}"

@@ -546,6 +546,20 @@ class TestBatchedPipeline:
         assert sum(len(records) for records, _ in batches) == len(grid_points(config)) == 603
         assert calls == {"run_point": 0, "_evaluate": math.ceil(603 / engine.CHUNK_POINTS)}
 
+    def test_sweep_batches_evaluates_a_chunk_when_it_is_read(self, monkeypatch):
+        # fig3c's 603 points are 3 chunks; reading the first evaluates one
+        calls = []
+
+        def counted(*args, _fn=engine._evaluate):
+            calls.append(args[1:])
+            return _fn(*args)
+
+        monkeypatch.setattr(engine, "_evaluate", counted)
+        assert math.ceil(603 / engine.CHUNK_POINTS) == 3
+        records, covariances = next(iter(engine.sweep_batches(fig_preset("fig3c"))))
+        assert calls == [(0, engine.CHUNK_POINTS)]
+        assert len(records) == len(covariances) == engine.CHUNK_POINTS
+
     def test_unknown_axis_after_a_bad_one(self):
         # the first bad axis in the overrides' order gives the error
         cfg = base_config()
