@@ -5,9 +5,11 @@ The kernels work on stacks of matrices, shape (P, n, n), with one LAPACK call
 per stack (or per group of Kronecker systems): a stacked call returns, matrix
 by matrix, exactly what the call on that one matrix returns.  ``is_hurwitz``
 and ``solve_lyapunov`` are their single-matrix cases.  An eigenvalue verdict
-takes its eigenvalues from :func:`spectral_abscissae`, one call of the LAPACK
-kernel behind ``np.linalg.eigvals`` (the same eigenvalues, without that
-function's per-call wrapping), and its bound from :func:`hurwitz_margins`:
+takes its eigenvalues from :func:`spectral_abscissae`, one call of
+:func:`eigenvalues` (the LAPACK kernel behind ``np.linalg.eigvals``: the same
+eigenvalues, without that function's per-call wrapping; the working point's
+companion matrices take theirs from it too), and its bound from
+:func:`hurwitz_margins`:
 :func:`hurwitz_gate` on the matrices themselves.  The gate of sweeps and
 stability maps (:func:`hopcav.stability.gate_branches`) decides a drift that
 has 4x4 exchange blocks from the signs of their Routh-Hurwitz scalars, with
@@ -55,24 +57,33 @@ def _frobenius_norms(m: np.ndarray) -> np.ndarray:
 
 
 def _nonconvergence(err, flag):
-    raise HopcavError("eigenvalue solver failed: Eigenvalues did not converge")
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def eigenvalues(a: np.ndarray) -> np.ndarray:
+    """The complex eigenvalues of each matrix of a stack of real matrices (any
+    leading shape), from one call of the LAPACK kernel behind
+    ``np.linalg.eigvals``, with that function's checks, errors and
+    floating-point state but without its per-call wrapping: its eigenvalues,
+    bit for bit, always as a complex array.  Raises
+    ``np.linalg.LinAlgError`` on a non-finite entry or when the solver fails."""
+    if not np.isfinite(a).all():
+        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+    # the kernel flags a failure to converge as an invalid operation
+    with np.errstate(call=_nonconvergence, invalid="call", over="ignore", divide="ignore",
+                     under="ignore"):
+        return _eigvals(a, signature="d->D")
 
 
 def spectral_abscissae(a: np.ndarray) -> np.ndarray:
     """The spectral abscissa (largest real part of an eigenvalue) of each
-    matrix of a stack of real matrices, from one stacked eigenvalue call;
-    raises :class:`HopcavError` on a non-finite entry or when the solver
-    fails.
-
-    The call is the LAPACK kernel behind ``np.linalg.eigvals``, with that
-    function's checks and floating-point state but without its wrapping, so
-    the eigenvalues are its own, bit for bit."""
-    if not np.isfinite(a).all():
-        raise HopcavError("eigenvalue solver failed: Array must not contain infs or NaNs")
-    # the kernel flags a failure to converge as an invalid operation
-    with np.errstate(call=_nonconvergence, invalid="call", over="ignore", divide="ignore",
-                     under="ignore"):
-        ev = _eigvals(a, signature="d->D")
+    matrix of a stack of real matrices, from one stacked :func:`eigenvalues`
+    call; raises :class:`HopcavError` with that call's error text on a
+    non-finite entry or when the solver fails."""
+    try:
+        ev = eigenvalues(a)
+    except np.linalg.LinAlgError as exc:
+        raise HopcavError(f"eigenvalue solver failed: {exc}") from None
     return np.maximum.reduce(ev.real, axis=-1)
 
 

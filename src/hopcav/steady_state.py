@@ -31,11 +31,18 @@ one with the least residual is kept.
 A batch's candidates form one table, by point: the real roots of the stacked
 eigenvalue call and the identical-cavity points' candidates come from array
 tests over its output, and the table's starting photon numbers convert to
-extended precision at once.  The work per point that an array would replace
-by a few dozen NumPy calls (the scaled problem, the companion rows, the bound
-and residual tests and the choice of branches) stays scalar: a NumPy call
-costs about a microsecond whatever its size, so that a batch of one, which
-``run_point`` solves, would pay more for it than a chunk saves.
+extended precision at once.  A table of at least COLUMN_CANDIDATES candidates,
+a sweep chunk's, is polished by one masked Newton iteration over extended
+precision columns and tested as columns that spell out CPython's complex
+arithmetic, and a point with one converged candidate takes it by gather.  A
+smaller table, such as the batch of one that ``run_point`` solves, is polished
+and tested candidate by candidate: a NumPy call costs about a microsecond
+whatever its size, so that the columns would cost it some 250 microseconds
+more than its loop.  Both routes give the same bits.  The scaled problem and the
+companion rows stay scalar per point, in any batch: their Python float
+expressions fix the bits of the matrices whose eigenvalues every later stage
+starts from (``c ** 3`` is the C library's pow, which NumPy's power does not
+always equal).
 """
 
 from __future__ import annotations
@@ -47,6 +54,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConvergenceFailureError
+from .lyapunov import eigenvalues
 from .params import PhysicalParams, derive_coupling, drive_amps
 
 RESIDUAL_TOL = 1e-10      # relative to the drive amplitude
@@ -55,6 +63,12 @@ REAL_TOL = 1e-6           # a root whose |imaginary part| is below this times 1 
 NEWTON_STEPS, NEWTON_RTOL = 50, 1e-12   # at most, per candidate; the last step's relative size
 ROOT_RTOL = 1e-4          # a resultant candidate's photon-number residuals before the polish
 SHIFT = -1.0              # the resultant's expansion point, away from the roots U_1 >= 0
+# a batch with at least this many candidates polishes and tests them as columns
+# (_column_branches), a smaller one candidate by candidate (_scalar_branches):
+# the columns cost a batch of one about 250 us more than the loop, and the two
+# took equal times at 32-36 candidates of a fig2a chunk (x86-64, one CPU); a bare
+# sweep's chunks have 36-256 points, and run_point's batch of one stays below
+COLUMN_CANDIDATES = 32
 # companion matrices of the cubic (with a fourth eigenvalue, -1) and quartic of identical inputs
 _COMPANIONS = np.tile(np.eye(4, k=-1), (2, 1, 1))
 _COMPANIONS[0, 3, 2:] = 0.0, -1.0
@@ -204,6 +218,7 @@ def _companion_rows(c: float, b: float, x: float) -> tuple:
             -2.0 * (2.0 * c * c * q * q + 2.0 * c * c - b * q) / (bb * bb))
 
 
+@np.errstate(over="ignore", invalid="ignore")   # at huge drives b * b is inf, as in Python
 def _symmetric_candidates(roots, c, b, x, cap) -> tuple:
     """(row, U_1, U_2) of the candidates of rows with identical inputs, by row: (U, U)
     for each root of the a_1 = a_2 cubic, then (U_1, U_2) both ways for each root
@@ -260,7 +275,7 @@ def _candidates(problems: list) -> tuple:
         comp = np.tile(_COMPANIONS, (len(symmetric), 1, 1, 1))
         rows = np.array(rows)
         comp[:, 0, 0, :3], comp[:, 1, 0] = rows[:, :3], rows[:, 3:]
-        row, u1, u2 = _symmetric_candidates(np.linalg.eigvals(comp), c, b, x, cap)
+        row, u1, u2 = _symmetric_candidates(eigenvalues(comp), c, b, x, cap)
         parts.append((np.array(symmetric)[row], u1, u2))
     if general:
         pairs = np.array(pairs)
@@ -314,7 +329,7 @@ def _general_candidates(k, c, b, e, x: float, cap: float) -> list[tuple]:
     coef = np.polynomial.polynomial.polyval(u1 - SHIFT, f2)
     comp = np.tile(np.eye(3, k=-1), (len(u1), 1, 1))
     comp[:, 0] = -(coef[2::-1] / coef[3]).T
-    roots = np.linalg.eigvals(comp)
+    roots = eigenvalues(comp)
     row, col = _real(roots, cap).nonzero()
     pairs = list(zip(u1[row].tolist(), roots[row, col].real.tolist()))
     if not b[0]:   # U_1 = 0 stands in for the root that the polish finds
@@ -343,7 +358,7 @@ def _resultant_roots(f1, f2, cap: float):
         sylvester[:, r, col:col + f.shape[1]] = f[:, ::-1]
     comp = np.eye(15, k=-5)
     comp[:5] = -np.concatenate(np.linalg.solve(sylvester[0], sylvester[1:]), axis=1)
-    mu = np.linalg.eigvals(comp)
+    mu = eigenvalues(comp)
     roots = SHIFT + 1.0 / mu[abs(mu) * (cap - SHIFT) > 0.5]
     return roots[_real(roots, cap)].real
 
@@ -447,9 +462,11 @@ def self_consistent_points(cavity_decay, mech_freq, coupling, drives, hop_streng
     The batch's candidates form one table, by point (:func:`_candidates`); the
     identical-cavity points' real roots and candidates come from array tests
     over one stacked eigenvalue call, and the table's starting photon numbers
-    become extended precision in one conversion.  Each candidate is polished on
-    its own, and only a point with two or more converged candidates runs the
-    duplicate scan.  A point's columns do not depend on its batch.
+    become extended precision in one conversion.  A table of at least
+    COLUMN_CANDIDATES candidates is polished and tested as columns
+    (:func:`_column_branches`), a smaller one candidate by candidate
+    (:func:`_scalar_branches`); both give the same bits, so a point's columns
+    do not depend on its batch.
     """
     kappa, mech, g = cavity_decay, mech_freq, coupling
     shift = (g[0] ** 2 / mech[0], g[1] ** 2 / mech[1])    # detuning per photon
@@ -460,50 +477,78 @@ def self_consistent_points(cavity_decay, mech_freq, coupling, drives, hop_streng
     # each candidate is polished in the photon numbers u_j in extended precision
     # (every product in _polish then has an extended factor), so that it lands on
     # its correctly rounded value; the starting values convert once
-    ext, owner = np.longdouble, owner.tolist()
-    units = np.array([problems[point][-1] for point in owner])
+    ext, points = np.longdouble, owner.tolist()
+    units = np.array([problems[point][-1] for point in points])
     start1 = (u1 * units).astype(ext)
     # U_2 is U_1 itself when every candidate is an a_1 = a_2 branch
     start2 = start1 if u2 is u1 else (u2 * units).astype(ext)
+    branches = _column_branches if len(points) >= COLUMN_CANDIDATES else _scalar_branches
+    return branches(kappa, mech, g, shift, drives, hop_strength, detuning, problems, owner,
+                    start1, start2)
+
+
+def _tested(kappa, mech, g, problem, e, xi, delta0, u1: float, u2: float):
+    """The test of one polished candidate (u1, u2) of a point: None outside the
+    bound, else (residual, a_1, a_2, Delta_1, Delta_2) of the closed form at the
+    detunings it shifts, the second detunings those of the closed form's photon
+    numbers."""
+    cap, unit = problem[6] + REAL_TOL, problem[7]
+    if not (-REAL_TOL <= u1 / unit <= cap and -REAL_TOL <= u2 / unit <= cap):
+        return None
+    g2 = (g[0] ** 2, g[1] ** 2)
+
+    def detunings(u1, u2):
+        return delta0[0] - g2[0] * u1 / mech[0], delta0[1] - g2[1] * u2 / mech[1]
+
+    amp1, amp2, _, _ = _closed_form_amps(kappa, xi, e[0], e[1], *detunings(u1, u2))
+    d1, d2 = detunings(abs(amp1) ** 2, abs(amp2) ** 2)
+    res = _residual(xi, e[0], e[1], amp1, amp2, complex(kappa[0], d1), complex(kappa[1], d2))
+    return res, amp1, amp2, d1, d2
+
+
+def _bare_branch(kappa, e, xi, delta0) -> list:
+    """The one branch, as _tested gives it, of a point whose detunings stay bare."""
+    return [(None, *_closed_form_amps(kappa, xi, e[0], e[1], *delta0)[:2], *delta0)]
+
+
+def _failure(residual: float) -> ConvergenceFailureError:
+    return ConvergenceFailureError(
+        f"no self-consistent steady state converged (best residual {residual:.3e})",
+        best_residual=residual)
+
+
+def _scalar_branches(kappa, mech, g, shift, drives, hop_strength, detuning, problems, owner,
+                     start1, start2) -> WorkingPoints:
+    """The branches of a batch from its candidate table (see
+    :func:`self_consistent_points`), each candidate polished and tested on its
+    own: the route of small batches, and the reference of the columns'."""
+    ext, owner = np.longdouble, owner.tolist()
     precise = (ext(kappa[0]), ext(kappa[1]))
     polished = [_polish(a, b, precise, detuning[point], shift, drives[point], xi)
                 for point, a, b, xi in zip(owner, start1, start2, np.array(
                     [hop_strength[point] for point in owner], dtype=ext))]
-    g2 = (g[0] ** 2, g[1] ** 2)
 
-    def detunings(delta0, u1, u2):
-        return delta0[0] - g2[0] * u1 / mech[0], delta0[1] - g2[1] * u2 / mech[1]
-
-    # per point: those of its candidates in the bound that converge, as
-    # (residual, a_1, a_2, Delta_1, Delta_2), and the least residual of the others
+    # per point: those of its candidates in the bound that converge, and the
+    # least residual of the others
     best, converged = {}, {}
     for point, (u1, u2) in zip(owner, polished):
-        u1, u2, problem = float(u1), float(u2), problems[point]
-        cap, unit = problem[6] + REAL_TOL, problem[7]
-        if not (-REAL_TOL <= u1 / unit <= cap and -REAL_TOL <= u2 / unit <= cap):
+        found = _tested(kappa, mech, g, problems[point], drives[point], hop_strength[point],
+                        detuning[point], float(u1), float(u2))
+        if found is None:
             continue
-        e, xi, delta0 = drives[point], hop_strength[point], detuning[point]
-        amp1, amp2, _, _ = _closed_form_amps(kappa, xi, e[0], e[1], *detunings(delta0, u1, u2))
-        d1, d2 = detunings(delta0, abs(amp1) ** 2, abs(amp2) ** 2)
-        res = _residual(xi, e[0], e[1], amp1, amp2, complex(kappa[0], d1), complex(kappa[1], d2))
-        if res < RESIDUAL_TOL:
-            converged.setdefault(point, []).append((res, amp1, amp2, d1, d2))
+        if found[0] < RESIDUAL_TOL:
+            converged.setdefault(point, []).append(found)
         else:
-            best[point] = min(best.get(point, math.inf), res)
+            best[point] = min(best.get(point, math.inf), found[0])
 
     amps, detuned, branch, owners, errors = [], [], [], [], {}
     for point, problem in enumerate(problems):
         if problem is None:
-            e, delta0 = drives[point], detuning[point]
-            found = [(None, *_closed_form_amps(kappa, hop_strength[point], e[0], e[1],
-                                               *delta0)[:2], *delta0)]
+            found = _bare_branch(kappa, drives[point], hop_strength[point], detuning[point])
         else:
             found = converged.get(point)
             if not found:
-                residual = best.get(point, math.inf)
-                errors[point] = ConvergenceFailureError(
-                    f"no self-consistent steady state converged (best residual {residual:.3e})",
-                    best_residual=residual)
+                errors[point] = _failure(best.get(point, math.inf))
                 continue
             if len(found) > 1:
                 found = _distinct(found)
@@ -514,6 +559,176 @@ def self_consistent_points(cavity_decay, mech_freq, coupling, drives, hop_streng
             owners.append(point)
     return _columns(kappa, mech, g, [drives[i] for i in owners], [hop_strength[i] for i in owners],
                     detuned, amps, branch, owners, errors)
+
+
+@np.errstate(all="ignore")   # a row with det == 0 or a non-finite start divides all the same
+def _polish_columns(u1, u2, kappa, delta0, b, e, xi):
+    """:func:`_polish` of every row of the columns ``u1``, ``u2``, ``delta0``
+    (a pair of columns), ``e`` (a pair) and ``xi`` at once: the same operations
+    on arrays, each row stopping at the step where it would stop alone (on
+    det == 0, on NEWTON_RTOL or after NEWTON_STEPS).  Rows that stop leave the
+    arrays, so that a few slow rows do not carry the rest."""
+    (k1, k2), (c1, c2), (b1, b2), (e1, e2) = kappa, delta0, b, e
+    kk, bb1, bb2 = k1 * k2, 2.0 * b1, 2.0 * b2
+    # the per-row products that do not change from step to step; float_power
+    # is the C library's powl, as ** of a longdouble is
+    fixed = (c1, c2, xi * xi, xi * e1, xi * e2, e1, e2, np.float_power(e1 * k2, 2),
+             np.float_power(e2 * k1, 2), 2.0 * e1 * b2, 2.0 * e2 * b1)
+    out1, out2 = u1.copy(), u2.copy()
+    live = np.arange(len(u1))
+    for _ in range(NEWTON_STEPS):
+        c1, c2, xx, xe1, xe2, e1, e2, ek1, ek2, eb1, eb2 = fixed
+        d1, d2 = c1 - b1 * u1, c2 - b2 * u2
+        zr, zi = kk - d1 * d2 + xx, k1 * d2 + d1 * k2
+        n1, n2 = e1 * d2 + xe2, e2 * d1 + xe1
+        den = zr * zr + zi * zi
+        den_1 = bb1 * (zr * d2 - zi * k2)
+        den_2 = bb2 * (zr * d1 - zi * k1)
+        f1 = u1 * den - ek1 - n1 * n1
+        f2 = u2 * den - ek2 - n2 * n2
+        j11, j12 = den + u1 * den_1, u1 * den_2 + eb1 * n1
+        j21, j22 = u2 * den_1 + eb2 * n2, den + u2 * den_2
+        det = j11 * j22 - j12 * j21
+        step1, step2 = (f1 * j22 - f2 * j12) / det, (f2 * j11 - f1 * j21) / det
+        moved = det != 0.0
+        u1, u2 = np.where(moved, u1 - step1, u1), np.where(moved, u2 - step2, u2)
+        going = moved & (abs(step1) + abs(step2) > NEWTON_RTOL * (abs(u1) + abs(u2)))
+        if not going.all():
+            done = ~going
+            out1[live[done]], out2[live[done]] = u1[done], u2[done]
+            live, u1, u2 = live[going], u1[going], u2[going]
+            if not len(live):
+                return out1, out2
+            fixed = tuple(column[going] for column in fixed)
+    out1[live], out2[live] = u1, u2
+    return out1, out2
+
+
+def _product(a, b) -> tuple:
+    """CPython's product of two complex numbers given as (real, imaginary) pairs
+    of columns or floats; a float x enters as (x, 0.0), as CPython widens it."""
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _quotient(a, b) -> tuple:
+    """CPython's (Smith's) quotient a / b of complex columns, with the ratio of the
+    part of b of smaller size to the other.  A zero b, where CPython raises, gives
+    NaN."""
+    wide = abs(b[0]) >= abs(b[1])
+    ratio = np.where(wide, b[1] / b[0], b[0] / b[1])
+    den = np.where(wide, b[0] + b[1] * ratio, b[0] * ratio + b[1])
+    return (np.where(wide, a[0] + a[1] * ratio, a[0] * ratio + a[1]) / den,
+            np.where(wide, a[1] - a[0] * ratio, a[1] * ratio - a[0]) / den)
+
+
+def _sum(a, b) -> tuple:
+    return a[0] + b[0], a[1] + b[1]
+
+
+@np.errstate(all="ignore")   # a row that is not finite takes _tested, which raises as Python does
+def _tested_columns(kappa, mech, g, e, xi, delta0, u1, u2):
+    """:func:`_tested` of the rows of columns, past its bound: the closed-form
+    amplitudes, second detunings and residuals as CPython's complex arithmetic
+    gives them, term for term.  ``e`` and ``delta0`` are pairs of columns.
+    Returns (residual, amplitudes (n, 2), detunings (n, 2)) and which rows are
+    finite throughout; only those equal _tested's."""
+    (k1, k2), (e1, e2), (c1, c2) = kappa, e, delta0
+    g2 = (g[0] ** 2, g[1] ** 2)
+    j = (0.0 * xi - 0.0, 0.0 + xi)   # 1j * xi
+    d1, d2 = c1 - g2[0] * u1 / mech[0], c2 - g2[1] * u2 / mech[1]
+    alpha1, alpha2 = (k1, d1), (k2, d2)
+    z = _product(alpha1, alpha2)
+    denom = (z[0] + xi * xi, z[1] + 0.0)
+    amp1 = _quotient(_sum(_product(alpha2, (e1, 0.0)), _product(j, (e2, 0.0))), denom)
+    amp2 = _quotient(_sum(_product(alpha1, (e2, 0.0)), _product(j, (e1, 0.0))), denom)
+    # abs(amp) ** 2 is the C library's pow, which is not always amp * amp
+    n1 = np.float_power(np.hypot(*amp1), 2.0)
+    n2 = np.float_power(np.hypot(*amp2), 2.0)
+    d1, d2 = c1 - g2[0] * n1 / mech[0], c2 - g2[1] * n2 / mech[1]
+    r1 = _sum(_sum(_product((-k1, -d1), amp1), _product(j, amp2)), (e1, 0.0))
+    r2 = _sum(_sum(_product((-k2, -d2), amp2), _product(j, amp1)), (e2, 0.0))
+    h1, h2 = np.hypot(*r1), np.hypot(*r2)
+    # max(e1, e2, 1e-300) and max(h1, h2) as Python's max takes them
+    scale = np.where(e2 > e1, e2, e1)
+    res = np.where(h2 > h1, h2, h1) / np.where(1e-300 > scale, 1e-300, scale)
+    amp = np.empty((len(res), 2), complex)
+    amp.real[:, 0], amp.imag[:, 0], amp.real[:, 1], amp.imag[:, 1] = *amp1, *amp2
+    detuned = np.stack([d1, d2], 1)
+    # finite detunings need finite photon numbers, and those finite amplitudes
+    return res, amp, detuned, np.isfinite(res) & np.isfinite(detuned).all(1)
+
+
+def _inserted(key, columns, rows) -> tuple:
+    """(key, columns) with ``rows``, tuples (key, *values), added and every row in
+    key order; the sort is stable, so rows of one key keep their order."""
+    if not rows:
+        return key, columns
+    key = np.concatenate([key, [row[0] for row in rows]])
+    order = key.argsort(kind="stable")
+    return key[order], [np.concatenate([column, [row[i] for row in rows]])[order]
+                        for i, column in enumerate(columns, 1)]
+
+
+def _column_branches(kappa, mech, g, shift, drives, hop_strength, detuning, problems, owner,
+                     start1, start2) -> WorkingPoints:
+    """:func:`_scalar_branches` as columns: one masked Newton iteration polishes
+    every candidate (:func:`_polish_columns`), and the candidates in the bound
+    are tested as columns (:func:`_tested_columns`); a candidate whose bound or
+    test meets a value that is not finite takes :func:`_tested`, where Python
+    raises what it raises.  A point with one converged candidate takes it by
+    gather; only a point with two or more builds the tuples of
+    :func:`_distinct`."""
+    ext = np.longdouble
+    e = np.asarray(drives, dtype=float)[owner].T
+    delta0 = np.asarray(detuning, dtype=float)[owner].T
+    hop = np.asarray(hop_strength, dtype=float)[owner]
+    u1, u2 = _polish_columns(start1, start2, (ext(kappa[0]), ext(kappa[1])), delta0, shift,
+                             e, hop.astype(ext))
+    # (cap, unit) of each candidate's point; a point without a problem has none
+    bound = np.array([problem[6:] if problem else (0.0, 1.0) for problem in problems])[owner]
+    cap, unit = bound[:, 0] + REAL_TOL, bound[:, 1]
+    with np.errstate(all="ignore"):   # float() of a longdouble past float's range is inf
+        u1, u2 = u1.astype(float), u2.astype(float)
+        t1, t2 = u1 / unit, u2 / unit
+    regular = np.isfinite(t1) & np.isfinite(t2)
+    rows = (regular & (-REAL_TOL <= t1) & (t1 <= cap) & (-REAL_TOL <= t2)
+            & (t2 <= cap)).nonzero()[0]
+    res, amp, detuned, finite = _tested_columns(
+        kappa, mech, g, e[:, rows], hop[rows], delta0[:, rows], u1[rows], u2[rows])
+    odd = np.concatenate([rows[~finite], (~regular).nonzero()[0]]).tolist()
+    tested = [(k, _tested(kappa, mech, g, problems[point], drives[point], hop_strength[point],
+                          detuning[point], u1[k].item(), u2[k].item()))
+              for k, point in zip(odd, owner[odd].tolist())]
+    keep, (res, amp, detuned) = _inserted(
+        rows[finite], (res[finite], amp[finite], detuned[finite]),
+        [(k, found[0], found[1:3], found[3:]) for k, found in tested if found is not None])
+
+    # per point: the number of its converged candidates, and the least residual
+    # of the others
+    point = owner[keep]
+    converged = res < RESIDUAL_TOL
+    count = np.bincount(point[converged], minlength=len(problems))
+    best = np.full(len(problems), np.inf)
+    np.fmin.at(best, point[~converged], res[~converged])
+    # the branches of each point with several converged candidates, and of each
+    # point whose detunings stay bare, as tuples
+    several = (converged & (count[point] > 1)).nonzero()[0]
+    tuples = [(point[group[0]].item(), _distinct(list(zip(
+        res[group].tolist(), *amp[group].T.tolist(), *detuned[group].T.tolist()))))
+        for group in np.split(several, np.flatnonzero(np.diff(point[several])) + 1)
+        if len(group)]
+    tuples += [(k, _bare_branch(kappa, drives[k], hop_strength[k], detuning[k]))
+               for k, problem in enumerate(problems) if problem is None]
+    single = converged & (count[point] == 1)
+    point, (branch, amp, detuned) = _inserted(
+        point[single], (np.zeros(single.sum(), int), amp[single], detuned[single]),
+        [(k, n, found[1:3], found[3:]) for k, branches in tuples
+         for n, found in enumerate(branches)])
+    errors = {k: _failure(best[k].item()) for k in (count == 0).nonzero()[0].tolist()
+              if problems[k] is not None}
+    owners = point.tolist()
+    return _columns(kappa, mech, g, [drives[i] for i in owners], [hop_strength[i] for i in owners],
+                    detuned, amp, branch, owners, errors)
 
 
 def solve_self_consistent(params: PhysicalParams, delta01: float,

@@ -308,12 +308,30 @@ class TestEigenvalueKernel:
         got = spectral_abscissae(a)
         assert got.shape == (count,) and got.tobytes() == want.tobytes()
 
+    @settings(max_examples=40, deadline=None)
+    @given(shape=st.sampled_from([(0, 4, 4), (3, 4, 4), (2, 2, 4, 4), (5, 3, 3), (15, 15)]),
+           seed=st.integers(0, 2**32 - 1), triangular=st.booleans())
+    def test_eigenvalues_are_the_eigvals(self, shape, seed, triangular):
+        # the working point's companion stacks: a stack of pairs of 4x4
+        # matrices, 3x3 cubics and one 15x15 block companion matrix
+        a = np.random.default_rng(seed).normal(size=shape)
+        if triangular:   # a real spectrum, which np.linalg.eigvals returns as reals
+            a = np.triu(a)
+        want = np.linalg.eigvals(a)
+        got = lyapunov.eigenvalues(a)
+        assert got.dtype == complex and got.shape == want.shape
+        assert got.real.tobytes() == want.real.tobytes()
+        assert (got.imag == np.imag(want)).all()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_stacks_raise_the_eigvals_text(self, bad):
         a = np.stack([-np.eye(4), -np.eye(4)])
         a[1, 2, 3] = bad
         with pytest.raises(np.linalg.LinAlgError) as want:
             np.linalg.eigvals(a)
+        with pytest.raises(np.linalg.LinAlgError) as got:
+            lyapunov.eigenvalues(a)
+        assert str(got.value) == str(want.value)
         for gate in (spectral_abscissae, hurwitz_gate):
             with pytest.raises(HopcavError) as got:
                 gate(a)
@@ -333,6 +351,9 @@ class TestEigenvalueKernel:
         a = -np.eye(4)[None]
         with pytest.raises(np.linalg.LinAlgError) as want:
             np.linalg.eigvals(a)
+        with pytest.raises(np.linalg.LinAlgError) as got:
+            lyapunov.eigenvalues(a)
+        assert str(got.value) == str(want.value)
         with pytest.raises(HopcavError) as got:
             spectral_abscissae(a)
         assert str(got.value) == f"eigenvalue solver failed: {want.value}"

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
-from hopcav import steady_state
+from hopcav import engine, lyapunov, steady_state
 from hopcav.cli import main
 from hopcav.engine import AxisSpec, csv_text, run_point, run_sweep
 from hopcav.params import Detuning, PhysicalParams, derive_coupling, drive_amps
@@ -392,18 +392,26 @@ class TestChunks:
                    ("detunings", (0.3, 0.3), 0.5, (6.0, 6.2)), ("bistable", (0.12, 0.12), 0.05,
                                                                (3.9, 3.9))])
     def test_points_do_not_depend_on_their_batch(self, rows):
-        # a row that raises is one whose polish is broken: it lands 1e-3 off
+        # a row that raises is one whose polish is broken: it lands 1e-3 off,
+        # whether its candidates are polished one by one or as columns
         broken = {drive_amps(make_params(power=powers))
                   for kind, powers, _, _ in rows if kind == "raises"}
-        polish = steady_state._polish
+        polish, polish_columns = steady_state._polish, steady_state._polish_columns
 
         def polished(u1, u2, kappa, delta0, b, e, xi):
             if tuple(e) in broken:
                 return u1 * 1.001, u2 * 1.001
             return polish(u1, u2, kappa, delta0, b, e, xi)
 
+        def polished_columns(u1, u2, kappa, delta0, b, e, xi):
+            off = np.array([pair in broken for pair in zip(*(column.tolist() for column in e))],
+                           dtype=bool)
+            v1, v2 = polish_columns(u1, u2, kappa, delta0, b, e, xi)
+            return np.where(off, u1 * 1.001, v1), np.where(off, u2 * 1.001, v2)
+
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(steady_state, "_polish", polished)
+            patch.setattr(steady_state, "_polish_columns", polished_columns)
             batch = self_consistent_points(*batch_columns(rows))
             alone = [self_consistent_points(*batch_columns([row])) for row in rows]
         assert list(batch.owner) == sorted(batch.owner)
@@ -416,14 +424,208 @@ class TestChunks:
 
     def test_symmetric_rows_take_one_eigenvalue_call(self, monkeypatch):
         calls = []
-        eigvals = np.linalg.eigvals
-        monkeypatch.setattr(np.linalg, "eigvals",
-                            lambda a: calls.append(np.shape(a)) or eigvals(a))
+        eigvals = lyapunov._eigvals
+        monkeypatch.setattr(lyapunov, "_eigvals",
+                            lambda a, **kwargs: calls.append(np.shape(a)) or eigvals(a, **kwargs))
         rows = [("symmetric", (0.1, 0.1), 0.0, (d, d)) for d in np.linspace(3.5, 4.3, 9)]
         rows.insert(4, ("undriven", (0.0, 0.0), 0.5, (1.0, 1.0)))
         points = self_consistent_points(*batch_columns(rows))
         assert calls == [(9, 2, 4, 4)]
         assert len(points.owner) > len(rows)   # the bistable rows give several branches
+
+
+def same(got, want) -> bool:
+    """Equal values with equal signs, or both NaN; == and not bytes, since an
+    x87 longdouble carries padding bytes that differ between equal values."""
+    if np.isnan(want):
+        return bool(np.isnan(got))
+    return bool(got == want and np.signbit(got) == np.signbit(want))
+
+
+SPECIAL = [0.0, -0.0, 5e-324, math.nan, math.inf, -math.inf, 1e300]
+
+
+def scaled(low, high):
+    """A float of a scaled photon-number problem, or now and then a special one."""
+    return st.one_of(st.floats(low, high), st.sampled_from(SPECIAL))
+
+
+@st.composite
+def polish_tables(draw):
+    """(kappa, shift per photon, rows of (u1, u2, delta0_1, delta0_2, E_1, E_2, xi))
+    in scaled units: starts that converge, that take every NEWTON_STEPS, that are
+    not finite, and at kappa = b = 0 with delta0_1 delta0_2 = xi^2, det == 0."""
+    kappa = draw(st.sampled_from([(0.0, 0.0), (1.0, 1.0)]) | st.tuples(
+        st.floats(0.1, 2.0), st.floats(0.1, 2.0)))
+    b = draw(st.sampled_from([(0.0, 0.0), (1.0, 1.0)]) | st.tuples(
+        st.floats(0.0, 2.0), st.floats(0.0, 2.0)))
+    rows = draw(st.lists(st.tuples(scaled(-5.0, 20.0), scaled(-5.0, 20.0), scaled(-3.0, 6.0),
+                                   scaled(-3.0, 6.0), scaled(0.0, 3.0), scaled(0.0, 3.0),
+                                   scaled(0.0, 2.0)), min_size=1, max_size=40))
+    singular = draw(st.lists(st.floats(0.0, 2.0), max_size=3))
+    return kappa, b, rows + [(1.0, 2.0, xi, xi, 0.5, 0.5, xi) for xi in singular]
+
+
+def scalar_tested(kappa, mech, g, e, xi, delta0, u1, u2):
+    """``_tested`` with an unbounded cap: its result, or the error it raises."""
+    problem = (None,) * 6 + (math.inf, 1.0)
+    try:
+        return steady_state._tested(kappa, mech, g, problem, e, xi, delta0, u1, u2)
+    except ArithmeticError as exc:
+        return exc
+
+
+class TestColumnStages:
+    """The columnar polish and candidate test against the per-candidate code they
+    replace, value for value."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(table=polish_tables())
+    @example(table=((0.0, 0.0), (0.0, 0.0), [(1.0, 2.0, 0.5, 0.5, 0.5, 0.5, 0.5)]))
+    @example(table=((1.29, 0.58), (0.42, 1.25), [(12.65, 6.28, 4.98, 4.94, 1.49, 0.56, 1.10),
+                                                 (math.nan, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)]))
+    def test_polish_columns_is_the_scalar_polish(self, table):
+        kappa, b, rows = table
+        ext = np.longdouble
+        precise = (ext(kappa[0]), ext(kappa[1]))
+        u1, u2, c1, c2, e1, e2, xi = (np.array(column) for column in zip(*rows))
+        got = steady_state._polish_columns(u1.astype(ext), u2.astype(ext), precise, (c1, c2), b,
+                                           (e1, e2), xi.astype(ext))
+        for k, row in enumerate(rows):
+            with np.errstate(all="ignore"):
+                want = steady_state._polish(ext(row[0]), ext(row[1]), precise, row[2:4], b,
+                                            row[4:6], ext(row[6]))
+            assert same(got[0][k], want[0]) and same(got[1][k], want[1]), row
+
+    def test_polish_tables_reach_every_stop(self):
+        # det == 0 leaves the start; a start far from a root takes every step
+        ext = np.longdouble
+        zero = (ext(0.0), ext(0.0))
+        assert steady_state._polish(ext(1.0), ext(2.0), zero, (0.5, 0.5), (0.0, 0.0),
+                                    (0.5, 0.5), ext(0.5)) == (1.0, 2.0)
+        args = ((ext(1.29), ext(0.58)), (4.98, 4.94), (0.42, 1.25), (1.49, 0.56), ext(1.1))
+        start = (ext(12.65), ext(6.28))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(steady_state, "NEWTON_STEPS", steady_state.NEWTON_STEPS - 1)
+            early = steady_state._polish(*start, *args)
+        assert early != steady_state._polish(*start, *args)
+
+    @settings(max_examples=80, deadline=None)
+    @given(rows=st.lists(st.tuples(
+        st.floats(0.0, 3.0) | st.sampled_from([0.0, -0.0, math.nan, math.inf, 1e308, 1e160]),
+        st.floats(0.0, 3.0) | st.sampled_from([0.0, -0.0, math.nan, math.inf, 1e308, 1e160]),
+        st.floats(0.0, 2e12) | st.sampled_from([0.0, -0.0, 5e-324, 1e160]),
+        st.floats(0.0, 2e12) | st.sampled_from([0.0, -0.0, 5e-324, 1e160]),
+        st.floats(0.0, 2.0).map(lambda xi: xi * WM) | st.sampled_from([0.0, -0.0, 1e300]),
+        st.floats(-3.0, 9.0).map(lambda d: d * WM) | st.sampled_from([0.0, -0.0, 1e300]),
+        st.floats(-3.0, 9.0).map(lambda d: d * WM) | st.sampled_from([0.0, -0.0, -1e300])),
+        min_size=1, max_size=30))
+    # |a_1| ** 2 (the C library's pow) is not |a_1| * |a_1| at delta0 = 0.052 omega_m
+    @example(rows=[(0.0, 0.0, 1e12, 1e12, 0.0, 0.052 * WM, 0.052 * WM),
+                   (1.0, 1.0, 1e12, 0.0, 0.0, -0.0, 0.0), (0.5, 0.0, 1e160, 1e160, WM, WM, WM)])
+    def test_tested_columns_are_the_scalar_test(self, rows):
+        # u_j in units of (1e12 / kappa_1)^2
+        kappa, mech, g = CAVITIES
+        with np.errstate(over="ignore"):
+            u1, u2 = (np.array(column) * (1e12 / kappa[0]) ** 2
+                      for column in list(zip(*rows))[:2])
+        e1, e2, xi, d1, d2 = (np.array(column) for column in list(zip(*rows))[2:])
+        with np.errstate(all="ignore"):
+            res, amp, detuned, finite = steady_state._tested_columns(
+                kappa, mech, g, (e1, e2), xi, (d1, d2), u1, u2)
+        for k in range(len(rows)):
+            want = scalar_tested(kappa, mech, g, (e1[k].item(), e2[k].item()), xi[k].item(),
+                                 (d1[k].item(), d2[k].item()), u1[k].item(), u2[k].item())
+            if want is None:   # below the bound, where the columns are not asked
+                continue
+            regular = not isinstance(want, ArithmeticError) and all(
+                map(math.isfinite, (want[0], *map(abs, want[1:3]), *want[3:])))
+            assert finite[k] == regular, (rows[k], want)
+            if regular:
+                got = (res[k], *amp[k].view(float), *detuned[k])
+                expected = (want[0], want[1].real, want[1].imag, want[2].real, want[2].imag,
+                            *want[3:])
+                assert all(map(same, got, expected)), (rows[k], got, expected)
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.lists(chunk_rows() | st.tuples(
+        st.just("huge"), st.sampled_from([(1e180, 1e180), (1e200, 1e200), (1e159, 1e159)]),
+        st.floats(0.0, 1.5), st.sampled_from([(0.0, 0.0), (1.0, 1.0)])), min_size=1, max_size=6),
+        starts=st.lists(st.tuples(scaled(-0.5, 3.0), scaled(-0.5, 3.0)), min_size=1,
+                        max_size=60))
+    def test_column_branches_are_the_scalar_branches(self, rows, starts):
+        # a candidate table of drawn starting photon numbers (in each point's
+        # units), polished and tested as columns and one by one
+        kappa, mech, g = CAVITIES
+        drives, hops, detunings = batch_columns(rows)[3:]
+        shift = (g[0] ** 2 / mech[0], g[1] ** 2 / mech[1])
+        problems = [steady_state._scaled(kappa, g, shift, e, xi, d)
+                    for e, xi, d in zip(drives, hops, detunings)]
+        posed = [k for k, problem in enumerate(problems) if problem]
+        if not posed:
+            return
+        owner = np.sort(np.resize(posed, len(starts)))
+        units = np.array([problems[k][-1] for k in owner])
+        ext = np.longdouble
+        with np.errstate(all="ignore"):
+            start1, start2 = ((np.array(column) * units).astype(ext) for column in zip(*starts))
+            args = (kappa, mech, g, shift, drives, hops, detunings, problems, owner, start1,
+                    start2)
+            want = steady_state._scalar_branches(*args)
+        got = steady_state._column_branches(*args)
+        assert [point_columns(got, k) for k in range(len(rows))] == [
+            point_columns(want, k) for k in range(len(rows))]
+        assert {k: str(e) for k, e in got.errors.items()} == {
+            k: str(e) for k, e in want.errors.items()}
+        assert all(same(got.errors[k].best_residual, e.best_residual)
+                   for k, e in want.errors.items())
+
+
+def fig2a_chunk():
+    """The arguments of the first ``self_consistent_points`` batch of a fig2a
+    sweep, a chunk of 256 points."""
+    chunks, points = [], engine.self_consistent_points
+
+    def recorded(*args, **kwargs):
+        chunks.append((args, kwargs))
+        return points(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "self_consistent_points", recorded)
+        run_sweep(fig_preset("fig2a"))
+    args, kwargs = chunks[0]
+    return (*args, kwargs["drives"], kwargs["hop_strength"], kwargs["detuning"])
+
+
+class TestChunkAcrossTheThreshold:
+    """A sweep chunk's candidates are polished and tested as columns, a batch
+    of one's one by one; each point of a fig2a chunk is its batch of one."""
+
+    def test_fig2a_chunk_is_its_points_alone(self):
+        kappa, mech, g, drives, hops, detunings = fig2a_chunk()
+        assert len(drives) == lyapunov.CHUNK_POINTS
+        params = fig_preset("fig2a").params
+        # rows whose drives are too strong for any candidate to converge, one
+        # with a finite best residual and one with none
+        for k, power in [(10, 1e180), (100, 1e200), (200, 1e180)]:
+            drives[k] = drive_amps(dataclasses.replace(params, drive_power=power))
+        batch = self_consistent_points(kappa, mech, g, drives, hops, detunings)
+        assert set(batch.errors) == {10, 100, 200}
+        assert "best residual inf" in str(batch.errors[100])
+        assert "best residual inf" not in str(batch.errors[10])
+        tables, column_branches = [], steady_state._column_branches
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(steady_state, "_column_branches",
+                          lambda *args: tables.append(len(args[-1])) or column_branches(*args))
+            self_consistent_points(kappa, mech, g, drives, hops, detunings)
+            assert tables and tables[0] >= steady_state.COLUMN_CANDIDATES
+            for k in range(len(drives)):
+                single = self_consistent_points(kappa, mech, g, drives[k:k + 1], hops[k:k + 1],
+                                                detunings[k:k + 1])
+                assert point_columns(batch, k) == point_columns(single, 0), k
+                assert ([str(batch.errors[k])] if k in batch.errors else []) == [
+                    str(e) for e in single.errors.values()], k
+            assert tables == tables[:1]   # each batch of one was polished candidate by candidate
 
 
 def fig2a_batch(points):
@@ -495,6 +697,25 @@ class TestTinyDrives:
         assert len((tmp_path / "tiny.csv").read_text(encoding="utf-8").splitlines()) > 4
 
 
+class TestHugeDrives:
+    """A drive so strong that the squared shift per photon overflows leaves no
+    converged branch, and the row says so without a floating-point warning
+    (which the suite turns into an error)."""
+
+    def test_sweep_over_a_huge_power(self):
+        config = dataclasses.replace(fig_preset("fig2a"), axes=(
+            AxisSpec("delta", (0.0, 1.0)), AxisSpec("power", (0.035, 1e180, 1e200))))
+        records = run_sweep(config).records
+        assert [r.error for r in records[::3]] == ["", ""]
+        assert [r.error for r in records[2::3]] == [
+            "no self-consistent steady state converged (best residual inf)"] * 2
+        assert all(r.error.startswith("no self-consistent steady state converged")
+                   for r in records[1::3])
+        singles = [rec for r in records
+                   for rec in run_point(config, {"delta": r.delta, "power": r.power}).records]
+        assert csv_text(singles) == csv_text(records)
+
+
 def scalar_real(roots, cap):
     """The real roots in [0, cap], root by root in Python's complex arithmetic:
     the reference for the array test of ``steady_state._real``."""
@@ -559,6 +780,38 @@ class TestCandidateTable:
         want = [(j, *pair) for j, args in enumerate(zip(roots.tolist(), c, b, x, cap))
                 for pair in scalar_candidates(*args)]
         assert list(zip(row.tolist(), u1.tolist(), u2.tolist())) == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.lists(chunk_rows().filter(lambda row: row[0] in ("drives", "detunings")),
+                         min_size=1, max_size=4))
+    @example(rows=[("drives", (0.1, 0.12), 0.2, (3.9, 4.0))])
+    def test_resultant_candidates_take_the_eigvals_bits(self, rows):
+        # the resultant route's candidates with the shared eigenvalue kernel
+        # and with np.linalg.eigvals itself
+        kappa, mech, g = CAVITIES
+        shift = (g[0] ** 2 / mech[0], g[1] ** 2 / mech[1])
+        problems = [problem for problem in (steady_state._scaled(kappa, g, shift, e, xi, d)
+                                            for e, xi, d in zip(*batch_columns(rows)[3:]))
+                    if not (problem and problem[0])]
+        got = steady_state._candidates(problems)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(steady_state, "eigenvalues", np.linalg.eigvals)
+            want = steady_state._candidates(problems)
+        assert [column.tobytes() for column in got] == [column.tobytes() for column in want]
+
+    def test_non_finite_resultant_stack_has_no_candidate(self, monkeypatch):
+        # a Sylvester block whose solve is not finite leaves a block companion
+        # matrix that the eigenvalue kernel refuses, and the point no candidate
+        kappa, mech, g = CAVITIES
+        shift = (g[0] ** 2 / mech[0], g[1] ** 2 / mech[1])
+        e, xi, d = batch_columns([("drives", (0.1, 0.12), 0.2, (3.9, 4.0))])[3:]
+        problem = steady_state._scaled(kappa, g, shift, e[0], xi[0], d[0])
+        assert len(steady_state._candidates([problem])[0]) == 7
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full_like(solve(a, b), np.inf))
+        with pytest.raises(np.linalg.LinAlgError, match="^Array must not contain infs or NaNs$"):
+            steady_state._general_candidates(*problem[1:7])
+        assert [len(column) for column in steady_state._candidates([problem])] == [0, 0, 0]
 
 
 def assert_distinct_sorted(branches):
