@@ -168,12 +168,13 @@ def _make_presets() -> dict[str, SweepConfig]:
     return presets
 
 
-PRESET_NAMES = tuple(sorted(_make_presets().keys()))
+# built once: the configurations are frozen, so every caller may share them
+_PRESETS = _make_presets()
+PRESET_NAMES = tuple(sorted(_PRESETS))
 
 
 def fig_preset(name: str) -> SweepConfig:
     """Fully populated sweep configuration for a named figure panel."""
-    presets = _make_presets()
-    if name not in presets:
-        raise UnknownPresetError(name, sorted(presets))
-    return presets[name]
+    if name not in _PRESETS:
+        raise UnknownPresetError(name, PRESET_NAMES)
+    return _PRESETS[name]

@@ -33,16 +33,16 @@ eigenvalue call and the identical-cavity points' candidates come from array
 tests over its output, and the table's starting photon numbers convert to
 extended precision at once.  A table of at least COLUMN_CANDIDATES candidates,
 a sweep chunk's, is polished by one masked Newton iteration over extended
-precision columns and tested as columns that spell out CPython's complex
-arithmetic, and a point with one converged candidate takes it by gather.  A
-smaller table, such as the batch of one that ``run_point`` solves, is polished
-and tested candidate by candidate: a NumPy call costs about a microsecond
-whatever its size, so that the columns would cost it some 250 microseconds
-more than its loop.  Both routes give the same bits.  The scaled problem and the
-companion rows stay scalar per point, in any batch: their Python float
-expressions fix the bits of the matrices whose eigenvalues every later stage
-starts from (``c ** 3`` is the C library's pow, which NumPy's power does not
-always equal).
+precision columns and tested as columns, and a point with one converged
+candidate takes it by gather; a smaller one, such as ``run_point``'s batch of
+one, goes candidate by candidate, as a NumPy call costs about a microsecond
+whatever its size.  The routes share the Newton step, the candidate bound and
+the detuning shift; only the loops and the closed form are their own, the
+columns spelling out CPython's complex arithmetic, so both give the same bits.
+The scaled problem and the companion rows stay scalar per point, in any
+batch: their Python float expressions fix the bits of the matrices whose
+eigenvalues every later stage starts from (``c ** 3`` is the C library's pow,
+which NumPy's power does not always equal).
 """
 
 from __future__ import annotations
@@ -65,9 +65,10 @@ ROOT_RTOL = 1e-4          # a resultant candidate's photon-number residuals befo
 SHIFT = -1.0              # the resultant's expansion point, away from the roots U_1 >= 0
 # a batch with at least this many candidates polishes and tests them as columns
 # (_column_branches), a smaller one candidate by candidate (_scalar_branches):
-# the columns cost a batch of one about 250 us more than the loop, and the two
-# took equal times at 32-36 candidates of a fig2a chunk (x86-64, one CPU); a bare
-# sweep's chunks have 36-256 points, and run_point's batch of one stays below
+# the two took equal times at 32-36 candidates of a fig2a chunk (x86-64, one
+# CPU); a bare sweep's chunks have 36-256 points, and run_point's batch of one
+# stays below.  Every batch as columns took a bare fig2a run_point from 446 to
+# 733 us, and _polish_columns alone a batch of one from 84-95 to 137-156 us
 COLUMN_CANDIDATES = 32
 # companion matrices of the cubic (with a fourth eigenvalue, -1) and quartic of identical inputs
 _COMPANIONS = np.tile(np.eye(4, k=-1), (2, 1, 1))
@@ -197,12 +198,16 @@ def solve_fixed_detuning(params: PhysicalParams, delta1: float, delta2: float) -
     ).steady(0)
 
 
+def _in_bound(u, cap):
+    """Whether scaled photon numbers lie in [0, cap] to REAL_TOL: a bool, or a mask."""
+    return (-REAL_TOL <= u) & (u <= cap + REAL_TOL)
+
+
 def _real(roots, cap):
     """Which of the complex ``roots`` are real and in [0, cap], to REAL_TOL; ``cap``
     broadcasts against them.  |root| is hypot, as Python's abs of a complex gives it."""
     re, im = roots.real, roots.imag
-    return ((np.abs(im) <= REAL_TOL * (1.0 + np.hypot(re, im)))
-            & (-REAL_TOL <= re) & (re <= cap + REAL_TOL))
+    return (np.abs(im) <= REAL_TOL * (1.0 + np.hypot(re, im))) & _in_bound(re, cap)
 
 
 def _companion_rows(c: float, b: float, x: float) -> tuple:
@@ -300,6 +305,7 @@ def _finite_rows(c: float, b: float, x: float) -> tuple:
     return rows if all(map(math.isfinite, rows)) else ()
 
 
+@np.errstate(over="ignore", invalid="ignore")   # huge drives give inf and NaN, as in Python
 def _general_candidates(k, c, b, e, x: float, cap: float) -> list[tuple]:
     """(U_1, U_2) of any input: each real root U_1 of the resultant in U_2 of both
     photon-number equations, with each real root U_2 of the second one there; none
@@ -363,31 +369,40 @@ def _resultant_roots(f1, f2, cap: float):
     return roots[_real(roots, cap)].real
 
 
+def _newton_constants(kappa, delta0, b, e, xi) -> tuple:
+    """The terms of :func:`_newton_step` that no step changes: scalars, or columns."""
+    (k1, k2), (c1, c2), (b1, b2), (e1, e2) = kappa, delta0, b, e
+    ek1, ek2 = e1 * k2, e2 * k1   # squared as products, as x86-64's powl(x, 2) is
+    return (k1, k2, c1, c2, b1, b2, e1, e2, k1 * k2, xi * xi, xi * e1, xi * e2,
+            ek1 * ek1, ek2 * ek2, 2.0 * b1, 2.0 * b2, 2.0 * e1 * b2, 2.0 * e2 * b1)
+
+
+def _newton_step(u1, u2, constants) -> tuple:
+    """Newton's step on (u_1 D - N_1, u_2 D - N_2) at (u1, u2) by Cramer's rule: its
+    numerators and the Jacobian's determinant, which each loop divides by as it may."""
+    k1, k2, c1, c2, b1, b2, e1, e2, kk, xx, xe1, xe2, ek1, ek2, bb1, bb2, eb1, eb2 = constants
+    d1, d2 = c1 - b1 * u1, c2 - b2 * u2
+    # z = alpha_1 alpha_2 + xi^2, and beta_j = alpha_k E_j + i xi E_k = E_j kappa_k + i n_j
+    zr, zi = kk - d1 * d2 + xx, k1 * d2 + d1 * k2
+    n1, n2 = e1 * d2 + xe2, e2 * d1 + xe1
+    den = zr * zr + zi * zi
+    # d alpha_j / d u_j = -i b_j
+    den_1, den_2 = bb1 * (zr * d2 - zi * k2), bb2 * (zr * d1 - zi * k1)
+    f1, f2 = u1 * den - ek1 - n1 * n1, u2 * den - ek2 - n2 * n2
+    j11, j12 = den + u1 * den_1, u1 * den_2 + eb1 * n1
+    j21, j22 = u2 * den_1 + eb2 * n2, den + u2 * den_2
+    return f1 * j22 - f2 * j12, f2 * j11 - f1 * j21, j11 * j22 - j12 * j21
+
+
 def _polish(u1, u2, kappa, delta0, b, e, xi):
     """Newton's method on (u_1 D - N_1, u_2 D - N_2) from (u1, u2), in the
     arithmetic of the arguments, with alpha_j = kappa_j + i (delta0_j - b_j u_j)."""
-    (k1, k2), (c1, c2), (b1, b2), (e1, e2) = kappa, delta0, b, e
-    # the products that do not change from step to step, each once
-    kk, xx, xe1, xe2 = k1 * k2, xi * xi, xi * e1, xi * e2
-    ek1, ek2 = (e1 * k2) ** 2, (e2 * k1) ** 2
-    bb1, bb2, eb1, eb2 = 2.0 * b1, 2.0 * b2, 2.0 * e1 * b2, 2.0 * e2 * b1
+    constants = _newton_constants(kappa, delta0, b, e, xi)
     for _ in range(NEWTON_STEPS):
-        d1, d2 = c1 - b1 * u1, c2 - b2 * u2
-        # z = alpha_1 alpha_2 + xi^2, and beta_j = alpha_k E_j + i xi E_k = E_j kappa_k + i n_j
-        zr, zi = kk - d1 * d2 + xx, k1 * d2 + d1 * k2
-        n1, n2 = e1 * d2 + xe2, e2 * d1 + xe1
-        den = zr * zr + zi * zi
-        # d alpha_j / d u_j = -i b_j
-        den_1 = bb1 * (zr * d2 - zi * k2)
-        den_2 = bb2 * (zr * d1 - zi * k1)
-        f1 = u1 * den - ek1 - n1 * n1
-        f2 = u2 * den - ek2 - n2 * n2
-        j11, j12 = den + u1 * den_1, u1 * den_2 + eb1 * n1
-        j21, j22 = u2 * den_1 + eb2 * n2, den + u2 * den_2
-        det = j11 * j22 - j12 * j21
+        num1, num2, det = _newton_step(u1, u2, constants)
         if not det:
             break
-        step1, step2 = (f1 * j22 - f2 * j12) / det, (f2 * j11 - f1 * j21) / det
+        step1, step2 = num1 / det, num2 / det
         u1, u2 = u1 - step1, u2 - step2
         if not abs(step1) + abs(step2) > NEWTON_RTOL * (abs(u1) + abs(u2)):
             break
@@ -405,8 +420,11 @@ def _scaled(kappa, g, shift, e, xi: float, delta0) -> tuple | None:
         return None
     # U_j = u_j / unit, with rates in units of kappa_1 and drives in units of the larger
     kap, top = kappa[0], max(e)
-    unit, k = (top / kap) ** 2, (1.0, kappa[1] / kap)
-    es = (e1 / top, e2 / top)
+    try:
+        unit = (top / kap) ** 2
+    except OverflowError:   # Python's pow raises past float's range: no candidate is finite
+        unit = math.inf
+    k, es = (1.0, kappa[1] / kap), (e1 / top, e2 / top)
     # kappa_1 u_1 + kappa_2 u_2 = Re(E_1 a_1* + E_2 a_2*) bounds U_1 + U_2
     cap = (es[0] ** 2 + es[1] ** 2) / min(k) ** 2
     # a drive so weak that the shift rounds away beside kappa_j + |delta0_j|:
@@ -459,14 +477,12 @@ def self_consistent_points(cavity_decay, mech_freq, coupling, drives, hop_streng
     point whose drive is too weak to shift its bare detunings takes the
     closed form at them (see :func:`_scaled`).
 
-    The batch's candidates form one table, by point (:func:`_candidates`); the
-    identical-cavity points' real roots and candidates come from array tests
-    over one stacked eigenvalue call, and the table's starting photon numbers
-    become extended precision in one conversion.  A table of at least
-    COLUMN_CANDIDATES candidates is polished and tested as columns
-    (:func:`_column_branches`), a smaller one candidate by candidate
-    (:func:`_scalar_branches`); both give the same bits, so a point's columns
-    do not depend on its batch.
+    The batch's candidates form one table (:func:`_candidates`), polished and
+    tested as columns (:func:`_column_branches`) from COLUMN_CANDIDATES of them
+    on, else one by one (:func:`_scalar_branches`).  Both routes share
+    :func:`_newton_step`, :func:`_in_bound` and :func:`_shifted`; only their
+    loops and the closed form's complex arithmetic are their own, so a point's
+    columns do not depend on its batch.
     """
     kappa, mech, g = cavity_decay, mech_freq, coupling
     shift = (g[0] ** 2 / mech[0], g[1] ** 2 / mech[1])    # detuning per photon
@@ -487,21 +503,22 @@ def self_consistent_points(cavity_decay, mech_freq, coupling, drives, hop_streng
                     start1, start2)
 
 
+def _shifted(delta0, g, mech, u1, u2) -> tuple:
+    """The detunings delta0_j - g_j^2 u_j / omega_mj at photon numbers u_j."""
+    return delta0[0] - g[0] ** 2 * u1 / mech[0], delta0[1] - g[1] ** 2 * u2 / mech[1]
+
+
 def _tested(kappa, mech, g, problem, e, xi, delta0, u1: float, u2: float):
     """The test of one polished candidate (u1, u2) of a point: None outside the
     bound, else (residual, a_1, a_2, Delta_1, Delta_2) of the closed form at the
     detunings it shifts, the second detunings those of the closed form's photon
     numbers."""
-    cap, unit = problem[6] + REAL_TOL, problem[7]
-    if not (-REAL_TOL <= u1 / unit <= cap and -REAL_TOL <= u2 / unit <= cap):
+    cap, unit = problem[6:]
+    if not (_in_bound(u1 / unit, cap) and _in_bound(u2 / unit, cap)):
         return None
-    g2 = (g[0] ** 2, g[1] ** 2)
-
-    def detunings(u1, u2):
-        return delta0[0] - g2[0] * u1 / mech[0], delta0[1] - g2[1] * u2 / mech[1]
-
-    amp1, amp2, _, _ = _closed_form_amps(kappa, xi, e[0], e[1], *detunings(u1, u2))
-    d1, d2 = detunings(abs(amp1) ** 2, abs(amp2) ** 2)
+    amp1, amp2, _, _ = _closed_form_amps(kappa, xi, e[0], e[1],
+                                         *_shifted(delta0, g, mech, u1, u2))
+    d1, d2 = _shifted(delta0, g, mech, abs(amp1) ** 2, abs(amp2) ** 2)
     res = _residual(xi, e[0], e[1], amp1, amp2, complex(kappa[0], d1), complex(kappa[1], d2))
     return res, amp1, amp2, d1, d2
 
@@ -564,32 +581,16 @@ def _scalar_branches(kappa, mech, g, shift, drives, hop_strength, detuning, prob
 @np.errstate(all="ignore")   # a row with det == 0 or a non-finite start divides all the same
 def _polish_columns(u1, u2, kappa, delta0, b, e, xi):
     """:func:`_polish` of every row of the columns ``u1``, ``u2``, ``delta0``
-    (a pair of columns), ``e`` (a pair) and ``xi`` at once: the same operations
-    on arrays, each row stopping at the step where it would stop alone (on
-    det == 0, on NEWTON_RTOL or after NEWTON_STEPS).  Rows that stop leave the
-    arrays, so that a few slow rows do not carry the rest."""
-    (k1, k2), (c1, c2), (b1, b2), (e1, e2) = kappa, delta0, b, e
-    kk, bb1, bb2 = k1 * k2, 2.0 * b1, 2.0 * b2
-    # the per-row products that do not change from step to step; float_power
-    # is the C library's powl, as ** of a longdouble is
-    fixed = (c1, c2, xi * xi, xi * e1, xi * e2, e1, e2, np.float_power(e1 * k2, 2),
-             np.float_power(e2 * k1, 2), 2.0 * e1 * b2, 2.0 * e2 * b1)
+    (a pair of columns), ``e`` (a pair) and ``xi`` at once, each row stopping at
+    the step where it would stop alone (on det == 0, on NEWTON_RTOL or after
+    NEWTON_STEPS).  Rows that stop leave the arrays, so that a few slow rows do
+    not carry the rest."""
+    constants = _newton_constants(kappa, delta0, b, e, xi)
     out1, out2 = u1.copy(), u2.copy()
     live = np.arange(len(u1))
     for _ in range(NEWTON_STEPS):
-        c1, c2, xx, xe1, xe2, e1, e2, ek1, ek2, eb1, eb2 = fixed
-        d1, d2 = c1 - b1 * u1, c2 - b2 * u2
-        zr, zi = kk - d1 * d2 + xx, k1 * d2 + d1 * k2
-        n1, n2 = e1 * d2 + xe2, e2 * d1 + xe1
-        den = zr * zr + zi * zi
-        den_1 = bb1 * (zr * d2 - zi * k2)
-        den_2 = bb2 * (zr * d1 - zi * k1)
-        f1 = u1 * den - ek1 - n1 * n1
-        f2 = u2 * den - ek2 - n2 * n2
-        j11, j12 = den + u1 * den_1, u1 * den_2 + eb1 * n1
-        j21, j22 = u2 * den_1 + eb2 * n2, den + u2 * den_2
-        det = j11 * j22 - j12 * j21
-        step1, step2 = (f1 * j22 - f2 * j12) / det, (f2 * j11 - f1 * j21) / det
+        num1, num2, det = _newton_step(u1, u2, constants)
+        step1, step2 = num1 / det, num2 / det
         moved = det != 0.0
         u1, u2 = np.where(moved, u1 - step1, u1), np.where(moved, u2 - step2, u2)
         going = moved & (abs(step1) + abs(step2) > NEWTON_RTOL * (abs(u1) + abs(u2)))
@@ -599,7 +600,7 @@ def _polish_columns(u1, u2, kappa, delta0, b, e, xi):
             live, u1, u2 = live[going], u1[going], u2[going]
             if not len(live):
                 return out1, out2
-            fixed = tuple(column[going] for column in fixed)
+            constants = tuple(c[going] if isinstance(c, np.ndarray) else c for c in constants)
     out1[live], out2[live] = u1, u2
     return out1, out2
 
@@ -632,10 +633,9 @@ def _tested_columns(kappa, mech, g, e, xi, delta0, u1, u2):
     gives them, term for term.  ``e`` and ``delta0`` are pairs of columns.
     Returns (residual, amplitudes (n, 2), detunings (n, 2)) and which rows are
     finite throughout; only those equal _tested's."""
-    (k1, k2), (e1, e2), (c1, c2) = kappa, e, delta0
-    g2 = (g[0] ** 2, g[1] ** 2)
+    (k1, k2), (e1, e2) = kappa, e
     j = (0.0 * xi - 0.0, 0.0 + xi)   # 1j * xi
-    d1, d2 = c1 - g2[0] * u1 / mech[0], c2 - g2[1] * u2 / mech[1]
+    d1, d2 = _shifted(delta0, g, mech, u1, u2)
     alpha1, alpha2 = (k1, d1), (k2, d2)
     z = _product(alpha1, alpha2)
     denom = (z[0] + xi * xi, z[1] + 0.0)
@@ -644,7 +644,7 @@ def _tested_columns(kappa, mech, g, e, xi, delta0, u1, u2):
     # abs(amp) ** 2 is the C library's pow, which is not always amp * amp
     n1 = np.float_power(np.hypot(*amp1), 2.0)
     n2 = np.float_power(np.hypot(*amp2), 2.0)
-    d1, d2 = c1 - g2[0] * n1 / mech[0], c2 - g2[1] * n2 / mech[1]
+    d1, d2 = _shifted(delta0, g, mech, n1, n2)
     r1 = _sum(_sum(_product((-k1, -d1), amp1), _product(j, amp2)), (e1, 0.0))
     r2 = _sum(_sum(_product((-k2, -d2), amp2), _product(j, amp1)), (e2, 0.0))
     h1, h2 = np.hypot(*r1), np.hypot(*r2)
@@ -686,13 +686,12 @@ def _column_branches(kappa, mech, g, shift, drives, hop_strength, detuning, prob
                              e, hop.astype(ext))
     # (cap, unit) of each candidate's point; a point without a problem has none
     bound = np.array([problem[6:] if problem else (0.0, 1.0) for problem in problems])[owner]
-    cap, unit = bound[:, 0] + REAL_TOL, bound[:, 1]
+    cap, unit = bound.T
     with np.errstate(all="ignore"):   # float() of a longdouble past float's range is inf
         u1, u2 = u1.astype(float), u2.astype(float)
         t1, t2 = u1 / unit, u2 / unit
     regular = np.isfinite(t1) & np.isfinite(t2)
-    rows = (regular & (-REAL_TOL <= t1) & (t1 <= cap) & (-REAL_TOL <= t2)
-            & (t2 <= cap)).nonzero()[0]
+    rows = (regular & _in_bound(t1, cap) & _in_bound(t2, cap)).nonzero()[0]
     res, amp, detuned, finite = _tested_columns(
         kappa, mech, g, e[:, rows], hop[rows], delta0[:, rows], u1[rows], u2[rows])
     odd = np.concatenate([rows[~finite], (~regular).nonzero()[0]]).tolist()

@@ -29,6 +29,10 @@ collective blocks, within 2 ulp of a block's margin), the
 over a power axis of 1e-297 mW and 35 mW and delta = (0, 1) (the tiny-drive
 bare sweep: drives whose radiation-pressure shift rounds away at delta = 1,
 and whose photon-number problem degenerates at delta = 0), the ``hopcav
+sweep`` CSV of ``configs/sweep.json`` in bare mode with unequal drives of 35
+and 70 mW at xi = 0.5 omega_m and every branch, over 41 values of delta in
+[-1, 3] (the unequal-drive bare sweep: candidates from the resultant,
+polished and tested as columns), the ``hopcav
 sweep`` CSV of an error-row sweep on 1 and on 2 workers
 (``configs/sweep.json`` over a photon number axis with a negative value and
 values below the bound of a fixed correlation of 0.3: rows that carry
@@ -38,8 +42,13 @@ sweep over a power axis and a temperature axis, each with a negative value
 sets the occupation), and ``hopcav point --json`` for ``configs/point.json``,
 for the benchmark's 16 point documents, for ``configs/point.json`` at xi =
 0.5 omega_m with unequal detunings (1.0, 1.3) omega_m, at an unstable
-detuning of -0.5 omega_m (no covariance), and in bare mode at -3.9 omega_m
-and 100 mW (nine branches, one of them stable).  Each line reads
+detuning of -0.5 omega_m (no covariance), in bare mode at -3.9 omega_m
+and 100 mW (nine branches, one of them stable), for the unequal-drive bare
+sweep's document (a batch of one, polished candidate by candidate), and for
+``configs/point.json`` in bare mode at 0 omega_m with huge drives: 1e293 W at
+a cavity decay of 1e-5 rad/s (the scaled unit (E / kappa_1)^2 passes float's
+range) and 1e113 and 5e112 W at xi = 0.3 omega_m (the resultant's products
+overflow), both "best residual inf" failures.  Each line reads
 ``<sha256>  <output>``; a command that exits non-zero prints its exit code in
 place of the digest, and one that raises the name of its exception.
 
@@ -175,6 +184,24 @@ def digests(work: Path) -> list[tuple[str, str]]:
     tiny["axes"] = [{"name": "power", "unit": "mW", "values": [1e-297, 35.0]},
                     {"name": "delta", "values": [0.0, 1.0]}]
     docs["tiny-drive"] = tiny
+    resultant = json.loads(SWEEP_CONFIG.read_text(encoding="utf-8"))
+    resultant["cavity"]["drive_power"] = [{"value": p, "unit": "mW"} for p in (35.0, 70.0)]
+    resultant["cavity"]["hop_strength"] = {"value": 0.5, "unit": "omega_m"}
+    resultant["detuning"] = {"mode": "bare", "value": {"value": 1.0, "unit": "omega_m"}}
+    resultant["branch_policy"] = "all"
+    resultant["axes"] = [{"name": "delta", "min": -1.0, "max": 3.0, "count": 41}]
+    docs["resultant-sweep"] = resultant
+    docs["bare-unequal-drives"] = resultant
+    huge = json.loads(POINT_CONFIG.read_text(encoding="utf-8"))
+    huge["cavity"]["cavity_decay"] = {"value": 1e-5, "unit": "rad/s"}
+    huge["cavity"]["drive_power"] = {"value": 1e293, "unit": "W"}
+    huge["detuning"] = {"mode": "bare", "value": {"value": 0.0, "unit": "omega_m"}}
+    docs["huge-drive"] = huge
+    huge_unequal = json.loads(POINT_CONFIG.read_text(encoding="utf-8"))
+    huge_unequal["cavity"]["hop_strength"] = {"value": 0.3, "unit": "omega_m"}
+    huge_unequal["cavity"]["drive_power"] = [{"value": p, "unit": "W"} for p in (1e113, 5e112)]
+    huge_unequal["detuning"] = huge["detuning"]
+    docs["huge-unequal-drives"] = huge_unequal
     paths = inputs.write_configs(docs, work / "inputs")
     for name, label in (("fig5", "fig5 stability"), ("fig5-negative", "fig5 stability (negative sign)"),
                         ("fig5-seed3", "fig5 stability (seed 3)"),
@@ -189,7 +216,8 @@ def digests(work: Path) -> list[tuple[str, str]]:
                         ("fig2a-seed3", "fig2a bare sweep (seed 3)"),
                         ("fig2b-seed3", "fig2b bare sweep (seed 3)"),
                         ("field-errors", "power and temperature error-row sweep"),
-                        ("tiny-drive", "tiny-drive bare sweep")):
+                        ("tiny-drive", "tiny-drive bare sweep"),
+                        ("resultant-sweep", "unequal-drive bare sweep")):
         sweep_csv = work / f"{name}.csv"
         code, _ = _cli(["sweep", "--config", str(paths.pop(name)), "--out", str(sweep_csv),
                         "--workers", "1"])

@@ -715,6 +715,39 @@ class TestHugeDrives:
                    for rec in run_point(config, {"delta": r.delta, "power": r.power}).records]
         assert csv_text(singles) == csv_text(records)
 
+    @pytest.mark.parametrize("drives", [
+        (1e163, 1e163),   # (E / kappa_1)^2 overflows Python's pow in _scaled
+        (1e70, 5e69),     # the resultant's complex products overflow to inf and NaN
+        (1e163, 5e162),   # both
+    ])
+    def test_huge_drive_records_no_branch(self, drives):
+        # alone (the candidate loop) and beside 40 points whose candidates
+        # take the columns
+        for others in (0, 40):
+            batch = fig2a_batch([(drives, (0.0, 0.0))] + [TestTinyDrives.FIG2A] * others)
+            assert list(batch.errors) == [0]
+            assert str(batch.errors[0]) == (
+                "no self-consistent steady state converged (best residual inf)")
+            assert list(batch.owner) == list(range(1, others + 1))
+        assert len(batch.owner) >= steady_state.COLUMN_CANDIDATES
+        assert point_columns(batch, 1) == point_columns(fig2a_batch([TestTinyDrives.FIG2A]), 0)
+
+    def test_sweep_past_the_scaled_unit(self, tmp_path):
+        # 1e293 W: a drive amplitude about 3e158 times the cavity decay of 1e-5 rad/s
+        doc = json.loads((REPO / "configs" / "point.json").read_text(encoding="utf-8"))
+        doc["cavity"]["cavity_decay"] = {"value": 1e-5, "unit": "rad/s"}
+        doc["detuning"] = {"mode": "bare", "value": {"value": 0.0, "unit": "omega_m"}}
+        doc["axes"] = [{"name": "delta", "values": [0.0, 1.0]},
+                       {"name": "power", "unit": "W", "values": [0.05, 1e293]}]
+        path, out = tmp_path / "huge.json", tmp_path / "huge.csv"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["sweep", "--config", str(path), "--out", str(out), "--workers", "1"]) == 0
+        rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()
+                if not line.startswith("#")][1:]
+        assert [row[-1] for row in rows[1::2]] == [
+            "no self-consistent steady state converged (best residual inf)"] * 2
+        assert len(rows) == 4 and rows[0][-1] == rows[2][-1] == ""
+
 
 def scalar_real(roots, cap):
     """The real roots in [0, cap], root by root in Python's complex arithmetic:
