@@ -43,6 +43,8 @@ AXIS_POWER_UNITS = ("W", "mW")
 
 def _number(value, field: str, kind=float):
     try:
+        if isinstance(value, bool):   # JSON's true and false, which float() reads as 1 and 0
+            raise TypeError(value)
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{field}: non-numeric value {value!r}") from exc

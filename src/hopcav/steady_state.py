@@ -33,14 +33,14 @@ eigenvalue call and the identical-cavity points' candidates come from array
 tests over its output, and the table's starting photon numbers convert to
 extended precision at once.  A table of at least COLUMN_CANDIDATES candidates,
 a sweep chunk's, is polished by one masked Newton iteration over extended
-precision columns and tested as columns, and a point with one converged
-candidate takes it by gather; a smaller one, such as ``run_point``'s batch of
-one, goes candidate by candidate, as a NumPy call costs about a microsecond
-whatever its size.  The routes share the Newton step, the candidate bound and
-the detuning shift; only the loops and the closed form are their own, the
-columns spelling out CPython's complex arithmetic, so both give the same bits.
-The scaled problem and the companion rows stay scalar per point, in any
-batch: their Python float expressions fix the bits of the matrices whose
+precision columns and tested as columns; a smaller one, such as
+``run_point``'s batch of one, goes candidate by candidate, as a NumPy call
+costs about a microsecond whatever its size.  The routes share the Newton
+step, the candidate bound, the detuning shift and one assembly of the tested
+candidates into branches; only the loops and the closed form are their own,
+the columns spelling out CPython's complex arithmetic, so both give the same
+bits.  The scaled problem and the companion rows stay scalar per point, in
+any batch: their Python float expressions fix the bits of the matrices whose
 eigenvalues every later stage starts from (``c ** 3`` is the C library's pow,
 which NumPy's power does not always equal).
 """
@@ -65,11 +65,11 @@ ROOT_RTOL = 1e-4          # a resultant candidate's photon-number residuals befo
 SHIFT = -1.0              # the resultant's expansion point, away from the roots U_1 >= 0
 # a batch with at least this many candidates polishes and tests them as columns
 # (_column_branches), a smaller one candidate by candidate (_scalar_branches):
-# the two took equal times at 32-36 candidates of a fig2a chunk (x86-64, one
+# the two took equal times at 27-29 candidates of a fig2a chunk (x86-64, one
 # CPU); a bare sweep's chunks have 36-256 points, and run_point's batch of one
 # stays below.  Every batch as columns took a bare fig2a run_point from 446 to
 # 733 us, and _polish_columns alone a batch of one from 84-95 to 137-156 us
-COLUMN_CANDIDATES = 32
+COLUMN_CANDIDATES = 28
 # companion matrices of the cubic (with a fourth eigenvalue, -1) and quartic of identical inputs
 _COMPANIONS = np.tile(np.eye(4, k=-1), (2, 1, 1))
 _COMPANIONS[0, 3, 2:] = 0.0, -1.0
@@ -479,10 +479,12 @@ def self_consistent_points(cavity_decay, mech_freq, coupling, drives, hop_streng
 
     The batch's candidates form one table (:func:`_candidates`), polished and
     tested as columns (:func:`_column_branches`) from COLUMN_CANDIDATES of them
-    on, else one by one (:func:`_scalar_branches`).  Both routes share
-    :func:`_newton_step`, :func:`_in_bound` and :func:`_shifted`; only their
-    loops and the closed form's complex arithmetic are their own, so a point's
-    columns do not depend on its batch.
+    on, else one by one (:func:`_scalar_branches`).  The routes differ only in
+    how they polish and test: both share :func:`_newton_step`,
+    :func:`_in_bound` and :func:`_shifted`, and hand their tested candidates to
+    one assembly (:func:`_branches`); only their loops and the closed form's
+    complex arithmetic are their own, so a point's columns do not depend on
+    its batch.
     """
     kappa, mech, g = cavity_decay, mech_freq, coupling
     shift = (g[0] ** 2 / mech[0], g[1] ** 2 / mech[1])    # detuning per photon
@@ -534,28 +536,19 @@ def _failure(residual: float) -> ConvergenceFailureError:
         best_residual=residual)
 
 
-def _scalar_branches(kappa, mech, g, shift, drives, hop_strength, detuning, problems, owner,
-                     start1, start2) -> WorkingPoints:
-    """The branches of a batch from its candidate table (see
-    :func:`self_consistent_points`), each candidate polished and tested on its
-    own: the route of small batches, and the reference of the columns'."""
-    ext, owner = np.longdouble, owner.tolist()
-    precise = (ext(kappa[0]), ext(kappa[1]))
-    polished = [_polish(a, b, precise, detuning[point], shift, drives[point], xi)
-                for point, a, b, xi in zip(owner, start1, start2, np.array(
-                    [hop_strength[point] for point in owner], dtype=ext))]
-
-    # per point: those of its candidates in the bound that converge, and the
-    # least residual of the others
+def _branches(kappa, mech, g, drives, hop_strength, detuning, problems, tested) -> WorkingPoints:
+    """The branches of a batch from its tested candidates, (point, found) in
+    candidate order with ``found`` as :func:`_tested` gives it: per point, the
+    distinct fixed points (:func:`_distinct`) among those of its candidates in
+    the bound that converge, or the failure with the least residual of the
+    others."""
     best, converged = {}, {}
-    for point, (u1, u2) in zip(owner, polished):
-        found = _tested(kappa, mech, g, problems[point], drives[point], hop_strength[point],
-                        detuning[point], float(u1), float(u2))
+    for point, found in tested:
         if found is None:
             continue
         if found[0] < RESIDUAL_TOL:
             converged.setdefault(point, []).append(found)
-        else:
+        else:   # min keeps its first argument over a NaN residual
             best[point] = min(best.get(point, math.inf), found[0])
 
     amps, detuned, branch, owners, errors = [], [], [], [], {}
@@ -576,6 +569,23 @@ def _scalar_branches(kappa, mech, g, shift, drives, hop_strength, detuning, prob
             owners.append(point)
     return _columns(kappa, mech, g, [drives[i] for i in owners], [hop_strength[i] for i in owners],
                     detuned, amps, branch, owners, errors)
+
+
+def _scalar_branches(kappa, mech, g, shift, drives, hop_strength, detuning, problems, owner,
+                     start1, start2) -> WorkingPoints:
+    """The branches of a batch from its candidate table (see
+    :func:`self_consistent_points`), each candidate polished and tested on its
+    own: the route of small batches, and the reference of the columns'.  The
+    routes differ only there: :func:`_branches` assembles the tests of both."""
+    ext, owner = np.longdouble, owner.tolist()
+    precise = (ext(kappa[0]), ext(kappa[1]))
+    polished = [_polish(a, b, precise, detuning[point], shift, drives[point], xi)
+                for point, a, b, xi in zip(owner, start1, start2, np.array(
+                    [hop_strength[point] for point in owner], dtype=ext))]
+    return _branches(kappa, mech, g, drives, hop_strength, detuning, problems, [
+        (point, _tested(kappa, mech, g, problems[point], drives[point], hop_strength[point],
+                        detuning[point], float(u1), float(u2)))
+        for point, (u1, u2) in zip(owner, polished)])
 
 
 @np.errstate(all="ignore")   # a row with det == 0 or a non-finite start divides all the same
@@ -658,26 +668,14 @@ def _tested_columns(kappa, mech, g, e, xi, delta0, u1, u2):
     return res, amp, detuned, np.isfinite(res) & np.isfinite(detuned).all(1)
 
 
-def _inserted(key, columns, rows) -> tuple:
-    """(key, columns) with ``rows``, tuples (key, *values), added and every row in
-    key order; the sort is stable, so rows of one key keep their order."""
-    if not rows:
-        return key, columns
-    key = np.concatenate([key, [row[0] for row in rows]])
-    order = key.argsort(kind="stable")
-    return key[order], [np.concatenate([column, [row[i] for row in rows]])[order]
-                        for i, column in enumerate(columns, 1)]
-
-
 def _column_branches(kappa, mech, g, shift, drives, hop_strength, detuning, problems, owner,
                      start1, start2) -> WorkingPoints:
     """:func:`_scalar_branches` as columns: one masked Newton iteration polishes
     every candidate (:func:`_polish_columns`), and the candidates in the bound
     are tested as columns (:func:`_tested_columns`); a candidate whose bound or
     test meets a value that is not finite takes :func:`_tested`, where Python
-    raises what it raises.  A point with one converged candidate takes it by
-    gather; only a point with two or more builds the tuples of
-    :func:`_distinct`."""
+    raises what it raises.  The routes differ only there: :func:`_branches`
+    assembles the tests of both."""
     ext = np.longdouble
     e = np.asarray(drives, dtype=float)[owner].T
     delta0 = np.asarray(detuning, dtype=float)[owner].T
@@ -694,40 +692,15 @@ def _column_branches(kappa, mech, g, shift, drives, hop_strength, detuning, prob
     rows = (regular & _in_bound(t1, cap) & _in_bound(t2, cap)).nonzero()[0]
     res, amp, detuned, finite = _tested_columns(
         kappa, mech, g, e[:, rows], hop[rows], delta0[:, rows], u1[rows], u2[rows])
+    # the tests by candidate, handed on in candidate order; one outside the bound has none
+    tested = dict(zip(rows[finite].tolist(), zip(
+        res[finite].tolist(), *amp[finite].T.tolist(), *detuned[finite].T.tolist())))
     odd = np.concatenate([rows[~finite], (~regular).nonzero()[0]]).tolist()
-    tested = [(k, _tested(kappa, mech, g, problems[point], drives[point], hop_strength[point],
-                          detuning[point], u1[k].item(), u2[k].item()))
-              for k, point in zip(odd, owner[odd].tolist())]
-    keep, (res, amp, detuned) = _inserted(
-        rows[finite], (res[finite], amp[finite], detuned[finite]),
-        [(k, found[0], found[1:3], found[3:]) for k, found in tested if found is not None])
-
-    # per point: the number of its converged candidates, and the least residual
-    # of the others
-    point = owner[keep]
-    converged = res < RESIDUAL_TOL
-    count = np.bincount(point[converged], minlength=len(problems))
-    best = np.full(len(problems), np.inf)
-    np.fmin.at(best, point[~converged], res[~converged])
-    # the branches of each point with several converged candidates, and of each
-    # point whose detunings stay bare, as tuples
-    several = (converged & (count[point] > 1)).nonzero()[0]
-    tuples = [(point[group[0]].item(), _distinct(list(zip(
-        res[group].tolist(), *amp[group].T.tolist(), *detuned[group].T.tolist()))))
-        for group in np.split(several, np.flatnonzero(np.diff(point[several])) + 1)
-        if len(group)]
-    tuples += [(k, _bare_branch(kappa, drives[k], hop_strength[k], detuning[k]))
-               for k, problem in enumerate(problems) if problem is None]
-    single = converged & (count[point] == 1)
-    point, (branch, amp, detuned) = _inserted(
-        point[single], (np.zeros(single.sum(), int), amp[single], detuned[single]),
-        [(k, n, found[1:3], found[3:]) for k, branches in tuples
-         for n, found in enumerate(branches)])
-    errors = {k: _failure(best[k].item()) for k in (count == 0).nonzero()[0].tolist()
-              if problems[k] is not None}
-    owners = point.tolist()
-    return _columns(kappa, mech, g, [drives[i] for i in owners], [hop_strength[i] for i in owners],
-                    detuned, amp, branch, owners, errors)
+    tested.update((k, _tested(kappa, mech, g, problems[point], drives[point], hop_strength[point],
+                              detuning[point], u1[k].item(), u2[k].item()))
+                  for k, point in zip(odd, owner[odd].tolist()))
+    return _branches(kappa, mech, g, drives, hop_strength, detuning, problems,
+                     [(point, tested.get(k)) for k, point in enumerate(owner.tolist())])
 
 
 def solve_self_consistent(params: PhysicalParams, delta01: float,

@@ -32,7 +32,13 @@ and whose photon-number problem degenerates at delta = 0), the ``hopcav
 sweep`` CSV of ``configs/sweep.json`` in bare mode with unequal drives of 35
 and 70 mW at xi = 0.5 omega_m and every branch, over 41 values of delta in
 [-1, 3] (the unequal-drive bare sweep: candidates from the resultant,
-polished and tested as columns), the ``hopcav
+polished and tested as columns), the ``hopcav sweep`` CSV of
+``configs/sweep.json`` in bare mode at 1 omega_m with every branch, over a
+power axis of 0.035, 1e180 and 1e200 W and 21 values of delta in [0, 2] (the
+huge-power bare sweep: one column table of 147 candidates, 63 of them, at
+1e180 and 1e200 W, not finite in the columns and tested one by one, merged
+back in candidate order; those points' rows are "best residual" failures,
+finite at 1e180 W and inf at 1e200 W), the ``hopcav
 sweep`` CSV of an error-row sweep on 1 and on 2 workers
 (``configs/sweep.json`` over a photon number axis with a negative value and
 values below the bound of a fixed correlation of 0.3: rows that carry
@@ -192,6 +198,12 @@ def digests(work: Path) -> list[tuple[str, str]]:
     resultant["axes"] = [{"name": "delta", "min": -1.0, "max": 3.0, "count": 41}]
     docs["resultant-sweep"] = resultant
     docs["bare-unequal-drives"] = resultant
+    huge_power = json.loads(SWEEP_CONFIG.read_text(encoding="utf-8"))
+    huge_power["detuning"] = {"mode": "bare", "value": {"value": 1.0, "unit": "omega_m"}}
+    huge_power["branch_policy"] = "all"
+    huge_power["axes"] = [{"name": "power", "unit": "W", "values": [0.035, 1e180, 1e200]},
+                          {"name": "delta", "min": 0.0, "max": 2.0, "count": 21}]
+    docs["huge-power-sweep"] = huge_power
     huge = json.loads(POINT_CONFIG.read_text(encoding="utf-8"))
     huge["cavity"]["cavity_decay"] = {"value": 1e-5, "unit": "rad/s"}
     huge["cavity"]["drive_power"] = {"value": 1e293, "unit": "W"}
@@ -217,7 +229,8 @@ def digests(work: Path) -> list[tuple[str, str]]:
                         ("fig2b-seed3", "fig2b bare sweep (seed 3)"),
                         ("field-errors", "power and temperature error-row sweep"),
                         ("tiny-drive", "tiny-drive bare sweep"),
-                        ("resultant-sweep", "unequal-drive bare sweep")):
+                        ("resultant-sweep", "unequal-drive bare sweep"),
+                        ("huge-power-sweep", "huge-power bare sweep")):
         sweep_csv = work / f"{name}.csv"
         code, _ = _cli(["sweep", "--config", str(paths.pop(name)), "--out", str(sweep_csv),
                         "--workers", "1"])

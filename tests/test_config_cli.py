@@ -131,6 +131,14 @@ MALFORMED = [
     pytest.param("bath", {"photon_number": "abc"}, "bath.photon_number", id="photon-number"),
     pytest.param("bath", {"dpo": 1.0}, "bath.dpo", id="dpo-not-an-object"),
     pytest.param("nbar", "x", "nbar", id="nbar"),
+    # JSON's true and false are no numbers, though float() reads them as 1 and 0
+    pytest.param("nbar", True, "nbar", id="nbar-boolean"),
+    pytest.param("cavity.drive_power", {"value": True, "unit": "mW"}, "drive_power",
+                 id="power-boolean"),
+    pytest.param("bath", {"photon_number": False, "correlation": "ideal"},
+                 "bath.photon_number", id="photon-number-boolean"),
+    pytest.param("axes", [{"name": "delta", "min": 0.0, "max": 1.0, "count": True}],
+                 "axes[0].count", id="axis-count-boolean"),
     pytest.param("detuning", 1.0, "detuning", id="detuning-not-an-object"),
     pytest.param("detuning", {"mode": "effective", "value": {"value": 1.0, "unit": ["omega_m"]}},
                  "detuning.value", id="unit-not-a-string"),

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 from pathlib import Path
@@ -626,6 +627,77 @@ class TestChunkAcrossTheThreshold:
                 assert ([str(batch.errors[k])] if k in batch.errors else []) == [
                     str(e) for e in single.errors.values()], k
             assert tables == tables[:1]   # each batch of one was polished candidate by candidate
+
+
+class TestBranchAssembly:
+    """The one assembly of both routes' tested candidates, (point, (residual,
+    a_1, a_2, Delta_1, Delta_2)) in candidate order, from hand-made tests; and
+    the tests the columns hand it."""
+
+    DRIVE, DETUNING = drive_amps(make_params(power=0.1)), (3.9 * WM, 3.9 * WM)
+
+    def assemble(self, posed, tested):
+        # a point is posed (it has a photon-number problem) or keeps its bare detunings
+        kappa, mech, g = CAVITIES
+        shift = (g[0] ** 2 / mech[0], g[1] ** 2 / mech[1])
+        problem = steady_state._scaled(kappa, g, shift, self.DRIVE, 0.0, self.DETUNING)
+        count = len(posed)
+        return steady_state._branches(kappa, mech, g, [self.DRIVE] * count, [0.0] * count,
+                                      [self.DETUNING] * count,
+                                      [problem if p else None for p in posed], tested)
+
+    @pytest.mark.parametrize("residuals", itertools.permutations([math.nan, 2e-3, math.inf]))
+    def test_least_residual_skips_nan(self, residuals):
+        points = self.assemble([True], [(0, (r, 1.0, 1.0, 0.5, 0.5)) for r in residuals])
+        assert len(points.owner) == 0
+        assert "(best residual 2.000e-03)" in str(points.errors[0])
+        assert points.errors[0].best_residual == 2e-3
+
+    def test_duplicates_keep_the_least_residual(self):
+        amp = 3e3 + 4e3j
+        near = amp * (1.0 + 0.5 * steady_state.DUPLICATE_TOL)
+        points = self.assemble([True], [(0, (5e-11, amp, amp, 1.0, 1.0)),
+                                        (0, (1e-11, 1.0, 1.0, 0.5, 0.5)),
+                                        (0, (2e-11, near, near, 2.0, 2.0))])
+        assert points.owner.tolist() == [0, 0] and points.branch.tolist() == [0, 1]
+        assert points.amp.tolist() == [[1.0, 1.0], [near, near]]
+        assert points.eff_detuning.tolist() == [[0.5, 0.5], [2.0, 2.0]]
+
+    def test_unposed_point_takes_the_closed_form(self):
+        points = self.assemble([False, True], [(1, (1e-11, 1.0, 1.0, 0.5, 0.5))])
+        bare = fixed_detuning_points(*CAVITIES, [self.DRIVE], [0.0], [self.DETUNING])
+        assert point_columns(points, 0) == point_columns(bare, 0)
+        assert points.owner.tolist() == [0, 1] and not points.errors
+
+    def test_point_without_tests_records_inf(self):
+        # no candidate, or one outside the bound
+        points = self.assemble([True, True], [(1, None)])
+        assert len(points.owner) == 0
+        assert [str(points.errors[k]) for k in (0, 1)] == [
+            "no self-consistent steady state converged (best residual inf)"] * 2
+
+    def test_columns_hand_on_the_scalar_tests(self, monkeypatch):
+        # candidates at 1e200 W are not finite in the columns: they are tested
+        # one by one and go back to their places among the others
+        rows = [("bistable", (0.12, 0.12), 0.05, (3.9, 3.9)),
+                ("huge", (1e180, 1e180), 0.0, (1.0, 1.0)), ("drives", (0.1, 0.12), 0.2, (3.9, 4.0)),
+                ("huge", (1e200, 1e200), 0.5, (0.0, 0.0)), ("symmetric", (0.3, 0.3), 0.5, (6.0, 6.0)),
+                ("bistable", (0.15, 0.15), 0.0, (4.0, 4.0))]
+        tables, tested, scalar = [], [], []
+        column_branches, branches, one = (steady_state._column_branches, steady_state._branches,
+                                          steady_state._tested)
+        monkeypatch.setattr(steady_state, "_column_branches",
+                            lambda *args: tables.append(args) or column_branches(*args))
+        monkeypatch.setattr(steady_state, "_branches",
+                            lambda *args: tested.append(args[-1]) or branches(*args))
+        monkeypatch.setattr(steady_state, "_tested",
+                            lambda *args: scalar.append(args[4]) or one(*args))
+        points = self_consistent_points(*batch_columns(rows))
+        assert len(tables) == 1 and set(points.errors) == {1, 3}
+        assert scalar and all(drive[0] > 1e80 for drive in scalar)
+        steady_state._scalar_branches(*tables[0])
+        assert len(tested) == 2 and len(tested[0]) == len(tables[0][-1])
+        assert repr(tested[0]) == repr(tested[1])
 
 
 def fig2a_batch(points):
