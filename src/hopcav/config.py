@@ -41,11 +41,13 @@ UNITS = {
 AXIS_POWER_UNITS = ("W", "mW")
 
 
-def _number(value, field: str, kind=float):
+def _number(value, field: str) -> float:
     try:
-        if isinstance(value, bool):   # JSON's true and false, which float() reads as 1 and 0
+        # JSON's true and false, which float() reads as 1 and 0, and strings,
+        # which it parses
+        if isinstance(value, (bool, str)):
             raise TypeError(value)
-        return kind(value)
+        return float(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{field}: non-numeric value {value!r}") from exc
 

@@ -1,6 +1,8 @@
-"""Linearized fluctuation dynamics: the 8x8 drift and diffusion matrices and
-the 4x4 exchange blocks of an exchange-symmetric drift, the collective-mode
-drift among them.
+"""Linearized fluctuation dynamics: the 8x8 drift and diffusion matrices,
+each assembled as a stack with a batch of one beside it, the drift's
+Frobenius norm from its entries, and the 4x4 exchange blocks of an
+exchange-symmetric drift, the collective-mode drift among them.  This is the
+one module that knows which entries the two matrices hold.
 
 Quadrature ordering (fixed everywhere):
 
@@ -94,6 +96,32 @@ def drift_stack(mech_freq, mech_damping, cavity_decay, coupling, detuning,
     return stack
 
 
+@functools.lru_cache(maxsize=16)
+def drift_rates(mech_freq, mech_damping, cavity_decay) -> tuple[float, bool]:
+    """The sum of the squares of a drift's rate entries (each mechanical
+    frequency and decay rate twice, each damping once), and whether the two
+    cavities' rates are equal."""
+    squares = sum(2.0 * w * w + g * g + 2.0 * k * k
+                  for w, g, k in zip(mech_freq, mech_damping, cavity_decay))
+    return squares, all(rate[0] == rate[1] for rate in (mech_freq, mech_damping, cavity_decay))
+
+
+def drift_norms(rate_squares: float, coupling, detuning, hops) -> np.ndarray:
+    """The Frobenius norm of each branch's figure-convention 8x8 drift, as
+    ``drift_stack`` places it, from the stability gate's columns and the sum
+    of the squares of its rate entries (:func:`drift_rates`): the drift holds
+    each G_j and Delta_j twice and xi four times, so ||A||_F^2 is
+    sum(rates^2) + 2 (G_1^2 + G_2^2) + 2 (Delta_1^2 + Delta_2^2) + 4 xi^2.
+
+    A column of one value holds an equal pair.  The sum is taken in another
+    order than :func:`hopcav.lyapunov.hurwitz_margins` takes it, so the norm
+    can differ from that one in its last bits; it overflows to inf where that
+    one does."""
+    squares = (rate_squares + np.vecdot(coupling, coupling) * (4.0 / coupling.shape[1])
+               + np.vecdot(detuning, detuning) * (4.0 / detuning.shape[1]) + 4.0 * hops * hops)
+    return np.sqrt(squares)
+
+
 def figure_drift(params: PhysicalParams, steady: SteadyState,
                  detuning_sign: str = "positive") -> np.ndarray:
     """Drift matrix for a sweep point quoted in the figure convention.
@@ -112,27 +140,47 @@ def figure_drift(params: PhysicalParams, steady: SteadyState,
                        [params.hop_strength], detuning_sign)[0]
 
 
-def build_diffusion(params: PhysicalParams, bath: SqueezedBath, nbar: float) -> np.ndarray:
-    """Symmetrized noise-correlation matrix of the mirror and field inputs.
+# the diffusion's 10 nonzero entries, as flat indices of the 8x8 matrix: the
+# momenta, the optical quadratures, and the squeezed correlations +M, +M, -M, -M
+_DIFFUSION_ENTRIES = np.ravel_multi_index(([1, 5, 2, 3, 6, 7, 2, 6, 3, 7],
+                                           [1, 5, 2, 3, 6, 7, 6, 2, 7, 3]), (8, 8))
+# which of the noise rows (2 nbar + 1, 2N + 1, M) each takes
+_DIFFUSION_SOURCES = np.array([0, 0, 1, 1, 1, 1, 2, 2, 2, 2])
 
-    Diagonal: no position diffusion, gamma_m (2 nbar + 1) on the momenta,
-    kappa (2N + 1) on the optical quadratures.  The squeezed correlations put
-    +/- 2 sqrt(kappa1 kappa2) M on the (x1, x2) and (y1, y2) cross entries.
+
+def diffusion_stack(mech_damping, cavity_decay, nbar, photon_number, correlation) -> np.ndarray:
+    """Assemble P symmetrized noise-correlation matrices of the mirror and
+    field inputs, shape (P, 8, 8).
+
+    ``mech_damping`` and ``cavity_decay`` are per-cavity pairs shared by the
+    stack; ``nbar``, ``photon_number`` (N) and ``correlation`` (M) hold one
+    value per matrix.  Diagonal: no position diffusion, gamma_m (2 nbar + 1)
+    on the momenta, kappa (2N + 1) on the optical quadratures.  The squeezed
+    correlations put +/- 2 sqrt(kappa1 kappa2) M on the (x1, x2) and
+    (y1, y2) cross entries, all stored with one indexed assignment.
     """
+    k1, k2 = cavity_decay
+    cross = 2.0 * np.sqrt(k1 * k2)
+    noise = np.array([nbar, photon_number, correlation], dtype=float)
+    # an occupation or bath near the largest float overflows its entries to
+    # inf without a warning, as float arithmetic does: only the solve of a
+    # stable row reads them
+    with np.errstate(over="ignore"):
+        noise[:2] = 2.0 * noise[:2] + 1.0
+        entries = noise.take(_DIFFUSION_SOURCES, axis=0).T * np.array(
+            [mech_damping[0], mech_damping[1], k1, k1, k2, k2, cross, cross, -cross, -cross])
+    stack = np.zeros((len(entries), 8, 8))
+    stack.reshape(-1, 64)[:, _DIFFUSION_ENTRIES] = entries
+    return stack
+
+
+def build_diffusion(params: PhysicalParams, bath: SqueezedBath, nbar: float) -> np.ndarray:
+    """The diffusion matrix of one thermal occupation and squeezed bath: the
+    batch of one of :func:`diffusion_stack`."""
     if not 0.0 <= nbar < np.inf:
         raise UnphysicalBathError(f"thermal occupation must be finite and nonnegative, got {nbar}")
-    n = bath.photon_number
-    m = bath.correlation
-    k1, k2 = params.cavity_decay
-    kgeo = np.sqrt(k1 * k2)
-    q = np.zeros((8, 8))
-    q[1, 1] = params.mech_damping[0] * (2.0 * nbar + 1.0)
-    q[5, 5] = params.mech_damping[1] * (2.0 * nbar + 1.0)
-    q[2, 2] = q[3, 3] = k1 * (2.0 * n + 1.0)
-    q[6, 6] = q[7, 7] = k2 * (2.0 * n + 1.0)
-    q[2, 6] = q[6, 2] = 2.0 * kgeo * m
-    q[3, 7] = q[7, 3] = -2.0 * kgeo * m
-    return q
+    return diffusion_stack(params.mech_damping, params.cavity_decay, [nbar],
+                           [bath.photon_number], [bath.correlation])[0]
 
 
 def collective_drifts(drifts: np.ndarray, detuning_sign: str) -> np.ndarray:

@@ -4,9 +4,9 @@ emission.
 A batch of grid points runs
 
     inputs from the sweep's axis tables -> working points -> stacked 8x8
-    drifts -> the stability gate (stability scalars, Hurwitz verdicts from
-    their signs or from eigenvalues; a stage shared with the stability map,
-    see :func:`hopcav.stability.gate_branches`) ->
+    drifts and diffusions -> the stability gate (stability scalars, Hurwitz
+    verdicts from their signs or from eigenvalues; a stage shared with the
+    stability map, see :func:`hopcav.stability.gate_branches`) ->
     grouped Lyapunov solves of the stable branches -> stacked pair measures
     -> one record per row
 
@@ -32,12 +32,13 @@ column row and its body.
 The work that does not depend on the point runs once per sweep: the base
 parameters' couplings and inputs and, when the sweep starts, each axis
 value's check and the inputs it sets (drive amplitudes, thermal occupation,
-bath), in one table per axis, so no ``PhysicalParams`` is built per point;
-each distinct (nbar, N, M) of a stable point, all three checked, builds one
-diffusion matrix.  A batch is a flat range of row-major grid indices, and
-index arithmetic on it selects each axis table's rows.  The
-working points come from the batch's drive, hopping and Langevin-detuning
-columns: in effective mode the closed form
+bath), in one table per axis, so no ``PhysicalParams`` is built per point.
+A batch's drifts and diffusions are one stacked call each, over all of its
+branch rows (:func:`hopcav.dynamics.drift_stack`,
+:func:`hopcav.dynamics.diffusion_stack`).  A batch is a flat range of
+row-major grid indices, and index arithmetic on it selects each axis table's
+rows.  The working points come from the batch's drive, hopping and
+Langevin-detuning columns: in effective mode the closed form
 (:func:`hopcav.steady_state.fixed_detuning_points`), in bare mode every fixed
 point of the self-consistent problem
 (:func:`hopcav.steady_state.self_consistent_points`), which solves the
@@ -75,7 +76,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .dynamics import DETUNING_SIGNS, build_diffusion, drift_stack
+from .dynamics import DETUNING_SIGNS, diffusion_stack, drift_stack
 from .errors import ConfigError, HopcavError
 from .lyapunov import CHUNK_POINTS, RESIDUAL_GATE, lyapunov_stack
 from .measures import MEASURES, pair_measures
@@ -95,7 +96,7 @@ from .steady_state import SteadyState, fixed_detuning_points, self_consistent_po
 
 # bound for the span tracer of the benchmark (perfbench/spans.py PATCHES);
 # the batch calls the batched working points and stacked kernels instead
-from .dynamics import figure_drift  # noqa: F401
+from .dynamics import build_diffusion, figure_drift  # noqa: F401
 from .stability import routh_hurwitz_reduced  # noqa: F401
 from .steady_state import solve_fixed_detuning, solve_self_consistent  # noqa: F401
 from .lyapunov import is_hurwitz, solve_lyapunov  # noqa: F401
@@ -302,7 +303,9 @@ class _Sweep:
     each axis' table.  An axis value is checked by the check of the
     ``PhysicalParams`` field it sets (``params.checked_*``), an occupation by
     :func:`checked_nbar` as the configuration's, a photon number by its bath.
-    Grid point k is the k-th point of the axes' product in row-major order."""
+    Grid point k is the k-th point of the axes' product in row-major order.
+    A sweep holds these tables and nothing that its chunks fill in, so every
+    chunk of a pool is sent the same bytes."""
 
     def __init__(self, config: SweepConfig, axes: list[tuple[str, tuple]]):
         p = config.params
@@ -310,7 +313,6 @@ class _Sweep:
         self.config = config
         self.omega_m = p.mech_freq[0]
         self.coupling = tuple(derive_coupling(p, j) for j in (1, 2))
-        self.diffusions: dict = {}  # (nbar, N, M) -> diffusion
         self.shape = tuple(len(values) for _, values in axes)
         # the base bath's (N, M), or its error, which every point takes unless
         # a photon_number axis sets the bath
@@ -386,15 +388,6 @@ class _Sweep:
         return ResultRecord(*[values.get(name, np.nan) for name in CSV_COLUMNS[:6]],
                             error=str(error))
 
-    def diffusion(self, nbar: float, photon_number: float, correlation: float) -> np.ndarray:
-        """The diffusion matrix of the last three inputs, which passed their
-        checks; the grid axes change only the bath and the occupation."""
-        key = (nbar, photon_number, correlation)
-        if key not in self.diffusions:
-            self.diffusions[key] = build_diffusion(
-                self.config.params, SqueezedBath(photon_number, correlation), nbar)
-        return self.diffusions[key]
-
 
 # the measure cells and Lyapunov residual of a row without a covariance
 _UNMEASURED = (None,) * (len(MEASURES) + 1)
@@ -408,6 +401,7 @@ class _Batch(NamedTuple):
     rows: Sequence      # per emitted record: its branch row, or None for a point that failed
     steady: Callable[[int], SteadyState]  # the working point of a branch row
     drifts: np.ndarray  # (rows, 8, 8) figure-convention drifts of the branch rows
+    diffusions: np.ndarray  # (rows, 8, 8) diffusion matrices of the branch rows
     errors: list        # per branch row: None, or the error that the gate raised
     w: np.ndarray       # the stationary covariances of the branch rows solved
     solved: np.ndarray  # per branch row: its index in w, or -1 if unstable or failed
@@ -444,15 +438,16 @@ def _evaluate(sweep: _Sweep, start: int, stop: int) -> _Batch:
     amp_abs, coupling, detuning = working.amp_abs, working.eff_coupling, working.eff_detuning
 
     hops = inputs[:, _HOP]
-    # every branch row's drift, once, for the Lyapunov solve of the stable
-    # ones and for run_point (the gate assembles the rows it routes itself)
+    # every branch row's drift and diffusion, once, for the Lyapunov solve of
+    # the stable ones and for run_point (the gate assembles the rows it routes
+    # itself)
     drifts = drift_stack(p.mech_freq, p.mech_damping, p.cavity_decay, coupling,
                          # the figure convention: negated Langevin detunings
                          -detuning, hops, config.detuning_sign)
+    diffusions = diffusion_stack(p.mech_damping, p.cavity_decay, *inputs[:, _NOISE].T)
     gate = gate_branches(p, coupling, detuning, hops, config.detuning_sign)
     errors = list(gate.errors)
     solve = [j for j, stable in enumerate(gate.verdicts) if stable]
-    diffusions = [sweep.diffusion(*noise) for noise in inputs[solve, _NOISE].tolist()]
 
     # per branch row: its measure cells and Lyapunov residual; a row whose
     # measures fail keeps its residual, which tells a failed solve from a
@@ -460,7 +455,7 @@ def _evaluate(sweep: _Sweep, start: int, stop: int) -> _Batch:
     measured = [_UNMEASURED] * len(owners)
     w, solved = np.empty((0, 8, 8)), np.full(len(owners), -1)
     if solve:
-        w, residuals = lyapunov_stack(drifts.take(solve, axis=0), np.array(diffusions))
+        w, residuals = lyapunov_stack(drifts.take(solve, axis=0), diffusions.take(solve, axis=0))
         solved[solve] = np.arange(len(solve))
         measures = pair_measures(w)
         for j, row, error in zip(solve, zip(*measures.columns, residuals.tolist()),
@@ -492,7 +487,7 @@ def _evaluate(sweep: _Sweep, start: int, stop: int) -> _Batch:
         emitted = [failed[k] if j is None else records[j] for k, j in order]
     else:
         emitted = records if len(rows) == len(records) else [records[j] for j in rows]
-    return _Batch(emitted, rows, working.steady, drifts, gate.errors, w, solved)
+    return _Batch(emitted, rows, working.steady, drifts, diffusions, gate.errors, w, solved)
 
 
 def run_points(sweep: _Sweep, start: int, stop: int) -> list[ResultRecord]:
@@ -530,7 +525,7 @@ def run_point(config: SweepConfig, overrides: dict[str, float] | None = None) ->
         covariances=covariances,
         steady_states=tuple(map(batch.steady, rows)),
         drifts=tuple([batch.drifts[j] if batch.errors[j] is None else None for j in rows]),
-        diffusion=sweep.diffusion(*records[0][3:6]),  # its nbar, N and M
+        diffusion=batch.diffusions[rows[0]],
     )
 
 

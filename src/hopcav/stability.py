@@ -27,12 +27,13 @@ block and the same model at delta - xi (Vitali et al., PRL 98, 030405
 delta + xi and delta - xi, and it reads everything it decides from the
 working point's columns: exchange symmetry from equal per-cavity rates,
 couplings and detunings, and the band of each scalar from the drift's
-Frobenius norm, a sum of the columns' squares.  Where a scalar is too close
-to 0 for its sign to give the verdict of the eigenvalue test and its margin
-(:data:`BAND_MARGINS`), and for every drift without a collective model, the
-gate takes :func:`hopcav.lyapunov.hurwitz_gate` on the 8x8 drift, which it
-assembles for those rows alone: the one eigenvalue route, so every verdict is
-that of ``is_hurwitz``.  A stability map, which exists to compare the sign
+Frobenius norm, a sum of the columns' squares
+(:func:`hopcav.dynamics.drift_norms`, beside the drift's layout).  Where a
+scalar is too close to 0 for its sign to give the verdict of the eigenvalue
+test and its margin (:data:`BAND_MARGINS`), and for every drift without a
+collective model, the gate takes :func:`hopcav.lyapunov.hurwitz_gate` on the
+8x8 drift, which it assembles for those rows alone: the one eigenvalue route,
+so every verdict is that of ``is_hurwitz``.  A stability map, which exists to compare the sign
 conditions with eigenvalue tests, takes its full verdicts and scalars from
 that gate and adds the eigenvalue verdict of each point's collective block.
 The map is one columnar pass (:func:`map_columns`): working points factored
@@ -50,14 +51,13 @@ rows.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import collective_cells, collective_stack, drift_stack
+from .dynamics import collective_cells, collective_stack, drift_norms, drift_rates, drift_stack
 from .errors import ConfigError, HopcavError
 from .lyapunov import ABSCISSA_RTOL, CHUNK_POINTS, hurwitz_gate
 from .params import (PhysicalParams, checked_detuning, checked_hop_strength, derive_coupling,
@@ -176,16 +176,17 @@ def gate_branches(params: PhysicalParams, coupling, detuning, hops, detuning_sig
     takes :func:`hurwitz_gate` on its 8x8 drift, in one stacked call, so every
     verdict is that of :func:`hurwitz_gate` (and ``is_hurwitz``) on the
     branch's drift, margin included; the gate assembles those drifts, and no
-    other, in one call.  When that call raises, its branches are redone one
-    by one, so that only a failing branch carries its error (with a false
-    verdict, and no scalars).
+    other, in one call (:func:`hopcav.dynamics.drift_stack`).  When that call
+    raises, its branches are redone one by one, so that only a failing branch
+    carries its error (with a false verdict, and no scalars).
     """
     hops = np.asarray(hops, dtype=float)
     count = len(hops)
     omega_m, gamma_m, kappa = params.mech_freq[0], params.mech_damping[0], params.cavity_decay[0]
     # exchange-symmetric: equal rates, couplings and detunings, where the
     # drift's two diagonal blocks are equal (its hopping blocks always are)
-    rate_squares, equal_rates = _rates(params.mech_freq, params.mech_damping, params.cavity_decay)
+    rate_squares, equal_rates = drift_rates(params.mech_freq, params.mech_damping,
+                                            params.cavity_decay)
     collective = (coupling[:, 0] == coupling[:, -1]) & (detuning[:, 0] == detuning[:, -1])
     collective &= equal_rates
     # delta + xi, then the other block's delta - xi, in the figure convention
@@ -196,9 +197,10 @@ def gate_branches(params: PhysicalParams, coupling, detuning, hops, detuning_sig
     # a working point can overflow the scalars or the drift's norm, or hold
     # NaN; such a row is not decided by the scalars
     with np.errstate(over="ignore", invalid="ignore"):
-        # BAND_MARGINS Hurwitz margins (ABSCISSA_RTOL ||A||_F) times rho
+        # BAND_MARGINS Hurwitz margins (ABSCISSA_RTOL ||A||_F, as
+        # :func:`hopcav.lyapunov.hurwitz_margins` takes them) times rho
         rho = 1.0 / min(gamma_m, kappa) + gamma_m / (omega_m * omega_m)
-        band = _drift_norms(rate_squares, coupling, detuning, hops) * (
+        band = drift_norms(rate_squares, coupling, detuning, hops) * (
             ABSCISSA_RTOL * BAND_MARGINS * rho)
         cavity, pulled, damped, pushed = _routh_hurwitz_terms(omega_m, gamma_m, kappa,
                                                               coupling[:, 0], modified)
@@ -232,32 +234,6 @@ def gate_branches(params: PhysicalParams, coupling, detuning, hops, detuning_sig
     if not all(marked):
         s1, s2 = ([x if c else None for x, c in zip(column, marked)] for column in (s1, s2))
     return Gate(verdicts.tolist(), s1, s2, errors)
-
-
-@functools.lru_cache(maxsize=16)
-def _rates(mech_freq, mech_damping, cavity_decay) -> tuple[float, bool]:
-    """The sum of the squares of a drift's rate entries (each mechanical
-    frequency and decay rate twice, each damping once), and whether the two
-    cavities' rates are equal."""
-    squares = sum(2.0 * w * w + g * g + 2.0 * k * k
-                  for w, g, k in zip(mech_freq, mech_damping, cavity_decay))
-    return squares, all(rate[0] == rate[1] for rate in (mech_freq, mech_damping, cavity_decay))
-
-
-def _drift_norms(rate_squares: float, coupling, detuning, hops) -> np.ndarray:
-    """The Frobenius norm of each branch's figure-convention 8x8 drift
-    (:func:`hopcav.dynamics.drift_stack`), from the gate's columns and the
-    sum of the squares of its rate entries (:func:`_rates`): the drift holds
-    each G_j and Delta_j twice and xi four times, so ||A||_F^2 is
-    sum(rates^2) + 2 (G_1^2 + G_2^2) + 2 (Delta_1^2 + Delta_2^2) + 4 xi^2.
-
-    A column of one value holds an equal pair.  The sum is taken in another
-    order than :func:`hopcav.lyapunov.hurwitz_margins` takes it, so the norm
-    can differ from that one in its last bits; it overflows to inf where that
-    one does."""
-    squares = (rate_squares + np.vecdot(coupling, coupling) * (4.0 / coupling.shape[1])
-               + np.vecdot(detuning, detuning) * (4.0 / detuning.shape[1]) + 4.0 * hops * hops)
-    return np.sqrt(squares)
 
 
 def _collective_verdicts(params: PhysicalParams, cells: np.ndarray) -> list:

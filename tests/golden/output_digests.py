@@ -38,8 +38,14 @@ power axis of 0.035, 1e180 and 1e200 W and 21 values of delta in [0, 2] (the
 huge-power bare sweep: one column table of 147 candidates, 63 of them, at
 1e180 and 1e200 W, not finite in the columns and tested one by one, merged
 back in candidate order; those points' rows are "best residual" failures,
-finite at 1e180 W and inf at 1e200 W), the ``hopcav
-sweep`` CSV of an error-row sweep on 1 and on 2 workers
+finite at 1e180 W and inf at 1e200 W), the ``hopcav sweep`` CSV of
+``configs/sweep.json`` with unequal rates, cavity decays of 14 and 7 MHz and
+mechanical dampings of 100 and 150 Hz, under an ideal bath over a photon
+number axis of 0, 0.05 and 0.1 and 21 values of delta in [0, 2] (the
+unequal-rates sweep: every row's drift has no collective model, so the gate
+takes the 8x8 eigenvalues and s1 and s2 are empty, and every diffusion has
+unequal diagonal entries and a 2 sqrt(kappa1 kappa2) M cross term), the
+``hopcav sweep`` CSV of an error-row sweep on 1 and on 2 workers
 (``configs/sweep.json`` over a photon number axis with a negative value and
 values below the bound of a fixed correlation of 0.3: rows that carry
 errors and NaN cells), the ``hopcav sweep`` CSV of an error-row
@@ -204,6 +210,13 @@ def digests(work: Path) -> list[tuple[str, str]]:
     huge_power["axes"] = [{"name": "power", "unit": "W", "values": [0.035, 1e180, 1e200]},
                           {"name": "delta", "min": 0.0, "max": 2.0, "count": 21}]
     docs["huge-power-sweep"] = huge_power
+    unequal_rates = json.loads(SWEEP_CONFIG.read_text(encoding="utf-8"))
+    unequal_rates["cavity"]["cavity_decay"] = [{"value": k, "unit": "MHz"} for k in (14.0, 7.0)]
+    unequal_rates["cavity"]["mech_damping"] = [{"value": g, "unit": "Hz"} for g in (100.0, 150.0)]
+    unequal_rates["bath"] = {"photon_number": 0.0, "correlation": "ideal"}
+    unequal_rates["axes"] = [{"name": "photon_number", "values": [0.0, 0.05, 0.1]},
+                             {"name": "delta", "min": 0.0, "max": 2.0, "count": 21}]
+    docs["unequal-rates-sweep"] = unequal_rates
     huge = json.loads(POINT_CONFIG.read_text(encoding="utf-8"))
     huge["cavity"]["cavity_decay"] = {"value": 1e-5, "unit": "rad/s"}
     huge["cavity"]["drive_power"] = {"value": 1e293, "unit": "W"}
@@ -230,7 +243,8 @@ def digests(work: Path) -> list[tuple[str, str]]:
                         ("field-errors", "power and temperature error-row sweep"),
                         ("tiny-drive", "tiny-drive bare sweep"),
                         ("resultant-sweep", "unequal-drive bare sweep"),
-                        ("huge-power-sweep", "huge-power bare sweep")):
+                        ("huge-power-sweep", "huge-power bare sweep"),
+                        ("unequal-rates-sweep", "unequal-rates sweep")):
         sweep_csv = work / f"{name}.csv"
         code, _ = _cli(["sweep", "--config", str(paths.pop(name)), "--out", str(sweep_csv),
                         "--workers", "1"])

@@ -139,6 +139,18 @@ MALFORMED = [
                  "bath.photon_number", id="photon-number-boolean"),
     pytest.param("axes", [{"name": "delta", "min": 0.0, "max": 1.0, "count": True}],
                  "axes[0].count", id="axis-count-boolean"),
+    # nor are strings that hold numbers, though float() parses them
+    pytest.param("nbar", "836", "nbar", id="nbar-string"),
+    pytest.param("cavity.drive_power", {"value": "50", "unit": "mW"}, "drive_power",
+                 id="power-string"),
+    pytest.param("cavity.hop_strength", {"value": " 1e-1 ", "unit": "omega_m"}, "hop_strength",
+                 id="hopping-string"),
+    pytest.param("axes", [{"name": "delta", "values": ["0", "0.5"]}], "axes[0].values",
+                 id="axis-value-strings"),
+    pytest.param("axes", [{"name": "delta", "min": 0.0, "max": 1.0, "count": "5"}],
+                 "axes[0].count", id="axis-count-string"),
+    pytest.param("bath", {"photon_number": "0.05", "correlation": "ideal"},
+                 "bath.photon_number", id="photon-number-string"),
     pytest.param("detuning", 1.0, "detuning", id="detuning-not-an-object"),
     pytest.param("detuning", {"mode": "effective", "value": {"value": 1.0, "unit": ["omega_m"]}},
                  "detuning.value", id="unit-not-a-string"),

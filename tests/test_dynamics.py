@@ -15,6 +15,7 @@ from hopcav.dynamics import (
     collective_cells,
     collective_drifts,
     collective_stack,
+    diffusion_stack,
     drift_stack,
     exchange_blocks,
     figure_drift,
@@ -185,6 +186,45 @@ class TestDiffusionMatrix:
     def test_non_finite_occupation_rejected(self, nbar):
         with pytest.raises(UnphysicalBathError, match="finite"):
             build_diffusion(make_params(), SqueezedBath.vacuum(), nbar)
+
+
+def entrywise_diffusion(mech_damping, cavity_decay, nbar, n, m):
+    """The diffusion matrix of one occupation and bath (N, M), set entry by
+    entry in Python floats: the one-matrix builder the stack replaced."""
+    k1, k2 = cavity_decay
+    kgeo = np.sqrt(k1 * k2)
+    q = np.zeros((8, 8))
+    q[1, 1] = mech_damping[0] * (2.0 * nbar + 1.0)
+    q[5, 5] = mech_damping[1] * (2.0 * nbar + 1.0)
+    q[2, 2] = q[3, 3] = k1 * (2.0 * n + 1.0)
+    q[6, 6] = q[7, 7] = k2 * (2.0 * n + 1.0)
+    q[2, 6] = q[6, 2] = 2.0 * kgeo * m
+    q[3, 7] = q[7, 3] = -2.0 * kgeo * m
+    return q
+
+
+def _noise(hi):
+    """Nonnegative values up to ``hi``, signed zeros among them."""
+    return st.one_of(st.sampled_from((0.0, -0.0)), st.floats(0.0, hi))
+
+
+class TestDiffusionStack:
+    # per cavity pair: a first rate and the factor of the second (never 1)
+    @settings(max_examples=200, deadline=None)
+    @given(damping=st.tuples(st.floats(1.0, 1e4), st.floats(1.1, 3.0)),
+           decay=st.tuples(st.floats(1e5, 1e9), st.floats(0.2, 0.9)),
+           noise=st.lists(st.tuples(_noise(1e4), _noise(3.0), _noise(1.0)), min_size=1,
+                          max_size=6))
+    def test_rows_equal_the_entrywise_matrices(self, damping, decay, noise):
+        # each row holds the bits, signed zeros included, of its matrix set
+        # entry by entry, for M up to the bound sqrt(N (N + 1))
+        mech_damping, cavity_decay = (damping[0], damping[0] * damping[1]), (
+            decay[0], decay[0] * decay[1])
+        rows = [(nbar, n, bound * math.sqrt(n * (n + 1.0))) for nbar, n, bound in noise]
+        stack = diffusion_stack(mech_damping, cavity_decay, *zip(*rows))
+        assert stack.shape == (len(rows), 8, 8)
+        for q, row in zip(stack, rows):
+            assert q.tobytes() == entrywise_diffusion(mech_damping, cavity_decay, *row).tobytes()
 
 
 class TestReducedModel:

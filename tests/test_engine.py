@@ -450,6 +450,42 @@ class TestBatchedPipeline:
         bare = engine._Sweep(bare_mode, [(a.name, a.values) for a in bare_mode.axes])
         assert abs(len(pickle.dumps(sweep)) - len(pickle.dumps(bare))) < 100
 
+    def test_chunks_leave_the_sweep_as_it_was(self):
+        # a sweep holds its grid's input tables and nothing that its chunks
+        # fill in, so every chunk of a pool is sent the same bytes
+        import pickle
+
+        fig4a = fig_preset("fig4a")
+        sweep = engine._Sweep(fig4a, [(a.name, a.values) for a in fig4a.axes])
+        before = pickle.dumps(sweep)
+        for start, stop in engine._chunks(math.prod(sweep.shape)):
+            engine._evaluate(sweep, start, stop)
+        assert pickle.dumps(sweep) == before
+
+    def test_a_chunk_builds_its_diffusions_in_one_call(self, monkeypatch):
+        # fig4a's 804 points over four photon numbers: each chunk stacks the
+        # diffusions of all of its branch rows at once, and no matrix is built
+        # on its own
+        built = {"diffusion_stack": [], "build_diffusion": []}
+        for name, sizes in built.items():
+            def spy(*args, _sizes=sizes, _call=getattr(engine, name)):
+                result = _call(*args)
+                _sizes.append(len(result))
+                return result
+
+            monkeypatch.setattr(engine, name, spy)
+        batches = list(engine.sweep_batches(fig_preset("fig4a")))
+        assert len(built["diffusion_stack"]) == len(batches) == math.ceil(804 / engine.CHUNK_POINTS)
+        assert sum(built["diffusion_stack"]) == 804 and built["build_diffusion"] == []
+
+    def test_unstable_rows_at_a_huge_occupation_warn_nothing(self):
+        # an unstable row's diffusion is built too: entries that overflow to
+        # inf raise no warning, which the suite makes an error
+        cfg = base_config(axes=(AxisSpec("nbar", (1.0, 1e308)), AxisSpec("delta", (-0.5, -0.4))))
+        records = run_sweep(cfg).records
+        assert [(r.nbar, r.stable, r.error) for r in records] == [
+            (nbar, False, "") for nbar in (1.0, 1.0, 1e308, 1e308)]
+
     @staticmethod
     def count_built(monkeypatch) -> list:
         """The class names of the working points and point results built from now on."""

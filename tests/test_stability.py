@@ -14,6 +14,8 @@ from hopcav.dynamics import (
     collective_cells,
     collective_drifts,
     collective_stack,
+    drift_norms,
+    drift_rates,
     drift_stack,
     exchange_blocks,
     figure_drift,
@@ -927,9 +929,9 @@ class TestColumnGate:
 
         # the norms behind the band are the drifts' norms, to rounding
         with np.errstate(over="ignore", invalid="ignore"):
-            rate_squares = stability._rates(params.mech_freq, params.mech_damping,
-                                            params.cavity_decay)[0]
-            norms = stability._drift_norms(rate_squares, coupling, detuning, hops)
+            rate_squares = drift_rates(params.mech_freq, params.mech_damping,
+                                       params.cavity_decay)[0]
+            norms = drift_norms(rate_squares, coupling, detuning, hops)
             want = lyapunov._frobenius_norms(drifts)
             close = np.abs(norms - want) <= 1e-15 * want
         same = (norms == want) | (np.isnan(norms) & np.isnan(want))
